@@ -2,15 +2,17 @@
 
 Pipeline per configuration: a spatial hash over stick bounding boxes
 (broad phase), exact segment-segment distances on the candidate pairs
-(narrow phase), union-find clustering, and a window-crossing test.  On top
-of that sit the crossing-probability estimator, a stochastic bisection for
-the threshold intensity, and the log-log scaling fit.
+(narrow phase), array connected components (min-label hooking with pointer
+jumping), and a window-crossing test.  On top of that sit the
+crossing-probability estimator, a stochastic bisection for the threshold
+intensity, and the log-log scaling fit.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,16 +60,31 @@ class UnionFind:
         self.count -= 1
         return True
 
-    @property
-    def parent(self) -> np.ndarray:
-        return np.array(self._parent)
-
-    @property
-    def rank(self) -> np.ndarray:
-        return np.array(self._rank)
-
     def labels(self) -> np.ndarray:
         return np.array([self.find(i) for i in range(len(self._parent))])
+
+
+def component_labels(n: int, edges: np.ndarray) -> np.ndarray:
+    """Connected-component label of each of ``n`` nodes joined by the
+    ``(k, 2)`` array ``edges``: the smallest node index in its component.
+
+    Each round hooks every root onto the smallest root it shares an edge
+    with, then jumps pointers until every node points at its root
+    (Shiloach & Vishkin, J. Algorithms 3, 1982).  Labels only point to
+    smaller indices, so the roots are the component minima.
+    """
+    labels = np.arange(n)
+    a, b = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    while True:
+        la, lb = labels[a], labels[b]
+        split = la != lb
+        if not split.any():
+            return labels
+        a, b, la, lb = a[split], b[split], la[split], lb[split]
+        np.minimum.at(labels, np.maximum(la, lb), np.minimum(la, lb))
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):
+            labels, jumped = jumped, jumped[jumped]
 
 
 @dataclass(frozen=True)
@@ -91,44 +108,27 @@ class SpatialIndex:
     _starts: np.ndarray = field(repr=False)
     _grid_min: np.ndarray = field(repr=False)
     _grid_span: np.ndarray = field(repr=False)
-
-    @property
-    def cells(self) -> dict[tuple, np.ndarray]:
-        """Cell coordinate -> sorted stick indices (built on demand)."""
-        out = {}
-        bounds = list(self._starts) + [len(self._stick_ids)]
-        for gi in range(len(self._starts)):
-            lo, hi = bounds[gi], bounds[gi + 1]
-            coord = np.unravel_index(self._codes[lo], self._grid_span)
-            key = tuple(int(c + g) for c, g in zip(coord, self._grid_min))
-            out[key] = self._stick_ids[lo:hi]
-        return out
+    # per registration, bit k set when the cell is the stick's lowest on axis k
+    _low_edges: np.ndarray = field(repr=False)
 
     def candidate_pairs(self) -> np.ndarray:
-        """Unique index pairs (i < j) sharing at least one cell; a superset
-        of all intersecting pairs."""
-        if self.n < 2 or len(self._stick_ids) == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        bounds = np.append(self._starts, len(self._stick_ids))
-        pieces_i = []
-        pieces_j = []
-        triu_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for gi in range(len(self._starts)):
-            members = self._stick_ids[bounds[gi] : bounds[gi + 1]]
-            k = len(members)
-            if k < 2:
-                continue
-            if k not in triu_cache:
-                triu_cache[k] = np.triu_indices(k, 1)
-            iu, ju = triu_cache[k]
-            pieces_i.append(members[iu])
-            pieces_j.append(members[ju])
-        if not pieces_i:
-            return np.empty((0, 2), dtype=np.int64)
-        ii = np.concatenate(pieces_i)
-        jj = np.concatenate(pieces_j)
-        keys = np.unique(ii.astype(np.int64) * self.n + jj.astype(np.int64))
-        return np.column_stack((keys // self.n, keys % self.n))
+        """Index pairs (i < j) sharing at least one cell, each once; a
+        superset of all intersecting pairs.
+
+        The shared cells of two sticks form a box whose low corner lies on
+        each axis at the lower edge of one of the two sticks; a pair is
+        reported only in that cell (Ericson, Real-Time Collision Detection,
+        2004, ch. 7).
+        """
+        m = len(self._stick_ids)
+        sizes = np.diff(np.append(self._starts, m))
+        # registration p pairs with the ones after it in its cell
+        after = np.repeat(self._starts + sizes, sizes) - np.arange(m) - 1
+        first = np.repeat(np.arange(m), after)
+        second = np.arange(len(first)) + np.repeat(np.arange(1, m + 1) - np.cumsum(after) + after, after)
+        all_axes = (1 << len(self._grid_span)) - 1
+        keep = (self._low_edges[first] | self._low_edges[second]) == all_axes
+        return np.column_stack((self._stick_ids[first[keep]], self._stick_ids[second[keep]]))
 
 
 def default_cell_size(length: float) -> float:
@@ -164,6 +164,7 @@ def build_index(config: Configuration, cell: float | None = None) -> SpatialInde
             _starts=empty,
             _grid_min=np.zeros(d, dtype=np.int64),
             _grid_span=np.ones(d, dtype=np.int64),
+            _low_edges=empty,
         )
     half_ext = config.half * np.abs(config.dirs) + 1.0
     lo = np.floor((config.centers - half_ext) / cell).astype(np.int64)
@@ -177,7 +178,9 @@ def build_index(config: Configuration, cell: float | None = None) -> SpatialInde
     strides = np.ones_like(spans)
     for k in range(d - 2, -1, -1):
         strides[:, k] = strides[:, k + 1] * spans[:, k + 1]
-    coords = lo[stick_ids] + (local[:, None] // strides[stick_ids]) % spans[stick_ids]
+    offset = (local[:, None] // strides[stick_ids]) % spans[stick_ids]
+    coords = lo[stick_ids] + offset
+    low_edges = (offset == 0) @ (1 << np.arange(d))
     grid_min = lo.min(axis=0)
     grid_span = hi.max(axis=0) - grid_min + 1
     codes = np.ravel_multi_index((coords - grid_min).T, grid_span)
@@ -193,6 +196,7 @@ def build_index(config: Configuration, cell: float | None = None) -> SpatialInde
         _starts=starts,
         _grid_min=grid_min,
         _grid_span=grid_span,
+        _low_edges=low_edges[order],
     )
 
 
@@ -204,56 +208,44 @@ def intersection_edges(config: Configuration, cell: float | None = None) -> tupl
     if len(pairs) == 0:
         return pairs, 0
     keep = []
-    halves = np.full(config.count, config.half)
     for lo in range(0, len(pairs), _PAIR_CHUNK):
         block = pairs[lo : lo + _PAIR_CHUNK]
         i, j = block[:, 0], block[:, 1]
         dist = segment_distance_arrays(
-            config.centers[i], config.dirs[i], halves[i] * 2.0,
-            config.centers[j], config.dirs[j], halves[j] * 2.0,
+            config.centers[i], config.dirs[i], config.length,
+            config.centers[j], config.dirs[j], config.length,
         )
         keep.append(block[dist <= INTERSECT_THRESHOLD])
     edges = np.concatenate(keep) if keep else pairs[:0]
     return edges, len(pairs)
 
 
-def _touch_masks(config: Configuration, axis: int) -> tuple[np.ndarray, np.ndarray]:
+def _crossing_from_labels(config: Configuration, labels: np.ndarray, axis: int) -> bool:
     window = config.observation_window
     reach = config.half * np.abs(config.dirs[:, axis]) + 1.0
     lo_ext = config.centers[:, axis] - reach
     hi_ext = config.centers[:, axis] + reach
     touch_low = (lo_ext <= window.low[axis]) & (hi_ext >= window.low[axis])
     touch_high = (lo_ext <= window.high[axis]) & (hi_ext >= window.high[axis])
-    return touch_low, touch_high
-
-
-def _crossing_from_labels(config: Configuration, labels: np.ndarray, axis: int) -> bool:
-    touch_low, touch_high = _touch_masks(config, axis)
-    if not touch_low.any() or not touch_high.any():
-        return False
     return bool(np.isin(labels[touch_low], labels[touch_high]).any())
 
 
 def cluster(
     config: Configuration, cell: float | None = None, axis: int = 0
-) -> tuple[UnionFind, CrossingResult]:
-    """Union all intersecting stick pairs and report cluster statistics plus
-    the window-crossing flag along ``axis``."""
+) -> tuple[np.ndarray, CrossingResult]:
+    """Cluster label of every stick (the smallest stick index in its
+    cluster), cluster statistics and the window-crossing flag along
+    ``axis``."""
     if not 0 <= axis < config.d:
         raise DomainError("axis out of range")
     edges, tested = intersection_edges(config, cell)
-    uf = UnionFind(config.count)
-    for a, b in edges:
-        uf.union(int(a), int(b))
-    if config.count == 0:
-        return uf, CrossingResult(False, 0, 0, tested)
-    labels = uf.labels()
-    _, sizes = np.unique(labels, return_counts=True)
-    crossed = _crossing_from_labels(config, labels, axis)
-    return uf, CrossingResult(
-        crossed=crossed,
-        largest_cluster=int(sizes.max()),
-        cluster_count=int(len(sizes)),
+    labels = component_labels(config.count, edges)
+    sizes = np.bincount(labels)
+    sizes = sizes[sizes > 0]
+    return labels, CrossingResult(
+        crossed=_crossing_from_labels(config, labels, axis),
+        largest_cluster=int(sizes.max(initial=0)),
+        cluster_count=len(sizes),
         pair_tests=tested,
     )
 
@@ -267,13 +259,7 @@ def crossing_event(config: Configuration, axis: int = 0, cell: float | None = No
 def _replicate_crossing(args) -> bool:
     d, length, intensity, law, side, replicate_seed, axis, cell = args
     config = sample_window_configuration(d, length, intensity, law, side, replicate_seed)
-    edges, _ = intersection_edges(config, cell)
-    uf = UnionFind(config.count)
-    for a, b in edges:
-        uf.union(int(a), int(b))
-    if config.count == 0:
-        return False
-    return _crossing_from_labels(config, uf.labels(), axis)
+    return crossing_event(config, axis=axis, cell=cell)
 
 
 @dataclass(frozen=True)
@@ -285,6 +271,13 @@ class CrossingStats:
     successes: int
     replicates: int
     outcomes: tuple[int, ...]
+
+
+def _replicate_pool(workers: int):
+    """A process pool when ``workers > 1``, else a context yielding None."""
+    if workers < 1:
+        raise DomainError("workers must be at least 1")
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
 
 
 def replicate_seeds(seed: int, probe: int, replicates: int) -> list[int]:
@@ -303,22 +296,25 @@ def crossing_probability(
     cell: float | None = None,
     workers: int = 1,
     probe_id: int = 0,
+    pool: Executor | None = None,
 ) -> CrossingStats:
     """Fraction of independent window configurations with a crossing, with a
     Wilson 95% interval.  Replicate substreams depend only on (seed,
-    probe_id, replicate), so the result is worker-count independent."""
+    probe_id, replicate), so the result is worker-count independent.
+    ``pool``, an executor with ``workers`` processes, is used in place of
+    a new one when given."""
     if replicates < 1:
         raise DomainError("need at least one replicate")
     if cell is None:
         cell = tuned_cell_size(length, law)
     seeds = replicate_seeds(seed, probe_id, replicates)
     payloads = [(d, length, intensity, law, side, s, axis, cell) for s in seeds]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    with nullcontext(pool) if pool is not None else _replicate_pool(workers) as executor:
+        if executor is None:
+            outcomes = [_replicate_crossing(p) for p in payloads]
+        else:
             chunk = max(1, len(payloads) // (4 * workers))
-            outcomes = [bool(v) for v in pool.map(_replicate_crossing, payloads, chunksize=chunk)]
-    else:
-        outcomes = [_replicate_crossing(p) for p in payloads]
+            outcomes = [bool(v) for v in executor.map(_replicate_crossing, payloads, chunksize=chunk)]
     successes = int(sum(outcomes))
     ci_low, ci_high = wilson_interval(successes, replicates)
     return CrossingStats(
@@ -413,8 +409,11 @@ def estimate_threshold(
     in log-intensity with a fixed number of replicates per probe.  Bisection
     stops once a probe's Wilson interval contains 1/2 (the noise floor) or
     after ``max_bisect`` probes.  The estimate interpolates frequency 1/2
-    from a logistic fit over the whole probe trace.
+    from a logistic fit over the whole probe trace.  With ``workers > 1``
+    every probe runs on one process pool.
     """
+    if not length > 0.0:
+        raise DomainError("stick length must be positive")
     if not side >= 8.0 * length:
         raise PreconditionViolated("window side must be at least 8 L")
     bounds = theorem_bounds(d, length, law, delta=delta, strict=False)
@@ -422,45 +421,46 @@ def estimate_threshold(
     hi_limit = bounds.upper * 10.0
     probes: list[CrossingStats] = []
 
-    def probe(lam: float) -> CrossingStats:
-        stats = crossing_probability(
-            d, length, lam, law, side, replicates, seed,
-            axis=axis, cell=cell, workers=workers, probe_id=len(probes),
-        )
-        probes.append(stats)
-        return stats
+    with _replicate_pool(workers) as pool:
+        def probe(lam: float) -> CrossingStats:
+            stats = crossing_probability(
+                d, length, lam, law, side, replicates, seed,
+                axis=axis, cell=cell, workers=workers, probe_id=len(probes), pool=pool,
+            )
+            probes.append(stats)
+            return stats
 
-    lam = bounds.lower
-    current = probe(lam)
-    if current.frequency <= 0.5:
-        lam_lo, lam_hi = lam, None
-        while current.frequency <= 0.5:
-            lam_lo = current.intensity
-            lam = current.intensity * 2.0
-            if lam > hi_limit:
-                raise BracketFailure("no supercritical intensity found below 10x upper bound")
-            current = probe(lam)
-        lam_hi = current.intensity
-    else:
-        lam_hi = lam
-        while current.frequency > 0.5:
+        lam = bounds.lower
+        current = probe(lam)
+        if current.frequency <= 0.5:
+            lam_lo, lam_hi = lam, None
+            while current.frequency <= 0.5:
+                lam_lo = current.intensity
+                lam = current.intensity * 2.0
+                if lam > hi_limit:
+                    raise BracketFailure("no supercritical intensity found below 10x upper bound")
+                current = probe(lam)
             lam_hi = current.intensity
-            lam = current.intensity / 2.0
-            if lam < lo_limit:
-                raise BracketFailure("no subcritical intensity found above lower bound / 10")
-            current = probe(lam)
-        lam_lo = current.intensity
-
-    straddle = (lam_lo, lam_hi)
-    for _ in range(max_bisect):
-        mid = math.sqrt(lam_lo * lam_hi)
-        current = probe(mid)
-        if current.frequency > 0.5:
-            lam_hi = mid
         else:
-            lam_lo = mid
-        if current.ci_low <= 0.5 <= current.ci_high:
-            break
+            lam_hi = lam
+            while current.frequency > 0.5:
+                lam_hi = current.intensity
+                lam = current.intensity / 2.0
+                if lam < lo_limit:
+                    raise BracketFailure("no subcritical intensity found above lower bound / 10")
+                current = probe(lam)
+            lam_lo = current.intensity
+
+        straddle = (lam_lo, lam_hi)
+        for _ in range(max_bisect):
+            mid = math.sqrt(lam_lo * lam_hi)
+            current = probe(mid)
+            if current.frequency > 0.5:
+                lam_hi = mid
+            else:
+                lam_lo = mid
+            if current.ci_low <= 0.5 <= current.ci_high:
+                break
 
     lam_hat, ci_low, ci_high = _logistic_interpolation(probes, straddle[0], straddle[1])
     return ThresholdEstimate(

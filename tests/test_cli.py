@@ -91,6 +91,23 @@ class TestThreshold:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exit_2(self, capsys, workers):
+        rc, out, err = run_cli(capsys, THRESHOLD_ARGS + ["--workers", workers])
+        assert rc == 2
+        assert out == ""
+        assert err.splitlines() == ["error: workers must be at least 1"]
+
+    @pytest.mark.parametrize("length", ["0", "-8"])
+    def test_non_positive_length_exit_2(self, capsys, length):
+        rc, out, err = run_cli(
+            capsys, ["threshold", "--d", "2", "--L", length, "--law", "rigid", "--replicates", "5"]
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.splitlines() == ["error: stick length must be positive"]
+
+
 class TestScaling:
     def test_small_run(self, capsys, tmp_path):
         path = tmp_path / "scaling.csv"

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.csgraph
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stickperc.errors import DegenerateDesign, DomainError, PreconditionViolated
 from stickperc.geometry import segment_distance_arrays
@@ -13,6 +15,7 @@ from stickperc.percolation import (
     UnionFind,
     build_index,
     cluster,
+    component_labels,
     coupled_crossing_indicators,
     crossing_event,
     crossing_probability,
@@ -45,14 +48,72 @@ def all_pairs_edges(config):
     return np.column_stack((ii[keep], jj[keep]))
 
 
-def bfs_labels(config):
-    edges = all_pairs_edges(config)
-    n = config.count
+def bfs_components(n, edges):
+    edges = np.asarray(edges, dtype=int).reshape(-1, 2)
     graph = scipy.sparse.coo_matrix(
         (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n)
     )
     _, labels = scipy.sparse.csgraph.connected_components(graph, directed=False)
     return labels
+
+
+def bfs_labels(config):
+    return bfs_components(config.count, all_pairs_edges(config))
+
+
+def cells(index):
+    """Cell coordinate -> sorted stick indices of a SpatialIndex."""
+    out = {}
+    bounds = list(index._starts) + [len(index._stick_ids)]
+    for gi in range(len(index._starts)):
+        lo, hi = bounds[gi], bounds[gi + 1]
+        coord = np.unravel_index(index._codes[lo], index._grid_span)
+        key = tuple(int(c + g) for c, g in zip(coord, index._grid_min))
+        out[key] = index._stick_ids[lo:hi]
+    return out
+
+
+def loop_candidate_pairs(index):
+    """Reference broad phase: every pair within every cell, deduplicated."""
+    if index.n < 2 or len(index._stick_ids) == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    pieces_i, pieces_j = [], []
+    for members in cells(index).values():
+        if len(members) < 2:
+            continue
+        iu, ju = np.triu_indices(len(members), 1)
+        pieces_i.append(members[iu])
+        pieces_j.append(members[ju])
+    if not pieces_i:
+        return np.empty((0, 2), dtype=np.int64)
+    keys = np.unique(np.concatenate(pieces_i) * index.n + np.concatenate(pieces_j))
+    return np.column_stack((keys // index.n, keys % index.n))
+
+
+@st.composite
+def stick_configurations(draw):
+    """Random sticks in a box, with 0, 1 or many of them, and a cell size
+    that may be far smaller than a stick."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 40 if d == 2 else 25)))
+    length = draw(st.floats(0.5, 8.0))
+    cell = draw(st.floats(0.5 if d == 2 else 1.0, 16.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    side = 6.0 * length + 4.0
+    dirs = rng.standard_normal((n, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    config = Configuration(
+        d, length, 1.0, BoxRegion.cube(d, side), rng.uniform(0.0, side, (n, d)), dirs, 0
+    )
+    return config, cell
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 40))
+    node = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(node, node), max_size=80)) if n else []
+    return n, np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
 def labels_equivalent(a, b):
@@ -91,14 +152,14 @@ class TestSpatialIndex:
         box = BoxRegion.cube(2, 10.0)
         config = Configuration(2, 4.0, 1.0, box, np.zeros((0, 2)), np.zeros((0, 2)), 0)
         index = build_index(config)
-        assert index.cells == {}
+        assert cells(index) == {}
         assert len(index.candidate_pairs()) == 0
 
     def test_registration_matches_inflated_aabb(self):
         config = sample_configuration(2, 6.0, 0.05, Uniform(), BoxRegion.cube(2, 40.0), seed=1)
         cell = 8.0
         index = build_index(config, cell)
-        cells = index.cells
+        registered = cells(index)
         # recompute the expected registration directly
         expected = {}
         for i in range(config.count):
@@ -108,9 +169,9 @@ class TestSpatialIndex:
             for cx in range(lo[0], hi[0] + 1):
                 for cy in range(lo[1], hi[1] + 1):
                     expected.setdefault((cx, cy), []).append(i)
-        assert set(cells.keys()) == set(expected.keys())
+        assert set(registered.keys()) == set(expected.keys())
         for key, members in expected.items():
-            assert sorted(cells[key].tolist()) == sorted(members)
+            assert sorted(registered[key].tolist()) == sorted(members)
 
     @pytest.mark.parametrize("d,cell", [(2, None), (2, 3.0), (2, 11.0), (3, None), (3, 5.0)])
     def test_candidate_pairs_superset_of_intersections(self, d, cell):
@@ -124,6 +185,19 @@ class TestSpatialIndex:
             cands = {tuple(p) for p in index.candidate_pairs()}
             truth = {tuple(p) for p in all_pairs_edges(config)}
             assert truth <= cands
+
+    @settings(max_examples=60, deadline=None)
+    @given(stick_configurations())
+    def test_candidate_pairs_match_loop_oracle(self, case):
+        config, cell = case
+        index = build_index(config, cell)
+        pairs = index.candidate_pairs()
+        assert pairs.shape[1] == 2
+        assert np.all(pairs[:, 0] < pairs[:, 1])
+        keys = pairs[:, 0] * max(config.count, 1) + pairs[:, 1]
+        assert len(np.unique(keys)) == len(keys)
+        expected = loop_candidate_pairs(index)
+        assert {tuple(p) for p in pairs.tolist()} == {tuple(p) for p in expected.tolist()}
 
     def test_edges_match_all_pairs(self):
         for seed in range(8):
@@ -140,7 +214,7 @@ class TestSpatialIndex:
         dirs = np.array([[1.0, 0.0], [1.0, 0.0]])
         config = Configuration(2, 6.0, 1.0, box, centers, dirs, 0)
         index = build_index(config)  # default cell L + 2
-        assert any(len(v) == 2 for v in index.cells.values())
+        assert any(len(v) == 2 for v in cells(index).values())
 
 
 class TestCluster:
@@ -149,8 +223,9 @@ class TestCluster:
         config = Configuration(
             2, 4.0, 1.0, box, np.array([[10.0, 10.0]]), np.array([[1.0, 0.0]]), 0
         )
-        uf, res = cluster(config)
+        labels, res = cluster(config)
         assert res == CrossingResult(False, 1, 1, 0)
+        assert labels.tolist() == [0]
 
     def test_tangent_chain(self):
         # vertical sticks spaced exactly 2 apart: tangency chains them up
@@ -168,16 +243,44 @@ class TestCluster:
             config = sample_configuration(
                 2, 8.0, 0.04, Uniform(), BoxRegion.cube(2, 60.0), seed=seed
             )
-            uf, _ = cluster(config)
-            assert labels_equivalent(uf.labels(), bfs_labels(config))
+            labels, _ = cluster(config)
+            assert labels_equivalent(labels, bfs_labels(config))
 
     def test_labels_match_bfs_oracle_3d(self):
         for seed in range(4):
             config = sample_configuration(
                 3, 6.0, 0.003, Uniform(), BoxRegion.cube(3, 40.0), seed=seed
             )
-            uf, _ = cluster(config)
-            assert labels_equivalent(uf.labels(), bfs_labels(config))
+            labels, _ = cluster(config)
+            assert labels_equivalent(labels, bfs_labels(config))
+
+
+NO_EDGES = np.empty((0, 2), dtype=np.int64)
+# node k + 1 hooks onto k in the first round, leaving one chain that the
+# pointer jumping has to collapse from end to end
+FALLING_PATH = np.column_stack((np.arange(999, 0, -1), np.arange(998, -1, -1)))
+
+
+class TestComponentLabels:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs())
+    @example((0, NO_EDGES))
+    @example((1, NO_EDGES))
+    @example((5, NO_EDGES))
+    @example((4, np.array([[1, 3], [3, 1], [1, 3], [0, 2], [0, 2]])))
+    @example((1000, FALLING_PATH))
+    def test_matches_bfs_and_union_find(self, graph):
+        n, edges = graph
+        labels = component_labels(n, edges)
+        bfs = bfs_components(n, edges)
+        assert labels_equivalent(labels, bfs)
+        # canonical: each label is the smallest node of its component
+        smallest = {c: np.flatnonzero(bfs == c).min() for c in set(bfs.tolist())}
+        assert labels.tolist() == [smallest[c] for c in bfs.tolist()]
+        uf = UnionFind(n)
+        for a, b in edges.tolist():
+            uf.union(a, b)
+        assert labels_equivalent(labels, uf.labels())
 
 
 class TestCrossing:
@@ -226,6 +329,12 @@ class TestCrossingProbability:
     def test_workers_do_not_change_result(self):
         a = crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 16, seed=5, workers=1)
         b = crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 16, seed=5, workers=2)
+        assert a == b
+
+    def test_workers_do_not_change_estimate(self):
+        kw = dict(replicates=8, seed=5, max_bisect=3)
+        a = estimate_threshold(2, 8.0, Uniform(), 64.0, workers=1, **kw)
+        b = estimate_threshold(2, 8.0, Uniform(), 64.0, workers=2, **kw)
         assert a == b
 
     def test_monotone_under_thinning_coupling(self):
