@@ -23,40 +23,6 @@ from .sampling import Rigid, Uniform
 
 SCHEMA_VERSION = 1
 
-_DEFAULTS = {
-    "bounds": {"delta": 1.0},
-    "threshold": {
-        "s_factor": 10.0,
-        "replicates": 200,
-        "workers": 1,
-        "axis": 0,
-        "delta": 1.0,
-        "max_bisect": 12,
-        "probes_csv": None,
-    },
-    "scaling": {
-        "L_list": "8,16,32,64",
-        "s_factor": 10.0,
-        "replicates": 200,
-        "workers": 1,
-        "axis": 0,
-        "delta": 1.0,
-        "max_bisect": 12,
-        "csv": None,
-    },
-    "branching": {
-        "law": "uniform",
-        "trials": 2000,
-        "gw_runs": 200,
-        "max_generations": 60,
-        "population_cap": 100000,
-        "samples_csv": None,
-    },
-    "oriented": {"variant": "bond", "n_max": 500, "trials": 500, "csv": None},
-    "measure-mc": {"L": 256.0, "trials": 1000000, "lam": 1.0, "delta": 1.0},
-    "verify": {"suite": "all"},
-}
-
 
 def _law_object(tag: str, d: int):
     if tag == "uniform":
@@ -75,23 +41,6 @@ def _emit(doc: dict) -> None:
 
 def _log(msg: str) -> None:
     sys.stderr.write(msg + "\n")
-
-
-def _apply_config(args: argparse.Namespace, command: str) -> None:
-    table = dict(_DEFAULTS.get(command, {}))
-    overrides = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            overrides = json.load(fh)
-    for key, default in table.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None:
-            value = overrides.get(key, default)
-            setattr(args, attr, value)
-    for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
 
 
 def _write_csv(path: str, schema: str, header: list[str], rows: list[list]) -> None:
@@ -154,12 +103,11 @@ def _run_threshold(args, length: float) -> percolation.ThresholdEstimate:
         length,
         law,
         side,
-        replicates=int(args.replicates),
+        replicates=args.replicates,
         seed=args.seed,
-        axis=int(args.axis),
-        workers=int(args.workers),
-        max_bisect=int(args.max_bisect),
-        delta=args.delta,
+        axis=args.axis,
+        workers=args.workers,
+        max_bisect=args.max_bisect,
     )
 
 
@@ -193,10 +141,9 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    lengths = [float(v) for v in str(args.L_list).split(",") if v]
     points = []
     estimates = []
-    for length in lengths:
+    for length in args.L_list:
         _log(f"estimating threshold at L={length:g}")
         est = _run_threshold(args, length)
         estimates.append(est)
@@ -214,7 +161,7 @@ def cmd_scaling(args) -> int:
             "d": args.d,
             "law": args.law,
             "s_factor": args.s_factor,
-            "replicates": int(args.replicates),
+            "replicates": args.replicates,
             "seed": args.seed,
             "slope": fit.slope,
             "intercept": fit.intercept,
@@ -232,19 +179,16 @@ def cmd_scaling(args) -> int:
 def cmd_branching(args) -> int:
     law = _law_object(args.law, args.d)
     d = args.d
-    axis = np.zeros(d)
-    axis[1 if args.law == "rigid" else 0] = 1.0
+    axis = getattr(law, "axis", np.eye(d)[0])
     seed_stick = Stick(Segment(np.zeros(d), axis, args.L))
-    est = branching.offspring_mean_mc(
-        d, args.L, args.lam, law, seed_stick, int(args.trials), args.seed
-    )
+    est = branching.offspring_mean_mc(d, args.L, args.lam, law, seed_stick, args.trials, args.seed)
     bound = measures.gw_offspring_bound(d, args.L, args.lam, args.law)
     gw_extinct = 0
-    runs = int(args.gw_runs)
+    runs = args.gw_runs
     example_sizes: list[int] = []
     for k in range(runs):
         report = branching.dominating_gw_run(
-            est.samples, int(args.max_generations), int(args.population_cap), args.seed + k
+            est.samples, args.max_generations, args.population_cap, args.seed + k
         )
         gw_extinct += 1 if report.extinct else 0
         if k == 0:
@@ -270,8 +214,8 @@ def cmd_branching(args) -> int:
             "below_bound": est.mean <= bound + 3.0 * est.stderr,
             "gw_runs": runs,
             "gw_extinct": gw_extinct,
-            "gw_max_generations": int(args.max_generations),
-            "gw_population_cap": int(args.population_cap),
+            "gw_max_generations": args.max_generations,
+            "gw_population_cap": args.population_cap,
             "gw_example_generations": example_sizes,
             "seed": args.seed,
         }
@@ -281,7 +225,7 @@ def cmd_branching(args) -> int:
 
 def cmd_oriented(args) -> int:
     stats = oriented.survival_probability(
-        args.alpha, args.variant, int(args.n_max), int(args.trials), args.seed
+        args.alpha, args.variant, args.n_max, args.trials, args.seed
     )
     if args.csv:
         rows = [
@@ -316,7 +260,7 @@ def cmd_measure_mc(args) -> int:
     gamma = geom.box_center((-2, 0))
     zeta = geom.right_face_center((0, 0))
     est = measures.mc_two_ball_measure(
-        args.d, args.L, gamma, zeta, Uniform(), int(args.trials), args.seed, intensity=args.lam
+        args.d, args.L, gamma, zeta, Uniform(), args.trials, args.seed, intensity=args.lam
     )
     bound = measures.two_ball_lower_bound(args.d, args.L, delta=args.delta, intensity=args.lam)
     _emit(
@@ -357,96 +301,103 @@ def cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
+def _float_list(text: str) -> list[float]:
+    return [float(v) for v in text.split(",") if v]
+
+
+def _config_argv(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """The JSON object in ``path`` as flags of ``parser``: each key is an
+    option dest, so the parser checks every name and value itself.  A null
+    value leaves its option at the default."""
+    flags = {a.dest: a.option_strings[0] for a in parser._actions if a.dest != "help"}
+    try:
+        with open(path) as fh:
+            items = json.load(fh).items()
+    except (OSError, ValueError, AttributeError) as exc:
+        parser.error(f"--config {path}: {exc}")
+    argv = []
+    for key, value in items:
+        if key not in flags:
+            parser.error(f"--config {path}: {key!r} is not an option of this command")
+        if value is not None:
+            argv.append(f"{flags[key]}={value}")
+    return argv
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stickperc")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help_text):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--config", type=str, default=None, help="JSON file with parameter defaults")
+        p.add_argument("--config", type=str, default=None, help="JSON file of option dests and values")
+        p.set_defaults(func=func, parser=p)
+        return p
 
-    p = sub.add_parser("bounds", help="critical-intensity bracket for (d, L, law)")
-    common(p)
+    def estimator(p):
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--law", choices=["uniform", "rigid"], required=True)
+        p.add_argument("--s-factor", dest="s_factor", type=float, default=10.0)
+        p.add_argument("--replicates", type=int, default=200)
+        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--axis", type=int, default=0)
+        p.add_argument("--max-bisect", dest="max_bisect", type=int, default=12)
+
+    p = command("bounds", cmd_bounds, "critical-intensity bracket for (d, L, law)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--L", type=float, required=True)
     p.add_argument("--law", choices=["uniform", "rigid", "density"], required=True)
-    p.add_argument("--delta", type=float, default=None)
-    p.set_defaults(func=cmd_bounds)
+    p.add_argument("--delta", type=float, default=1.0)
 
-    p = sub.add_parser("threshold", help="estimate the crossing intensity at one L")
-    common(p)
-    p.add_argument("--d", type=int, required=True)
+    p = command("threshold", cmd_threshold, "estimate the crossing intensity at one L")
+    estimator(p)
     p.add_argument("--L", type=float, required=True)
-    p.add_argument("--law", choices=["uniform", "rigid"], required=True)
-    p.add_argument("--s-factor", dest="s_factor", type=float, default=None)
-    p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--axis", type=int, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--max-bisect", dest="max_bisect", type=int, default=None)
     p.add_argument("--probes-csv", dest="probes_csv", type=str, default=None)
-    p.set_defaults(func=cmd_threshold)
 
-    p = sub.add_parser("scaling", help="thresholds across an L list plus log-log fit")
-    common(p)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--law", choices=["uniform", "rigid"], required=True)
-    p.add_argument("--L-list", dest="L_list", type=str, default=None)
-    p.add_argument("--s-factor", dest="s_factor", type=float, default=None)
-    p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--axis", type=int, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--max-bisect", dest="max_bisect", type=int, default=None)
+    p = command("scaling", cmd_scaling, "thresholds across an L list plus log-log fit")
+    estimator(p)
+    p.add_argument("--L-list", dest="L_list", type=_float_list, default="8,16,32,64")
     p.add_argument("--csv", type=str, default=None)
-    p.set_defaults(func=cmd_scaling)
 
-    p = sub.add_parser("branching", help="offspring-mean Monte Carlo and dominating GW runs")
-    common(p)
+    p = command("branching", cmd_branching, "offspring-mean Monte Carlo and dominating GW runs")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--L", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--law", choices=["uniform", "rigid"], default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--gw-runs", dest="gw_runs", type=int, default=None)
-    p.add_argument("--max-generations", dest="max_generations", type=int, default=None)
-    p.add_argument("--population-cap", dest="population_cap", type=int, default=None)
+    p.add_argument("--law", choices=["uniform", "rigid"], default="uniform")
+    p.add_argument("--trials", type=int, default=2000)
+    p.add_argument("--gw-runs", dest="gw_runs", type=int, default=200)
+    p.add_argument("--max-generations", dest="max_generations", type=int, default=60)
+    p.add_argument("--population-cap", dest="population_cap", type=int, default=100000)
     p.add_argument("--samples-csv", dest="samples_csv", type=str, default=None)
-    p.set_defaults(func=cmd_branching)
 
-    p = sub.add_parser("oriented", help="oriented-percolation survival estimate")
-    common(p)
+    p = command("oriented", cmd_oriented, "oriented-percolation survival estimate")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--variant", choices=["bond", "site"], default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--variant", choices=["bond", "site"], default="bond")
+    p.add_argument("--n-max", dest="n_max", type=int, default=500)
+    p.add_argument("--trials", type=int, default=500)
     p.add_argument("--csv", type=str, default=None)
-    p.set_defaults(func=cmd_oriented)
 
-    p = sub.add_parser("measure-mc", help="two-ball connection measure Monte Carlo")
-    common(p)
+    p = command("measure-mc", cmd_measure_mc, "two-ball connection measure Monte Carlo")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--L", type=float, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.set_defaults(func=cmd_measure_mc)
+    p.add_argument("--L", type=float, default=256.0)
+    p.add_argument("--trials", type=int, default=1000000)
+    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    p.add_argument("--delta", type=float, default=1.0)
 
-    p = sub.add_parser("verify", help="run seeded property suites")
-    common(p)
-    p.add_argument(
-        "--suite",
-        choices=["geometry", "measures", "branching", "oriented", "all"],
-        default=None,
-    )
-    p.set_defaults(func=cmd_verify)
+    p = command("verify", cmd_verify, "run seeded property suites")
+    p.add_argument("--suite", choices=[*verify.SUITES, "all"], default="all")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    _apply_config(args, args.command)
+    if args.config:
+        # config flags go right after the subcommand, so explicit flags win
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + _config_argv(args.parser, args.config) + argv[at:])
     try:
         return args.func(args)
     except StickPercError as exc:

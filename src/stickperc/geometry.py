@@ -179,7 +179,11 @@ def segment_distance_arrays(ca, da, la, cb, db, lb) -> np.ndarray:
     uq = np.einsum("...i,...i->...", u, db)
     c = np.einsum("...i,...i->...", da, db)
     denom = 1.0 - c * c
-    safe = denom > _PARALLEL_TOL
+    # Unlike the scalar edge scan, no parallel tolerance: a nearly parallel
+    # pair must start from its clamped line minimizer, or the projection
+    # stops at the wrong end of the overlap (off by up to L * angle).  Only
+    # exactly parallel lines start from t = 0, where every start is optimal.
+    safe = denom > 0.0
     t = np.where(safe, (c * uq - up) / np.where(safe, denom, 1.0), 0.0)
     t = np.clip(t, -ha, ha)
     tau = np.clip(c * t + uq, -hb, hb)

@@ -158,12 +158,16 @@ def theorem_bounds(d: int, length: float, law, delta: float = 1.0, strict: bool 
 
     With ``strict`` (the default) the stated L-validity thresholds are hard
     preconditions; ``strict=False`` evaluates the formulas anyway, which is
-    only meant for bracket sanity checks at small L.
+    only meant for bracket sanity checks at small L.  A law object that
+    carries a ``density_floor`` supplies its own delta; the ``delta``
+    argument serves laws given by tag.
     """
     d = _check_dim(d)
     tag = _law_tag(law)
     if tag == "uniform":
         delta = 1.0
+    elif getattr(law, "density_floor", None) is not None:
+        delta = law.density_floor
     if strict:
         for side in ("lower", "upper"):
             threshold = bound_validity_threshold(d, tag, side)

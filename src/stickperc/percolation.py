@@ -400,7 +400,6 @@ def estimate_threshold(
     cell: float | None = None,
     workers: int = 1,
     max_bisect: int = 12,
-    delta: float = 1.0,
 ) -> ThresholdEstimate:
     """Stochastic bisection estimate of the crossing intensity.
 
@@ -416,7 +415,7 @@ def estimate_threshold(
         raise DomainError("stick length must be positive")
     if not side >= 8.0 * length:
         raise PreconditionViolated("window side must be at least 8 L")
-    bounds = theorem_bounds(d, length, law, delta=delta, strict=False)
+    bounds = theorem_bounds(d, length, law, strict=False)
     lo_limit = bounds.lower / 10.0
     hi_limit = bounds.upper * 10.0
     probes: list[CrossingStats] = []

@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CapacityExceeded, DomainError, RejectionStall
+from .geometry import _UNIT_TOL
 from .rng import substream
 
 _STREAM_CONFIG = 0x5EED
@@ -228,14 +229,25 @@ class Configuration:
             raise DomainError("unsupported configuration schema version")
         d = int(doc["d"])
         n = int(doc["count"])
+        if d < 2:
+            raise DomainError("configuration dimension must be at least 2")
+        centers = np.array(doc["centers"], dtype=float)
+        dirs = np.array(doc["dirs"], dtype=float)
+        if centers.shape != (n * d,) or dirs.shape != (n * d,):
+            raise DomainError("count does not match the centers and dirs arrays")
+        centers, dirs = centers.reshape(n, d), dirs.reshape(n, d)
+        if not np.all(np.isfinite(centers)):
+            raise DomainError("configuration centers must be finite")
+        if not np.all(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) <= _UNIT_TOL):
+            raise DomainError("configuration directions must be unit length")
         window = doc["window"]
         return Configuration(
             d=d,
             length=float(doc["length"]),
             intensity=float(doc["intensity"]),
             box=BoxRegion(np.array(doc["box"]["low"]), np.array(doc["box"]["high"])),
-            centers=np.array(doc["centers"], dtype=float).reshape(n, d),
-            dirs=np.array(doc["dirs"], dtype=float).reshape(n, d),
+            centers=centers,
+            dirs=dirs,
             seed=int(doc["seed"]),
             window=None
             if window is None

@@ -3,9 +3,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from stickperc.cli import main
+from stickperc.measures import theorem_bounds
+from stickperc.sampling import BoundedDensity
 
 
 def run_cli(capsys, argv):
@@ -44,6 +47,10 @@ class TestBounds:
         assert rc == 0
         doc = json.loads(out)
         assert doc["delta"] == 0.5
+
+    def test_law_object_supplies_its_density_floor(self):
+        law = BoundedDensity(lambda p: np.ones(len(p)), 0.5, 2.0)
+        assert theorem_bounds(2, 400.0, law) == theorem_bounds(2, 400.0, "density", delta=0.5)
 
 
 THRESHOLD_ARGS = [
@@ -216,6 +223,47 @@ class TestConfigFile:
              "--config", str(cfg), "--delta", "0.25"],
         )
         assert json.loads(out_flag)["delta"] == 0.25
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize(
+        "argv,config",
+        [
+            (THRESHOLD_ARGS + ["--config", "CFG"], None),
+            (THRESHOLD_ARGS + ["--config", "CFG"], "{replicates: 5"),
+            (THRESHOLD_ARGS + ["--config", "CFG"], '{"replicats": 5}'),
+            (THRESHOLD_ARGS + ["--config", "CFG"], '{"lambda": 0.5}'),
+            (THRESHOLD_ARGS + ["--config", "CFG"], '{"replicates": "abc"}'),
+            (THRESHOLD_ARGS + ["--config", "CFG"], '{"replicates": 6.7}'),
+            (["verify", "--config", "CFG"], '{"suite": "bogus"}'),
+            (["scaling", "--d", "2", "--law", "rigid", "--L-list", "8,x,16"], None),
+        ],
+        ids=[
+            "missing-config", "invalid-json", "misspelt-key", "flag-not-dest",
+            "int-from-text", "int-from-fraction", "suite-not-a-choice", "L-list-not-numbers",
+        ],
+    )
+    def test_exits_2_without_traceback(self, capsys, tmp_path, argv, config):
+        path = tmp_path / "cfg.json"
+        if config is not None:
+            path.write_text(config)
+        with pytest.raises(SystemExit) as exc:
+            main([str(path) if arg == "CFG" else arg for arg in argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
+
+class TestConfigKeys:
+    def test_seed_takes_effect(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5}))
+        argv = TestOriented.ARGS[: TestOriented.ARGS.index("--seed")]
+        _, out_cfg, _ = run_cli(capsys, argv + ["--config", str(cfg)])
+        _, out_flag, _ = run_cli(capsys, argv + ["--seed", "5"])
+        assert json.loads(out_cfg)["seed"] == 5
+        assert out_cfg == out_flag
 
 
 class TestArgParsing:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     grid_distance_outside_window,
@@ -23,6 +25,8 @@ from stickperc.geometry import (
     segment_segment_distance,
     sticks_intersect,
 )
+from stickperc.percolation import intersection_edges
+from stickperc.sampling import BoxRegion, Configuration
 
 
 def seg(center, direction, length):
@@ -213,6 +217,96 @@ class TestSticksIntersect:
         a = Stick(seg([0.0, 0.0], [1.0, 0.0], 5.0))
         b = Stick(seg([0.0, 2.0], [1.0, 0.0], 5.0))
         assert sticks_intersect(a, b)
+
+
+def batch_distance(a, b):
+    return float(
+        segment_distance_arrays(
+            a.center[None], a.direction[None], a.length, b.center[None], b.direction[None], b.length
+        )[0]
+    )
+
+
+@st.composite
+def segment_pairs(draw):
+    d = draw(st.sampled_from([2, 3, 4]))
+    vectors = st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d).map(np.array)
+    dirs = vectors.filter(lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v))
+    lengths = st.floats(0.5, 8.0)
+    return tuple(seg(draw(vectors), draw(dirs), draw(lengths)) for _ in range(2))
+
+
+@st.composite
+def near_parallel_pairs(draw, gap_factors):
+    """Segments whose directions have 1 - <p,q>^2 = k * 1e-12, k drawn from
+    ``gap_factors``, set about 2 apart: distances near 0 are too
+    ill-conditioned in the square root to compare at 1e-9, and only
+    distances near 2 decide an overlap."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = random_unit(rng, d)
+    w = rng.normal(size=d)
+    w = (w - (w @ p) * p) / np.linalg.norm(w - (w @ p) * p)
+    sin = math.sqrt(draw(gap_factors) * 1e-12)
+    q = math.sqrt(1.0 - sin * sin) * p + sin * w
+    n = rng.normal(size=d)
+    n = (n - (n @ p) * p) / np.linalg.norm(n - (n @ p) * p)
+    ca = rng.normal(0.0, 4.0, d)
+    cb = ca + draw(st.floats(-8.0, 8.0)) * p + draw(st.floats(1.5, 2.5)) * n
+    lengths = st.floats(0.5, 8.0)
+    return seg(ca, p, draw(lengths)), seg(cb, q / np.linalg.norm(q), draw(lengths))
+
+
+@st.composite
+def tangent_pairs(draw):
+    """Two axis-aligned sticks of one integer length at distance exactly 2:
+    parallel with overlapping projections, or a perpendicular stick passing
+    2 beyond the first one's end.  Every coordinate is a small dyadic."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    i, j = draw(st.permutations(range(d)))[:2]
+    ei, ej = np.eye(d)[i], np.eye(d)[j]
+    length = draw(st.integers(1, 16))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    ca = np.array(draw(st.lists(st.integers(-20, 20), min_size=d, max_size=d)), dtype=float)
+    if draw(st.booleans()):
+        cb = ca + 2.0 * sign * ej + draw(st.integers(-length, length)) * ei
+        db = ei
+    else:
+        along = draw(st.integers(-(length // 2), length // 2))
+        cb = ca + sign * (0.5 * length + 2.0) * ei + along * ej
+        db = ej
+    return Stick(seg(ca, ei, length)), Stick(seg(cb, db, length))
+
+
+class TestKernelProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(segment_pairs())
+    def test_batch_matches_scalar(self, pair):
+        a, b = pair
+        assert batch_distance(a, b) == pytest.approx(segment_segment_distance(a, b), abs=1e-9)
+
+    @pytest.mark.parametrize("gap_factors", [st.floats(0.25, 0.95), st.floats(1.05, 4.0)],
+                             ids=["below-tolerance", "above-tolerance"])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_near_parallel_batch_matches_scalar(self, gap_factors, data):
+        a, b = data.draw(near_parallel_pairs(gap_factors))
+        assert batch_distance(a, b) == pytest.approx(segment_segment_distance(a, b), abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tangent_pairs(), st.sampled_from([None, 1.0, 2.0, 3.0, 7.0]))
+    def test_tangent_pairs_overlap(self, pair, cell):
+        a, b = pair
+        assert segment_segment_distance(a.seg, b.seg) == 2.0
+        assert batch_distance(a.seg, b.seg) == 2.0
+        assert sticks_intersect(a, b)
+        centers = np.array([a.seg.center, b.seg.center])
+        dirs = np.array([a.seg.direction, b.seg.direction])
+        reach = a.seg.length + 3.0
+        box = BoxRegion(centers.min(axis=0) - reach, centers.max(axis=0) + reach)
+        config = Configuration(len(centers[0]), a.seg.length, 1.0, box, centers, dirs, seed=0)
+        edges, _ = intersection_edges(config, cell)
+        assert edges.tolist() == [[0, 1]]
 
 
 class TestSegmentHitsBall:

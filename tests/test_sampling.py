@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -123,6 +124,23 @@ class TestConfiguration:
         assert np.array_equal(c3.centers, c1.centers)
         assert np.array_equal(c3.dirs, c1.dirs)
         assert c3.to_json() == c1.to_json()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc.update(count=doc["count"] + 1),
+            lambda doc: doc["centers"].__setitem__(3, math.nan),
+            lambda doc: doc.update(dirs=[2.0 * v for v in doc["dirs"]]),
+            lambda doc: doc.update(d=1),
+        ],
+        ids=["count-mismatch", "center-not-finite", "dirs-doubled", "d-below-2"],
+    )
+    def test_from_json_rejects_malformed(self, corrupt):
+        box = BoxRegion.cube(2, 50.0)
+        doc = json.loads(sample_configuration(2, 8.0, 0.05, Uniform(), box, seed=11).to_json())
+        corrupt(doc)
+        with pytest.raises(DomainError):
+            Configuration.from_json(json.dumps(doc))
 
     def test_seeds_differ(self):
         box = BoxRegion.cube(2, 50.0)
