@@ -81,6 +81,6 @@ from .oriented import (
     op_step,
     survival_probability,
 )
-from .special import log_gamma, regularized_incomplete_beta
+from .special import regularized_incomplete_beta
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded, DomainError
-from .geometry import Segment, Stick, segment_distance_arrays
+from .geometry import INTERSECT_THRESHOLD, Segment, Stick, segment_distance_arrays
 from .rng import substream
 from .sampling import BoxRegion, OrientationLaw, poisson_count
 
@@ -30,6 +30,13 @@ def offspring_box(seed_stick: Stick, length: float) -> BoxRegion:
     reach = seg.half * np.abs(seg.direction)
     pad = length + 4.0
     return BoxRegion(seg.center - reach - pad, seg.center + reach + pad)
+
+
+def _overlaps(centers, dirs, length, center, direction, seg_length) -> np.ndarray:
+    """Which of the sticks (``centers``, ``dirs``, ``length``) overlap the
+    stick (``center``, ``direction``, ``seg_length``)."""
+    dist = segment_distance_arrays(centers, dirs, length, center, direction, seg_length)
+    return dist <= INTERSECT_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -74,15 +81,7 @@ def offspring_mean_mc(
             continue
         centers = rng.uniform(box.low, box.high, size=(total, d))
         dirs = law.sample_directions(rng, d, total)
-        dist = segment_distance_arrays(
-            centers,
-            dirs,
-            np.full(total, length),
-            np.broadcast_to(seg.center, (total, d)),
-            np.broadcast_to(seg.direction, (total, d)),
-            np.full(total, seg.length),
-        )
-        hits = (dist <= 2.0).astype(np.int64)
+        hits = _overlaps(centers, dirs, length, seg.center, seg.direction, seg.length).astype(np.int64)
         offsets = np.minimum(np.concatenate(([0], np.cumsum(block)[:-1])), total - 1)
         samples[lo : lo + block_trials] = np.where(block > 0, np.add.reduceat(hits, offsets), 0)
     mean = float(samples.mean())
@@ -153,36 +152,23 @@ class ExplorationResult:
 class _ExploredSet:
     """Growing list of stick geometries with a vectorized distance query."""
 
-    def __init__(self, d: int):
+    def __init__(self):
         self.centers: list[np.ndarray] = []
         self.dirs: list[np.ndarray] = []
         self.lengths: list[float] = []
-        self.d = d
 
     def add(self, center, direction, length):
         self.centers.append(np.asarray(center, dtype=float))
         self.dirs.append(np.asarray(direction, dtype=float))
         self.lengths.append(float(length))
 
-    def hits_any(self, centers, dirs, lengths) -> np.ndarray:
-        n = centers.shape[0]
-        out = np.zeros(n, dtype=bool)
-        if not self.centers or n == 0:
-            return out
-        lengths = np.broadcast_to(np.asarray(lengths, dtype=float), (n,))
+    def hits_any(self, centers, dirs, length: float) -> np.ndarray:
+        out = np.zeros(centers.shape[0], dtype=bool)
         for ec, ed, el in zip(self.centers, self.dirs, self.lengths):
             idx = np.flatnonzero(~out)
             if len(idx) == 0:
                 break
-            dist = segment_distance_arrays(
-                centers[idx],
-                dirs[idx],
-                lengths[idx],
-                np.broadcast_to(ec, (len(idx), self.d)),
-                np.broadcast_to(ed, (len(idx), self.d)),
-                np.full(len(idx), el),
-            )
-            out[idx] |= dist <= 2.0
+            out[idx] |= _overlaps(centers[idx], dirs[idx], length, ec, ed, el)
         return out
 
 
@@ -205,21 +191,13 @@ def _fresh_offspring_count(
     centers = rng.uniform(box.low, box.high, size=(n, d))
     dirs = law.sample_directions(rng, d, n)
     seg = stick.seg
-    dist = segment_distance_arrays(
-        centers,
-        dirs,
-        np.full(n, length),
-        np.broadcast_to(seg.center, (n, d)),
-        np.broadcast_to(seg.direction, (n, d)),
-        np.full(n, seg.length),
-    )
-    hit = dist <= 2.0
+    hit = _overlaps(centers, dirs, length, seg.center, seg.direction, seg.length)
     if explored is None:
         return int(hit.sum())
     if not hit.any():
         return 0
     idx = np.flatnonzero(hit)
-    also = explored.hits_any(centers[idx], dirs[idx], np.full(len(idx), length))
+    also = explored.hits_any(centers[idx], dirs[idx], length)
     return int(also.sum())
 
 
@@ -255,12 +233,11 @@ def component_exploration(
     n = poisson_count(mean_count, rng)
     centers = rng.uniform(window.low, window.high, size=(n, d))
     dirs = law.sample_directions(rng, d, n)
-    lengths = np.full(n, length)
     unexplored = np.ones(n, dtype=bool)
 
     # compensation conditions on the sticks whose neighborhoods were already
     # searched (that is where the configuration has been consumed)
-    processed = _ExploredSet(d)
+    processed = _ExploredSet()
     window_exceeded = False
     truncated = False
 
@@ -285,20 +262,9 @@ def component_exploration(
                 center, direction, seg_length = geom
                 # children actually present in the configuration
                 idx = np.flatnonzero(unexplored)
-                n_children = 0
-                children_idx = np.empty(0, dtype=np.int64)
-                if len(idx):
-                    dist = segment_distance_arrays(
-                        centers[idx],
-                        dirs[idx],
-                        lengths[idx],
-                        np.broadcast_to(center, (len(idx), d)),
-                        np.broadcast_to(direction, (len(idx), d)),
-                        np.full(len(idx), seg_length),
-                    )
-                    children_idx = idx[dist <= 2.0]
-                    n_children = len(children_idx)
-                    unexplored[children_idx] = False
+                children_idx = idx[_overlaps(centers[idx], dirs[idx], length, center, direction, seg_length)]
+                n_children = len(children_idx)
+                unexplored[children_idx] = False
                 actual_next += n_children
                 component_size += n_children
                 for ci in children_idx:

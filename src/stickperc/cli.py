@@ -44,11 +44,14 @@ def _log(msg: str) -> None:
 
 
 def _write_csv(path: str, schema: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# schema=stickperc.{schema}.v{SCHEMA_VERSION}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write(f"# schema=stickperc.{schema}.v{SCHEMA_VERSION}\n")
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(str(v) for v in row) + "\n")
+    except OSError as exc:
+        raise StickPercError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _probe_doc(stats: percolation.CrossingStats) -> dict:

@@ -124,13 +124,20 @@ def _f_value(uu, up, uq, c, t, tau):
     return uu + t * t + tau * tau - 2.0 * t * tau * c + 2.0 * t * up - 2.0 * tau * uq
 
 
+def _clamped_minimizer(numer: float, denom: float, half: float) -> float:
+    # numer / denom clamped to [-half, half]; where denom rounds to 0 the
+    # minimizer lies beyond the end numer points to (0 if numer is 0 too)
+    t = numer / denom if denom > 0.0 else math.copysign(half, numer) if numer else 0.0
+    return min(max(t, -half), half)
+
+
 def segment_segment_distance(a: Segment, b: Segment) -> float:
     """Minimum distance between two segments.
 
-    Clamps the unconstrained two-line minimizer into the parameter box; if
-    the minimizer falls outside the box, or the lines are parallel, the
-    minimum is attained on an edge of the box and each edge is minimized
-    analytically.  The winning parameter pair is evaluated directly on the
+    Takes the best of the unconstrained two-line minimizer when it lies in
+    the parameter box, its clamped projections into the box (the start of
+    ``segment_distance_arrays``), and the analytic minimum on each edge of
+    the box.  The winning parameter pair is evaluated directly on the
     difference vector, which stays accurate when the segments nearly touch.
     """
     u = a.center - b.center
@@ -147,6 +154,15 @@ def segment_segment_distance(a: Segment, b: Segment) -> float:
         tau_star = (uq - c * up) / denom
         if -ha <= t_star <= ha and -hb <= tau_star <= hb:
             candidates.append((t_star, tau_star))
+    # the clamped line minimizer projected into the box, t first and tau
+    # first, as in segment_distance_arrays: below the parallel tolerance the
+    # edges alone miss the contact of nearly parallel crossing segments
+    t = _clamped_minimizer(c * uq - up, denom, ha)
+    tau = min(max(c * t + uq, -hb), hb)
+    candidates.append((min(max(c * tau - up, -ha), ha), tau))
+    tau = _clamped_minimizer(uq - c * up, denom, hb)
+    t = min(max(c * tau - up, -ha), ha)
+    candidates.append((t, min(max(c * t + uq, -hb), hb)))
     # four edges of the (t, tau) rectangle, each a clamped 1-d quadratic
     for t_fixed in (-ha, ha):
         candidates.append((t_fixed, min(max(c * t_fixed + uq, -hb), hb)))
@@ -181,10 +197,14 @@ def segment_distance_arrays(ca, da, la, cb, db, lb) -> np.ndarray:
     denom = 1.0 - c * c
     # Unlike the scalar edge scan, no parallel tolerance: a nearly parallel
     # pair must start from its clamped line minimizer, or the projection
-    # stops at the wrong end of the overlap (off by up to L * angle).  Only
-    # exactly parallel lines start from t = 0, where every start is optimal.
-    safe = denom > 0.0
-    t = np.where(safe, (c * uq - up) / np.where(safe, denom, 1.0), 0.0)
+    # stops at the wrong end of the overlap (off by up to L * angle).  Where
+    # 1 - c^2 rounds to 0 the minimizer lies beyond the end the numerator
+    # points to; exactly parallel lines (numerator 0) start from t = 0,
+    # where every start is optimal.
+    numer = c * uq - up
+    t = np.asarray(np.sign(numer) * ha)
+    np.divide(numer, denom, out=t, where=denom > 0.0)
+    del numer  # one array fewer alive at the (n, d) temporaries below
     t = np.clip(t, -ha, ha)
     tau = np.clip(c * t + uq, -hb, hb)
     t = np.clip(c * tau - up, -ha, ha)

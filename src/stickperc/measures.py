@@ -19,7 +19,7 @@ from .errors import DomainError, InsufficientTrials, PreconditionViolated
 from .geometry import segments_hit_ball
 from .rng import substream
 from .sampling import OrientationLaw, Rigid
-from .special import log_gamma, regularized_incomplete_beta
+from .special import regularized_incomplete_beta
 
 _STREAM_MEASURE_MC = 0x3EA5
 
@@ -39,7 +39,7 @@ def ball_volume(d: int, rho: float) -> float:
         raise DomainError("radius must be nonnegative")
     if rho == 0.0:
         return 0.0
-    return math.exp(0.5 * d * math.log(math.pi) - log_gamma(0.5 * d + 1.0) + d * math.log(rho))
+    return math.exp(0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0) + d * math.log(rho))
 
 
 def stick_hit_volume(d: int, length: float, rho: float) -> float:
@@ -52,7 +52,7 @@ def stick_hit_volume(d: int, length: float, rho: float) -> float:
     if length < 0.0:
         raise DomainError("length must be nonnegative")
     cross_section = math.exp(
-        0.5 * (d - 1) * math.log(math.pi) - log_gamma(0.5 * (d + 1)) + (d - 1) * math.log(rho)
+        0.5 * (d - 1) * math.log(math.pi) - math.lgamma(0.5 * (d + 1)) + (d - 1) * math.log(rho)
     )
     return length * cross_section + ball_volume(d, rho)
 
@@ -78,7 +78,7 @@ def cap_hit_lower_bound(d: int, rho: float, r: float) -> float:
     d = _check_dim(d)
     if not (0.0 < rho < r):
         raise DomainError("need 0 < rho < r")
-    log_c = log_gamma(0.5 * d) - 0.5 * math.log(math.pi) - log_gamma(0.5 * (d + 1))
+    log_c = math.lgamma(0.5 * d) - 0.5 * math.log(math.pi) - math.lgamma(0.5 * (d + 1))
     return math.exp(log_c + (d - 1) * math.log(rho / r))
 
 
@@ -90,8 +90,8 @@ def c_d(d: int) -> float:
         5.0 * (d - 2) * math.log(2.0)
         + (0.5 * d - 2.0) * math.log(math.pi)
         - 0.5 * math.log(d)
-        + 3.0 * log_gamma(0.5 * d)
-        - log_gamma(2.0 * d - 1.0)
+        + 3.0 * math.lgamma(0.5 * d)
+        - math.lgamma(2.0 * d - 1.0)
     )
     return math.exp(log_val)
 
@@ -124,9 +124,9 @@ def _law_tag(law) -> str:
 def lower_bound_constant(d: int, law) -> float:
     d = _check_dim(d)
     if _law_tag(law) == "rigid":
-        return math.exp(log_gamma(0.5 * (d + 1)) - d * math.log(2.0) - 0.5 * d * math.log(math.pi))
+        return math.exp(math.lgamma(0.5 * (d + 1)) - d * math.log(2.0) - 0.5 * d * math.log(math.pi))
     return math.exp(
-        log_gamma(0.5 * (d + 1)) - 0.5 * (d - 1) * math.log(math.pi) - d * math.log(2.0)
+        math.lgamma(0.5 * (d + 1)) - 0.5 * (d - 1) * math.log(math.pi) - d * math.log(2.0)
     )
 
 
@@ -134,7 +134,7 @@ def upper_bound_constant(d: int, law, delta: float = 1.0) -> float:
     d = _check_dim(d)
     if _law_tag(law) == "rigid":
         return math.exp(
-            math.log(4.0) + d * math.log(2.0) + log_gamma(0.5 * (d + 1))
+            math.log(4.0) + d * math.log(2.0) + math.lgamma(0.5 * (d + 1))
             - (0.5 * d - 1.0) * math.log(math.pi)
         )
     if not delta > 0.0:
@@ -196,12 +196,12 @@ def gw_offspring_bound(d: int, length: float, intensity: float, law) -> float:
         if not length > 3.0:
             raise PreconditionViolated("rigid offspring bound requires L > 3")
         return intensity * length * math.exp(
-            d * math.log(2.0) + 0.5 * d * math.log(math.pi) - log_gamma(0.5 * (d + 1))
+            d * math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * (d + 1))
         )
     if not length > math.pi:
         raise PreconditionViolated("offspring bound requires L > pi")
     return intensity * length * length * math.exp(
-        0.5 * (d - 1) * math.log(math.pi) - log_gamma(0.5 * (d + 1)) + d * math.log(2.0)
+        0.5 * (d - 1) * math.log(math.pi) - math.lgamma(0.5 * (d + 1)) + d * math.log(2.0)
     )
 
 

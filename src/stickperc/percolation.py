@@ -20,12 +20,11 @@ import numpy as np
 from .errors import BracketFailure, DegenerateDesign, DomainError, PreconditionViolated
 from .geometry import INTERSECT_THRESHOLD, segment_distance_arrays
 from .measures import theorem_bounds
-from .rng import derive_seed, substream
+from .rng import derive_seed
 from .sampling import Configuration, OrientationLaw, sample_window_configuration
 from .stats import wilson_interval
 
 _STREAM_REPLICATE = 0x4EB1
-_STREAM_THINNING = 0x7417
 _PAIR_CHUNK = 2_000_000
 
 
@@ -257,9 +256,9 @@ def crossing_event(config: Configuration, axis: int = 0, cell: float | None = No
 
 
 def _replicate_crossing(args) -> bool:
-    d, length, intensity, law, side, replicate_seed, axis, cell = args
+    d, length, intensity, law, side, replicate_seed, axis = args
     config = sample_window_configuration(d, length, intensity, law, side, replicate_seed)
-    return crossing_event(config, axis=axis, cell=cell)
+    return crossing_event(config, axis=axis, cell=tuned_cell_size(length, law))
 
 
 @dataclass(frozen=True)
@@ -293,7 +292,6 @@ def crossing_probability(
     replicates: int,
     seed: int,
     axis: int = 0,
-    cell: float | None = None,
     workers: int = 1,
     probe_id: int = 0,
     pool: Executor | None = None,
@@ -305,10 +303,8 @@ def crossing_probability(
     a new one when given."""
     if replicates < 1:
         raise DomainError("need at least one replicate")
-    if cell is None:
-        cell = tuned_cell_size(length, law)
     seeds = replicate_seeds(seed, probe_id, replicates)
-    payloads = [(d, length, intensity, law, side, s, axis, cell) for s in seeds]
+    payloads = [(d, length, intensity, law, side, s, axis) for s in seeds]
     with nullcontext(pool) if pool is not None else _replicate_pool(workers) as executor:
         if executor is None:
             outcomes = [_replicate_crossing(p) for p in payloads]
@@ -397,7 +393,6 @@ def estimate_threshold(
     replicates: int,
     seed: int,
     axis: int = 0,
-    cell: float | None = None,
     workers: int = 1,
     max_bisect: int = 12,
 ) -> ThresholdEstimate:
@@ -424,7 +419,7 @@ def estimate_threshold(
         def probe(lam: float) -> CrossingStats:
             stats = crossing_probability(
                 d, length, lam, law, side, replicates, seed,
-                axis=axis, cell=cell, workers=workers, probe_id=len(probes), pool=pool,
+                axis=axis, workers=workers, probe_id=len(probes), pool=pool,
             )
             probes.append(stats)
             return stats
@@ -521,42 +516,3 @@ def scaling_fit(points) -> ScalingFit:
     stderr = math.sqrt(max(sigma2, 0.0) / sxx)
     return ScalingFit(slope=slope, intercept=intercept, stderr=stderr, points=len(pts))
 
-
-def coupled_crossing_indicators(
-    d: int,
-    length: float,
-    intensities,
-    law: OrientationLaw,
-    side: float,
-    replicates: int,
-    seed: int,
-    axis: int = 0,
-    cell: float | None = None,
-) -> np.ndarray:
-    """Crossing indicators on a shared driving: each replicate samples one
-    configuration at max(intensities) and thins it with common per-stick
-    marks, so the indicator is non-decreasing in intensity by construction
-    of the coupling.  Returns an array of shape (replicates, len(intensities))."""
-    lams = [float(v) for v in intensities]
-    if sorted(lams) != lams:
-        raise DomainError("intensities must be sorted ascending")
-    lam_max = lams[-1]
-    out = np.zeros((replicates, len(lams)), dtype=int)
-    for r in range(replicates):
-        rep_seed = derive_seed(seed, _STREAM_THINNING, r)
-        config = sample_window_configuration(d, length, lam_max, law, side, rep_seed)
-        marks = substream(rep_seed, _STREAM_THINNING).random(config.count)
-        for k, lam in enumerate(lams):
-            keep = marks < (lam / lam_max)
-            sub = Configuration(
-                d=config.d,
-                length=config.length,
-                intensity=lam,
-                box=config.box,
-                centers=config.centers[keep],
-                dirs=config.dirs[keep],
-                seed=rep_seed,
-                window=config.window,
-            )
-            out[r, k] = 1 if crossing_event(sub, axis=axis, cell=cell) else 0
-    return out

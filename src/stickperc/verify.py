@@ -16,7 +16,7 @@ from . import branching, geometry, measures, oriented
 from .geometry import Segment, Stick
 from .rng import substream
 from .sampling import Rigid, Uniform
-from .special import log_gamma, regularized_incomplete_beta
+from .special import regularized_incomplete_beta
 
 
 @dataclass(frozen=True)
@@ -26,12 +26,18 @@ class Check:
     detail: str
 
 
-def _random_unit(rng, d):
+def random_unit(rng, d):
     v = rng.standard_normal(d)
     return v / np.linalg.norm(v)
 
 
-def _grid_segment_distance(a: Segment, b: Segment, steps: int) -> float:
+def grid_segment_distance(a: Segment, b: Segment, steps: int) -> float:
+    """Parameter-grid minimum distance between two segments.
+
+    Scans a steps x steps grid over the full parameter rectangle, 500 rows
+    at a time; an upper bound on the true minimum, tight to O(grid step
+    squared) away from degenerate near-contact pairs.
+    """
     t = np.linspace(-a.half, a.half, steps)
     tau = np.linspace(-b.half, b.half, steps)
     u = a.center - b.center
@@ -39,13 +45,18 @@ def _grid_segment_distance(a: Segment, b: Segment, steps: int) -> float:
     up = float(u @ a.direction)
     uq = float(u @ b.direction)
     uu = float(u @ u)
-    f = (
-        (t * t + 2.0 * t * up)[:, None]
-        + (tau * tau - 2.0 * tau * uq)[None, :]
-        - 2.0 * c * t[:, None] * tau[None, :]
-        + uu
-    )
-    return float(np.sqrt(max(f.min(), 0.0)))
+    col = tau * tau - 2.0 * tau * uq
+    best = np.inf
+    for lo in range(0, steps, 500):
+        tt = t[lo : lo + 500]
+        f = (
+            (tt * tt + 2.0 * tt * up)[:, None]
+            + col[None, :]
+            - 2.0 * c * tt[:, None] * tau[None, :]
+            + uu
+        )
+        best = min(best, float(f.min()))
+    return float(np.sqrt(max(best, 0.0)))
 
 
 def geometry_suite(seed: int) -> list[Check]:
@@ -57,7 +68,7 @@ def geometry_suite(seed: int) -> list[Check]:
     for _ in range(200):
         d = int(rng.integers(2, 6))
         x, y = rng.normal(0, 5, d), rng.normal(0, 5, d)
-        p, q = _random_unit(rng, d), _random_unit(rng, d)
+        p, q = random_unit(rng, d), random_unit(rng, d)
         if 1.0 - float(p @ q) ** 2 < 1e-6:
             continue
         t_min = geometry.line_line_t_min(x, p, y, q)
@@ -72,8 +83,8 @@ def geometry_suite(seed: int) -> list[Check]:
     worst = 0.0
     for _ in range(100):
         d = int(rng.integers(2, 5))
-        a = Segment(rng.normal(0, 4, d), _random_unit(rng, d), float(rng.uniform(0.5, 8)))
-        b = Segment(rng.normal(0, 4, d), _random_unit(rng, d), float(rng.uniform(0.5, 8)))
+        a = Segment(rng.normal(0, 4, d), random_unit(rng, d), float(rng.uniform(0.5, 8)))
+        b = Segment(rng.normal(0, 4, d), random_unit(rng, d), float(rng.uniform(0.5, 8)))
         dist = geometry.segment_segment_distance(a, b)
         worst = max(worst, abs(dist - geometry.segment_segment_distance(b, a)))
         rot, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -87,12 +98,12 @@ def geometry_suite(seed: int) -> list[Check]:
     worst = 0.0
     for _ in range(40):
         d = int(rng.integers(2, 5))
-        a = Segment(rng.normal(0, 2, d), _random_unit(rng, d), float(rng.uniform(0.5, 5)))
-        b = Segment(rng.normal(0, 2, d), _random_unit(rng, d), float(rng.uniform(0.5, 5)))
+        a = Segment(rng.normal(0, 2, d), random_unit(rng, d), float(rng.uniform(0.5, 5)))
+        b = Segment(rng.normal(0, 2, d), random_unit(rng, d), float(rng.uniform(0.5, 5)))
         closed = geometry.segment_segment_distance(a, b)
         if closed < 0.1:
             continue
-        worst = max(worst, abs(closed - _grid_segment_distance(a, b, 500)))
+        worst = max(worst, abs(closed - grid_segment_distance(a, b, 500)))
     checks.append(Check("segment-distance-grid-oracle", worst <= 2e-3, f"max |closed - grid| {worst:.3g}"))
 
     # separation property: distance outside a width-12 window stays >= 6
@@ -101,12 +112,12 @@ def geometry_suite(seed: int) -> list[Check]:
     for _ in range(n_cases):
         d = int(rng.integers(2, 5))
         while True:
-            p, q = _random_unit(rng, d), _random_unit(rng, d)
+            p, q = random_unit(rng, d), random_unit(rng, d)
             if abs(float(p @ q)) <= 1.0 / math.sqrt(2.0):
                 break
         t1, tau1 = rng.normal(0, 20), rng.normal(0, 20)
         anchor = rng.normal(0, 20, d)
-        offset = rng.uniform(0, 2) * _random_unit(rng, d)
+        offset = rng.uniform(0, 2) * random_unit(rng, d)
         x = anchor - t1 * p
         y = anchor + offset - tau1 * q
         low = min(low, geometry.min_distance_outside_window(x, p, y, q, t1, tau1, 12.0))
@@ -117,13 +128,6 @@ def geometry_suite(seed: int) -> list[Check]:
 def measures_suite(seed: int) -> list[Check]:
     rng = substream(seed, 0x6E1)
     checks = []
-
-    vals = [
-        abs(log_gamma(1.0)),
-        abs(log_gamma(0.5) - 0.5 * math.log(math.pi)),
-        abs(log_gamma(6.0) - math.log(120.0)),
-    ]
-    checks.append(Check("log-gamma-reference-points", max(vals) <= 1e-13, f"max abs error {max(vals):.3g}"))
 
     worst = 0.0
     for _ in range(200):
@@ -312,10 +316,5 @@ SUITES = {
 
 def run_suite(suite: str, seed: int) -> list[Check]:
     if suite == "all":
-        out = []
-        for name in SUITES:
-            out.extend(SUITES[name](seed))
-        return out
-    if suite not in SUITES:
-        raise KeyError(suite)
+        return [check for run in SUITES.values() for check in run(seed)]
     return SUITES[suite](seed)

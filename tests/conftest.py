@@ -6,33 +6,7 @@ distance minimization and plain rejection counting for hit fractions.
 
 import numpy as np
 
-
-def grid_segment_distance(a, b, steps=2000, t_chunk=500):
-    """Parameter-grid minimum distance between two segments.
-
-    Scans a steps x steps grid over the full parameter rectangle; an upper
-    bound on the true minimum, tight to O(grid step squared) away from
-    degenerate near-contact pairs.
-    """
-    t = np.linspace(-a.half, a.half, steps)
-    tau = np.linspace(-b.half, b.half, steps)
-    u = a.center - b.center
-    c = float(a.direction @ b.direction)
-    up = float(u @ a.direction)
-    uq = float(u @ b.direction)
-    uu = float(u @ u)
-    col = tau * tau - 2.0 * tau * uq
-    best = np.inf
-    for lo in range(0, steps, t_chunk):
-        tt = t[lo : lo + t_chunk]
-        f = (
-            (tt * tt + 2.0 * tt * up)[:, None]
-            + col[None, :]
-            - 2.0 * c * tt[:, None] * tau[None, :]
-            + uu
-        )
-        best = min(best, float(f.min()))
-    return float(np.sqrt(max(best, 0.0)))
+from stickperc.verify import grid_segment_distance, random_unit  # noqa: F401
 
 
 def grid_line_point_min(x, p, y, t_lo=-20.0, t_hi=20.0, step=1e-4):
@@ -72,7 +46,3 @@ def grid_distance_outside_window(x, p, y, q, t1, tau1, w, reach=60.0, steps=4001
     outside = np.maximum(np.abs(t - t1)[:, None], np.abs(tau - tau1)[None, :]) >= w - 1e-6
     return float(np.sqrt(max(f[outside].min(), 0.0)))
 
-
-def random_unit(rng, d):
-    v = rng.standard_normal(d)
-    return v / np.linalg.norm(v)

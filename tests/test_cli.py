@@ -254,6 +254,25 @@ class TestInvalidInput:
         assert captured.out == ""
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            THRESHOLD_ARGS + ["--probes-csv"],
+            ["scaling", "--d", "2", "--law", "rigid", "--L-list", "8,12,16", "--s-factor", "8",
+             "--replicates", "6", "--max-bisect", "1", "--csv"],
+            ["branching", "--d", "2", "--L", "10", "--lambda", "0.05", "--law", "rigid",
+             "--trials", "50", "--gw-runs", "5", "--samples-csv"],
+            TestOriented.ARGS + ["--csv"],
+        ],
+        ids=["threshold", "scaling", "branching", "oriented"],
+    )
+    def test_unwritable_csv_exits_2(self, capsys, tmp_path, argv):
+        rc, out, err = run_cli(capsys, argv + [str(tmp_path / "missing" / "out.csv")])
+        assert rc == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("error: cannot write")
+
 
 class TestConfigKeys:
     def test_seed_takes_effect(self, capsys, tmp_path):

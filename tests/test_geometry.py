@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -278,9 +278,26 @@ def tangent_pairs(draw):
     return Stick(seg(ca, ei, length)), Stick(seg(cb, db, length))
 
 
+# Unit segments whose 1 - <p,q>^2 falls below the parallel tolerance.  Two
+# crossing at the origin (1.4e-14): the scalar edge scan alone gave 5.96e-8
+# instead of 0.  One tilted by 1.49e-8 towards a parallel one at distance 1
+# (1 - c^2 rounds to 0): the vector kernel started at t = 0 and gave 1
+# instead of 1 - 7.45e-9.
+CROSSING_NEAR_PARALLEL = (
+    seg([0.0, 0.0], np.array([2.0**-23, 1.0]) / np.linalg.norm([2.0**-23, 1.0]), 1.0),
+    seg([0.0, 0.0], [0.0, 1.0], 1.0),
+)
+TILTED_NEAR_PARALLEL = (
+    seg([0.0, 0.0], np.array([1.0, 2.0**-26]) / np.linalg.norm([1.0, 2.0**-26]), 1.0),
+    seg([0.0, 1.0], [1.0, 0.0], 1.0),
+)
+
+
 class TestKernelProperties:
     @settings(max_examples=300, deadline=None)
     @given(segment_pairs())
+    @example(CROSSING_NEAR_PARALLEL)
+    @example(TILTED_NEAR_PARALLEL)
     def test_batch_matches_scalar(self, pair):
         a, b = pair
         assert batch_distance(a, b) == pytest.approx(segment_segment_distance(a, b), abs=1e-9)

@@ -16,7 +16,6 @@ from stickperc.percolation import (
     build_index,
     cluster,
     component_labels,
-    coupled_crossing_indicators,
     crossing_event,
     crossing_probability,
     estimate_threshold,
@@ -336,13 +335,6 @@ class TestCrossingProbability:
         a = estimate_threshold(2, 8.0, Uniform(), 64.0, workers=1, **kw)
         b = estimate_threshold(2, 8.0, Uniform(), 64.0, workers=2, **kw)
         assert a == b
-
-    def test_monotone_under_thinning_coupling(self):
-        lams = [0.01, 0.02, 0.04, 0.08]
-        mat = coupled_crossing_indicators(2, 8.0, lams, Uniform(), 64.0, 25, seed=9)
-        assert np.all(np.diff(mat, axis=1) >= 0)
-        # and the coupling is not vacuous: both phases appear
-        assert mat[:, 0].mean() < 0.5 < mat[:, -1].mean()
 
     def test_wilson_interval_scaling(self):
         # doubling the replicate count shrinks the interval by about sqrt 2

@@ -5,37 +5,7 @@ import pytest
 import scipy.special
 
 from stickperc.errors import DomainError
-from stickperc.special import log_beta, log_gamma, regularized_incomplete_beta
-
-
-class TestLogGamma:
-    def test_reference_points(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
-        assert log_gamma(6.0) == pytest.approx(math.log(120.0), rel=1e-14)
-
-    def test_against_lgamma_grid(self):
-        xs = np.concatenate(
-            [
-                np.linspace(0.05, 2.0, 200),
-                np.linspace(2.0, 50.0, 200),
-                np.linspace(50.0, 500.0, 100),
-            ]
-        )
-        for x in xs:
-            ours = log_gamma(float(x))
-            ref = math.lgamma(float(x))
-            assert abs(ours - ref) <= 1e-13 * max(1.0, abs(ref))
-
-    def test_recurrence(self):
-        for x in (0.3, 1.7, 12.5):
-            assert log_gamma(x + 1.0) == pytest.approx(log_gamma(x) + math.log(x), rel=1e-13)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            log_gamma(0.0)
-        with pytest.raises(DomainError):
-            log_gamma(-2.5)
+from stickperc.special import log_beta, regularized_incomplete_beta
 
 
 class TestIncompleteBeta:
