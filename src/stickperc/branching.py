@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CapacityExceeded, DomainError
 from .geometry import INTERSECT_THRESHOLD, Segment, Stick, segment_distance_arrays
 from .rng import substream
-from .sampling import BoxRegion, OrientationLaw, poisson_count
+from .sampling import BoxRegion, OrientationLaw, check_intensity, poisson_count
 
 _STREAM_OFFSPRING = 0x0FF5
 _STREAM_GW = 0x6A17
@@ -66,7 +66,7 @@ def offspring_mean_mc(
         raise DomainError("need at least one trial")
     box = offspring_box(seed_stick, length)
     rng = substream(seed, _STREAM_OFFSPRING)
-    mean_count = intensity * box.volume
+    mean_count = check_intensity(intensity) * box.volume
     if mean_count * trials > 1e9:
         raise CapacityExceeded("offspring MC would draw more than 1e9 sticks")
     counts = rng.poisson(mean_count, size=trials).astype(np.int64)
@@ -92,10 +92,7 @@ def offspring_mean_mc(
 @dataclass(frozen=True)
 class GWReport:
     generation_sizes: tuple[int, ...]
-    offspring_samples: tuple[int, ...]
     truncated: bool
-    max_generations: int
-    population_cap: int
 
     @property
     def extinct(self) -> bool:
@@ -131,13 +128,7 @@ def dominating_gw_run(
             break
     else:
         truncated = population > 0
-    return GWReport(
-        generation_sizes=tuple(sizes),
-        offspring_samples=tuple(int(v) for v in samples),
-        truncated=truncated,
-        max_generations=max_generations,
-        population_cap=population_cap,
-    )
+    return GWReport(generation_sizes=tuple(sizes), truncated=truncated)
 
 
 @dataclass(frozen=True)

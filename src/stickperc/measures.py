@@ -18,10 +18,11 @@ import numpy as np
 from .errors import DomainError, InsufficientTrials, PreconditionViolated
 from .geometry import segments_hit_ball
 from .rng import substream
-from .sampling import OrientationLaw, Rigid
+from .sampling import OrientationLaw, Rigid, check_intensity
 from .special import regularized_incomplete_beta
 
 _STREAM_MEASURE_MC = 0x3EA5
+_MC_CHUNK = 1_000_000  # Monte Carlo draws per batch, to bound memory
 
 LAW_TAGS = ("uniform", "rigid", "density")
 
@@ -339,7 +340,6 @@ def mc_stick_hit_volume(
     law: OrientationLaw,
     trials: int,
     seed: int,
-    chunk: int = 1_000_000,
 ) -> MCEstimate:
     """Monte Carlo check of ``stick_hit_volume``.
 
@@ -359,7 +359,7 @@ def mc_stick_hit_volume(
     hits = 0
     remaining = trials
     while remaining > 0:
-        n = min(chunk, remaining)
+        n = min(_MC_CHUNK, remaining)
         remaining -= n
         p = law.sample_directions(rng, d, n)
         local = rng.uniform(-rho, rho, size=(n, d))
@@ -409,7 +409,6 @@ def mc_two_ball_measure(
     trials: int,
     seed: int,
     intensity: float = 1.0,
-    chunk: int = 1_000_000,
 ) -> MCEstimate:
     """Monte Carlo estimate of the measure of segments centered in the middle
     construction box whose segment connects B(gamma, 2) and B(zeta, 2).
@@ -420,6 +419,7 @@ def mc_two_ball_measure(
     fraction, to be compared against intensity * delta * c_d * L^{2-d}.
     """
     d = _check_dim(d)
+    check_intensity(intensity)
     if trials < 1:
         raise InsufficientTrials("need at least one trial")
     if not length > 32.0:
@@ -441,7 +441,7 @@ def mc_two_ball_measure(
     remaining = trials
     halves = 0.5 * length
     while remaining > 0:
-        n = min(chunk, remaining)
+        n = min(_MC_CHUNK, remaining)
         remaining -= n
         x = rng.uniform(low, high, size=(n, d))
         p = law.sample_directions(rng, d, n)
@@ -455,4 +455,4 @@ def mc_two_ball_measure(
 def two_ball_lower_bound(d: int, length: float, delta: float, intensity: float = 1.0) -> float:
     """The two-ball lemma lower bound intensity * delta * c_d * L^{2-d}."""
     d = _check_dim(d)
-    return intensity * delta * c_d(d) * float(length) ** (2 - d)
+    return check_intensity(intensity) * delta * c_d(d) * float(length) ** (2 - d)

@@ -70,82 +70,67 @@ def bond_beta(alpha: float) -> float:
     return 1.0 - (1.0 - alpha) ** 2
 
 
-def op_step(frontier: Frontier, alpha: float, variant: str, stream: np.random.Generator) -> Frontier:
-    """One synchronous update of the frontier.
-
-    Bond: two stream uniforms per occupied parent (left arrow then right
-    arrow, parents in sorted order).  Site: one stream uniform per candidate
-    child (sorted order).
-    """
-    alpha = _check_alpha(alpha)
-    variant = _check_variant(variant)
+def _step(frontier: Frontier, alpha: float, variant: str, uniforms) -> Frontier:
+    """The update rule, reading ``uniforms(level, sites, key)``: bond arrows at
+    the parent's level, site draws at the child's."""
     parents = frontier.occupied
-    if parents.size == 0:
-        return Frontier(frontier.level + 1, np.empty(0, dtype=np.int64))
+    level = frontier.level
     if variant == "bond":
-        left = stream.random(parents.size) < alpha
-        right = stream.random(parents.size) < alpha
+        left = uniforms(level, parents, _KEY_LEFT) < alpha
+        right = uniforms(level, parents, _KEY_RIGHT) < alpha
         children = np.concatenate((parents[left] - 1, parents[right] + 1))
     else:
         candidates = np.unique(np.concatenate((parents - 1, parents + 1)))
-        keep = stream.random(candidates.size) < alpha
-        children = candidates[keep]
-    return Frontier(frontier.level + 1, children)
+        children = candidates[uniforms(level + 1, candidates, _KEY_SITE) < alpha]
+    return Frontier(level + 1, children)
 
 
-def _field_step(frontier: Frontier, alpha: float, variant: str, trial_key: int) -> Frontier:
-    # same dynamics driven by a deterministic uniform field keyed on
-    # (trial, level, site, arrow); used by the shared-driving couplings
-    parents = frontier.occupied
-    if parents.size == 0:
-        return Frontier(frontier.level + 1, np.empty(0, dtype=np.int64))
-    n = frontier.level
-    if variant == "bond":
-        u_left = mix_to_unit(combine_keys(trial_key, n, parents, _KEY_LEFT))
-        u_right = mix_to_unit(combine_keys(trial_key, n, parents, _KEY_RIGHT))
-        children = np.concatenate((parents[u_left < alpha] - 1, parents[u_right < alpha] + 1))
-    else:
-        candidates = np.unique(np.concatenate((parents - 1, parents + 1)))
-        u = mix_to_unit(combine_keys(trial_key, n + 1, candidates, _KEY_SITE))
-        children = candidates[u < alpha]
-    return Frontier(frontier.level + 1, children)
+def _stream_uniforms(stream: np.random.Generator):
+    # the next draws of the stream, whatever the level and key
+    return lambda level, sites, key: stream.random(sites.size)
+
+
+def _field_uniforms(trial_key: int):
+    # the same arrow sees the same uniform at every alpha: the couplings need that
+    return lambda level, sites, key: mix_to_unit(combine_keys(trial_key, level, sites, key))
+
+
+def op_step(frontier: Frontier, alpha: float, variant: str, stream: np.random.Generator) -> Frontier:
+    """One synchronous update of the frontier.
+
+    Bond: two stream uniforms per occupied parent (left arrows then right
+    arrows, parents in sorted order).  Site: one stream uniform per candidate
+    child (sorted order).
+    """
+    return _step(frontier, _check_alpha(alpha), _check_variant(variant), _stream_uniforms(stream))
 
 
 def coupled_variant_step(frontier: Frontier, alpha: float, trial_key: int) -> tuple[Frontier, Frontier]:
     """Site and bond updates of the same frontier on shared arrow uniforms.
 
-    The site child reads the arrow of its leftmost occupied parent, so site
-    occupation is pathwise contained in bond occupation while matching the
-    site conditional law (one uniform per candidate).
+    A site child reads its left parent's right arrow, or its right parent's
+    left arrow when its left parent is empty: one uniform per candidate, as
+    the site law needs, and site occupation pathwise within bond occupation.
     """
+    uniforms = _field_uniforms(trial_key)
     parents = frontier.occupied
     level = frontier.level
-    if parents.size == 0:
-        empty = Frontier(level + 1, np.empty(0, dtype=np.int64))
-        return empty, empty
-    parent_set = set(int(x) for x in parents)
-    site_children = []
-    bond_children = []
     candidates = np.unique(np.concatenate((parents - 1, parents + 1)))
-    for c in candidates:
-        c = int(c)
-        left_parent = c - 1 in parent_set
-        right_parent = c + 1 in parent_set
-        u_from_left = float(mix_to_unit(combine_keys(trial_key, level, np.array([c - 1]), _KEY_RIGHT))[0])
-        u_from_right = float(mix_to_unit(combine_keys(trial_key, level, np.array([c + 1]), _KEY_LEFT))[0])
-        arrows = []
-        if left_parent:
-            arrows.append(u_from_left)
-        if right_parent:
-            arrows.append(u_from_right)
-        if any(u < alpha for u in arrows):
-            bond_children.append(c)
-        if arrows[0] < alpha:  # designated parent: leftmost occupied
-            site_children.append(c)
-    return (
-        Frontier(level + 1, np.array(site_children, dtype=np.int64)),
-        Frontier(level + 1, np.array(bond_children, dtype=np.int64)),
-    )
+    from_left = uniforms(level, candidates - 1, _KEY_RIGHT)
+    from_right = uniforms(level, candidates + 1, _KEY_LEFT)
+    u = np.where(np.isin(candidates - 1, parents), from_left, from_right)
+    site = Frontier(level + 1, candidates[u < alpha])
+    return site, _step(frontier, alpha, "bond", uniforms)
+
+
+def _extinction_level(alpha: float, variant: str, n_max: int, uniforms) -> int:
+    """Level at which the frontier from the origin dies out; -1 if alive after n_max steps."""
+    frontier = Frontier.origin()
+    for _ in range(n_max):
+        frontier = _step(frontier, alpha, variant, uniforms)
+        if not frontier.alive:
+            return frontier.level
+    return -1
 
 
 @dataclass(frozen=True)
@@ -169,20 +154,9 @@ def survival_probability(
     variant = _check_variant(variant)
     if trials < 1 or n_max < 1:
         raise DomainError("trials and n_max must be positive")
-    survivors = 0
-    levels = []
-    for t in range(trials):
-        stream = substream(seed, _STREAM_TRIAL, t)
-        frontier = Frontier.origin()
-        extinction = -1
-        for _ in range(n_max):
-            frontier = op_step(frontier, alpha, variant, stream)
-            if not frontier.alive:
-                extinction = frontier.level
-                break
-        if extinction < 0:
-            survivors += 1
-        levels.append(extinction)
+    streams = (substream(seed, _STREAM_TRIAL, t) for t in range(trials))
+    levels = [_extinction_level(alpha, variant, n_max, _stream_uniforms(s)) for s in streams]
+    survivors = levels.count(-1)
     ci_low, ci_high = wilson_interval(survivors, trials)
     return SurvivalStats(
         alpha=alpha,
@@ -207,14 +181,9 @@ def coupled_survival_matrix(
     variant = _check_variant(variant)
     out = np.zeros((trials, len(alphas)), dtype=int)
     for t in range(trials):
-        trial_key = derive_seed(seed, _STREAM_TRIAL, t)
+        uniforms = _field_uniforms(derive_seed(seed, _STREAM_TRIAL, t))
         for k, alpha in enumerate(alphas):
-            frontier = Frontier.origin()
-            for _ in range(n_max):
-                frontier = _field_step(frontier, alpha, variant, trial_key)
-                if not frontier.alive:
-                    break
-            out[t, k] = 1 if frontier.alive else 0
+            out[t, k] = 1 if _extinction_level(alpha, variant, n_max, uniforms) < 0 else 0
     return out
 
 

@@ -40,6 +40,15 @@ def substream(master: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_seed(master, *path)))
 
 
+def _finalize(z):
+    """The splitmix64 output step on uint64 values; callers silence the
+    overflow warnings of numpy scalars, since the arithmetic wraps mod 2^64."""
+    z = z + np.uint64(_GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def mix_to_unit(keys: np.ndarray) -> np.ndarray:
     """Map an array of uint64 keys to floats in [0, 1) via splitmix64.
 
@@ -47,11 +56,8 @@ def mix_to_unit(keys: np.ndarray) -> np.ndarray:
     pure function of the key, which is what the shared-driving couplings
     need (the same lattice arrow sees the same uniform at every parameter).
     """
-    z = (keys.astype(np.uint64) + np.uint64(_GOLDEN))
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
+        z = _finalize(keys.astype(np.uint64))
     return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
@@ -67,9 +73,6 @@ def combine_keys(*parts: np.ndarray | int) -> np.ndarray:
                 arr = np.asarray(part)
                 if arr.dtype != np.uint64:
                     arr = arr.astype(np.int64).astype(np.uint64)
-            z = (arr + np.uint64(_GOLDEN))
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-            z = z ^ (z >> np.uint64(31))
+            z = _finalize(arr)
             acc = z if acc is None else (acc * np.uint64(0x100000001B3) ^ z)
     return acc

@@ -10,6 +10,7 @@ configurations byte for byte, independent of worker count.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -151,6 +152,13 @@ class BoxRegion:
 
     def grown(self, pad: float) -> "BoxRegion":
         return BoxRegion(self.low - pad, self.high + pad)
+
+
+def check_intensity(intensity: float) -> float:
+    """``intensity`` itself; DomainError if it is negative or not finite."""
+    if not 0.0 <= intensity < math.inf:
+        raise DomainError("intensity must be finite and nonnegative")
+    return intensity
 
 
 def poisson_count(mean: float, stream: np.random.Generator) -> int:

@@ -114,6 +114,18 @@ class TestThreshold:
         assert out == ""
         assert err.splitlines() == ["error: stick length must be positive"]
 
+    @pytest.mark.parametrize("lam", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["branching", "--d", "2", "--L", "10", "--trials", "10"], ["measure-mc", "--d", "2", "--trials", "10"]],
+        ids=["branching", "measure-mc"],
+    )
+    def test_invalid_intensity_exit_2(self, capsys, argv, lam):
+        rc, out, err = run_cli(capsys, argv + ["--lambda", lam])
+        assert rc == 2
+        assert out == ""
+        assert err.splitlines() == ["error: intensity must be finite and nonnegative"]
+
 
 class TestScaling:
     def test_small_run(self, capsys, tmp_path):

@@ -283,3 +283,8 @@ class TestTwoBallMeasure:
         bad[1] = geom.half_side - 8.0
         with pytest.raises(PreconditionViolated):
             mc_two_ball_measure(2, 256.0, geom.box_center((-2, 0)), bad, Uniform(), 10, seed=1)
+
+    @pytest.mark.parametrize("intensity", [-1.0, math.nan, math.inf])
+    def test_invalid_intensity_rejected(self, intensity):
+        with pytest.raises(DomainError):
+            two_ball_lower_bound(2, 256.0, delta=1.0, intensity=intensity)

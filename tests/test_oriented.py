@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stickperc.errors import DomainError
 from stickperc.oriented import (
+    _KEY_LEFT,
+    _KEY_RIGHT,
     Frontier,
     bond_beta,
     coupled_survival_matrix,
@@ -13,7 +17,48 @@ from stickperc.oriented import (
     op_step,
     survival_probability,
 )
-from stickperc.rng import substream
+from stickperc.rng import combine_keys, mix_to_unit, substream
+
+
+def loop_coupled_variant_step(frontier, alpha, trial_key):
+    """Reference coupled step: a loop over candidate children, reading each
+    parent arrow as one scalar keyed uniform."""
+    parents = frontier.occupied
+    level = frontier.level
+    if parents.size == 0:
+        empty = Frontier(level + 1, np.empty(0, dtype=np.int64))
+        return empty, empty
+    parent_set = set(int(x) for x in parents)
+    site_children = []
+    bond_children = []
+    candidates = np.unique(np.concatenate((parents - 1, parents + 1)))
+    for c in candidates:
+        c = int(c)
+        left_parent = c - 1 in parent_set
+        right_parent = c + 1 in parent_set
+        u_from_left = float(mix_to_unit(combine_keys(trial_key, level, np.array([c - 1]), _KEY_RIGHT))[0])
+        u_from_right = float(mix_to_unit(combine_keys(trial_key, level, np.array([c + 1]), _KEY_LEFT))[0])
+        arrows = []
+        if left_parent:
+            arrows.append(u_from_left)
+        if right_parent:
+            arrows.append(u_from_right)
+        if any(u < alpha for u in arrows):
+            bond_children.append(c)
+        if arrows[0] < alpha:  # designated parent: leftmost occupied
+            site_children.append(c)
+    return (
+        Frontier(level + 1, np.array(site_children, dtype=np.int64)),
+        Frontier(level + 1, np.array(bond_children, dtype=np.int64)),
+    )
+
+
+@st.composite
+def frontiers(draw):
+    """A frontier at a random level with 0 to 30 occupied sites."""
+    level = draw(st.integers(0, 60))
+    sites = draw(st.lists(st.integers(-40, 40), max_size=30))
+    return Frontier(level, np.array(sites, dtype=np.int64) * 2 + level % 2)
 
 
 class TestFrontier:
@@ -151,9 +196,52 @@ class TestCoupling:
             site_f, bond_f = coupled_variant_step(frontier, 0.65, trial_key=1000 + t)
             assert set(site_f.occupied.tolist()) <= set(bond_f.occupied.tolist())
 
+    @settings(max_examples=300, deadline=None)
+    @given(frontiers(), st.sampled_from([0.0, 0.3, 0.65, 0.81, 0.9, 1.0]), st.integers(0, 2**64 - 1))
+    @example(Frontier(3, np.empty(0, dtype=np.int64)), 0.7, 5)
+    @example(Frontier(0, np.arange(-20, 21, 2)), 0.65, 2**63)
+    def test_coupled_step_matches_loop_oracle(self, frontier, alpha, trial_key):
+        site_f, bond_f = coupled_variant_step(frontier, alpha, trial_key)
+        site_ref, bond_ref = loop_coupled_variant_step(frontier, alpha, trial_key)
+        assert site_f.level == bond_f.level == frontier.level + 1
+        assert site_f.occupied.tolist() == site_ref.occupied.tolist()
+        assert bond_f.occupied.tolist() == bond_ref.occupied.tolist()
+
     def test_coupled_step_is_deterministic_in_key(self):
         frontier = Frontier(4, np.array([-2, 0, 2, 4]))
         a = coupled_variant_step(frontier, 0.7, trial_key=99)
         b = coupled_variant_step(frontier, 0.7, trial_key=99)
         assert a[0].occupied.tolist() == b[0].occupied.tolist()
         assert a[1].occupied.tolist() == b[1].occupied.tolist()
+
+
+class TestPinnedOutputs:
+    """Outputs recorded before the stream step, the keyed-field step and the
+    coupled step became one update rule; a change of draw order or keying
+    shows here."""
+
+    @pytest.mark.parametrize(
+        "variant, alpha, levels",
+        [
+            ("bond", 0.62, (19, -1, 6, -1, 29, 4, 14, 1, -1, -1, -1, -1, -1, 2, 16, 10)),
+            ("site", 0.7, (-1, 6, 7, -1, -1, 16, 24, 1, -1, -1, -1, -1, -1, 2, 36, -1)),
+        ],
+    )
+    def test_survival_extinction_levels(self, variant, alpha, levels):
+        stats = survival_probability(alpha, variant, 40, 16, seed=21)
+        assert stats.extinction_levels == levels
+        assert stats.survivors == levels.count(-1)
+
+    @pytest.mark.parametrize(
+        "variant, rows",
+        [
+            ("bond", [[0, 1, 1], [0, 1, 1], [1, 1, 1], [0, 0, 1], [0, 0, 1],
+                      [1, 1, 1], [0, 1, 1], [0, 0, 0], [0, 0, 1], [0, 1, 1]]),
+            ("site", [[0, 1, 1], [0, 0, 0], [0, 0, 1], [0, 1, 1], [0, 0, 0],
+                      [1, 1, 1], [0, 0, 1], [0, 0, 0], [0, 1, 1], [0, 1, 1]]),
+        ],
+    )
+    def test_coupled_survival_matrix(self, variant, rows):
+        matrix = coupled_survival_matrix([0.55, 0.65, 0.75], variant, 40, 10, seed=22)
+        assert matrix.dtype == np.int64
+        assert matrix.tolist() == rows
