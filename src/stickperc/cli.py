@@ -77,11 +77,11 @@ def _threshold_csv_rows(est: percolation.ThresholdEstimate) -> list[list]:
 def cmd_bounds(args) -> int:
     lower_threshold = measures.bound_validity_threshold(args.d, args.law, "lower")
     upper_threshold = measures.bound_validity_threshold(args.d, args.law, "upper")
+    report = measures.theorem_bounds(args.d, args.L, args.law, delta=args.delta, strict=False)
     if not args.L > lower_threshold:
         raise StickPercError(
             f"no bound applies: {args.law} lower bound requires L > {lower_threshold:.6g}"
         )
-    report = measures.theorem_bounds(args.d, args.L, args.law, delta=args.delta, strict=False)
     _emit(
         {
             "kind": "bounds",

@@ -165,6 +165,10 @@ def theorem_bounds(d: int, length: float, law, delta: float = 1.0, strict: bool 
     """
     d = _check_dim(d)
     tag = _law_tag(law)
+    if not math.isfinite(length):
+        raise DomainError(f"stick length must be finite, got L = {length}")
+    if not length > 0.0:
+        raise DomainError("stick length must be positive")
     if tag == "uniform":
         delta = 1.0
     elif getattr(law, "density_floor", None) is not None:

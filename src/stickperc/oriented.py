@@ -25,6 +25,8 @@ VARIANTS = ("bond", "site")
 _KEY_LEFT = 11
 _KEY_RIGHT = 13
 _KEY_SITE = 17
+_STEPS = np.array([-1, 1], dtype=np.int64)  # left and right child
+_BATCH_RUNS = 256  # coupled runs per packed array
 
 
 @dataclass(frozen=True)
@@ -42,13 +44,21 @@ class Frontier:
             raise DomainError("sites must satisfy x + level even")
         object.__setattr__(self, "occupied", occ)
 
+    @classmethod
+    def _unchecked(cls, level: int, occupied: np.ndarray) -> "Frontier":
+        # for sites that are already sorted, unique int64 of the level's parity
+        frontier = object.__new__(cls)
+        object.__setattr__(frontier, "level", level)
+        object.__setattr__(frontier, "occupied", occupied)
+        return frontier
+
     @property
     def alive(self) -> bool:
         return self.occupied.size > 0
 
     @staticmethod
     def origin() -> "Frontier":
-        return Frontier(0, np.array([0], dtype=np.int64))
+        return Frontier._unchecked(0, np.zeros(1, dtype=np.int64))
 
 
 def _check_alpha(alpha: float) -> float:
@@ -70,29 +80,36 @@ def bond_beta(alpha: float) -> float:
     return 1.0 - (1.0 - alpha) ** 2
 
 
-def _step(frontier: Frontier, alpha: float, variant: str, uniforms) -> Frontier:
-    """The update rule, reading ``uniforms(level, sites, key)``: bond arrows at
-    the parent's level, site draws at the child's."""
-    parents = frontier.occupied
-    level = frontier.level
+def _adjacent_unique(values: np.ndarray) -> np.ndarray:
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def _candidates(sites: np.ndarray) -> np.ndarray:
+    """Sorted unique neighbours x - 1, x + 1 of sorted sites of one parity.
+    Such sites lie at least 2 apart, so the interleaved neighbours are
+    already sorted and a shared one is adjacent."""
+    return _adjacent_unique((sites[:, None] + _STEPS).ravel())
+
+
+def _step(sites: np.ndarray, level: int, variant: str, opens) -> np.ndarray:
+    """The update rule on sorted sites of one parity, reading open/closed
+    from ``opens(level, sites, key)``: bond arrows at the parent's level,
+    site draws at the child's.  Returns the sorted children."""
     if variant == "bond":
-        left = uniforms(level, parents, _KEY_LEFT) < alpha
-        right = uniforms(level, parents, _KEY_RIGHT) < alpha
-        children = np.concatenate((parents[left] - 1, parents[right] + 1))
-    else:
-        candidates = np.unique(np.concatenate((parents - 1, parents + 1)))
-        children = candidates[uniforms(level + 1, candidates, _KEY_SITE) < alpha]
-    return Frontier(level + 1, children)
+        arrows = np.empty((sites.size, 2), dtype=bool)
+        arrows[:, 0] = opens(level, sites, _KEY_LEFT)
+        arrows[:, 1] = opens(level, sites, _KEY_RIGHT)
+        # interleaved as in _candidates
+        return _adjacent_unique((sites[:, None] + _STEPS)[arrows])
+    candidates = _candidates(sites)
+    return candidates[opens(level + 1, candidates, _KEY_SITE)]
 
 
-def _stream_uniforms(stream: np.random.Generator):
-    # the next draws of the stream, whatever the level and key
-    return lambda level, sites, key: stream.random(sites.size)
-
-
-def _field_uniforms(trial_key: int):
+def _field(trial_key, level: int, x: np.ndarray, key: int) -> np.ndarray:
     # the same arrow sees the same uniform at every alpha: the couplings need that
-    return lambda level, sites, key: mix_to_unit(combine_keys(trial_key, level, sites, key))
+    return mix_to_unit(combine_keys(trial_key, level, x, key))
 
 
 def op_step(frontier: Frontier, alpha: float, variant: str, stream: np.random.Generator) -> Frontier:
@@ -102,7 +119,12 @@ def op_step(frontier: Frontier, alpha: float, variant: str, stream: np.random.Ge
     arrows, parents in sorted order).  Site: one stream uniform per candidate
     child (sorted order).
     """
-    return _step(frontier, _check_alpha(alpha), _check_variant(variant), _stream_uniforms(stream))
+    alpha = _check_alpha(alpha)
+    children = _step(
+        frontier.occupied, frontier.level, _check_variant(variant),
+        lambda level, sites, key: stream.random(sites.size) < alpha,
+    )
+    return Frontier._unchecked(frontier.level + 1, children)
 
 
 def coupled_variant_step(frontier: Frontier, alpha: float, trial_key: int) -> tuple[Frontier, Frontier]:
@@ -112,25 +134,44 @@ def coupled_variant_step(frontier: Frontier, alpha: float, trial_key: int) -> tu
     left arrow when its left parent is empty: one uniform per candidate, as
     the site law needs, and site occupation pathwise within bond occupation.
     """
-    uniforms = _field_uniforms(trial_key)
     parents = frontier.occupied
     level = frontier.level
-    candidates = np.unique(np.concatenate((parents - 1, parents + 1)))
-    from_left = uniforms(level, candidates - 1, _KEY_RIGHT)
-    from_right = uniforms(level, candidates + 1, _KEY_LEFT)
+    candidates = _candidates(parents)
+    from_left = _field(trial_key, level, candidates - 1, _KEY_RIGHT)
+    from_right = _field(trial_key, level, candidates + 1, _KEY_LEFT)
     u = np.where(np.isin(candidates - 1, parents), from_left, from_right)
-    site = Frontier(level + 1, candidates[u < alpha])
-    return site, _step(frontier, alpha, "bond", uniforms)
+    bond = _step(parents, level, "bond", lambda lvl, sites, key: _field(trial_key, lvl, sites, key) < alpha)
+    return Frontier._unchecked(level + 1, candidates[u < alpha]), Frontier._unchecked(level + 1, bond)
 
 
-def _extinction_level(alpha: float, variant: str, n_max: int, uniforms) -> int:
-    """Level at which the frontier from the origin dies out; -1 if alive after n_max steps."""
-    frontier = Frontier.origin()
-    for _ in range(n_max):
-        frontier = _step(frontier, alpha, variant, uniforms)
-        if not frontier.alive:
-            return frontier.level
-    return -1
+def _extinction_levels(runs: int, variant: str, n_max: int, opens) -> np.ndarray:
+    """Level at which each of ``runs`` frontiers from the origin dies out;
+    -1 if alive after n_max steps.
+
+    All runs advance together in one sorted array: run r's site x is stored
+    as ``r * width + x + offset``.  The band ``width`` holds every site
+    that n_max steps can reach, so runs never touch, and it is even, so all
+    runs share one parity.  ``opens(level, run, x, key)`` reads each site's
+    run and true x.
+    """
+    width, offset = 2 * n_max + 4, n_max + 2
+
+    def packed_opens(level, sites, key):
+        run = sites // width
+        return opens(level, run, sites - run * width - offset, key)
+
+    sites = np.arange(runs, dtype=np.int64) * width + offset
+    levels = np.full(runs, -1, dtype=np.int64)
+    alive = np.ones(runs, dtype=bool)
+    for level in range(n_max):
+        if not sites.size:
+            break
+        sites = _step(sites, level, variant, packed_opens)
+        still = np.zeros(runs, dtype=bool)
+        still[sites // width] = True
+        levels[alive & ~still] = level + 1
+        alive = still
+    return levels
 
 
 @dataclass(frozen=True)
@@ -154,8 +195,13 @@ def survival_probability(
     variant = _check_variant(variant)
     if trials < 1 or n_max < 1:
         raise DomainError("trials and n_max must be positive")
-    streams = (substream(seed, _STREAM_TRIAL, t) for t in range(trials))
-    levels = [_extinction_level(alpha, variant, n_max, _stream_uniforms(s)) for s in streams]
+    levels = []
+    for t in range(trials):
+        stream = substream(seed, _STREAM_TRIAL, t)
+        # one run at a time, reading its stream's next draws whatever the level and key
+        levels += _extinction_levels(
+            1, variant, n_max, lambda level, run, x, key: stream.random(x.size) < alpha
+        ).tolist()
     survivors = levels.count(-1)
     ci_low, ci_high = wilson_interval(survivors, trials)
     return SurvivalStats(
@@ -175,16 +221,30 @@ def coupled_survival_matrix(
     alphas, variant: str, n_max: int, trials: int, seed: int
 ) -> np.ndarray:
     """Survival indicators (trials x alphas) on shared driving uniforms."""
-    alphas = [float(a) for a in alphas]
+    alphas = [_check_alpha(float(a)) for a in alphas]
     if sorted(alphas) != alphas:
         raise DomainError("alpha list must be sorted ascending")
     variant = _check_variant(variant)
-    out = np.zeros((trials, len(alphas)), dtype=int)
-    for t in range(trials):
-        uniforms = _field_uniforms(derive_seed(seed, _STREAM_TRIAL, t))
-        for k, alpha in enumerate(alphas):
-            out[t, k] = 1 if _extinction_level(alpha, variant, n_max, uniforms) < 0 else 0
-    return out
+    if trials < 1 or n_max < 1:
+        raise DomainError("trials and n_max must be positive")
+    k = len(alphas)
+    alpha_values = np.array(alphas)
+    # about _BATCH_RUNS runs advance together, so memory does not grow with trials
+    batch = max(1, _BATCH_RUNS // max(k, 1))
+    levels = []
+    for first in range(0, trials, batch):
+        trial_keys = np.array(
+            [derive_seed(seed, _STREAM_TRIAL, t) for t in range(first, min(first + batch, trials))],
+            dtype=np.uint64,
+        )
+
+        def opens(level, run, x, key):
+            # run i * k + j is trial first + i at alphas[j]
+            return _field(trial_keys[run // k], level, x, key) < alpha_values[run % k]
+
+        runs = _extinction_levels(trial_keys.size * k, variant, n_max, opens)
+        levels.append(runs.reshape(trial_keys.size, k))
+    return (np.concatenate(levels) < 0).astype(np.int64)
 
 
 def coupled_survival_monotonicity(

@@ -406,11 +406,9 @@ def estimate_threshold(
     from a logistic fit over the whole probe trace.  With ``workers > 1``
     every probe runs on one process pool.
     """
-    if not length > 0.0:
-        raise DomainError("stick length must be positive")
+    bounds = theorem_bounds(d, length, law, strict=False)
     if not side >= 8.0 * length:
         raise PreconditionViolated("window side must be at least 8 L")
-    bounds = theorem_bounds(d, length, law, strict=False)
     lo_limit = bounds.lower / 10.0
     hi_limit = bounds.upper * 10.0
     probes: list[CrossingStats] = []

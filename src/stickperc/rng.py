@@ -68,11 +68,11 @@ def combine_keys(*parts: np.ndarray | int) -> np.ndarray:
     with np.errstate(over="ignore"):
         for part in parts:
             if isinstance(part, (int, np.integer)):
-                arr = np.uint64(int(part) & _MASK64)
+                z = np.uint64(splitmix64(int(part) & _MASK64))
             else:
                 arr = np.asarray(part)
                 if arr.dtype != np.uint64:
                     arr = arr.astype(np.int64).astype(np.uint64)
-            z = _finalize(arr)
+                z = _finalize(arr)
             acc = z if acc is None else (acc * np.uint64(0x100000001B3) ^ z)
     return acc

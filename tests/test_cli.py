@@ -267,6 +267,29 @@ class TestInvalidInput:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
+        "argv, length",
+        [
+            (["threshold", "--d", "2", "--L", "inf", "--law", "rigid", "--replicates", "5"], "inf"),
+            (["bounds", "--d", "2", "--L", "nan", "--law", "rigid"], "nan"),
+            (["bounds", "--d", "2", "--L", "inf", "--law", "uniform"], "inf"),
+        ],
+        ids=["threshold-inf", "bounds-rigid-nan", "bounds-uniform-inf"],
+    )
+    def test_non_finite_length_exits_2(self, capsys, argv, length):
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: stick length must be finite, got L = {length}"]
+
+    @pytest.mark.parametrize("law", ["rigid", "uniform"])
+    @pytest.mark.parametrize("length", ["0", "-0.0", "-8"])
+    def test_bounds_non_positive_length_exits_2(self, capsys, law, length):
+        rc, out, err = run_cli(capsys, ["bounds", "--d", "2", "--L", length, "--law", law])
+        assert rc == 2
+        assert out == ""
+        assert err.splitlines() == ["error: stick length must be positive"]
+
+    @pytest.mark.parametrize(
         "argv",
         [
             THRESHOLD_ARGS + ["--probes-csv"],

@@ -1,14 +1,18 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stickperc import oriented
 from stickperc.errors import DomainError
 from stickperc.oriented import (
     _KEY_LEFT,
     _KEY_RIGHT,
+    _KEY_SITE,
+    _STREAM_TRIAL,
     Frontier,
     bond_beta,
     coupled_survival_matrix,
@@ -17,7 +21,7 @@ from stickperc.oriented import (
     op_step,
     survival_probability,
 )
-from stickperc.rng import combine_keys, mix_to_unit, substream
+from stickperc.rng import combine_keys, derive_seed, mix_to_unit, substream
 
 
 def loop_coupled_variant_step(frontier, alpha, trial_key):
@@ -51,6 +55,35 @@ def loop_coupled_variant_step(frontier, alpha, trial_key):
         Frontier(level + 1, np.array(site_children, dtype=np.int64)),
         Frontier(level + 1, np.array(bond_children, dtype=np.int64)),
     )
+
+
+def loop_coupled_survival_matrix(alphas, variant, n_max, trials, seed):
+    """Reference survival matrix: each trial and alpha runs on its own from
+    the origin through checked frontiers, reading the keyed field one level
+    at a time (bond arrows at the parent's level, site draws at the child's)."""
+    out = np.zeros((trials, len(alphas)), dtype=int)
+    for t in range(trials):
+        trial_key = derive_seed(seed, _STREAM_TRIAL, t)
+
+        def field(level, sites, key):
+            return mix_to_unit(combine_keys(trial_key, level, sites, key))
+
+        for k, alpha in enumerate(alphas):
+            frontier = Frontier.origin()
+            for _ in range(n_max):
+                parents, level = frontier.occupied, frontier.level
+                if variant == "bond":
+                    left = field(level, parents, _KEY_LEFT) < alpha
+                    right = field(level, parents, _KEY_RIGHT) < alpha
+                    children = np.concatenate((parents[left] - 1, parents[right] + 1))
+                else:
+                    candidates = np.unique(np.concatenate((parents - 1, parents + 1)))
+                    children = candidates[field(level + 1, candidates, _KEY_SITE) < alpha]
+                frontier = Frontier(level + 1, children)
+                if not frontier.alive:
+                    break
+            out[t, k] = 1 if frontier.alive else 0
+    return out
 
 
 @st.composite
@@ -126,6 +159,20 @@ class TestOpStep:
         assert abs(hits["bond"] / steps - bond_beta(alpha)) <= 4 * se
         assert abs(hits["site"] / steps - alpha) <= 4 * se
 
+    @settings(max_examples=200, deadline=None)
+    @given(frontiers(), st.sampled_from([0.0, 0.3, 0.65, 0.9, 1.0]), st.integers(0, 2**64 - 1))
+    @example(Frontier(3, np.empty(0, dtype=np.int64)), 0.7, 5)
+    @example(Frontier(0, np.arange(-20, 21, 2)), 1.0, 2**63)
+    def test_outputs_are_well_formed_frontiers(self, frontier, alpha, seed):
+        # the steps build their outputs without the checks of Frontier(...)
+        outs = [op_step(frontier, alpha, variant, substream(seed)) for variant in ("bond", "site")]
+        outs += coupled_variant_step(frontier, alpha, seed)
+        for out in outs:
+            checked = Frontier(out.level, out.occupied)
+            assert out.level == frontier.level + 1
+            assert out.occupied.dtype == checked.occupied.dtype
+            assert out.occupied.tolist() == checked.occupied.tolist()
+
     def test_invalid_alpha(self):
         with pytest.raises(DomainError):
             op_step(Frontier.origin(), 1.5, "bond", substream(0))
@@ -185,6 +232,30 @@ class TestCoupling:
     def test_unsorted_rejected(self):
         with pytest.raises(DomainError):
             coupled_survival_monotonicity([0.9, 0.5], "bond", 10, 5, seed=0)
+
+    @pytest.mark.parametrize(
+        "alphas, n_max, trials",
+        [([0.5, 1.5], 10, 5), ([math.nan], 10, 5), ([-0.1, 0.5], 10, 5), ([0.5], 0, 5), ([0.5], 10, 0)],
+        ids=["alpha-above-1", "alpha-nan", "alpha-negative", "n_max-0", "trials-0"],
+    )
+    def test_matrix_invalid_input_rejected(self, alphas, n_max, trials):
+        with pytest.raises(DomainError):
+            coupled_survival_matrix(alphas, "bond", n_max, trials, seed=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4).map(sorted),
+        st.sampled_from(["bond", "site"]), st.integers(1, 80), st.integers(1, 12), st.integers(0, 2**64 - 1),
+        st.integers(1, 64),
+    )
+    @example([0.55, 0.65, 0.75], "bond", 40, 10, 2**63, 256)
+    @example([0.3, 0.81, 0.95], "site", 80, 12, 2**63, 256)
+    @example([0.3, 0.81, 0.95], "bond", 80, 12, 2**63, 7)
+    def test_matrix_matches_loop_oracle(self, alphas, variant, n_max, trials, seed, batch_runs):
+        # small batch sizes split the trials over several packed arrays
+        with mock.patch.object(oriented, "_BATCH_RUNS", batch_runs):
+            matrix = coupled_survival_matrix(alphas, variant, n_max, trials, seed)
+        assert matrix.tolist() == loop_coupled_survival_matrix(alphas, variant, n_max, trials, seed).tolist()
 
     def test_site_subset_of_bond_per_step(self):
         rng = substream(7)
