@@ -20,12 +20,10 @@ from .errors import (
 )
 from .geometry import (
     Segment,
-    Stick,
     line_line_distance_profile,
     line_line_t_min,
     line_point_distance_sq,
     min_distance_outside_window,
-    segment_hits_ball,
     segment_segment_distance,
     sticks_intersect,
 )
@@ -54,7 +52,6 @@ from .sampling import (
     Uniform,
     poisson_count,
     sample_configuration,
-    sample_direction,
     sample_window_configuration,
 )
 from .percolation import (

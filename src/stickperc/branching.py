@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded, DomainError
-from .geometry import INTERSECT_THRESHOLD, Segment, Stick, segment_distance_arrays
+from .geometry import INTERSECT_THRESHOLD, Segment, segment_distance_arrays
 from .rng import substream
 from .sampling import BoxRegion, OrientationLaw, check_intensity, poisson_count
 
@@ -25,17 +25,16 @@ _STREAM_EXPLORE = 0xE821
 
 # any stick of length L intersecting a fixed stick has its center within
 # L/2 + 2 of that stick's segment; L + 4 of box padding is a safe superset
-def offspring_box(seed_stick: Stick, length: float) -> BoxRegion:
-    seg = seed_stick.seg
+def offspring_box(seg: Segment, length: float) -> BoxRegion:
     reach = seg.half * np.abs(seg.direction)
     pad = length + 4.0
     return BoxRegion(seg.center - reach - pad, seg.center + reach + pad)
 
 
-def _overlaps(centers, dirs, length, center, direction, seg_length) -> np.ndarray:
+def _overlaps(centers, dirs, length, seg: Segment) -> np.ndarray:
     """Which of the sticks (``centers``, ``dirs``, ``length``) overlap the
-    stick (``center``, ``direction``, ``seg_length``)."""
-    dist = segment_distance_arrays(centers, dirs, length, center, direction, seg_length)
+    stick around ``seg``."""
+    dist = segment_distance_arrays(centers, dirs, length, seg.center, seg.direction, seg.length)
     return dist <= INTERSECT_THRESHOLD
 
 
@@ -52,11 +51,12 @@ def offspring_mean_mc(
     length: float,
     intensity: float,
     law: OrientationLaw,
-    seed_stick: Stick,
+    seed_segment: Segment,
     trials: int,
     seed: int,
 ) -> OffspringEstimate:
-    """Sample mean of the number of Poisson sticks intersecting ``seed_stick``.
+    """Sample mean of the number of Poisson sticks intersecting the stick
+    around ``seed_segment``.
 
     Each trial draws a fresh Poisson configuration in a box provably
     containing every center that could intersect the seed and counts the
@@ -64,13 +64,12 @@ def offspring_mean_mc(
     """
     if trials < 1:
         raise DomainError("need at least one trial")
-    box = offspring_box(seed_stick, length)
+    box = offspring_box(seed_segment, length)
     rng = substream(seed, _STREAM_OFFSPRING)
     mean_count = check_intensity(intensity) * box.volume
     if mean_count * trials > 1e9:
         raise CapacityExceeded("offspring MC would draw more than 1e9 sticks")
     counts = rng.poisson(mean_count, size=trials).astype(np.int64)
-    seg = seed_stick.seg
     samples = np.zeros(trials, dtype=np.int64)
     # process trial blocks of at most ~2e6 sticks to bound memory
     block_trials = max(1, int(2e6 / max(mean_count, 1.0)))
@@ -81,7 +80,7 @@ def offspring_mean_mc(
             continue
         centers = rng.uniform(box.low, box.high, size=(total, d))
         dirs = law.sample_directions(rng, d, total)
-        hits = _overlaps(centers, dirs, length, seg.center, seg.direction, seg.length).astype(np.int64)
+        hits = _overlaps(centers, dirs, length, seed_segment).astype(np.int64)
         offsets = np.minimum(np.concatenate(([0], np.cumsum(block)[:-1])), total - 1)
         samples[lo : lo + block_trials] = np.where(block > 0, np.add.reduceat(hits, offsets), 0)
     mean = float(samples.mean())
@@ -137,29 +136,22 @@ class ExplorationResult:
     component_size: int
     window_exceeded: bool
     truncated: bool
-    dominating_sizes: tuple[int, ...] | None
+    dominating_sizes: tuple[int, ...]
 
 
 class _ExploredSet:
-    """Growing list of stick geometries with a vectorized distance query."""
+    """Growing list of explored segments with a vectorized distance query."""
 
     def __init__(self):
-        self.centers: list[np.ndarray] = []
-        self.dirs: list[np.ndarray] = []
-        self.lengths: list[float] = []
-
-    def add(self, center, direction, length):
-        self.centers.append(np.asarray(center, dtype=float))
-        self.dirs.append(np.asarray(direction, dtype=float))
-        self.lengths.append(float(length))
+        self.segments: list[Segment] = []
 
     def hits_any(self, centers, dirs, length: float) -> np.ndarray:
         out = np.zeros(centers.shape[0], dtype=bool)
-        for ec, ed, el in zip(self.centers, self.dirs, self.lengths):
+        for seg in self.segments:
             idx = np.flatnonzero(~out)
             if len(idx) == 0:
                 break
-            out[idx] |= _overlaps(centers[idx], dirs[idx], length, ec, ed, el)
+            out[idx] |= _overlaps(centers[idx], dirs[idx], length, seg)
         return out
 
 
@@ -169,20 +161,19 @@ def _fresh_offspring_count(
     length: float,
     intensity: float,
     law: OrientationLaw,
-    stick: Stick,
+    seg: Segment,
     explored: _ExploredSet | None,
 ) -> int:
-    """Count sticks of a fresh Poisson draw hitting ``stick``; when
-    ``explored`` is given, count only those also hitting the explored set
-    (the compensation term of the exploration coupling)."""
-    box = offspring_box(stick, length)
+    """Count sticks of a fresh Poisson draw hitting the stick around ``seg``;
+    when ``explored`` is given, count only those also hitting the explored
+    set (the compensation term of the exploration coupling)."""
+    box = offspring_box(seg, length)
     n = poisson_count(intensity * box.volume, rng)
     if n == 0:
         return 0
     centers = rng.uniform(box.low, box.high, size=(n, d))
     dirs = law.sample_directions(rng, d, n)
-    seg = stick.seg
-    hit = _overlaps(centers, dirs, length, seg.center, seg.direction, seg.length)
+    hit = _overlaps(centers, dirs, length, seg)
     if explored is None:
         return int(hit.sum())
     if not hit.any():
@@ -197,29 +188,26 @@ def component_exploration(
     length: float,
     intensity: float,
     law: OrientationLaw,
-    seed_stick: Stick,
+    seed_segment: Segment,
     max_generations: int,
     population_cap: int,
     seed: int,
-    with_domination: bool = True,
 ) -> ExplorationResult:
-    """Explore the true component of ``seed_stick`` generation by generation
-    in one sampled configuration, restricted to a window of radius
-    max_generations * (L + 4) around the seed.
+    """Explore the true component of the stick around ``seed_segment``
+    generation by generation in one sampled configuration, restricted to a
+    window of radius max_generations * (L + 4) around the seed.
 
-    With ``with_domination`` the run also drives the coupled dominating
-    branching process: each explored stick's offspring count is topped up
-    with a fresh compensation draw (sticks hitting it and the already
-    explored region), and surplus individuals reproduce via fresh offspring
-    draws around their own stick, so dominating sizes are pathwise at least
-    the true generation sizes.
+    The run also drives the coupled dominating branching process: each
+    explored stick's offspring count is topped up with a fresh compensation
+    draw (sticks hitting it and the already explored region), and surplus
+    individuals reproduce via fresh offspring draws around their own stick,
+    so dominating sizes are pathwise at least the true generation sizes.
     """
     if max_generations < 1 or population_cap < 1:
         raise DomainError("caps must be positive")
     rng = substream(seed, _STREAM_EXPLORE)
-    seg = seed_stick.seg
     radius = max_generations * (length + 4.0)
-    window = BoxRegion(seg.center - radius, seg.center + radius)
+    window = BoxRegion(seed_segment.center - radius, seed_segment.center + radius)
     mean_count = intensity * window.volume
     n = poisson_count(mean_count, rng)
     centers = rng.uniform(window.low, window.high, size=(n, d))
@@ -232,69 +220,61 @@ def component_exploration(
     window_exceeded = False
     truncated = False
 
-    def touches_boundary(center, direction, seg_length) -> bool:
-        reach = 0.5 * seg_length * np.abs(direction) + 1.0
+    def touches_boundary(seg: Segment) -> bool:
+        reach = seg.half * np.abs(seg.direction) + 1.0
         return bool(
-            np.any(center - reach <= window.low) or np.any(center + reach >= window.high)
+            np.any(seg.center - reach <= window.low) or np.any(seg.center + reach >= window.high)
         )
 
-    # queue entries: ("real", stick geometry) or ("phantom", None)
-    current: list[tuple[str, tuple | None]] = [("real", (seg.center, seg.direction, seg.length))]
+    # queue entries: an explored stick's segment, or None for a surplus
+    # individual of the dominating process
+    current: list[Segment | None] = [seed_segment]
     actual_sizes: list[int] = []
-    dominating_sizes: list[int] | None = [] if with_domination else None
+    dominating_sizes: list[int] = []
     component_size = 1  # the seed stick itself
 
     for _ in range(max_generations):
-        next_queue: list[tuple[str, tuple | None]] = []
+        next_queue: list[Segment | None] = []
         actual_next = 0
         dom_next = 0
-        for kind, geom in current:
-            if kind == "real":
-                center, direction, seg_length = geom
-                # children actually present in the configuration
-                idx = np.flatnonzero(unexplored)
-                children_idx = idx[_overlaps(centers[idx], dirs[idx], length, center, direction, seg_length)]
-                n_children = len(children_idx)
-                unexplored[children_idx] = False
-                actual_next += n_children
-                component_size += n_children
-                for ci in children_idx:
-                    if touches_boundary(centers[ci], dirs[ci], length):
-                        window_exceeded = True
-                    next_queue.append(("real", (centers[ci], dirs[ci], length)))
-                if with_domination:
-                    stick = Stick(Segment(center, direction, seg_length))
-                    extra = _fresh_offspring_count(
-                        rng, d, length, intensity, law, stick, processed
-                    )
-                    dom_next += n_children + extra
-                    next_queue.extend(("phantom", None) for _ in range(extra))
-                processed.add(center, direction, seg_length)
-            else:
-                # surplus individual of the dominating process: fresh
-                # offspring draw around a fresh stick of the same law
+        for seg in current:
+            if seg is None:
+                # fresh offspring draw around a fresh stick of the same law
                 direction = law.sample_directions(rng, d, 1)[0]
-                stick = Stick(Segment(np.zeros(d), direction, length))
-                kids = _fresh_offspring_count(rng, d, length, intensity, law, stick, None)
+                fresh = Segment(np.zeros(d), direction, length)
+                kids = _fresh_offspring_count(rng, d, length, intensity, law, fresh, None)
                 dom_next += kids
-                next_queue.extend(("phantom", None) for _ in range(kids))
+                next_queue.extend([None] * kids)
+                continue
+            # children actually present in the configuration
+            idx = np.flatnonzero(unexplored)
+            children_idx = idx[_overlaps(centers[idx], dirs[idx], length, seg)]
+            unexplored[children_idx] = False
+            actual_next += len(children_idx)
+            for ci in children_idx:
+                child = Segment(centers[ci], dirs[ci], length)
+                window_exceeded |= touches_boundary(child)
+                next_queue.append(child)
+            extra = _fresh_offspring_count(rng, d, length, intensity, law, seg, processed)
+            dom_next += len(children_idx) + extra
+            next_queue.extend([None] * extra)
+            processed.segments.append(seg)
+        component_size += actual_next
         actual_sizes.append(actual_next)
-        if dominating_sizes is not None:
-            dominating_sizes.append(dom_next)
-        alive = dom_next if with_domination else actual_next
-        if alive == 0:
+        dominating_sizes.append(dom_next)
+        if dom_next == 0:
             break
-        if alive > population_cap:
+        if dom_next > population_cap:
             truncated = True
             break
         current = next_queue
     else:
-        truncated = (dominating_sizes[-1] if with_domination else actual_sizes[-1]) > 0
+        truncated = dom_next > 0
 
     return ExplorationResult(
         generation_sizes=tuple(actual_sizes),
         component_size=component_size,
         window_exceeded=window_exceeded,
         truncated=truncated,
-        dominating_sizes=None if dominating_sizes is None else tuple(dominating_sizes),
+        dominating_sizes=tuple(dominating_sizes),
     )

@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import branching, measures, oriented, percolation, verify
-from .errors import StickPercError
-from .geometry import Segment, Stick
+from .errors import DomainError, StickPercError
+from .geometry import Segment
 from .percolation import replicate_seeds
 from .sampling import Rigid, Uniform
 
@@ -180,11 +180,13 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_branching(args) -> int:
+    if args.gw_runs < 0:
+        raise DomainError("gw_runs must be nonnegative")
     law = _law_object(args.law, args.d)
     d = args.d
     axis = getattr(law, "axis", np.eye(d)[0])
-    seed_stick = Stick(Segment(np.zeros(d), axis, args.L))
-    est = branching.offspring_mean_mc(d, args.L, args.lam, law, seed_stick, args.trials, args.seed)
+    seed_segment = Segment(np.zeros(d), axis, args.L)
+    est = branching.offspring_mean_mc(d, args.L, args.lam, law, seed_segment, args.trials, args.seed)
     bound = measures.gw_offspring_bound(d, args.L, args.lam, args.law)
     gw_extinct = 0
     runs = args.gw_runs
@@ -262,10 +264,10 @@ def cmd_measure_mc(args) -> int:
     geom = measures.ConstructionGeometry(args.d, args.L)
     gamma = geom.box_center((-2, 0))
     zeta = geom.right_face_center((0, 0))
+    bound = measures.two_ball_lower_bound(args.d, args.L, delta=args.delta, intensity=args.lam)
     est = measures.mc_two_ball_measure(
         args.d, args.L, gamma, zeta, Uniform(), args.trials, args.seed, intensity=args.lam
     )
-    bound = measures.two_ball_lower_bound(args.d, args.L, delta=args.delta, intensity=args.lam)
     _emit(
         {
             "kind": "measure_mc",

@@ -16,7 +16,6 @@ from .errors import DomainError, ParallelLines, PreconditionViolated
 
 # Sticks have unit radius by convention; the touching threshold for two
 # radius-1 sticks is the constant 2.
-STICK_RADIUS = 1.0
 INTERSECT_THRESHOLD = 2.0
 
 _UNIT_TOL = 1e-12
@@ -62,20 +61,6 @@ class Segment:
     @property
     def half(self) -> float:
         return 0.5 * self.length
-
-    def point(self, t: float) -> np.ndarray:
-        return self.center + t * self.direction
-
-
-@dataclass(frozen=True)
-class Stick:
-    """Radius-1 neighborhood of a segment; the percolation object."""
-
-    seg: Segment
-
-    @property
-    def radius(self) -> float:
-        return STICK_RADIUS
 
 
 def line_point_distance_sq(x, p, y) -> float:
@@ -212,25 +197,18 @@ def segment_distance_arrays(ca, da, la, cb, db, lb) -> np.ndarray:
     return np.sqrt(np.einsum("...i,...i->...", diff, diff))
 
 
-def sticks_intersect(a: Stick, b: Stick) -> bool:
-    """Two radius-1 sticks overlap iff their segments come within distance 2;
-    ties (distance exactly 2) count as intersecting (sticks are closed)."""
-    return segment_segment_distance(a.seg, b.seg) <= INTERSECT_THRESHOLD
-
-
-def segment_hits_ball(s: Segment, c, rho: float) -> bool:
-    """True iff the segment comes within distance ``rho`` of the point ``c``."""
-    if not rho > 0.0:
-        raise DomainError("ball radius must be positive")
-    c = np.asarray(c, dtype=float)
-    w = c - s.center
-    t = min(max(float(w @ s.direction), -s.half), s.half)
-    diff = w - t * s.direction
-    return float(diff @ diff) <= rho * rho
+def sticks_intersect(a: Segment, b: Segment) -> bool:
+    """The radius-1 sticks around two segments overlap iff the segments come
+    within distance 2; ties (distance exactly 2) count as intersecting
+    (sticks are closed)."""
+    return segment_segment_distance(a, b) <= INTERSECT_THRESHOLD
 
 
 def segments_hit_ball(centers, dirs, half_lengths, c, rho: float) -> np.ndarray:
-    """Vectorized ``segment_hits_ball`` over (n, d) centers/directions."""
+    """Which of the (n, d) segments (``centers``, ``dirs``, ``half_lengths``)
+    come within distance ``rho`` of the point ``c``."""
+    if not rho > 0.0:
+        raise DomainError("ball radius must be positive")
     centers = np.asarray(centers, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
     w = np.asarray(c, dtype=float) - centers

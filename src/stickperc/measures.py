@@ -23,6 +23,9 @@ from .special import regularized_incomplete_beta
 
 _STREAM_MEASURE_MC = 0x3EA5
 _MC_CHUNK = 1_000_000  # Monte Carlo draws per batch, to bound memory
+# membership slack of the construction-geometry point tests
+_IN_BOX_TOL = 1e-9
+_ON_FACE_TOL = 1e-6
 
 LAW_TAGS = ("uniform", "rigid", "density")
 
@@ -31,6 +34,12 @@ def _check_dim(d: int) -> int:
     if int(d) != d or d < 2:
         raise DomainError("dimension must be an integer >= 2")
     return int(d)
+
+
+def _check_delta(delta: float) -> float:
+    if not 0.0 < delta < math.inf:
+        raise DomainError(f"density floor delta must be positive and finite, got delta = {delta}")
+    return delta
 
 
 def ball_volume(d: int, rho: float) -> float:
@@ -138,11 +147,9 @@ def upper_bound_constant(d: int, law, delta: float = 1.0) -> float:
             math.log(4.0) + d * math.log(2.0) + math.lgamma(0.5 * (d + 1))
             - (0.5 * d - 1.0) * math.log(math.pi)
         )
-    if not delta > 0.0:
-        raise DomainError("density floor delta must be positive")
     # 20 (1000 sqrt d)^d sqrt(d) Gamma(2d-1) / (9 delta 2^{5(d-2)} pi^{d/2-2} Gamma(d/2)^3)
     return math.exp(
-        math.log(20.0 / (9.0 * delta)) - math.log(c_d_prime(d))
+        math.log(20.0 / (9.0 * _check_delta(delta))) - math.log(c_d_prime(d))
     )
 
 
@@ -161,7 +168,8 @@ def theorem_bounds(d: int, length: float, law, delta: float = 1.0, strict: bool 
     preconditions; ``strict=False`` evaluates the formulas anyway, which is
     only meant for bracket sanity checks at small L.  A law object that
     carries a ``density_floor`` supplies its own delta; the ``delta``
-    argument serves laws given by tag.
+    argument serves laws given by tag.  A bracket that leaves the positive
+    floating-point range raises DomainError.
     """
     d = _check_dim(d)
     tag = _law_tag(law)
@@ -180,15 +188,25 @@ def theorem_bounds(d: int, length: float, law, delta: float = 1.0, strict: bool 
                 raise PreconditionViolated(
                     f"{tag} {side} bound requires L > {threshold:.6g}, got L = {length:.6g}"
                 )
+    upper_constant = upper_bound_constant(d, tag, delta)
+    if upper_constant == math.inf:
+        raise DomainError(f"upper bound overflows at density floor delta = {delta}")
     exponent = 1.0 if tag == "rigid" else 2.0
-    scale = length ** (-exponent)
+    try:
+        scale = length ** (-exponent)
+    except OverflowError:
+        scale = math.inf
+    lower = lower_bound_constant(d, tag) * scale
+    upper = upper_constant * scale
+    if not (lower > 0.0 and upper < math.inf):
+        raise DomainError(f"bracket leaves the floating-point range at L = {length}")
     return BoundsReport(
         d=d,
         length=float(length),
         law=tag,
         delta=float(delta),
-        lower=lower_bound_constant(d, tag) * scale,
-        upper=upper_bound_constant(d, tag, delta) * scale,
+        lower=lower,
+        upper=upper,
     )
 
 
@@ -256,16 +274,16 @@ class ConstructionGeometry:
     def box_high(self, u) -> np.ndarray:
         return self.box_center(u) + self.half_side
 
-    def in_box(self, u, x, tol: float = 1e-9) -> bool:
+    def in_box(self, u, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(np.abs(x - self.box_center(u)) <= self.half_side + tol))
+        return bool(np.all(np.abs(x - self.box_center(u)) <= self.half_side + _IN_BOX_TOL))
 
     def right_face_center(self, u) -> np.ndarray:
         c = self.box_center(u)
         c[0] += self.half_side
         return c
 
-    def on_inset_face(self, u, x, axis: int, sign: int, tol: float = 1e-6) -> bool:
+    def on_inset_face(self, u, x, axis: int, sign: int) -> bool:
         """Is ``x`` on the inset face of D^u with outward normal sign*e_axis?
 
         For small boxes (half side below the inset) the strictly inset face
@@ -274,11 +292,11 @@ class ConstructionGeometry:
         """
         x = np.asarray(x, dtype=float)
         center = self.box_center(u)
-        if abs((x[axis] - center[axis]) - sign * self.half_side) > tol:
+        if abs((x[axis] - center[axis]) - sign * self.half_side) > _ON_FACE_TOL:
             return False
         margin = max(self.half_side - self.face_inset, 0.0)
         others = [k for k in range(self.d) if k != axis]
-        return bool(np.all(np.abs(x[others] - center[others]) <= margin + tol))
+        return bool(np.all(np.abs(x[others] - center[others]) <= margin + _ON_FACE_TOL))
 
     def face_lattice_axis_counts(self, u, axis: int) -> list[int]:
         """Anchor-lattice point count along each free axis of the inset face
@@ -459,4 +477,4 @@ def mc_two_ball_measure(
 def two_ball_lower_bound(d: int, length: float, delta: float, intensity: float = 1.0) -> float:
     """The two-ball lemma lower bound intensity * delta * c_d * L^{2-d}."""
     d = _check_dim(d)
-    return check_intensity(intensity) * delta * c_d(d) * float(length) ** (2 - d)
+    return check_intensity(intensity) * _check_delta(delta) * c_d(d) * float(length) ** (2 - d)

@@ -22,7 +22,7 @@ from .geometry import INTERSECT_THRESHOLD, segment_distance_arrays
 from .measures import theorem_bounds
 from .rng import derive_seed
 from .sampling import Configuration, OrientationLaw, sample_window_configuration
-from .stats import wilson_interval
+from .stats import _Z95, wilson_interval
 
 _STREAM_REPLICATE = 0x4EB1
 _PAIR_CHUNK = 2_000_000
@@ -130,12 +130,6 @@ class SpatialIndex:
         return np.column_stack((self._stick_ids[first[keep]], self._stick_ids[second[keep]]))
 
 
-def default_cell_size(length: float) -> float:
-    # one cell spans a whole inflated stick, keeping per-stick registration
-    # to at most 2^d cells
-    return length + 2.0
-
-
 def tuned_cell_size(length: float, law) -> float:
     # any cell size is complete (sticks register in every overlapped cell);
     # smaller cells trade registration work for fewer candidate pairs, and
@@ -147,9 +141,10 @@ def tuned_cell_size(length: float, law) -> float:
 
 def build_index(config: Configuration, cell: float | None = None) -> SpatialIndex:
     """Hash every stick of ``config`` into the cells overlapped by its
-    radius-1-inflated axis-aligned bounding box."""
+    radius-1-inflated axis-aligned bounding box; without ``cell``, the
+    isotropic ``tuned_cell_size``."""
     if cell is None:
-        cell = default_cell_size(config.length)
+        cell = tuned_cell_size(config.length, None)
     if not cell > 0.0:
         raise DomainError("cell size must be positive")
     n, d = config.centers.shape
@@ -377,7 +372,7 @@ def _logistic_interpolation(
     var_a = 1.0 / sw + xbar * xbar / sxx
     cov_ab = -xbar / sxx
     var_x = (var_a + 2.0 * x_hat * cov_ab + x_hat * x_hat * var_b) / (b * b)
-    half = 1.959963984540054 * math.sqrt(max(var_x, 0.0))
+    half = _Z95 * math.sqrt(max(var_x, 0.0))
     lam = math.exp(x_hat)
     lam = min(max(lam, lo), hi)
     ci_low = min(max(math.exp(x_hat - half), lo), lam)
@@ -409,6 +404,8 @@ def estimate_threshold(
     bounds = theorem_bounds(d, length, law, strict=False)
     if not side >= 8.0 * length:
         raise PreconditionViolated("window side must be at least 8 L")
+    if max_bisect < 0:
+        raise DomainError("max_bisect must be nonnegative")
     lo_limit = bounds.lower / 10.0
     hi_limit = bounds.upper * 10.0
     probes: list[CrossingStats] = []
@@ -474,7 +471,7 @@ def fit_weight(est: ThresholdEstimate) -> float:
     """Inverse-variance weight for the scaling fit, from the estimate's
     confidence interval on the log scale."""
     spread = max(math.log(est.ci_high) - math.log(est.ci_low), 1e-3)
-    se = spread / (2.0 * 1.959963984540054)
+    se = spread / (2.0 * _Z95)
     return 1.0 / (se * se)
 
 

@@ -175,11 +175,6 @@ def poisson_count(mean: float, stream: np.random.Generator) -> int:
     return int(stream.poisson(mean))
 
 
-def sample_direction(law: OrientationLaw, d: int, stream: np.random.Generator) -> np.ndarray:
-    """Draw a single unit orientation from ``law``."""
-    return law.sample_directions(stream, d, 1)[0]
-
-
 @dataclass(frozen=True)
 class Configuration:
     """Immutable sampled stick configuration.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import branching, geometry, measures, oriented
-from .geometry import Segment, Stick
+from .geometry import Segment
 from .rng import substream
 from .sampling import Rigid, Uniform
 from .special import regularized_incomplete_beta
@@ -209,7 +209,7 @@ def branching_suite(seed: int) -> list[Check]:
     e2 = np.array([0.0, 1.0])
 
     est = branching.offspring_mean_mc(
-        2, 10.0, 0.1, Rigid(e2), Stick(Segment(np.zeros(2), e2, 10.0)), 1500, seed
+        2, 10.0, 0.1, Rigid(e2), Segment(np.zeros(2), e2, 10.0), 1500, seed
     )
     target = 0.1 * measures.stick_hit_volume(2, 20.0, 2.0)
     checks.append(
@@ -222,7 +222,7 @@ def branching_suite(seed: int) -> list[Check]:
 
     law = Uniform()
     est = branching.offspring_mean_mc(
-        2, 20.0, 0.01, law, Stick(Segment(np.zeros(2), np.array([1.0, 0.0]), 20.0)), 800, seed
+        2, 20.0, 0.01, law, Segment(np.zeros(2), np.array([1.0, 0.0]), 20.0), 800, seed
     )
     bound = measures.gw_offspring_bound(2, 20.0, 0.01, "uniform")
     checks.append(
@@ -236,7 +236,7 @@ def branching_suite(seed: int) -> list[Check]:
     L = 32.0
     lam = measures.theorem_bounds(2, L, "uniform", strict=False).lower
     est = branching.offspring_mean_mc(
-        2, L, lam, law, Stick(Segment(np.zeros(2), np.array([1.0, 0.0]), L)), 600, seed
+        2, L, lam, law, Segment(np.zeros(2), np.array([1.0, 0.0]), L), 600, seed
     )
     checks.append(
         Check(
@@ -250,7 +250,7 @@ def branching_suite(seed: int) -> list[Check]:
     for run in range(30):
         res = branching.component_exploration(
             2, 16.0, 0.5 * lam, law,
-            Stick(Segment(np.zeros(2), np.array([1.0, 0.0]), 16.0)),
+            Segment(np.zeros(2), np.array([1.0, 0.0]), 16.0),
             max_generations=12, population_cap=20_000, seed=seed + run,
         )
         pairs = zip(res.generation_sizes, res.dominating_sizes)

@@ -17,7 +17,6 @@ from conftest import grid_segment_distance, random_unit
 from stickperc.branching import dominating_gw_run, offspring_mean_mc
 from stickperc.geometry import (
     Segment,
-    Stick,
     min_distance_outside_window,
     segment_segment_distance,
 )
@@ -193,7 +192,7 @@ def test_criterion_7_geometry_oracles():
 def _stick_along(axis, d, L):
     direction = np.zeros(d)
     direction[axis] = 1.0
-    return Stick(Segment(np.zeros(d), direction, L))
+    return Segment(np.zeros(d), direction, L)
 
 
 def test_criterion_8_offspring():

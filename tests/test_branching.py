@@ -10,7 +10,7 @@ from stickperc.branching import (
     offspring_mean_mc,
 )
 from stickperc.errors import DomainError
-from stickperc.geometry import Segment, Stick, segment_segment_distance
+from stickperc.geometry import Segment, segment_segment_distance
 from stickperc.measures import gw_offspring_bound, stick_hit_volume, theorem_bounds
 from stickperc.sampling import Rigid, Uniform
 from stickperc.rng import substream
@@ -19,7 +19,7 @@ from stickperc.rng import substream
 def stick_along(axis, d, L):
     direction = np.zeros(d)
     direction[axis] = 1.0
-    return Stick(Segment(np.zeros(d), direction, L))
+    return Segment(np.zeros(d), direction, L)
 
 
 class TestOffspringBox:
@@ -33,7 +33,7 @@ class TestOffspringBox:
             direction = rng.standard_normal(d)
             direction /= np.linalg.norm(direction)
             other = Segment(center, direction, L)
-            if segment_segment_distance(seed_stick.seg, other) <= 2.0:
+            if segment_segment_distance(seed_stick, other) <= 2.0:
                 assert bool(box.contains(center[None, :])[0])
 
 
@@ -146,7 +146,7 @@ class TestComponentExploration:
                 2, L, lam, Uniform(), stick_along(0, 2, L),
                 max_generations=12, population_cap=50_000, seed=seed,
             )
-            assert res.dominating_sizes is not None
+            assert len(res.dominating_sizes) == len(res.generation_sizes)
             for actual, dom in zip(res.generation_sizes, res.dominating_sizes):
                 assert actual <= dom
 
@@ -159,4 +159,60 @@ class TestComponentExploration:
             max_generations=8, population_cap=10_000, seed=3,
         )
         assert res.component_size >= 1
-        assert res.dominating_sizes is not None
+        assert len(res.dominating_sizes) == len(res.generation_sizes)
+
+
+class TestPinnedOutputs:
+    """Outputs recorded while the seed stick was still wrapped in its own
+    type and undominated exploration was an option; a change of draw order
+    in the offspring or exploration couplings shows here."""
+
+    @pytest.mark.parametrize(
+        "seed, generations, dominating, size",
+        [
+            (4, (1, 1, 0, 0), (1, 1, 1, 0), 3),
+            (15, (1, 1, 1, 1, 0), (1, 1, 1, 1, 0), 5),
+            (30, (2, 0, 0, 0, 0), (2, 2, 1, 1, 0), 3),
+            (37, (1, 1, 0, 0, 0, 0), (1, 1, 2, 2, 2, 0), 3),
+            (45, (2, 1, 0, 0), (2, 3, 1, 0), 4),
+        ],
+    )
+    def test_uniform_exploration(self, seed, generations, dominating, size):
+        L = 16.0
+        lam = 3.0 * theorem_bounds(2, L, "uniform", strict=False).lower
+        res = component_exploration(
+            2, L, lam, Uniform(), stick_along(0, 2, L),
+            max_generations=8, population_cap=50_000, seed=seed,
+        )
+        assert res.generation_sizes == generations
+        assert res.dominating_sizes == dominating
+        assert res.component_size == size
+        assert not res.window_exceeded and not res.truncated
+
+    @pytest.mark.parametrize(
+        "seed, generations, dominating, size, truncated",
+        [
+            (1, (1, 1, 0, 0, 0, 0, 0, 0), (1, 2, 1, 3, 2, 3, 7, 11), 3, True),
+            (3, (1, 1, 0), (1, 1, 0), 3, False),
+            (8, (1, 0), (1, 0), 2, False),
+        ],
+    )
+    def test_rigid_exploration(self, seed, generations, dominating, size, truncated):
+        L = 12.0
+        lam = 2.0 * theorem_bounds(2, L, "rigid", strict=False).lower
+        res = component_exploration(
+            2, L, lam, Rigid(np.array([0.0, 1.0])), stick_along(1, 2, L),
+            max_generations=8, population_cap=50_000, seed=seed,
+        )
+        assert res.generation_sizes == generations
+        assert res.dominating_sizes == dominating
+        assert res.component_size == size
+        assert res.truncated == truncated and not res.window_exceeded
+
+    def test_offspring_samples(self):
+        est = offspring_mean_mc(2, 10.0, 0.05, Uniform(), stick_along(0, 2, 10.0), 24, seed=7)
+        assert est.samples == (
+            8, 9, 6, 9, 5, 10, 7, 6, 7, 8, 4, 8, 8, 8, 3, 7, 9, 6, 5, 8, 3, 8, 14, 5,
+        )
+        assert est.mean == 7.125
+        assert est.stderr == 0.49016597307383586

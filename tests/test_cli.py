@@ -290,6 +290,48 @@ class TestInvalidInput:
         assert err.splitlines() == ["error: stick length must be positive"]
 
     @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["bounds", "--d", "2", "--L", "1e-300", "--law", "uniform"], "L = 1e-300"),
+            (["threshold", "--d", "2", "--L", "1e-300", "--law", "uniform", "--replicates", "5"],
+             "L = 1e-300"),
+            (["bounds", "--d", "2", "--L", "1e200", "--law", "uniform"], "L = 1e+200"),
+            (["bounds", "--d", "2", "--L", "400", "--law", "density", "--delta", "inf"], "delta = inf"),
+            (["bounds", "--d", "2", "--L", "400", "--law", "density", "--delta", "1e-320"],
+             "delta = 1e-320"),
+            (["measure-mc", "--d", "2", "--trials", "100", "--delta", "nan"], "delta = nan"),
+            (["measure-mc", "--d", "2", "--trials", "100", "--delta", "inf"], "delta = inf"),
+            (["measure-mc", "--d", "2", "--trials", "100", "--delta", "-1"], "delta = -1.0"),
+        ],
+        ids=[
+            "bounds-L-overflow", "threshold-L-overflow", "bounds-L-underflow", "bounds-delta-inf",
+            "bounds-delta-tiny", "measure-mc-delta-nan", "measure-mc-delta-inf",
+            "measure-mc-delta-negative",
+        ],
+    )
+    def test_bracket_out_of_range_exits_2(self, capsys, argv, named):
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert named in err.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["branching", "--d", "2", "--L", "10", "--lambda", "0.05", "--trials", "20",
+             "--gw-runs", "-3"],
+            THRESHOLD_ARGS + ["--max-bisect", "-2"],
+        ],
+        ids=["gw-runs", "max-bisect"],
+    )
+    def test_negative_count_exits_2(self, capsys, argv):
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 2
+        assert out == ""
+        assert err.splitlines()[-1].startswith("error:")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             THRESHOLD_ARGS + ["--probes-csv"],

@@ -15,13 +15,12 @@ from conftest import (
 from stickperc.errors import DomainError, ParallelLines, PreconditionViolated
 from stickperc.geometry import (
     Segment,
-    Stick,
     line_line_distance_profile,
     line_line_t_min,
     line_point_distance_sq,
     min_distance_outside_window,
     segment_distance_arrays,
-    segment_hits_ball,
+    segments_hit_ball,
     segment_segment_distance,
     sticks_intersect,
 )
@@ -199,23 +198,23 @@ class TestSegmentDistance:
 
 class TestSticksIntersect:
     def test_identical(self):
-        s = Stick(seg([0.0, 0.0], [1.0, 0.0], 5.0))
+        s = seg([0.0, 0.0], [1.0, 0.0], 5.0)
         assert sticks_intersect(s, s)
 
     def test_just_beyond_tangency(self):
-        a = Stick(seg([0.0, 0.0], [1.0, 0.0], 5.0))
-        b = Stick(seg([0.0, 2.0001], [1.0, 0.0], 5.0))
+        a = seg([0.0, 0.0], [1.0, 0.0], 5.0)
+        b = seg([0.0, 2.0001], [1.0, 0.0], 5.0)
         assert not sticks_intersect(a, b)
 
     def test_parallel_within_reach(self):
-        a = Stick(seg([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 10.0))
-        b = Stick(seg([0.0, 1.9, 0.0], [1.0, 0.0, 0.0], 10.0))
-        assert segment_segment_distance(a.seg, b.seg) == pytest.approx(1.9)
+        a = seg([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 10.0)
+        b = seg([0.0, 1.9, 0.0], [1.0, 0.0, 0.0], 10.0)
+        assert segment_segment_distance(a, b) == pytest.approx(1.9)
         assert sticks_intersect(a, b)
 
     def test_tangency_counts_as_intersecting(self):
-        a = Stick(seg([0.0, 0.0], [1.0, 0.0], 5.0))
-        b = Stick(seg([0.0, 2.0], [1.0, 0.0], 5.0))
+        a = seg([0.0, 0.0], [1.0, 0.0], 5.0)
+        b = seg([0.0, 2.0], [1.0, 0.0], 5.0)
         assert sticks_intersect(a, b)
 
 
@@ -275,7 +274,7 @@ def tangent_pairs(draw):
         along = draw(st.integers(-(length // 2), length // 2))
         cb = ca + sign * (0.5 * length + 2.0) * ei + along * ej
         db = ej
-    return Stick(seg(ca, ei, length)), Stick(seg(cb, db, length))
+    return seg(ca, ei, length), seg(cb, db, length)
 
 
 # Unit segments whose 1 - <p,q>^2 falls below the parallel tolerance.  Two
@@ -314,35 +313,40 @@ class TestKernelProperties:
     @given(tangent_pairs(), st.sampled_from([None, 1.0, 2.0, 3.0, 7.0]))
     def test_tangent_pairs_overlap(self, pair, cell):
         a, b = pair
-        assert segment_segment_distance(a.seg, b.seg) == 2.0
-        assert batch_distance(a.seg, b.seg) == 2.0
+        assert segment_segment_distance(a, b) == 2.0
+        assert batch_distance(a, b) == 2.0
         assert sticks_intersect(a, b)
-        centers = np.array([a.seg.center, b.seg.center])
-        dirs = np.array([a.seg.direction, b.seg.direction])
-        reach = a.seg.length + 3.0
+        centers = np.array([a.center, b.center])
+        dirs = np.array([a.direction, b.direction])
+        reach = a.length + 3.0
         box = BoxRegion(centers.min(axis=0) - reach, centers.max(axis=0) + reach)
-        config = Configuration(len(centers[0]), a.seg.length, 1.0, box, centers, dirs, seed=0)
+        config = Configuration(len(centers[0]), a.length, 1.0, box, centers, dirs, seed=0)
         edges, _ = intersection_edges(config, cell)
         assert edges.tolist() == [[0, 1]]
+
+
+def hits_ball(s, c, rho):
+    # one row through the vectorized test
+    return bool(segments_hit_ball(s.center[None], s.direction[None], [s.half], c, rho)[0])
 
 
 class TestSegmentHitsBall:
     def test_center_inside(self):
         s = seg([1.0, 1.0], [1.0, 0.0], 10.0)
-        assert segment_hits_ball(s, s.center, 0.5)
+        assert hits_ball(s, s.center, 0.5)
 
     def test_endpoint_out_of_reach(self):
         s = seg([0.0, 0.0], [1.0, 0.0], 10.0)
-        assert not segment_hits_ball(s, [7.0, 0.0], 1.0)
+        assert not hits_ball(s, [7.0, 0.0], 1.0)
 
     def test_endpoint_within_reach(self):
         s = seg([0.0, 0.0], [1.0, 0.0], 10.0)
-        assert segment_hits_ball(s, [5.5, 0.0], 1.0)
+        assert hits_ball(s, [5.5, 0.0], 1.0)
 
     def test_invalid_radius(self):
         s = seg([0.0, 0.0], [1.0, 0.0], 10.0)
         with pytest.raises(DomainError):
-            segment_hits_ball(s, [0.0, 0.0], 0.0)
+            hits_ball(s, [0.0, 0.0], 0.0)
 
 
 class TestMinDistanceOutsideWindow:

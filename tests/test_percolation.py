@@ -19,6 +19,7 @@ from stickperc.percolation import (
     crossing_event,
     crossing_probability,
     estimate_threshold,
+    fit_weight,
     intersection_edges,
     scaling_fit,
 )
@@ -212,7 +213,7 @@ class TestSpatialIndex:
         centers = np.array([[10.0, 10.0], [10.0, 11.0]])
         dirs = np.array([[1.0, 0.0], [1.0, 0.0]])
         config = Configuration(2, 6.0, 1.0, box, centers, dirs, 0)
-        index = build_index(config)  # default cell L + 2
+        index = build_index(config)  # default cell L / 2 + 2
         assert any(len(v) == 2 for v in cells(index).values())
 
 
@@ -366,6 +367,27 @@ class TestEstimateThreshold:
         a = estimate_threshold(2, 8.0, Uniform(), 64.0, **kw)
         b = estimate_threshold(2, 8.0, Uniform(), 64.0, **kw)
         assert a == b
+
+    def test_negative_max_bisect_rejected(self):
+        with pytest.raises(DomainError):
+            estimate_threshold(2, 8.0, Uniform(), 64.0, replicates=4, seed=0, max_bisect=-2)
+
+    def test_pinned_rigid_estimate(self):
+        # recorded before the interval constants became stats._Z95; a change
+        # of probe order, interpolation or weight shows here
+        est = estimate_threshold(
+            2, 8.0, Rigid(np.array([0.0, 1.0])), 64.0, replicates=12, seed=3, max_bisect=3
+        )
+        assert est.lambda_hat == 0.08668369890034283
+        assert est.ci_low == 0.0757801403242951
+        assert est.ci_high == 0.0991561063741695
+        assert est.bracket == (0.07052369794346952, 0.09973557010035815)
+        assert [p.intensity for p in est.probes] == [
+            0.00881546224293369, 0.01763092448586738, 0.03526184897173476,
+            0.07052369794346952, 0.14104739588693904, 0.09973557010035815,
+        ]
+        assert [p.successes for p in est.probes] == [0, 0, 0, 2, 12, 9]
+        assert fit_weight(est) == 212.57217895697755
 
 
 class TestScalingFit:

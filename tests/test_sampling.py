@@ -18,7 +18,6 @@ from stickperc.sampling import (
     percolation_padding,
     poisson_count,
     sample_configuration,
-    sample_direction,
     sample_window_configuration,
 )
 
@@ -64,7 +63,7 @@ class TestOrientationLaws:
         law = Rigid(np.array([0.0, 1.0]))
         rng = substream(1)
         for _ in range(10):
-            p = sample_direction(law, 2, rng)
+            p = law.sample_directions(rng, 2, 1)[0]
             assert np.array_equal(p, np.array([0.0, 1.0]))
 
     def test_rigid_axis_normalized(self):
