@@ -78,6 +78,5 @@ from .oriented import (
     op_step,
     survival_probability,
 )
-from .special import regularized_incomplete_beta
 
 __version__ = "0.1.0"

@@ -60,10 +60,10 @@ def offspring_mean_mc(
 
     Each trial draws a fresh Poisson configuration in a box provably
     containing every center that could intersect the seed and counts the
-    intersecting sticks.
+    intersecting sticks.  The standard error needs at least two trials.
     """
-    if trials < 1:
-        raise DomainError("need at least one trial")
+    if trials < 2:
+        raise DomainError("need at least two trials")
     box = offspring_box(seed_segment, length)
     rng = substream(seed, _STREAM_OFFSPRING)
     mean_count = check_intensity(intensity) * box.volume
@@ -84,7 +84,7 @@ def offspring_mean_mc(
         offsets = np.minimum(np.concatenate(([0], np.cumsum(block)[:-1])), total - 1)
         samples[lo : lo + block_trials] = np.where(block > 0, np.add.reduceat(hits, offsets), 0)
     mean = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
+    stderr = float(samples.std(ddof=1) / math.sqrt(trials))
     return OffspringEstimate(mean=mean, stderr=stderr, trials=trials, samples=tuple(int(v) for v in samples))
 
 

@@ -36,7 +36,11 @@ def _law_object(tag: str, d: int):
 
 def _emit(doc: dict) -> None:
     doc = {"schema_version": SCHEMA_VERSION, **doc}
-    sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(doc, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise StickPercError(f"output is not standard JSON: {exc}") from exc
+    sys.stdout.write(text + "\n")
 
 
 def _log(msg: str) -> None:

@@ -18,8 +18,7 @@ import numpy as np
 from .errors import DomainError, InsufficientTrials, PreconditionViolated
 from .geometry import segments_hit_ball
 from .rng import substream
-from .sampling import OrientationLaw, Rigid, check_intensity
-from .special import regularized_incomplete_beta
+from .sampling import OrientationLaw, Rigid, check_density_floor, check_intensity
 
 _STREAM_MEASURE_MC = 0x3EA5
 _MC_CHUNK = 1_000_000  # Monte Carlo draws per batch, to bound memory
@@ -34,12 +33,6 @@ def _check_dim(d: int) -> int:
     if int(d) != d or d < 2:
         raise DomainError("dimension must be an integer >= 2")
     return int(d)
-
-
-def _check_delta(delta: float) -> float:
-    if not 0.0 < delta < math.inf:
-        raise DomainError(f"density floor delta must be positive and finite, got delta = {delta}")
-    return delta
 
 
 def ball_volume(d: int, rho: float) -> float:
@@ -74,12 +67,26 @@ def cap_hit_probability_exact(d: int, rho: float, r: float) -> float:
     This equals the hitting probability of a length-L segment from the same
     point only when r < L/2 - rho; that reach condition is the caller's to
     check.
+
+    With s = rho/r and c = sqrt(1 - s^2), J(1/2) = (2/pi) asin(s) and
+    J(1) = 1 - c; the upward recurrence (DLMF 8.17.20)
+    J(a + 1) = J(a) - c s^{2a} Gamma(a + 1/2) / (Gamma(a + 1) sqrt(pi))
+    carries either one to a = (d-1)/2.
     """
     d = _check_dim(d)
     if not (0.0 < rho < r):
         raise DomainError("need 0 < rho < r (point strictly outside the ball)")
-    z = (rho / r) ** 2
-    return regularized_incomplete_beta(z, 0.5 * (d - 1), 0.5)
+    s = rho / r
+    c = math.sqrt((1.0 - s) * (1.0 + s))  # not 1 - s^2, which loses c near grazing
+    if d % 2:
+        a, value, term = 1.0, 1.0 - c, 0.5 * s * s
+    else:
+        a, value, term = 0.5, (2.0 / math.pi) * math.asin(s), (2.0 / math.pi) * s
+    while a < 0.5 * (d - 1):
+        value -= c * term  # term = s^{2a} Gamma(a + 1/2) / (Gamma(a + 1) sqrt(pi))
+        term *= s * s * (a + 0.5) / (a + 1.0)
+        a += 1.0
+    return value
 
 
 def cap_hit_lower_bound(d: int, rho: float, r: float) -> float:
@@ -149,7 +156,7 @@ def upper_bound_constant(d: int, law, delta: float = 1.0) -> float:
         )
     # 20 (1000 sqrt d)^d sqrt(d) Gamma(2d-1) / (9 delta 2^{5(d-2)} pi^{d/2-2} Gamma(d/2)^3)
     return math.exp(
-        math.log(20.0 / (9.0 * _check_delta(delta))) - math.log(c_d_prime(d))
+        math.log(20.0 / (9.0 * check_density_floor(delta))) - math.log(c_d_prime(d))
     )
 
 
@@ -168,7 +175,8 @@ def theorem_bounds(d: int, length: float, law, delta: float = 1.0, strict: bool 
     preconditions; ``strict=False`` evaluates the formulas anyway, which is
     only meant for bracket sanity checks at small L.  A law object that
     carries a ``density_floor`` supplies its own delta; the ``delta``
-    argument serves laws given by tag.  A bracket that leaves the positive
+    argument serves laws given by tag.  Every delta, used or not, must
+    satisfy 0 < delta <= 1.  A bracket that leaves the positive
     floating-point range raises DomainError.
     """
     d = _check_dim(d)
@@ -177,10 +185,11 @@ def theorem_bounds(d: int, length: float, law, delta: float = 1.0, strict: bool 
         raise DomainError(f"stick length must be finite, got L = {length}")
     if not length > 0.0:
         raise DomainError("stick length must be positive")
+    check_density_floor(delta)
     if tag == "uniform":
         delta = 1.0
     elif getattr(law, "density_floor", None) is not None:
-        delta = law.density_floor
+        delta = check_density_floor(law.density_floor)
     if strict:
         for side in ("lower", "upper"):
             threshold = bound_validity_threshold(d, tag, side)
@@ -243,8 +252,8 @@ class ConstructionGeometry:
 
     def __post_init__(self):
         _check_dim(self.d)
-        if not self.length > 0.0:
-            raise DomainError("L must be positive")
+        if not 0.0 < self.length < math.inf:
+            raise DomainError(f"L must be positive and finite, got L = {self.length}")
 
     @property
     def half_side(self) -> float:
@@ -457,7 +466,9 @@ def mc_two_ball_measure(
         raise PreconditionViolated("zeta must lie on the inset right face of D^o")
     low = geom.box_low((-1, 0))
     high = geom.box_high((-1, 0))
-    volume = float(np.prod(high - low))
+    volume = math.prod((high - low).tolist())
+    if not math.isfinite(volume):
+        raise DomainError(f"construction box volume overflows at L = {length}")
     rng = substream(seed, _STREAM_MEASURE_MC, 3)
     hits = 0
     remaining = trials
@@ -477,4 +488,4 @@ def mc_two_ball_measure(
 def two_ball_lower_bound(d: int, length: float, delta: float, intensity: float = 1.0) -> float:
     """The two-ball lemma lower bound intensity * delta * c_d * L^{2-d}."""
     d = _check_dim(d)
-    return check_intensity(intensity) * _check_delta(delta) * c_d(d) * float(length) ** (2 - d)
+    return check_intensity(intensity) * check_density_floor(delta) * c_d(d) * float(length) ** (2 - d)

@@ -80,7 +80,7 @@ class BoundedDensity:
     tag: str = field(default="density", init=False)
 
     def __post_init__(self):
-        if not (0.0 < self.delta <= self.upper):
+        if not check_density_floor(self.delta) <= self.upper:
             raise DomainError("need 0 < delta <= upper density bound")
 
     @property
@@ -159,6 +159,15 @@ def check_intensity(intensity: float) -> float:
     if not 0.0 <= intensity < math.inf:
         raise DomainError("intensity must be finite and nonnegative")
     return intensity
+
+
+def check_density_floor(delta: float) -> float:
+    """``delta`` itself; DomainError unless 0 < delta <= 1.  A density with
+    respect to the normalized uniform law integrates to 1, so its floor
+    cannot exceed 1."""
+    if not 0.0 < delta <= 1.0:
+        raise DomainError(f"density floor delta must satisfy 0 < delta <= 1, got delta = {delta}")
+    return delta
 
 
 def poisson_count(mean: float, stream: np.random.Generator) -> int:

@@ -16,7 +16,6 @@ from . import branching, geometry, measures, oriented
 from .geometry import Segment
 from .rng import substream
 from .sampling import Rigid, Uniform
-from .special import regularized_incomplete_beta
 
 
 @dataclass(frozen=True)
@@ -129,20 +128,28 @@ def measures_suite(seed: int) -> list[Check]:
     rng = substream(seed, 0x6E1)
     checks = []
 
+    # the exact cap probability is int_0^asin(rho/r) sin^(d-2) over the same
+    # integral on [0, pi/2].  Composite Simpson with step h errs by at most
+    # (b - a) h^4 max|f^(4)| / 180, and |f^(4)| <= k^4 for f = sin^k, a sum of
+    # frequencies <= k with weights summing to 1.  With 2048 panels of width
+    # h <= pi/4096 and k = d - 2 <= 6 that is at most 3.9e-12 per integral;
+    # the denominator is at least int_0^(pi/2) sin^6 = 5 pi / 32, so the
+    # ratio errs by at most 1.6e-11.
+    weights = np.ones(2048 + 1)
+    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+
+    def simpson(k, upper):
+        f = np.sin(np.linspace(0.0, upper, weights.size)) ** k
+        return upper / (3 * 2048) * float(weights @ f)
+
     worst = 0.0
     for _ in range(200):
-        z = float(rng.uniform(0, 1))
-        a = float(rng.uniform(0.1, 20))
-        b = float(rng.uniform(0.1, 20))
-        worst = max(
-            worst,
-            abs(
-                regularized_incomplete_beta(z, a, b)
-                + regularized_incomplete_beta(1.0 - z, b, a)
-                - 1.0
-            ),
-        )
-    checks.append(Check("incomplete-beta-symmetry", worst <= 1e-11, f"max |J_z + J_1-z - 1| {worst:.3g}"))
+        d = int(rng.integers(2, 9))
+        r = float(rng.uniform(1.1, 50))
+        rho = float(rng.uniform(0.05, 0.95) * r)
+        quad = simpson(d - 2, math.asin(rho / r)) / simpson(d - 2, 0.5 * math.pi)
+        worst = max(worst, abs(measures.cap_hit_probability_exact(d, rho, r) - quad))
+    checks.append(Check("cap-hit-quadrature", worst <= 2e-11, f"max |exact - quadrature| {worst:.3g}"))
 
     ok = True
     worst_pair = ""

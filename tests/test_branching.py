@@ -74,6 +74,8 @@ class TestOffspringMeanMC:
     def test_needs_trials(self):
         with pytest.raises(DomainError):
             offspring_mean_mc(2, 10.0, 0.1, Uniform(), stick_along(0, 2, 10.0), 0, seed=1)
+        with pytest.raises(DomainError, match="two trials"):
+            offspring_mean_mc(2, 10.0, 0.1, Uniform(), stick_along(0, 2, 10.0), 1, seed=1)
 
 
 class TestDominatingGW:

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from stickperc import cli
 from stickperc.cli import main
 from stickperc.measures import theorem_bounds
 from stickperc.sampling import BoundedDensity
@@ -302,11 +303,21 @@ class TestInvalidInput:
             (["measure-mc", "--d", "2", "--trials", "100", "--delta", "nan"], "delta = nan"),
             (["measure-mc", "--d", "2", "--trials", "100", "--delta", "inf"], "delta = inf"),
             (["measure-mc", "--d", "2", "--trials", "100", "--delta", "-1"], "delta = -1.0"),
+            (["bounds", "--d", "2", "--L", "100", "--law", "rigid", "--delta", "inf"], "delta = inf"),
+            (["bounds", "--d", "2", "--L", "100", "--law", "uniform", "--delta", "-1"], "delta = -1.0"),
+            (["bounds", "--d", "2", "--L", "400", "--law", "density", "--delta", "2"], "delta = 2.0"),
+            (["measure-mc", "--d", "2", "--trials", "100", "--delta", "2"], "delta = 2.0"),
+            (["measure-mc", "--d", "2", "--L", "1e300", "--trials", "100"], "L = 1e+300"),
+            (["measure-mc", "--d", "2", "--L", "inf", "--trials", "100"], "L = inf"),
+            (["branching", "--d", "2", "--L", "10", "--lambda", "0.05", "--trials", "1"],
+             "at least two trials"),
         ],
         ids=[
             "bounds-L-overflow", "threshold-L-overflow", "bounds-L-underflow", "bounds-delta-inf",
             "bounds-delta-tiny", "measure-mc-delta-nan", "measure-mc-delta-inf",
-            "measure-mc-delta-negative",
+            "measure-mc-delta-negative", "bounds-rigid-delta-inf", "bounds-uniform-delta-negative",
+            "bounds-density-delta-above-1", "measure-mc-delta-above-1", "measure-mc-L-huge",
+            "measure-mc-L-inf", "branching-one-trial",
         ],
     )
     def test_bracket_out_of_range_exits_2(self, capsys, argv, named):
@@ -315,6 +326,14 @@ class TestInvalidInput:
         assert out == ""
         assert "Traceback" not in err
         assert named in err.splitlines()[-1]
+
+    def test_non_finite_output_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.measures, "two_ball_lower_bound", lambda *args, **kwargs: math.nan)
+        rc, out, err = run_cli(capsys, ["measure-mc", "--d", "2", "--trials", "100"])
+        assert rc == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: output is not standard JSON")
 
     @pytest.mark.parametrize(
         "argv",

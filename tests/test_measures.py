@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from stickperc.errors import DomainError, InsufficientTrials, PreconditionViolated
 from stickperc.measures import (
@@ -94,6 +95,15 @@ class TestCapHitProbability:
             assert cap_hit_lower_bound(d, 1.0 - 1e-12, 1.0) == pytest.approx(limit, rel=1e-9)
             assert limit < 1.0
 
+    def test_against_scipy(self):
+        rng = np.random.default_rng(41)
+        for d in range(2, 13):
+            cases = [(float(s), 1.0) for s in rng.uniform(0.0, 1.0, 300) if s > 0.0]
+            cases += [(1.0, 1.0 + 1e-9), (math.nextafter(1.0, 0.0), 1.0), (1e-9, 1.0), (1e-300, 1.0)]
+            for rho, r in cases:
+                ref = float(scipy.special.betainc(0.5 * (d - 1), 0.5, (rho / r) ** 2))
+                assert abs(cap_hit_probability_exact(d, rho, r) - ref) <= 1e-12, (d, rho, r)
+
     def test_direction_mc(self):
         est = mc_cap_hit_probability(3, 1.0, 2.0, 200_000, seed=8)
         target = cap_hit_probability_exact(3, 1.0, 2.0)
@@ -180,6 +190,20 @@ class TestTheoremBounds:
     def test_law_objects_accepted(self):
         rep = theorem_bounds(2, 100.0, Rigid(np.array([0.0, 1.0])))
         assert rep.law == "rigid"
+
+    @pytest.mark.parametrize("law", ["uniform", "rigid", "density"])
+    @pytest.mark.parametrize("delta", [0.0, -1.0, 1.5, math.inf, math.nan])
+    def test_density_floor_checked_for_every_law(self, law, delta):
+        with pytest.raises(DomainError, match="0 < delta <= 1"):
+            theorem_bounds(2, 400.0, law, delta=delta)
+
+    def test_law_object_floor_checked(self):
+        class Floor2:
+            tag = "density"
+            density_floor = 2.0
+
+        with pytest.raises(DomainError, match="delta = 2.0"):
+            theorem_bounds(2, 400.0, Floor2())
 
 
 class TestOffspringBound:
@@ -288,3 +312,21 @@ class TestTwoBallMeasure:
     def test_invalid_intensity_rejected(self, intensity):
         with pytest.raises(DomainError):
             two_ball_lower_bound(2, 256.0, delta=1.0, intensity=intensity)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.5, math.inf])
+    def test_density_floor_out_of_range_rejected(self, delta):
+        with pytest.raises(DomainError, match="0 < delta <= 1"):
+            two_ball_lower_bound(2, 256.0, delta=delta)
+
+    @pytest.mark.parametrize("length", [math.inf, math.nan])
+    def test_non_finite_length_rejected(self, length):
+        with pytest.raises(DomainError, match="L must be positive and finite"):
+            ConstructionGeometry(2, length)
+
+    def test_box_volume_overflow_names_length(self):
+        geom = ConstructionGeometry(2, 1e300)
+        with pytest.raises(DomainError, match="L = 1e\\+300"):
+            mc_two_ball_measure(
+                2, 1e300, geom.box_center((-2, 0)), geom.right_face_center((0, 0)),
+                Uniform(), 10, seed=1,
+            )

@@ -103,6 +103,8 @@ class TestOrientationLaws:
 
         with pytest.raises(DomainError):
             BoundedDensity(phi=phi, delta=0.0, upper=1.5)  # delta must be positive
+        with pytest.raises(DomainError):
+            BoundedDensity(phi=phi, delta=1.2, upper=1.5)  # a density floor cannot exceed 1
         law = BoundedDensity(phi=phi, delta=1e-9, upper=1.5)
         p = law.sample_directions(substream(9), 3, 20_000)
         assert np.all(np.abs(p[:, 0]) < 0.5)
