@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,11 +8,13 @@ import scipy.sparse.csgraph
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stickperc.errors import DegenerateDesign, DomainError, PreconditionViolated
+from stickperc import percolation
+from stickperc.errors import BracketFailure, DegenerateDesign, DomainError, PreconditionViolated
 from stickperc.geometry import segment_distance_arrays
 from stickperc.measures import theorem_bounds
 from stickperc.percolation import (
     CrossingResult,
+    CrossingStats,
     UnionFind,
     build_index,
     cluster,
@@ -388,6 +391,52 @@ class TestEstimateThreshold:
         ]
         assert [p.successes for p in est.probes] == [0, 0, 0, 2, 12, 9]
         assert fit_weight(est) == 212.57217895697755
+
+    def test_pinned_downward_walk(self, monkeypatch):
+        # a lower bound 40x too high starts supercritical, so the walk-out
+        # halves down to a subcritical probe before bisecting
+        real = percolation.theorem_bounds
+
+        def raised(*args, **kwargs):
+            bounds = real(*args, **kwargs)
+            return dataclasses.replace(bounds, lower=40.0 * bounds.lower)
+
+        monkeypatch.setattr(percolation, "theorem_bounds", raised)
+        est = estimate_threshold(
+            2, 8.0, Rigid(np.array([0.0, 1.0])), 64.0, replicates=12, seed=3, max_bisect=3
+        )
+        assert est.lambda_hat == 0.07845158353362021
+        assert est.ci_low == 0.07127856497171764
+        assert est.ci_high == 0.08634644877284875
+        assert est.bracket == (0.0741289059888741, 0.08083814519488314)
+        assert [p.intensity for p in est.probes] == [
+            0.3526184897173476, 0.1763092448586738, 0.0881546224293369,
+            0.04407731121466845, 0.062334731312723844, 0.0741289059888741,
+            0.08083814519488314,
+        ]
+        assert [p.successes for p in est.probes] == [12, 12, 9, 0, 0, 1, 9]
+
+    @pytest.mark.parametrize(
+        "frequency,message",
+        [
+            (0.0, "no supercritical intensity found below 10x upper bound"),
+            (1.0, "no subcritical intensity found above lower bound / 10"),
+        ],
+    )
+    def test_walk_out_gives_up_at_its_limit(self, monkeypatch, frequency, message):
+        # never crossing walks up past 10x the upper bound; always crossing
+        # walks down past a tenth of the lower bound
+        def constant(d, length, intensity, law, side, replicates, seed, **kwargs):
+            successes = int(frequency * replicates)
+            return CrossingStats(
+                intensity, frequency, frequency, frequency, successes, replicates,
+                (int(frequency),) * replicates,
+            )
+
+        monkeypatch.setattr(percolation, "crossing_probability", constant)
+        with pytest.raises(BracketFailure) as info:
+            estimate_threshold(2, 8.0, Uniform(), 64.0, replicates=4, seed=0)
+        assert str(info.value) == message
 
 
 class TestScalingFit:
