@@ -55,7 +55,6 @@ from .sampling import (
     sample_window_configuration,
 )
 from .percolation import (
-    CrossingResult,
     SpatialIndex,
     ThresholdEstimate,
     UnionFind,

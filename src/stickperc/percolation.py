@@ -3,14 +3,17 @@
 Pipeline per configuration: a spatial hash over stick bounding boxes
 (broad phase), exact segment-segment distances on the candidate pairs
 (narrow phase), array connected components (min-label hooking with pointer
-jumping), and a window-crossing test.  On top of that sit the
-crossing-probability estimator, a stochastic bisection for the threshold
-intensity, and the log-log scaling fit.
+jumping) giving each stick's cluster label (``cluster``), and the
+window-crossing test on those labels (``crossing_event``).  On top of that
+sit the crossing-probability estimator, a stochastic bisection for the
+threshold intensity, and the log-log scaling fit; the last two share one
+weighted least-squares line.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -86,21 +89,12 @@ def component_labels(n: int, edges: np.ndarray) -> np.ndarray:
             labels, jumped = jumped, jumped[jumped]
 
 
-@dataclass(frozen=True)
-class CrossingResult:
-    crossed: bool
-    largest_cluster: int
-    cluster_count: int
-    pair_tests: int
-
-
 @dataclass
 class SpatialIndex:
     """Uniform-grid broad phase: each stick is registered in every cell its
     radius-1-inflated bounding box overlaps, so any two intersecting sticks
     share at least one cell regardless of cell size."""
 
-    cell: float
     n: int
     _codes: np.ndarray = field(repr=False)
     _stick_ids: np.ndarray = field(repr=False)
@@ -151,7 +145,6 @@ def build_index(config: Configuration, cell: float | None = None) -> SpatialInde
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return SpatialIndex(
-            cell=cell,
             n=0,
             _codes=empty,
             _stick_ids=empty,
@@ -183,7 +176,6 @@ def build_index(config: Configuration, cell: float | None = None) -> SpatialInde
     stick_ids = stick_ids[order]
     starts = np.concatenate(([0], np.flatnonzero(np.diff(codes)) + 1))
     return SpatialIndex(
-        cell=cell,
         n=n,
         _codes=codes,
         _stick_ids=stick_ids,
@@ -194,13 +186,9 @@ def build_index(config: Configuration, cell: float | None = None) -> SpatialInde
     )
 
 
-def intersection_edges(config: Configuration, cell: float | None = None) -> tuple[np.ndarray, int]:
-    """Exact intersecting pairs of ``config`` plus the number of narrow-phase
-    distance evaluations performed."""
-    index = build_index(config, cell)
-    pairs = index.candidate_pairs()
-    if len(pairs) == 0:
-        return pairs, 0
+def intersection_edges(config: Configuration, cell: float | None = None) -> np.ndarray:
+    """Exact intersecting pairs (i < j) of ``config``."""
+    pairs = build_index(config, cell).candidate_pairs()
     keep = []
     for lo in range(0, len(pairs), _PAIR_CHUNK):
         block = pairs[lo : lo + _PAIR_CHUNK]
@@ -210,11 +198,19 @@ def intersection_edges(config: Configuration, cell: float | None = None) -> tupl
             config.centers[j], config.dirs[j], config.length,
         )
         keep.append(block[dist <= INTERSECT_THRESHOLD])
-    edges = np.concatenate(keep) if keep else pairs[:0]
-    return edges, len(pairs)
+    return np.concatenate(keep) if keep else pairs[:0]
 
 
-def _crossing_from_labels(config: Configuration, labels: np.ndarray, axis: int) -> bool:
+def cluster(config: Configuration, cell: float | None = None) -> np.ndarray:
+    """Cluster label of every stick: the smallest stick index in its cluster."""
+    return component_labels(config.count, intersection_edges(config, cell))
+
+
+def crossing_event(config: Configuration, axis: int = 0, cell: float | None = None) -> bool:
+    """Whether one cluster touches both window faces orthogonal to ``axis``."""
+    if not 0 <= axis < config.d:
+        raise DomainError("axis out of range")
+    labels = cluster(config, cell)
     window = config.observation_window
     reach = config.half * np.abs(config.dirs[:, axis]) + 1.0
     lo_ext = config.centers[:, axis] - reach
@@ -222,32 +218,6 @@ def _crossing_from_labels(config: Configuration, labels: np.ndarray, axis: int) 
     touch_low = (lo_ext <= window.low[axis]) & (hi_ext >= window.low[axis])
     touch_high = (lo_ext <= window.high[axis]) & (hi_ext >= window.high[axis])
     return bool(np.isin(labels[touch_low], labels[touch_high]).any())
-
-
-def cluster(
-    config: Configuration, cell: float | None = None, axis: int = 0
-) -> tuple[np.ndarray, CrossingResult]:
-    """Cluster label of every stick (the smallest stick index in its
-    cluster), cluster statistics and the window-crossing flag along
-    ``axis``."""
-    if not 0 <= axis < config.d:
-        raise DomainError("axis out of range")
-    edges, tested = intersection_edges(config, cell)
-    labels = component_labels(config.count, edges)
-    sizes = np.bincount(labels)
-    sizes = sizes[sizes > 0]
-    return labels, CrossingResult(
-        crossed=_crossing_from_labels(config, labels, axis),
-        largest_cluster=int(sizes.max(initial=0)),
-        cluster_count=len(sizes),
-        pair_tests=tested,
-    )
-
-
-def crossing_event(config: Configuration, axis: int = 0, cell: float | None = None) -> bool:
-    """Whether one cluster touches both window faces orthogonal to ``axis``."""
-    _, result = cluster(config, cell=cell, axis=axis)
-    return result.crossed
 
 
 def _replicate_crossing(args) -> bool:
@@ -268,10 +238,14 @@ class CrossingStats:
 
 
 def _replicate_pool(workers: int):
-    """A process pool when ``workers > 1``, else a context yielding None."""
+    """A process pool of ``workers`` processes, at most one per CPU, when
+    ``workers > 1``, else a context yielding None.  The pool starts all its
+    processes at the first task, and results do not depend on its size."""
     if workers < 1:
         raise DomainError("workers must be at least 1")
-    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    if workers == 1:
+        return nullcontext()
+    return ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
 
 
 def replicate_seeds(seed: int, probe: int, replicates: int) -> list[int]:
@@ -334,6 +308,20 @@ class ThresholdEstimate:
     seed: int
 
 
+def _weighted_line(x: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """Weighted least-squares line of ``y`` on ``x``: (intercept, slope,
+    weighted mean of x, total weight, weighted sum of squares of x about its
+    mean), or None when x has no spread."""
+    sw = float(w.sum())
+    xbar = float((w * x).sum() / sw)
+    ybar = float((w * y).sum() / sw)
+    sxx = float((w * (x - xbar) ** 2).sum())
+    if sxx <= 0.0:
+        return None
+    slope = float((w * (x - xbar) * (y - ybar)).sum()) / sxx
+    return ybar - slope * xbar, slope, xbar, sw, sxx
+
+
 def _logistic_interpolation(
     probes: list[CrossingStats], lo: float, hi: float
 ) -> tuple[float, float, float]:
@@ -351,21 +339,11 @@ def _logistic_interpolation(
         xs.append(math.log(p.intensity))
         ys.append(math.log(ptil / (1.0 - ptil)))
         ws.append(p.replicates * ptil * (1.0 - ptil))
-    x = np.array(xs)
-    y = np.array(ys)
-    w = np.array(ws)
-    sw = w.sum()
-    xbar = float((w * x).sum() / sw)
-    ybar = float((w * y).sum() / sw)
-    sxx = float((w * (x - xbar) ** 2).sum())
-    if sxx <= 0.0:
+    line = _weighted_line(np.array(xs), np.array(ys), np.array(ws))
+    if line is None or not (line[1] > 0.0) or not math.isfinite(line[1]):
         mid = math.sqrt(lo * hi)
         return mid, lo, hi
-    b = float((w * (x - xbar) * (y - ybar)).sum()) / sxx
-    a = ybar - b * xbar
-    if not (b > 0.0) or not math.isfinite(b):
-        mid = math.sqrt(lo * hi)
-        return mid, lo, hi
+    a, b, xbar, sw, sxx = line
     x_hat = -a / b
     # binomial-weight covariance of (a, b)
     var_b = 1.0 / sxx
@@ -406,8 +384,6 @@ def estimate_threshold(
         raise PreconditionViolated("window side must be at least 8 L")
     if max_bisect < 0:
         raise DomainError("max_bisect must be nonnegative")
-    lo_limit = bounds.lower / 10.0
-    hi_limit = bounds.upper * 10.0
     probes: list[CrossingStats] = []
 
     with _replicate_pool(workers) as pool:
@@ -419,26 +395,19 @@ def estimate_threshold(
             probes.append(stats)
             return stats
 
-        lam = bounds.lower
-        current = probe(lam)
-        if current.frequency <= 0.5:
-            lam_lo, lam_hi = lam, None
-            while current.frequency <= 0.5:
-                lam_lo = current.intensity
-                lam = current.intensity * 2.0
-                if lam > hi_limit:
-                    raise BracketFailure("no supercritical intensity found below 10x upper bound")
-                current = probe(lam)
-            lam_hi = current.intensity
-        else:
-            lam_hi = lam
-            while current.frequency > 0.5:
-                lam_hi = current.intensity
-                lam = current.intensity / 2.0
-                if lam < lo_limit:
-                    raise BracketFailure("no subcritical intensity found above lower bound / 10")
-                current = probe(lam)
-            lam_lo = current.intensity
+        # walk up (x2) from a subcritical start, down (x0.5) from a
+        # supercritical one, until the last two probes straddle 1/2
+        current = probe(bounds.lower)
+        up = current.frequency <= 0.5
+        while (current.frequency <= 0.5) == up:
+            previous = current
+            lam = current.intensity * (2.0 if up else 0.5)
+            if up and lam > bounds.upper * 10.0:
+                raise BracketFailure("no supercritical intensity found below 10x upper bound")
+            if not up and lam < bounds.lower / 10.0:
+                raise BracketFailure("no subcritical intensity found above lower bound / 10")
+            current = probe(lam)
+        lam_lo, lam_hi = sorted((previous.intensity, current.intensity))
 
         straddle = (lam_lo, lam_hi)
         for _ in range(max_bisect):
@@ -497,14 +466,10 @@ def scaling_fit(points) -> ScalingFit:
     w = np.array([p[2] for p in pts])
     if np.any(w <= 0.0):
         raise DomainError("weights must be positive")
-    sw = w.sum()
-    xbar = (w * x).sum() / sw
-    ybar = (w * y).sum() / sw
-    sxx = (w * (x - xbar) ** 2).sum()
-    if sxx <= 0.0:
+    line = _weighted_line(x, y, w)
+    if line is None:
         raise DegenerateDesign("no spread in ln L")
-    slope = float((w * (x - xbar) * (y - ybar)).sum() / sxx)
-    intercept = float(ybar - slope * xbar)
+    intercept, slope, _, _, sxx = line
     resid = y - intercept - slope * x
     dof = len(pts) - 2
     sigma2 = float((w * resid ** 2).sum() / dof) if dof > 0 else 0.0

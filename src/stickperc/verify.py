@@ -287,12 +287,11 @@ def oriented_suite(seed: int) -> list[Check]:
     checks.append(Check("frontier-support-bound", ok, "A_n within [-n, n]"))
 
     alpha = 0.7
-    counts = np.zeros(2)
     steps = 20_000
-    for _ in range(steps):
-        child = oriented.op_step(oriented.Frontier.origin(), alpha, "bond", rng)
-        counts[0] += 1 if -1 in child.occupied else 0
-        counts[1] += 1 if 1 in child.occupied else 0
+    # parents 4 apart have disjoint children: left ones at 3 mod 4, right ones at 1 mod 4
+    parents = oriented.Frontier(0, 4 * np.arange(steps))
+    residues = oriented.op_step(parents, alpha, "bond", rng).occupied % 4
+    counts = np.array([np.count_nonzero(residues == 3), np.count_nonzero(residues == 1)])
     se = math.sqrt(alpha * (1 - alpha) / steps)
     dev = float(np.max(np.abs(counts / steps - alpha)))
     checks.append(Check("bond-child-frequency", dev <= 3 * se, f"max |freq - alpha| {dev:.4g} (3se {3*se:.4g})"))

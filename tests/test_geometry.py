@@ -321,7 +321,7 @@ class TestKernelProperties:
         reach = a.length + 3.0
         box = BoxRegion(centers.min(axis=0) - reach, centers.max(axis=0) + reach)
         config = Configuration(len(centers[0]), a.length, 1.0, box, centers, dirs, seed=0)
-        edges, _ = intersection_edges(config, cell)
+        edges = intersection_edges(config, cell)
         assert edges.tolist() == [[0, 1]]
 
 

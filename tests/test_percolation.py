@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from stickperc.errors import BracketFailure, DegenerateDesign, DomainError, Prec
 from stickperc.geometry import segment_distance_arrays
 from stickperc.measures import theorem_bounds
 from stickperc.percolation import (
-    CrossingResult,
     CrossingStats,
     UnionFind,
     build_index,
@@ -207,8 +207,7 @@ class TestSpatialIndex:
             config = sample_configuration(
                 2, 8.0, 0.05, Uniform(), BoxRegion.cube(2, 50.0), seed=seed
             )
-            edges, tested = intersection_edges(config)
-            assert tested >= len(edges)
+            edges = intersection_edges(config)
             assert {tuple(e) for e in edges} == {tuple(e) for e in all_pairs_edges(config)}
 
     def test_two_nearby_sticks_share_a_cell(self):
@@ -226,9 +225,8 @@ class TestCluster:
         config = Configuration(
             2, 4.0, 1.0, box, np.array([[10.0, 10.0]]), np.array([[1.0, 0.0]]), 0
         )
-        labels, res = cluster(config)
-        assert res == CrossingResult(False, 1, 1, 0)
-        assert labels.tolist() == [0]
+        assert cluster(config).tolist() == [0]
+        assert not crossing_event(config)
 
     def test_tangent_chain(self):
         # vertical sticks spaced exactly 2 apart: tangency chains them up
@@ -237,16 +235,14 @@ class TestCluster:
         dirs = np.tile([0.0, 1.0], (k, 1))
         box = BoxRegion.cube(2, 30.0)
         config = Configuration(2, 6.0, 1.0, box, centers, dirs, 0)
-        _, res = cluster(config)
-        assert res.largest_cluster == k
-        assert res.cluster_count == 1
+        assert cluster(config).tolist() == [0] * k
 
     def test_labels_match_bfs_oracle(self):
         for seed in range(10):
             config = sample_configuration(
                 2, 8.0, 0.04, Uniform(), BoxRegion.cube(2, 60.0), seed=seed
             )
-            labels, _ = cluster(config)
+            labels = cluster(config)
             assert labels_equivalent(labels, bfs_labels(config))
 
     def test_labels_match_bfs_oracle_3d(self):
@@ -254,7 +250,7 @@ class TestCluster:
             config = sample_configuration(
                 3, 6.0, 0.003, Uniform(), BoxRegion.cube(3, 40.0), seed=seed
             )
-            labels, _ = cluster(config)
+            labels = cluster(config)
             assert labels_equivalent(labels, bfs_labels(config))
 
 
@@ -333,6 +329,29 @@ class TestCrossingProbability:
         a = crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 16, seed=5, workers=1)
         b = crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 16, seed=5, workers=2)
         assert a == b
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        # a pool starts all its processes at the first task, so a huge
+        # --workers must not reach it; the recorder starts no process
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(percolation, "ProcessPoolExecutor", Recorder)
+        a = crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 6, seed=5, workers=10_000)
+        assert len(sizes) == 1 and sizes[0] <= (os.cpu_count() or 1)
+        assert a == crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 6, seed=5, workers=1)
 
     def test_workers_do_not_change_estimate(self):
         kw = dict(replicates=8, seed=5, max_bisect=3)
