@@ -124,24 +124,27 @@ class SpatialIndex:
         return np.column_stack((self._stick_ids[first[keep]], self._stick_ids[second[keep]]))
 
 
-def tuned_cell_size(length: float, law) -> float:
-    # any cell size is complete (sticks register in every overlapped cell);
-    # smaller cells trade registration work for fewer candidate pairs, and
-    # aligned sticks profit from much finer cells than isotropic ones
-    if getattr(law, "tag", None) == "rigid":
-        return length / 8.0 + 2.0
-    return length / 2.0 + 2.0
+def tuned_cell_size(length: float, law) -> float | np.ndarray:
+    """Broad-phase cell edge: one per axis, ``0.5 * L * |axis_k| + 2``, for
+    a law with a fixed axis, else the isotropic ``L / 2 + 2``."""
+    # any cell edges are complete (sticks register in every overlapped cell);
+    # an edge near half a stick's extent on that axis keeps registrations
+    # few, and across aligned sticks the 2-wide cells hold only neighbours
+    axis = getattr(law, "axis", None)
+    if axis is None:
+        return length / 2.0 + 2.0
+    return 0.5 * length * np.abs(axis) + 2.0
 
 
-def build_index(config: Configuration, cell: float | None = None) -> SpatialIndex:
+def build_index(config: Configuration, cell: float | np.ndarray | None = None) -> SpatialIndex:
     """Hash every stick of ``config`` into the cells overlapped by its
-    radius-1-inflated axis-aligned bounding box; without ``cell``, the
-    isotropic ``tuned_cell_size``."""
-    if cell is None:
-        cell = tuned_cell_size(config.length, None)
-    if not cell > 0.0:
-        raise DomainError("cell size must be positive")
+    radius-1-inflated axis-aligned bounding box.  ``cell`` is one edge for
+    every axis or one per axis; without it, the isotropic
+    ``tuned_cell_size``."""
     n, d = config.centers.shape
+    cell = np.asarray(tuned_cell_size(config.length, None) if cell is None else cell, dtype=float)
+    if cell.shape not in ((), (d,)) or not np.all(np.isfinite(cell) & (cell > 0.0)):
+        raise DomainError(f"cell must be a positive finite size, or {d} of them")
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return SpatialIndex(
@@ -156,29 +159,34 @@ def build_index(config: Configuration, cell: float | None = None) -> SpatialInde
     half_ext = config.half * np.abs(config.dirs) + 1.0
     lo = np.floor((config.centers - half_ext) / cell).astype(np.int64)
     hi = np.floor((config.centers + half_ext) / cell).astype(np.int64)
+    grid_min = lo.min(axis=0)
+    grid_span = hi.max(axis=0) - grid_min + 1
+    if math.prod(grid_span.tolist()) * n >= 2**63:
+        raise DomainError("cell too small: the grid's cell codes overflow")
     spans = hi - lo + 1
     counts = spans.prod(axis=1)
     total = int(counts.sum())
+    # each registration's rank within its stick, decoded one axis at a time
+    # (last axis first) into the grid's C-order cell code
+    rest = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    codes = np.zeros(total, dtype=np.int64)
+    low_edges = np.zeros(total, dtype=np.int64)
+    stride = 1
+    for k in range(d - 1, -1, -1):
+        rest, offset = np.divmod(rest, np.repeat(spans[:, k], counts))
+        codes += (np.repeat(lo[:, k] - grid_min[k], counts) + offset) * stride
+        low_edges |= (offset == 0) << k
+        stride *= int(grid_span[k])
     stick_ids = np.repeat(np.arange(n, dtype=np.int64), counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    local = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
-    strides = np.ones_like(spans)
-    for k in range(d - 2, -1, -1):
-        strides[:, k] = strides[:, k + 1] * spans[:, k + 1]
-    offset = (local[:, None] // strides[stick_ids]) % spans[stick_ids]
-    coords = lo[stick_ids] + offset
-    low_edges = (offset == 0) @ (1 << np.arange(d))
-    grid_min = lo.min(axis=0)
-    grid_span = hi.max(axis=0) - grid_min + 1
-    codes = np.ravel_multi_index((coords - grid_min).T, grid_span)
-    order = np.lexsort((stick_ids, codes))
+    # a stick registers once per cell, so the keys are distinct and the
+    # default sort (far faster than a stable one) orders by cell, then stick
+    order = np.argsort(codes * n + stick_ids)
     codes = codes[order]
-    stick_ids = stick_ids[order]
     starts = np.concatenate(([0], np.flatnonzero(np.diff(codes)) + 1))
     return SpatialIndex(
         n=n,
         _codes=codes,
-        _stick_ids=stick_ids,
+        _stick_ids=stick_ids[order],
         _starts=starts,
         _grid_min=grid_min,
         _grid_span=grid_span,
@@ -186,7 +194,7 @@ def build_index(config: Configuration, cell: float | None = None) -> SpatialInde
     )
 
 
-def intersection_edges(config: Configuration, cell: float | None = None) -> np.ndarray:
+def intersection_edges(config: Configuration, cell: float | np.ndarray | None = None) -> np.ndarray:
     """Exact intersecting pairs (i < j) of ``config``."""
     pairs = build_index(config, cell).candidate_pairs()
     keep = []
@@ -201,12 +209,14 @@ def intersection_edges(config: Configuration, cell: float | None = None) -> np.n
     return np.concatenate(keep) if keep else pairs[:0]
 
 
-def cluster(config: Configuration, cell: float | None = None) -> np.ndarray:
+def cluster(config: Configuration, cell: float | np.ndarray | None = None) -> np.ndarray:
     """Cluster label of every stick: the smallest stick index in its cluster."""
     return component_labels(config.count, intersection_edges(config, cell))
 
 
-def crossing_event(config: Configuration, axis: int = 0, cell: float | None = None) -> bool:
+def crossing_event(
+    config: Configuration, axis: int = 0, cell: float | np.ndarray | None = None
+) -> bool:
     """Whether one cluster touches both window faces orthogonal to ``axis``."""
     if not 0 <= axis < config.d:
         raise DomainError("axis out of range")

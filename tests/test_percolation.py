@@ -25,6 +25,7 @@ from stickperc.percolation import (
     fit_weight,
     intersection_edges,
     scaling_fit,
+    tuned_cell_size,
 )
 from stickperc.sampling import (
     BoxRegion,
@@ -95,12 +96,14 @@ def loop_candidate_pairs(index):
 
 @st.composite
 def stick_configurations(draw):
-    """Random sticks in a box, with 0, 1 or many of them, and a cell size
-    that may be far smaller than a stick."""
+    """Random sticks in a box, with 0, 1 or many of them, and one cell edge
+    or one per axis (some 2 wide, as across aligned sticks) that may be far
+    smaller than a stick."""
     d = draw(st.sampled_from([2, 3]))
     n = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 40 if d == 2 else 25)))
     length = draw(st.floats(0.5, 8.0))
-    cell = draw(st.floats(0.5 if d == 2 else 1.0, 16.0))
+    edge = st.floats(0.5 if d == 2 else 1.0, 16.0)
+    cell = draw(st.one_of(edge, st.lists(st.one_of(st.just(2.0), edge), min_size=d, max_size=d).map(np.array)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     side = 6.0 * length + 4.0
     dirs = rng.standard_normal((n, d))
@@ -160,30 +163,36 @@ class TestSpatialIndex:
 
     def test_registration_matches_inflated_aabb(self):
         config = sample_configuration(2, 6.0, 0.05, Uniform(), BoxRegion.cube(2, 40.0), seed=1)
-        cell = 8.0
-        index = build_index(config, cell)
-        registered = cells(index)
-        # recompute the expected registration directly
-        expected = {}
-        for i in range(config.count):
-            half_ext = config.half * np.abs(config.dirs[i]) + 1.0
-            lo = np.floor((config.centers[i] - half_ext) / cell).astype(int)
-            hi = np.floor((config.centers[i] + half_ext) / cell).astype(int)
-            for cx in range(lo[0], hi[0] + 1):
-                for cy in range(lo[1], hi[1] + 1):
-                    expected.setdefault((cx, cy), []).append(i)
-        assert set(registered.keys()) == set(expected.keys())
-        for key, members in expected.items():
-            assert sorted(registered[key].tolist()) == sorted(members)
+        for cell in (8.0, np.array([2.0, 5.0])):
+            index = build_index(config, cell)
+            registered = cells(index)
+            # recompute the expected registration directly
+            expected = {}
+            for i in range(config.count):
+                half_ext = config.half * np.abs(config.dirs[i]) + 1.0
+                lo = np.floor((config.centers[i] - half_ext) / cell).astype(int)
+                hi = np.floor((config.centers[i] + half_ext) / cell).astype(int)
+                for cx in range(lo[0], hi[0] + 1):
+                    for cy in range(lo[1], hi[1] + 1):
+                        expected.setdefault((cx, cy), []).append(i)
+            assert set(registered.keys()) == set(expected.keys())
+            for key, members in expected.items():
+                assert sorted(registered[key].tolist()) == sorted(members)
 
-    @pytest.mark.parametrize("d,cell", [(2, None), (2, 3.0), (2, 11.0), (3, None), (3, 5.0)])
+    @pytest.mark.parametrize(
+        "d,cell",
+        [(2, None), (2, 3.0), (2, 11.0), (3, None), (3, 5.0), (2, "e0"), (2, "e1"), (3, "e1"), (3, "e2")],
+    )
     def test_candidate_pairs_superset_of_intersections(self, d, cell):
         # zero misses across seeds and cell sizes: candidates must cover
-        # every truly intersecting pair
+        # every truly intersecting pair; "e<k>" is sticks along axis k on
+        # their tuned per-axis cells, 2 wide across the sticks
+        law, lam = Uniform(), 0.004 if d == 3 else 0.03
+        if isinstance(cell, str):
+            law, lam = Rigid(np.eye(d)[int(cell[1:])]), 0.01 if d == 3 else 0.05
+            cell = tuned_cell_size(6.0, law)
         for seed in range(20):
-            config = sample_configuration(
-                d, 6.0, 0.004 if d == 3 else 0.03, Uniform(), BoxRegion.cube(d, 30.0), seed=seed
-            )
+            config = sample_configuration(d, 6.0, lam, law, BoxRegion.cube(d, 30.0), seed=seed)
             index = build_index(config, cell)
             cands = {tuple(p) for p in index.candidate_pairs()}
             truth = {tuple(p) for p in all_pairs_edges(config)}
@@ -218,6 +227,24 @@ class TestSpatialIndex:
         index = build_index(config)  # default cell L / 2 + 2
         assert any(len(v) == 2 for v in cells(index).values())
 
+    @pytest.mark.parametrize(
+        "cell",
+        [0.0, -3.0, math.nan, math.inf, [2.0, math.inf], [2.0, -1.0], [4.0], [2.0, 5.0, 5.0]],
+        ids=["zero", "negative", "nan", "inf", "inf-entry", "negative-entry", "one-entry", "three-entries"],
+    )
+    def test_invalid_cell_rejected(self, cell):
+        config = sample_configuration(2, 6.0, 0.05, Uniform(), BoxRegion.cube(2, 40.0), seed=1)
+        with pytest.raises(DomainError):
+            build_index(config, cell)
+
+    def test_grid_too_fine_rejected(self):
+        # 1e10 cells per axis: the grid's cell codes would overflow int64
+        box = BoxRegion.cube(2, 2e9)
+        centers = np.array([[1.0, 1.0], [1e9, 1e9]])
+        config = Configuration(2, 1.0, 1.0, box, centers, np.tile([1.0, 0.0], (2, 1)), 0)
+        with pytest.raises(DomainError):
+            build_index(config, 0.1)
+
 
 class TestCluster:
     def test_single_stick(self):
@@ -229,13 +256,16 @@ class TestCluster:
         assert not crossing_event(config)
 
     def test_tangent_chain(self):
-        # vertical sticks spaced exactly 2 apart: tangency chains them up
+        # vertical sticks spaced exactly 2 apart: tangency chains them up,
+        # also on the rigid cells, where every touching edge lies on a
+        # 2-wide cell boundary
         k = 7
         centers = np.array([[2.0 * i + 5.0, 10.0] for i in range(k)])
         dirs = np.tile([0.0, 1.0], (k, 1))
         box = BoxRegion.cube(2, 30.0)
         config = Configuration(2, 6.0, 1.0, box, centers, dirs, 0)
-        assert cluster(config).tolist() == [0] * k
+        for cell in (None, tuned_cell_size(6.0, Rigid(np.array([0.0, 1.0])))):
+            assert cluster(config, cell).tolist() == [0] * k
 
     def test_labels_match_bfs_oracle(self):
         for seed in range(10):
@@ -251,6 +281,19 @@ class TestCluster:
                 3, 6.0, 0.003, Uniform(), BoxRegion.cube(3, 40.0), seed=seed
             )
             labels = cluster(config)
+            assert labels_equivalent(labels, bfs_labels(config))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rigid_labels_match_bfs_oracle(self, d):
+        law = Rigid(np.eye(d)[d - 1])
+        for seed in range(4):
+            config = sample_configuration(
+                d, 6.0, 0.06 if d == 2 else 0.01, law, BoxRegion.cube(d, 40.0), seed=seed
+            )
+            # integer centres: many pairs sit exactly 2 apart, on the
+            # boundaries of the 2-wide cells across the sticks
+            config = dataclasses.replace(config, centers=np.round(config.centers))
+            labels = cluster(config, tuned_cell_size(6.0, law))
             assert labels_equivalent(labels, bfs_labels(config))
 
 
