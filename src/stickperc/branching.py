@@ -81,8 +81,11 @@ def offspring_mean_mc(
         centers = rng.uniform(box.low, box.high, size=(total, d))
         dirs = law.sample_directions(rng, d, total)
         hits = _overlaps(centers, dirs, length, seed_segment).astype(np.int64)
-        offsets = np.minimum(np.concatenate(([0], np.cumsum(block)[:-1])), total - 1)
-        samples[lo : lo + block_trials] = np.where(block > 0, np.add.reduceat(hits, offsets), 0)
+        # reduce at the starts of the non-empty trials only: their starts
+        # strictly increase, so each sum runs up to the next trial's start
+        filled = np.flatnonzero(block)
+        starts = np.cumsum(block) - block
+        samples[lo + filled] = np.add.reduceat(hits, starts[filled])
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(trials))
     return OffspringEstimate(mean=mean, stderr=stderr, trials=trials, samples=tuple(int(v) for v in samples))

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, InsufficientTrials, PreconditionViolated
 from .geometry import segments_hit_ball
 from .rng import substream
-from .sampling import OrientationLaw, Rigid, check_density_floor, check_intensity
+from .sampling import OrientationLaw, Rigid, Uniform, check_density_floor, check_intensity
 
 _STREAM_MEASURE_MC = 0x3EA5
 _MC_CHUNK = 1_000_000  # Monte Carlo draws per batch, to bound memory
@@ -335,11 +335,7 @@ def lattice_T_count(d: int, length: float, u=(0, 2)) -> int:
     if not length > 200.0 * math.sqrt(d):
         raise PreconditionViolated("lattice count requires L > 200 sqrt(d)")
     geom = ConstructionGeometry(d, length)
-    counts = geom.face_lattice_axis_counts(u, axis=1)
-    total = 1
-    for c in counts:
-        total *= c
-    return total
+    return math.prod(geom.face_lattice_axis_counts(u, axis=1))
 
 
 def lattice_T_count_bound(d: int, length: float) -> float:
@@ -423,12 +419,15 @@ def mc_cap_hit_probability(
     length = 2.0 * (r + rho + 1.0)
     x = np.zeros(d)
     x[0] = r
-    from .sampling import Uniform
-
-    p = Uniform().sample_directions(rng, d, trials)
-    centers = np.broadcast_to(x, (trials, d))
-    hit = segments_hit_ball(centers, p, np.full(trials, 0.5 * length), np.zeros(d), rho)
-    return _binomial_scaled(int(hit.sum()), trials, 1.0)
+    hits = 0
+    remaining = trials
+    while remaining > 0:
+        n = min(_MC_CHUNK, remaining)
+        remaining -= n
+        p = Uniform().sample_directions(rng, d, n)
+        centers = np.broadcast_to(x, (n, d))
+        hits += int(segments_hit_ball(centers, p, np.full(n, 0.5 * length), np.zeros(d), rho).sum())
+    return _binomial_scaled(hits, trials, 1.0)
 
 
 def mc_two_ball_measure(

@@ -62,10 +62,8 @@ class Frontier:
 
 
 def _check_alpha(alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
-        if alpha in (0.0, 1.0):  # allow the degenerate endpoints for tests
-            return float(alpha)
-        raise DomainError("alpha must lie in (0, 1)")
+    if not 0.0 <= alpha <= 1.0:
+        raise DomainError("alpha must lie in [0, 1]")
     return float(alpha)
 
 
@@ -74,10 +72,6 @@ def _check_variant(variant: str) -> str:
     if v not in VARIANTS:
         raise DomainError(f"variant must be one of {VARIANTS}")
     return v
-
-
-def bond_beta(alpha: float) -> float:
-    return 1.0 - (1.0 - alpha) ** 2
 
 
 def _adjacent_unique(values: np.ndarray) -> np.ndarray:

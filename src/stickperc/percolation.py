@@ -39,9 +39,6 @@ class UnionFind:
         self._rank = [0] * n
         self.count = n
 
-    def __len__(self) -> int:
-        return len(self._parent)
-
     def find(self, i: int) -> int:
         parent = self._parent
         while parent[i] != i:
@@ -170,12 +167,14 @@ def build_index(config: Configuration, cell: float | np.ndarray | None = None) -
     # (last axis first) into the grid's C-order cell code
     rest = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
     codes = np.zeros(total, dtype=np.int64)
-    low_edges = np.zeros(total, dtype=np.int64)
+    # d bits per registration, in the smallest unsigned type that holds them
+    edge_type = np.min_scalar_type((1 << d) - 1)
+    low_edges = np.zeros(total, dtype=edge_type)
     stride = 1
     for k in range(d - 1, -1, -1):
         rest, offset = np.divmod(rest, np.repeat(spans[:, k], counts))
         codes += (np.repeat(lo[:, k] - grid_min[k], counts) + offset) * stride
-        low_edges |= (offset == 0) << k
+        low_edges |= (offset == 0).astype(edge_type) << k
         stride *= int(grid_span[k])
     stick_ids = np.repeat(np.arange(n, dtype=np.int64), counts)
     # a stick registers once per cell, so the keys are distinct and the

@@ -9,7 +9,6 @@ configurations byte for byte, independent of worker count.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -17,14 +16,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import CapacityExceeded, DomainError, RejectionStall
-from .geometry import _UNIT_TOL
 from .rng import substream
 
 _STREAM_CONFIG = 0x5EED
 _MAX_EXPECTED_COUNT = 1e9
 _REJECTION_LIMIT = 1_000_000
-
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -142,10 +138,6 @@ class BoxRegion:
     def volume(self) -> float:
         return float(np.prod(self.high - self.low))
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.all((pts >= self.low) & (pts <= self.high), axis=1)
-
     @staticmethod
     def cube(d: int, side: float) -> "BoxRegion":
         return BoxRegion(np.zeros(d), np.full(d, float(side)))
@@ -193,14 +185,15 @@ class Configuration:
     observation window, which the sampling box strictly contains.
     """
 
-    d: int
     length: float
-    intensity: float
     box: BoxRegion
     centers: np.ndarray
     dirs: np.ndarray
-    seed: int
     window: BoxRegion | None = None
+
+    @property
+    def d(self) -> int:
+        return self.centers.shape[1]
 
     @property
     def count(self) -> int:
@@ -213,58 +206,6 @@ class Configuration:
     @property
     def observation_window(self) -> BoxRegion:
         return self.window if self.window is not None else self.box
-
-    def to_json(self) -> str:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "stickperc.configuration",
-            "d": self.d,
-            "length": self.length,
-            "intensity": self.intensity,
-            "seed": self.seed,
-            "box": {"low": self.box.low.tolist(), "high": self.box.high.tolist()},
-            "window": None
-            if self.window is None
-            else {"low": self.window.low.tolist(), "high": self.window.high.tolist()},
-            "count": self.count,
-            "centers": self.centers.ravel().tolist(),
-            "dirs": self.dirs.ravel().tolist(),
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "Configuration":
-        doc = json.loads(text)
-        if doc.get("kind") != "stickperc.configuration":
-            raise DomainError("not a configuration document")
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise DomainError("unsupported configuration schema version")
-        d = int(doc["d"])
-        n = int(doc["count"])
-        if d < 2:
-            raise DomainError("configuration dimension must be at least 2")
-        centers = np.array(doc["centers"], dtype=float)
-        dirs = np.array(doc["dirs"], dtype=float)
-        if centers.shape != (n * d,) or dirs.shape != (n * d,):
-            raise DomainError("count does not match the centers and dirs arrays")
-        centers, dirs = centers.reshape(n, d), dirs.reshape(n, d)
-        if not np.all(np.isfinite(centers)):
-            raise DomainError("configuration centers must be finite")
-        if not np.all(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) <= _UNIT_TOL):
-            raise DomainError("configuration directions must be unit length")
-        window = doc["window"]
-        return Configuration(
-            d=d,
-            length=float(doc["length"]),
-            intensity=float(doc["intensity"]),
-            box=BoxRegion(np.array(doc["box"]["low"]), np.array(doc["box"]["high"])),
-            centers=centers,
-            dirs=dirs,
-            seed=int(doc["seed"]),
-            window=None
-            if window is None
-            else BoxRegion(np.array(window["low"]), np.array(window["high"])),
-        )
 
 
 def sample_configuration(
@@ -286,16 +227,7 @@ def sample_configuration(
     n = poisson_count(mean, rng)
     centers = rng.uniform(box.low, box.high, size=(n, d))
     dirs = law.sample_directions(rng, d, n)
-    return Configuration(
-        d=d,
-        length=float(length),
-        intensity=float(intensity),
-        box=box,
-        centers=centers,
-        dirs=dirs,
-        seed=int(seed),
-        window=window,
-    )
+    return Configuration(length=float(length), box=box, centers=centers, dirs=dirs, window=window)
 
 
 def percolation_padding(length: float) -> float:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stickperc.branching import (
+    _STREAM_OFFSPRING,
     component_exploration,
     dominating_gw_run,
     offspring_box,
@@ -34,7 +35,7 @@ class TestOffspringBox:
             direction /= np.linalg.norm(direction)
             other = Segment(center, direction, L)
             if segment_segment_distance(seed_stick, other) <= 2.0:
-                assert bool(box.contains(center[None, :])[0])
+                assert np.all((center >= box.low) & (center <= box.high))
 
 
 class TestOffspringMeanMC:
@@ -70,6 +71,26 @@ class TestOffspringMeanMC:
         lam = theorem_bounds(2, L, "uniform", strict=False).lower
         est = offspring_mean_mc(2, L, lam, Uniform(), stick_along(0, 2, L), 1200, seed=5)
         assert est.mean + 3.0 * est.stderr < 1.0
+
+    def test_samples_match_per_trial_loop(self):
+        # about 1.5 sticks per trial, so some trials are empty, also at the
+        # end of the block; replay the same draws and count trial by trial
+        L, trials = 10.0, 20
+        seg = stick_along(0, 2, L)
+        box = offspring_box(seg, L)
+        lam = 1.5 / box.volume
+        for seed in range(200):
+            est = offspring_mean_mc(2, L, lam, Uniform(), seg, trials, seed=seed)
+            rng = substream(seed, _STREAM_OFFSPRING)
+            counts = rng.poisson(lam * box.volume, size=trials)
+            centers = rng.uniform(box.low, box.high, size=(int(counts.sum()), 2))
+            dirs = Uniform().sample_directions(rng, 2, len(centers))
+            oracle, k = [], 0
+            for c in counts:
+                sticks = [Segment(centers[i], dirs[i], L) for i in range(k, k + c)]
+                oracle.append(sum(segment_segment_distance(seg, s) <= 2.0 for s in sticks))
+                k += c
+            assert list(est.samples) == oracle, seed
 
     def test_needs_trials(self):
         with pytest.raises(DomainError):

@@ -9,7 +9,8 @@ import pytest
 from stickperc import cli
 from stickperc.cli import main
 from stickperc.measures import theorem_bounds
-from stickperc.sampling import BoundedDensity
+from stickperc.percolation import crossing_event
+from stickperc.sampling import BoundedDensity, Rigid, Uniform, sample_window_configuration
 
 
 def run_cli(capsys, argv):
@@ -80,15 +81,30 @@ class TestThreshold:
         assert out1 == out2
 
     def test_probes_csv(self, capsys, tmp_path):
-        path = tmp_path / "probes.csv"
-        rc, out, _ = run_cli(capsys, THRESHOLD_ARGS + ["--probes-csv", str(path)])
-        assert rc == 0
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# schema=stickperc.probes.v1")
-        assert lines[1] == "L,lambda,crossed,replicate,seed"
-        doc = json.loads(out)
-        expected_rows = sum(p["replicates"] for p in doc["probes"])
-        assert len(lines) == 2 + expected_rows
+        # a row's lambda and seed rebuild its replicate, which crosses (on
+        # the default axis 0) exactly when the row says it did
+        axis_1 = np.array([0.0, 1.0])
+        s_factor = float(THRESHOLD_ARGS[THRESHOLD_ARGS.index("--s-factor") + 1])
+        for law, tag in ((Rigid(axis_1), "rigid"), (Uniform(), "uniform")):
+            path = tmp_path / f"probes-{tag}.csv"
+            args = [tag if a == "rigid" else a for a in THRESHOLD_ARGS]
+            rc, out, _ = run_cli(capsys, args + ["--probes-csv", str(path)])
+            assert rc == 0
+            lines = path.read_text().splitlines()
+            assert lines[0].startswith("# schema=stickperc.probes.v1")
+            assert lines[1] == "L,lambda,crossed,replicate,seed"
+            doc = json.loads(out)
+            expected_rows = sum(p["replicates"] for p in doc["probes"])
+            assert len(lines) == 2 + expected_rows
+            rows = [line.split(",") for line in lines[2:]]
+            for crossed in ("0", "1"):
+                picked = [row for row in rows if row[2] == crossed][:3]
+                assert picked, (tag, crossed)
+                for length, lam, _, _, seed in picked:
+                    side = s_factor * float(length)
+                    assert side == doc["side"]
+                    config = sample_window_configuration(2, float(length), float(lam), law, side, int(seed))
+                    assert crossing_event(config) == (crossed == "1"), (tag, lam, seed)
 
     def test_window_precondition_exit_2(self, capsys):
         rc, _, err = run_cli(

@@ -324,7 +324,7 @@ class TestKernelProperties:
         dirs = np.array([a.direction, b.direction])
         reach = a.length + 3.0
         box = BoxRegion(centers.min(axis=0) - reach, centers.max(axis=0) + reach)
-        config = Configuration(len(centers[0]), a.length, 1.0, box, centers, dirs, seed=0)
+        config = Configuration(a.length, box, centers, dirs)
         edges = intersection_edges(config, cell)
         assert edges.tolist() == [[0, 1]]
 

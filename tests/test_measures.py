@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from stickperc import measures
 from stickperc.errors import DomainError, InsufficientTrials, PreconditionViolated
 from stickperc.measures import (
     ConstructionGeometry,
@@ -108,6 +109,12 @@ class TestCapHitProbability:
         est = mc_cap_hit_probability(3, 1.0, 2.0, 200_000, seed=8)
         target = cap_hit_probability_exact(3, 1.0, 2.0)
         assert abs(est.value - target) <= 3.0 * est.stderr
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_direction_mc_chunks_change_nothing(self, d, monkeypatch):
+        whole = mc_cap_hit_probability(d, 1.0, 2.0, 5_000, seed=9)
+        monkeypatch.setattr(measures, "_MC_CHUNK", 64)
+        assert mc_cap_hit_probability(d, 1.0, 2.0, 5_000, seed=9) == whole
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -14,7 +14,6 @@ from stickperc.oriented import (
     _KEY_SITE,
     _STREAM_TRIAL,
     Frontier,
-    bond_beta,
     coupled_survival_matrix,
     coupled_survival_monotonicity,
     coupled_variant_step,
@@ -156,7 +155,7 @@ class TestOpStep:
                 child = op_step(parents, alpha, variant, rng)
                 hits[variant] += 1 if -1 in set(child.occupied.tolist()) else 0
         se = math.sqrt(0.25 / steps)
-        assert abs(hits["bond"] / steps - bond_beta(alpha)) <= 4 * se
+        assert abs(hits["bond"] / steps - (1 - (1 - alpha) ** 2)) <= 4 * se
         assert abs(hits["site"] / steps - alpha) <= 4 * se
 
     @settings(max_examples=200, deadline=None)

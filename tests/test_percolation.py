@@ -108,9 +108,7 @@ def stick_configurations(draw):
     side = 6.0 * length + 4.0
     dirs = rng.standard_normal((n, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    config = Configuration(
-        d, length, 1.0, BoxRegion.cube(d, side), rng.uniform(0.0, side, (n, d)), dirs, 0
-    )
+    config = Configuration(length, BoxRegion.cube(d, side), rng.uniform(0.0, side, (n, d)), dirs)
     return config, cell
 
 
@@ -156,7 +154,7 @@ class TestUnionFind:
 class TestSpatialIndex:
     def test_empty_configuration(self):
         box = BoxRegion.cube(2, 10.0)
-        config = Configuration(2, 4.0, 1.0, box, np.zeros((0, 2)), np.zeros((0, 2)), 0)
+        config = Configuration(4.0, box, np.zeros((0, 2)), np.zeros((0, 2)))
         index = build_index(config)
         assert cells(index) == {}
         assert len(index.candidate_pairs()) == 0
@@ -223,7 +221,7 @@ class TestSpatialIndex:
         box = BoxRegion.cube(2, 40.0)
         centers = np.array([[10.0, 10.0], [10.0, 11.0]])
         dirs = np.array([[1.0, 0.0], [1.0, 0.0]])
-        config = Configuration(2, 6.0, 1.0, box, centers, dirs, 0)
+        config = Configuration(6.0, box, centers, dirs)
         index = build_index(config)  # default cell L / 2 + 2
         assert any(len(v) == 2 for v in cells(index).values())
 
@@ -241,7 +239,7 @@ class TestSpatialIndex:
         # 1e10 cells per axis: the grid's cell codes would overflow int64
         box = BoxRegion.cube(2, 2e9)
         centers = np.array([[1.0, 1.0], [1e9, 1e9]])
-        config = Configuration(2, 1.0, 1.0, box, centers, np.tile([1.0, 0.0], (2, 1)), 0)
+        config = Configuration(1.0, box, centers, np.tile([1.0, 0.0], (2, 1)))
         with pytest.raises(DomainError):
             build_index(config, 0.1)
 
@@ -249,9 +247,7 @@ class TestSpatialIndex:
 class TestCluster:
     def test_single_stick(self):
         box = BoxRegion.cube(2, 20.0)
-        config = Configuration(
-            2, 4.0, 1.0, box, np.array([[10.0, 10.0]]), np.array([[1.0, 0.0]]), 0
-        )
+        config = Configuration(4.0, box, np.array([[10.0, 10.0]]), np.array([[1.0, 0.0]]))
         assert cluster(config).tolist() == [0]
         assert not crossing_event(config)
 
@@ -263,7 +259,7 @@ class TestCluster:
         centers = np.array([[2.0 * i + 5.0, 10.0] for i in range(k)])
         dirs = np.tile([0.0, 1.0], (k, 1))
         box = BoxRegion.cube(2, 30.0)
-        config = Configuration(2, 6.0, 1.0, box, centers, dirs, 0)
+        config = Configuration(6.0, box, centers, dirs)
         for cell in (None, tuned_cell_size(6.0, Rigid(np.array([0.0, 1.0])))):
             assert cluster(config, cell).tolist() == [0] * k
 
@@ -328,16 +324,13 @@ class TestComponentLabels:
 class TestCrossing:
     def test_empty_no_crossing(self):
         box = BoxRegion.cube(2, 20.0)
-        config = Configuration(2, 4.0, 1.0, box, np.zeros((0, 2)), np.zeros((0, 2)), 0)
+        config = Configuration(4.0, box, np.zeros((0, 2)), np.zeros((0, 2)))
         assert not crossing_event(config)
 
     def test_single_spanning_stick(self):
         window = BoxRegion.cube(2, 10.0)
         box = window.grown(10.0)
-        config = Configuration(
-            2, 14.0, 1.0, box,
-            np.array([[5.0, 5.0]]), np.array([[1.0, 0.0]]), 0, window=window,
-        )
+        config = Configuration(14.0, box, np.array([[5.0, 5.0]]), np.array([[1.0, 0.0]]), window=window)
         assert crossing_event(config, axis=0)
         assert not crossing_event(config, axis=1)
 

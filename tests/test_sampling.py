@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from stickperc.rng import derive_seed, substream
 from stickperc.sampling import (
     BoundedDensity,
     BoxRegion,
-    Configuration,
     Rigid,
     Uniform,
     percolation_padding,
@@ -116,43 +114,24 @@ class TestOrientationLaws:
 
 
 class TestConfiguration:
-    def test_determinism_and_roundtrip(self):
+    def test_determinism(self):
         box = BoxRegion.cube(2, 50.0)
         c1 = sample_configuration(2, 8.0, 0.05, Uniform(), box, seed=11)
         c2 = sample_configuration(2, 8.0, 0.05, Uniform(), box, seed=11)
-        assert c1.to_json() == c2.to_json()
-        c3 = Configuration.from_json(c1.to_json())
-        assert np.array_equal(c3.centers, c1.centers)
-        assert np.array_equal(c3.dirs, c1.dirs)
-        assert c3.to_json() == c1.to_json()
-
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
-            lambda doc: doc.update(count=doc["count"] + 1),
-            lambda doc: doc["centers"].__setitem__(3, math.nan),
-            lambda doc: doc.update(dirs=[2.0 * v for v in doc["dirs"]]),
-            lambda doc: doc.update(d=1),
-        ],
-        ids=["count-mismatch", "center-not-finite", "dirs-doubled", "d-below-2"],
-    )
-    def test_from_json_rejects_malformed(self, corrupt):
-        box = BoxRegion.cube(2, 50.0)
-        doc = json.loads(sample_configuration(2, 8.0, 0.05, Uniform(), box, seed=11).to_json())
-        corrupt(doc)
-        with pytest.raises(DomainError):
-            Configuration.from_json(json.dumps(doc))
+        assert c1.count > 0
+        assert np.array_equal(c1.centers, c2.centers)
+        assert np.array_equal(c1.dirs, c2.dirs)
 
     def test_seeds_differ(self):
         box = BoxRegion.cube(2, 50.0)
         c1 = sample_configuration(2, 8.0, 0.05, Uniform(), box, seed=11)
         c2 = sample_configuration(2, 8.0, 0.05, Uniform(), box, seed=12)
-        assert c1.to_json() != c2.to_json()
+        assert not np.array_equal(c1.centers, c2.centers)
 
     def test_centers_in_box_and_unit_dirs(self):
         box = BoxRegion(np.array([-3.0, 2.0, 0.0]), np.array([4.0, 9.0, 1.5]))
         c = sample_configuration(3, 5.0, 0.02, Uniform(), box, seed=2)
-        assert np.all(box.contains(c.centers))
+        assert np.all((c.centers >= box.low) & (c.centers <= box.high))
         np.testing.assert_allclose(np.linalg.norm(c.dirs, axis=1), 1.0, atol=1e-9)
 
     def test_poisson_count_statistics(self):
@@ -183,7 +162,7 @@ class TestConfiguration:
         assert np.allclose(c.window.low, 0.0) and np.allclose(c.window.high, 160.0)
         pad = percolation_padding(16.0)
         assert np.allclose(c.box.low, -pad) and np.allclose(c.box.high, 160.0 + pad)
-        assert np.all(c.box.contains(c.centers))
+        assert np.all((c.centers >= c.box.low) & (c.centers <= c.box.high))
 
     def test_thinning_consistency(self):
         # keeping each stick with probability 1/2 matches sampling at half
