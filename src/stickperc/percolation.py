@@ -1,13 +1,16 @@
 """Cluster analysis and critical-intensity estimation.
 
 Pipeline per configuration: a spatial hash over stick bounding boxes
-(broad phase), exact segment-segment distances on the candidate pairs
-(narrow phase), array connected components (min-label hooking with pointer
-jumping) giving each stick's cluster label (``cluster``), and the
-window-crossing test on those labels (``crossing_event``).  On top of that
-sit the crossing-probability estimator, a stochastic bisection for the
-threshold intensity, and the log-log scaling fit; the last two share one
-weighted least-squares line.
+(broad phase), exact segment-segment distances on the candidate pairs in
+cache-sized blocks (narrow phase), array connected components (min-label
+hooking with pointer jumping) giving each stick's cluster label
+(``cluster``), and the window-crossing test on those labels
+(``crossing_event``).  The crossing test runs on batches of replicates
+clustered together, each replicate in its own cells; a single
+configuration is a batch of one.  On top of that sit the
+crossing-probability estimator, a stochastic bisection for the threshold
+intensity, and the log-log scaling fit; the last two share one weighted
+least-squares line.
 """
 
 from __future__ import annotations
@@ -28,7 +31,12 @@ from .sampling import Configuration, OrientationLaw, sample_window_configuration
 from .stats import _Z95, wilson_interval
 
 _STREAM_REPLICATE = 0x4EB1
-_PAIR_CHUNK = 2_000_000
+# candidate pairs per narrow-phase block: its gathers and kernel temporaries
+# (about 2 MB at d = 3) stay cache-sized however large the replicate or batch
+_PAIR_CHUNK = 8192
+# a probe's replicates are clustered in batches, each closed once it holds
+# this many sticks, so numpy's cost per call is shared by small replicates
+_BATCH_STICKS = 4096
 
 
 class UnionFind:
@@ -138,8 +146,18 @@ def build_index(config: Configuration, cell: float | np.ndarray | None = None) -
     radius-1-inflated axis-aligned bounding box.  ``cell`` is one edge for
     every axis or one per axis; without it, the isotropic
     ``tuned_cell_size``."""
-    n, d = config.centers.shape
-    cell = np.asarray(tuned_cell_size(config.length, None) if cell is None else cell, dtype=float)
+    return _index(config.centers, config.dirs, config.length, cell, np.zeros(config.count, dtype=np.int64))
+
+
+def _index(
+    centers: np.ndarray, dirs: np.ndarray, length: float, cell: float | np.ndarray | None, replicate: np.ndarray
+) -> SpatialIndex:
+    """``build_index`` for the sticks (``centers``, ``dirs``) of a batch, in
+    which stick i belongs to replicate ``replicate[i]`` (non-decreasing).
+    The replicate is the leading digit of each cell code, so no two
+    replicates share a cell, and no candidate pair joins them."""
+    n, d = centers.shape
+    cell = np.asarray(tuned_cell_size(length, None) if cell is None else cell, dtype=float)
     if cell.shape not in ((), (d,)) or not np.all(np.isfinite(cell) & (cell > 0.0)):
         raise DomainError(f"cell must be a positive finite size, or {d} of them")
     if n == 0:
@@ -153,20 +171,22 @@ def build_index(config: Configuration, cell: float | np.ndarray | None = None) -
             _grid_span=np.ones(d, dtype=np.int64),
             _low_edges=empty,
         )
-    half_ext = config.half * np.abs(config.dirs) + 1.0
-    lo = np.floor((config.centers - half_ext) / cell).astype(np.int64)
-    hi = np.floor((config.centers + half_ext) / cell).astype(np.int64)
+    half_ext = 0.5 * length * np.abs(dirs) + 1.0
+    lo = np.floor((centers - half_ext) / cell).astype(np.int64)
+    hi = np.floor((centers + half_ext) / cell).astype(np.int64)
     grid_min = lo.min(axis=0)
     grid_span = hi.max(axis=0) - grid_min + 1
-    if math.prod(grid_span.tolist()) * n >= 2**63:
+    grid_cells = math.prod(grid_span.tolist())
+    if grid_cells * (int(replicate[-1]) + 1) * n >= 2**63:
         raise DomainError("cell too small: the grid's cell codes overflow")
     spans = hi - lo + 1
     counts = spans.prod(axis=1)
     total = int(counts.sum())
     # each registration's rank within its stick, decoded one axis at a time
-    # (last axis first) into the grid's C-order cell code
+    # (last axis first) into the grid's C-order cell code, below the digit
+    # of the stick's replicate
     rest = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    codes = np.zeros(total, dtype=np.int64)
+    codes = np.repeat(replicate * grid_cells, counts)
     # d bits per registration, in the smallest unsigned type that holds them
     edge_type = np.min_scalar_type((1 << d) - 1)
     low_edges = np.zeros(total, dtype=edge_type)
@@ -193,19 +213,22 @@ def build_index(config: Configuration, cell: float | np.ndarray | None = None) -
     )
 
 
-def intersection_edges(config: Configuration, cell: float | np.ndarray | None = None) -> np.ndarray:
-    """Exact intersecting pairs (i < j) of ``config``."""
-    pairs = build_index(config, cell).candidate_pairs()
+def _edges(centers: np.ndarray, dirs: np.ndarray, length: float, pairs: np.ndarray) -> np.ndarray:
+    """The pairs of ``pairs`` whose sticks intersect, tested in blocks of
+    ``_PAIR_CHUNK`` pairs."""
     keep = []
     for lo in range(0, len(pairs), _PAIR_CHUNK):
         block = pairs[lo : lo + _PAIR_CHUNK]
         i, j = block[:, 0], block[:, 1]
-        dist = segment_distance_arrays(
-            config.centers[i], config.dirs[i], config.length,
-            config.centers[j], config.dirs[j], config.length,
-        )
+        dist = segment_distance_arrays(centers[i], dirs[i], length, centers[j], dirs[j], length)
         keep.append(block[dist <= INTERSECT_THRESHOLD])
     return np.concatenate(keep) if keep else pairs[:0]
+
+
+def intersection_edges(config: Configuration, cell: float | np.ndarray | None = None) -> np.ndarray:
+    """Exact intersecting pairs (i < j) of ``config``."""
+    pairs = build_index(config, cell).candidate_pairs()
+    return _edges(config.centers, config.dirs, config.length, pairs)
 
 
 def cluster(config: Configuration, cell: float | np.ndarray | None = None) -> np.ndarray:
@@ -213,26 +236,58 @@ def cluster(config: Configuration, cell: float | np.ndarray | None = None) -> np
     return component_labels(config.count, intersection_edges(config, cell))
 
 
+def _check_axis(axis: int, d: int) -> None:
+    if not 0 <= axis < d:
+        raise DomainError(f"axis must be in [0, {d}), got {axis}")
+
+
+def _batch_crossings(configs: list[Configuration], axis: int, cell: float | np.ndarray | None) -> np.ndarray:
+    """Whether each of ``configs``, window configurations with one length
+    and window, has one cluster touching both window faces orthogonal to
+    ``axis``.  Their sticks are clustered together, each in the cells of
+    its own replicate, so no cluster spans two of them."""
+    first = configs[0]
+    centers = np.concatenate([c.centers for c in configs])
+    dirs = np.concatenate([c.dirs for c in configs])
+    replicate = np.repeat(np.arange(len(configs), dtype=np.int64), [c.count for c in configs])
+    pairs = _index(centers, dirs, first.length, cell, replicate).candidate_pairs()
+    labels = component_labels(len(centers), _edges(centers, dirs, first.length, pairs))
+    window = first.observation_window
+    reach = first.half * np.abs(dirs[:, axis]) + 1.0
+    lo_ext = centers[:, axis] - reach
+    hi_ext = centers[:, axis] + reach
+    touch_low = (lo_ext <= window.low[axis]) & (hi_ext >= window.low[axis])
+    touch_high = (lo_ext <= window.high[axis]) & (hi_ext >= window.high[axis])
+    low_label = np.zeros(len(centers), dtype=bool)
+    low_label[labels[touch_low]] = True
+    crossed = np.zeros(len(configs), dtype=bool)
+    crossed[replicate[touch_high & low_label[labels]]] = True
+    return crossed
+
+
 def crossing_event(
     config: Configuration, axis: int = 0, cell: float | np.ndarray | None = None
 ) -> bool:
     """Whether one cluster touches both window faces orthogonal to ``axis``."""
-    if not 0 <= axis < config.d:
-        raise DomainError("axis out of range")
-    labels = cluster(config, cell)
-    window = config.observation_window
-    reach = config.half * np.abs(config.dirs[:, axis]) + 1.0
-    lo_ext = config.centers[:, axis] - reach
-    hi_ext = config.centers[:, axis] + reach
-    touch_low = (lo_ext <= window.low[axis]) & (hi_ext >= window.low[axis])
-    touch_high = (lo_ext <= window.high[axis]) & (hi_ext >= window.high[axis])
-    return bool(np.isin(labels[touch_low], labels[touch_high]).any())
+    _check_axis(axis, config.d)
+    return bool(_batch_crossings([config], axis, cell)[0])
 
 
-def _replicate_crossing(args) -> bool:
-    d, length, intensity, law, side, replicate_seed, axis = args
-    config = sample_window_configuration(d, length, intensity, law, side, replicate_seed)
-    return crossing_event(config, axis=axis, cell=tuned_cell_size(length, law))
+def _replicate_crossings(args) -> list[bool]:
+    """Crossing outcomes of the replicates with the given seeds, clustered
+    in batches of about ``_BATCH_STICKS`` sticks."""
+    d, length, intensity, law, side, seeds, axis = args
+    cell = tuned_cell_size(length, law)
+    outcomes: list[bool] = []
+    batch: list[Configuration] = []
+    sticks = 0
+    for k, s in enumerate(seeds, 1):
+        batch.append(sample_window_configuration(d, length, intensity, law, side, s))
+        sticks += batch[-1].count
+        if sticks >= _BATCH_STICKS or k == len(seeds):
+            outcomes.extend(_batch_crossings(batch, axis, cell).tolist())
+            batch, sticks = [], 0
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -281,14 +336,13 @@ def crossing_probability(
     a new one when given."""
     if replicates < 1:
         raise DomainError("need at least one replicate")
+    _check_axis(axis, d)
     seeds = replicate_seeds(seed, probe_id, replicates)
-    payloads = [(d, length, intensity, law, side, s, axis) for s in seeds]
     with nullcontext(pool) if pool is not None else _replicate_pool(workers) as executor:
-        if executor is None:
-            outcomes = [_replicate_crossing(p) for p in payloads]
-        else:
-            chunk = max(1, len(payloads) // (4 * workers))
-            outcomes = [bool(v) for v in executor.map(_replicate_crossing, payloads, chunksize=chunk)]
+        chunk = replicates if executor is None else max(1, replicates // (4 * workers))
+        payloads = [(d, length, intensity, law, side, seeds[k : k + chunk], axis) for k in range(0, replicates, chunk)]
+        run = map if executor is None else executor.map
+        outcomes = [v for part in run(_replicate_crossings, payloads) for v in part]
     successes = int(sum(outcomes))
     ci_low, ci_high = wilson_interval(successes, replicates)
     return CrossingStats(

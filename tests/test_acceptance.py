@@ -1,8 +1,8 @@
 """Acceptance suite: the reproduction targets at their stated scales.
 
 Each criterion prints one PASS/FAIL line (run with ``pytest -s`` or ``-v``
-to see them live).  These are the heavyweight runs; expect on the order of
-fifteen minutes total on one core.
+to see them live).  These are the heavyweight runs; the whole test suite,
+these included, takes about five minutes on a 2-core machine.
 """
 
 import json

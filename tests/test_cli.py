@@ -115,6 +115,13 @@ class TestThreshold:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("axis", ["2", "-1"])
+    def test_axis_out_of_range_exit_2(self, capsys, axis):
+        rc, out, err = run_cli(capsys, THRESHOLD_ARGS + ["--axis", axis])
+        assert rc == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: axis must be in [0, 2), got {axis}"]
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_exit_2(self, capsys, workers):
         rc, out, err = run_cli(capsys, THRESHOLD_ARGS + ["--workers", workers])

@@ -242,6 +242,14 @@ class TestSpatialIndex:
         config = Configuration(1.0, box, centers, np.tile([1.0, 0.0], (2, 1)))
         with pytest.raises(DomainError):
             build_index(config, 0.1)
+        # about 2e18 cells: one configuration's 2 sticks fit, and so do the
+        # 4 sticks of two, but not with the replicate as the leading digit
+        centers = np.array([[1.0, 1.0], [1.4e8, 1.4e8]])
+        config = Configuration(1.0, box, centers, np.tile([1.0, 0.0], (2, 1)))
+        assert len(build_index(config, 0.1).candidate_pairs()) == 0
+        assert not crossing_event(config, cell=0.1)
+        with pytest.raises(DomainError):
+            percolation._batch_crossings([config, config], 0, 0.1)
 
 
 class TestCluster:
@@ -345,8 +353,49 @@ class TestCrossing:
 
     def test_axis_out_of_range(self):
         config = sample_window_configuration(2, 8.0, 0.01, Uniform(), 64.0, seed=0)
-        with pytest.raises(DomainError):
-            crossing_event(config, axis=2)
+        for axis in (2, -1):
+            with pytest.raises(DomainError):
+                crossing_event(config, axis=axis)
+
+
+class TestBatchCrossings:
+    @pytest.mark.parametrize("law_tag", ["uniform", "rigid"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_one_configuration_at_a_time(self, d, law_tag):
+        # a window of side L + 2, so one stick along the crossing axis at
+        # its centre touches both faces; intensities from nearly empty to
+        # well above crossing
+        length, side = 8.0, 10.0
+        law = Uniform() if law_tag == "uniform" else Rigid(np.eye(d)[d - 1])
+        cell = tuned_cell_size(length, law)
+        for axis in (0, d - 1):
+            batch = [
+                sample_window_configuration(d, length, (0.002 if d == 2 else 0.0002) * 2 ** (k / 2), law, side, seed=k)
+                for k in range(16)
+            ]
+            window, box = batch[0].window, batch[0].box
+            empty = Configuration(length, box, np.zeros((0, d)), np.zeros((0, d)), window=window)
+            spanning = Configuration(length, box, np.full((1, d), side / 2), np.eye(d)[[axis]], window=window)
+            batch[5:5] = [empty, spanning]
+            expected = [crossing_event(c, axis, cell) for c in batch]
+            assert expected[5:7] == [False, True]
+            assert 0 < sum(expected) < len(batch) - 1
+            assert percolation._batch_crossings(batch, axis, cell).tolist() == expected
+
+    def test_replicates_in_one_window_stay_apart(self):
+        # horizontal sticks chained along y = 10 across the window [0, 20]^2:
+        # the first replicate holds the half touching x = 0, the second the
+        # half touching x = 20; only merged do they cross
+        window = BoxRegion.cube(2, 20.0)
+        box = window.grown(4.0)
+        dirs = np.tile([1.0, 0.0], (2, 1))
+        low = Configuration(6.0, box, np.array([[1.0, 10.0], [6.0, 10.0]]), dirs, window=window)
+        high = Configuration(6.0, box, np.array([[11.0, 10.0], [16.0, 10.0]]), dirs, window=window)
+        merged = Configuration(6.0, box, np.concatenate([low.centers, high.centers]), np.tile([1.0, 0.0], (4, 1)),
+                               window=window)
+        assert percolation._batch_crossings([low, high], 0, 5.0).tolist() == [False, False]
+        assert percolation._batch_crossings([merged], 0, 5.0).tolist() == [True]
+        assert crossing_event(merged, cell=5.0)
 
 
 class TestCrossingProbability:
@@ -365,6 +414,31 @@ class TestCrossingProbability:
         a = crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 16, seed=5, workers=1)
         b = crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 16, seed=5, workers=2)
         assert a == b
+
+    @pytest.mark.parametrize("replicates", [7, 13, 24])
+    def test_chunks_that_split_batches_change_nothing(self, replicates):
+        # about 950 sticks a replicate: one process closes a batch about
+        # every fifth replicate, two take chunks of one (7, 13) or three (24)
+        args = (2, 8.0, 0.033, Uniform(), 160.0, replicates)
+        a = crossing_probability(*args, seed=5, workers=1)
+        b = crossing_probability(*args, seed=5, workers=2)
+        assert a == b
+        configs = [sample_window_configuration(2, 8.0, 0.033, Uniform(), 160.0, s)
+                   for s in percolation.replicate_seeds(5, 0, replicates)]
+        assert sum(c.count for c in configs) > 1.5 * percolation._BATCH_STICKS
+        assert a.outcomes == tuple(int(crossing_event(c, cell=tuned_cell_size(8.0, Uniform()))) for c in configs)
+        assert 0 < a.successes < replicates
+
+    @pytest.mark.parametrize("axis", [2, -1])
+    def test_axis_out_of_range_rejected_before_sampling(self, monkeypatch, axis):
+        def sample(*args):
+            raise AssertionError("sampled a replicate")
+
+        monkeypatch.setattr(percolation, "sample_window_configuration", sample)
+        with pytest.raises(DomainError, match="axis"):
+            crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 4, seed=5, axis=axis)
+        with pytest.raises(DomainError, match="axis"):
+            estimate_threshold(2, 8.0, Uniform(), 64.0, replicates=4, seed=5, axis=axis)
 
     def test_pool_capped_at_cpu_count(self, monkeypatch):
         # a pool starts all its processes at the first task, so a huge
