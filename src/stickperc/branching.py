@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CapacityExceeded, DomainError
 from .geometry import INTERSECT_THRESHOLD, Segment, segment_distance_arrays
 from .rng import substream
-from .sampling import BoxRegion, OrientationLaw, check_intensity, poisson_count
+from .sampling import BoxRegion, OrientationLaw, check_intensity, poisson_sticks
 
 _STREAM_OFFSPRING = 0x0FF5
 _STREAM_GW = 0x6A17
@@ -142,20 +142,16 @@ class ExplorationResult:
     dominating_sizes: tuple[int, ...]
 
 
-class _ExploredSet:
-    """Growing list of explored segments with a vectorized distance query."""
-
-    def __init__(self):
-        self.segments: list[Segment] = []
-
-    def hits_any(self, centers, dirs, length: float) -> np.ndarray:
-        out = np.zeros(centers.shape[0], dtype=bool)
-        for seg in self.segments:
-            idx = np.flatnonzero(~out)
-            if len(idx) == 0:
-                break
-            out[idx] |= _overlaps(centers[idx], dirs[idx], length, seg)
-        return out
+def _hits_any(segments: list[Segment], centers, dirs, length: float) -> np.ndarray:
+    """Which of the sticks (``centers``, ``dirs``, ``length``) overlap at
+    least one of ``segments``."""
+    out = np.zeros(centers.shape[0], dtype=bool)
+    for seg in segments:
+        idx = np.flatnonzero(~out)
+        if len(idx) == 0:
+            break
+        out[idx] |= _overlaps(centers[idx], dirs[idx], length, seg)
+    return out
 
 
 def _fresh_offspring_count(
@@ -165,25 +161,16 @@ def _fresh_offspring_count(
     intensity: float,
     law: OrientationLaw,
     seg: Segment,
-    explored: _ExploredSet | None,
+    explored: list[Segment] | None,
 ) -> int:
     """Count sticks of a fresh Poisson draw hitting the stick around ``seg``;
-    when ``explored`` is given, count only those also hitting the explored
-    set (the compensation term of the exploration coupling)."""
-    box = offspring_box(seg, length)
-    n = poisson_count(intensity * box.volume, rng)
-    if n == 0:
-        return 0
-    centers = rng.uniform(box.low, box.high, size=(n, d))
-    dirs = law.sample_directions(rng, d, n)
+    when ``explored`` is given, count only those also hitting one of its
+    segments (the compensation term of the exploration coupling)."""
+    centers, dirs = poisson_sticks(d, intensity, law, offspring_box(seg, length), rng)
     hit = _overlaps(centers, dirs, length, seg)
     if explored is None:
         return int(hit.sum())
-    if not hit.any():
-        return 0
-    idx = np.flatnonzero(hit)
-    also = explored.hits_any(centers[idx], dirs[idx], length)
-    return int(also.sum())
+    return int(_hits_any(explored, centers[hit], dirs[hit], length).sum())
 
 
 def component_exploration(
@@ -211,15 +198,12 @@ def component_exploration(
     rng = substream(seed, _STREAM_EXPLORE)
     radius = max_generations * (length + 4.0)
     window = BoxRegion(seed_segment.center - radius, seed_segment.center + radius)
-    mean_count = intensity * window.volume
-    n = poisson_count(mean_count, rng)
-    centers = rng.uniform(window.low, window.high, size=(n, d))
-    dirs = law.sample_directions(rng, d, n)
-    unexplored = np.ones(n, dtype=bool)
+    centers, dirs = poisson_sticks(d, intensity, law, window, rng)
+    unexplored = np.ones(len(centers), dtype=bool)
 
     # compensation conditions on the sticks whose neighborhoods were already
     # searched (that is where the configuration has been consumed)
-    processed = _ExploredSet()
+    processed: list[Segment] = []
     window_exceeded = False
     truncated = False
 
@@ -261,7 +245,7 @@ def component_exploration(
             extra = _fresh_offspring_count(rng, d, length, intensity, law, seg, processed)
             dom_next += len(children_idx) + extra
             next_queue.extend([None] * extra)
-            processed.segments.append(seg)
+            processed.append(seg)
         component_size += actual_next
         actual_sizes.append(actual_next)
         dominating_sizes.append(dom_next)

@@ -25,6 +25,7 @@ SCHEMA_VERSION = 1
 
 
 def _law_object(tag: str, d: int):
+    d = measures._check_dim(d)
     if tag == "uniform":
         return Uniform()
     if tag == "rigid":
@@ -186,6 +187,8 @@ def cmd_scaling(args) -> int:
 def cmd_branching(args) -> int:
     if args.gw_runs < 0:
         raise DomainError("gw_runs must be nonnegative")
+    if args.max_generations < 1 or args.population_cap < 1:
+        raise DomainError("caps must be positive")
     law = _law_object(args.law, args.d)
     d = args.d
     axis = getattr(law, "axis", np.eye(d)[0])

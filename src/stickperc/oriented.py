@@ -128,6 +128,7 @@ def coupled_variant_step(frontier: Frontier, alpha: float, trial_key: int) -> tu
     left arrow when its left parent is empty: one uniform per candidate, as
     the site law needs, and site occupation pathwise within bond occupation.
     """
+    alpha = _check_alpha(alpha)
     parents = frontier.occupied
     level = frontier.level
     candidates = _candidates(parents)
@@ -138,34 +139,43 @@ def coupled_variant_step(frontier: Frontier, alpha: float, trial_key: int) -> tu
     return Frontier._unchecked(level + 1, candidates[u < alpha]), Frontier._unchecked(level + 1, bond)
 
 
-def _extinction_levels(runs: int, variant: str, n_max: int, opens) -> np.ndarray:
-    """Level at which each of ``runs`` frontiers from the origin dies out;
-    -1 if alive after n_max steps.
+def _extinction_levels(trials: int, k: int, variant: str, n_max: int, batch_opens) -> np.ndarray:
+    """Level at which each of k runs per trial dies out from the origin, -1
+    if alive after n_max steps, as a (trials, k) array.
 
-    All runs advance together in one sorted array: run r's site x is stored
-    as ``r * width + x + offset``.  The band ``width`` holds every site
-    that n_max steps can reach, so runs never touch, and it is even, so all
-    runs share one parity.  ``opens(level, run, x, key)`` reads each site's
-    run and true x.
+    Up to _BATCH_RUNS runs advance together in one sorted array, so memory
+    does not grow with trials: run r's site x is stored as
+    ``r * width + x + offset``.  The band ``width`` holds every site that
+    n_max steps can reach, so runs never touch, and it is even, so all runs
+    share one parity.  ``batch_opens(batch)`` gives the ``opens(level, run,
+    x, key)`` of the trials in the range ``batch``, in which run i * k + j
+    is the j-th run of trial batch[i].
     """
+    if trials < 1 or n_max < 1:
+        raise DomainError("trials and n_max must be positive")
     width, offset = 2 * n_max + 4, n_max + 2
+    size = max(1, _BATCH_RUNS // max(k, 1))
+    levels = np.full(trials * k, -1, dtype=np.int64)
+    for first in range(0, trials, size):
+        batch = range(first, min(first + size, trials))
+        opens = batch_opens(batch)
 
-    def packed_opens(level, sites, key):
-        run = sites // width
-        return opens(level, run, sites - run * width - offset, key)
+        def packed_opens(level, sites, key):
+            run = sites // width
+            return opens(level, run, sites - run * width - offset, key)
 
-    sites = np.arange(runs, dtype=np.int64) * width + offset
-    levels = np.full(runs, -1, dtype=np.int64)
-    alive = np.ones(runs, dtype=bool)
-    for level in range(n_max):
-        if not sites.size:
-            break
-        sites = _step(sites, level, variant, packed_opens)
-        still = np.zeros(runs, dtype=bool)
-        still[sites // width] = True
-        levels[alive & ~still] = level + 1
-        alive = still
-    return levels
+        runs = levels[batch.start * k : batch.stop * k]  # a view: filling it fills levels
+        sites = np.arange(runs.size, dtype=np.int64) * width + offset
+        alive = np.ones(runs.size, dtype=bool)
+        for level in range(n_max):
+            if not sites.size:
+                break
+            sites = _step(sites, level, variant, packed_opens)
+            still = np.zeros(runs.size, dtype=bool)
+            still[sites // width] = True
+            runs[alive & ~still] = level + 1
+            alive = still
+    return levels.reshape(trials, k)
 
 
 @dataclass(frozen=True)
@@ -187,15 +197,18 @@ def survival_probability(
     """Fraction of trials from the origin whose frontier is alive at n_max."""
     alpha = _check_alpha(alpha)
     variant = _check_variant(variant)
-    if trials < 1 or n_max < 1:
-        raise DomainError("trials and n_max must be positive")
-    levels = []
-    for t in range(trials):
-        stream = substream(seed, _STREAM_TRIAL, t)
-        # one run at a time, reading its stream's next draws whatever the level and key
-        levels += _extinction_levels(
-            1, variant, n_max, lambda level, run, x, key: stream.random(x.size) < alpha
-        ).tolist()
+
+    def batch_opens(batch):
+        streams = [substream(seed, _STREAM_TRIAL, t) for t in batch]
+
+        def opens(level, run, x, key):
+            # each live trial reads its own stream's next draws, in run order
+            sizes = np.bincount(run, minlength=len(batch))
+            return np.concatenate([streams[r].random(sizes[r]) for r in np.flatnonzero(sizes)]) < alpha
+
+        return opens
+
+    levels = _extinction_levels(trials, 1, variant, n_max, batch_opens)[:, 0].tolist()
     survivors = levels.count(-1)
     ci_low, ci_high = wilson_interval(survivors, trials)
     return SurvivalStats(
@@ -218,27 +231,20 @@ def coupled_survival_matrix(
     alphas = [_check_alpha(float(a)) for a in alphas]
     if sorted(alphas) != alphas:
         raise DomainError("alpha list must be sorted ascending")
-    variant = _check_variant(variant)
-    if trials < 1 or n_max < 1:
-        raise DomainError("trials and n_max must be positive")
     k = len(alphas)
     alpha_values = np.array(alphas)
-    # about _BATCH_RUNS runs advance together, so memory does not grow with trials
-    batch = max(1, _BATCH_RUNS // max(k, 1))
-    levels = []
-    for first in range(0, trials, batch):
-        trial_keys = np.array(
-            [derive_seed(seed, _STREAM_TRIAL, t) for t in range(first, min(first + batch, trials))],
-            dtype=np.uint64,
-        )
+
+    def batch_opens(batch):
+        trial_keys = np.array([derive_seed(seed, _STREAM_TRIAL, t) for t in batch], dtype=np.uint64)
 
         def opens(level, run, x, key):
-            # run i * k + j is trial first + i at alphas[j]
+            # run i * k + j is trial batch[i] at alphas[j]
             return _field(trial_keys[run // k], level, x, key) < alpha_values[run % k]
 
-        runs = _extinction_levels(trial_keys.size * k, variant, n_max, opens)
-        levels.append(runs.reshape(trial_keys.size, k))
-    return (np.concatenate(levels) < 0).astype(np.int64)
+        return opens
+
+    levels = _extinction_levels(trials, k, _check_variant(variant), n_max, batch_opens)
+    return (levels < 0).astype(np.int64)
 
 
 def coupled_survival_monotonicity(

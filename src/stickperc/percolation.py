@@ -100,12 +100,10 @@ class SpatialIndex:
     radius-1-inflated bounding box overlaps, so any two intersecting sticks
     share at least one cell regardless of cell size."""
 
-    n: int
-    _codes: np.ndarray = field(repr=False)
+    d: int
+    # registrations grouped by cell, each cell's group starting at _starts
     _stick_ids: np.ndarray = field(repr=False)
     _starts: np.ndarray = field(repr=False)
-    _grid_min: np.ndarray = field(repr=False)
-    _grid_span: np.ndarray = field(repr=False)
     # per registration, bit k set when the cell is the stick's lowest on axis k
     _low_edges: np.ndarray = field(repr=False)
 
@@ -124,7 +122,7 @@ class SpatialIndex:
         after = np.repeat(self._starts + sizes, sizes) - np.arange(m) - 1
         first = np.repeat(np.arange(m), after)
         second = np.arange(len(first)) + np.repeat(np.arange(1, m + 1) - np.cumsum(after) + after, after)
-        all_axes = (1 << len(self._grid_span)) - 1
+        all_axes = (1 << self.d) - 1
         keep = (self._low_edges[first] | self._low_edges[second]) == all_axes
         return np.column_stack((self._stick_ids[first[keep]], self._stick_ids[second[keep]]))
 
@@ -162,15 +160,7 @@ def _index(
         raise DomainError(f"cell must be a positive finite size, or {d} of them")
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
-        return SpatialIndex(
-            n=0,
-            _codes=empty,
-            _stick_ids=empty,
-            _starts=empty,
-            _grid_min=np.zeros(d, dtype=np.int64),
-            _grid_span=np.ones(d, dtype=np.int64),
-            _low_edges=empty,
-        )
+        return SpatialIndex(d, _stick_ids=empty, _starts=empty, _low_edges=empty)
     half_ext = 0.5 * length * np.abs(dirs) + 1.0
     lo = np.floor((centers - half_ext) / cell).astype(np.int64)
     hi = np.floor((centers + half_ext) / cell).astype(np.int64)
@@ -200,17 +190,8 @@ def _index(
     # a stick registers once per cell, so the keys are distinct and the
     # default sort (far faster than a stable one) orders by cell, then stick
     order = np.argsort(codes * n + stick_ids)
-    codes = codes[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(codes)) + 1))
-    return SpatialIndex(
-        n=n,
-        _codes=codes,
-        _stick_ids=stick_ids[order],
-        _starts=starts,
-        _grid_min=grid_min,
-        _grid_span=grid_span,
-        _low_edges=low_edges[order],
-    )
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(codes[order])) + 1))
+    return SpatialIndex(d, _stick_ids=stick_ids[order], _starts=starts, _low_edges=low_edges[order])
 
 
 def _edges(centers: np.ndarray, dirs: np.ndarray, length: float, pairs: np.ndarray) -> np.ndarray:

@@ -176,6 +176,16 @@ def poisson_count(mean: float, stream: np.random.Generator) -> int:
     return int(stream.poisson(mean))
 
 
+def poisson_sticks(
+    d: int, intensity: float, law: OrientationLaw, box: BoxRegion, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Centers and directions of a Poisson(intensity * volume) number of
+    sticks, centered uniformly in ``box`` and oriented by ``law``: the
+    count, then the centers, then the directions from ``rng``."""
+    n = poisson_count(intensity * box.volume, rng)
+    return rng.uniform(box.low, box.high, size=(n, d)), law.sample_directions(rng, d, n)
+
+
 @dataclass(frozen=True)
 class Configuration:
     """Immutable sampled stick configuration.
@@ -222,11 +232,7 @@ def sample_configuration(
         raise DomainError("intensity must be positive")
     if box.dimension != d:
         raise DomainError("box dimension does not match d")
-    rng = substream(seed, _STREAM_CONFIG)
-    mean = intensity * box.volume
-    n = poisson_count(mean, rng)
-    centers = rng.uniform(box.low, box.high, size=(n, d))
-    dirs = law.sample_directions(rng, d, n)
+    centers, dirs = poisson_sticks(d, intensity, law, box, substream(seed, _STREAM_CONFIG))
     return Configuration(length=float(length), box=box, centers=centers, dirs=dirs, window=window)
 
 

@@ -27,7 +27,9 @@ class Check:
 
 def random_unit(rng, d):
     v = rng.standard_normal(d)
-    return v / np.linalg.norm(v)
+    # for a 1-d vector, the same square root of the same dot product as
+    # np.linalg.norm, without its per-call overhead
+    return v / math.sqrt(v @ v)
 
 
 def grid_segment_distance(a: Segment, b: Segment, steps: int) -> float:

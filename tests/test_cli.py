@@ -350,6 +350,32 @@ class TestInvalidInput:
         assert "Traceback" not in err
         assert named in err.splitlines()[-1]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["threshold", "--d", "1", "--law", "rigid", "--L", "8", "--replicates", "5"],
+             "dimension must be an integer >= 2"),
+            (["scaling", "--d", "1", "--law", "rigid", "--replicates", "5"], "dimension must be an integer >= 2"),
+            (["branching", "--d", "1", "--law", "rigid", "--L", "10", "--lambda", "0.05", "--trials", "20"],
+             "dimension must be an integer >= 2"),
+            (["branching", "--d", "-1", "--L", "10", "--lambda", "0.05", "--trials", "20"],
+             "dimension must be an integer >= 2"),
+            (["branching", "--d", "2", "--L", "10", "--lambda", "0.05", "--trials", "20", "--gw-runs", "0",
+              "--max-generations", "0"], "caps must be positive"),
+            (["branching", "--d", "2", "--L", "10", "--lambda", "0.05", "--trials", "20", "--gw-runs", "0",
+              "--population-cap", "0"], "caps must be positive"),
+        ],
+        ids=["threshold-d-1", "scaling-d-1", "branching-rigid-d-1", "branching-d-negative",
+             "no-gw-runs-generations-0", "no-gw-runs-population-0"],
+    )
+    def test_invalid_dimension_or_cap_exits_2(self, capsys, argv, message):
+        # checked before any sampling, whatever the law or the GW run count
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == f"error: {message}"
+
     def test_non_finite_output_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.measures, "two_ball_lower_bound", lambda *args, **kwargs: math.nan)
         rc, out, err = run_cli(capsys, ["measure-mc", "--d", "2", "--trials", "100"])

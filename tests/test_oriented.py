@@ -85,6 +85,31 @@ def loop_coupled_survival_matrix(alphas, variant, n_max, trials, seed):
     return out
 
 
+def loop_survival_levels(alpha, variant, n_max, trials, seed):
+    """Reference extinction levels: each trial runs on its own from the
+    origin through checked frontiers, drawing from its own stream (bond: left
+    arrows, then right arrows, of the sorted parents; site: one uniform per
+    sorted candidate child)."""
+    levels = []
+    for t in range(trials):
+        stream = substream(seed, _STREAM_TRIAL, t)
+        frontier = Frontier.origin()
+        for _ in range(n_max):
+            parents = frontier.occupied
+            if variant == "bond":
+                left = stream.random(parents.size) < alpha
+                right = stream.random(parents.size) < alpha
+                children = np.concatenate((parents[left] - 1, parents[right] + 1))
+            else:
+                candidates = np.unique(np.concatenate((parents - 1, parents + 1)))
+                children = candidates[stream.random(candidates.size) < alpha]
+            frontier = Frontier(frontier.level + 1, children)
+            if not frontier.alive:
+                break
+        levels.append(-1 if frontier.alive else frontier.level)
+    return tuple(levels)
+
+
 @st.composite
 def frontiers(draw):
     """A frontier at a random level with 0 to 30 occupied sites."""
@@ -209,6 +234,16 @@ class TestSurvival:
         b = survival_probability(0.7, "bond", 100, 40, seed=6)
         assert a == b
 
+    @pytest.mark.parametrize("batch_runs", [1, 7, 256])
+    @pytest.mark.parametrize("variant, alpha", [("bond", 0.66), ("site", 0.72)])
+    def test_levels_match_loop_oracle_at_any_batch_size(self, variant, alpha, batch_runs):
+        # 1 and 7 split the 20 trials over several packed arrays, 256 packs them all
+        with mock.patch.object(oriented, "_BATCH_RUNS", batch_runs):
+            stats = survival_probability(alpha, variant, 60, 20, seed=8)
+        levels = loop_survival_levels(alpha, variant, 60, 20, 8)
+        assert stats.extinction_levels == levels
+        assert 0 < levels.count(-1) < 20
+
 
 class TestCoupling:
     def test_singleton_list(self):
@@ -276,6 +311,12 @@ class TestCoupling:
         assert site_f.level == bond_f.level == frontier.level + 1
         assert site_f.occupied.tolist() == site_ref.occupied.tolist()
         assert bond_f.occupied.tolist() == bond_ref.occupied.tolist()
+
+    @pytest.mark.parametrize("alpha", [1.5, math.nan], ids=["above-1", "nan"])
+    def test_coupled_step_invalid_alpha_rejected(self, alpha):
+        # unchecked, 1.5 would open every arrow and nan none
+        with pytest.raises(DomainError):
+            coupled_variant_step(Frontier(0, np.array([-2, 0, 2])), alpha, trial_key=1)
 
     def test_coupled_step_is_deterministic_in_key(self):
         frontier = Frontier(4, np.array([-2, 0, 2, 4]))

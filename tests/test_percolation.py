@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 
@@ -65,33 +66,35 @@ def bfs_labels(config):
     return bfs_components(config.count, all_pairs_edges(config))
 
 
-def cells(index):
-    """Cell coordinate -> sorted stick indices of a SpatialIndex."""
+def cells(config, cell=None):
+    """Cell coordinate -> indices of the sticks whose radius-1-inflated
+    bounding box overlaps that cell (the default cell is the isotropic
+    tuned size)."""
+    cell = tuned_cell_size(config.length, None) if cell is None else cell
     out = {}
-    bounds = list(index._starts) + [len(index._stick_ids)]
-    for gi in range(len(index._starts)):
-        lo, hi = bounds[gi], bounds[gi + 1]
-        coord = np.unravel_index(index._codes[lo], index._grid_span)
-        key = tuple(int(c + g) for c, g in zip(coord, index._grid_min))
-        out[key] = index._stick_ids[lo:hi]
+    for i in range(config.count):
+        half_ext = config.half * np.abs(config.dirs[i]) + 1.0
+        lo = np.floor((config.centers[i] - half_ext) / cell).astype(int)
+        hi = np.floor((config.centers[i] + half_ext) / cell).astype(int)
+        for key in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+            out.setdefault(key, []).append(i)
     return out
 
 
-def loop_candidate_pairs(index):
-    """Reference broad phase: every pair within every cell, deduplicated."""
-    if index.n < 2 or len(index._stick_ids) == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    pieces_i, pieces_j = [], []
-    for members in cells(index).values():
-        if len(members) < 2:
-            continue
-        iu, ju = np.triu_indices(len(members), 1)
-        pieces_i.append(members[iu])
-        pieces_j.append(members[ju])
-    if not pieces_i:
-        return np.empty((0, 2), dtype=np.int64)
-    keys = np.unique(np.concatenate(pieces_i) * index.n + np.concatenate(pieces_j))
-    return np.column_stack((keys // index.n, keys % index.n))
+def registered_groups(index):
+    """The sorted stick indices registered in each cell of a SpatialIndex,
+    as a sorted list: the index keeps no cell coordinates."""
+    bounds = [*index._starts.tolist(), len(index._stick_ids)]
+    return sorted(tuple(sorted(index._stick_ids[lo:hi].tolist())) for lo, hi in zip(bounds, bounds[1:]))
+
+
+def loop_candidate_pairs(config, cell=None):
+    """Reference broad phase: every pair within every cell of ``cells``,
+    deduplicated."""
+    pairs = set()
+    for members in cells(config, cell).values():
+        pairs.update(itertools.combinations(members, 2))
+    return pairs
 
 
 @st.composite
@@ -156,26 +159,14 @@ class TestSpatialIndex:
         box = BoxRegion.cube(2, 10.0)
         config = Configuration(4.0, box, np.zeros((0, 2)), np.zeros((0, 2)))
         index = build_index(config)
-        assert cells(index) == {}
+        assert registered_groups(index) == []
         assert len(index.candidate_pairs()) == 0
 
     def test_registration_matches_inflated_aabb(self):
         config = sample_configuration(2, 6.0, 0.05, Uniform(), BoxRegion.cube(2, 40.0), seed=1)
         for cell in (8.0, np.array([2.0, 5.0])):
-            index = build_index(config, cell)
-            registered = cells(index)
-            # recompute the expected registration directly
-            expected = {}
-            for i in range(config.count):
-                half_ext = config.half * np.abs(config.dirs[i]) + 1.0
-                lo = np.floor((config.centers[i] - half_ext) / cell).astype(int)
-                hi = np.floor((config.centers[i] + half_ext) / cell).astype(int)
-                for cx in range(lo[0], hi[0] + 1):
-                    for cy in range(lo[1], hi[1] + 1):
-                        expected.setdefault((cx, cy), []).append(i)
-            assert set(registered.keys()) == set(expected.keys())
-            for key, members in expected.items():
-                assert sorted(registered[key].tolist()) == sorted(members)
+            expected = sorted(tuple(members) for members in cells(config, cell).values())
+            assert registered_groups(build_index(config, cell)) == expected
 
     @pytest.mark.parametrize(
         "d,cell",
@@ -206,8 +197,7 @@ class TestSpatialIndex:
         assert np.all(pairs[:, 0] < pairs[:, 1])
         keys = pairs[:, 0] * max(config.count, 1) + pairs[:, 1]
         assert len(np.unique(keys)) == len(keys)
-        expected = loop_candidate_pairs(index)
-        assert {tuple(p) for p in pairs.tolist()} == {tuple(p) for p in expected.tolist()}
+        assert {tuple(p) for p in pairs.tolist()} == loop_candidate_pairs(config, cell)
 
     def test_edges_match_all_pairs(self):
         for seed in range(8):
@@ -223,7 +213,7 @@ class TestSpatialIndex:
         dirs = np.array([[1.0, 0.0], [1.0, 0.0]])
         config = Configuration(6.0, box, centers, dirs)
         index = build_index(config)  # default cell L / 2 + 2
-        assert any(len(v) == 2 for v in cells(index).values())
+        assert any(len(members) == 2 for members in registered_groups(index))
 
     @pytest.mark.parametrize(
         "cell",
