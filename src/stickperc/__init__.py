@@ -25,7 +25,6 @@ from .geometry import (
     line_point_distance_sq,
     min_distance_outside_window,
     segment_segment_distance,
-    sticks_intersect,
 )
 from .measures import (
     BoundsReport,

@@ -200,18 +200,13 @@ def component_exploration(
     window = BoxRegion(seed_segment.center - radius, seed_segment.center + radius)
     centers, dirs = poisson_sticks(d, intensity, law, window, rng)
     unexplored = np.ones(len(centers), dtype=bool)
+    reach = 0.5 * length * np.abs(dirs) + 1.0
+    at_boundary = np.any((centers - reach <= window.low) | (centers + reach >= window.high), axis=1)
 
     # compensation conditions on the sticks whose neighborhoods were already
     # searched (that is where the configuration has been consumed)
     processed: list[Segment] = []
-    window_exceeded = False
     truncated = False
-
-    def touches_boundary(seg: Segment) -> bool:
-        reach = seg.half * np.abs(seg.direction) + 1.0
-        return bool(
-            np.any(seg.center - reach <= window.low) or np.any(seg.center + reach >= window.high)
-        )
 
     # queue entries: an explored stick's segment, or None for a surplus
     # individual of the dominating process
@@ -238,10 +233,7 @@ def component_exploration(
             children_idx = idx[_overlaps(centers[idx], dirs[idx], length, seg)]
             unexplored[children_idx] = False
             actual_next += len(children_idx)
-            for ci in children_idx:
-                child = Segment(centers[ci], dirs[ci], length)
-                window_exceeded |= touches_boundary(child)
-                next_queue.append(child)
+            next_queue.extend(Segment(centers[ci], dirs[ci], length) for ci in children_idx)
             extra = _fresh_offspring_count(rng, d, length, intensity, law, seg, processed)
             dom_next += len(children_idx) + extra
             next_queue.extend([None] * extra)
@@ -261,7 +253,7 @@ def component_exploration(
     return ExplorationResult(
         generation_sizes=tuple(actual_sizes),
         component_size=component_size,
-        window_exceeded=window_exceeded,
+        window_exceeded=bool(at_boundary[~unexplored].any()),
         truncated=truncated,
         dominating_sizes=tuple(dominating_sizes),
     )

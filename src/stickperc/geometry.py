@@ -197,13 +197,6 @@ def segment_distance_arrays(ca, da, la, cb, db, lb) -> np.ndarray:
     return np.sqrt(np.einsum("...i,...i->...", diff, diff))
 
 
-def sticks_intersect(a: Segment, b: Segment) -> bool:
-    """The radius-1 sticks around two segments overlap iff the segments come
-    within distance 2; ties (distance exactly 2) count as intersecting
-    (sticks are closed)."""
-    return segment_segment_distance(a, b) <= INTERSECT_THRESHOLD
-
-
 def segments_hit_ball(centers, dirs, half_lengths, c, rho: float) -> np.ndarray:
     """Which of the (n, d) segments (``centers``, ``dirs``, ``half_lengths``)
     come within distance ``rho`` of the point ``c``."""

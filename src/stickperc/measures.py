@@ -99,24 +99,43 @@ def cap_hit_lower_bound(d: int, rho: float, r: float) -> float:
     return math.exp(log_c + (d - 1) * math.log(rho / r))
 
 
-def c_d(d: int) -> float:
-    """Two-ball connection constant:
-    2^{5(d-2)} pi^{d/2-2} (1/sqrt(d)) Gamma(d/2)^3 / Gamma(2d-1)."""
-    d = _check_dim(d)
-    log_val = (
+def _exp_constant(log_value: float, name: str, d: int) -> float:
+    """exp(log_value), the constant ``name`` at dimension d; DomainError
+    where it leaves the positive floating-point range."""
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} leaves the floating-point range at d = {d}")
+    return value
+
+
+def _log_c_d(d: int) -> float:
+    return (
         5.0 * (d - 2) * math.log(2.0)
         + (0.5 * d - 2.0) * math.log(math.pi)
         - 0.5 * math.log(d)
         + 3.0 * math.lgamma(0.5 * d)
         - math.lgamma(2.0 * d - 1.0)
     )
-    return math.exp(log_val)
+
+
+def _log_c_d_prime(d: int) -> float:
+    return _log_c_d(d) - d * math.log(1000.0 * math.sqrt(d))
+
+
+def c_d(d: int) -> float:
+    """Two-ball connection constant:
+    2^{5(d-2)} pi^{d/2-2} (1/sqrt(d)) Gamma(d/2)^3 / Gamma(2d-1)."""
+    d = _check_dim(d)
+    return _exp_constant(_log_c_d(d), "c_d", d)
 
 
 def c_d_prime(d: int) -> float:
     """Per-step success constant c_d / (1000 sqrt(d))^d."""
     d = _check_dim(d)
-    return math.exp(math.log(c_d(d)) - d * math.log(1000.0 * math.sqrt(d)))
+    return _exp_constant(_log_c_d_prime(d), "c_d'", d)
 
 
 @dataclass(frozen=True)
@@ -140,24 +159,26 @@ def _law_tag(law) -> str:
 
 def lower_bound_constant(d: int, law) -> float:
     d = _check_dim(d)
-    if _law_tag(law) == "rigid":
-        return math.exp(math.lgamma(0.5 * (d + 1)) - d * math.log(2.0) - 0.5 * d * math.log(math.pi))
-    return math.exp(
-        math.lgamma(0.5 * (d + 1)) - 0.5 * (d - 1) * math.log(math.pi) - d * math.log(2.0)
-    )
+    tag = _law_tag(law)
+    if tag == "rigid":
+        log_value = math.lgamma(0.5 * (d + 1)) - d * math.log(2.0) - 0.5 * d * math.log(math.pi)
+    else:
+        log_value = math.lgamma(0.5 * (d + 1)) - 0.5 * (d - 1) * math.log(math.pi) - d * math.log(2.0)
+    return _exp_constant(log_value, f"the {tag} lower-bound constant", d)
 
 
 def upper_bound_constant(d: int, law, delta: float = 1.0) -> float:
     d = _check_dim(d)
-    if _law_tag(law) == "rigid":
-        return math.exp(
+    tag = _law_tag(law)
+    if tag == "rigid":
+        log_value = (
             math.log(4.0) + d * math.log(2.0) + math.lgamma(0.5 * (d + 1))
             - (0.5 * d - 1.0) * math.log(math.pi)
         )
+        return _exp_constant(log_value, "the rigid upper-bound constant", d)
     # 20 (1000 sqrt d)^d sqrt(d) Gamma(2d-1) / (9 delta 2^{5(d-2)} pi^{d/2-2} Gamma(d/2)^3)
-    return math.exp(
-        math.log(20.0 / (9.0 * check_density_floor(delta))) - math.log(c_d_prime(d))
-    )
+    log_value = math.log(20.0 / (9.0 * check_density_floor(delta))) - _log_c_d_prime(d)
+    return _exp_constant(log_value, f"the {tag} upper-bound constant at delta = {delta}", d)
 
 
 def bound_validity_threshold(d: int, law, side: str) -> float:
@@ -176,7 +197,7 @@ def theorem_bounds(d: int, length: float, law, delta: float = 1.0, strict: bool 
     only meant for bracket sanity checks at small L.  A law object that
     carries a ``density_floor`` supplies its own delta; the ``delta``
     argument serves laws given by tag.  Every delta, used or not, must
-    satisfy 0 < delta <= 1.  A bracket that leaves the positive
+    satisfy 0 < delta <= 1.  A constant or bracket that leaves the positive
     floating-point range raises DomainError.
     """
     d = _check_dim(d)
@@ -198,8 +219,6 @@ def theorem_bounds(d: int, length: float, law, delta: float = 1.0, strict: bool 
                     f"{tag} {side} bound requires L > {threshold:.6g}, got L = {length:.6g}"
                 )
     upper_constant = upper_bound_constant(d, tag, delta)
-    if upper_constant == math.inf:
-        raise DomainError(f"upper bound overflows at density floor delta = {delta}")
     exponent = 1.0 if tag == "rigid" else 2.0
     try:
         scale = length ** (-exponent)
@@ -221,17 +240,17 @@ def theorem_bounds(d: int, length: float, law, delta: float = 1.0, strict: bool 
 
 def gw_offspring_bound(d: int, length: float, intensity: float, law) -> float:
     """Closed-form upper bound on the expected number of sticks hitting a
-    fixed stick (the branching-process offspring mean)."""
+    fixed stick (the branching-process offspring mean); valid where the
+    lower bound is."""
     d = _check_dim(d)
     tag = _law_tag(law)
+    threshold = bound_validity_threshold(d, tag, "lower")
+    if not length > threshold:
+        raise PreconditionViolated(f"{tag} offspring bound requires L > {threshold:.6g}")
     if tag == "rigid":
-        if not length > 3.0:
-            raise PreconditionViolated("rigid offspring bound requires L > 3")
         return intensity * length * math.exp(
             d * math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * (d + 1))
         )
-    if not length > math.pi:
-        raise PreconditionViolated("offspring bound requires L > pi")
     return intensity * length * length * math.exp(
         0.5 * (d - 1) * math.log(math.pi) - math.lgamma(0.5 * (d + 1)) + d * math.log(2.0)
     )
@@ -243,12 +262,15 @@ class ConstructionGeometry:
 
     Boxes D^u sit on a two-dimensional sublattice with spacing L/4 and side
     L/(8 sqrt d); boundary faces are inset by 16 and carry anchor lattices
-    of spacing 12.  The per-step success constants additionally need
-    L > 200 sqrt(d); only the lattice counting enforces that here.
+    of spacing 12.  The per-step success constants additionally need the
+    uniform upper-bound validity range; only the lattice counting enforces
+    that here.
     """
 
     d: int
     length: float
+    face_inset = 16.0
+    lattice_spacing = 12.0
 
     def __post_init__(self):
         _check_dim(self.d)
@@ -262,14 +284,6 @@ class ConstructionGeometry:
     @property
     def spacing(self) -> float:
         return self.length / 4.0
-
-    @property
-    def face_inset(self) -> float:
-        return 16.0
-
-    @property
-    def lattice_spacing(self) -> float:
-        return 12.0
 
     def box_center(self, u) -> np.ndarray:
         center = np.zeros(self.d)
@@ -307,35 +321,25 @@ class ConstructionGeometry:
         others = [k for k in range(self.d) if k != axis]
         return bool(np.all(np.abs(x[others] - center[others]) <= margin + _ON_FACE_TOL))
 
-    def face_lattice_axis_counts(self, u, axis: int) -> list[int]:
-        """Anchor-lattice point count along each free axis of the inset face
-        of D^u with normal e_axis (absolute multiples of the lattice spacing)."""
-        center = self.box_center(u)
-        margin = self.half_side - self.face_inset
-        counts = []
-        for k in range(self.d):
-            if k == axis:
-                continue
-            if margin < 0.0:
-                counts.append(0)
-                continue
-            lo = math.ceil((center[k] - margin) / self.lattice_spacing - 1e-12)
-            hi = math.floor((center[k] + margin) / self.lattice_spacing + 1e-12)
-            counts.append(max(0, hi - lo + 1))
-        return counts
 
 
-def lattice_T_count(d: int, length: float, u=(0, 2)) -> int:
-    """Exact number of anchor-lattice points on the inset top face of D^u.
+def lattice_T_count(d: int, length: float) -> int:
+    """Exact number of anchor-lattice points on the inset top face of
+    D^(0,2), valid in the uniform upper-bound range.
 
-    Enumerates the spacing-12 lattice inside the face (side L/(8 sqrt d) - 32);
-    valid for L > 200 sqrt(d).
+    The face is centred on 0 along each of its d - 1 free axes, with half
+    side L/(16 sqrt d) - 16, so each axis holds the same multiples of the
+    lattice spacing 12.
     """
     d = _check_dim(d)
-    if not length > 200.0 * math.sqrt(d):
-        raise PreconditionViolated("lattice count requires L > 200 sqrt(d)")
+    threshold = bound_validity_threshold(d, "uniform", "upper")
+    if not length > threshold:
+        raise PreconditionViolated(f"lattice count requires L > {threshold:.6g}")
     geom = ConstructionGeometry(d, length)
-    return math.prod(geom.face_lattice_axis_counts(u, axis=1))
+    margin = geom.half_side - geom.face_inset
+    if margin < 0.0:
+        return 0
+    return (2 * math.floor(margin / geom.lattice_spacing + 1e-12) + 1) ** (d - 1)
 
 
 def lattice_T_count_bound(d: int, length: float) -> float:
@@ -354,7 +358,15 @@ class MCEstimate:
     hits: int
 
 
-def _binomial_scaled(hits: int, trials: int, scale: float) -> MCEstimate:
+def _mc_fraction(trials: int, seed: int, stream: int, scale: float, count_hits) -> MCEstimate:
+    """``scale`` times the hit fraction of ``trials`` draws, with its
+    binomial standard error.  ``count_hits(rng, n)`` makes n draws from the
+    estimator's own measure substream and returns how many hit; it is called
+    on batches of at most ``_MC_CHUNK`` draws, to bound memory."""
+    if trials < 1:
+        raise InsufficientTrials("need at least one trial")
+    rng = substream(seed, _STREAM_MEASURE_MC, stream)
+    hits = sum(count_hits(rng, min(_MC_CHUNK, trials - done)) for done in range(0, trials, _MC_CHUNK))
     p = hits / trials
     se = scale * math.sqrt(max(p * (1.0 - p), 0.0) / trials)
     return MCEstimate(value=scale * p, stderr=se, trials=trials, hits=hits)
@@ -376,18 +388,11 @@ def mc_stick_hit_volume(
     times hit fraction.
     """
     d = _check_dim(d)
-    if trials < 1:
-        raise InsufficientTrials("need at least one trial")
     if rho <= 0.0 or length <= 0.0:
         raise DomainError("need positive rho and length")
-    rng = substream(seed, _STREAM_MEASURE_MC, 1)
     half_t = 0.5 * length + rho
-    box_volume = (2.0 * half_t) * (2.0 * rho) ** (d - 1)
-    hits = 0
-    remaining = trials
-    while remaining > 0:
-        n = min(_MC_CHUNK, remaining)
-        remaining -= n
+
+    def count_hits(rng, n):
         p = law.sample_directions(rng, d, n)
         local = rng.uniform(-rho, rho, size=(n, d))
         local[:, 0] = rng.uniform(-half_t, half_t, size=n)
@@ -396,11 +401,12 @@ def mc_stick_hit_volume(
         v[:, 0] += 1.0
         vv = np.einsum("ij,ij->i", v, v)
         vw = np.einsum("ij,ij->i", v, local)
-        scale = np.where(vv > 1e-24, 2.0 * vw / np.where(vv > 1e-24, vv, 1.0), 0.0)
-        x = local - scale[:, None] * v
-        hit = segments_hit_ball(x, p, np.full(n, 0.5 * length), np.zeros(d), rho)
-        hits += int(hit.sum())
-    return _binomial_scaled(hits, trials, box_volume)
+        shift = np.where(vv > 1e-24, 2.0 * vw / np.where(vv > 1e-24, vv, 1.0), 0.0)
+        x = local - shift[:, None] * v
+        return int(segments_hit_ball(x, p, np.full(n, 0.5 * length), np.zeros(d), rho).sum())
+
+    box_volume = (2.0 * half_t) * (2.0 * rho) ** (d - 1)
+    return _mc_fraction(trials, seed, 1, box_volume, count_hits)
 
 
 def mc_cap_hit_probability(
@@ -413,21 +419,16 @@ def mc_cap_hit_probability(
     d = _check_dim(d)
     if not (0.0 < rho < r):
         raise DomainError("need 0 < rho < r")
-    if trials < 1:
-        raise InsufficientTrials("need at least one trial")
-    rng = substream(seed, _STREAM_MEASURE_MC, 2)
     length = 2.0 * (r + rho + 1.0)
     x = np.zeros(d)
     x[0] = r
-    hits = 0
-    remaining = trials
-    while remaining > 0:
-        n = min(_MC_CHUNK, remaining)
-        remaining -= n
+
+    def count_hits(rng, n):
         p = Uniform().sample_directions(rng, d, n)
         centers = np.broadcast_to(x, (n, d))
-        hits += int(segments_hit_ball(centers, p, np.full(n, 0.5 * length), np.zeros(d), rho).sum())
-    return _binomial_scaled(hits, trials, 1.0)
+        return int(segments_hit_ball(centers, p, np.full(n, 0.5 * length), np.zeros(d), rho).sum())
+
+    return _mc_fraction(trials, seed, 2, 1.0, count_hits)
 
 
 def mc_two_ball_measure(
@@ -450,8 +451,6 @@ def mc_two_ball_measure(
     """
     d = _check_dim(d)
     check_intensity(intensity)
-    if trials < 1:
-        raise InsufficientTrials("need at least one trial")
     if not length > 32.0:
         raise PreconditionViolated("two-ball measure requires L > 32")
     if isinstance(law, Rigid) or getattr(law, "density_floor", None) is None:
@@ -468,20 +467,14 @@ def mc_two_ball_measure(
     volume = math.prod((high - low).tolist())
     if not math.isfinite(volume):
         raise DomainError(f"construction box volume overflows at L = {length}")
-    rng = substream(seed, _STREAM_MEASURE_MC, 3)
-    hits = 0
-    remaining = trials
-    halves = 0.5 * length
-    while remaining > 0:
-        n = min(_MC_CHUNK, remaining)
-        remaining -= n
+
+    def count_hits(rng, n):
         x = rng.uniform(low, high, size=(n, d))
         p = law.sample_directions(rng, d, n)
-        h = np.full(n, halves)
-        hit = segments_hit_ball(x, p, h, gamma, 2.0)
-        hit &= segments_hit_ball(x, p, h, zeta, 2.0)
-        hits += int(hit.sum())
-    return _binomial_scaled(hits, trials, intensity * volume)
+        h = np.full(n, 0.5 * length)
+        return int((segments_hit_ball(x, p, h, gamma, 2.0) & segments_hit_ball(x, p, h, zeta, 2.0)).sum())
+
+    return _mc_fraction(trials, seed, 3, intensity * volume, count_hits)
 
 
 def two_ball_lower_bound(d: int, length: float, delta: float, intensity: float = 1.0) -> float:

@@ -19,7 +19,9 @@ from .errors import CapacityExceeded, DomainError, RejectionStall
 from .rng import substream
 
 _STREAM_CONFIG = 0x5EED
-_MAX_EXPECTED_COUNT = 1e9
+# a replicate peaks near 3 KB per stick over sampling and clustering (d = 3
+# near threshold), so this guard keeps one near 2 GB
+_MAX_EXPECTED_COUNT = 5e5
 _REJECTION_LIMIT = 1_000_000
 
 
@@ -172,7 +174,7 @@ def poisson_count(mean: float, stream: np.random.Generator) -> int:
     if not (mean >= 0.0) or not np.isfinite(mean):
         raise DomainError("poisson mean must be finite and nonnegative")
     if mean > _MAX_EXPECTED_COUNT:
-        raise CapacityExceeded(f"expected count {mean:.3g} exceeds guard of 1e9")
+        raise CapacityExceeded(f"expected count {mean:.3g} exceeds guard of {_MAX_EXPECTED_COUNT:.3g}")
     return int(stream.poisson(mean))
 
 

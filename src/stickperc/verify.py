@@ -198,6 +198,18 @@ def measures_suite(seed: int) -> list[Check]:
         worst = max(worst, abs(bound - 1.0))
     checks.append(Check("offspring-bound-pivot", worst <= 1e-12, f"max |bound(lower) - 1| {worst:.3g}"))
 
+    # d = 3 faces are nonempty from L = 256 sqrt(3) on
+    grids = [(2, np.linspace(300, 5000, 40)), (3, np.linspace(760, 8000, 30))]
+    short = [
+        f"d={d} L={L:.6g}"
+        for d, lengths in grids
+        for L in lengths.tolist()
+        if measures.lattice_T_count(d, L) < measures.lattice_T_count_bound(d, L)
+    ]
+    checks.append(
+        Check("lattice-count-above-bound", not short, " ".join(short) or "enumerated >= closed form at 70 lengths")
+    )
+
     geom = measures.ConstructionGeometry(2, 256.0)
     gamma = geom.box_center((-2, 0))
     zeta = geom.right_face_center((0, 0))

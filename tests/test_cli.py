@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
 
@@ -375,6 +377,39 @@ class TestInvalidInput:
         assert out == ""
         assert "Traceback" not in err
         assert err.splitlines()[-1] == f"error: {message}"
+
+    @pytest.mark.parametrize(
+        "argv, d",
+        [
+            (["bounds", "--d", "77", "--L", "1e6", "--law", "uniform"], 77),
+            (["bounds", "--d", "77", "--L", "1e6", "--law", "density"], 77),
+            (["bounds", "--d", "90", "--L", "1e6", "--law", "uniform"], 90),
+            (["bounds", "--d", "326", "--L", "1e6", "--law", "rigid"], 326),
+        ],
+        ids=["uniform-overflow", "density-overflow", "uniform-step-constant-underflow", "rigid-overflow"],
+    )
+    def test_high_dimension_constant_out_of_range_exits_2(self, capsys, argv, d):
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and err.rstrip().endswith(f"leaves the floating-point range at d = {d}")
+
+    def test_stick_count_guard_exits_2_before_sampling(self):
+        # about 5e7 expected sticks per replicate; the address-space cap turns
+        # a guard that lets the sampling start into a failure, not an OOM kill
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "stickperc.cli", "threshold", "--d", "3", "--L", "1e6",
+             "--law", "uniform", "--replicates", "2"],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["error: expected count 5.3e+07 exceeds guard of 5e+05"]
 
     def test_non_finite_output_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.measures, "two_ball_lower_bound", lambda *args, **kwargs: math.nan)

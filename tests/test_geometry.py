@@ -22,7 +22,6 @@ from stickperc.geometry import (
     segment_distance_arrays,
     segments_hit_ball,
     segment_segment_distance,
-    sticks_intersect,
 )
 from stickperc.percolation import intersection_edges, tuned_cell_size
 from stickperc.sampling import BoxRegion, Configuration, Rigid
@@ -196,26 +195,24 @@ class TestSegmentDistance:
             np.testing.assert_allclose(batch, scalar, atol=1e-9)
 
 
-class TestSticksIntersect:
-    def test_identical(self):
-        s = seg([0.0, 0.0], [1.0, 0.0], 5.0)
-        assert sticks_intersect(s, s)
-
-    def test_just_beyond_tangency(self):
-        a = seg([0.0, 0.0], [1.0, 0.0], 5.0)
-        b = seg([0.0, 2.0001], [1.0, 0.0], 5.0)
-        assert not sticks_intersect(a, b)
-
-    def test_parallel_within_reach(self):
-        a = seg([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 10.0)
-        b = seg([0.0, 1.9, 0.0], [1.0, 0.0, 0.0], 10.0)
-        assert segment_segment_distance(a, b) == pytest.approx(1.9)
-        assert sticks_intersect(a, b)
-
-    def test_tangency_counts_as_intersecting(self):
-        a = seg([0.0, 0.0], [1.0, 0.0], 5.0)
-        b = seg([0.0, 2.0], [1.0, 0.0], 5.0)
-        assert sticks_intersect(a, b)
+@pytest.mark.parametrize(
+    "center_b, direction, overlap",
+    [
+        ([0.0, 0.0], [1.0, 0.0], True),
+        ([0.0, 2.0001], [1.0, 0.0], False),
+        ([0.0, 1.9, 0.0], [1.0, 0.0, 0.0], True),
+        ([0.0, 2.0], [1.0, 0.0], True),
+    ],
+    ids=["identical", "just-beyond-tangency", "parallel-within-reach-d3", "tangency-counts"],
+)
+def test_two_stick_overlap(center_b, direction, overlap):
+    # one stick at the origin and one centred at ``center_b``, both length 5
+    # along ``direction``: the pipeline's edge rule on a two-stick sample
+    centers = np.array([np.zeros(len(center_b)), center_b])
+    dirs = np.array([direction, direction])
+    box = BoxRegion(centers.min(axis=0) - 8.0, centers.max(axis=0) + 8.0)
+    config = Configuration(5.0, box, centers, dirs)
+    assert intersection_edges(config).tolist() == ([[0, 1]] if overlap else [])
 
 
 def batch_distance(a, b):
@@ -319,7 +316,6 @@ class TestKernelProperties:
             cell = tuned_cell_size(a.length, Rigid(a.direction))
         assert segment_segment_distance(a, b) == 2.0
         assert batch_distance(a, b) == 2.0
-        assert sticks_intersect(a, b)
         centers = np.array([a.center, b.center])
         dirs = np.array([a.direction, b.direction])
         reach = a.length + 3.0

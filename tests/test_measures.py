@@ -15,7 +15,6 @@ from stickperc.measures import (
     cap_hit_probability_exact,
     gw_offspring_bound,
     lattice_T_count,
-    lattice_T_count_bound,
     mc_cap_hit_probability,
     mc_stick_hit_volume,
     mc_two_ball_measure,
@@ -55,6 +54,32 @@ class TestStickHitVolume:
         target = stick_hit_volume(2, 10.0, 2.0)
         assert abs(est.value - target) <= 3.0 * est.stderr
         assert est.stderr < 0.01 * target
+
+
+GEOM_256 = ConstructionGeometry(2, 256.0)
+
+
+# recorded with the draws split 7,777 + 7,777 + 4,446: a chunk draws each
+# of its arrays in turn, so the stick-hit and two-ball values depend on the
+# split, and these pins are the oracle rather than an unchunked call
+@pytest.mark.parametrize(
+    "estimate, hits, value, stderr",
+    [
+        (lambda: mc_stick_hit_volume(3, 10.0, 2.0, Uniform(), 20_000, seed=5),
+         14271, 159.83520000000001, 0.7160933473004759),
+        (lambda: mc_cap_hit_probability(4, 1.0, 2.5, 20_000, seed=6),
+         537, 0.02685, 0.0011430021325439424),
+        (lambda: mc_two_ball_measure(
+            2, 256.0, GEOM_256.box_center((-2, 0)), GEOM_256.right_face_center((0, 0)),
+            Uniform(), 20_000, seed=7, intensity=0.5),
+         36, 0.4608000000000001, 0.07673084886797488),
+    ],
+    ids=["stick-hit", "cap-hit", "two-ball"],
+)
+def test_chunked_estimates_pinned(monkeypatch, estimate, hits, value, stderr):
+    monkeypatch.setattr(measures, "_MC_CHUNK", 7_777)
+    est = estimate()
+    assert (est.trials, est.hits, est.value, est.stderr) == (20_000, hits, value, stderr)
 
 
 class TestCapHitProbability:
@@ -257,14 +282,6 @@ class TestConstructionGeometry:
                 pts = np.arange(math.ceil(-margin / 12.0), math.floor(margin / 12.0) + 1)
                 per_axis = len(pts)
             assert lattice_T_count(d, L) == per_axis ** (d - 1)
-
-    def test_lattice_count_bound(self):
-        # enumerated count respects the closed-form lower bound wherever the
-        # inset face is nonempty
-        for L in np.linspace(300, 5000, 40):
-            assert lattice_T_count(2, float(L)) >= lattice_T_count_bound(2, float(L))
-        for L in np.linspace(760, 8000, 30):  # face nonempty needs L >= 256 sqrt(3)
-            assert lattice_T_count(3, float(L)) >= lattice_T_count_bound(3, float(L))
 
     def test_lattice_count_precondition(self):
         with pytest.raises(PreconditionViolated):
