@@ -15,6 +15,7 @@ from stickperc.measures import (
     cap_hit_probability_exact,
     gw_offspring_bound,
     lattice_T_count,
+    lattice_T_count_bound,
     mc_cap_hit_probability,
     mc_stick_hit_volume,
     mc_two_ball_measure,
@@ -282,6 +283,14 @@ class TestConstructionGeometry:
                 pts = np.arange(math.ceil(-margin / 12.0), math.floor(margin / 12.0) + 1)
                 per_axis = len(pts)
             assert lattice_T_count(d, L) == per_axis ** (d - 1)
+
+    def test_lattice_count_bound(self):
+        # enumerated count respects the closed-form lower bound wherever the
+        # inset face is nonempty
+        for L in np.linspace(300, 5000, 40):
+            assert lattice_T_count(2, float(L)) >= lattice_T_count_bound(2, float(L))
+        for L in np.linspace(760, 8000, 30):  # face nonempty needs L >= 256 sqrt(3)
+            assert lattice_T_count(3, float(L)) >= lattice_T_count_bound(3, float(L))
 
     def test_lattice_count_precondition(self):
         with pytest.raises(PreconditionViolated):
