@@ -15,16 +15,13 @@ from .errors import (
     InsufficientTrials,
     ParallelLines,
     PreconditionViolated,
-    RejectionStall,
     StickPercError,
 )
 from .geometry import (
     Segment,
     line_line_distance_profile,
     line_line_t_min,
-    line_point_distance_sq,
     min_distance_outside_window,
-    segment_segment_distance,
 )
 from .measures import (
     BoundsReport,
@@ -44,7 +41,6 @@ from .measures import (
     two_ball_lower_bound,
 )
 from .sampling import (
-    BoundedDensity,
     BoxRegion,
     Configuration,
     Rigid,

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityExceeded, DomainError
+from .errors import DomainError
 from .geometry import INTERSECT_THRESHOLD, Segment, segment_distance_arrays
 from .rng import substream
-from .sampling import BoxRegion, OrientationLaw, check_intensity, poisson_sticks
+from .sampling import BoxRegion, OrientationLaw, check_expected_count, check_intensity, poisson_sticks
 
 _STREAM_OFFSPRING = 0x0FF5
 _STREAM_GW = 0x6A17
@@ -66,9 +66,7 @@ def offspring_mean_mc(
         raise DomainError("need at least two trials")
     box = offspring_box(seed_segment, length)
     rng = substream(seed, _STREAM_OFFSPRING)
-    mean_count = check_intensity(intensity) * box.volume
-    if mean_count * trials > 1e9:
-        raise CapacityExceeded("offspring MC would draw more than 1e9 sticks")
+    mean_count = check_expected_count(check_intensity(intensity) * box.volume)
     counts = rng.poisson(mean_count, size=trials).astype(np.int64)
     samples = np.zeros(trials, dtype=np.int64)
     # process trial blocks of at most ~2e6 sticks to bound memory

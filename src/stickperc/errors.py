@@ -17,10 +17,6 @@ class ParallelLines(StickPercError):
     """Closed-form line minimizer undefined: directions are (numerically) parallel."""
 
 
-class RejectionStall(StickPercError):
-    """Rejection sampler made too many consecutive rejections (bad density bound)."""
-
-
 class CapacityExceeded(StickPercError):
     """Requested Poisson sample would be unreasonably large."""
 

@@ -7,7 +7,6 @@ All functions are pure; arrays are never mutated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,14 +62,6 @@ class Segment:
         return 0.5 * self.length
 
 
-def line_point_distance_sq(x, p, y) -> float:
-    """Squared distance from the point ``y`` to the infinite line through
-    ``x`` with unit direction ``p``; equals ||x-y||^2 - <x-y, p>^2."""
-    u = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    val = float(u @ u) - float(u @ np.asarray(p, dtype=float)) ** 2
-    return max(val, 0.0)
-
-
 def line_line_distance_profile(x, p, y, q, t: float) -> float:
     """Squared distance from the point at parameter ``t`` on line (x, p) to
     the whole line (y, q).
@@ -109,65 +100,12 @@ def _f_value(uu, up, uq, c, t, tau):
     return uu + t * t + tau * tau - 2.0 * t * tau * c + 2.0 * t * up - 2.0 * tau * uq
 
 
-def _clamped_minimizer(numer: float, denom: float, half: float) -> float:
-    # numer / denom clamped to [-half, half]; where denom rounds to 0 the
-    # minimizer lies beyond the end numer points to (0 if numer is 0 too)
-    t = numer / denom if denom > 0.0 else math.copysign(half, numer) if numer else 0.0
-    return min(max(t, -half), half)
-
-
-def segment_segment_distance(a: Segment, b: Segment) -> float:
-    """Minimum distance between two segments.
-
-    Takes the best of the unconstrained two-line minimizer when it lies in
-    the parameter box, its clamped projections into the box (the start of
-    ``segment_distance_arrays``), and the analytic minimum on each edge of
-    the box.  The winning parameter pair is evaluated directly on the
-    difference vector, which stays accurate when the segments nearly touch.
-    """
-    u = a.center - b.center
-    p, q = a.direction, b.direction
-    up = float(u @ p)
-    uq = float(u @ q)
-    c = float(p @ q)
-    ha, hb = a.half, b.half
-
-    candidates: list[tuple[float, float]] = []
-    denom = 1.0 - c * c
-    if denom >= _PARALLEL_TOL:
-        t_star = (c * uq - up) / denom
-        tau_star = (uq - c * up) / denom
-        if -ha <= t_star <= ha and -hb <= tau_star <= hb:
-            candidates.append((t_star, tau_star))
-    # the clamped line minimizer projected into the box, t first and tau
-    # first, as in segment_distance_arrays: below the parallel tolerance the
-    # edges alone miss the contact of nearly parallel crossing segments
-    t = _clamped_minimizer(c * uq - up, denom, ha)
-    tau = min(max(c * t + uq, -hb), hb)
-    candidates.append((min(max(c * tau - up, -ha), ha), tau))
-    tau = _clamped_minimizer(uq - c * up, denom, hb)
-    t = min(max(c * tau - up, -ha), ha)
-    candidates.append((t, min(max(c * t + uq, -hb), hb)))
-    # four edges of the (t, tau) rectangle, each a clamped 1-d quadratic
-    for t_fixed in (-ha, ha):
-        candidates.append((t_fixed, min(max(c * t_fixed + uq, -hb), hb)))
-    for tau_fixed in (-hb, hb):
-        candidates.append((min(max(c * tau_fixed - up, -ha), ha), tau_fixed))
-    best = math.inf
-    for t, tau in candidates:
-        # grouping keeps the evaluation exactly antisymmetric under swapping
-        # the two segments, so the distance is symmetric to the last bit
-        diff = u + (t * p - tau * q)
-        best = min(best, float(diff @ diff))
-    return math.sqrt(max(best, 0.0))
-
-
 def segment_distance_arrays(ca, da, la, cb, db, lb) -> np.ndarray:
     """Vectorized segment-segment distance (closest-point projection form).
 
     All arguments broadcast; ``ca, da`` are (n, d) centers/unit directions
-    and ``la`` (n,) lengths.  Matches ``segment_segment_distance`` to
-    floating-point accuracy; used in the clustering hot path.
+    and ``la`` (n,) lengths.  The package's one segment distance: clustering,
+    branching and the self-checks all run it.
     """
     ca = np.asarray(ca, dtype=float)
     cb = np.asarray(cb, dtype=float)
@@ -180,9 +118,9 @@ def segment_distance_arrays(ca, da, la, cb, db, lb) -> np.ndarray:
     uq = np.einsum("...i,...i->...", u, db)
     c = np.einsum("...i,...i->...", da, db)
     denom = 1.0 - c * c
-    # Unlike the scalar edge scan, no parallel tolerance: a nearly parallel
-    # pair must start from its clamped line minimizer, or the projection
-    # stops at the wrong end of the overlap (off by up to L * angle).  Where
+    # No parallel tolerance: a nearly parallel pair must start from its
+    # clamped line minimizer, or the projection stops at the wrong end of
+    # the overlap (off by up to L * angle).  Where
     # 1 - c^2 rounds to 0 the minimizer lies beyond the end the numerator
     # points to; exactly parallel lines (numerator 0) start from t = 0,
     # where every start is optimal.
@@ -211,41 +149,44 @@ def segments_hit_ball(centers, dirs, half_lengths, c, rho: float) -> np.ndarray:
     return np.einsum("...i,...i->...", diff, diff) <= rho * rho
 
 
-def min_distance_outside_window(x, p, y, q, t1: float, tau1: float, w: float) -> float:
+def _dot(a, b):
+    # row-wise <a, b> over the last axis, broadcast; a stack of 1 x d by
+    # d x 1 products rounds each row as the 1-d ``a @ b`` does
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def min_distance_outside_window(x, p, y, q, t1, tau1, w: float) -> np.ndarray:
     """Infimum of the two-line point distance outside a parameter window.
 
     Minimizes ||l_{x,p}(t) - l_{y,q}(tau)|| over the region
-    max(|t - t1|, |tau - tau1|) >= w.  Preconditions (separation lemma):
+    max(|t - t1|, |tau - tau1|) >= w.  Every argument but ``w`` broadcasts
+    over rows, as in ``segment_distance_arrays``; one instance gives a
+    float.  Preconditions (separation lemma), checked on every row:
     |<p,q>| <= 1/sqrt(2) and the window-defining pair itself is within
     distance 2.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    c = float(p @ q)
-    if abs(c) > 1.0 / np.sqrt(2.0) + 1e-12:
+    c = _dot(p, q)
+    if np.any(np.abs(c) > 1.0 / np.sqrt(2.0) + 1e-12):
         raise PreconditionViolated("|<p,q>| must be at most 1/sqrt(2)")
     u = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    uu = float(u @ u)
-    up = float(u @ p)
-    uq = float(u @ q)
+    uu = _dot(u, u)
+    up = _dot(u, p)
+    uq = _dot(u, q)
     pair_sq = _f_value(uu, up, uq, c, t1, tau1)
-    if pair_sq > 4.0 + 1e-9:
+    if np.any(pair_sq > 4.0 + 1e-9):
         raise PreconditionViolated("window-defining pair is farther apart than 2")
     if w <= 0.0:
-        return float(np.sqrt(max(pair_sq, 0.0)))
+        return np.sqrt(np.maximum(pair_sq, 0.0))
 
     denom = 1.0 - c * c
     t_star = (c * uq - up) / denom
     tau_star = (uq - c * up) / denom
-    if max(abs(t_star - t1), abs(tau_star - tau1)) >= w:
-        return float(np.sqrt(max(_f_value(uu, up, uq, c, t_star, tau_star), 0.0)))
     # The feasible region is a union of four half-planes; in each one the
     # minimum sits on the bounding line (t or tau pinned, the other free).
-    best = np.inf
-    for t_fixed in (t1 - w, t1 + w):
-        tau = c * t_fixed + uq
-        best = min(best, _f_value(uu, up, uq, c, t_fixed, tau))
-    for tau_fixed in (tau1 - w, tau1 + w):
-        t = c * tau_fixed - up
-        best = min(best, _f_value(uu, up, uq, c, t, tau_fixed))
-    return float(np.sqrt(max(best, 0.0)))
+    edges = [_f_value(uu, up, uq, c, t_fixed, c * t_fixed + uq) for t_fixed in (t1 - w, t1 + w)]
+    edges += [_f_value(uu, up, uq, c, c * tau_fixed - up, tau_fixed) for tau_fixed in (tau1 - w, tau1 + w)]
+    free = np.maximum(np.abs(t_star - t1), np.abs(tau_star - tau1)) >= w
+    best = np.where(free, _f_value(uu, up, uq, c, t_star, tau_star), np.minimum.reduce(edges))
+    return np.sqrt(np.maximum(best, 0.0))

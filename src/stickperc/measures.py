@@ -194,11 +194,10 @@ def theorem_bounds(d: int, length: float, law, delta: float = 1.0, strict: bool 
 
     With ``strict`` (the default) the stated L-validity thresholds are hard
     preconditions; ``strict=False`` evaluates the formulas anyway, which is
-    only meant for bracket sanity checks at small L.  A law object that
-    carries a ``density_floor`` supplies its own delta; the ``delta``
-    argument serves laws given by tag.  Every delta, used or not, must
-    satisfy 0 < delta <= 1.  A constant or bracket that leaves the positive
-    floating-point range raises DomainError.
+    only meant for bracket sanity checks at small L.  ``delta`` is the
+    density floor of the ``density`` law; it must satisfy 0 < delta <= 1
+    for every law, used or not.  A constant or bracket that leaves the
+    positive floating-point range raises DomainError.
     """
     d = _check_dim(d)
     tag = _law_tag(law)
@@ -209,8 +208,6 @@ def theorem_bounds(d: int, length: float, law, delta: float = 1.0, strict: bool 
     check_density_floor(delta)
     if tag == "uniform":
         delta = 1.0
-    elif getattr(law, "density_floor", None) is not None:
-        delta = check_density_floor(law.density_floor)
     if strict:
         for side in ("lower", "upper"):
             threshold = bound_validity_threshold(d, tag, side)
@@ -247,13 +244,8 @@ def gw_offspring_bound(d: int, length: float, intensity: float, law) -> float:
     threshold = bound_validity_threshold(d, tag, "lower")
     if not length > threshold:
         raise PreconditionViolated(f"{tag} offspring bound requires L > {threshold:.6g}")
-    if tag == "rigid":
-        return intensity * length * math.exp(
-            d * math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * (d + 1))
-        )
-    return intensity * length * length * math.exp(
-        0.5 * (d - 1) * math.log(math.pi) - math.lgamma(0.5 * (d + 1)) + d * math.log(2.0)
-    )
+    exponent = 1 if tag == "rigid" else 2
+    return intensity * length**exponent / lower_bound_constant(d, tag)
 
 
 @dataclass(frozen=True)
@@ -453,7 +445,7 @@ def mc_two_ball_measure(
     check_intensity(intensity)
     if not length > 32.0:
         raise PreconditionViolated("two-ball measure requires L > 32")
-    if isinstance(law, Rigid) or getattr(law, "density_floor", None) is None:
+    if isinstance(law, Rigid):
         raise PreconditionViolated("law must have a positive density floor")
     geom = ConstructionGeometry(d, length)
     gamma = np.asarray(gamma, dtype=float)

@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .errors import CapacityExceeded, DomainError, RejectionStall
+from .errors import CapacityExceeded, DomainError
 from .rng import substream
 
 _STREAM_CONFIG = 0x5EED
 # a replicate peaks near 3 KB per stick over sampling and clustering (d = 3
 # near threshold), so this guard keeps one near 2 GB
 _MAX_EXPECTED_COUNT = 5e5
-_REJECTION_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -30,7 +28,6 @@ class Uniform:
     """Isotropic orientations: the normalized Hausdorff measure on the sphere."""
 
     tag: str = field(default="uniform", init=False)
-    density_floor: float = field(default=1.0, init=False)
 
     def sample_directions(self, rng: np.random.Generator, d: int, n: int) -> np.ndarray:
         z = rng.standard_normal((n, d))
@@ -48,7 +45,6 @@ class Rigid:
 
     axis: np.ndarray
     tag: str = field(default="rigid", init=False)
-    density_floor: None = field(default=None, init=False)
 
     def __post_init__(self):
         axis = np.asarray(self.axis, dtype=float)
@@ -63,56 +59,7 @@ class Rigid:
         return np.broadcast_to(self.axis, (n, d)).copy()
 
 
-@dataclass(frozen=True)
-class BoundedDensity:
-    """Orientation law with density ``phi`` w.r.t. the uniform law.
-
-    ``phi`` must be vectorized over an (n, d) array of unit vectors and
-    satisfy delta <= phi(p) <= upper with unit integral; sampling is by
-    rejection from the uniform proposal with acceptance phi(p)/upper.
-    """
-
-    phi: Callable[[np.ndarray], np.ndarray]
-    delta: float
-    upper: float
-    tag: str = field(default="density", init=False)
-
-    def __post_init__(self):
-        if not check_density_floor(self.delta) <= self.upper:
-            raise DomainError("need 0 < delta <= upper density bound")
-
-    @property
-    def density_floor(self) -> float:
-        return self.delta
-
-    def sample_directions(self, rng: np.random.Generator, d: int, n: int) -> np.ndarray:
-        out = np.empty((n, d))
-        filled = 0
-        stalled = 0
-        proposal = Uniform()
-        while filled < n:
-            batch = max(1024, 2 * (n - filled))
-            cand = proposal.sample_directions(rng, d, batch)
-            accept_p = np.asarray(self.phi(cand), dtype=float) / self.upper
-            if np.any(accept_p > 1.0 + 1e-9) or np.any(accept_p < -1e-12):
-                raise DomainError("phi(p) escapes its declared [delta, upper] bounds")
-            keep = rng.random(batch) < accept_p
-            k = int(keep.sum())
-            if k == 0:
-                stalled += batch
-                if stalled >= _REJECTION_LIMIT:
-                    raise RejectionStall(
-                        f"{stalled} consecutive rejections; upper bound too loose"
-                    )
-                continue
-            stalled = 0
-            take = min(k, n - filled)
-            out[filled : filled + take] = cand[keep][:take]
-            filled += take
-        return out
-
-
-OrientationLaw = Uniform | Rigid | BoundedDensity
+OrientationLaw = Uniform | Rigid
 
 
 @dataclass(frozen=True)
@@ -164,6 +111,16 @@ def check_density_floor(delta: float) -> float:
     return delta
 
 
+def check_expected_count(mean: float) -> float:
+    """``mean`` itself; DomainError unless it is finite and nonnegative, and
+    CapacityExceeded above the guard on the expected sticks of one sample."""
+    if not (mean >= 0.0) or not np.isfinite(mean):
+        raise DomainError("poisson mean must be finite and nonnegative")
+    if mean > _MAX_EXPECTED_COUNT:
+        raise CapacityExceeded(f"expected count {mean:.3g} exceeds guard of {_MAX_EXPECTED_COUNT:.3g}")
+    return mean
+
+
 def poisson_count(mean: float, stream: np.random.Generator) -> int:
     """One exact Poisson(mean) draw from the given stream.
 
@@ -171,11 +128,7 @@ def poisson_count(mean: float, stream: np.random.Generator) -> int:
     means, transformed rejection for large ones); deterministic given the
     stream state.
     """
-    if not (mean >= 0.0) or not np.isfinite(mean):
-        raise DomainError("poisson mean must be finite and nonnegative")
-    if mean > _MAX_EXPECTED_COUNT:
-        raise CapacityExceeded(f"expected count {mean:.3g} exceeds guard of {_MAX_EXPECTED_COUNT:.3g}")
-    return int(stream.poisson(mean))
+    return int(stream.poisson(check_expected_count(mean)))
 
 
 def poisson_sticks(

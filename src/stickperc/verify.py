@@ -32,12 +32,36 @@ def random_unit(rng, d):
     return v / math.sqrt(v @ v)
 
 
+def _embedded(z, dims):
+    # row i keeps its first dims[i] coordinates and is 0 beyond them
+    z[np.arange(z.shape[1]) >= dims[:, None]] = 0.0
+    return z
+
+
+def random_units(rng, dims):
+    """One random unit vector per entry of ``dims``: row i is uniform on the
+    unit sphere of the first dims[i] coordinates of R^max(dims)."""
+    z = _embedded(rng.standard_normal((dims.size, dims.max())), dims)
+    return z / np.sqrt(np.einsum("ij,ij->i", z, z))[:, None]
+
+
+def random_segments(rng, dims, spread, lengths):
+    """Arrays (centers, directions, lengths) of one random segment per entry
+    of ``dims``, laid out as in ``random_units``: centers N(0, spread),
+    uniform directions, lengths uniform on the interval ``lengths``."""
+    centers = _embedded(rng.normal(0.0, spread, (dims.size, dims.max())), dims)
+    return centers, random_units(rng, dims), rng.uniform(*lengths, dims.size)
+
+
 def grid_segment_distance(a: Segment, b: Segment, steps: int) -> float:
     """Parameter-grid minimum distance between two segments.
 
-    Scans a steps x steps grid over the full parameter rectangle, 500 rows
-    at a time; an upper bound on the true minimum, tight to O(grid step
-    squared) away from degenerate near-contact pairs.
+    The minimum of ||u + t p - tau q|| over a steps x steps grid on the full
+    parameter rectangle; an upper bound on the true minimum, tight to O(grid
+    step squared) away from degenerate near-contact pairs.  Each grid row is
+    a convex quadratic in tau with its vertex at c t + <u,q>, so the row's
+    grid minimum lies at one of the two grid points around that vertex, and
+    only those are evaluated.
     """
     t = np.linspace(-a.half, a.half, steps)
     tau = np.linspace(-b.half, b.half, steps)
@@ -46,18 +70,47 @@ def grid_segment_distance(a: Segment, b: Segment, steps: int) -> float:
     up = float(u @ a.direction)
     uq = float(u @ b.direction)
     uu = float(u @ u)
-    col = tau * tau - 2.0 * tau * uq
-    best = np.inf
-    for lo in range(0, steps, 500):
-        tt = t[lo : lo + 500]
-        f = (
-            (tt * tt + 2.0 * tt * up)[:, None]
-            + col[None, :]
-            - 2.0 * c * tt[:, None] * tau[None, :]
-            + uu
-        )
-        best = min(best, float(f.min()))
-    return float(np.sqrt(max(best, 0.0)))
+    right = np.clip(np.searchsorted(tau, c * t + uq), 1, steps - 1)
+    near = tau[np.stack([right - 1, right], axis=1)]
+    f = (t * t + 2.0 * t * up)[:, None] + (near * near - 2.0 * near * uq) - 2.0 * c * t[:, None] * near + uu
+    return float(np.sqrt(max(float(f.min()), 0.0)))
+
+
+def grid_oracle_errors(a, b, steps: int) -> np.ndarray:
+    """|kernel - grid| distance for each row pair of the segment arrays ``a``
+    and ``b`` whose kernel distance is at least 0.1 (nearer pairs are too
+    ill-conditioned for the grid)."""
+    closed = geometry.segment_distance_arrays(*a, *b)
+    rows = np.flatnonzero(closed >= 0.1)
+    return np.array([
+        abs(closed[i] - grid_segment_distance(Segment(*(v[i] for v in a)), Segment(*(v[i] for v in b)), steps))
+        for i in rows
+    ])
+
+
+def separation_minimum(rng, n_cases: int, spread: float) -> float:
+    """Least distance outside the width-12 window over ``n_cases`` instances
+    of the separation lemma, in dimensions 2..4.
+
+    Each instance has unit directions with |<p,q>| <= 1/sqrt(2) and lines
+    through points at most 2 apart, at parameters t1, tau1 ~ N(0, spread).
+    Instances are drawn in blocks of 10,000, rejected by one mask on
+    |<p,q>|, and each block is evaluated in one call.
+    """
+    low = math.inf
+    while n_cases > 0:
+        dims = rng.integers(2, 5, 10_000)
+        p, q = random_units(rng, dims), random_units(rng, dims)
+        offset = rng.uniform(0.0, 2.0, dims.size)[:, None] * random_units(rng, dims)
+        anchor = _embedded(rng.normal(0.0, spread, p.shape), dims)
+        t1, tau1 = rng.normal(0.0, spread, (2, dims.size))
+        keep = np.flatnonzero(np.abs(np.einsum("ij,ij->i", p, q)) <= 1.0 / math.sqrt(2.0))[:n_cases]
+        p, q, t1, tau1 = p[keep], q[keep], t1[keep], tau1[keep]
+        x = anchor[keep] - t1[:, None] * p
+        y = anchor[keep] + offset[keep] - tau1[:, None] * q
+        low = min(low, float(geometry.min_distance_outside_window(x, p, y, q, t1, tau1, 12.0).min()))
+        n_cases -= keep.size
+    return low
 
 
 def geometry_suite(seed: int) -> list[Check]:
@@ -81,47 +134,34 @@ def geometry_suite(seed: int) -> list[Check]:
     checks.append(Check("quadratic-shift-identity", worst <= 1e-9, f"max scaled deviation {worst:.3g}"))
 
     # symmetry and rigid-motion invariance of the segment distance
-    worst = 0.0
-    for _ in range(100):
-        d = int(rng.integers(2, 5))
-        a = Segment(rng.normal(0, 4, d), random_unit(rng, d), float(rng.uniform(0.5, 8)))
-        b = Segment(rng.normal(0, 4, d), random_unit(rng, d), float(rng.uniform(0.5, 8)))
-        dist = geometry.segment_segment_distance(a, b)
-        worst = max(worst, abs(dist - geometry.segment_segment_distance(b, a)))
-        rot, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        shift = rng.normal(0, 10, d)
-        a2 = Segment(rot @ a.center + shift, rot @ a.direction, a.length)
-        b2 = Segment(rot @ b.center + shift, rot @ b.direction, b.length)
-        worst = max(worst, abs(dist - geometry.segment_segment_distance(a2, b2)))
+    dims = rng.integers(2, 5, 100)
+    a = random_segments(rng, dims, 4.0, (0.5, 8.0))
+    b = random_segments(rng, dims, 4.0, (0.5, 8.0))
+    dist = geometry.segment_distance_arrays(*a, *b)
+    rot, _ = np.linalg.qr(rng.standard_normal((dims.size, dims.max(), dims.max())))
+    shift = rng.normal(0, 10, (dims.size, dims.max()))
+
+    def moved(s):
+        centers, dirs, lengths = s
+        return np.einsum("nij,nj->ni", rot, centers) + shift, np.einsum("nij,nj->ni", rot, dirs), lengths
+
+    worst = max(
+        float(np.abs(dist - geometry.segment_distance_arrays(*b, *a)).max()),
+        float(np.abs(dist - geometry.segment_distance_arrays(*moved(a), *moved(b))).max()),
+    )
     checks.append(Check("segment-distance-invariance", worst <= 1e-9, f"max deviation {worst:.3g}"))
 
-    # closed form vs parameter-grid oracle
-    worst = 0.0
-    for _ in range(40):
-        d = int(rng.integers(2, 5))
-        a = Segment(rng.normal(0, 2, d), random_unit(rng, d), float(rng.uniform(0.5, 5)))
-        b = Segment(rng.normal(0, 2, d), random_unit(rng, d), float(rng.uniform(0.5, 5)))
-        closed = geometry.segment_segment_distance(a, b)
-        if closed < 0.1:
-            continue
-        worst = max(worst, abs(closed - grid_segment_distance(a, b, 500)))
+    # the kernel vs the parameter-grid oracle
+    dims = rng.integers(2, 5, 40)
+    errors = grid_oracle_errors(
+        random_segments(rng, dims, 2.0, (0.5, 5.0)), random_segments(rng, dims, 2.0, (0.5, 5.0)), 500
+    )
+    worst = float(errors.max(initial=0.0))
     checks.append(Check("segment-distance-grid-oracle", worst <= 2e-3, f"max |closed - grid| {worst:.3g}"))
 
     # separation property: distance outside a width-12 window stays >= 6
     n_cases = 10_000
-    low = math.inf
-    for _ in range(n_cases):
-        d = int(rng.integers(2, 5))
-        while True:
-            p, q = random_unit(rng, d), random_unit(rng, d)
-            if abs(float(p @ q)) <= 1.0 / math.sqrt(2.0):
-                break
-        t1, tau1 = rng.normal(0, 20), rng.normal(0, 20)
-        anchor = rng.normal(0, 20, d)
-        offset = rng.uniform(0, 2) * random_unit(rng, d)
-        x = anchor - t1 * p
-        y = anchor + offset - tau1 * q
-        low = min(low, geometry.min_distance_outside_window(x, p, y, q, t1, tau1, 12.0))
+    low = separation_minimum(rng, n_cases, 20.0)
     checks.append(Check("separation-window-bound", low >= 6.0, f"min over {n_cases} instances {low:.6g}"))
     return checks
 

@@ -1,20 +1,84 @@
 """Shared brute-force oracles for the test suite.
 
 The oracles deliberately avoid the closed forms they check: grid scans for
-distance minimization and plain rejection counting for hit fractions.
+distance minimization, plain rejection counting for hit fractions, and a
+scalar segment distance that scans the edges of the parameter box, written
+apart from the package's vectorised kernel.
 """
+
+import math
 
 import numpy as np
 
+from stickperc.geometry import _PARALLEL_TOL, Segment
 from stickperc.verify import grid_segment_distance, random_unit  # noqa: F401
 
 
-def grid_line_point_min(x, p, y, t_lo=-20.0, t_hi=20.0, step=1e-4):
-    """Dense t-grid minimum of ||x + t p - y||^2."""
-    t = np.arange(t_lo, t_hi + step, step)
-    pts = np.asarray(x)[None, :] + t[:, None] * np.asarray(p)[None, :]
-    diff = pts - np.asarray(y)[None, :]
-    return float(np.min(np.einsum("ij,ij->i", diff, diff)))
+def _clamped_minimizer(numer: float, denom: float, half: float) -> float:
+    # numer / denom clamped to [-half, half]; where denom rounds to 0 the
+    # minimizer lies beyond the end numer points to (0 if numer is 0 too)
+    t = numer / denom if denom > 0.0 else math.copysign(half, numer) if numer else 0.0
+    return min(max(t, -half), half)
+
+
+def segment_segment_distance(a: Segment, b: Segment) -> float:
+    """Minimum distance between two segments.
+
+    Takes the best of the unconstrained two-line minimizer when it lies in
+    the parameter box, its clamped projections into the box (the start of
+    ``segment_distance_arrays``), and the analytic minimum on each edge of
+    the box.  The winning parameter pair is evaluated directly on the
+    difference vector, which stays accurate when the segments nearly touch.
+    """
+    u = a.center - b.center
+    p, q = a.direction, b.direction
+    up = float(u @ p)
+    uq = float(u @ q)
+    c = float(p @ q)
+    ha, hb = a.half, b.half
+
+    candidates: list[tuple[float, float]] = []
+    denom = 1.0 - c * c
+    if denom >= _PARALLEL_TOL:
+        t_star = (c * uq - up) / denom
+        tau_star = (uq - c * up) / denom
+        if -ha <= t_star <= ha and -hb <= tau_star <= hb:
+            candidates.append((t_star, tau_star))
+    # the clamped line minimizer projected into the box, t first and tau
+    # first, as in segment_distance_arrays: below the parallel tolerance the
+    # edges alone miss the contact of nearly parallel crossing segments
+    t = _clamped_minimizer(c * uq - up, denom, ha)
+    tau = min(max(c * t + uq, -hb), hb)
+    candidates.append((min(max(c * tau - up, -ha), ha), tau))
+    tau = _clamped_minimizer(uq - c * up, denom, hb)
+    t = min(max(c * tau - up, -ha), ha)
+    candidates.append((t, min(max(c * t + uq, -hb), hb)))
+    # four edges of the (t, tau) rectangle, each a clamped 1-d quadratic
+    for t_fixed in (-ha, ha):
+        candidates.append((t_fixed, min(max(c * t_fixed + uq, -hb), hb)))
+    for tau_fixed in (-hb, hb):
+        candidates.append((min(max(c * tau_fixed - up, -ha), ha), tau_fixed))
+    best = math.inf
+    for t, tau in candidates:
+        # grouping keeps the evaluation exactly antisymmetric under swapping
+        # the two segments, so the distance is symmetric to the last bit
+        diff = u + (t * p - tau * q)
+        best = min(best, float(diff @ diff))
+    return math.sqrt(max(best, 0.0))
+
+
+def full_grid_segment_distance(a: Segment, b: Segment, steps: int) -> float:
+    """``grid_segment_distance`` evaluated on every point of the steps x
+    steps grid, with the same arithmetic per point."""
+    t = np.linspace(-a.half, a.half, steps)
+    tau = np.linspace(-b.half, b.half, steps)
+    u = a.center - b.center
+    c = float(a.direction @ b.direction)
+    up = float(u @ a.direction)
+    uq = float(u @ b.direction)
+    uu = float(u @ u)
+    f = (t * t + 2.0 * t * up)[:, None] + (tau * tau - 2.0 * tau * uq)[None, :] - 2.0 * c * t[:, None] * tau + uu
+    return float(np.sqrt(max(float(f.min()), 0.0)))
 
 
 def grid_profile_min(x, p, y, q, t, tau_lo=-100.0, tau_hi=100.0, step=1e-3):

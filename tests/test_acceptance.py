@@ -6,20 +6,14 @@ these included, takes about five minutes on a 2-core machine.
 """
 
 import json
-import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from conftest import grid_segment_distance, random_unit
 from stickperc.branching import dominating_gw_run, offspring_mean_mc
-from stickperc.geometry import (
-    Segment,
-    min_distance_outside_window,
-    segment_segment_distance,
-)
+from stickperc.geometry import Segment
 from stickperc.measures import (
     cap_hit_lower_bound,
     cap_hit_probability_exact,
@@ -33,6 +27,7 @@ from stickperc.oriented import coupled_survival_monotonicity, survival_probabili
 from stickperc.percolation import estimate_threshold, fit_weight, scaling_fit
 from stickperc.rng import substream
 from stickperc.sampling import Rigid, Uniform
+from stickperc.verify import grid_oracle_errors, random_segments, separation_minimum
 
 SEED = 20260810
 
@@ -157,28 +152,16 @@ def test_criterion_7_geometry_oracles():
     for d in (2, 3, 4, 5):
         done = 0
         while done < 500:
-            a = Segment(rng.normal(0, 3, d), random_unit(rng, d), float(rng.uniform(0.5, 5)))
-            b = Segment(rng.normal(0, 3, d), random_unit(rng, d), float(rng.uniform(0.5, 5)))
-            closed = segment_segment_distance(a, b)
-            if closed < 0.1:
-                continue
-            worst = max(worst, abs(closed - grid_segment_distance(a, b, steps=2000)))
-            done += 1
+            dims = np.full(500 - done, d)
+            a = random_segments(rng, dims, 3.0, (0.5, 5.0))
+            b = random_segments(rng, dims, 3.0, (0.5, 5.0))
+            errors = grid_oracle_errors(a, b, steps=2000)
+            worst = max(worst, float(errors.max(initial=0.0)))
+            done += errors.size
     grid_ok = worst <= 1e-4
 
-    low = math.inf
     n_cases = 100_000
-    for _ in range(n_cases):
-        d = int(rng.integers(2, 5))
-        while True:
-            p, q = random_unit(rng, d), random_unit(rng, d)
-            if abs(float(p @ q)) <= 1.0 / math.sqrt(2.0):
-                break
-        t1, tau1 = float(rng.normal(0, 30)), float(rng.normal(0, 30))
-        anchor = rng.normal(0, 30, d)
-        x = anchor - t1 * p
-        y = anchor + rng.uniform(0, 2) * random_unit(rng, d) - tau1 * q
-        low = min(low, min_distance_outside_window(x, p, y, q, t1, tau1, 12.0))
+    low = separation_minimum(rng, n_cases, 30.0)
     window_ok = low >= 6.0
     passed = grid_ok and window_ok
     report(

@@ -11,7 +11,8 @@ from stickperc.branching import (
     offspring_mean_mc,
 )
 from stickperc.errors import DomainError
-from stickperc.geometry import Segment, segment_segment_distance
+from conftest import segment_segment_distance
+from stickperc.geometry import Segment
 from stickperc.measures import gw_offspring_bound, stick_hit_volume, theorem_bounds
 from stickperc.sampling import Rigid, Uniform
 from stickperc.rng import substream

@@ -10,9 +10,8 @@ import pytest
 
 from stickperc import cli
 from stickperc.cli import main
-from stickperc.measures import theorem_bounds
 from stickperc.percolation import crossing_event
-from stickperc.sampling import BoundedDensity, Rigid, Uniform, sample_window_configuration
+from stickperc.sampling import Rigid, Uniform, sample_window_configuration
 
 
 def run_cli(capsys, argv):
@@ -51,10 +50,6 @@ class TestBounds:
         assert rc == 0
         doc = json.loads(out)
         assert doc["delta"] == 0.5
-
-    def test_law_object_supplies_its_density_floor(self):
-        law = BoundedDensity(lambda p: np.ones(len(p)), 0.5, 2.0)
-        assert theorem_bounds(2, 400.0, law) == theorem_bounds(2, 400.0, "density", delta=0.5)
 
 
 THRESHOLD_ARGS = [
@@ -410,6 +405,22 @@ class TestInvalidInput:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == ["error: expected count 5.3e+07 exceeds guard of 5e+05"]
+
+    def test_offspring_guard_exits_2_before_sampling(self):
+        # 4e8 expected sticks in one trial, under the 1e9 the offspring Monte
+        # Carlo once checked on all trials together
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "stickperc.cli", "branching", "--d", "3", "--L", "1000",
+             "--lambda", "0.033", "--trials", "2", "--gw-runs", "0"],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["error: expected count 4e+08 exceeds guard of 5e+05"]
 
     def test_non_finite_output_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.measures, "two_ball_lower_bound", lambda *args, **kwargs: math.nan)

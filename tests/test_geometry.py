@@ -6,22 +6,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    full_grid_segment_distance,
     grid_distance_outside_window,
-    grid_line_point_min,
     grid_profile_min,
     grid_segment_distance,
     random_unit,
+    segment_segment_distance,
 )
 from stickperc.errors import DomainError, ParallelLines, PreconditionViolated
 from stickperc.geometry import (
     Segment,
     line_line_distance_profile,
     line_line_t_min,
-    line_point_distance_sq,
     min_distance_outside_window,
     segment_distance_arrays,
     segments_hit_ball,
-    segment_segment_distance,
 )
 from stickperc.percolation import intersection_edges, tuned_cell_size
 from stickperc.sampling import BoxRegion, Configuration, Rigid
@@ -35,27 +34,12 @@ def rand_segment(rng, d, scale=4.0, lmax=8.0):
     return seg(rng.normal(0, scale, d), random_unit(rng, d), rng.uniform(0.5, lmax))
 
 
-class TestLinePointDistance:
-    def test_perpendicular_offset(self):
-        assert line_point_distance_sq([2.0, 0.0], [0.0, 1.0], [0.0, 0.0]) == pytest.approx(4.0)
-
-    def test_line_through_origin(self):
-        assert line_point_distance_sq([2.0, 0.0], [1.0, 0.0], [0.0, 0.0]) == pytest.approx(0.0)
-
-    def test_3d_against_grid(self):
-        x, p, y = [3.0, 4.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]
-        val = line_point_distance_sq(x, p, y)
-        assert val == pytest.approx(16.0, abs=1e-12)
-        assert val == pytest.approx(grid_line_point_min(x, p, y), abs=1e-6)
-
-    def test_random_against_grid(self):
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            x, y = rng.normal(0, 3, 3), rng.normal(0, 3, 3)
-            p = random_unit(rng, 3)
-            assert line_point_distance_sq(x, p, y) == pytest.approx(
-                grid_line_point_min(x, p, y), abs=1e-6
-            )
+def batch_distance(a, b):
+    return float(
+        segment_distance_arrays(
+            a.center[None], a.direction[None], a.length, b.center[None], b.direction[None], b.length
+        )[0]
+    )
 
 
 class TestLineLineProfile:
@@ -130,38 +114,36 @@ class TestLineLineTMin:
 class TestSegmentDistance:
     def test_identical_segments(self):
         a = seg([1.0, 2.0], [0.6, 0.8], 3.0)
-        assert segment_segment_distance(a, a) == pytest.approx(0.0, abs=1e-12)
+        assert batch_distance(a, a) == pytest.approx(0.0, abs=1e-12)
 
     def test_collinear_gap(self):
         a = seg([0.0, 0.0], [1.0, 0.0], 4.0)
         b = seg([10.0, 0.0], [1.0, 0.0], 4.0)
-        assert segment_segment_distance(a, b) == pytest.approx(6.0, abs=1e-12)
+        assert batch_distance(a, b) == pytest.approx(6.0, abs=1e-12)
 
     def test_parallel_offset_formula(self):
         # parallel sticks: distance = sqrt(rho^2 + max(0, a - L)^2) for
         # perpendicular offset rho and axial center offset a (equal lengths)
         rng = np.random.default_rng(3)
-        for _ in range(30):
-            L = rng.uniform(1, 8)
-            rho = rng.uniform(0, 4)
-            shift = rng.uniform(0, 12)
-            a = seg([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], L)
-            b = seg([shift, rho, 0.0], [1.0, 0.0, 0.0], L)
-            expected = math.hypot(rho, max(0.0, shift - L))
-            assert segment_segment_distance(a, b) == pytest.approx(expected, abs=1e-10)
+        L, rho, shift = rng.uniform([1, 0, 0], [8, 4, 12], (30, 3)).T
+        axis = np.array([1.0, 0.0, 0.0])
+        centers_b = np.stack([shift, rho, np.zeros(30)], axis=1)
+        dist = segment_distance_arrays(np.zeros(3), axis, L, centers_b, axis, L)
+        expected = np.hypot(rho, np.maximum(0.0, shift - L))
+        np.testing.assert_allclose(dist, expected, rtol=0.0, atol=1e-10)
 
     def test_symmetry_and_rigid_motion(self):
         rng = np.random.default_rng(41)
         for _ in range(50):
             d = int(rng.integers(2, 6))
             a, b = rand_segment(rng, d), rand_segment(rng, d)
-            dist = segment_segment_distance(a, b)
-            assert dist == pytest.approx(segment_segment_distance(b, a), abs=0.0)
+            assert segment_segment_distance(a, b) == pytest.approx(segment_segment_distance(b, a), abs=0.0)
+            dist = batch_distance(a, b)
             rot, _ = np.linalg.qr(rng.standard_normal((d, d)))
             shift = rng.normal(0, 10, d)
             a2 = seg(rot @ a.center + shift, rot @ a.direction, a.length)
             b2 = seg(rot @ b.center + shift, rot @ b.direction, b.length)
-            assert segment_segment_distance(a2, b2) == pytest.approx(dist, abs=1e-9)
+            assert batch_distance(a2, b2) == pytest.approx(dist, abs=1e-9)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_against_grid_oracle(self, d):
@@ -170,7 +152,7 @@ class TestSegmentDistance:
         while done < 40:
             a = rand_segment(rng, d, scale=3.0, lmax=5.0)
             b = rand_segment(rng, d, scale=3.0, lmax=5.0)
-            closed = segment_segment_distance(a, b)
+            closed = batch_distance(a, b)
             if closed < 0.1:
                 continue
             assert abs(closed - grid_segment_distance(a, b, steps=600)) <= 1e-3
@@ -194,6 +176,17 @@ class TestSegmentDistance:
             )
             np.testing.assert_allclose(batch, scalar, atol=1e-9)
 
+    @pytest.mark.parametrize("steps", [2, 3, 7, 40, 101])
+    def test_grid_oracle_equals_full_grid(self, steps):
+        # the oracle evaluates each row only at the two grid points around
+        # the row's vertex; the full scan must find the same minimum
+        rng = np.random.default_rng(steps)
+        for _ in range(100):
+            d = int(rng.integers(2, 6))
+            a = rand_segment(rng, d, scale=3.0, lmax=5.0)
+            b = rand_segment(rng, d, scale=3.0, lmax=5.0)
+            assert grid_segment_distance(a, b, steps) == full_grid_segment_distance(a, b, steps)
+
 
 @pytest.mark.parametrize(
     "center_b, direction, overlap",
@@ -213,14 +206,6 @@ def test_two_stick_overlap(center_b, direction, overlap):
     box = BoxRegion(centers.min(axis=0) - 8.0, centers.max(axis=0) + 8.0)
     config = Configuration(5.0, box, centers, dirs)
     assert intersection_edges(config).tolist() == ([[0, 1]] if overlap else [])
-
-
-def batch_distance(a, b):
-    return float(
-        segment_distance_arrays(
-            a.center[None], a.direction[None], a.length, b.center[None], b.direction[None], b.length
-        )[0]
-    )
 
 
 @st.composite
@@ -314,7 +299,6 @@ class TestKernelProperties:
             # 2 wide across the first stick: integer coordinates put the
             # touching edges exactly on cell boundaries
             cell = tuned_cell_size(a.length, Rigid(a.direction))
-        assert segment_segment_distance(a, b) == 2.0
         assert batch_distance(a, b) == 2.0
         centers = np.array([a.center, b.center])
         dirs = np.array([a.direction, b.direction])
@@ -389,6 +373,48 @@ class TestMinDistanceOutsideWindow:
             assert val == pytest.approx(oracle, abs=2e-3)
             assert val >= 6.0
             done += 1
+
+    @staticmethod
+    def instances(n, seed, p=None):
+        """Rows (x, p, y, q, t1, tau1) of separation-lemma instances in R^3,
+        all along the direction ``p`` if one is given."""
+        rng = np.random.default_rng(seed)
+        rows = []
+        while len(rows) < n:
+            p_row = random_unit(rng, 3) if p is None else p
+            q = random_unit(rng, 3)
+            if abs(float(p_row @ q)) > 1.0 / math.sqrt(2.0):
+                continue
+            t1, tau1 = rng.normal(0, 20), rng.normal(0, 20)
+            anchor = rng.normal(0, 20, 3)
+            y = anchor + rng.uniform(0, 2) * random_unit(rng, 3) - tau1 * q
+            rows.append((anchor - t1 * p_row, p_row, y, q, t1, tau1))
+        return rows
+
+    @pytest.mark.parametrize("w", [0.0, 3.0, 12.0, 40.0])
+    def test_rows_equal_single_instances(self, w):
+        rows = self.instances(300, 444)
+        batch = min_distance_outside_window(*map(np.array, zip(*rows)), w)
+        assert batch.shape == (300,)
+        assert batch.tolist() == [min_distance_outside_window(*row, w) for row in rows]
+
+    def test_shared_direction_broadcasts(self):
+        p = random_unit(np.random.default_rng(5), 3)
+        rows = self.instances(100, 555, p)
+        x, _, y, q, t1, tau1 = map(np.array, zip(*rows))
+        batch = min_distance_outside_window(x, p, y, q, t1, tau1, 12.0)
+        assert batch.tolist() == [min_distance_outside_window(*row, 12.0) for row in rows]
+
+    @pytest.mark.parametrize("broken", ["direction", "pair"])
+    def test_one_bad_row_raises(self, broken):
+        x, p, y, q, t1, tau1 = map(np.array, zip(*self.instances(50, 666)))
+        assert np.all(min_distance_outside_window(x, p, y, q, t1, tau1, 12.0) >= 6.0)
+        if broken == "direction":
+            q[17] = p[17]  # |<p,q>| = 1 > 1/sqrt(2)
+        else:
+            y[17] += 5.0 * np.cross(p[17], q[17]) / np.linalg.norm(np.cross(p[17], q[17]))
+        with pytest.raises(PreconditionViolated):
+            min_distance_outside_window(x, p, y, q, t1, tau1, 12.0)
 
     def test_preconditions(self):
         p = np.array([1.0, 0.0])

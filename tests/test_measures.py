@@ -230,14 +230,6 @@ class TestTheoremBounds:
         with pytest.raises(DomainError, match="0 < delta <= 1"):
             theorem_bounds(2, 400.0, law, delta=delta)
 
-    def test_law_object_floor_checked(self):
-        class Floor2:
-            tag = "density"
-            density_floor = 2.0
-
-        with pytest.raises(DomainError, match="delta = 2.0"):
-            theorem_bounds(2, 400.0, Floor2())
-
 
 class TestOffspringBound:
     def test_pivot_equals_one(self):

@@ -2,14 +2,12 @@ import math
 
 import numpy as np
 import pytest
-import scipy.stats
 
-from stickperc.errors import CapacityExceeded, DomainError, RejectionStall
+from stickperc.errors import CapacityExceeded, DomainError
 from stickperc.measures import stick_hit_volume
 from stickperc.geometry import segments_hit_ball
 from stickperc.rng import derive_seed, substream
 from stickperc.sampling import (
-    BoundedDensity,
     BoxRegion,
     Rigid,
     Uniform,
@@ -86,31 +84,6 @@ class TestOrientationLaws:
         proj_sq = (p @ v) ** 2
         se = math.sqrt((3.0 / 15.0 - 1.0 / 9.0) / len(p))
         assert abs(proj_sq.mean() - 1.0 / 3.0) <= 3.0 * se
-
-    def test_density_one_matches_uniform(self):
-        law = BoundedDensity(phi=lambda p: np.ones(len(p)), delta=1.0, upper=1.0)
-        a = law.sample_directions(substream(7), 3, 40_000)[:, 0]
-        b = Uniform().sample_directions(substream(8), 3, 40_000)[:, 0]
-        stat = scipy.stats.ks_2samp(a, b)
-        assert stat.pvalue > 0.01
-
-    def test_density_shape_respected(self):
-        # density supported on a band around the equator of the sphere
-        def phi(p):
-            return 1.5 * (np.abs(p[:, 0]) < 0.5)
-
-        with pytest.raises(DomainError):
-            BoundedDensity(phi=phi, delta=0.0, upper=1.5)  # delta must be positive
-        with pytest.raises(DomainError):
-            BoundedDensity(phi=phi, delta=1.2, upper=1.5)  # a density floor cannot exceed 1
-        law = BoundedDensity(phi=phi, delta=1e-9, upper=1.5)
-        p = law.sample_directions(substream(9), 3, 20_000)
-        assert np.all(np.abs(p[:, 0]) < 0.5)
-
-    def test_rejection_stall(self):
-        law = BoundedDensity(phi=lambda p: np.full(len(p), 1e-9), delta=1e-9, upper=1.0)
-        with pytest.raises(RejectionStall):
-            law.sample_directions(substream(10), 3, 10)
 
 
 class TestConfiguration:

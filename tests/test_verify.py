@@ -1,9 +1,11 @@
 """The ``stickperc verify`` registry under pytest: every check of every
 suite at suite seeds 1-6, the seeds the benchmark's verify workload runs."""
 
+import numpy as np
 import pytest
 
 from stickperc import verify
+from stickperc.rng import substream
 
 
 @pytest.mark.parametrize("seed", range(1, 7))
@@ -14,3 +16,25 @@ def test_every_check_passes(suite, seed):
     assert all(type(c.passed) is bool and type(c.detail) is str for c in checks), checks
     failed = [f"{c.name}: {c.detail}" for c in checks if not c.passed]
     assert not failed, failed
+
+
+@pytest.mark.parametrize("n_cases", [1, 6_000, 10_000, 23_456])
+def test_separation_minimum_evaluates_exactly_n_cases(monkeypatch, n_cases):
+    kernel = verify.geometry.min_distance_outside_window
+    rows = []
+
+    def counted(x, *args):
+        rows.append(len(x))
+        return kernel(x, *args)
+
+    monkeypatch.setattr(verify.geometry, "min_distance_outside_window", counted)
+    assert verify.separation_minimum(substream(1), n_cases, 20.0) >= 6.0
+    assert sum(rows) == n_cases
+
+
+def test_random_units_live_in_their_rows_dimension():
+    dims = substream(2).integers(2, 6, 1000)
+    z = verify.random_units(substream(3), dims)
+    assert z.shape == (1000, 5)
+    np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0, rtol=0, atol=1e-15)
+    assert not np.any(z[np.arange(5) >= dims[:, None]])
