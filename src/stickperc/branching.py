@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CapacityExceeded, DomainError
 from .geometry import INTERSECT_THRESHOLD, Segment, segment_distance_arrays
 from .rng import substream
-from .sampling import BoxRegion, OrientationLaw, check_expected_count, check_intensity, poisson_sticks
+from .sampling import (
+    _MAX_EXPECTED_COUNT, BoxRegion, OrientationLaw, check_expected_count, check_intensity, poisson_sticks
+)
 
 _STREAM_OFFSPRING = 0x0FF5
 _STREAM_GW = 0x6A17
@@ -60,17 +62,20 @@ def offspring_mean_mc(
 
     Each trial draws a fresh Poisson configuration in a box provably
     containing every center that could intersect the seed and counts the
-    intersecting sticks.  The standard error needs at least two trials.
+    intersecting sticks.  The standard error needs at least two trials; as
+    each trial keeps its count, more than the stick guard's 5e5 are refused.
     """
     if trials < 2:
         raise DomainError("need at least two trials")
+    if trials > _MAX_EXPECTED_COUNT:
+        raise CapacityExceeded(f"{trials} trials exceed guard of {_MAX_EXPECTED_COUNT:.3g}")
     box = offspring_box(seed_segment, length)
     rng = substream(seed, _STREAM_OFFSPRING)
     mean_count = check_expected_count(check_intensity(intensity) * box.volume)
     counts = rng.poisson(mean_count, size=trials).astype(np.int64)
     samples = np.zeros(trials, dtype=np.int64)
-    # process trial blocks of at most ~2e6 sticks to bound memory
-    block_trials = max(1, int(2e6 / max(mean_count, 1.0)))
+    # process trial blocks of at most the guard's expected count of sticks
+    block_trials = max(1, int(_MAX_EXPECTED_COUNT / max(mean_count, 1.0)))
     for lo in range(0, trials, block_trials):
         block = counts[lo : lo + block_trials]
         total = int(block.sum())

@@ -21,15 +21,6 @@ _UNIT_TOL = 1e-12
 _PARALLEL_TOL = 1e-12
 
 
-def unit(v) -> np.ndarray:
-    """Normalize ``v`` to unit length."""
-    v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
-    if not np.isfinite(n) or n == 0.0:
-        raise DomainError("cannot normalize zero or non-finite vector")
-    return v / n
-
-
 def check_unit(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if abs(float(np.linalg.norm(p)) - 1.0) > _UNIT_TOL:
@@ -62,9 +53,15 @@ class Segment:
         return 0.5 * self.length
 
 
-def line_line_distance_profile(x, p, y, q, t: float) -> float:
+def _dot(a, b):
+    # row-wise <a, b> over the last axis, broadcast; a stack of 1 x d by
+    # d x 1 products rounds each row as the 1-d ``a @ b`` does
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def line_line_distance_profile(x, p, y, q, t):
     """Squared distance from the point at parameter ``t`` on line (x, p) to
-    the whole line (y, q).
+    the whole line (y, q); every argument broadcasts over rows.
 
     h(t) = ||x-y||^2 + t^2 (1 - <p,q>^2) - <x-y,q>^2
            + 2 t (<x-y,p> - <p,q><x-y,q>)
@@ -72,32 +69,26 @@ def line_line_distance_profile(x, p, y, q, t: float) -> float:
     u = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    c = float(p @ q)
-    uq = float(u @ q)
-    up = float(u @ p)
-    val = float(u @ u) + t * t * (1.0 - c * c) - uq * uq + 2.0 * t * (up - c * uq)
-    return max(val, 0.0)
+    c = _dot(p, q)
+    uq = _dot(u, q)
+    return np.maximum(_dot(u, u) + t * t * (1.0 - c * c) - uq * uq + 2.0 * t * (_dot(u, p) - c * uq), 0.0)
 
 
-def line_line_t_min(x, p, y, q) -> float:
-    """Parameter on line (x, p) closest to line (y, q).
+def line_line_t_min(x, p, y, q):
+    """Parameter on line (x, p) closest to line (y, q), broadcast over rows
+    as ``line_line_distance_profile``.
 
-    Raises ParallelLines when 1 - <p,q>^2 < 1e-12, where the closed form
-    divides by zero.
+    Raises ParallelLines when 1 - <p,q>^2 < 1e-12 on any row, where the
+    closed form divides by zero.
     """
     u = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    c = float(p @ q)
+    c = _dot(p, q)
     denom = 1.0 - c * c
-    if denom < _PARALLEL_TOL:
+    if np.any(denom < _PARALLEL_TOL):
         raise ParallelLines("line directions are parallel within tolerance")
-    return -(float(u @ p) - c * float(u @ q)) / denom
-
-
-def _f_value(uu, up, uq, c, t, tau):
-    # f(t, tau) = ||u + t p - tau q||^2 expanded with unit p, q.
-    return uu + t * t + tau * tau - 2.0 * t * tau * c + 2.0 * t * up - 2.0 * tau * uq
+    return -(_dot(u, p) - c * _dot(u, q)) / denom
 
 
 def segment_distance_arrays(ca, da, la, cb, db, lb) -> np.ndarray:
@@ -149,12 +140,6 @@ def segments_hit_ball(centers, dirs, half_lengths, c, rho: float) -> np.ndarray:
     return np.einsum("...i,...i->...", diff, diff) <= rho * rho
 
 
-def _dot(a, b):
-    # row-wise <a, b> over the last axis, broadcast; a stack of 1 x d by
-    # d x 1 products rounds each row as the 1-d ``a @ b`` does
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def min_distance_outside_window(x, p, y, q, t1, tau1, w: float) -> np.ndarray:
     """Infimum of the two-line point distance outside a parameter window.
 
@@ -165,28 +150,23 @@ def min_distance_outside_window(x, p, y, q, t1, tau1, w: float) -> np.ndarray:
     |<p,q>| <= 1/sqrt(2) and the window-defining pair itself is within
     distance 2.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    c = _dot(p, q)
-    if np.any(np.abs(c) > 1.0 / np.sqrt(2.0) + 1e-12):
+    x, p, y, q, t1, tau1 = (np.asarray(v, dtype=float) for v in (x, p, y, q, t1, tau1))
+    if np.any(np.abs(_dot(p, q)) > 1.0 / np.sqrt(2.0) + 1e-12):
         raise PreconditionViolated("|<p,q>| must be at most 1/sqrt(2)")
-    u = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    uu = _dot(u, u)
-    up = _dot(u, p)
-    uq = _dot(u, q)
-    pair_sq = _f_value(uu, up, uq, c, t1, tau1)
+    gap = x + t1[..., None] * p - y - tau1[..., None] * q
+    pair_sq = _dot(gap, gap)
     if np.any(pair_sq > 4.0 + 1e-9):
         raise PreconditionViolated("window-defining pair is farther apart than 2")
     if w <= 0.0:
-        return np.sqrt(np.maximum(pair_sq, 0.0))
+        return np.sqrt(pair_sq)
 
-    denom = 1.0 - c * c
-    t_star = (c * uq - up) / denom
-    tau_star = (uq - c * up) / denom
     # The feasible region is a union of four half-planes; in each one the
-    # minimum sits on the bounding line (t or tau pinned, the other free).
-    edges = [_f_value(uu, up, uq, c, t_fixed, c * t_fixed + uq) for t_fixed in (t1 - w, t1 + w)]
-    edges += [_f_value(uu, up, uq, c, c * tau_fixed - up, tau_fixed) for tau_fixed in (tau1 - w, tau1 + w)]
+    # minimum sits on the bounding line (t or tau pinned, the other free),
+    # unless the joint minimizer (t_star, tau_star) lies in the region.
+    t_star = line_line_t_min(x, p, y, q)
+    tau_star = line_line_t_min(y, q, x, p)
+    edges = [line_line_distance_profile(x, p, y, q, t) for t in (t1 - w, t1 + w)]
+    edges += [line_line_distance_profile(y, q, x, p, tau) for tau in (tau1 - w, tau1 + w)]
     free = np.maximum(np.abs(t_star - t1), np.abs(tau_star - tau1)) >= w
-    best = np.where(free, _f_value(uu, up, uq, c, t_star, tau_star), np.minimum.reduce(edges))
-    return np.sqrt(np.maximum(best, 0.0))
+    best = np.where(free, line_line_distance_profile(x, p, y, q, t_star), np.minimum.reduce(edges))
+    return np.sqrt(best)

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CapacityExceeded, DomainError
 from .rng import combine_keys, derive_seed, mix_to_unit, substream
+from .sampling import _MAX_EXPECTED_COUNT
 from .stats import wilson_interval
 
 _STREAM_TRIAL = 0x0B5E
@@ -143,8 +144,9 @@ def _extinction_levels(trials: int, k: int, variant: str, n_max: int, batch_open
     """Level at which each of k runs per trial dies out from the origin, -1
     if alive after n_max steps, as a (trials, k) array.
 
-    Up to _BATCH_RUNS runs advance together in one sorted array, so memory
-    does not grow with trials: run r's site x is stored as
+    Up to _BATCH_RUNS runs advance together in one sorted array, so only the
+    result grows with trials (more than the stick guard's 5e5 runs are
+    refused): run r's site x is stored as
     ``r * width + x + offset``.  The band ``width`` holds every site that
     n_max steps can reach, so runs never touch, and it is even, so all runs
     share one parity.  ``batch_opens(batch)`` gives the ``opens(level, run,
@@ -153,6 +155,8 @@ def _extinction_levels(trials: int, k: int, variant: str, n_max: int, batch_open
     """
     if trials < 1 or n_max < 1:
         raise DomainError("trials and n_max must be positive")
+    if trials * k > _MAX_EXPECTED_COUNT:
+        raise CapacityExceeded(f"{trials * k} runs exceed guard of {_MAX_EXPECTED_COUNT:.3g}")
     width, offset = 2 * n_max + 4, n_max + 2
     size = max(1, _BATCH_RUNS // max(k, 1))
     levels = np.full(trials * k, -1, dtype=np.int64)

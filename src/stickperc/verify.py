@@ -25,13 +25,6 @@ class Check:
     detail: str
 
 
-def random_unit(rng, d):
-    v = rng.standard_normal(d)
-    # for a 1-d vector, the same square root of the same dot product as
-    # np.linalg.norm, without its per-call overhead
-    return v / math.sqrt(v @ v)
-
-
 def _embedded(z, dims):
     # row i keeps its first dims[i] coordinates and is 0 beyond them
     z[np.arange(z.shape[1]) >= dims[:, None]] = 0.0
@@ -117,20 +110,18 @@ def geometry_suite(seed: int) -> list[Check]:
     rng = substream(seed, 0x6E0)
     checks = []
 
-    # quadratic shift identity around the two-line minimizer
-    worst = 0.0
-    for _ in range(200):
-        d = int(rng.integers(2, 6))
-        x, y = rng.normal(0, 5, d), rng.normal(0, 5, d)
-        p, q = random_unit(rng, d), random_unit(rng, d)
-        if 1.0 - float(p @ q) ** 2 < 1e-6:
-            continue
-        t_min = geometry.line_line_t_min(x, p, y, q)
-        h_min = geometry.line_line_distance_profile(x, p, y, q, t_min)
-        a = float(rng.normal(0, 10))
-        lhs = geometry.line_line_distance_profile(x, p, y, q, t_min + a)
-        rhs = h_min + a * a * (1.0 - float(p @ q) ** 2)
-        worst = max(worst, abs(lhs - rhs) / (1.0 + a * a))
+    # quadratic shift identity around the two-line minimizer, on 200 draws
+    # less those with nearly parallel lines
+    dims = rng.integers(2, 6, 200)
+    x, y = (_embedded(rng.normal(0.0, 5.0, (dims.size, dims.max())), dims) for _ in range(2))
+    p, q = random_units(rng, dims), random_units(rng, dims)
+    a = rng.normal(0.0, 10.0, dims.size)
+    sin_sq = 1.0 - np.einsum("ij,ij->i", p, q) ** 2
+    keep = sin_sq >= 1e-6
+    x, p, y, q, a, sin_sq = x[keep], p[keep], y[keep], q[keep], a[keep], sin_sq[keep]
+    t_min = geometry.line_line_t_min(x, p, y, q)
+    h_min, lhs = geometry.line_line_distance_profile(x, p, y, q, np.stack([t_min, t_min + a]))
+    worst = float(np.max(np.abs(lhs - h_min - a * a * sin_sq) / (1.0 + a * a), initial=0.0))
     checks.append(Check("quadratic-shift-identity", worst <= 1e-9, f"max scaled deviation {worst:.3g}"))
 
     # symmetry and rigid-motion invariance of the segment distance

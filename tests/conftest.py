@@ -11,7 +11,15 @@ import math
 import numpy as np
 
 from stickperc.geometry import _PARALLEL_TOL, Segment
-from stickperc.verify import grid_segment_distance, random_unit  # noqa: F401
+from stickperc.verify import grid_segment_distance  # noqa: F401
+
+
+def random_unit(rng, d):
+    """One uniform random unit vector in R^d."""
+    v = rng.standard_normal(d)
+    # for a 1-d vector, the same square root of the same dot product as
+    # np.linalg.norm, without its per-call overhead
+    return v / math.sqrt(v @ v)
 
 
 def _clamped_minimizer(numer: float, denom: float, half: float) -> float:

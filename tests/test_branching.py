@@ -10,7 +10,7 @@ from stickperc.branching import (
     offspring_box,
     offspring_mean_mc,
 )
-from stickperc.errors import DomainError
+from stickperc.errors import CapacityExceeded, DomainError
 from conftest import segment_segment_distance
 from stickperc.geometry import Segment
 from stickperc.measures import gw_offspring_bound, stick_hit_volume, theorem_bounds
@@ -98,6 +98,10 @@ class TestOffspringMeanMC:
             offspring_mean_mc(2, 10.0, 0.1, Uniform(), stick_along(0, 2, 10.0), 0, seed=1)
         with pytest.raises(DomainError, match="two trials"):
             offspring_mean_mc(2, 10.0, 0.1, Uniform(), stick_along(0, 2, 10.0), 1, seed=1)
+
+    def test_trials_above_guard_refused(self):
+        with pytest.raises(CapacityExceeded, match="500001 trials exceed guard of 5e"):
+            offspring_mean_mc(2, 10.0, 1e-4, Uniform(), stick_along(0, 2, 10.0), 500_001, seed=1)
 
 
 class TestDominatingGW:

@@ -422,6 +422,29 @@ class TestInvalidInput:
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == ["error: expected count 4e+08 exceeds guard of 5e+05"]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["branching", "--d", "2", "--L", "10", "--lambda", "0.0001", "--gw-runs", "0"],
+             "error: 400000000 trials exceed guard of 5e+05"),
+            (["oriented", "--alpha", "0.5", "--n-max", "1"], "error: 400000000 runs exceed guard of 5e+05"),
+        ],
+        ids=["branching", "oriented"],
+    )
+    def test_trial_guard_exits_2_before_allocating(self, argv, message):
+        # one int64 per trial is 3 GB, beyond the 2 GiB address-space cap
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "stickperc.cli", *argv, "--trials", "400000000"],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [message]
+
     def test_non_finite_output_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.measures, "two_ball_lower_bound", lambda *args, **kwargs: math.nan)
         rc, out, err = run_cli(capsys, ["measure-mc", "--d", "2", "--trials", "100"])

@@ -111,6 +111,45 @@ class TestLineLineTMin:
             line_line_t_min([0.0, 1.0], p, [0.0, 0.0], -p)
 
 
+class TestBroadcastLineFunctions:
+    @staticmethod
+    def rows(n, d, seed):
+        rng = np.random.default_rng(seed)
+        return [
+            (rng.normal(0, 5, d), random_unit(rng, d), rng.normal(0, 5, d), random_unit(rng, d), rng.normal(0, 20))
+            for _ in range(n)
+        ]
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_rows_equal_scalar_calls(self, d):
+        rows = self.rows(200, d, 40 + d)
+        x, p, y, q, t = map(np.array, zip(*rows))
+        profile = line_line_distance_profile(x, p, y, q, t)
+        t_min = line_line_t_min(x, p, y, q)
+        assert profile.shape == t_min.shape == (200,)
+        assert profile.tolist() == [line_line_distance_profile(*row) for row in rows]
+        scalar = [line_line_t_min(*row[:4]) for row in rows]
+        assert t_min.tolist() == scalar
+        assert all(isinstance(v, float) for v in scalar)
+
+    def test_one_parallel_row_raises(self):
+        x, p, y, q, _ = map(np.array, zip(*self.rows(50, 3, 7)))
+        line_line_t_min(x, p, y, q)
+        q[17] = -p[17]
+        with pytest.raises(ParallelLines):
+            line_line_t_min(x, p, y, q)
+
+
+def test_window_pair_distance_reads_the_gap():
+    # far out along both lines the expanded quadratic cancels to about
+    # 4e-9; the gap vector itself is exact to a few ulp of 300
+    p = np.array([1.0, 0.0, 0.0])
+    q = np.array([0.0, 0.6, 0.8])
+    gap = 1e-3 * np.array([0.0, 0.8, -0.6])  # orthogonal to p and q
+    val = min_distance_outside_window(-300.0 * p, p, gap - 300.0 * q, q, 300.0, 300.0, 0.0)
+    assert abs(val - 1e-3) <= 1e-12
+
+
 class TestSegmentDistance:
     def test_identical_segments(self):
         a = seg([1.0, 2.0], [0.6, 0.8], 3.0)

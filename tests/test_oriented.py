@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stickperc import oriented
-from stickperc.errors import DomainError
+from stickperc.errors import CapacityExceeded, DomainError
 from stickperc.oriented import (
     _KEY_LEFT,
     _KEY_RIGHT,
@@ -275,6 +275,13 @@ class TestCoupling:
     def test_matrix_invalid_input_rejected(self, alphas, n_max, trials):
         with pytest.raises(DomainError):
             coupled_survival_matrix(alphas, "bond", n_max, trials, seed=0)
+
+    def test_runs_above_guard_refused(self):
+        # 250,001 trials at two alphas are 500,002 runs
+        with pytest.raises(CapacityExceeded, match="500002 runs exceed guard of 5e"):
+            coupled_survival_matrix([0.5, 0.6], "bond", 1, 250_001, seed=0)
+        with pytest.raises(CapacityExceeded, match="500001 runs exceed guard of 5e"):
+            survival_probability(0.5, "bond", 1, 500_001, seed=0)
 
     @settings(max_examples=60, deadline=None)
     @given(
