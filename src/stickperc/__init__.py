@@ -46,7 +46,6 @@ from .sampling import (
     Rigid,
     Uniform,
     poisson_count,
-    sample_configuration,
     sample_window_configuration,
 )
 from .percolation import (

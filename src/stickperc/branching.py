@@ -18,7 +18,8 @@ from .errors import CapacityExceeded, DomainError
 from .geometry import INTERSECT_THRESHOLD, Segment, segment_distance_arrays
 from .rng import substream
 from .sampling import (
-    _MAX_EXPECTED_COUNT, BoxRegion, OrientationLaw, check_expected_count, check_intensity, poisson_sticks
+    _MAX_EXPECTED_COUNT, _MAX_POPULATION, BoxRegion, OrientationLaw, check_expected_count, check_intensity,
+    poisson_sticks,
 )
 
 _STREAM_OFFSPRING = 0x0FF5
@@ -104,6 +105,15 @@ class GWReport:
         return not self.truncated and (len(self.generation_sizes) == 0 or self.generation_sizes[-1] == 0)
 
 
+def check_caps(max_generations: int, population_cap: int) -> None:
+    """DomainError unless both caps are positive, CapacityExceeded if a
+    generation under ``population_cap`` could outgrow memory."""
+    if max_generations < 1 or population_cap < 1:
+        raise DomainError("caps must be positive")
+    if population_cap > _MAX_POPULATION:
+        raise CapacityExceeded(f"population cap {population_cap} exceeds guard of {_MAX_POPULATION:.3g}")
+
+
 def dominating_gw_run(
     offspring_samples,
     max_generations: int,
@@ -116,8 +126,7 @@ def dominating_gw_run(
     samples = np.asarray(offspring_samples, dtype=np.int64)
     if len(samples) == 0:
         raise DomainError("need at least one stored offspring sample")
-    if max_generations < 1 or population_cap < 1:
-        raise DomainError("caps must be positive")
+    check_caps(max_generations, population_cap)
     rng = substream(seed, _STREAM_GW)
     sizes: list[int] = []
     population = 1
@@ -196,8 +205,7 @@ def component_exploration(
     individuals reproduce via fresh offspring draws around their own stick,
     so dominating sizes are pathwise at least the true generation sizes.
     """
-    if max_generations < 1 or population_cap < 1:
-        raise DomainError("caps must be positive")
+    check_caps(max_generations, population_cap)
     rng = substream(seed, _STREAM_EXPLORE)
     radius = max_generations * (length + 4.0)
     window = BoxRegion(seed_segment.center - radius, seed_segment.center + radius)

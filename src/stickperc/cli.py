@@ -187,8 +187,7 @@ def cmd_scaling(args) -> int:
 def cmd_branching(args) -> int:
     if args.gw_runs < 0:
         raise DomainError("gw_runs must be nonnegative")
-    if args.max_generations < 1 or args.population_cap < 1:
-        raise DomainError("caps must be positive")
+    branching.check_caps(args.max_generations, args.population_cap)
     law = _law_object(args.law, args.d)
     d = args.d
     axis = getattr(law, "axis", np.eye(d)[0])

@@ -45,21 +45,13 @@ class Frontier:
             raise DomainError("sites must satisfy x + level even")
         object.__setattr__(self, "occupied", occ)
 
-    @classmethod
-    def _unchecked(cls, level: int, occupied: np.ndarray) -> "Frontier":
-        # for sites that are already sorted, unique int64 of the level's parity
-        frontier = object.__new__(cls)
-        object.__setattr__(frontier, "level", level)
-        object.__setattr__(frontier, "occupied", occupied)
-        return frontier
-
     @property
     def alive(self) -> bool:
         return self.occupied.size > 0
 
     @staticmethod
     def origin() -> "Frontier":
-        return Frontier._unchecked(0, np.zeros(1, dtype=np.int64))
+        return Frontier(0, np.zeros(1, dtype=np.int64))
 
 
 def _check_alpha(alpha: float) -> float:
@@ -119,7 +111,7 @@ def op_step(frontier: Frontier, alpha: float, variant: str, stream: np.random.Ge
         frontier.occupied, frontier.level, _check_variant(variant),
         lambda level, sites, key: stream.random(sites.size) < alpha,
     )
-    return Frontier._unchecked(frontier.level + 1, children)
+    return Frontier(frontier.level + 1, children)
 
 
 def coupled_variant_step(frontier: Frontier, alpha: float, trial_key: int) -> tuple[Frontier, Frontier]:
@@ -137,7 +129,7 @@ def coupled_variant_step(frontier: Frontier, alpha: float, trial_key: int) -> tu
     from_right = _field(trial_key, level, candidates + 1, _KEY_LEFT)
     u = np.where(np.isin(candidates - 1, parents), from_left, from_right)
     bond = _step(parents, level, "bond", lambda lvl, sites, key: _field(trial_key, lvl, sites, key) < alpha)
-    return Frontier._unchecked(level + 1, candidates[u < alpha]), Frontier._unchecked(level + 1, bond)
+    return Frontier(level + 1, candidates[u < alpha]), Frontier(level + 1, bond)
 
 
 def _extinction_levels(trials: int, k: int, variant: str, n_max: int, batch_opens) -> np.ndarray:

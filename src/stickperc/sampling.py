@@ -1,10 +1,11 @@
 """Seeded sampling of Poisson stick configurations.
 
-A configuration is a Poisson number of stick centers dropped uniformly in a
-box, with orientations drawn independently from an orientation law.  All
-randomness flows through PCG64 substreams derived from an explicit master
-seed (see :mod:`stickperc.rng`), so identical inputs reproduce identical
-configurations byte for byte, independent of worker count.
+A configuration is a Poisson number of stick centers dropped uniformly in
+the padded box around an observation window, with orientations drawn
+independently from an orientation law.  All randomness flows through PCG64
+substreams derived from an explicit master seed (see :mod:`stickperc.rng`),
+so identical inputs reproduce identical configurations byte for byte,
+independent of worker count.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ _STREAM_CONFIG = 0x5EED
 # a replicate peaks near 3 KB per stick over sampling and clustering (d = 3
 # near threshold), so this guard keeps one near 2 GB
 _MAX_EXPECTED_COUNT = 5e5
+# a branching generation draws one int64 index and one int64 offspring count
+# per individual, so a population of this many holds about 1.6 GB, near the
+# stick guard's budget
+_MAX_POPULATION = 1e8
 
 
 @dataclass(frozen=True)
@@ -78,10 +83,6 @@ class BoxRegion:
             raise DomainError("box must satisfy low < high on every axis")
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "high", high)
-
-    @property
-    def dimension(self) -> int:
-        return self.low.shape[0]
 
     @property
     def volume(self) -> float:
@@ -143,18 +144,13 @@ def poisson_sticks(
 
 @dataclass(frozen=True)
 class Configuration:
-    """Immutable sampled stick configuration.
-
-    ``box`` is the sampling box (every center lies inside it).  When the
-    configuration was sampled for a percolation window, ``window`` holds the
-    observation window, which the sampling box strictly contains.
-    """
+    """Immutable sampled stick configuration: its sticks and the observation
+    window whose crossings it is tested for."""
 
     length: float
-    box: BoxRegion
+    observation_window: BoxRegion
     centers: np.ndarray
     dirs: np.ndarray
-    window: BoxRegion | None = None
 
     @property
     def d(self) -> int:
@@ -168,34 +164,6 @@ class Configuration:
     def half(self) -> float:
         return 0.5 * self.length
 
-    @property
-    def observation_window(self) -> BoxRegion:
-        return self.window if self.window is not None else self.box
-
-
-def sample_configuration(
-    d: int,
-    length: float,
-    intensity: float,
-    law: OrientationLaw,
-    box: BoxRegion,
-    seed: int,
-    window: BoxRegion | None = None,
-) -> Configuration:
-    """Sample one Poisson stick configuration in ``box``."""
-    if intensity <= 0.0:
-        raise DomainError("intensity must be positive")
-    if box.dimension != d:
-        raise DomainError("box dimension does not match d")
-    centers, dirs = poisson_sticks(d, intensity, law, box, substream(seed, _STREAM_CONFIG))
-    return Configuration(length=float(length), box=box, centers=centers, dirs=dirs, window=window)
-
-
-def percolation_padding(length: float) -> float:
-    """Sampling box growth used for window runs: sticks centered outside the
-    window can still intersect it, so grow by half a stick plus the radius."""
-    return 0.5 * length + 1.0
-
 
 def sample_window_configuration(
     d: int,
@@ -205,7 +173,13 @@ def sample_window_configuration(
     side: float,
     seed: int,
 ) -> Configuration:
-    """Sample in the padded box around the observation window [0, side]^d."""
+    """Sample a Poisson stick configuration for the observation window
+    [0, side]^d.  Sticks centered outside the window can still reach it, so
+    the centers are drawn in the window grown by half a stick plus the
+    radius."""
+    if intensity <= 0.0:
+        raise DomainError("intensity must be positive")
     window = BoxRegion.cube(d, side)
-    box = window.grown(percolation_padding(length))
-    return sample_configuration(d, length, intensity, law, box, seed, window=window)
+    box = window.grown(0.5 * length + 1.0)
+    centers, dirs = poisson_sticks(d, intensity, law, box, substream(seed, _STREAM_CONFIG))
+    return Configuration(float(length), window, centers, dirs)

@@ -1,4 +1,4 @@
-"""Shared brute-force oracles for the test suite.
+"""Shared brute-force oracles and a box sampler for the test suite.
 
 The oracles deliberately avoid the closed forms they check: grid scans for
 distance minimization, plain rejection counting for hit fractions, and a
@@ -11,7 +11,16 @@ import math
 import numpy as np
 
 from stickperc.geometry import _PARALLEL_TOL, Segment
+from stickperc.rng import substream
+from stickperc.sampling import _STREAM_CONFIG, Configuration, poisson_sticks
 from stickperc.verify import grid_segment_distance  # noqa: F401
+
+
+def sample_configuration(d, length, intensity, law, box, seed):
+    """A Poisson stick configuration centered in ``box``, which is also its
+    observation window, drawn from the stream ``sample_window_configuration``
+    draws from."""
+    return Configuration(float(length), box, *poisson_sticks(d, intensity, law, box, substream(seed, _STREAM_CONFIG)))
 
 
 def random_unit(rng, d):

@@ -137,6 +137,19 @@ class TestDominatingGW:
         with pytest.raises(DomainError):
             dominating_gw_run([], max_generations=5, population_cap=10, seed=0)
 
+    def test_population_cap_guard(self):
+        # a generation of up to 1e8 individuals fits the memory budget; one
+        # more is refused before any draw
+        report = dominating_gw_run([0], max_generations=5, population_cap=10**8, seed=0)
+        assert report.generation_sizes == (0,)
+        with pytest.raises(CapacityExceeded, match="population cap 100000001 exceeds guard of 1e"):
+            dominating_gw_run([0], max_generations=5, population_cap=10**8 + 1, seed=0)
+        with pytest.raises(CapacityExceeded, match="population cap 100000001 exceeds guard of 1e"):
+            component_exploration(
+                2, 10.0, 1e-8, Uniform(), stick_along(0, 2, 10.0),
+                max_generations=5, population_cap=10**8 + 1, seed=1,
+            )
+
 
 class TestComponentExploration:
     def test_tiny_intensity_seed_only(self):

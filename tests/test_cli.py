@@ -390,54 +390,36 @@ class TestInvalidInput:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and err.rstrip().endswith(f"leaves the floating-point range at d = {d}")
 
-    def test_stick_count_guard_exits_2_before_sampling(self):
-        # about 5e7 expected sticks per replicate; the address-space cap turns
-        # a guard that lets the sampling start into a failure, not an OOM kill
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "stickperc.cli", "threshold", "--d", "3", "--L", "1e6",
-             "--law", "uniform", "--replicates", "2"],
-            capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.splitlines() == ["error: expected count 5.3e+07 exceeds guard of 5e+05"]
-
-    def test_offspring_guard_exits_2_before_sampling(self):
-        # 4e8 expected sticks in one trial, under the 1e9 the offspring Monte
-        # Carlo once checked on all trials together
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "stickperc.cli", "branching", "--d", "3", "--L", "1000",
-             "--lambda", "0.033", "--trials", "2", "--gw-runs", "0"],
-            capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.splitlines() == ["error: expected count 4e+08 exceeds guard of 5e+05"]
-
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, cap_gib, message",
         [
-            (["branching", "--d", "2", "--L", "10", "--lambda", "0.0001", "--gw-runs", "0"],
-             "error: 400000000 trials exceed guard of 5e+05"),
-            (["oriented", "--alpha", "0.5", "--n-max", "1"], "error: 400000000 runs exceed guard of 5e+05"),
+            # about 5e7 expected sticks per replicate
+            (["threshold", "--d", "3", "--L", "1e6", "--law", "uniform", "--replicates", "2"], 4,
+             "error: expected count 5.3e+07 exceeds guard of 5e+05"),
+            # 4e8 expected sticks in one trial, under the 1e9 the offspring
+            # Monte Carlo once checked on all trials together
+            (["branching", "--d", "3", "--L", "1000", "--lambda", "0.033", "--trials", "2", "--gw-runs", "0"], 4,
+             "error: expected count 4e+08 exceeds guard of 5e+05"),
+            # one int64 per trial is 3 GB
+            (["branching", "--d", "2", "--L", "10", "--lambda", "0.0001", "--gw-runs", "0", "--trials", "400000000"],
+             2, "error: 400000000 trials exceed guard of 5e+05"),
+            (["oriented", "--alpha", "0.5", "--n-max", "1", "--trials", "400000000"], 2,
+             "error: 400000000 runs exceed guard of 5e+05"),
+            # a generation under the cap could hold about 7e8 individuals
+            (["branching", "--d", "2", "--L", "10", "--lambda", "0.2", "--law", "rigid", "--trials", "100",
+              "--gw-runs", "1", "--population-cap", "1000000000000"], 3,
+             "error: population cap 1000000000000 exceeds guard of 1e+08"),
         ],
-        ids=["branching", "oriented"],
+        ids=["threshold-sticks", "offspring-sticks", "branching-trials", "oriented-runs", "population-cap"],
     )
-    def test_trial_guard_exits_2_before_allocating(self, argv, message):
-        # one int64 per trial is 3 GB, beyond the 2 GiB address-space cap
+    def test_memory_guard_exits_2_before_allocating(self, argv, cap_gib, message):
+        # the address-space cap turns a guard that lets the allocation start
+        # into a failure, not an OOM kill
         def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+            resource.setrlimit(resource.RLIMIT_AS, (cap_gib << 30, cap_gib << 30))
 
         proc = subprocess.run(
-            [sys.executable, "-m", "stickperc.cli", *argv, "--trials", "400000000"],
+            [sys.executable, "-m", "stickperc.cli", *argv],
             capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
             env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
         )

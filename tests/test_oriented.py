@@ -188,7 +188,8 @@ class TestOpStep:
     @example(Frontier(3, np.empty(0, dtype=np.int64)), 0.7, 5)
     @example(Frontier(0, np.arange(-20, 21, 2)), 1.0, 2**63)
     def test_outputs_are_well_formed_frontiers(self, frontier, alpha, seed):
-        # the steps build their outputs without the checks of Frontier(...)
+        # the steps' outputs are already sorted unique sites of the child
+        # level's parity, so a second pass through Frontier(...) keeps them
         outs = [op_step(frontier, alpha, variant, substream(seed)) for variant in ("bond", "site")]
         outs += coupled_variant_step(frontier, alpha, seed)
         for out in outs:

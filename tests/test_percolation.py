@@ -10,6 +10,7 @@ import scipy.sparse.csgraph
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import sample_configuration
 from stickperc import percolation
 from stickperc.errors import BracketFailure, DegenerateDesign, DomainError, PreconditionViolated
 from stickperc.geometry import segment_distance_arrays
@@ -33,7 +34,6 @@ from stickperc.sampling import (
     Configuration,
     Rigid,
     Uniform,
-    sample_configuration,
     sample_window_configuration,
 )
 from stickperc.stats import wilson_interval
@@ -327,8 +327,7 @@ class TestCrossing:
 
     def test_single_spanning_stick(self):
         window = BoxRegion.cube(2, 10.0)
-        box = window.grown(10.0)
-        config = Configuration(14.0, box, np.array([[5.0, 5.0]]), np.array([[1.0, 0.0]]), window=window)
+        config = Configuration(14.0, window, np.array([[5.0, 5.0]]), np.array([[1.0, 0.0]]))
         assert crossing_event(config, axis=0)
         assert not crossing_event(config, axis=1)
 
@@ -363,9 +362,9 @@ class TestBatchCrossings:
                 sample_window_configuration(d, length, (0.002 if d == 2 else 0.0002) * 2 ** (k / 2), law, side, seed=k)
                 for k in range(16)
             ]
-            window, box = batch[0].window, batch[0].box
-            empty = Configuration(length, box, np.zeros((0, d)), np.zeros((0, d)), window=window)
-            spanning = Configuration(length, box, np.full((1, d), side / 2), np.eye(d)[[axis]], window=window)
+            window = batch[0].observation_window
+            empty = Configuration(length, window, np.zeros((0, d)), np.zeros((0, d)))
+            spanning = Configuration(length, window, np.full((1, d), side / 2), np.eye(d)[[axis]])
             batch[5:5] = [empty, spanning]
             expected = [crossing_event(c, axis, cell) for c in batch]
             assert expected[5:7] == [False, True]
@@ -377,12 +376,10 @@ class TestBatchCrossings:
         # the first replicate holds the half touching x = 0, the second the
         # half touching x = 20; only merged do they cross
         window = BoxRegion.cube(2, 20.0)
-        box = window.grown(4.0)
         dirs = np.tile([1.0, 0.0], (2, 1))
-        low = Configuration(6.0, box, np.array([[1.0, 10.0], [6.0, 10.0]]), dirs, window=window)
-        high = Configuration(6.0, box, np.array([[11.0, 10.0], [16.0, 10.0]]), dirs, window=window)
-        merged = Configuration(6.0, box, np.concatenate([low.centers, high.centers]), np.tile([1.0, 0.0], (4, 1)),
-                               window=window)
+        low = Configuration(6.0, window, np.array([[1.0, 10.0], [6.0, 10.0]]), dirs)
+        high = Configuration(6.0, window, np.array([[11.0, 10.0], [16.0, 10.0]]), dirs)
+        merged = Configuration(6.0, window, np.concatenate([low.centers, high.centers]), np.tile([1.0, 0.0], (4, 1)))
         assert percolation._batch_crossings([low, high], 0, 5.0).tolist() == [False, False]
         assert percolation._batch_crossings([merged], 0, 5.0).tolist() == [True]
         assert crossing_event(merged, cell=5.0)

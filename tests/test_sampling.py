@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sample_configuration
 from stickperc.errors import CapacityExceeded, DomainError
 from stickperc.measures import stick_hit_volume
 from stickperc.geometry import segments_hit_ball
@@ -11,9 +12,7 @@ from stickperc.sampling import (
     BoxRegion,
     Rigid,
     Uniform,
-    percolation_padding,
     poisson_count,
-    sample_configuration,
     sample_window_configuration,
 )
 
@@ -132,10 +131,13 @@ class TestConfiguration:
 
     def test_window_configuration_geometry(self):
         c = sample_window_configuration(2, 16.0, 0.01, Uniform(), 160.0, seed=3)
-        assert np.allclose(c.window.low, 0.0) and np.allclose(c.window.high, 160.0)
-        pad = percolation_padding(16.0)
-        assert np.allclose(c.box.low, -pad) and np.allclose(c.box.high, 160.0 + pad)
-        assert np.all((c.centers >= c.box.low) & (c.centers <= c.box.high))
+        window = c.observation_window
+        assert np.allclose(window.low, 0.0) and np.allclose(window.high, 160.0)
+        # the centers are drawn in the window grown by half a stick plus the radius
+        pad = 16.0 / 2 + 1.0
+        assert np.all((c.centers >= -pad) & (c.centers <= 160.0 + pad))
+        padded = sample_configuration(2, 16.0, 0.01, Uniform(), window.grown(pad), seed=3)
+        assert np.array_equal(c.centers, padded.centers) and np.array_equal(c.dirs, padded.dirs)
 
     def test_thinning_consistency(self):
         # keeping each stick with probability 1/2 matches sampling at half
