@@ -11,6 +11,10 @@ configuration is a batch of one.  On top of that sit the
 crossing-probability estimator, a stochastic bisection for the threshold
 intensity, and the log-log scaling fit; the last two share one weighted
 least-squares line.
+
+The pipeline moves its arrays with ``take`` on index arrays and filters
+through ``np.flatnonzero``: in numpy 2.x that gathers rows several times
+faster than fancy indexing or a boolean mask, and moves the same values.
 """
 
 from __future__ import annotations
@@ -81,17 +85,18 @@ def component_labels(n: int, edges: np.ndarray) -> np.ndarray:
     smaller indices, so the roots are the component minima.
     """
     labels = np.arange(n)
-    a, b = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    a, b = np.ascontiguousarray(edges[:, 0]), np.ascontiguousarray(edges[:, 1])
     while True:
-        la, lb = labels[a], labels[b]
-        split = la != lb
-        if not split.any():
+        la, lb = labels.take(a), labels.take(b)
+        split = np.flatnonzero(la != lb)
+        if len(split) == 0:
             return labels
-        a, b, la, lb = a[split], b[split], la[split], lb[split]
+        a, b, la, lb = a.take(split), b.take(split), la.take(split), lb.take(split)
         np.minimum.at(labels, np.maximum(la, lb), np.minimum(la, lb))
-        jumped = labels[labels]
+        jumped = labels.take(labels)
         while not np.array_equal(jumped, labels):
-            labels, jumped = jumped, jumped[jumped]
+            labels, jumped = jumped, jumped.take(jumped)
 
 
 @dataclass
@@ -123,8 +128,12 @@ class SpatialIndex:
         first = np.repeat(np.arange(m), after)
         second = np.arange(len(first)) + np.repeat(np.arange(1, m + 1) - np.cumsum(after) + after, after)
         all_axes = (1 << self.d) - 1
-        keep = (self._low_edges[first] | self._low_edges[second]) == all_axes
-        return np.column_stack((self._stick_ids[first[keep]], self._stick_ids[second[keep]]))
+        low_edges = self._low_edges
+        keep = np.flatnonzero((low_edges.take(first) | low_edges.take(second)) == all_axes)
+        pairs = np.empty((len(keep), 2), dtype=np.int64)
+        pairs[:, 0] = self._stick_ids.take(first.take(keep))
+        pairs[:, 1] = self._stick_ids.take(second.take(keep))
+        return pairs
 
 
 def tuned_cell_size(length: float, law) -> float | np.ndarray:
@@ -201,8 +210,10 @@ def _edges(centers: np.ndarray, dirs: np.ndarray, length: float, pairs: np.ndarr
     for lo in range(0, len(pairs), _PAIR_CHUNK):
         block = pairs[lo : lo + _PAIR_CHUNK]
         i, j = block[:, 0], block[:, 1]
-        dist = segment_distance_arrays(centers[i], dirs[i], length, centers[j], dirs[j], length)
-        keep.append(block[dist <= INTERSECT_THRESHOLD])
+        dist = segment_distance_arrays(
+            centers.take(i, axis=0), dirs.take(i, axis=0), length, centers.take(j, axis=0), dirs.take(j, axis=0), length
+        )
+        keep.append(block.take(np.flatnonzero(dist <= INTERSECT_THRESHOLD), axis=0))
     return np.concatenate(keep) if keep else pairs[:0]
 
 

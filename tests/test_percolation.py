@@ -88,6 +88,16 @@ def registered_groups(index):
     return sorted(tuple(sorted(index._stick_ids[lo:hi].tolist())) for lo, hi in zip(bounds, bounds[1:]))
 
 
+def geometry_sample(d, law_tag):
+    """Eight configurations of one geometry and the cell they run on:
+    rigid sticks on their tuned per-axis cells, 2 wide across them."""
+    law = Rigid(np.eye(d)[d - 1]) if law_tag == "rigid" else Uniform()
+    lam = {(2, "uniform"): 0.05, (3, "uniform"): 0.004, (2, "rigid"): 0.06}[d, law_tag]
+    cell = tuned_cell_size(8.0, law) if law_tag == "rigid" else None
+    box = BoxRegion.cube(d, 50.0 if d == 2 else 30.0)
+    return [sample_configuration(d, 8.0, lam, law, box, seed=seed) for seed in range(8)], cell
+
+
 def loop_candidate_pairs(config, cell=None):
     """Reference broad phase: every pair within every cell of ``cells``,
     deduplicated."""
@@ -200,12 +210,55 @@ class TestSpatialIndex:
         assert {tuple(p) for p in pairs.tolist()} == loop_candidate_pairs(config, cell)
 
     def test_edges_match_all_pairs(self):
-        for seed in range(8):
-            config = sample_configuration(
-                2, 8.0, 0.05, Uniform(), BoxRegion.cube(2, 50.0), seed=seed
-            )
-            edges = intersection_edges(config)
-            assert {tuple(e) for e in edges} == {tuple(e) for e in all_pairs_edges(config)}
+        for d, law_tag in [(2, "uniform"), (3, "uniform"), (2, "rigid")]:
+            configs, cell = geometry_sample(d, law_tag)
+            for config in configs:
+                edges = intersection_edges(config, cell)
+                assert {tuple(e) for e in edges.tolist()} == {tuple(e) for e in all_pairs_edges(config).tolist()}
+
+    def test_batch_edges_match_each_replicates_all_pairs(self, monkeypatch):
+        # the edges _batch_crossings clusters are each replicate's
+        # all-pairs edges, shifted to the replicate's place in the batch
+        configs, cell = geometry_sample(2, "rigid")
+        clustered = []
+
+        def recording_labels(n, edges):
+            clustered.append(edges)
+            return component_labels(n, edges)
+
+        monkeypatch.setattr(percolation, "component_labels", recording_labels)
+        percolation._batch_crossings(configs, 0, cell)
+        truths = [all_pairs_edges(c).tolist() for c in configs]
+        offsets = np.cumsum([0] + [c.count for c in configs[:-1]]).tolist()
+        assert len(clustered) == 1 and all(truths)
+        union = {(a + o, b + o) for o, truth in zip(offsets, truths) for a, b in truth}
+        assert {tuple(e) for e in clustered[0].tolist()} == union
+
+    @pytest.mark.parametrize("case", ["empty", "one-cell", "batch"])
+    def test_candidate_pairs_layout(self, case):
+        # C-contiguous int64 (k, 2) rows with i < j, whatever the index holds
+        configs = [sample_configuration(2, 6.0, 0.05, Uniform(), BoxRegion.cube(2, 30.0), seed=s) for s in range(3)]
+        if case == "empty":
+            index = build_index(Configuration(6.0, BoxRegion.cube(2, 30.0), np.zeros((0, 2)), np.zeros((0, 2))))
+        elif case == "one-cell":
+            index = build_index(configs[0], 1000.0)
+        else:
+            centers = np.concatenate([c.centers for c in configs])
+            dirs = np.concatenate([c.dirs for c in configs])
+            replicate = np.repeat(np.arange(3), [c.count for c in configs])
+            index = percolation._index(centers, dirs, 6.0, None, replicate)
+        pairs = index.candidate_pairs()
+        assert pairs.dtype == np.int64 and pairs.ndim == 2 and pairs.shape[1] == 2
+        assert pairs.flags.c_contiguous
+        assert np.all(pairs[:, 0] < pairs[:, 1])
+        if case == "empty":
+            assert len(pairs) == 0
+        elif case == "one-cell":
+            n = configs[0].count
+            assert {tuple(p) for p in pairs.tolist()} == set(itertools.combinations(range(n), 2))
+        else:
+            assert len(pairs) > 0
+            assert np.array_equal(replicate[pairs[:, 0]], replicate[pairs[:, 1]])
 
     def test_two_nearby_sticks_share_a_cell(self):
         box = BoxRegion.cube(2, 40.0)
@@ -318,6 +371,24 @@ class TestComponentLabels:
             uf.union(a, b)
         assert labels_equivalent(labels, uf.labels())
 
+    @pytest.mark.parametrize("layout", ["empty", "reversed-view", "column-slice", "plain"])
+    def test_edge_array_layouts(self, layout):
+        # canonical labels from any (k, 2) integer array, contiguous or not
+        rng = np.random.default_rng(7)
+        n = 60
+        plain = rng.integers(0, n, (45, 2))
+        edges = {
+            "empty": NO_EDGES,
+            "reversed-view": plain[::-1],
+            "column-slice": np.column_stack((plain, rng.integers(0, n, 45)))[:, :2],
+            "plain": plain,
+        }[layout]
+        if layout in ("reversed-view", "column-slice"):
+            assert not edges.flags.c_contiguous
+        bfs = bfs_components(n, np.array(edges))
+        smallest = {c: np.flatnonzero(bfs == c).min() for c in set(bfs.tolist())}
+        assert component_labels(n, edges).tolist() == [smallest[c] for c in bfs.tolist()]
+
 
 class TestCrossing:
     def test_empty_no_crossing(self):
@@ -415,6 +486,15 @@ class TestCrossingProbability:
         assert sum(c.count for c in configs) > 1.5 * percolation._BATCH_STICKS
         assert a.outcomes == tuple(int(crossing_event(c, cell=tuned_cell_size(8.0, Uniform()))) for c in configs)
         assert 0 < a.successes < replicates
+
+    def test_pinned_outcomes(self):
+        # recorded before the pipeline gathered by take: a speed-up that
+        # flips one edge, and so one crossing, shows here and not only in
+        # the benchmark digests
+        uniform = crossing_probability(3, 8.0, 0.00507, Uniform(), 64.0, replicates=8, seed=20260810)
+        assert uniform.outcomes == (0, 1, 0, 1, 1, 0, 0, 1)
+        rigid = crossing_probability(2, 8.0, 0.08, Rigid(np.array([0.0, 1.0])), 64.0, replicates=16, seed=20260810)
+        assert rigid.outcomes == (1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 1, 1)
 
     @pytest.mark.parametrize("axis", [2, -1])
     def test_axis_out_of_range_rejected_before_sampling(self, monkeypatch, axis):
