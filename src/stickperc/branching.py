@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded, DomainError
-from .geometry import INTERSECT_THRESHOLD, Segment, segment_distance_arrays
+from .geometry import INTERSECT_THRESHOLD, segment_distance_arrays
 from .rng import substream
 from .sampling import (
-    _MAX_EXPECTED_COUNT, _MAX_POPULATION, BoxRegion, OrientationLaw, check_expected_count, check_intensity,
+    _MAX_EXPECTED_COUNT, _MAX_POPULATION, BoxRegion, OrientationLaw, Rigid, check_expected_count, check_intensity,
     poisson_sticks,
 )
 
@@ -26,19 +26,34 @@ _STREAM_OFFSPRING = 0x0FF5
 _STREAM_GW = 0x6A17
 _STREAM_EXPLORE = 0xE821
 
+
+def _seed_stick(d: int, length: float, law: OrientationLaw) -> tuple[np.ndarray, np.ndarray]:
+    """Center and direction of the typical stick, whose cluster the branching
+    process dominates: the laws are translation invariant and the uniform one
+    is isotropic, so it is centered at 0 and lies along ``law.axis`` for a
+    rigid law, along e_0 otherwise."""
+    if d < 2:
+        raise DomainError("dimension must be at least 2")
+    if not 0.0 < length < math.inf:
+        raise DomainError("stick length must be positive and finite")
+    direction = law.axis if isinstance(law, Rigid) else np.eye(d)[0]
+    if direction.shape != (d,):
+        raise DomainError("rigid axis dimension does not match d")
+    return np.zeros(d), direction
+
+
 # any stick of length L intersecting a fixed stick has its center within
 # L/2 + 2 of that stick's segment; L + 4 of box padding is a safe superset
-def offspring_box(seg: Segment, length: float) -> BoxRegion:
-    reach = seg.half * np.abs(seg.direction)
+def offspring_box(center, direction, length: float) -> BoxRegion:
+    reach = 0.5 * length * np.abs(direction)
     pad = length + 4.0
-    return BoxRegion(seg.center - reach - pad, seg.center + reach + pad)
+    return BoxRegion(center - reach - pad, center + reach + pad)
 
 
-def _overlaps(centers, dirs, length, seg: Segment) -> np.ndarray:
+def _overlaps(centers, dirs, length, center, direction) -> np.ndarray:
     """Which of the sticks (``centers``, ``dirs``, ``length``) overlap the
-    stick around ``seg``."""
-    dist = segment_distance_arrays(centers, dirs, length, seg.center, seg.direction, seg.length)
-    return dist <= INTERSECT_THRESHOLD
+    stick at (``center``, ``direction``); the arrays broadcast."""
+    return segment_distance_arrays(centers, dirs, length, center, direction, length) <= INTERSECT_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -54,23 +69,23 @@ def offspring_mean_mc(
     length: float,
     intensity: float,
     law: OrientationLaw,
-    seed_segment: Segment,
     trials: int,
     seed: int,
 ) -> OffspringEstimate:
-    """Sample mean of the number of Poisson sticks intersecting the stick
-    around ``seed_segment``.
+    """Sample mean of the number of Poisson sticks intersecting the typical
+    stick (see ``_seed_stick``).
 
     Each trial draws a fresh Poisson configuration in a box provably
     containing every center that could intersect the seed and counts the
     intersecting sticks.  The standard error needs at least two trials; as
     each trial keeps its count, more than the stick guard's 5e5 are refused.
     """
+    center, direction = _seed_stick(d, length, law)
     if trials < 2:
         raise DomainError("need at least two trials")
     if trials > _MAX_EXPECTED_COUNT:
         raise CapacityExceeded(f"{trials} trials exceed guard of {_MAX_EXPECTED_COUNT:.3g}")
-    box = offspring_box(seed_segment, length)
+    box = offspring_box(center, direction, length)
     rng = substream(seed, _STREAM_OFFSPRING)
     mean_count = check_expected_count(check_intensity(intensity) * box.volume)
     counts = rng.poisson(mean_count, size=trials).astype(np.int64)
@@ -84,7 +99,7 @@ def offspring_mean_mc(
             continue
         centers = rng.uniform(box.low, box.high, size=(total, d))
         dirs = law.sample_directions(rng, d, total)
-        hits = _overlaps(centers, dirs, length, seed_segment).astype(np.int64)
+        hits = _overlaps(centers, dirs, length, center, direction).astype(np.int64)
         # reduce at the starts of the non-empty trials only: their starts
         # strictly increase, so each sum runs up to the next trial's start
         filled = np.flatnonzero(block)
@@ -154,48 +169,16 @@ class ExplorationResult:
     dominating_sizes: tuple[int, ...]
 
 
-def _hits_any(segments: list[Segment], centers, dirs, length: float) -> np.ndarray:
-    """Which of the sticks (``centers``, ``dirs``, ``length``) overlap at
-    least one of ``segments``."""
-    out = np.zeros(centers.shape[0], dtype=bool)
-    for seg in segments:
-        idx = np.flatnonzero(~out)
-        if len(idx) == 0:
-            break
-        out[idx] |= _overlaps(centers[idx], dirs[idx], length, seg)
-    return out
-
-
-def _fresh_offspring_count(
-    rng: np.random.Generator,
-    d: int,
-    length: float,
-    intensity: float,
-    law: OrientationLaw,
-    seg: Segment,
-    explored: list[Segment] | None,
-) -> int:
-    """Count sticks of a fresh Poisson draw hitting the stick around ``seg``;
-    when ``explored`` is given, count only those also hitting one of its
-    segments (the compensation term of the exploration coupling)."""
-    centers, dirs = poisson_sticks(d, intensity, law, offspring_box(seg, length), rng)
-    hit = _overlaps(centers, dirs, length, seg)
-    if explored is None:
-        return int(hit.sum())
-    return int(_hits_any(explored, centers[hit], dirs[hit], length).sum())
-
-
 def component_exploration(
     d: int,
     length: float,
     intensity: float,
     law: OrientationLaw,
-    seed_segment: Segment,
     max_generations: int,
     population_cap: int,
     seed: int,
 ) -> ExplorationResult:
-    """Explore the true component of the stick around ``seed_segment``
+    """Explore the true component of the typical stick (see ``_seed_stick``)
     generation by generation in one sampled configuration, restricted to a
     window of radius max_generations * (L + 4) around the seed.
 
@@ -205,51 +188,56 @@ def component_exploration(
     individuals reproduce via fresh offspring draws around their own stick,
     so dominating sizes are pathwise at least the true generation sizes.
     """
+    seed_center, seed_dir = _seed_stick(d, length, law)
     check_caps(max_generations, population_cap)
     rng = substream(seed, _STREAM_EXPLORE)
     radius = max_generations * (length + 4.0)
-    window = BoxRegion(seed_segment.center - radius, seed_segment.center + radius)
+    window = BoxRegion(seed_center - radius, seed_center + radius)
     centers, dirs = poisson_sticks(d, intensity, law, window, rng)
-    unexplored = np.ones(len(centers), dtype=bool)
     reach = 0.5 * length * np.abs(dirs) + 1.0
     at_boundary = np.any((centers - reach <= window.low) | (centers + reach >= window.high), axis=1)
+    # the seed is the last row of the sample, explored from the start
+    centers = np.vstack([centers, seed_center])
+    dirs = np.vstack([dirs, seed_dir])
+    unexplored = np.append(np.ones(len(at_boundary), dtype=bool), False)
 
     # compensation conditions on the sticks whose neighborhoods were already
     # searched (that is where the configuration has been consumed)
-    processed: list[Segment] = []
+    processed: list[int] = []
     truncated = False
 
-    # queue entries: an explored stick's segment, or None for a surplus
-    # individual of the dominating process
-    current: list[Segment | None] = [seed_segment]
+    # queue entries: an explored stick's row, or -1 for a surplus individual
+    # of the dominating process
+    current = [len(centers) - 1]
     actual_sizes: list[int] = []
     dominating_sizes: list[int] = []
-    component_size = 1  # the seed stick itself
 
     for _ in range(max_generations):
-        next_queue: list[Segment | None] = []
+        next_queue: list[int] = []
         actual_next = 0
-        dom_next = 0
-        for seg in current:
-            if seg is None:
-                # fresh offspring draw around a fresh stick of the same law
-                direction = law.sample_directions(rng, d, 1)[0]
-                fresh = Segment(np.zeros(d), direction, length)
-                kids = _fresh_offspring_count(rng, d, length, intensity, law, fresh, None)
-                dom_next += kids
-                next_queue.extend([None] * kids)
-                continue
-            # children actually present in the configuration
-            idx = np.flatnonzero(unexplored)
-            children_idx = idx[_overlaps(centers[idx], dirs[idx], length, seg)]
-            unexplored[children_idx] = False
-            actual_next += len(children_idx)
-            next_queue.extend(Segment(centers[ci], dirs[ci], length) for ci in children_idx)
-            extra = _fresh_offspring_count(rng, d, length, intensity, law, seg, processed)
-            dom_next += len(children_idx) + extra
-            next_queue.extend([None] * extra)
-            processed.append(seg)
-        component_size += actual_next
+        for row in current:
+            if row < 0:
+                # a surplus individual reproduces around a fresh stick of the
+                # same law, and every stick hitting it is fresh offspring
+                center, direction = np.zeros(d), law.sample_directions(rng, d, 1)[0]
+            else:
+                # children actually present in the configuration
+                center, direction = centers[row], dirs[row]
+                idx = np.flatnonzero(unexplored)
+                children = idx[_overlaps(centers[idx], dirs[idx], length, center, direction)]
+                unexplored[children] = False
+                actual_next += len(children)
+                next_queue.extend(children.tolist())
+            fresh_centers, fresh_dirs = poisson_sticks(d, intensity, law, offspring_box(center, direction, length), rng)
+            fresh = np.flatnonzero(_overlaps(fresh_centers, fresh_dirs, length, center, direction))
+            if row >= 0:
+                # compensation: of the fresh sticks hitting an explored one,
+                # only those also hitting a processed stick count
+                fc, fd = fresh_centers[fresh, None], fresh_dirs[fresh, None]
+                fresh = fresh[_overlaps(fc, fd, length, centers[processed], dirs[processed]).any(axis=1)]
+                processed.append(row)
+            next_queue.extend([-1] * len(fresh))
+        dom_next = len(next_queue)
         actual_sizes.append(actual_next)
         dominating_sizes.append(dom_next)
         if dom_next == 0:
@@ -263,8 +251,8 @@ def component_exploration(
 
     return ExplorationResult(
         generation_sizes=tuple(actual_sizes),
-        component_size=component_size,
-        window_exceeded=bool(at_boundary[~unexplored].any()),
+        component_size=1 + sum(actual_sizes),  # the seed and every explored generation
+        window_exceeded=bool(at_boundary[~unexplored[:-1]].any()),
         truncated=truncated,
         dominating_sizes=tuple(dominating_sizes),
     )

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import branching, measures, oriented, percolation, verify
 from .errors import DomainError, StickPercError
-from .geometry import Segment
 from .percolation import replicate_seeds
 from .sampling import Rigid, Uniform
 
@@ -149,6 +148,7 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_scaling(args) -> int:
+    percolation.check_scaling_lengths(args.L_list)
     points = []
     estimates = []
     for length in args.L_list:
@@ -190,10 +190,8 @@ def cmd_branching(args) -> int:
     branching.check_caps(args.max_generations, args.population_cap)
     law = _law_object(args.law, args.d)
     d = args.d
-    axis = getattr(law, "axis", np.eye(d)[0])
-    seed_segment = Segment(np.zeros(d), axis, args.L)
-    est = branching.offspring_mean_mc(d, args.L, args.lam, law, seed_segment, args.trials, args.seed)
     bound = measures.gw_offspring_bound(d, args.L, args.lam, args.law)
+    est = branching.offspring_mean_mc(d, args.L, args.lam, law, args.trials, args.seed)
     gw_extinct = 0
     runs = args.gw_runs
     example_sizes: list[int] = []

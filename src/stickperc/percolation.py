@@ -27,11 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BracketFailure, DegenerateDesign, DomainError, PreconditionViolated
+from .errors import BracketFailure, CapacityExceeded, DegenerateDesign, DomainError, PreconditionViolated
 from .geometry import INTERSECT_THRESHOLD, segment_distance_arrays
 from .measures import theorem_bounds
 from .rng import derive_seed
-from .sampling import Configuration, OrientationLaw, sample_window_configuration
+from .sampling import _MAX_EXPECTED_COUNT, Configuration, OrientationLaw, sample_window_configuration
 from .stats import _Z95, wilson_interval
 
 _STREAM_REPLICATE = 0x4EB1
@@ -325,9 +325,11 @@ def crossing_probability(
     Wilson 95% interval.  Replicate substreams depend only on (seed,
     probe_id, replicate), so the result is worker-count independent.
     ``pool``, an executor with ``workers`` processes, is used in place of
-    a new one when given."""
+    a new one when given; more than the stick guard's 5e5 are refused."""
     if replicates < 1:
         raise DomainError("need at least one replicate")
+    if replicates > _MAX_EXPECTED_COUNT:
+        raise CapacityExceeded(f"{replicates} replicates exceed guard of {_MAX_EXPECTED_COUNT:.3g}")
     _check_axis(axis, d)
     seeds = replicate_seeds(seed, probe_id, replicates)
     with nullcontext(pool) if pool is not None else _replicate_pool(workers) as executor:
@@ -383,13 +385,12 @@ def _logistic_interpolation(
     # Weighted least squares of adjusted logits on log-intensity; lambda_hat
     # is the fitted frequency-1/2 point with a delta-method interval.  Only
     # probes inside [lo, hi] enter: the walk-out probes far below threshold
-    # are not on the logistic part of the crossing curve.
+    # are not on the logistic part of the crossing curve.  The straddle's
+    # own two probes are the ends of [lo, hi], so at least two enter.
     eps = 1e-12
     used = [p for p in probes if lo * (1 - eps) <= p.intensity <= hi * (1 + eps)]
-    if len(used) >= 2:
-        probes = used
     xs, ys, ws = [], [], []
-    for p in probes:
+    for p in used:
         ptil = (p.successes + 0.5) / (p.replicates + 1.0)
         xs.append(math.log(p.intensity))
         ys.append(math.log(ptil / (1.0 - ptil)))
@@ -479,7 +480,7 @@ def estimate_threshold(
     return ThresholdEstimate(
         d=d,
         length=float(length),
-        law=getattr(law, "tag", str(law)),
+        law=law.tag,
         side=float(side),
         lambda_hat=lam_hat,
         ci_low=ci_low,
@@ -507,6 +508,12 @@ class ScalingFit:
     points: int
 
 
+def check_scaling_lengths(lengths) -> None:
+    """DegenerateDesign unless ``lengths`` holds at least 3 distinct values."""
+    if len(set(lengths)) < 3:
+        raise DegenerateDesign("scaling fit needs at least 3 distinct L values")
+
+
 def scaling_fit(points) -> ScalingFit:
     """Weighted least squares of ln(lambda) on ln(L).
 
@@ -514,8 +521,7 @@ def scaling_fit(points) -> ScalingFit:
     three distinct L values.
     """
     pts = [(float(L), float(lam), float(w)) for L, lam, w in points]
-    if len({p[0] for p in pts}) < 3:
-        raise DegenerateDesign("scaling fit needs at least 3 distinct L values")
+    check_scaling_lengths([p[0] for p in pts])
     x = np.log([p[0] for p in pts])
     y = np.log([p[1] for p in pts])
     w = np.array([p[2] for p in pts])

@@ -260,9 +260,7 @@ def branching_suite(seed: int) -> list[Check]:
     checks = []
     e2 = np.array([0.0, 1.0])
 
-    est = branching.offspring_mean_mc(
-        2, 10.0, 0.1, Rigid(e2), Segment(np.zeros(2), e2, 10.0), 1500, seed
-    )
+    est = branching.offspring_mean_mc(2, 10.0, 0.1, Rigid(e2), 1500, seed)
     target = 0.1 * measures.stick_hit_volume(2, 20.0, 2.0)
     checks.append(
         Check(
@@ -273,9 +271,7 @@ def branching_suite(seed: int) -> list[Check]:
     )
 
     law = Uniform()
-    est = branching.offspring_mean_mc(
-        2, 20.0, 0.01, law, Segment(np.zeros(2), np.array([1.0, 0.0]), 20.0), 800, seed
-    )
+    est = branching.offspring_mean_mc(2, 20.0, 0.01, law, 800, seed)
     bound = measures.gw_offspring_bound(2, 20.0, 0.01, "uniform")
     checks.append(
         Check(
@@ -287,9 +283,7 @@ def branching_suite(seed: int) -> list[Check]:
 
     L = 32.0
     lam = measures.theorem_bounds(2, L, "uniform", strict=False).lower
-    est = branching.offspring_mean_mc(
-        2, L, lam, law, Segment(np.zeros(2), np.array([1.0, 0.0]), L), 600, seed
-    )
+    est = branching.offspring_mean_mc(2, L, lam, law, 600, seed)
     checks.append(
         Check(
             "subcritical-pivot",
@@ -301,9 +295,7 @@ def branching_suite(seed: int) -> list[Check]:
     ok = True
     for run in range(30):
         res = branching.component_exploration(
-            2, 16.0, 0.5 * lam, law,
-            Segment(np.zeros(2), np.array([1.0, 0.0]), 16.0),
-            max_generations=12, population_cap=20_000, seed=seed + run,
+            2, 16.0, 0.5 * lam, law, max_generations=12, population_cap=20_000, seed=seed + run,
         )
         pairs = zip(res.generation_sizes, res.dominating_sizes)
         ok &= all(actual <= dom for actual, dom in pairs)

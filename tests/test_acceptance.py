@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from stickperc.branching import dominating_gw_run, offspring_mean_mc
-from stickperc.geometry import Segment
 from stickperc.measures import (
     cap_hit_lower_bound,
     cap_hit_probability_exact,
@@ -172,12 +171,6 @@ def test_criterion_7_geometry_oracles():
     assert passed
 
 
-def _stick_along(axis, d, L):
-    direction = np.zeros(d)
-    direction[axis] = 1.0
-    return Segment(np.zeros(d), direction, L)
-
-
 def test_criterion_8_offspring():
     details = []
     passed = True
@@ -189,7 +182,7 @@ def test_criterion_8_offspring():
         for L in (10.0, 20.0):
             target_vol = stick_hit_volume(d, 2.0 * L, 2.0)
             lam = 4.0 / target_vol
-            est = offspring_mean_mc(d, L, lam, Rigid(axis), _stick_along(1, d, L), 4000, seed=SEED + int(L) + d)
+            est = offspring_mean_mc(d, L, lam, Rigid(axis), 4000, seed=SEED + int(L) + d)
             ok = abs(est.mean - lam * target_vol) <= 3.0 * est.stderr
             passed &= ok
             details.append(f"a(d={d},L={L:g}):{'ok' if ok else 'FAIL'}")
@@ -199,7 +192,7 @@ def test_criterion_8_offspring():
         # a few dozen sticks per trial regardless of dimension
         box_vol = (3 * L + 8) * (2 * L + 8) ** (d - 1)
         lam = 50.0 / box_vol
-        est = offspring_mean_mc(d, L, lam, Uniform(), _stick_along(0, d, L), 2500, seed=SEED + 31 * d + int(L))
+        est = offspring_mean_mc(d, L, lam, Uniform(), 2500, seed=SEED + 31 * d + int(L))
         bound = gw_offspring_bound(d, L, lam, "uniform")
         ok = est.mean <= bound + 3.0 * est.stderr
         passed &= ok
@@ -208,7 +201,7 @@ def test_criterion_8_offspring():
     # (c) subcritical pivot and (d) dominating-GW extinction there
     for d, L in [(2, 32.0), (2, 64.0), (3, 32.0)]:
         lam = theorem_bounds(d, L, "uniform", strict=False).lower
-        est = offspring_mean_mc(d, L, lam, Uniform(), _stick_along(0, d, L), 3000, seed=SEED + 7 * d + int(L))
+        est = offspring_mean_mc(d, L, lam, Uniform(), 3000, seed=SEED + 7 * d + int(L))
         ok_c = est.mean + 3.0 * est.stderr < 1.0
         extinct = sum(
             1

@@ -5,6 +5,7 @@ import pytest
 
 from stickperc.branching import (
     _STREAM_OFFSPRING,
+    _seed_stick,
     component_exploration,
     dominating_gw_run,
     offspring_box,
@@ -18,18 +19,49 @@ from stickperc.sampling import Rigid, Uniform
 from stickperc.rng import substream
 
 
-def stick_along(axis, d, L):
-    direction = np.zeros(d)
-    direction[axis] = 1.0
-    return Segment(np.zeros(d), direction, L)
+def typical_stick(d, L, law):
+    return Segment(*_seed_stick(d, L, law), L)
+
+
+class TestSeedStick:
+    def test_rigid_axis_else_first_unit_vector(self):
+        axis = np.array([0.0, 0.0, 2.0])
+        center, direction = _seed_stick(3, 7.0, Rigid(axis))
+        assert center.tolist() == [0.0, 0.0, 0.0] and direction.tolist() == [0.0, 0.0, 1.0]
+        center, direction = _seed_stick(4, 7.0, Uniform())
+        assert center.tolist() == [0.0] * 4 and direction.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "d, length, law, message",
+        [
+            (1, 10.0, Uniform(), "dimension must be at least 2"),
+            (1, 10.0, Rigid(np.array([1.0])), "dimension must be at least 2"),
+            (2, 0.0, Uniform(), "stick length must be positive and finite"),
+            (2, -3.0, Uniform(), "stick length must be positive and finite"),
+            (2, math.inf, Uniform(), "stick length must be positive and finite"),
+            (2, math.nan, Rigid(np.array([0.0, 1.0])), "stick length must be positive and finite"),
+            (3, 10.0, Rigid(np.array([0.0, 1.0])), "rigid axis dimension does not match d"),
+        ],
+        ids=["d-1", "rigid-d-1", "zero-length", "negative-length", "infinite-length", "nan-length", "axis-2-in-d-3"],
+    )
+    def test_invalid_seed_refused_before_any_draw(self, monkeypatch, d, length, law, message):
+        # a draw would need a stream; none is made
+        def no_stream(*args):
+            raise AssertionError("a random stream was made before the input check")
+
+        monkeypatch.setattr("stickperc.branching.substream", no_stream)
+        with pytest.raises(DomainError, match=message):
+            offspring_mean_mc(d, length, 0.01, law, 100, seed=1)
+        with pytest.raises(DomainError, match=message):
+            component_exploration(d, length, 0.01, law, max_generations=3, population_cap=100, seed=1)
 
 
 class TestOffspringBox:
     def test_contains_all_intersecting_centers(self):
         rng = substream(5)
         d, L = 3, 7.0
-        seed_stick = stick_along(0, d, L)
-        box = offspring_box(seed_stick, L)
+        seed_stick = typical_stick(d, L, Uniform())
+        box = offspring_box(seed_stick.center, seed_stick.direction, L)
         for _ in range(3000):
             center = rng.uniform(-L - 8.0, L + 8.0, d)
             direction = rng.standard_normal(d)
@@ -41,14 +73,14 @@ class TestOffspringBox:
 
 class TestOffspringMeanMC:
     def test_tiny_intensity(self):
-        est = offspring_mean_mc(2, 10.0, 1e-6, Uniform(), stick_along(0, 2, 10.0), 300, seed=1)
+        est = offspring_mean_mc(2, 10.0, 1e-6, Uniform(), 300, seed=1)
         assert est.mean < 0.05
 
     def test_rigid_minkowski_identity_d2(self):
         # aligned sticks: the measure of intersecting centers is the volume
         # of a doubled-length capsule of radius 2
         lam = 0.1
-        est = offspring_mean_mc(2, 10.0, lam, Rigid(np.array([0.0, 1.0])), stick_along(1, 2, 10.0), 3000, seed=2)
+        est = offspring_mean_mc(2, 10.0, lam, Rigid(np.array([0.0, 1.0])), 3000, seed=2)
         target = lam * stick_hit_volume(2, 20.0, 2.0)
         assert target == pytest.approx(9.2566, abs=1e-3)
         assert abs(est.mean - target) <= 3.0 * est.stderr
@@ -58,30 +90,30 @@ class TestOffspringMeanMC:
     def test_rigid_minkowski_identity_d3(self):
         lam = 0.004
         axis = np.array([0.0, 1.0, 0.0])
-        est = offspring_mean_mc(3, 10.0, lam, Rigid(axis), stick_along(1, 3, 10.0), 3000, seed=3)
+        est = offspring_mean_mc(3, 10.0, lam, Rigid(axis), 3000, seed=3)
         target = lam * stick_hit_volume(3, 20.0, 2.0)
         assert abs(est.mean - target) <= 3.0 * est.stderr
 
     def test_uniform_below_closed_form_bound(self):
-        est = offspring_mean_mc(2, 50.0, 0.001, Uniform(), stick_along(0, 2, 50.0), 1500, seed=4)
+        est = offspring_mean_mc(2, 50.0, 0.001, Uniform(), 1500, seed=4)
         bound = gw_offspring_bound(2, 50.0, 0.001, "uniform")
         assert est.mean <= bound + 3.0 * est.stderr
 
     def test_subcritical_at_theorem_lower_bound(self):
         L = 50.0
         lam = theorem_bounds(2, L, "uniform", strict=False).lower
-        est = offspring_mean_mc(2, L, lam, Uniform(), stick_along(0, 2, L), 1200, seed=5)
+        est = offspring_mean_mc(2, L, lam, Uniform(), 1200, seed=5)
         assert est.mean + 3.0 * est.stderr < 1.0
 
     def test_samples_match_per_trial_loop(self):
         # about 1.5 sticks per trial, so some trials are empty, also at the
         # end of the block; replay the same draws and count trial by trial
         L, trials = 10.0, 20
-        seg = stick_along(0, 2, L)
-        box = offspring_box(seg, L)
+        seg = typical_stick(2, L, Uniform())
+        box = offspring_box(seg.center, seg.direction, L)
         lam = 1.5 / box.volume
         for seed in range(200):
-            est = offspring_mean_mc(2, L, lam, Uniform(), seg, trials, seed=seed)
+            est = offspring_mean_mc(2, L, lam, Uniform(), trials, seed=seed)
             rng = substream(seed, _STREAM_OFFSPRING)
             counts = rng.poisson(lam * box.volume, size=trials)
             centers = rng.uniform(box.low, box.high, size=(int(counts.sum()), 2))
@@ -95,13 +127,13 @@ class TestOffspringMeanMC:
 
     def test_needs_trials(self):
         with pytest.raises(DomainError):
-            offspring_mean_mc(2, 10.0, 0.1, Uniform(), stick_along(0, 2, 10.0), 0, seed=1)
+            offspring_mean_mc(2, 10.0, 0.1, Uniform(), 0, seed=1)
         with pytest.raises(DomainError, match="two trials"):
-            offspring_mean_mc(2, 10.0, 0.1, Uniform(), stick_along(0, 2, 10.0), 1, seed=1)
+            offspring_mean_mc(2, 10.0, 0.1, Uniform(), 1, seed=1)
 
     def test_trials_above_guard_refused(self):
         with pytest.raises(CapacityExceeded, match="500001 trials exceed guard of 5e"):
-            offspring_mean_mc(2, 10.0, 1e-4, Uniform(), stick_along(0, 2, 10.0), 500_001, seed=1)
+            offspring_mean_mc(2, 10.0, 1e-4, Uniform(), 500_001, seed=1)
 
 
 class TestDominatingGW:
@@ -146,15 +178,30 @@ class TestDominatingGW:
             dominating_gw_run([0], max_generations=5, population_cap=10**8 + 1, seed=0)
         with pytest.raises(CapacityExceeded, match="population cap 100000001 exceeds guard of 1e"):
             component_exploration(
-                2, 10.0, 1e-8, Uniform(), stick_along(0, 2, 10.0),
+                2, 10.0, 1e-8, Uniform(),
                 max_generations=5, population_cap=10**8 + 1, seed=1,
             )
 
 
 class TestComponentExploration:
+    def test_window_above_stick_guard_refused_before_any_draw(self, monkeypatch):
+        # the window of radius 5 * (10 + 4) expects 1e7 sticks, twenty times
+        # the guard; a stream that fails on first use shows none is drawn
+        class NoDraws:
+            def __getattr__(self, name):
+                def draw(*args, **kwargs):
+                    raise AssertionError(f"stream.{name} drawn before the guard")
+
+                return draw
+
+        monkeypatch.setattr("stickperc.branching.substream", lambda *args: NoDraws())
+        lam = 1e7 / 140.0**2
+        with pytest.raises(CapacityExceeded, match="expected count 1e\\+07 exceeds guard of 5e\\+05"):
+            component_exploration(2, 10.0, lam, Uniform(), max_generations=5, population_cap=1000, seed=1)
+
     def test_tiny_intensity_seed_only(self):
         res = component_exploration(
-            2, 10.0, 1e-8, Uniform(), stick_along(0, 2, 10.0),
+            2, 10.0, 1e-8, Uniform(),
             max_generations=5, population_cap=1000, seed=1,
         )
         assert res.component_size == 1
@@ -169,7 +216,7 @@ class TestComponentExploration:
         exceeded = 0
         for seed in range(300):
             res = component_exploration(
-                2, L, lam, Uniform(), stick_along(0, 2, L),
+                2, L, lam, Uniform(),
                 max_generations=10, population_cap=50_000, seed=seed,
             )
             sizes.append(res.component_size)
@@ -184,7 +231,7 @@ class TestComponentExploration:
         lam = 3.0 * theorem_bounds(2, L, "uniform", strict=False).lower
         for seed in range(120):
             res = component_exploration(
-                2, L, lam, Uniform(), stick_along(0, 2, L),
+                2, L, lam, Uniform(),
                 max_generations=12, population_cap=50_000, seed=seed,
             )
             assert len(res.dominating_sizes) == len(res.generation_sizes)
@@ -196,7 +243,7 @@ class TestComponentExploration:
         lam = 0.3 * theorem_bounds(2, L, "rigid", strict=False).lower
         law = Rigid(np.array([0.0, 1.0]))
         res = component_exploration(
-            2, L, lam, law, stick_along(1, 2, L),
+            2, L, lam, law,
             max_generations=8, population_cap=10_000, seed=3,
         )
         assert res.component_size >= 1
@@ -222,7 +269,7 @@ class TestPinnedOutputs:
         L = 16.0
         lam = 3.0 * theorem_bounds(2, L, "uniform", strict=False).lower
         res = component_exploration(
-            2, L, lam, Uniform(), stick_along(0, 2, L),
+            2, L, lam, Uniform(),
             max_generations=8, population_cap=50_000, seed=seed,
         )
         assert res.generation_sizes == generations
@@ -242,7 +289,7 @@ class TestPinnedOutputs:
         L = 12.0
         lam = 2.0 * theorem_bounds(2, L, "rigid", strict=False).lower
         res = component_exploration(
-            2, L, lam, Rigid(np.array([0.0, 1.0])), stick_along(1, 2, L),
+            2, L, lam, Rigid(np.array([0.0, 1.0])),
             max_generations=8, population_cap=50_000, seed=seed,
         )
         assert res.generation_sizes == generations
@@ -250,8 +297,24 @@ class TestPinnedOutputs:
         assert res.component_size == size
         assert res.truncated == truncated and not res.window_exceeded
 
+    def test_offspring_samples_rigid_d3(self):
+        est = offspring_mean_mc(3, 10.0, 0.004, Rigid(np.array([0.0, 1.0, 0.0])), 24, seed=11)
+        assert est.samples == (
+            0, 1, 1, 1, 0, 1, 1, 0, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 4, 1, 3, 1, 1, 2,
+        )
+        assert est.mean == 1.1666666666666667
+        assert est.stderr == 0.1772031776903983
+
+    def test_offspring_samples_uniform_d3(self):
+        est = offspring_mean_mc(3, 10.0, 0.0015, Uniform(), 24, seed=12)
+        assert est.samples == (
+            0, 2, 0, 2, 5, 2, 1, 0, 2, 0, 0, 3, 2, 0, 0, 1, 1, 1, 0, 1, 0, 1, 1, 0,
+        )
+        assert est.mean == 1.0416666666666667
+        assert est.stderr == 0.2516551489830117
+
     def test_offspring_samples(self):
-        est = offspring_mean_mc(2, 10.0, 0.05, Uniform(), stick_along(0, 2, 10.0), 24, seed=7)
+        est = offspring_mean_mc(2, 10.0, 0.05, Uniform(), 24, seed=7)
         assert est.samples == (
             8, 9, 6, 9, 5, 10, 7, 6, 7, 8, 4, 8, 8, 8, 3, 7, 9, 6, 5, 8, 3, 8, 14, 5,
         )

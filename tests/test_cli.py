@@ -374,6 +374,26 @@ class TestInvalidInput:
         assert err.splitlines()[-1] == f"error: {message}"
 
     @pytest.mark.parametrize(
+        "argv, computation, message",
+        [
+            (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,8", "--replicates", "20"],
+             "stickperc.percolation.estimate_threshold", "scaling fit needs at least 3 distinct L values"),
+            (["branching", "--d", "2", "--L", "2", "--lambda", "0.1", "--trials", "200000", "--gw-runs", "0"],
+             "stickperc.branching.offspring_mean_mc", "uniform offspring bound requires L > 3.14159"),
+        ],
+        ids=["scaling-repeated-L", "branching-L-without-bound"],
+    )
+    def test_invalid_input_exits_2_before_sampling(self, capsys, monkeypatch, argv, computation, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{computation} ran before the input was checked")
+
+        monkeypatch.setattr(computation, unreachable)
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize(
         "argv, d",
         [
             (["bounds", "--d", "77", "--L", "1e6", "--law", "uniform"], 77),
@@ -396,6 +416,9 @@ class TestInvalidInput:
             # about 5e7 expected sticks per replicate
             (["threshold", "--d", "3", "--L", "1e6", "--law", "uniform", "--replicates", "2"], 4,
              "error: expected count 5.3e+07 exceeds guard of 5e+05"),
+            # one seed and one outcome per replicate is about 14 GB of ints
+            (["threshold", "--d", "2", "--L", "8", "--law", "uniform", "--replicates", "400000000"], 2,
+             "error: 400000000 replicates exceed guard of 5e+05"),
             # 4e8 expected sticks in one trial, under the 1e9 the offspring
             # Monte Carlo once checked on all trials together
             (["branching", "--d", "3", "--L", "1000", "--lambda", "0.033", "--trials", "2", "--gw-runs", "0"], 4,
@@ -410,7 +433,8 @@ class TestInvalidInput:
               "--gw-runs", "1", "--population-cap", "1000000000000"], 3,
              "error: population cap 1000000000000 exceeds guard of 1e+08"),
         ],
-        ids=["threshold-sticks", "offspring-sticks", "branching-trials", "oriented-runs", "population-cap"],
+        ids=["threshold-sticks", "threshold-replicates", "offspring-sticks", "branching-trials", "oriented-runs",
+             "population-cap"],
     )
     def test_memory_guard_exits_2_before_allocating(self, argv, cap_gib, message):
         # the address-space cap turns a guard that lets the allocation start
