@@ -9,7 +9,6 @@ the critical-intensity brackets for both orientation laws.
 import math
 
 from stickperc.measures import (
-    ConstructionGeometry,
     c_d,
     c_d_prime,
     cap_hit_lower_bound,
@@ -50,11 +49,7 @@ print("in the far box with one on the near inset face have measure at least")
 print("lambda * delta * c_d * L^(2-d).\n")
 print(f"  c_2 = {c_d(2):.6f} = 1/(2 sqrt(2) pi); c_3 = {c_d(3):.6f}")
 print(f"  per-step constants c'_d: d=2 {c_d_prime(2):.3e}, d=3 {c_d_prime(3):.3e}")
-geom = ConstructionGeometry(2, 256.0)
-est = mc_two_ball_measure(
-    2, 256.0, geom.box_center((-2, 0)), geom.right_face_center((0, 0)),
-    Uniform(), 500_000, seed=3,
-)
+est = mc_two_ball_measure(2, 256.0, Uniform(), 500_000, seed=3)
 print(f"  d=2 L=256: MC {est.value:.4f} +- {est.stderr:.4f} vs bound {two_ball_lower_bound(2, 256.0, 1.0):.4f}")
 
 print("\n== critical-intensity brackets ==")

@@ -10,6 +10,7 @@ are byte-identical across reruns and --workers settings.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -47,15 +48,29 @@ def _log(msg: str) -> None:
     sys.stderr.write(msg + "\n")
 
 
-def _write_csv(path: str, schema: str, header: list[str], rows: list[list]) -> None:
+@contextlib.contextmanager
+def _csv_output(path: str | None, schema: str, header: list[str]):
+    """Open (truncate) ``path`` before the computation, so that an unwritable
+    path fails first, and write the rows the block adds to the yielded list
+    when it ends.  A run that fails leaves the file empty; without a path
+    the rows are dropped."""
+    rows: list[list] = []
+    if not path:
+        yield rows
+        return
     try:
-        with open(path, "w") as fh:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise StickPercError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    with fh:
+        yield rows
+        try:
             fh.write(f"# schema=stickperc.{schema}.v{SCHEMA_VERSION}\n")
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(str(v) for v in row) + "\n")
-    except OSError as exc:
-        raise StickPercError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        except OSError as exc:
+            raise StickPercError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _probe_doc(stats: percolation.CrossingStats) -> dict:
@@ -135,34 +150,27 @@ def _estimate_doc(est: percolation.ThresholdEstimate) -> dict:
 
 
 def cmd_threshold(args) -> int:
-    est = _run_threshold(args, args.L)
-    if args.probes_csv:
-        _write_csv(
-            args.probes_csv,
-            "probes",
-            ["L", "lambda", "crossed", "replicate", "seed"],
-            _threshold_csv_rows(est),
-        )
+    with _csv_output(args.probes_csv, "probes", ["L", "lambda", "crossed", "replicate", "seed"]) as rows:
+        est = _run_threshold(args, args.L)
+        rows += _threshold_csv_rows(est)
     _emit({"kind": "threshold", **_estimate_doc(est)})
     return 0
 
 
 def cmd_scaling(args) -> int:
     percolation.check_scaling_lengths(args.L_list)
+    for length in args.L_list:
+        percolation.check_threshold_inputs(args.d, length, args.law, args.s_factor * length, args.max_bisect)
     points = []
     estimates = []
-    for length in args.L_list:
-        _log(f"estimating threshold at L={length:g}")
-        est = _run_threshold(args, length)
-        estimates.append(est)
-        points.append((length, est.lambda_hat, percolation.fit_weight(est)))
-    fit = percolation.scaling_fit(points)
-    if args.csv:
-        rows = [
-            [est.length, est.lambda_hat, est.ci_low, est.ci_high, pt[2]]
-            for est, pt in zip(estimates, points)
-        ]
-        _write_csv(args.csv, "scaling", ["L", "lambda_hat", "ci_low", "ci_high", "weight"], rows)
+    with _csv_output(args.csv, "scaling", ["L", "lambda_hat", "ci_low", "ci_high", "weight"]) as rows:
+        for length in args.L_list:
+            _log(f"estimating threshold at L={length:g}")
+            est = _run_threshold(args, length)
+            estimates.append(est)
+            points.append((length, est.lambda_hat, percolation.fit_weight(est)))
+        fit = percolation.scaling_fit(points)
+        rows += [[est.length, est.lambda_hat, est.ci_low, est.ci_high, pt[2]] for est, pt in zip(estimates, points)]
     _emit(
         {
             "kind": "scaling",
@@ -191,24 +199,19 @@ def cmd_branching(args) -> int:
     law = _law_object(args.law, args.d)
     d = args.d
     bound = measures.gw_offspring_bound(d, args.L, args.lam, args.law)
-    est = branching.offspring_mean_mc(d, args.L, args.lam, law, args.trials, args.seed)
-    gw_extinct = 0
     runs = args.gw_runs
     example_sizes: list[int] = []
-    for k in range(runs):
-        report = branching.dominating_gw_run(
-            est.samples, args.max_generations, args.population_cap, args.seed + k
-        )
-        gw_extinct += 1 if report.extinct else 0
-        if k == 0:
-            example_sizes = list(report.generation_sizes)
-    if args.samples_csv:
-        _write_csv(
-            args.samples_csv,
-            "offspring",
-            ["trial", "count"],
-            [[i, v] for i, v in enumerate(est.samples)],
-        )
+    with _csv_output(args.samples_csv, "offspring", ["trial", "count"]) as rows:
+        est = branching.offspring_mean_mc(d, args.L, args.lam, law, args.trials, args.seed)
+        gw_extinct = 0
+        for k in range(runs):
+            report = branching.dominating_gw_run(
+                est.samples, args.max_generations, args.population_cap, args.seed + k
+            )
+            gw_extinct += 1 if report.extinct else 0
+            if k == 0:
+                example_sizes = list(report.generation_sizes)
+        rows += [[i, v] for i, v in enumerate(est.samples)]
     _emit(
         {
             "kind": "branching",
@@ -233,20 +236,9 @@ def cmd_branching(args) -> int:
 
 
 def cmd_oriented(args) -> int:
-    stats = oriented.survival_probability(
-        args.alpha, args.variant, args.n_max, args.trials, args.seed
-    )
-    if args.csv:
-        rows = [
-            [stats.alpha, t, 1 if lvl < 0 else 0, lvl]
-            for t, lvl in enumerate(stats.extinction_levels)
-        ]
-        _write_csv(
-            args.csv,
-            "oriented",
-            ["alpha", "trial", "survived", "extinction_level"],
-            rows,
-        )
+    with _csv_output(args.csv, "oriented", ["alpha", "trial", "survived", "extinction_level"]) as rows:
+        stats = oriented.survival_probability(args.alpha, args.variant, args.n_max, args.trials, args.seed)
+        rows += [[stats.alpha, t, 1 if lvl < 0 else 0, lvl] for t, lvl in enumerate(stats.extinction_levels)]
     _emit(
         {
             "kind": "oriented",
@@ -265,13 +257,8 @@ def cmd_oriented(args) -> int:
 
 
 def cmd_measure_mc(args) -> int:
-    geom = measures.ConstructionGeometry(args.d, args.L)
-    gamma = geom.box_center((-2, 0))
-    zeta = geom.right_face_center((0, 0))
     bound = measures.two_ball_lower_bound(args.d, args.L, delta=args.delta, intensity=args.lam)
-    est = measures.mc_two_ball_measure(
-        args.d, args.L, gamma, zeta, Uniform(), args.trials, args.seed, intensity=args.lam
-    )
+    est = measures.mc_two_ball_measure(args.d, args.L, Uniform(), args.trials, args.seed, intensity=args.lam)
     _emit(
         {
             "kind": "measure_mc",

@@ -22,9 +22,6 @@ from .sampling import OrientationLaw, Rigid, Uniform, check_density_floor, check
 
 _STREAM_MEASURE_MC = 0x3EA5
 _MC_CHUNK = 1_000_000  # Monte Carlo draws per batch, to bound memory
-# membership slack of the construction-geometry point tests
-_IN_BOX_TOL = 1e-9
-_ON_FACE_TOL = 1e-6
 
 LAW_TAGS = ("uniform", "rigid", "density")
 
@@ -289,30 +286,10 @@ class ConstructionGeometry:
     def box_high(self, u) -> np.ndarray:
         return self.box_center(u) + self.half_side
 
-    def in_box(self, u, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(np.abs(x - self.box_center(u)) <= self.half_side + _IN_BOX_TOL))
-
     def right_face_center(self, u) -> np.ndarray:
         c = self.box_center(u)
         c[0] += self.half_side
         return c
-
-    def on_inset_face(self, u, x, axis: int, sign: int) -> bool:
-        """Is ``x`` on the inset face of D^u with outward normal sign*e_axis?
-
-        For small boxes (half side below the inset) the strictly inset face
-        is empty; the margin is clamped at zero so the face center still
-        qualifies, which is the geometry the connection measure is used with.
-        """
-        x = np.asarray(x, dtype=float)
-        center = self.box_center(u)
-        if abs((x[axis] - center[axis]) - sign * self.half_side) > _ON_FACE_TOL:
-            return False
-        margin = max(self.half_side - self.face_inset, 0.0)
-        others = [k for k in range(self.d) if k != axis]
-        return bool(np.all(np.abs(x[others] - center[others]) <= margin + _ON_FACE_TOL))
-
 
 
 def lattice_T_count(d: int, length: float) -> int:
@@ -395,7 +372,7 @@ def mc_stick_hit_volume(
         vw = np.einsum("ij,ij->i", v, local)
         shift = np.where(vv > 1e-24, 2.0 * vw / np.where(vv > 1e-24, vv, 1.0), 0.0)
         x = local - shift[:, None] * v
-        return int(segments_hit_ball(x, p, np.full(n, 0.5 * length), np.zeros(d), rho).sum())
+        return int(segments_hit_ball(x, p, 0.5 * length, np.zeros(d), rho).sum())
 
     box_volume = (2.0 * half_t) * (2.0 * rho) ** (d - 1)
     return _mc_fraction(trials, seed, 1, box_volume, count_hits)
@@ -418,7 +395,7 @@ def mc_cap_hit_probability(
     def count_hits(rng, n):
         p = Uniform().sample_directions(rng, d, n)
         centers = np.broadcast_to(x, (n, d))
-        return int(segments_hit_ball(centers, p, np.full(n, 0.5 * length), np.zeros(d), rho).sum())
+        return int(segments_hit_ball(centers, p, 0.5 * length, np.zeros(d), rho).sum())
 
     return _mc_fraction(trials, seed, 2, 1.0, count_hits)
 
@@ -426,34 +403,33 @@ def mc_cap_hit_probability(
 def mc_two_ball_measure(
     d: int,
     length: float,
-    gamma,
-    zeta,
     law: OrientationLaw,
     trials: int,
     seed: int,
     intensity: float = 1.0,
 ) -> MCEstimate:
-    """Monte Carlo estimate of the measure of segments centered in the middle
-    construction box whose segment connects B(gamma, 2) and B(zeta, 2).
+    """Monte Carlo estimate of the two-ball lemma's measure: segments
+    centered in the middle construction box D^{(-1,0)} whose segment
+    connects B(gamma, 2) and B(zeta, 2).
 
-    Geometry preconditions (the two-ball lemma): gamma in D^{(-2,0)}, zeta on
-    the inset right face of D^o, and L > 32.  Centers are sampled uniformly
-    in the full box D^{(-1,0)}; the estimate is intensity * Vol(D) * hit
-    fraction, to be compared against intensity * delta * c_d * L^{2-d}.
+    The lemma's points are the construction's own: gamma the center of
+    D^{(-2,0)} and zeta the center of the right face of D^o.  The lemma
+    takes zeta on the face inset by 16, which is empty below
+    L = 256 sqrt(d) (the half side L/(16 sqrt d) is then under the inset)
+    and shrinks to the face center as L comes down to it; below, the face
+    center stands in for it.  Needs L > 32.  Centers are sampled uniformly
+    in D^{(-1,0)}; the estimate is intensity * Vol(D) * hit fraction, to be
+    compared against intensity * delta * c_d * L^{2-d}.
     """
     d = _check_dim(d)
     check_intensity(intensity)
+    geom = ConstructionGeometry(d, length)
     if not length > 32.0:
         raise PreconditionViolated("two-ball measure requires L > 32")
     if isinstance(law, Rigid):
         raise PreconditionViolated("law must have a positive density floor")
-    geom = ConstructionGeometry(d, length)
-    gamma = np.asarray(gamma, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    if not geom.in_box((-2, 0), gamma):
-        raise PreconditionViolated("gamma must lie in the box D^(-2,0)")
-    if not geom.on_inset_face((0, 0), zeta, axis=0, sign=+1):
-        raise PreconditionViolated("zeta must lie on the inset right face of D^o")
+    gamma = geom.box_center((-2, 0))
+    zeta = geom.right_face_center((0, 0))
     low = geom.box_low((-1, 0))
     high = geom.box_high((-1, 0))
     volume = math.prod((high - low).tolist())
@@ -463,7 +439,7 @@ def mc_two_ball_measure(
     def count_hits(rng, n):
         x = rng.uniform(low, high, size=(n, d))
         p = law.sample_directions(rng, d, n)
-        h = np.full(n, 0.5 * length)
+        h = 0.5 * length
         return int((segments_hit_ball(x, p, h, gamma, 2.0) & segments_hit_ball(x, p, h, zeta, 2.0)).sum())
 
     return _mc_fraction(trials, seed, 3, intensity * volume, count_hits)

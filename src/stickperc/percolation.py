@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BracketFailure, CapacityExceeded, DegenerateDesign, DomainError, PreconditionViolated
 from .geometry import INTERSECT_THRESHOLD, segment_distance_arrays
-from .measures import theorem_bounds
+from .measures import BoundsReport, theorem_bounds
 from .rng import derive_seed
 from .sampling import _MAX_EXPECTED_COUNT, Configuration, OrientationLaw, sample_window_configuration
 from .stats import _Z95, wilson_interval
@@ -414,6 +414,17 @@ def _logistic_interpolation(
     return lam, ci_low, ci_high
 
 
+def check_threshold_inputs(d: int, length: float, law, side: float, max_bisect: int) -> BoundsReport:
+    """The checks ``estimate_threshold`` makes before its first probe, for a
+    law or its tag; returns the theorem bracket its walk starts from."""
+    bounds = theorem_bounds(d, length, law, strict=False)
+    if not side >= 8.0 * length:
+        raise PreconditionViolated("window side must be at least 8 L")
+    if max_bisect < 0:
+        raise DomainError("max_bisect must be nonnegative")
+    return bounds
+
+
 def estimate_threshold(
     d: int,
     length: float,
@@ -435,11 +446,7 @@ def estimate_threshold(
     from a logistic fit over the whole probe trace.  With ``workers > 1``
     every probe runs on one process pool.
     """
-    bounds = theorem_bounds(d, length, law, strict=False)
-    if not side >= 8.0 * length:
-        raise PreconditionViolated("window side must be at least 8 L")
-    if max_bisect < 0:
-        raise DomainError("max_bisect must be nonnegative")
+    bounds = check_threshold_inputs(d, length, law, side, max_bisect)
     probes: list[CrossingStats] = []
 
     with _replicate_pool(workers) as pool:

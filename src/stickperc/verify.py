@@ -241,10 +241,7 @@ def measures_suite(seed: int) -> list[Check]:
         Check("lattice-count-above-bound", not short, " ".join(short) or "enumerated >= closed form at 70 lengths")
     )
 
-    geom = measures.ConstructionGeometry(2, 256.0)
-    gamma = geom.box_center((-2, 0))
-    zeta = geom.right_face_center((0, 0))
-    est = measures.mc_two_ball_measure(2, 256.0, gamma, zeta, Uniform(), 300_000, seed)
+    est = measures.mc_two_ball_measure(2, 256.0, Uniform(), 300_000, seed)
     bound = measures.two_ball_lower_bound(2, 256.0, delta=1.0)
     checks.append(
         Check(

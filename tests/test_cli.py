@@ -329,6 +329,8 @@ class TestInvalidInput:
             (["measure-mc", "--d", "2", "--trials", "100", "--delta", "2"], "delta = 2.0"),
             (["measure-mc", "--d", "2", "--L", "1e300", "--trials", "100"], "L = 1e+300"),
             (["measure-mc", "--d", "2", "--L", "inf", "--trials", "100"], "L = inf"),
+            (["measure-mc", "--d", "2", "--L", "nan", "--trials", "100"],
+             "L must be positive and finite, got L = nan"),
             (["branching", "--d", "2", "--L", "10", "--lambda", "0.05", "--trials", "1"],
              "at least two trials"),
         ],
@@ -337,7 +339,7 @@ class TestInvalidInput:
             "bounds-delta-tiny", "measure-mc-delta-nan", "measure-mc-delta-inf",
             "measure-mc-delta-negative", "bounds-rigid-delta-inf", "bounds-uniform-delta-negative",
             "bounds-density-delta-above-1", "measure-mc-delta-above-1", "measure-mc-L-huge",
-            "measure-mc-L-inf", "branching-one-trial",
+            "measure-mc-L-inf", "measure-mc-L-nan", "branching-one-trial",
         ],
     )
     def test_bracket_out_of_range_exits_2(self, capsys, argv, named):
@@ -378,10 +380,15 @@ class TestInvalidInput:
         [
             (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,8", "--replicates", "20"],
              "stickperc.percolation.estimate_threshold", "scaling fit needs at least 3 distinct L values"),
+            # every length is checked before the first one is estimated
+            (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,32,-64", "--replicates", "30"],
+             "stickperc.percolation.estimate_threshold", "stick length must be positive"),
+            (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,1e300", "--replicates", "30"],
+             "stickperc.percolation.estimate_threshold", "bracket leaves the floating-point range at L = 1e+300"),
             (["branching", "--d", "2", "--L", "2", "--lambda", "0.1", "--trials", "200000", "--gw-runs", "0"],
              "stickperc.branching.offspring_mean_mc", "uniform offspring bound requires L > 3.14159"),
         ],
-        ids=["scaling-repeated-L", "branching-L-without-bound"],
+        ids=["scaling-repeated-L", "scaling-negative-last-L", "scaling-huge-last-L", "branching-L-without-bound"],
     )
     def test_invalid_input_exits_2_before_sampling(self, capsys, monkeypatch, argv, computation, message):
         def unreachable(*args, **kwargs):
@@ -475,23 +482,28 @@ class TestInvalidInput:
         assert err.splitlines()[-1].startswith("error:")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, computation",
         [
-            THRESHOLD_ARGS + ["--probes-csv"],
-            ["scaling", "--d", "2", "--law", "rigid", "--L-list", "8,12,16", "--s-factor", "8",
-             "--replicates", "6", "--max-bisect", "1", "--csv"],
-            ["branching", "--d", "2", "--L", "10", "--lambda", "0.05", "--law", "rigid",
-             "--trials", "50", "--gw-runs", "5", "--samples-csv"],
-            TestOriented.ARGS + ["--csv"],
+            (THRESHOLD_ARGS + ["--probes-csv"], "stickperc.percolation.estimate_threshold"),
+            (["scaling", "--d", "2", "--law", "rigid", "--L-list", "8,12,16", "--s-factor", "8",
+              "--replicates", "6", "--max-bisect", "1", "--csv"], "stickperc.percolation.estimate_threshold"),
+            (["branching", "--d", "2", "--L", "10", "--lambda", "0.05", "--law", "rigid",
+              "--trials", "50", "--gw-runs", "5", "--samples-csv"], "stickperc.branching.offspring_mean_mc"),
+            (TestOriented.ARGS + ["--csv"], "stickperc.oriented.survival_probability"),
         ],
         ids=["threshold", "scaling", "branching", "oriented"],
     )
-    def test_unwritable_csv_exits_2(self, capsys, tmp_path, argv):
-        rc, out, err = run_cli(capsys, argv + [str(tmp_path / "missing" / "out.csv")])
+    def test_unwritable_csv_exits_2(self, capsys, monkeypatch, tmp_path, argv, computation):
+        # the path is opened before the computation, so none of it runs
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{computation} ran before the CSV path was opened")
+
+        monkeypatch.setattr(computation, unreachable)
+        path = tmp_path / "missing" / "out.csv"
+        rc, out, err = run_cli(capsys, argv + [str(path)])
         assert rc == 2
         assert out == ""
-        assert "Traceback" not in err
-        assert err.splitlines()[-1].startswith("error: cannot write")
+        assert err.splitlines() == [f"error: cannot write {path}: No such file or directory"]
 
 
 class TestConfigKeys:
