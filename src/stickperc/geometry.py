@@ -3,6 +3,14 @@
 Everything is expressed in length units where the stick radius is 1, so two
 sticks overlap exactly when their core segments come within distance 2.
 All functions are pure; arrays are never mutated.
+
+The segment distance has one body, ``_segment_distance``, on per-axis
+arrays: clustering hands it whole (d, m) columns, and the row form
+``segment_distance_arrays`` moves the axis to the front.  Each dot product
+is summed over the even axes, then the odd axes, then the two sums: the
+order numpy's ``einsum`` takes over a contiguous axis of length at most 6,
+so every distance for d <= 6 is the row form's ``einsum`` value to the last
+bit.  For d >= 7 the last bit may differ.
 """
 
 from __future__ import annotations
@@ -96,18 +104,35 @@ def segment_distance_arrays(ca, da, la, cb, db, lb) -> np.ndarray:
 
     All arguments broadcast; ``ca, da`` are (n, d) centers/unit directions
     and ``la`` (n,) lengths.  The package's one segment distance: clustering,
-    branching and the self-checks all run it.
+    branching and the self-checks all run it.  This is the row form of
+    ``_segment_distance``, which clustering calls on per-axis columns.
     """
-    ca = np.asarray(ca, dtype=float)
-    cb = np.asarray(cb, dtype=float)
-    da = np.asarray(da, dtype=float)
-    db = np.asarray(db, dtype=float)
-    ha = 0.5 * np.asarray(la, dtype=float)
-    hb = 0.5 * np.asarray(lb, dtype=float)
-    u = ca - cb
-    up = np.einsum("...i,...i->...", u, da)
-    uq = np.einsum("...i,...i->...", u, db)
-    c = np.einsum("...i,...i->...", da, db)
+    rows = np.subtract(ca, cb, dtype=float), np.asarray(da, dtype=float), np.asarray(db, dtype=float)
+    u, da, db = (np.moveaxis(v, -1, 0) for v in rows)
+    return _segment_distance(u, da, 0.5 * np.asarray(la, dtype=float), db, 0.5 * np.asarray(lb, dtype=float))
+
+
+def _axis_dot(a, b):
+    # sum over k of a[k] * b[k] in einsum's order (see the module docstring)
+    even = a[0] * b[0]
+    for k in range(2, len(a), 2):
+        even += a[k] * b[k]
+    odd = a[1] * b[1]
+    for k in range(3, len(a), 2):
+        odd += a[k] * b[k]
+    even += odd
+    return even
+
+
+def _segment_distance(u, da, ha, db, hb) -> np.ndarray:
+    """``segment_distance_arrays`` on per-axis arrays: ``u[k]``, ``da[k]``
+    and ``db[k]`` are axis k of the center differences ``ca - cb`` and of
+    the two directions, ``ha`` and ``hb`` the half lengths; all broadcast.
+    Each step is one operation on whole columns, with no axis only d long
+    in the inner loop."""
+    up = _axis_dot(u, da)
+    uq = _axis_dot(u, db)
+    c = _axis_dot(da, db)
     denom = 1.0 - c * c
     # No parallel tolerance: a nearly parallel pair must start from its
     # clamped line minimizer, or the projection stops at the wrong end of
@@ -118,12 +143,12 @@ def segment_distance_arrays(ca, da, la, cb, db, lb) -> np.ndarray:
     numer = c * uq - up
     t = np.asarray(np.sign(numer) * ha)
     np.divide(numer, denom, out=t, where=denom > 0.0)
-    del numer  # one array fewer alive at the (n, d) temporaries below
+    del numer  # one column fewer alive at the d columns of diff below
     t = np.clip(t, -ha, ha)
     tau = np.clip(c * t + uq, -hb, hb)
     t = np.clip(c * tau - up, -ha, ha)
-    diff = u + t[..., None] * da - tau[..., None] * db
-    return np.sqrt(np.einsum("...i,...i->...", diff, diff))
+    diff = [u[k] + t * da[k] - tau * db[k] for k in range(len(u))]
+    return np.sqrt(_axis_dot(diff, diff))
 
 
 def segments_hit_ball(centers, dirs, half_lengths, c, rho: float) -> np.ndarray:

@@ -15,6 +15,15 @@ least-squares line.
 The pipeline moves its arrays with ``take`` on index arrays and filters
 through ``np.flatnonzero``: in numpy 2.x that gathers rows several times
 faster than fancy indexing or a boolean mask, and moves the same values.
+
+A batch holds its sticks as per-axis rows, ``(d, n)`` arrays whose row k
+is axis k of every stick, and its pairs and edges as two int64 index
+arrays, the i's and the j's.  So every gather is a 1-d ``take`` and the
+narrow phase computes on whole columns: no ``(k, 2)`` or ``(m, d)`` block
+is built only to be split again, and no dot product runs an inner loop
+only d long.  The index reads the same rows through ``.T`` views.  The
+public ``candidate_pairs``, ``intersection_edges`` and ``component_labels``
+keep their ``(k, 2)`` row arrays.
 """
 
 from __future__ import annotations
@@ -28,15 +37,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BracketFailure, CapacityExceeded, DegenerateDesign, DomainError, PreconditionViolated
-from .geometry import INTERSECT_THRESHOLD, segment_distance_arrays
+from .geometry import INTERSECT_THRESHOLD, _segment_distance
 from .measures import BoundsReport, theorem_bounds
 from .rng import derive_seed
-from .sampling import _MAX_EXPECTED_COUNT, Configuration, OrientationLaw, sample_window_configuration
+from .sampling import (
+    _MAX_EXPECTED_COUNT, BoxRegion, Configuration, OrientationLaw, check_expected_count, sample_window_configuration,
+)
 from .stats import _Z95, wilson_interval
 
 _STREAM_REPLICATE = 0x4EB1
-# candidate pairs per narrow-phase block: its gathers and kernel temporaries
-# (about 2 MB at d = 3) stay cache-sized however large the replicate or batch
+# candidate pairs per narrow-phase block: its three (d, m) gathers and dozen
+# m-long kernel columns (about 1.2 MB at d = 3) stay cache-sized however
+# large the replicate or batch
 _PAIR_CHUNK = 8192
 # a probe's replicates are clustered in batches, each closed once it holds
 # this many sticks, so numpy's cost per call is shared by small replicates
@@ -84,9 +96,14 @@ def component_labels(n: int, edges: np.ndarray) -> np.ndarray:
     (Shiloach & Vishkin, J. Algorithms 3, 1982).  Labels only point to
     smaller indices, so the roots are the component minima.
     """
-    labels = np.arange(n)
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    a, b = np.ascontiguousarray(edges[:, 0]), np.ascontiguousarray(edges[:, 1])
+    return _labels(n, np.ascontiguousarray(edges[:, 0]), np.ascontiguousarray(edges[:, 1]))
+
+
+def _labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``component_labels`` for the edges (a[k], b[k]) of the two int64
+    index arrays ``a`` and ``b``."""
+    labels = np.arange(n)
     while True:
         la, lb = labels.take(a), labels.take(b)
         split = np.flatnonzero(la != lb)
@@ -113,8 +130,14 @@ class SpatialIndex:
     _low_edges: np.ndarray = field(repr=False)
 
     def candidate_pairs(self) -> np.ndarray:
-        """Index pairs (i < j) sharing at least one cell, each once; a
-        superset of all intersecting pairs.
+        """Index pairs (i < j) sharing at least one cell, each once, as the
+        rows of a C-contiguous int64 (k, 2) array; a superset of all
+        intersecting pairs."""
+        return np.stack(self._pair_ids(), axis=1)
+
+    def _pair_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """``candidate_pairs`` as two int64 index arrays, the i and the j of
+        each pair.
 
         The shared cells of two sticks form a box whose low corner lies on
         each axis at the lower edge of one of the two sticks; a pair is
@@ -130,10 +153,7 @@ class SpatialIndex:
         all_axes = (1 << self.d) - 1
         low_edges = self._low_edges
         keep = np.flatnonzero((low_edges.take(first) | low_edges.take(second)) == all_axes)
-        pairs = np.empty((len(keep), 2), dtype=np.int64)
-        pairs[:, 0] = self._stick_ids.take(first.take(keep))
-        pairs[:, 1] = self._stick_ids.take(second.take(keep))
-        return pairs
+        return self._stick_ids.take(first.take(keep)), self._stick_ids.take(second.take(keep))
 
 
 def tuned_cell_size(length: float, law) -> float | np.ndarray:
@@ -203,24 +223,30 @@ def _index(
     return SpatialIndex(d, _stick_ids=stick_ids[order], _starts=starts, _low_edges=low_edges[order])
 
 
-def _edges(centers: np.ndarray, dirs: np.ndarray, length: float, pairs: np.ndarray) -> np.ndarray:
-    """The pairs of ``pairs`` whose sticks intersect, tested in blocks of
-    ``_PAIR_CHUNK`` pairs."""
-    keep = []
-    for lo in range(0, len(pairs), _PAIR_CHUNK):
-        block = pairs[lo : lo + _PAIR_CHUNK]
-        i, j = block[:, 0], block[:, 1]
-        dist = segment_distance_arrays(
-            centers.take(i, axis=0), dirs.take(i, axis=0), length, centers.take(j, axis=0), dirs.take(j, axis=0), length
-        )
-        keep.append(block.take(np.flatnonzero(dist <= INTERSECT_THRESHOLD), axis=0))
-    return np.concatenate(keep) if keep else pairs[:0]
+def _edges(
+    centers: np.ndarray, dirs: np.ndarray, length: float, first: np.ndarray, second: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (first[p], second[p]) whose sticks intersect, as two index
+    arrays.  ``centers`` and ``dirs`` are C-contiguous (d, n) per-axis
+    rows; the pairs are tested in blocks of ``_PAIR_CHUNK``."""
+    half = 0.5 * length
+    keep_first, keep_second = [first[:0]], [second[:0]]
+    for lo in range(0, len(first), _PAIR_CHUNK):
+        i, j = first[lo : lo + _PAIR_CHUNK], second[lo : lo + _PAIR_CHUNK]
+        u = centers.take(i, axis=1) - centers.take(j, axis=1)
+        dist = _segment_distance(u, dirs.take(i, axis=1), half, dirs.take(j, axis=1), half)
+        hit = np.flatnonzero(dist <= INTERSECT_THRESHOLD)
+        keep_first.append(i.take(hit))
+        keep_second.append(j.take(hit))
+    return np.concatenate(keep_first), np.concatenate(keep_second)
 
 
 def intersection_edges(config: Configuration, cell: float | np.ndarray | None = None) -> np.ndarray:
-    """Exact intersecting pairs (i < j) of ``config``."""
-    pairs = build_index(config, cell).candidate_pairs()
-    return _edges(config.centers, config.dirs, config.length, pairs)
+    """Exact intersecting pairs (i < j) of ``config``, as the rows of a
+    C-contiguous int64 (k, 2) array."""
+    pairs = build_index(config, cell)._pair_ids()
+    columns = np.ascontiguousarray(config.centers.T), np.ascontiguousarray(config.dirs.T)
+    return np.stack(_edges(*columns, config.length, *pairs), axis=1)
 
 
 def cluster(config: Configuration, cell: float | np.ndarray | None = None) -> np.ndarray:
@@ -239,18 +265,21 @@ def _batch_crossings(configs: list[Configuration], axis: int, cell: float | np.n
     ``axis``.  Their sticks are clustered together, each in the cells of
     its own replicate, so no cluster spans two of them."""
     first = configs[0]
-    centers = np.concatenate([c.centers for c in configs])
-    dirs = np.concatenate([c.dirs for c in configs])
-    replicate = np.repeat(np.arange(len(configs), dtype=np.int64), [c.count for c in configs])
-    pairs = _index(centers, dirs, first.length, cell, replicate).candidate_pairs()
-    labels = component_labels(len(centers), _edges(centers, dirs, first.length, pairs))
+    counts = [c.count for c in configs]
+    # per-axis rows: centers[k] is axis k of every stick of the batch
+    shape = (first.d, sum(counts))
+    centers = np.concatenate([c.centers.T for c in configs], axis=1, out=np.empty(shape))
+    dirs = np.concatenate([c.dirs.T for c in configs], axis=1, out=np.empty(shape))
+    replicate = np.repeat(np.arange(len(configs), dtype=np.int64), counts)
+    pairs = _index(centers.T, dirs.T, first.length, cell, replicate)._pair_ids()
+    labels = _labels(shape[1], *_edges(centers, dirs, first.length, *pairs))
     window = first.observation_window
-    reach = first.half * np.abs(dirs[:, axis]) + 1.0
-    lo_ext = centers[:, axis] - reach
-    hi_ext = centers[:, axis] + reach
+    reach = first.half * np.abs(dirs[axis]) + 1.0
+    lo_ext = centers[axis] - reach
+    hi_ext = centers[axis] + reach
     touch_low = (lo_ext <= window.low[axis]) & (hi_ext >= window.low[axis])
     touch_high = (lo_ext <= window.high[axis]) & (hi_ext >= window.high[axis])
-    low_label = np.zeros(len(centers), dtype=bool)
+    low_label = np.zeros(shape[1], dtype=bool)
     low_label[labels[touch_low]] = True
     crossed = np.zeros(len(configs), dtype=bool)
     crossed[replicate[touch_high & low_label[labels]]] = True
@@ -416,12 +445,15 @@ def _logistic_interpolation(
 
 def check_threshold_inputs(d: int, length: float, law, side: float, max_bisect: int) -> BoundsReport:
     """The checks ``estimate_threshold`` makes before its first probe, for a
-    law or its tag; returns the theorem bracket its walk starts from."""
+    law or its tag, the first probe's expected stick count among them;
+    returns the theorem bracket its walk starts from."""
     bounds = theorem_bounds(d, length, law, strict=False)
     if not side >= 8.0 * length:
         raise PreconditionViolated("window side must be at least 8 L")
     if max_bisect < 0:
         raise DomainError("max_bisect must be nonnegative")
+    # the first probe draws at the lower bound in the sampler's box
+    check_expected_count(bounds.lower * BoxRegion.cube(d, side).grown(0.5 * length + 1.0).volume)
     return bounds
 
 

@@ -84,6 +84,31 @@ def segment_segment_distance(a: Segment, b: Segment) -> float:
     return math.sqrt(max(best, 0.0))
 
 
+def einsum_segment_distance(ca, da, la, cb, db, lb):
+    """The row kernel as it stood before the per-axis body, each dot
+    product an ``einsum`` over the last axis: the bit-identity reference
+    for ``segment_distance_arrays``."""
+    ca = np.asarray(ca, dtype=float)
+    cb = np.asarray(cb, dtype=float)
+    da = np.asarray(da, dtype=float)
+    db = np.asarray(db, dtype=float)
+    ha = 0.5 * np.asarray(la, dtype=float)
+    hb = 0.5 * np.asarray(lb, dtype=float)
+    u = ca - cb
+    up = np.einsum("...i,...i->...", u, da)
+    uq = np.einsum("...i,...i->...", u, db)
+    c = np.einsum("...i,...i->...", da, db)
+    denom = 1.0 - c * c
+    numer = c * uq - up
+    t = np.asarray(np.sign(numer) * ha)
+    np.divide(numer, denom, out=t, where=denom > 0.0)
+    t = np.clip(t, -ha, ha)
+    tau = np.clip(c * t + uq, -hb, hb)
+    t = np.clip(c * tau - up, -ha, ha)
+    diff = u + t[..., None] * da - tau[..., None] * db
+    return np.sqrt(np.einsum("...i,...i->...", diff, diff))
+
+
 def full_grid_segment_distance(a: Segment, b: Segment, steps: int) -> float:
     """``grid_segment_distance`` evaluated on every point of the steps x
     steps grid, with the same arithmetic per point."""

@@ -385,10 +385,16 @@ class TestInvalidInput:
              "stickperc.percolation.estimate_threshold", "stick length must be positive"),
             (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,1e300", "--replicates", "30"],
              "stickperc.percolation.estimate_threshold", "bracket leaves the floating-point range at L = 1e+300"),
+            # the first probe of the last length would draw about 5e7 sticks
+            (["scaling", "--d", "3", "--law", "uniform", "--L-list", "8,16,1e6", "--replicates", "5"],
+             "stickperc.percolation.estimate_threshold", "expected count 5.3e+07 exceeds guard of 5e+05"),
             (["branching", "--d", "2", "--L", "2", "--lambda", "0.1", "--trials", "200000", "--gw-runs", "0"],
              "stickperc.branching.offspring_mean_mc", "uniform offspring bound requires L > 3.14159"),
         ],
-        ids=["scaling-repeated-L", "scaling-negative-last-L", "scaling-huge-last-L", "branching-L-without-bound"],
+        ids=[
+            "scaling-repeated-L", "scaling-negative-last-L", "scaling-huge-last-L", "scaling-oversized-first-probe",
+            "branching-L-without-bound",
+        ],
     )
     def test_invalid_input_exits_2_before_sampling(self, capsys, monkeypatch, argv, computation, message):
         def unreachable(*args, **kwargs):

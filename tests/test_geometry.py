@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    einsum_segment_distance,
     full_grid_segment_distance,
     grid_distance_outside_window,
     grid_profile_min,
@@ -225,6 +226,56 @@ class TestSegmentDistance:
             a = rand_segment(rng, d, scale=3.0, lmax=5.0)
             b = rand_segment(rng, d, scale=3.0, lmax=5.0)
             assert grid_segment_distance(a, b, steps) == full_grid_segment_distance(a, b, steps)
+
+
+def unit_rows(v):
+    return v / np.sqrt(np.einsum("...i,...i->...", v, v))[..., None]
+
+
+def random_sticks(rng, n, d):
+    return rng.normal(0.0, 6.0, (n, d)), unit_rows(rng.standard_normal((n, d)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+class TestKernelMatchesEinsumReference:
+    """The per-axis kernel equals its einsum row form to the last bit at
+    d = 2..6.  At d >= 7 its even-then-odd sum may differ from einsum's
+    order in the last bit; no workload, test or acceptance run uses d >= 7."""
+
+    def test_rows(self, d):
+        rng = np.random.default_rng(d)
+        a, b = ((*random_sticks(rng, 20_000, d), rng.uniform(0.5, 16.0, 20_000)) for _ in range(2))
+        assert np.array_equal(segment_distance_arrays(*a, *b), einsum_segment_distance(*a, *b))
+
+    def test_one_stick_against_rows(self, d):
+        # branching's calls: many sticks against one, and each fresh stick
+        # against every processed one through a (k, 1, d) axis
+        rng = np.random.default_rng(10 + d)
+        centers, dirs = random_sticks(rng, 5_000, d)
+        one = rng.normal(0.0, 1.0, d), unit_rows(rng.standard_normal(d))
+        for args in [(centers, dirs, 8.0, *one, 8.0), (*one, 8.0, centers, dirs, 8.0),
+                     (centers[:200, None], dirs[:200, None], 8.0, centers[200:260], dirs[200:260], 8.0)]:
+            assert np.array_equal(segment_distance_arrays(*args), einsum_segment_distance(*args))
+
+    def test_parallel_and_nearly_parallel(self, d):
+        rng = np.random.default_rng(20 + d)
+        ca, cb = rng.normal(0.0, 4.0, (2, 6_000, d))
+        da = unit_rows(rng.standard_normal((6_000, d)))
+        tilt = 10.0 ** rng.uniform(-12.0, -4.0, (2_000, 1)) * rng.standard_normal((2_000, d))
+        db = np.concatenate([unit_rows(da[:2_000] + tilt), da[2_000:4_000], -da[4_000:]])
+        assert np.array_equal(segment_distance_arrays(ca, da, 8.0, cb, db, 6.0),
+                              einsum_segment_distance(ca, da, 8.0, cb, db, 6.0))
+
+    def test_distance_exactly_two(self, d):
+        # axis-aligned sticks of length 6: side by side 2 apart, and end on
+        # 2 beyond the first one's end
+        eye = np.eye(d)
+        beside = [2.0 * eye[1] + s * eye[0] for s in range(-6, 7)]
+        cb = np.stack(beside + [5.0 * eye[0] + s * eye[1] for s in (-2, 0, 3)])
+        db = np.stack([eye[0]] * 13 + [eye[1]] * 3)
+        dist = segment_distance_arrays(np.zeros(d), eye[0], 6.0, cb, db, 6.0)
+        assert np.all(dist == 2.0)
+        assert np.array_equal(dist, einsum_segment_distance(np.zeros(d), eye[0], 6.0, cb, db, 6.0))
 
 
 @pytest.mark.parametrize(

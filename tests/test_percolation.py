@@ -222,17 +222,20 @@ class TestSpatialIndex:
         configs, cell = geometry_sample(2, "rigid")
         clustered = []
 
-        def recording_labels(n, edges):
-            clustered.append(edges)
-            return component_labels(n, edges)
+        def recording_labels(n, first, second):
+            clustered.append((first, second))
+            return labels(n, first, second)
 
-        monkeypatch.setattr(percolation, "component_labels", recording_labels)
+        labels = percolation._labels
+        monkeypatch.setattr(percolation, "_labels", recording_labels)
         percolation._batch_crossings(configs, 0, cell)
         truths = [all_pairs_edges(c).tolist() for c in configs]
         offsets = np.cumsum([0] + [c.count for c in configs[:-1]]).tolist()
         assert len(clustered) == 1 and all(truths)
+        first, second = clustered[0]
+        assert first.dtype == second.dtype == np.int64 and first.shape == second.shape
         union = {(a + o, b + o) for o, truth in zip(offsets, truths) for a, b in truth}
-        assert {tuple(e) for e in clustered[0].tolist()} == union
+        assert set(zip(first.tolist(), second.tolist())) == union
 
     @pytest.mark.parametrize("case", ["empty", "one-cell", "batch"])
     def test_candidate_pairs_layout(self, case):
@@ -495,6 +498,9 @@ class TestCrossingProbability:
         assert uniform.outcomes == (0, 1, 0, 1, 1, 0, 0, 1)
         rigid = crossing_probability(2, 8.0, 0.08, Rigid(np.array([0.0, 1.0])), 64.0, replicates=16, seed=20260810)
         assert rigid.outcomes == (1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 1, 1)
+        # recorded before the batch moved to per-axis columns
+        planar = crossing_probability(2, 8.0, 0.033, Uniform(), 64.0, replicates=16, seed=20260810)
+        assert planar.outcomes == (0, 0, 0, 1, 0, 1, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1)
 
     @pytest.mark.parametrize("axis", [2, -1])
     def test_axis_out_of_range_rejected_before_sampling(self, monkeypatch, axis):
