@@ -53,7 +53,6 @@ from .percolation import (
     ThresholdEstimate,
     UnionFind,
     build_index,
-    cluster,
     crossing_event,
     crossing_probability,
     estimate_threshold,

@@ -160,7 +160,9 @@ def cmd_threshold(args) -> int:
 def cmd_scaling(args) -> int:
     percolation.check_scaling_lengths(args.L_list)
     for length in args.L_list:
-        percolation.check_threshold_inputs(args.d, length, args.law, args.s_factor * length, args.max_bisect)
+        percolation.check_threshold_inputs(
+            args.d, length, args.law, args.s_factor * length, args.replicates, args.axis, args.workers, args.max_bisect
+        )
     points = []
     estimates = []
     with _csv_output(args.csv, "scaling", ["L", "lambda_hat", "ci_low", "ci_high", "weight"]) as rows:

@@ -3,14 +3,13 @@
 Pipeline per configuration: a spatial hash over stick bounding boxes
 (broad phase), exact segment-segment distances on the candidate pairs in
 cache-sized blocks (narrow phase), array connected components (min-label
-hooking with pointer jumping) giving each stick's cluster label
-(``cluster``), and the window-crossing test on those labels
-(``crossing_event``).  The crossing test runs on batches of replicates
-clustered together, each replicate in its own cells; a single
-configuration is a batch of one.  On top of that sit the
-crossing-probability estimator, a stochastic bisection for the threshold
-intensity, and the log-log scaling fit; the last two share one weighted
-least-squares line.
+hooking with pointer jumping) giving each stick's cluster label, and the
+window-crossing test on those labels (``crossing_event``).  The crossing
+test runs on batches of replicates clustered together, each replicate in
+its own cells; a single configuration is a batch of one.  On top of that
+sit the crossing-probability estimator, a stochastic bisection for the
+threshold intensity, and the log-log scaling fit; the last two share one
+weighted least-squares line.
 
 The pipeline moves its arrays with ``take`` on index arrays and filters
 through ``np.flatnonzero``: in numpy 2.x that gathers rows several times
@@ -21,9 +20,7 @@ is axis k of every stick, and its pairs and edges as two int64 index
 arrays, the i's and the j's.  So every gather is a 1-d ``take`` and the
 narrow phase computes on whole columns: no ``(k, 2)`` or ``(m, d)`` block
 is built only to be split again, and no dot product runs an inner loop
-only d long.  The index reads the same rows through ``.T`` views.  The
-public ``candidate_pairs``, ``intersection_edges`` and ``component_labels``
-keep their ``(k, 2)`` row arrays.
+only d long.  The index reads the same rows through ``.T`` views.
 """
 
 from __future__ import annotations
@@ -42,6 +39,7 @@ from .measures import BoundsReport, theorem_bounds
 from .rng import derive_seed
 from .sampling import (
     _MAX_EXPECTED_COUNT, BoxRegion, Configuration, OrientationLaw, check_expected_count, sample_window_configuration,
+    sampling_box,
 )
 from .stats import _Z95, wilson_interval
 
@@ -87,22 +85,16 @@ class UnionFind:
         return np.array([self.find(i) for i in range(len(self._parent))])
 
 
-def component_labels(n: int, edges: np.ndarray) -> np.ndarray:
-    """Connected-component label of each of ``n`` nodes joined by the
-    ``(k, 2)`` array ``edges``: the smallest node index in its component.
+def _labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected-component label of each of ``n`` nodes joined by the edges
+    (a[k], b[k]) of the two int64 index arrays ``a`` and ``b``: the
+    smallest node index in its component.
 
     Each round hooks every root onto the smallest root it shares an edge
     with, then jumps pointers until every node points at its root
     (Shiloach & Vishkin, J. Algorithms 3, 1982).  Labels only point to
     smaller indices, so the roots are the component minima.
     """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    return _labels(n, np.ascontiguousarray(edges[:, 0]), np.ascontiguousarray(edges[:, 1]))
-
-
-def _labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``component_labels`` for the edges (a[k], b[k]) of the two int64
-    index arrays ``a`` and ``b``."""
     labels = np.arange(n)
     while True:
         la, lb = labels.take(a), labels.take(b)
@@ -241,22 +233,21 @@ def _edges(
     return np.concatenate(keep_first), np.concatenate(keep_second)
 
 
-def intersection_edges(config: Configuration, cell: float | np.ndarray | None = None) -> np.ndarray:
-    """Exact intersecting pairs (i < j) of ``config``, as the rows of a
-    C-contiguous int64 (k, 2) array."""
-    pairs = build_index(config, cell)._pair_ids()
-    columns = np.ascontiguousarray(config.centers.T), np.ascontiguousarray(config.dirs.T)
-    return np.stack(_edges(*columns, config.length, *pairs), axis=1)
-
-
-def cluster(config: Configuration, cell: float | np.ndarray | None = None) -> np.ndarray:
-    """Cluster label of every stick: the smallest stick index in its cluster."""
-    return component_labels(config.count, intersection_edges(config, cell))
-
-
 def _check_axis(axis: int, d: int) -> None:
     if not 0 <= axis < d:
         raise DomainError(f"axis must be in [0, {d}), got {axis}")
+
+
+def _check_probe_inputs(d: int, replicates: int, axis: int, workers: int) -> None:
+    """The checks on a probe's replicate count, crossing axis and worker
+    count."""
+    if replicates < 1:
+        raise DomainError("need at least one replicate")
+    if replicates > _MAX_EXPECTED_COUNT:
+        raise CapacityExceeded(f"{replicates} replicates exceed guard of {_MAX_EXPECTED_COUNT:.3g}")
+    _check_axis(axis, d)
+    if workers < 1:
+        raise DomainError("workers must be at least 1")
 
 
 def _batch_crossings(configs: list[Configuration], axis: int, cell: float | np.ndarray | None) -> np.ndarray:
@@ -326,8 +317,6 @@ def _replicate_pool(workers: int):
     """A process pool of ``workers`` processes, at most one per CPU, when
     ``workers > 1``, else a context yielding None.  The pool starts all its
     processes at the first task, and results do not depend on its size."""
-    if workers < 1:
-        raise DomainError("workers must be at least 1")
     if workers == 1:
         return nullcontext()
     return ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
@@ -355,11 +344,7 @@ def crossing_probability(
     probe_id, replicate), so the result is worker-count independent.
     ``pool``, an executor with ``workers`` processes, is used in place of
     a new one when given; more than the stick guard's 5e5 are refused."""
-    if replicates < 1:
-        raise DomainError("need at least one replicate")
-    if replicates > _MAX_EXPECTED_COUNT:
-        raise CapacityExceeded(f"{replicates} replicates exceed guard of {_MAX_EXPECTED_COUNT:.3g}")
-    _check_axis(axis, d)
+    _check_probe_inputs(d, replicates, axis, workers)
     seeds = replicate_seeds(seed, probe_id, replicates)
     with nullcontext(pool) if pool is not None else _replicate_pool(workers) as executor:
         chunk = replicates if executor is None else max(1, replicates // (4 * workers))
@@ -443,7 +428,9 @@ def _logistic_interpolation(
     return lam, ci_low, ci_high
 
 
-def check_threshold_inputs(d: int, length: float, law, side: float, max_bisect: int) -> BoundsReport:
+def check_threshold_inputs(
+    d: int, length: float, law, side: float, replicates: int, axis: int, workers: int, max_bisect: int
+) -> BoundsReport:
     """The checks ``estimate_threshold`` makes before its first probe, for a
     law or its tag, the first probe's expected stick count among them;
     returns the theorem bracket its walk starts from."""
@@ -452,8 +439,9 @@ def check_threshold_inputs(d: int, length: float, law, side: float, max_bisect: 
         raise PreconditionViolated("window side must be at least 8 L")
     if max_bisect < 0:
         raise DomainError("max_bisect must be nonnegative")
+    _check_probe_inputs(d, replicates, axis, workers)
     # the first probe draws at the lower bound in the sampler's box
-    check_expected_count(bounds.lower * BoxRegion.cube(d, side).grown(0.5 * length + 1.0).volume)
+    check_expected_count(bounds.lower * sampling_box(BoxRegion.cube(d, side), length).volume)
     return bounds
 
 
@@ -478,7 +466,7 @@ def estimate_threshold(
     from a logistic fit over the whole probe trace.  With ``workers > 1``
     every probe runs on one process pool.
     """
-    bounds = check_threshold_inputs(d, length, law, side, max_bisect)
+    bounds = check_threshold_inputs(d, length, law, side, replicates, axis, workers, max_bisect)
     probes: list[CrossingStats] = []
 
     with _replicate_pool(workers) as pool:

@@ -165,6 +165,13 @@ class Configuration:
         return 0.5 * self.length
 
 
+def sampling_box(window: BoxRegion, length: float) -> BoxRegion:
+    """The box a window configuration's centres are drawn in: sticks
+    centred outside ``window`` can still reach it, so the window grown by
+    half a stick plus the radius."""
+    return window.grown(0.5 * length + 1.0)
+
+
 def sample_window_configuration(
     d: int,
     length: float,
@@ -174,12 +181,9 @@ def sample_window_configuration(
     seed: int,
 ) -> Configuration:
     """Sample a Poisson stick configuration for the observation window
-    [0, side]^d.  Sticks centered outside the window can still reach it, so
-    the centers are drawn in the window grown by half a stick plus the
-    radius."""
+    [0, side]^d, its centers drawn in the window's ``sampling_box``."""
     if intensity <= 0.0:
         raise DomainError("intensity must be positive")
     window = BoxRegion.cube(d, side)
-    box = window.grown(0.5 * length + 1.0)
-    centers, dirs = poisson_sticks(d, intensity, law, box, substream(seed, _STREAM_CONFIG))
+    centers, dirs = poisson_sticks(d, intensity, law, sampling_box(window, length), substream(seed, _STREAM_CONFIG))
     return Configuration(float(length), window, centers, dirs)

@@ -1,4 +1,5 @@
-"""Shared brute-force oracles and a box sampler for the test suite.
+"""Shared brute-force oracles, a box sampler and a recorder of the batch
+clustering for the test suite.
 
 The oracles deliberately avoid the closed forms they check: grid scans for
 distance minimization, plain rejection counting for hit fractions, and a
@@ -9,7 +10,9 @@ apart from the package's vectorised kernel.
 import math
 
 import numpy as np
+import pytest
 
+from stickperc import percolation
 from stickperc.geometry import _PARALLEL_TOL, Segment
 from stickperc.rng import substream
 from stickperc.sampling import _STREAM_CONFIG, Configuration, poisson_sticks
@@ -21,6 +24,25 @@ def sample_configuration(d, length, intensity, law, box, seed):
     observation window, drawn from the stream ``sample_window_configuration``
     draws from."""
     return Configuration(float(length), box, *poisson_sticks(d, intensity, law, box, substream(seed, _STREAM_CONFIG)))
+
+
+def batch_clustering(configs, axis=0, cell=None):
+    """The edges and labels of one ``percolation._batch_crossings`` call on
+    ``configs``: the ``(first, second)`` edge index arrays it hands
+    ``_labels`` and the labels that returns, in the batch's stick order."""
+    seen = []
+    labels = percolation._labels
+
+    def recording_labels(n, first, second):
+        seen.append((first, second, labels(n, first, second)))
+        return seen[-1][2]
+
+    # a context, not the fixture, so that hypothesis tests can record too
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(percolation, "_labels", recording_labels)
+        percolation._batch_crossings(configs, axis, cell)
+    (clustering,) = seen
+    return clustering
 
 
 def random_unit(rng, d):

@@ -388,12 +388,22 @@ class TestInvalidInput:
             # the first probe of the last length would draw about 5e7 sticks
             (["scaling", "--d", "3", "--law", "uniform", "--L-list", "8,16,1e6", "--replicates", "5"],
              "stickperc.percolation.estimate_threshold", "expected count 5.3e+07 exceeds guard of 5e+05"),
+            # the probe inputs are checked before the first length too
+            (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,32", "--axis", "2"],
+             "stickperc.percolation.estimate_threshold", "axis must be in [0, 2), got 2"),
+            (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,32", "--workers", "0"],
+             "stickperc.percolation.estimate_threshold", "workers must be at least 1"),
+            (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,32", "--replicates", "0"],
+             "stickperc.percolation.estimate_threshold", "need at least one replicate"),
+            (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,32", "--replicates", "600000"],
+             "stickperc.percolation.estimate_threshold", "600000 replicates exceed guard of 5e+05"),
             (["branching", "--d", "2", "--L", "2", "--lambda", "0.1", "--trials", "200000", "--gw-runs", "0"],
              "stickperc.branching.offspring_mean_mc", "uniform offspring bound requires L > 3.14159"),
         ],
         ids=[
             "scaling-repeated-L", "scaling-negative-last-L", "scaling-huge-last-L", "scaling-oversized-first-probe",
-            "branching-L-without-bound",
+            "scaling-axis-out-of-range", "scaling-zero-workers", "scaling-zero-replicates",
+            "scaling-replicates-over-guard", "branching-L-without-bound",
         ],
     )
     def test_invalid_input_exits_2_before_sampling(self, capsys, monkeypatch, argv, computation, message):

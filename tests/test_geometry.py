@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    batch_clustering,
     einsum_segment_distance,
     full_grid_segment_distance,
     grid_distance_outside_window,
@@ -23,7 +24,7 @@ from stickperc.geometry import (
     segment_distance_arrays,
     segments_hit_ball,
 )
-from stickperc.percolation import intersection_edges, tuned_cell_size
+from stickperc.percolation import tuned_cell_size
 from stickperc.sampling import BoxRegion, Configuration, Rigid
 
 
@@ -295,7 +296,8 @@ def test_two_stick_overlap(center_b, direction, overlap):
     dirs = np.array([direction, direction])
     box = BoxRegion(centers.min(axis=0) - 8.0, centers.max(axis=0) + 8.0)
     config = Configuration(5.0, box, centers, dirs)
-    assert intersection_edges(config).tolist() == ([[0, 1]] if overlap else [])
+    first, second, _ = batch_clustering([config])
+    assert list(zip(first.tolist(), second.tolist())) == ([(0, 1)] if overlap else [])
 
 
 @st.composite
@@ -395,8 +397,8 @@ class TestKernelProperties:
         reach = a.length + 3.0
         box = BoxRegion(centers.min(axis=0) - reach, centers.max(axis=0) + reach)
         config = Configuration(a.length, box, centers, dirs)
-        edges = intersection_edges(config, cell)
-        assert edges.tolist() == [[0, 1]]
+        first, second, _ = batch_clustering([config], cell=cell)
+        assert list(zip(first.tolist(), second.tolist())) == [(0, 1)]
 
 
 def hits_ball(s, c, rho):

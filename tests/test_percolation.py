@@ -10,7 +10,7 @@ import scipy.sparse.csgraph
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import sample_configuration
+from conftest import batch_clustering, sample_configuration
 from stickperc import percolation
 from stickperc.errors import BracketFailure, DegenerateDesign, DomainError, PreconditionViolated
 from stickperc.geometry import segment_distance_arrays
@@ -19,13 +19,10 @@ from stickperc.percolation import (
     CrossingStats,
     UnionFind,
     build_index,
-    cluster,
-    component_labels,
     crossing_event,
     crossing_probability,
     estimate_threshold,
     fit_weight,
-    intersection_edges,
     scaling_fit,
     tuned_cell_size,
 )
@@ -64,6 +61,22 @@ def bfs_components(n, edges):
 
 def bfs_labels(config):
     return bfs_components(config.count, all_pairs_edges(config))
+
+
+def smallest_labels(bfs):
+    """``bfs`` component labels as the smallest node of each component,
+    the canonical labels ``_labels`` gives."""
+    smallest = {c: np.flatnonzero(bfs == c).min() for c in set(bfs.tolist())}
+    return np.array([smallest[c] for c in bfs.tolist()], dtype=np.int64)
+
+
+def edge_set(first, second):
+    return set(zip(first.tolist(), second.tolist()))
+
+
+def batch_offsets(configs):
+    """Where each configuration's sticks start in a batch of ``configs``."""
+    return np.cumsum([0] + [c.count for c in configs[:-1]]).tolist()
 
 
 def cells(config, cell=None):
@@ -213,29 +226,19 @@ class TestSpatialIndex:
         for d, law_tag in [(2, "uniform"), (3, "uniform"), (2, "rigid")]:
             configs, cell = geometry_sample(d, law_tag)
             for config in configs:
-                edges = intersection_edges(config, cell)
-                assert {tuple(e) for e in edges.tolist()} == {tuple(e) for e in all_pairs_edges(config).tolist()}
+                first, second, _ = batch_clustering([config], cell=cell)
+                assert edge_set(first, second) == {tuple(e) for e in all_pairs_edges(config).tolist()}
 
-    def test_batch_edges_match_each_replicates_all_pairs(self, monkeypatch):
+    def test_batch_edges_match_each_replicates_all_pairs(self):
         # the edges _batch_crossings clusters are each replicate's
         # all-pairs edges, shifted to the replicate's place in the batch
         configs, cell = geometry_sample(2, "rigid")
-        clustered = []
-
-        def recording_labels(n, first, second):
-            clustered.append((first, second))
-            return labels(n, first, second)
-
-        labels = percolation._labels
-        monkeypatch.setattr(percolation, "_labels", recording_labels)
-        percolation._batch_crossings(configs, 0, cell)
+        first, second, _ = batch_clustering(configs, cell=cell)
         truths = [all_pairs_edges(c).tolist() for c in configs]
-        offsets = np.cumsum([0] + [c.count for c in configs[:-1]]).tolist()
-        assert len(clustered) == 1 and all(truths)
-        first, second = clustered[0]
+        assert all(truths)
         assert first.dtype == second.dtype == np.int64 and first.shape == second.shape
-        union = {(a + o, b + o) for o, truth in zip(offsets, truths) for a, b in truth}
-        assert set(zip(first.tolist(), second.tolist())) == union
+        union = {(a + o, b + o) for o, truth in zip(batch_offsets(configs), truths) for a, b in truth}
+        assert edge_set(first, second) == union
 
     @pytest.mark.parametrize("case", ["empty", "one-cell", "batch"])
     def test_candidate_pairs_layout(self, case):
@@ -302,7 +305,7 @@ class TestCluster:
     def test_single_stick(self):
         box = BoxRegion.cube(2, 20.0)
         config = Configuration(4.0, box, np.array([[10.0, 10.0]]), np.array([[1.0, 0.0]]))
-        assert cluster(config).tolist() == [0]
+        assert batch_clustering([config])[2].tolist() == [0]
         assert not crossing_event(config)
 
     def test_tangent_chain(self):
@@ -315,14 +318,14 @@ class TestCluster:
         box = BoxRegion.cube(2, 30.0)
         config = Configuration(6.0, box, centers, dirs)
         for cell in (None, tuned_cell_size(6.0, Rigid(np.array([0.0, 1.0])))):
-            assert cluster(config, cell).tolist() == [0] * k
+            assert batch_clustering([config], cell=cell)[2].tolist() == [0] * k
 
     def test_labels_match_bfs_oracle(self):
         for seed in range(10):
             config = sample_configuration(
                 2, 8.0, 0.04, Uniform(), BoxRegion.cube(2, 60.0), seed=seed
             )
-            labels = cluster(config)
+            labels = batch_clustering([config])[2]
             assert labels_equivalent(labels, bfs_labels(config))
 
     def test_labels_match_bfs_oracle_3d(self):
@@ -330,7 +333,7 @@ class TestCluster:
             config = sample_configuration(
                 3, 6.0, 0.003, Uniform(), BoxRegion.cube(3, 40.0), seed=seed
             )
-            labels = cluster(config)
+            labels = batch_clustering([config])[2]
             assert labels_equivalent(labels, bfs_labels(config))
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -343,8 +346,19 @@ class TestCluster:
             # integer centres: many pairs sit exactly 2 apart, on the
             # boundaries of the 2-wide cells across the sticks
             config = dataclasses.replace(config, centers=np.round(config.centers))
-            labels = cluster(config, tuned_cell_size(6.0, law))
+            labels = batch_clustering([config], cell=tuned_cell_size(6.0, law))[2]
             assert labels_equivalent(labels, bfs_labels(config))
+
+    @pytest.mark.parametrize("d,law_tag", [(2, "uniform"), (3, "uniform"), (2, "rigid")])
+    def test_batch_labels_match_each_replicates_bfs(self, d, law_tag):
+        # each replicate's slice of a batch's labels is its own canonical
+        # BFS labels shifted to its place in the batch: no cluster joins two
+        configs, cell = geometry_sample(d, law_tag)
+        labels = batch_clustering(configs, cell=cell)[2]
+        for config, offset in zip(configs, batch_offsets(configs)):
+            own = labels[offset : offset + config.count]
+            assert np.all((offset <= own) & (own < offset + config.count))
+            assert np.array_equal(own, smallest_labels(bfs_labels(config)) + offset)
 
 
 NO_EDGES = np.empty((0, 2), dtype=np.int64)
@@ -363,34 +377,15 @@ class TestComponentLabels:
     @example((1000, FALLING_PATH))
     def test_matches_bfs_and_union_find(self, graph):
         n, edges = graph
-        labels = component_labels(n, edges)
+        labels = percolation._labels(n, *np.ascontiguousarray(edges.T, dtype=np.int64))
         bfs = bfs_components(n, edges)
         assert labels_equivalent(labels, bfs)
         # canonical: each label is the smallest node of its component
-        smallest = {c: np.flatnonzero(bfs == c).min() for c in set(bfs.tolist())}
-        assert labels.tolist() == [smallest[c] for c in bfs.tolist()]
+        assert np.array_equal(labels, smallest_labels(bfs))
         uf = UnionFind(n)
         for a, b in edges.tolist():
             uf.union(a, b)
         assert labels_equivalent(labels, uf.labels())
-
-    @pytest.mark.parametrize("layout", ["empty", "reversed-view", "column-slice", "plain"])
-    def test_edge_array_layouts(self, layout):
-        # canonical labels from any (k, 2) integer array, contiguous or not
-        rng = np.random.default_rng(7)
-        n = 60
-        plain = rng.integers(0, n, (45, 2))
-        edges = {
-            "empty": NO_EDGES,
-            "reversed-view": plain[::-1],
-            "column-slice": np.column_stack((plain, rng.integers(0, n, 45)))[:, :2],
-            "plain": plain,
-        }[layout]
-        if layout in ("reversed-view", "column-slice"):
-            assert not edges.flags.c_contiguous
-        bfs = bfs_components(n, np.array(edges))
-        smallest = {c: np.flatnonzero(bfs == c).min() for c in set(bfs.tolist())}
-        assert component_labels(n, edges).tolist() == [smallest[c] for c in bfs.tolist()]
 
 
 class TestCrossing:

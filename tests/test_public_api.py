@@ -3,7 +3,9 @@
 Tier-1 does not run ``benchmarks/`` or every demo line, so a deleted name or
 parameter could break them unseen.  These tests parse their sources and
 check that every name they import from ``stickperc`` still resolves and
-that every call they make into the package still binds to its signature.
+that every call they make into the package still binds to its signature;
+and, the other way round, that every name the package exports is used by
+the program, the benchmark or the demos, not only by tests.
 """
 
 import ast
@@ -15,6 +17,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "benchmarks").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+PACKAGE = ROOT / "src" / "stickperc"
 
 
 def package_imports(tree):
@@ -76,3 +79,27 @@ def test_benchmark_keyword_calls_are_scanned():
             seen.add((name, positional, tuple(sorted(keywords))))
     assert ("crossing_event", 1, ("axis", "cell")) in seen
     assert ("estimate_threshold", 4, ("replicates", "seed", "workers")) in seen
+
+
+def referenced_names(tree):
+    """Each name a module reads, each attribute it takes and each name it
+    imports: definitions alone are not references."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_export_is_used():
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse((PACKAGE / "__init__.py").read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    users = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"] + SOURCES
+    used = {name for path in users for name in referenced_names(ast.parse(path.read_text()))}
+    assert sorted(exported - used) == []
