@@ -1,5 +1,5 @@
-"""Shared brute-force oracles, a box sampler and a recorder of the batch
-clustering for the test suite.
+"""Shared brute-force oracles, a box sampler, a recorder of the batch
+clustering and reference bodies of rewritten kernels for the test suite.
 
 The oracles deliberately avoid the closed forms they check: grid scans for
 distance minimization, plain rejection counting for hit fractions, and a
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from stickperc import percolation
+from stickperc.errors import DomainError
 from stickperc.geometry import _PARALLEL_TOL, Segment
 from stickperc.rng import substream
 from stickperc.sampling import _STREAM_CONFIG, Configuration, poisson_sticks
@@ -43,6 +44,46 @@ def batch_clustering(configs, axis=0, cell=None):
         percolation._batch_crossings(configs, axis, cell)
     (clustering,) = seen
     return clustering
+
+
+def reference_index(centers, dirs, length, cell, replicate):
+    """``percolation._index`` as it stood before the offset expansion:
+    every registration decoded from its rank within its stick and the
+    keys ordered by ``argsort``.  The bit-identity reference for the
+    index's three arrays."""
+    n, d = centers.shape
+    cell = np.asarray(percolation.tuned_cell_size(length, None) if cell is None else cell, dtype=float)
+    if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return percolation.SpatialIndex(d, _stick_ids=empty, _starts=empty, _low_edges=empty)
+    half_ext = 0.5 * length * np.abs(dirs) + 1.0
+    lo = np.floor((centers - half_ext) / cell).astype(np.int64)
+    hi = np.floor((centers + half_ext) / cell).astype(np.int64)
+    grid_min = lo.min(axis=0)
+    grid_span = hi.max(axis=0) - grid_min + 1
+    grid_cells = math.prod(grid_span.tolist())
+    if grid_cells * (int(replicate[-1]) + 1) * n >= 2**63:
+        raise DomainError("cell too small: the grid's cell codes overflow")
+    spans = hi - lo + 1
+    counts = spans.prod(axis=1)
+    total = int(counts.sum())
+    # each registration's rank within its stick, decoded one axis at a time
+    # (last axis first) into the grid's C-order cell code, below the digit
+    # of the stick's replicate
+    rest = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    codes = np.repeat(replicate * grid_cells, counts)
+    edge_type = np.min_scalar_type((1 << d) - 1)
+    low_edges = np.zeros(total, dtype=edge_type)
+    stride = 1
+    for k in range(d - 1, -1, -1):
+        rest, offset = np.divmod(rest, np.repeat(spans[:, k], counts))
+        codes += (np.repeat(lo[:, k] - grid_min[k], counts) + offset) * stride
+        low_edges |= (offset == 0).astype(edge_type) << k
+        stride *= int(grid_span[k])
+    stick_ids = np.repeat(np.arange(n, dtype=np.int64), counts)
+    order = np.argsort(codes * n + stick_ids)
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(codes[order])) + 1))
+    return percolation.SpatialIndex(d, _stick_ids=stick_ids[order], _starts=starts, _low_edges=low_edges[order])
 
 
 def random_unit(rng, d):

@@ -10,7 +10,7 @@ import scipy.sparse.csgraph
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import batch_clustering, sample_configuration
+from conftest import batch_clustering, reference_index, sample_configuration
 from stickperc import percolation
 from stickperc.errors import BracketFailure, DegenerateDesign, DomainError, PreconditionViolated
 from stickperc.geometry import segment_distance_arrays
@@ -109,6 +109,51 @@ def geometry_sample(d, law_tag):
     cell = tuned_cell_size(8.0, law) if law_tag == "rigid" else None
     box = BoxRegion.cube(d, 50.0 if d == 2 else 30.0)
     return [sample_configuration(d, 8.0, lam, law, box, seed=seed) for seed in range(8)], cell
+
+
+def index_case(case):
+    """The (centers, dirs, length, cell, replicate) arguments of one
+    ``percolation._index`` call for ``test_index_matches_reference``.
+
+    Random cases draw sticks about the origin (so coordinates are
+    negative too) in replicates 0-3 and hand the index per-axis rows
+    through ``.T`` views, as ``_batch_crossings`` does; a tuned cell is
+    ``tuned_cell_size`` for the law."""
+    if case == "single-stick":
+        return np.array([[-3.25, 7.5]]), np.array([[0.6, 0.8]]), 5.0, 0.7, np.zeros(1, dtype=np.int64)
+    if case == "edges-on-cell-boundaries":
+        # sticks along axis 0, length 2, cell 1: every box edge, low and
+        # high, lies exactly on a cell boundary
+        centers = np.array([[3.0, 5.0], [-2.0, 5.0], [4.0, 6.0], [-7.0, -1.0]])
+        return centers, np.tile([1.0, 0.0], (4, 1)), 2.0, 1.0, np.array([0, 0, 1, 1])
+    law_tag, d, cell = case.split("-")
+    d = int(d[1:])
+    rng = np.random.default_rng(sum(map(ord, case)))
+    n = 300 if d < 4 else 120
+    length = 8.0
+    if law_tag == "rigid":
+        law = Rigid(np.eye(d)[d - 1])
+        dirs = np.tile(law.axis, (n, 1))
+    else:
+        law = Uniform()
+        dirs = rng.standard_normal((n, d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    cell = {"tuned": tuned_cell_size(length, law), "fine": 0.7, "fine2x5": np.array([2.0, 5.0])}[cell]
+    centers = rng.uniform(-40.0, 40.0, (n, d))
+    replicate = np.sort(rng.integers(0, 4, n))
+    return np.ascontiguousarray(centers.T).T, np.ascontiguousarray(dirs.T).T, length, cell, replicate
+
+
+def two_stick_grid(spans):
+    """Two sticks along axis 0 of length 2 whose radius-1 boxes span a grid
+    of exactly ``spans`` unit cells, as (centers, dirs): the first in the
+    grid's lowest cells, the second in its highest."""
+    d = len(spans)
+    low = np.full(d, 1.5)
+    low[0] = 2.5
+    high = np.array(spans, dtype=float) - 1.5
+    high[0] -= 1.0
+    return np.array([low, high]), np.tile(np.eye(d)[0], (2, 1))
 
 
 def loop_candidate_pairs(config, cell=None):
@@ -283,6 +328,54 @@ class TestSpatialIndex:
         config = sample_configuration(2, 6.0, 0.05, Uniform(), BoxRegion.cube(2, 40.0), seed=1)
         with pytest.raises(DomainError):
             build_index(config, cell)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "uniform-d2-tuned", "uniform-d3-tuned", "uniform-d4-tuned", "rigid-d2-tuned", "rigid-d3-tuned",
+            "uniform-d2-fine", "uniform-d3-fine", "rigid-d2-fine", "uniform-d2-fine2x5",
+            "single-stick", "edges-on-cell-boundaries",
+        ],
+    )
+    def test_index_matches_reference(self, case):
+        # the offset expansion and packed-key sort build the very arrays
+        # the per-registration decode and argsort built, dtypes included;
+        # fine cells reach 4 or more cells past a stick's lowest
+        centers, dirs, length, cell, replicate = index_case(case)
+        index = percolation._index(centers, dirs, length, cell, replicate)
+        expected = reference_index(centers, dirs, length, cell, replicate)
+        for name in ("_stick_ids", "_starts", "_low_edges"):
+            got, want = getattr(index, name), getattr(expected, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        if case.endswith("fine"):
+            assert np.max(np.bincount(index._stick_ids)) >= 25
+        if case != "single-stick":
+            assert replicate[-1] > 0
+
+    @pytest.mark.parametrize("replicates", [1, 2])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_grid_guard_bound(self, d, replicates):
+        # keys ((cell code * n + stick) << d) | low bits stay below 2^64
+        # while grid cells x replicates x (n << d) does: a grid one row of
+        # cells short of the bound indexes as the reference does, and one
+        # at the bound is refused
+        n = 2
+        cells = 2**64 // (replicates * (n << d))
+        spans = [2 ** ((cells.bit_length() - 1) // d)] * d
+        spans[0] = cells // math.prod(spans[1:])
+        assert math.prod(spans) == cells
+        replicate = np.array([0, replicates - 1])
+        centers, dirs = two_stick_grid(spans)
+        with pytest.raises(DomainError, match="cell codes overflow"):
+            percolation._index(centers, dirs, 2.0, 1.0, replicate)
+        spans[-1] -= 1
+        centers, dirs = two_stick_grid(spans)
+        index = percolation._index(centers, dirs, 2.0, 1.0, replicate)
+        expected = reference_index(centers, dirs, 2.0, 1.0, replicate)
+        for name in ("_stick_ids", "_starts", "_low_edges"):
+            assert np.array_equal(getattr(index, name), getattr(expected, name))
+        assert len(index._stick_ids) == 2 * 3 ** (d - 1) * 5
 
     def test_grid_too_fine_rejected(self):
         # 1e10 cells per axis: the grid's cell codes would overflow int64
