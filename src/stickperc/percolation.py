@@ -33,6 +33,7 @@ only d long.  The index reads the same rows through ``.T`` views.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from concurrent.futures import Executor, ProcessPoolExecutor
@@ -352,13 +353,53 @@ class CrossingStats:
     outcomes: tuple[int, ...]
 
 
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> bool:
+    """Let this process serve each task's temporaries from heap pages it
+    already holds: arrays up to 32 MiB come from the heap, and up to 64 MiB
+    of freed heap top is kept rather than trimmed and faulted back in on
+    the next task.  Returns whether both settings took.  Where the C
+    library cannot be loaded (Windows: a TypeError) or has no ``mallopt``
+    it does nothing; it never raises, since a pool whose initializer
+    raises is broken."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # Setting either threshold turns off glibc's dynamic adjustment of both,
+    # so both are set, the mmap threshold first: the trim threshold alone
+    # would leave every array above 128 KiB mapped and unmapped on each
+    # call.  32 MiB is glibc's own ceiling for its dynamic mmap threshold on
+    # 64-bit, and the trim threshold is twice it, glibc's own ratio.
+    return mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1 and mallopt(_M_TRIM_THRESHOLD, 64 << 20) == 1
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (``taskset`` and cpusets narrow it), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _replicate_pool(workers: int):
-    """A process pool of ``workers`` processes, at most one per CPU, when
-    ``workers > 1``, else a context yielding None.  The pool starts all its
-    processes at the first task, and results do not depend on its size."""
-    if workers == 1:
+    """A process pool of ``workers`` processes, at most one per CPU this
+    process may use, when that is more than one, else a context yielding
+    None: the replicates then run in process, since a one-process pool adds
+    only fork and pickling.  Each worker runs ``_keep_freed_heap`` once, so
+    it keeps up to 64 MiB of freed heap between tasks; the caller's own
+    allocator is left alone.  The pool starts all its processes at the
+    first task, and results do not depend on its size."""
+    size = min(workers, _usable_cpus())
+    if size == 1:
         return nullcontext()
-    return ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
+    return ProcessPoolExecutor(max_workers=size, initializer=_keep_freed_heap)
 
 
 def replicate_seeds(seed: int, probe: int, replicates: int) -> list[int]:

@@ -1,7 +1,9 @@
+import ctypes
 import dataclasses
 import itertools
 import math
-import os
+import platform
+import types
 
 import numpy as np
 import pytest
@@ -601,14 +603,15 @@ class TestCrossingProbability:
         with pytest.raises(DomainError, match="axis"):
             estimate_threshold(2, 8.0, Uniform(), 64.0, replicates=4, seed=5, axis=axis)
 
-    def test_pool_capped_at_cpu_count(self, monkeypatch):
-        # a pool starts all its processes at the first task, so a huge
-        # --workers must not reach it; the recorder starts no process
-        sizes = []
+    @staticmethod
+    def record_pools(monkeypatch, cpus):
+        """Pin the CPUs this process may use to ``cpus`` and swap the pool
+        for a recorder of its size and initializer that starts no process."""
+        built = []
 
         class Recorder:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+            def __init__(self, max_workers, initializer):
+                built.append((max_workers, initializer))
 
             def __enter__(self):
                 return self
@@ -619,9 +622,25 @@ class TestCrossingProbability:
             def map(self, fn, iterable, chunksize=1):
                 return map(fn, iterable)
 
+        monkeypatch.setattr(percolation.os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
         monkeypatch.setattr(percolation, "ProcessPoolExecutor", Recorder)
+        return built
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        # a pool starts all its processes at the first task, so a huge
+        # --workers must not reach it; the recorder starts no process
+        built = self.record_pools(monkeypatch, range(3))
         a = crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 6, seed=5, workers=10_000)
-        assert len(sizes) == 1 and sizes[0] <= (os.cpu_count() or 1)
+        assert built == [(3, percolation._keep_freed_heap)]
+        assert a == crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 6, seed=5, workers=1)
+
+    @pytest.mark.parametrize("cpus, sizes", [({0}, []), ({0, 1}, [2])])
+    def test_pool_capped_at_cpu_affinity(self, monkeypatch, cpus, sizes):
+        # under taskset or a cpuset the affinity mask, not the machine,
+        # bounds the pool; with one CPU the replicates run in process
+        built = self.record_pools(monkeypatch, cpus)
+        a = crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 6, seed=5, workers=4)
+        assert [size for size, _ in built] == sizes
         assert a == crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 6, seed=5, workers=1)
 
     def test_workers_do_not_change_estimate(self):
@@ -635,6 +654,59 @@ class TestCrossingProbability:
         lo1, hi1 = wilson_interval(100, 200)
         lo2, hi2 = wilson_interval(200, 400)
         assert (hi1 - lo1) / (hi2 - lo2) == pytest.approx(math.sqrt(2.0), rel=0.02)
+
+
+class TestWorkerHeap:
+    @staticmethod
+    def fake_libc(monkeypatch, returns=1):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return returns
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        return calls, mallopt
+
+    def test_sets_mmap_then_trim_threshold(self, monkeypatch):
+        # glibc's M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1
+        calls, mallopt = self.fake_libc(monkeypatch)
+        assert percolation._keep_freed_heap() is True
+        assert calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
+        assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int) and mallopt.restype is ctypes.c_int
+
+    def test_refused_mmap_threshold_leaves_trim_alone(self, monkeypatch):
+        # musl's mallopt returns 0; the trim threshold alone would map every
+        # array above 128 KiB afresh on each call
+        calls, _ = self.fake_libc(monkeypatch, returns=0)
+        assert percolation._keep_freed_heap() is False
+        assert calls == [(-3, 32 * 2**20)]
+
+    def test_no_c_library_does_nothing(self, monkeypatch):
+        def missing(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", missing)
+        assert percolation._keep_freed_heap() is False
+
+    def test_no_mallopt_does_nothing(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        assert percolation._keep_freed_heap() is False
+
+    def test_caller_allocator_untouched(self, monkeypatch):
+        # workers inherit the recording fake and run it on their own copy
+        # of the list, so only a call in this process would show here
+        calls, _ = self.fake_libc(monkeypatch)
+        monkeypatch.setattr(percolation.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 4, seed=5, workers=1)
+        crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 4, seed=5, workers=2)
+        assert calls == []
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mallopt")
+    def test_glibc_worker_keeps_freed_heap(self, monkeypatch):
+        monkeypatch.setattr(percolation.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with percolation._replicate_pool(2) as pool:
+            assert pool.submit(percolation._keep_freed_heap).result() is True
 
 
 class TestEstimateThreshold:
