@@ -193,7 +193,7 @@ def component_exploration(
     rng = substream(seed, _STREAM_EXPLORE)
     radius = max_generations * (length + 4.0)
     window = BoxRegion(seed_center - radius, seed_center + radius)
-    centers, dirs = poisson_sticks(d, intensity, law, window, rng)
+    centers, dirs, _ = poisson_sticks(d, intensity, law, window, [rng])
     reach = 0.5 * length * np.abs(dirs) + 1.0
     at_boundary = np.any((centers - reach <= window.low) | (centers + reach >= window.high), axis=1)
     # the seed is the last row of the sample, explored from the start
@@ -228,7 +228,8 @@ def component_exploration(
                 unexplored[children] = False
                 actual_next += len(children)
                 next_queue.extend(children.tolist())
-            fresh_centers, fresh_dirs = poisson_sticks(d, intensity, law, offspring_box(center, direction, length), rng)
+            box = offspring_box(center, direction, length)
+            fresh_centers, fresh_dirs, _ = poisson_sticks(d, intensity, law, box, [rng])
             fresh = np.flatnonzero(_overlaps(fresh_centers, fresh_dirs, length, center, direction))
             if row >= 0:
                 # compensation: of the fresh sticks hitting an explored one,

@@ -6,10 +6,12 @@ cache-sized blocks (narrow phase), array connected components (min-label
 hooking with pointer jumping) giving each stick's cluster label, and the
 window-crossing test on those labels (``crossing_event``).  The crossing
 test runs on batches of replicates clustered together, each replicate in
-its own cells; a single configuration is a batch of one.  On top of that
-sit the crossing-probability estimator, a stochastic bisection for the
-threshold intensity, and the log-log scaling fit; the last two share one
-weighted least-squares line.
+its own cells; a single configuration is a batch of one.  A probe samples
+each batch in one ``poisson_sticks`` pass straight into the batch's rows,
+so no replicate builds a ``Configuration`` or is copied again.  On top of
+that sit the crossing-probability estimator, a stochastic bisection for
+the threshold intensity, and the log-log scaling fit; the last two share
+one weighted least-squares line.
 
 The pipeline moves its arrays with ``take`` on index arrays and filters
 through ``np.flatnonzero``: in numpy 2.x that gathers rows several times
@@ -45,10 +47,10 @@ import numpy as np
 from .errors import BracketFailure, CapacityExceeded, DegenerateDesign, DomainError, PreconditionViolated
 from .geometry import INTERSECT_THRESHOLD, _segment_distance
 from .measures import BoundsReport, theorem_bounds
-from .rng import derive_seed
+from .rng import derive_seed, substream
 from .sampling import (
-    _MAX_EXPECTED_COUNT, BoxRegion, Configuration, OrientationLaw, check_expected_count, sample_window_configuration,
-    sampling_box,
+    _MAX_EXPECTED_COUNT, _STREAM_CONFIG, BoxRegion, Configuration, OrientationLaw, check_expected_count,
+    check_window_intensity, poisson_sticks, sampling_box,
 )
 from .stats import _Z95, wilson_interval
 
@@ -286,33 +288,37 @@ def _check_probe_inputs(d: int, replicates: int, axis: int, workers: int) -> Non
         raise DomainError("workers must be at least 1")
 
 
-def _batch_crossings(configs: list[Configuration], axis: int, cell: float | np.ndarray | None) -> np.ndarray:
-    """Whether each of ``configs``, window configurations with one length
-    and window, has one cluster touching both window faces orthogonal to
-    ``axis``.  Their sticks are clustered together, each in the cells of
-    its own replicate, so no cluster spans two of them."""
-    first = configs[0]
-    counts = [c.count for c in configs]
-    # per-axis rows: centers[k] is axis k of every stick of the batch
-    shape = (first.d, sum(counts))
-    centers = np.concatenate([c.centers.T for c in configs], axis=1, out=np.empty(shape))
-    dirs = np.concatenate([c.dirs.T for c in configs], axis=1, out=np.empty(shape))
-    replicate = np.repeat(np.arange(len(configs), dtype=np.int64), counts)
-    pairs = _index(centers.T, dirs.T, first.length, cell, replicate)._pair_ids()
-    labels = _labels(shape[1], *_edges(centers, dirs, first.length, *pairs))
-    window = first.observation_window
-    reach = first.half * np.abs(dirs[axis]) + 1.0
+def _batch_crossings(
+    centers: np.ndarray,
+    dirs: np.ndarray,
+    counts: list[int],
+    length: float,
+    window: BoxRegion,
+    axis: int,
+    cell: float | np.ndarray | None,
+) -> np.ndarray:
+    """Whether each replicate of a batch has one cluster touching both
+    faces of ``window`` orthogonal to ``axis``.  ``centers`` and ``dirs``
+    are the batch's (d, n) per-axis rows, the first ``counts[0]`` columns
+    replicate 0's sticks, and so on; every stick has length ``length``.
+    The replicates are clustered together, each in its own cells, so no
+    cluster spans two of them."""
+    n = centers.shape[1]
+    replicate = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    pairs = _index(centers.T, dirs.T, length, cell, replicate)._pair_ids()
+    labels = _labels(n, *_edges(centers, dirs, length, *pairs))
+    reach = 0.5 * length * np.abs(dirs[axis]) + 1.0
     lo_ext = centers[axis] - reach
     hi_ext = centers[axis] + reach
     touch_low = (lo_ext <= window.low[axis]) & (hi_ext >= window.low[axis])
     touch_high = (lo_ext <= window.high[axis]) & (hi_ext >= window.high[axis])
     # a cluster crosses when a stick touching the high face carries the
     # label of one touching the low face
-    low_label = np.zeros(shape[1], dtype=bool)
+    low_label = np.zeros(n, dtype=bool)
     low_label[labels.take(np.flatnonzero(touch_low))] = True
     high = np.flatnonzero(touch_high)
     spanning = high.take(np.flatnonzero(low_label.take(labels.take(high))))
-    crossed = np.zeros(len(configs), dtype=bool)
+    crossed = np.zeros(len(counts), dtype=bool)
     crossed[replicate.take(spanning)] = True
     return crossed
 
@@ -322,23 +328,25 @@ def crossing_event(
 ) -> bool:
     """Whether one cluster touches both window faces orthogonal to ``axis``."""
     _check_axis(axis, config.d)
-    return bool(_batch_crossings([config], axis, cell)[0])
+    rows = np.ascontiguousarray(config.centers.T), np.ascontiguousarray(config.dirs.T)
+    return bool(_batch_crossings(*rows, [config.count], config.length, config.observation_window, axis, cell)[0])
 
 
 def _replicate_crossings(args) -> list[bool]:
-    """Crossing outcomes of the replicates with the given seeds, clustered
-    in batches of about ``_BATCH_STICKS`` sticks."""
+    """Crossing outcomes of the replicates with the given seeds, sampled
+    and clustered in batches of about ``_BATCH_STICKS`` sticks."""
     d, length, intensity, law, side, seeds, axis = args
     cell = tuned_cell_size(length, law)
+    window = BoxRegion.cube(d, side)
+    box = sampling_box(window, length)
+    # replicates per batch: at least one, at most all, about _BATCH_STICKS
+    # sticks expected in each
+    size = math.ceil(min(_BATCH_STICKS / check_window_intensity(intensity, box), len(seeds)))
     outcomes: list[bool] = []
-    batch: list[Configuration] = []
-    sticks = 0
-    for k, s in enumerate(seeds, 1):
-        batch.append(sample_window_configuration(d, length, intensity, law, side, s))
-        sticks += batch[-1].count
-        if sticks >= _BATCH_STICKS or k == len(seeds):
-            outcomes.extend(_batch_crossings(batch, axis, cell).tolist())
-            batch, sticks = [], 0
+    for k in range(0, len(seeds), size):
+        streams = [substream(s, _STREAM_CONFIG) for s in seeds[k : k + size]]
+        centers, dirs, counts = poisson_sticks(d, intensity, law, box, streams)
+        outcomes.extend(_batch_crossings(centers.T, dirs.T, counts, float(length), window, axis, cell).tolist())
     return outcomes
 
 
@@ -422,12 +430,16 @@ def crossing_probability(
     """Fraction of independent window configurations with a crossing, with a
     Wilson 95% interval.  Replicate substreams depend only on (seed,
     probe_id, replicate), so the result is worker-count independent.
-    ``pool``, an executor with ``workers`` processes, is used in place of
-    a new one when given; more than the stick guard's 5e5 are refused."""
+    ``pool``, an executor as ``_replicate_pool(workers)`` builds, is used
+    in place of a new one when given; more than the stick guard's 5e5 are
+    refused.  The inputs, the intensity among them, are checked before any
+    replicate is sampled or a pool started."""
     _check_probe_inputs(d, replicates, axis, workers)
+    check_window_intensity(intensity, sampling_box(BoxRegion.cube(d, side), length))
     seeds = replicate_seeds(seed, probe_id, replicates)
     with nullcontext(pool) if pool is not None else _replicate_pool(workers) as executor:
-        chunk = replicates if executor is None else max(1, replicates // (4 * workers))
+        # four tasks per process of the pool, which holds at most one per CPU
+        chunk = replicates if executor is None else max(1, replicates // (4 * min(workers, _usable_cpus())))
         payloads = [(d, length, intensity, law, side, seeds[k : k + chunk], axis) for k in range(0, replicates, chunk)]
         run = map if executor is None else executor.map
         outcomes = [v for part in run(_replicate_crossings, payloads) for v in part]

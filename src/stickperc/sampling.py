@@ -6,6 +6,12 @@ independently from an orientation law.  All randomness flows through PCG64
 substreams derived from an explicit master seed (see :mod:`stickperc.rng`),
 so identical inputs reproduce identical configurations byte for byte,
 independent of worker count.
+
+``poisson_sticks`` draws a batch of configurations in one pass, each from
+its own stream: per stream only its count, its centres and its law's raw
+directions are drawn, while the scaling of the centres, the normalising of
+the directions and the per-axis layout run once over the batch.  A single
+configuration is a batch of one.
 """
 
 from __future__ import annotations
@@ -28,24 +34,61 @@ _MAX_EXPECTED_COUNT = 5e5
 _MAX_POPULATION = 1e8
 
 
+def _row_norms(z: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of the (n, d) ``z``, its squares
+    summed in axis order one column at a time: numpy's order for d <= 7, so
+    ``np.linalg.norm(z, axis=1)`` to the last bit there (beyond, the last
+    bit may differ), without its reduction call per row."""
+    squares = z * z
+    total = squares[:, 0].copy()
+    for k in range(1, z.shape[1]):
+        total += squares[:, k]
+    return np.sqrt(total, out=total)
+
+
+class _DirectionLaw:
+    """An orientation law's draw in two steps: ``draw`` takes a stream's
+    raw directions, ``unit`` turns the raw draws of one or more streams
+    into unit directions, so a batch of streams is normalised at once."""
+
+    def sample_directions(self, rng: np.random.Generator, d: int, n: int) -> np.ndarray:
+        """``n`` directions from ``rng``, the rows of an (n, d) array."""
+        z = np.empty((n, d))
+        self.draw(rng, z)
+        self.unit(z, [rng], [n], out=z)
+        return z
+
+
 @dataclass(frozen=True)
-class Uniform:
+class Uniform(_DirectionLaw):
     """Isotropic orientations: the normalized Hausdorff measure on the sphere."""
 
     tag: str = field(default="uniform", init=False)
 
-    def sample_directions(self, rng: np.random.Generator, d: int, n: int) -> np.ndarray:
-        z = rng.standard_normal((n, d))
-        norms = np.linalg.norm(z, axis=1)
-        while np.any(norms < 1e-12):  # pragma: no cover - probability ~0
-            bad = norms < 1e-12
-            z[bad] = rng.standard_normal((int(bad.sum()), d))
-            norms = np.linalg.norm(z, axis=1)
-        return z / norms[:, None]
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Standard normal rows into the (n, d) ``out``."""
+        rng.standard_normal(out=out)
+
+    def unit(self, raw: np.ndarray, streams, counts, out: np.ndarray) -> None:
+        """Write into ``out`` the raw rows ``raw`` scaled to unit length.
+        The rows came from ``streams`` in turn, ``counts[r]`` of them from
+        ``streams[r]``; a row too short to scale is drawn again from its
+        own stream, after that stream's other draws."""
+        norms = _row_norms(raw)
+        bad = np.flatnonzero(norms < 1e-12)
+        while len(bad):
+            owner = np.searchsorted(np.cumsum(counts), bad, side="right")
+            for r in np.unique(owner).tolist():
+                rows = bad[owner == r]
+                raw[rows] = streams[r].standard_normal((len(rows), raw.shape[1]))
+            norms = _row_norms(raw)
+            bad = np.flatnonzero(norms < 1e-12)
+        # axis by axis, so that rows laid out as (d, n) are written whole
+        np.divide(raw.T, norms, out=out.T)
 
 
 @dataclass(frozen=True)
-class Rigid:
+class Rigid(_DirectionLaw):
     """All sticks share one fixed axis (point mass orientation law)."""
 
     axis: np.ndarray
@@ -58,10 +101,14 @@ class Rigid:
             raise DomainError("rigid axis must be a finite nonzero vector")
         object.__setattr__(self, "axis", axis / n)
 
-    def sample_directions(self, rng: np.random.Generator, d: int, n: int) -> np.ndarray:
-        if self.axis.shape[0] != d:
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """A point mass draws nothing."""
+
+    def unit(self, raw: np.ndarray, streams, counts, out: np.ndarray) -> None:
+        """Write the axis into every row of ``out``."""
+        if self.axis.shape[0] != raw.shape[1]:
             raise DomainError("rigid axis dimension does not match d")
-        return np.broadcast_to(self.axis, (n, d)).copy()
+        out[...] = self.axis
 
 
 OrientationLaw = Uniform | Rigid
@@ -133,13 +180,35 @@ def poisson_count(mean: float, stream: np.random.Generator) -> int:
 
 
 def poisson_sticks(
-    d: int, intensity: float, law: OrientationLaw, box: BoxRegion, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Centers and directions of a Poisson(intensity * volume) number of
-    sticks, centered uniformly in ``box`` and oriented by ``law``: the
-    count, then the centers, then the directions from ``rng``."""
-    n = poisson_count(intensity * box.volume, rng)
-    return rng.uniform(box.low, box.high, size=(n, d)), law.sample_directions(rng, d, n)
+    d: int, intensity: float, law: OrientationLaw, box: BoxRegion, streams: list[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Poisson(intensity * volume) sticks from each of ``streams``, centred
+    uniformly in ``box`` and oriented by ``law``: their centres and
+    directions, the sticks of each stream in turn, and the count of each
+    stream.  The centres and directions are (n, d) views of C-contiguous
+    (d, n) per-axis rows, so their ``.T`` is each field's rows, row k axis
+    k of every stick.
+
+    Each stream draws its count, then ``random((count, d))`` for its
+    centres, then ``law``'s raw directions: the draws of one stream alone,
+    so ``low + (high - low) * u`` gives ``uniform(low, high)``'s centres
+    bit for bit.  The streams are independent, so every count is drawn
+    first; scaling the centres and normalising the directions run once
+    over all the streams."""
+    mean = intensity * box.volume
+    counts = [poisson_count(mean, rng) for rng in streams]
+    n = sum(counts)
+    u, raw = np.empty((n, d)), np.empty((n, d))
+    end = 0
+    for rng, k in zip(streams, counts):
+        rng.random(out=u[end : end + k])
+        law.draw(rng, raw[end : end + k])
+        end += k
+    centers, dirs = np.empty((d, n)), np.empty((d, n))
+    np.multiply(u.T, (box.high - box.low)[:, None], out=centers)
+    centers += box.low[:, None]
+    law.unit(raw, streams, counts, out=dirs.T)
+    return centers.T, dirs.T, counts
 
 
 @dataclass(frozen=True)
@@ -172,6 +241,15 @@ def sampling_box(window: BoxRegion, length: float) -> BoxRegion:
     return window.grown(0.5 * length + 1.0)
 
 
+def check_window_intensity(intensity: float, box: BoxRegion) -> float:
+    """The expected stick count of a window configuration at ``intensity``
+    in its sampling box ``box``: DomainError unless ``intensity`` is
+    positive and the count finite, CapacityExceeded above the guard."""
+    if not intensity > 0.0:
+        raise DomainError("intensity must be positive")
+    return check_expected_count(intensity * box.volume)
+
+
 def sample_window_configuration(
     d: int,
     length: float,
@@ -181,9 +259,10 @@ def sample_window_configuration(
     seed: int,
 ) -> Configuration:
     """Sample a Poisson stick configuration for the observation window
-    [0, side]^d, its centers drawn in the window's ``sampling_box``."""
-    if intensity <= 0.0:
-        raise DomainError("intensity must be positive")
+    [0, side]^d, its centers drawn in the window's ``sampling_box``: a
+    ``poisson_sticks`` batch of one stream."""
     window = BoxRegion.cube(d, side)
-    centers, dirs = poisson_sticks(d, intensity, law, sampling_box(window, length), substream(seed, _STREAM_CONFIG))
+    box = sampling_box(window, length)
+    check_window_intensity(intensity, box)
+    centers, dirs, _ = poisson_sticks(d, intensity, law, box, [substream(seed, _STREAM_CONFIG)])
     return Configuration(float(length), window, centers, dirs)

@@ -1,5 +1,6 @@
-"""Shared brute-force oracles, a box sampler, a recorder of the batch
-clustering and reference bodies of rewritten kernels for the test suite.
+"""Shared brute-force oracles, a box sampler, the stacking of configurations
+into a batch's rows, a recorder of the batch clustering and reference
+bodies of rewritten kernels for the test suite.
 
 The oracles deliberately avoid the closed forms they check: grid scans for
 distance minimization, plain rejection counting for hit fractions, and a
@@ -16,7 +17,7 @@ from stickperc import percolation
 from stickperc.errors import DomainError
 from stickperc.geometry import _PARALLEL_TOL, Segment
 from stickperc.rng import substream
-from stickperc.sampling import _STREAM_CONFIG, Configuration, poisson_sticks
+from stickperc.sampling import _STREAM_CONFIG, Configuration, Rigid, poisson_sticks
 from stickperc.verify import grid_segment_distance  # noqa: F401
 
 
@@ -24,7 +25,45 @@ def sample_configuration(d, length, intensity, law, box, seed):
     """A Poisson stick configuration centered in ``box``, which is also its
     observation window, drawn from the stream ``sample_window_configuration``
     draws from."""
-    return Configuration(float(length), box, *poisson_sticks(d, intensity, law, box, substream(seed, _STREAM_CONFIG)))
+    centers, dirs, _ = poisson_sticks(d, intensity, law, box, [substream(seed, _STREAM_CONFIG)])
+    return Configuration(float(length), box, centers, dirs)
+
+
+def reference_sticks(d, intensity, law, box, rng):
+    """One stream's Poisson sticks as ``poisson_sticks`` drew them before it
+    sampled batches: the count, ``uniform(low, high)`` centres, then the
+    law's directions, a uniform direction normalised on its own and any row
+    too short to normalise drawn again until none is.  The bit-identity
+    reference for each stream's part of a batch."""
+    n = int(rng.poisson(intensity * box.volume))
+    centers = rng.uniform(box.low, box.high, size=(n, d))
+    if isinstance(law, Rigid):
+        return centers, np.broadcast_to(law.axis, (n, d)).copy()
+    z = rng.standard_normal((n, d))
+    norms = np.linalg.norm(z, axis=1)
+    while np.any(norms < 1e-12):
+        bad = norms < 1e-12
+        z[bad] = rng.standard_normal((int(bad.sum()), d))
+        norms = np.linalg.norm(z, axis=1)
+    return centers, z / norms[:, None]
+
+
+def stacked_rows(configs):
+    """The arguments ``percolation._batch_crossings`` takes before the axis
+    for a batch of ``configs`` with one length and window: their sticks as
+    (d, n) per-axis rows, replicate by replicate, their counts, the length
+    and the window."""
+    first = configs[0]
+    shape = (first.d, sum(c.count for c in configs))
+    # C-contiguous rows, as the batch sampler lays them out
+    centers = np.concatenate([c.centers.T for c in configs], axis=1, out=np.empty(shape))
+    dirs = np.concatenate([c.dirs.T for c in configs], axis=1, out=np.empty(shape))
+    return centers, dirs, [c.count for c in configs], first.length, first.observation_window
+
+
+def batch_crossings(configs, axis=0, cell=None):
+    """``percolation._batch_crossings`` on the batch of ``configs``."""
+    return percolation._batch_crossings(*stacked_rows(configs), axis, cell)
 
 
 def batch_clustering(configs, axis=0, cell=None):
@@ -41,7 +80,7 @@ def batch_clustering(configs, axis=0, cell=None):
     # a context, not the fixture, so that hypothesis tests can record too
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(percolation, "_labels", recording_labels)
-        percolation._batch_crossings(configs, axis, cell)
+        batch_crossings(configs, axis, cell)
     (clustering,) = seen
     return clustering
 

@@ -12,11 +12,12 @@ import scipy.sparse.csgraph
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import batch_clustering, reference_index, sample_configuration
+from conftest import batch_clustering, batch_crossings, reference_index, reference_sticks, sample_configuration
 from stickperc import percolation
-from stickperc.errors import BracketFailure, DegenerateDesign, DomainError, PreconditionViolated
+from stickperc.errors import BracketFailure, CapacityExceeded, DegenerateDesign, DomainError, PreconditionViolated
 from stickperc.geometry import segment_distance_arrays
 from stickperc.measures import theorem_bounds
+from stickperc.rng import substream
 from stickperc.percolation import (
     CrossingStats,
     UnionFind,
@@ -29,6 +30,7 @@ from stickperc.percolation import (
     tuned_cell_size,
 )
 from stickperc.sampling import (
+    _STREAM_CONFIG,
     BoxRegion,
     Configuration,
     Rigid,
@@ -393,7 +395,7 @@ class TestSpatialIndex:
         assert len(build_index(config, 0.1).candidate_pairs()) == 0
         assert not crossing_event(config, cell=0.1)
         with pytest.raises(DomainError):
-            percolation._batch_crossings([config, config], 0, 0.1)
+            batch_crossings([config, config], 0, 0.1)
 
 
 class TestCluster:
@@ -533,7 +535,7 @@ class TestBatchCrossings:
             expected = [crossing_event(c, axis, cell) for c in batch]
             assert expected[5:7] == [False, True]
             assert 0 < sum(expected) < len(batch) - 1
-            assert percolation._batch_crossings(batch, axis, cell).tolist() == expected
+            assert batch_crossings(batch, axis, cell).tolist() == expected
 
     def test_replicates_in_one_window_stay_apart(self):
         # horizontal sticks chained along y = 10 across the window [0, 20]^2:
@@ -544,8 +546,8 @@ class TestBatchCrossings:
         low = Configuration(6.0, window, np.array([[1.0, 10.0], [6.0, 10.0]]), dirs)
         high = Configuration(6.0, window, np.array([[11.0, 10.0], [16.0, 10.0]]), dirs)
         merged = Configuration(6.0, window, np.concatenate([low.centers, high.centers]), np.tile([1.0, 0.0], (4, 1)))
-        assert percolation._batch_crossings([low, high], 0, 5.0).tolist() == [False, False]
-        assert percolation._batch_crossings([merged], 0, 5.0).tolist() == [True]
+        assert batch_crossings([low, high], 0, 5.0).tolist() == [False, False]
+        assert batch_crossings([merged], 0, 5.0).tolist() == [True]
         assert crossing_event(merged, cell=5.0)
 
 
@@ -592,21 +594,72 @@ class TestCrossingProbability:
         planar = crossing_probability(2, 8.0, 0.033, Uniform(), 64.0, replicates=16, seed=20260810)
         assert planar.outcomes == (0, 0, 0, 1, 0, 1, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1)
 
-    @pytest.mark.parametrize("axis", [2, -1])
-    def test_axis_out_of_range_rejected_before_sampling(self, monkeypatch, axis):
+    @staticmethod
+    def refuse_sampling(monkeypatch):
         def sample(*args):
             raise AssertionError("sampled a replicate")
 
-        monkeypatch.setattr(percolation, "sample_window_configuration", sample)
+        monkeypatch.setattr(percolation, "poisson_sticks", sample)
+
+    @pytest.mark.parametrize("axis", [2, -1])
+    def test_axis_out_of_range_rejected_before_sampling(self, monkeypatch, axis):
+        self.refuse_sampling(monkeypatch)
         with pytest.raises(DomainError, match="axis"):
             crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 4, seed=5, axis=axis)
         with pytest.raises(DomainError, match="axis"):
             estimate_threshold(2, 8.0, Uniform(), 64.0, replicates=4, seed=5, axis=axis)
 
+    @pytest.mark.parametrize(
+        "intensity, error",
+        [(0.0, DomainError), (-0.04, DomainError), (math.nan, DomainError), (math.inf, DomainError),
+         (100.0, CapacityExceeded)],
+    )
+    def test_intensity_rejected_before_sampling_or_pool(self, monkeypatch, intensity, error):
+        # 100 sticks per unit area of the 74-wide sampling box expect
+        # 5.5e5 sticks a replicate, above the guard
+        def pool(*args, **kwargs):
+            raise AssertionError("started a pool")
+
+        self.refuse_sampling(monkeypatch)
+        monkeypatch.setattr(percolation, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(percolation.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with pytest.raises(error):
+            crossing_probability(2, 8.0, intensity, Uniform(), 64.0, 4, seed=5, workers=2)
+
+    @pytest.mark.parametrize("law_tag", ["uniform", "rigid"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_batches_hold_each_replicates_own_draw(self, monkeypatch, d, law_tag):
+        # about 950 sticks expected a replicate, so batches of five: each
+        # replicate's columns of its batch's rows are, bit for bit, the
+        # sticks its stream draws alone
+        law = Uniform() if law_tag == "uniform" else Rigid(np.eye(d)[d - 1])
+        box = percolation.sampling_box(BoxRegion.cube(d, 64.0), 8.0)
+        intensity = 950.0 / box.volume
+        seen = []
+        real = percolation._batch_crossings
+
+        def recording(centers, dirs, counts, *rest):
+            seen.append((centers, dirs, counts))
+            return real(centers, dirs, counts, *rest)
+
+        monkeypatch.setattr(percolation, "_batch_crossings", recording)
+        seeds = percolation.replicate_seeds(5, 0, 13)
+        percolation._replicate_crossings((d, 8.0, intensity, law, 64.0, seeds, 0))
+        assert [len(counts) for _, _, counts in seen] == [5, 5, 3]
+        assert sum(seen[0][2]) > percolation._BATCH_STICKS
+        columns = [(c, u) for centers, dirs, counts in seen
+                   for c, u in zip(np.split(centers, np.cumsum(counts)[:-1], axis=1),
+                                   np.split(dirs, np.cumsum(counts)[:-1], axis=1))]
+        for s, (c, u) in zip(seeds, columns):
+            ref_centers, ref_dirs = reference_sticks(d, intensity, law, box, substream(s, _STREAM_CONFIG))
+            assert np.array_equal(c, ref_centers.T) and np.array_equal(u, ref_dirs.T)
+        assert all(centers.flags.c_contiguous and dirs.flags.c_contiguous for centers, dirs, _ in seen)
+
     @staticmethod
-    def record_pools(monkeypatch, cpus):
+    def record_pools(monkeypatch, cpus, tasks=None):
         """Pin the CPUs this process may use to ``cpus`` and swap the pool
-        for a recorder of its size and initializer that starts no process."""
+        for a recorder of its size and initializer that starts no process;
+        the replicate count of each task it is handed goes into ``tasks``."""
         built = []
 
         class Recorder:
@@ -620,7 +673,10 @@ class TestCrossingProbability:
                 return False
 
             def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
+                payloads = list(iterable)
+                if tasks is not None:
+                    tasks.extend(len(seeds) for _, _, _, _, _, seeds, _ in payloads)
+                return map(fn, payloads)
 
         monkeypatch.setattr(percolation.os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
         monkeypatch.setattr(percolation, "ProcessPoolExecutor", Recorder)
@@ -633,6 +689,16 @@ class TestCrossingProbability:
         a = crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 6, seed=5, workers=10_000)
         assert built == [(3, percolation._keep_freed_heap)]
         assert a == crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 6, seed=5, workers=1)
+
+    def test_tasks_sized_from_the_pool(self, monkeypatch):
+        # 64 workers asked for on 2 CPUs: a pool of 2 gets four tasks a
+        # process, not 200 tasks of one replicate each
+        tasks = []
+        built = self.record_pools(monkeypatch, {0, 1}, tasks)
+        a = crossing_probability(2, 8.0, 0.033, Uniform(), 64.0, 200, seed=5, workers=64)
+        assert [size for size, _ in built] == [2]
+        assert tasks == [25] * 8
+        assert a == crossing_probability(2, 8.0, 0.033, Uniform(), 64.0, 200, seed=5, workers=1)
 
     @pytest.mark.parametrize("cpus, sizes", [({0}, []), ({0, 1}, [2])])
     def test_pool_capped_at_cpu_affinity(self, monkeypatch, cpus, sizes):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import sample_configuration
+from conftest import reference_sticks, sample_configuration
 from stickperc.errors import CapacityExceeded, DomainError
 from stickperc.measures import stick_hit_volume
 from stickperc.geometry import segments_hit_ball
@@ -13,6 +13,7 @@ from stickperc.sampling import (
     Rigid,
     Uniform,
     poisson_count,
+    poisson_sticks,
     sample_window_configuration,
 )
 
@@ -177,6 +178,75 @@ class TestConfiguration:
         target = lam * stick_hit_volume(d, L, 2.0)
         se = counts.std(ddof=1) / math.sqrt(len(counts))
         assert abs(counts.mean() - target) <= 3.0 * se
+
+
+class ZeroedStream:
+    """A stream that zeroes the given rows of its standard normal draws,
+    ``zeroed[k]`` in its k-th draw, and records each draw's shape."""
+
+    def __init__(self, seed, zeroed):
+        self._rng = substream(seed, 7)
+        self.zeroed = zeroed
+        self.normal_shapes = []
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def standard_normal(self, size=None, out=None):
+        z = self._rng.standard_normal(size, out=out)
+        z[self.zeroed.get(len(self.normal_shapes), [])] = 0.0
+        self.normal_shapes.append(z.shape)
+        return z
+
+
+class TestPoissonSticks:
+    @staticmethod
+    def per_stream(centers, dirs, counts):
+        ends = np.cumsum(counts)[:-1]
+        return list(zip(np.split(centers, ends), np.split(dirs, ends)))
+
+    @pytest.mark.parametrize("mean", [1.5, 200.0])
+    @pytest.mark.parametrize("law_tag", ["uniform", "rigid"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_each_stream_draws_what_it_draws_alone(self, d, law_tag, mean):
+        # a batch's part from each stream is, bit for bit, that stream's
+        # count, uniform(low, high) centres and normalised directions, and
+        # leaves the stream where drawing alone does
+        law = Uniform() if law_tag == "uniform" else Rigid(np.arange(1.0, d + 1.0))
+        box = BoxRegion(np.linspace(-3.0, 2.0, d), np.linspace(4.5, 30.0, d))
+        intensity = mean / box.volume
+        streams = [substream(s, 7) for s in range(12)]
+        centers, dirs, counts = poisson_sticks(d, intensity, law, box, streams)
+        assert centers.T.flags.c_contiguous and dirs.T.flags.c_contiguous
+        references = [substream(s, 7) for s in range(12)]
+        expected = [reference_sticks(d, intensity, law, box, rng) for rng in references]
+        assert counts == [len(c) for c, _ in expected]
+        if mean < 2.0:
+            assert 0 in counts and max(counts) > 1
+        for (c, u), (ref_c, ref_u) in zip(self.per_stream(centers, dirs, counts), expected):
+            assert np.array_equal(c, ref_c) and np.array_equal(u, ref_u)
+        assert [rng.random() for rng in streams] == [rng.random() for rng in references]
+
+    def test_zero_norm_direction_redrawn_from_its_own_stream(self):
+        # stream 1's redraw of two rows zeroes one again, so it draws a
+        # third time; stream 0 draws once more and stream 2 never
+        zeroed = [{0: [1]}, {0: [0, 2], 1: [0]}, {}]
+        box = BoxRegion.cube(2, 10.0)
+        streams = [ZeroedStream(s, z) for s, z in enumerate(zeroed)]
+        centers, dirs, counts = poisson_sticks(2, 0.2, Uniform(), box, streams)
+        references = [ZeroedStream(s, z) for s, z in enumerate(zeroed)]
+        expected = [reference_sticks(2, 0.2, Uniform(), box, rng) for rng in references]
+        for (c, u), (ref_c, ref_u) in zip(self.per_stream(centers, dirs, counts), expected):
+            assert np.array_equal(c, ref_c) and np.array_equal(u, ref_u)
+        assert [s.normal_shapes for s in streams] == [
+            [(counts[0], 2), (1, 2)], [(counts[1], 2), (2, 2), (1, 2)], [(counts[2], 2)]
+        ]
+        assert [s.normal_shapes for s in streams] == [s.normal_shapes for s in references]
+        np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0)
+
+    def test_rigid_axis_of_another_dimension_rejected(self):
+        with pytest.raises(DomainError):
+            poisson_sticks(3, 0.1, Rigid(np.array([0.0, 1.0])), BoxRegion.cube(3, 4.0), [substream(0)])
 
 
 class TestBoxRegion:
