@@ -6,12 +6,13 @@ cache-sized blocks (narrow phase), array connected components (min-label
 hooking with pointer jumping) giving each stick's cluster label, and the
 window-crossing test on those labels (``crossing_event``).  The crossing
 test runs on batches of replicates clustered together, each replicate in
-its own cells; a single configuration is a batch of one.  A probe samples
-each batch in one ``poisson_sticks`` pass straight into the batch's rows,
-so no replicate builds a ``Configuration`` or is copied again.  On top of
-that sit the crossing-probability estimator, a stochastic bisection for
-the threshold intensity, and the log-log scaling fit; the last two share
-one weighted least-squares line.
+its own cells; a single configuration is a batch of one.  A probe cuts its
+replicates into batches once, and each batch is one task, in process or on
+a pool, sampled in one ``poisson_sticks`` pass straight into its rows, so
+no replicate builds a ``Configuration`` or is copied again.  On top of that
+sit the crossing-probability estimator, a stochastic bisection for the
+threshold intensity, and the log-log scaling fit; the last two share one
+weighted least-squares line.
 
 The pipeline moves its arrays with ``take`` on index arrays and filters
 through ``np.flatnonzero``: in numpy 2.x that gathers rows several times
@@ -276,9 +277,10 @@ def _check_axis(axis: int, d: int) -> None:
         raise DomainError(f"axis must be in [0, {d}), got {axis}")
 
 
-def _check_probe_inputs(d: int, replicates: int, axis: int, workers: int) -> None:
-    """The checks on a probe's replicate count, crossing axis and worker
-    count."""
+def _check_probe_inputs(d: int, side: float, replicates: int, axis: int, workers: int) -> None:
+    """The checks on a probe's window side, replicates, axis and workers."""
+    if not math.isfinite(side):
+        raise DomainError(f"window side must be finite, got side = {side}")
     if replicates < 1:
         raise DomainError("need at least one replicate")
     if replicates > _MAX_EXPECTED_COUNT:
@@ -332,22 +334,14 @@ def crossing_event(
     return bool(_batch_crossings(*rows, [config.count], config.length, config.observation_window, axis, cell)[0])
 
 
-def _replicate_crossings(args) -> list[bool]:
-    """Crossing outcomes of the replicates with the given seeds, sampled
-    and clustered in batches of about ``_BATCH_STICKS`` sticks."""
-    d, length, intensity, law, side, seeds, axis = args
-    cell = tuned_cell_size(length, law)
-    window = BoxRegion.cube(d, side)
-    box = sampling_box(window, length)
-    # replicates per batch: at least one, at most all, about _BATCH_STICKS
-    # sticks expected in each
-    size = math.ceil(min(_BATCH_STICKS / check_window_intensity(intensity, box), len(seeds)))
-    outcomes: list[bool] = []
-    for k in range(0, len(seeds), size):
-        streams = [substream(s, _STREAM_CONFIG) for s in seeds[k : k + size]]
-        centers, dirs, counts = poisson_sticks(d, intensity, law, box, streams)
-        outcomes.extend(_batch_crossings(centers.T, dirs.T, counts, float(length), window, axis, cell).tolist())
-    return outcomes
+def _replicate_crossings(task) -> list[bool]:
+    """Crossing outcomes of one batch of replicates, sampled in one
+    ``poisson_sticks`` call and clustered together.  ``task`` is the
+    batch's seeds and the probe's fixed inputs."""
+    seeds, d, length, intensity, law, box, window, axis, cell = task
+    streams = [substream(s, _STREAM_CONFIG) for s in seeds]
+    centers, dirs, counts = poisson_sticks(d, intensity, law, box, streams)
+    return _batch_crossings(centers.T, dirs.T, counts, length, window, axis, cell).tolist()
 
 
 @dataclass(frozen=True)
@@ -414,6 +408,32 @@ def replicate_seeds(seed: int, probe: int, replicates: int) -> list[int]:
     return [derive_seed(seed, _STREAM_REPLICATE, probe, r) for r in range(replicates)]
 
 
+def _probe(
+    executor: Executor | None, d: int, length: float, intensity: float, law: OrientationLaw, side: float,
+    replicates: int, seed: int, axis: int, probe_id: int,
+) -> CrossingStats:
+    """One probe of ``replicates`` window configurations at ``intensity``;
+    the caller has checked every other input.  The replicates are cut once
+    into batches of about ``_BATCH_STICKS`` expected sticks, and each batch
+    is one task, run in process when ``executor`` is None, else on it."""
+    window = BoxRegion.cube(d, side)
+    box = sampling_box(window, length)
+    expected = check_window_intensity(intensity, box)
+    # replicates per batch: at least one, at most all
+    size = math.ceil(min(_BATCH_STICKS / expected, replicates))
+    seeds = replicate_seeds(seed, probe_id, replicates)
+    fixed = (d, float(length), intensity, law, box, window, axis, tuned_cell_size(length, law))
+    tasks = [(seeds[k : k + size], *fixed) for k in range(0, replicates, size)]
+    run = map if executor is None else executor.map
+    outcomes = tuple(int(v) for batch in run(_replicate_crossings, tasks) for v in batch)
+    successes = sum(outcomes)
+    ci_low, ci_high = wilson_interval(successes, replicates)
+    return CrossingStats(
+        intensity=float(intensity), frequency=successes / replicates, ci_low=ci_low, ci_high=ci_high,
+        successes=successes, replicates=replicates, outcomes=outcomes,
+    )
+
+
 def crossing_probability(
     d: int,
     length: float,
@@ -425,35 +445,17 @@ def crossing_probability(
     axis: int = 0,
     workers: int = 1,
     probe_id: int = 0,
-    pool: Executor | None = None,
 ) -> CrossingStats:
     """Fraction of independent window configurations with a crossing, with a
     Wilson 95% interval.  Replicate substreams depend only on (seed,
-    probe_id, replicate), so the result is worker-count independent.
-    ``pool``, an executor as ``_replicate_pool(workers)`` builds, is used
-    in place of a new one when given; more than the stick guard's 5e5 are
-    refused.  The inputs, the intensity among them, are checked before any
-    replicate is sampled or a pool started."""
-    _check_probe_inputs(d, replicates, axis, workers)
+    probe_id, replicate), so the result is worker-count independent; more
+    than the stick guard's 5e5 are refused.  The inputs, the intensity
+    among them, are checked before any replicate is sampled or a pool
+    started."""
+    _check_probe_inputs(d, side, replicates, axis, workers)
     check_window_intensity(intensity, sampling_box(BoxRegion.cube(d, side), length))
-    seeds = replicate_seeds(seed, probe_id, replicates)
-    with nullcontext(pool) if pool is not None else _replicate_pool(workers) as executor:
-        # four tasks per process of the pool, which holds at most one per CPU
-        chunk = replicates if executor is None else max(1, replicates // (4 * min(workers, _usable_cpus())))
-        payloads = [(d, length, intensity, law, side, seeds[k : k + chunk], axis) for k in range(0, replicates, chunk)]
-        run = map if executor is None else executor.map
-        outcomes = [v for part in run(_replicate_crossings, payloads) for v in part]
-    successes = int(sum(outcomes))
-    ci_low, ci_high = wilson_interval(successes, replicates)
-    return CrossingStats(
-        intensity=float(intensity),
-        frequency=successes / replicates,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        successes=successes,
-        replicates=replicates,
-        outcomes=tuple(int(v) for v in outcomes),
-    )
+    with _replicate_pool(workers) as executor:
+        return _probe(executor, d, length, intensity, law, side, replicates, seed, axis, probe_id)
 
 
 @dataclass(frozen=True)
@@ -531,7 +533,7 @@ def check_threshold_inputs(
         raise PreconditionViolated("window side must be at least 8 L")
     if max_bisect < 0:
         raise DomainError("max_bisect must be nonnegative")
-    _check_probe_inputs(d, replicates, axis, workers)
+    _check_probe_inputs(d, side, replicates, axis, workers)
     # the first probe draws at the lower bound in the sampler's box
     check_expected_count(bounds.lower * sampling_box(BoxRegion.cube(d, side), length).volume)
     return bounds
@@ -561,12 +563,9 @@ def estimate_threshold(
     bounds = check_threshold_inputs(d, length, law, side, replicates, axis, workers, max_bisect)
     probes: list[CrossingStats] = []
 
-    with _replicate_pool(workers) as pool:
+    with _replicate_pool(workers) as executor:
         def probe(lam: float) -> CrossingStats:
-            stats = crossing_probability(
-                d, length, lam, law, side, replicates, seed,
-                axis=axis, workers=workers, probe_id=len(probes), pool=pool,
-            )
+            stats = _probe(executor, d, length, lam, law, side, replicates, seed, axis, len(probes))
             probes.append(stats)
             return stats
 

@@ -1,6 +1,7 @@
 """Shared brute-force oracles, a box sampler, the stacking of configurations
-into a batch's rows, a recorder of the batch clustering and reference
-bodies of rewritten kernels for the test suite.
+into a batch's rows, a recorder of the batch clustering, reference bodies
+of rewritten kernels and the environment of a subprocess that runs this
+checkout, for the test suite.
 
 The oracles deliberately avoid the closed forms they check: grid scans for
 distance minimization, plain rejection counting for hit fractions, and a
@@ -9,6 +10,8 @@ apart from the package's vectorised kernel.
 """
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,15 @@ from stickperc.geometry import _PARALLEL_TOL, Segment
 from stickperc.rng import substream
 from stickperc.sampling import _STREAM_CONFIG, Configuration, Rigid, poisson_sticks
 from stickperc.verify import grid_segment_distance  # noqa: F401
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def checkout_env(**extra):
+    """The environment of a subprocess that imports this checkout's
+    ``src`` before any installed copy of the package, plus ``extra``."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def sample_configuration(d, length, intensity, law, box, seed):

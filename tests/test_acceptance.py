@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import checkout_env
 from stickperc.branching import dominating_gw_run, offspring_mean_mc
 from stickperc.measures import (
     cap_hit_lower_bound,
@@ -241,7 +242,7 @@ def test_criterion_9_oriented():
 
 def _run_cli(args):
     proc = subprocess.run(
-        [sys.executable, "-m", "stickperc.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "stickperc.cli", *args], capture_output=True, text=True, env=checkout_env()
     )
     return proc.returncode, proc.stdout
 

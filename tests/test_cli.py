@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import resource
 import subprocess
 import sys
@@ -8,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import checkout_env
 from stickperc import cli
 from stickperc.cli import main
 from stickperc.percolation import crossing_event
@@ -399,11 +399,16 @@ class TestInvalidInput:
              "stickperc.percolation.estimate_threshold", "600000 replicates exceed guard of 5e+05"),
             (["branching", "--d", "2", "--L", "2", "--lambda", "0.1", "--trials", "200000", "--gw-runs", "0"],
              "stickperc.branching.offspring_mean_mc", "uniform offspring bound requires L > 3.14159"),
+            # an infinite window side is named, not met as an infinite Poisson mean
+            (["threshold", "--d", "2", "--law", "uniform", "--L", "8", "--replicates", "4", "--s-factor", "inf"],
+             "stickperc.percolation._probe", "window side must be finite, got side = inf"),
+            (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,32", "--replicates", "4",
+              "--s-factor", "inf"], "stickperc.percolation.estimate_threshold", "window side must be finite, got side = inf"),
         ],
         ids=[
             "scaling-repeated-L", "scaling-negative-last-L", "scaling-huge-last-L", "scaling-oversized-first-probe",
             "scaling-axis-out-of-range", "scaling-zero-workers", "scaling-zero-replicates",
-            "scaling-replicates-over-guard", "branching-L-without-bound",
+            "scaling-replicates-over-guard", "branching-L-without-bound", "threshold-side-inf", "scaling-side-inf",
         ],
     )
     def test_invalid_input_exits_2_before_sampling(self, capsys, monkeypatch, argv, computation, message):
@@ -468,7 +473,7 @@ class TestInvalidInput:
         proc = subprocess.run(
             [sys.executable, "-m", "stickperc.cli", *argv],
             capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+            env=checkout_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
@@ -538,7 +543,7 @@ class TestArgParsing:
         proc = subprocess.run(
             [sys.executable, "-m", "stickperc.cli", "bounds", "--d", "2", "--L", "10",
              "--law", "diagonal"],
-            capture_output=True,
+            capture_output=True, env=checkout_env(),
         )
         assert proc.returncode == 2
 
@@ -546,7 +551,7 @@ class TestArgParsing:
         proc = subprocess.run(
             [sys.executable, "-m", "stickperc.cli", "bounds", "--d", "2", "--L", "100",
              "--law", "rigid"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=checkout_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["law"] == "rigid"

@@ -570,8 +570,8 @@ class TestCrossingProbability:
 
     @pytest.mark.parametrize("replicates", [7, 13, 24])
     def test_chunks_that_split_batches_change_nothing(self, replicates):
-        # about 950 sticks a replicate: one process closes a batch about
-        # every fifth replicate, two take chunks of one (7, 13) or three (24)
+        # about 950 sticks a replicate, so batches of five: the last batch
+        # is short (7, 13, 24), and two processes share the batches
         args = (2, 8.0, 0.033, Uniform(), 160.0, replicates)
         a = crossing_probability(*args, seed=5, workers=1)
         b = crossing_probability(*args, seed=5, workers=2)
@@ -626,12 +626,21 @@ class TestCrossingProbability:
         with pytest.raises(error):
             crossing_probability(2, 8.0, intensity, Uniform(), 64.0, 4, seed=5, workers=2)
 
+    @pytest.mark.parametrize("side", [math.inf, math.nan])
+    def test_non_finite_side_rejected_before_sampling_or_pool(self, monkeypatch, side):
+        # named as the window side, not met as an infinite Poisson mean
+        self.refuse_sampling(monkeypatch)
+        built = self.record_pools(monkeypatch, {0, 1})
+        with pytest.raises(DomainError, match=f"window side must be finite, got side = {side}"):
+            crossing_probability(2, 8.0, 0.04, Uniform(), side, 4, seed=5, workers=2)
+        assert built == []
+
     @pytest.mark.parametrize("law_tag", ["uniform", "rigid"])
     @pytest.mark.parametrize("d", [2, 3])
     def test_batches_hold_each_replicates_own_draw(self, monkeypatch, d, law_tag):
-        # about 950 sticks expected a replicate, so batches of five: each
-        # replicate's columns of its batch's rows are, bit for bit, the
-        # sticks its stream draws alone
+        # about 950 sticks expected a replicate, so a probe of 13 runs
+        # batches of five: each replicate's columns of its batch's rows
+        # are, bit for bit, the sticks its stream draws alone
         law = Uniform() if law_tag == "uniform" else Rigid(np.eye(d)[d - 1])
         box = percolation.sampling_box(BoxRegion.cube(d, 64.0), 8.0)
         intensity = 950.0 / box.volume
@@ -644,7 +653,7 @@ class TestCrossingProbability:
 
         monkeypatch.setattr(percolation, "_batch_crossings", recording)
         seeds = percolation.replicate_seeds(5, 0, 13)
-        percolation._replicate_crossings((d, 8.0, intensity, law, 64.0, seeds, 0))
+        crossing_probability(d, 8.0, intensity, law, 64.0, 13, seed=5, workers=1)
         assert [len(counts) for _, _, counts in seen] == [5, 5, 3]
         assert sum(seen[0][2]) > percolation._BATCH_STICKS
         columns = [(c, u) for centers, dirs, counts in seen
@@ -659,7 +668,7 @@ class TestCrossingProbability:
     def record_pools(monkeypatch, cpus, tasks=None):
         """Pin the CPUs this process may use to ``cpus`` and swap the pool
         for a recorder of its size and initializer that starts no process;
-        the replicate count of each task it is handed goes into ``tasks``."""
+        the seeds of each task it is handed go into ``tasks``."""
         built = []
 
         class Recorder:
@@ -675,7 +684,7 @@ class TestCrossingProbability:
             def map(self, fn, iterable, chunksize=1):
                 payloads = list(iterable)
                 if tasks is not None:
-                    tasks.extend(len(seeds) for _, _, _, _, _, seeds, _ in payloads)
+                    tasks.extend(seeds for seeds, *_ in payloads)
                 return map(fn, payloads)
 
         monkeypatch.setattr(percolation.os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
@@ -690,15 +699,24 @@ class TestCrossingProbability:
         assert built == [(3, percolation._keep_freed_heap)]
         assert a == crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 6, seed=5, workers=1)
 
-    def test_tasks_sized_from_the_pool(self, monkeypatch):
-        # 64 workers asked for on 2 CPUs: a pool of 2 gets four tasks a
-        # process, not 200 tasks of one replicate each
-        tasks = []
+    def test_pool_tasks_are_the_batches(self, monkeypatch):
+        # 64 workers asked for on 2 CPUs: the pool of 2 is handed the
+        # probe's batches, in order, the ones one process runs
+        tasks, batches = [], []
         built = self.record_pools(monkeypatch, {0, 1}, tasks)
+        real = percolation._replicate_crossings
+        monkeypatch.setattr(percolation, "_replicate_crossings", lambda task: batches.append(task[0]) or real(task))
         a = crossing_probability(2, 8.0, 0.033, Uniform(), 64.0, 200, seed=5, workers=64)
         assert [size for size, _ in built] == [2]
-        assert tasks == [25] * 8
+        assert [s for seeds in tasks for s in seeds] == percolation.replicate_seeds(5, 0, 200)
+        expected = 0.033 * percolation.sampling_box(BoxRegion.cube(2, 64.0), 8.0).volume
+        size = math.ceil(percolation._BATCH_STICKS / expected)
+        assert [len(seeds) for seeds in tasks[:-1]] == [size] * (len(tasks) - 1)
+        assert 0 < len(tasks[-1]) <= size
+        pooled = list(batches)
+        batches.clear()
         assert a == crossing_probability(2, 8.0, 0.033, Uniform(), 64.0, 200, seed=5, workers=1)
+        assert pooled == tasks == batches
 
     @pytest.mark.parametrize("cpus, sizes", [({0}, []), ({0, 1}, [2])])
     def test_pool_capped_at_cpu_affinity(self, monkeypatch, cpus, sizes):
@@ -708,6 +726,13 @@ class TestCrossingProbability:
         a = crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 6, seed=5, workers=4)
         assert [size for size, _ in built] == sizes
         assert a == crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 6, seed=5, workers=1)
+
+    def test_estimate_shares_one_pool(self, monkeypatch):
+        # every probe of an estimate runs on the one pool it opens
+        built = self.record_pools(monkeypatch, {0, 1})
+        est = estimate_threshold(2, 8.0, Uniform(), 64.0, replicates=8, seed=5, max_bisect=3, workers=2)
+        assert len(est.probes) > 2
+        assert built == [(2, percolation._keep_freed_heap)]
 
     def test_workers_do_not_change_estimate(self):
         kw = dict(replicates=8, seed=5, max_bisect=3)
@@ -854,14 +879,14 @@ class TestEstimateThreshold:
     def test_walk_out_gives_up_at_its_limit(self, monkeypatch, frequency, message):
         # never crossing walks up past 10x the upper bound; always crossing
         # walks down past a tenth of the lower bound
-        def constant(d, length, intensity, law, side, replicates, seed, **kwargs):
+        def constant(executor, d, length, intensity, law, side, replicates, seed, axis, probe_id):
             successes = int(frequency * replicates)
             return CrossingStats(
                 intensity, frequency, frequency, frequency, successes, replicates,
                 (int(frequency),) * replicates,
             )
 
-        monkeypatch.setattr(percolation, "crossing_probability", constant)
+        monkeypatch.setattr(percolation, "_probe", constant)
         with pytest.raises(BracketFailure) as info:
             estimate_threshold(2, 8.0, Uniform(), 64.0, replicates=4, seed=0)
         assert str(info.value) == message
