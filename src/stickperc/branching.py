@@ -19,7 +19,7 @@ from .geometry import INTERSECT_THRESHOLD, segment_distance_arrays
 from .rng import substream
 from .sampling import (
     _MAX_EXPECTED_COUNT, _MAX_POPULATION, BoxRegion, OrientationLaw, Rigid, check_expected_count, check_intensity,
-    poisson_sticks,
+    check_law_dimension, place_sticks, poisson_sticks,
 )
 
 _STREAM_OFFSPRING = 0x0FF5
@@ -36,10 +36,8 @@ def _seed_stick(d: int, length: float, law: OrientationLaw) -> tuple[np.ndarray,
         raise DomainError("dimension must be at least 2")
     if not 0.0 < length < math.inf:
         raise DomainError("stick length must be positive and finite")
-    direction = law.axis if isinstance(law, Rigid) else np.eye(d)[0]
-    if direction.shape != (d,):
-        raise DomainError("rigid axis dimension does not match d")
-    return np.zeros(d), direction
+    check_law_dimension(law, d)
+    return np.zeros(d), law.axis if isinstance(law, Rigid) else np.eye(d)[0]
 
 
 # any stick of length L intersecting a fixed stick has its center within
@@ -97,8 +95,7 @@ def offspring_mean_mc(
         total = int(block.sum())
         if total == 0:
             continue
-        centers = rng.uniform(box.low, box.high, size=(total, d))
-        dirs = law.sample_directions(rng, d, total)
+        centers, dirs = place_sticks(d, law, box, [rng], [total])
         hits = _overlaps(centers, dirs, length, center, direction).astype(np.int64)
         # reduce at the starts of the non-empty trials only: their starts
         # strictly increase, so each sum runs up to the next trial's start

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, InsufficientTrials, PreconditionViolated
 from .geometry import segments_hit_ball
 from .rng import substream
-from .sampling import OrientationLaw, Rigid, Uniform, check_density_floor, check_intensity
+from .sampling import BoxRegion, OrientationLaw, Rigid, Uniform, check_density_floor, check_intensity, place_sticks
 
 _STREAM_MEASURE_MC = 0x3EA5
 _MC_CHUNK = 1_000_000  # Monte Carlo draws per batch, to bound memory
@@ -430,15 +430,13 @@ def mc_two_ball_measure(
         raise PreconditionViolated("law must have a positive density floor")
     gamma = geom.box_center((-2, 0))
     zeta = geom.right_face_center((0, 0))
-    low = geom.box_low((-1, 0))
-    high = geom.box_high((-1, 0))
-    volume = math.prod((high - low).tolist())
+    box = BoxRegion(geom.box_low((-1, 0)), geom.box_high((-1, 0)))
+    volume = box.volume
     if not math.isfinite(volume):
         raise DomainError(f"construction box volume overflows at L = {length}")
 
     def count_hits(rng, n):
-        x = rng.uniform(low, high, size=(n, d))
-        p = law.sample_directions(rng, d, n)
+        x, p = place_sticks(d, law, box, [rng], [n])
         h = 0.5 * length
         return int((segments_hit_ball(x, p, h, gamma, 2.0) & segments_hit_ball(x, p, h, zeta, 2.0)).sum())
 

@@ -51,7 +51,7 @@ from .measures import BoundsReport, theorem_bounds
 from .rng import derive_seed, substream
 from .sampling import (
     _MAX_EXPECTED_COUNT, _STREAM_CONFIG, BoxRegion, Configuration, OrientationLaw, check_expected_count,
-    check_window_intensity, poisson_sticks, sampling_box,
+    check_law_dimension, check_window_intensity, poisson_sticks, sampling_box,
 )
 from .stats import _Z95, wilson_interval
 
@@ -277,8 +277,10 @@ def _check_axis(axis: int, d: int) -> None:
         raise DomainError(f"axis must be in [0, {d}), got {axis}")
 
 
-def _check_probe_inputs(d: int, side: float, replicates: int, axis: int, workers: int) -> None:
-    """The checks on a probe's window side, replicates, axis and workers."""
+def _check_probe_inputs(d: int, law, side: float, replicates: int, axis: int, workers: int) -> None:
+    """The checks on a probe's law (or its tag), window side, replicates,
+    axis and workers."""
+    check_law_dimension(law, d)
     if not math.isfinite(side):
         raise DomainError(f"window side must be finite, got side = {side}")
     if replicates < 1:
@@ -452,7 +454,7 @@ def crossing_probability(
     than the stick guard's 5e5 are refused.  The inputs, the intensity
     among them, are checked before any replicate is sampled or a pool
     started."""
-    _check_probe_inputs(d, side, replicates, axis, workers)
+    _check_probe_inputs(d, law, side, replicates, axis, workers)
     check_window_intensity(intensity, sampling_box(BoxRegion.cube(d, side), length))
     with _replicate_pool(workers) as executor:
         return _probe(executor, d, length, intensity, law, side, replicates, seed, axis, probe_id)
@@ -533,7 +535,7 @@ def check_threshold_inputs(
         raise PreconditionViolated("window side must be at least 8 L")
     if max_bisect < 0:
         raise DomainError("max_bisect must be nonnegative")
-    _check_probe_inputs(d, side, replicates, axis, workers)
+    _check_probe_inputs(d, law, side, replicates, axis, workers)
     # the first probe draws at the lower bound in the sampler's box
     check_expected_count(bounds.lower * sampling_box(BoxRegion.cube(d, side), length).volume)
     return bounds

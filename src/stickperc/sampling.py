@@ -7,11 +7,14 @@ substreams derived from an explicit master seed (see :mod:`stickperc.rng`),
 so identical inputs reproduce identical configurations byte for byte,
 independent of worker count.
 
-``poisson_sticks`` draws a batch of configurations in one pass, each from
-its own stream: per stream only its count, its centres and its law's raw
-directions are drawn, while the scaling of the centres, the normalising of
-the directions and the per-axis layout run once over the batch.  A single
-configuration is a batch of one.
+``place_sticks`` is the one stick draw: given a count per stream, each
+stream draws only its centres and its law's raw directions, while the
+scaling of the centres, the normalising of the directions and the per-axis
+layout run once over the batch.  ``poisson_sticks`` draws each stream's
+Poisson count and places them so, for window configurations, replicate
+batches and component explorations; the offspring and two-ball Monte
+Carlo draw their own counts and place their sticks through
+``place_sticks``.  A single configuration is a batch of one.
 """
 
 from __future__ import annotations
@@ -106,12 +109,19 @@ class Rigid(_DirectionLaw):
 
     def unit(self, raw: np.ndarray, streams, counts, out: np.ndarray) -> None:
         """Write the axis into every row of ``out``."""
-        if self.axis.shape[0] != raw.shape[1]:
-            raise DomainError("rigid axis dimension does not match d")
+        check_law_dimension(self, raw.shape[1])
         out[...] = self.axis
 
 
 OrientationLaw = Uniform | Rigid
+
+
+def check_law_dimension(law, d: int) -> None:
+    """DomainError if ``law`` is a rigid law whose axis does not live in
+    dimension ``d``; any other law, or a law's tag, passes."""
+    axis = getattr(law, "axis", None)
+    if axis is not None and axis.shape != (d,):
+        raise DomainError("rigid axis dimension does not match d")
 
 
 @dataclass(frozen=True)
@@ -133,7 +143,10 @@ class BoxRegion:
 
     @property
     def volume(self) -> float:
-        return float(np.prod(self.high - self.low))
+        """The box's volume, inf past the float range, which every caller
+        refuses; so the overflow raises no numpy warning."""
+        with np.errstate(over="ignore"):
+            return float(np.prod(self.high - self.low))
 
     @staticmethod
     def cube(d: int, side: float) -> "BoxRegion":
@@ -179,24 +192,19 @@ def poisson_count(mean: float, stream: np.random.Generator) -> int:
     return int(stream.poisson(check_expected_count(mean)))
 
 
-def poisson_sticks(
-    d: int, intensity: float, law: OrientationLaw, box: BoxRegion, streams: list[np.random.Generator]
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Poisson(intensity * volume) sticks from each of ``streams``, centred
+def place_sticks(
+    d: int, law: OrientationLaw, box: BoxRegion, streams: list[np.random.Generator], counts
+) -> tuple[np.ndarray, np.ndarray]:
+    """``counts[r]`` sticks from each ``streams[r]`` in turn, centred
     uniformly in ``box`` and oriented by ``law``: their centres and
-    directions, the sticks of each stream in turn, and the count of each
-    stream.  The centres and directions are (n, d) views of C-contiguous
-    (d, n) per-axis rows, so their ``.T`` is each field's rows, row k axis
-    k of every stick.
+    directions, (n, d) views of C-contiguous (d, n) per-axis rows, so their
+    ``.T`` is each field's rows, row k axis k of every stick.
 
-    Each stream draws its count, then ``random((count, d))`` for its
-    centres, then ``law``'s raw directions: the draws of one stream alone,
-    so ``low + (high - low) * u`` gives ``uniform(low, high)``'s centres
-    bit for bit.  The streams are independent, so every count is drawn
-    first; scaling the centres and normalising the directions run once
+    Each stream draws ``random((count, d))`` for its centres, then
+    ``law``'s raw directions: the draws of one stream alone, so
+    ``low + (high - low) * u`` gives ``uniform(low, high)``'s centres bit
+    for bit.  Scaling the centres and normalising the directions run once
     over all the streams."""
-    mean = intensity * box.volume
-    counts = [poisson_count(mean, rng) for rng in streams]
     n = sum(counts)
     u, raw = np.empty((n, d)), np.empty((n, d))
     end = 0
@@ -208,7 +216,20 @@ def poisson_sticks(
     np.multiply(u.T, (box.high - box.low)[:, None], out=centers)
     centers += box.low[:, None]
     law.unit(raw, streams, counts, out=dirs.T)
-    return centers.T, dirs.T, counts
+    return centers.T, dirs.T
+
+
+def poisson_sticks(
+    d: int, intensity: float, law: OrientationLaw, box: BoxRegion, streams: list[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Poisson(intensity * volume) sticks from each of ``streams``, placed
+    in ``box`` by ``place_sticks``: their centres and directions, and the
+    count of each stream.  The streams are independent, so every count is
+    drawn first."""
+    mean = intensity * box.volume
+    counts = [poisson_count(mean, rng) for rng in streams]
+    centers, dirs = place_sticks(d, law, box, streams, counts)
+    return centers, dirs, counts
 
 
 @dataclass(frozen=True)

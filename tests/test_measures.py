@@ -59,7 +59,10 @@ class TestStickHitVolume:
 
 # recorded with the draws split 7,777 + 7,777 + 4,446: a chunk draws each
 # of its arrays in turn, so the stick-hit and two-ball values depend on the
-# split, and these pins are the oracle rather than an unchunked call
+# split, and these pins are the oracle rather than an unchunked call.  The
+# d = 3 and d = 4 two-ball pins were recorded while the estimate still drew
+# its sticks as (n, d) rows of its own, so they also hold the ball tests'
+# sums over the (n, d) views of placed (d, n) rows to the same bits.
 @pytest.mark.parametrize(
     "estimate, hits, value, stderr",
     [
@@ -69,8 +72,12 @@ class TestStickHitVolume:
          537, 0.02685, 0.0011430021325439424),
         (lambda: mc_two_ball_measure(2, 256.0, Uniform(), 20_000, seed=7, intensity=0.5),
          36, 0.4608000000000001, 0.07673084886797488),
+        (lambda: mc_two_ball_measure(3, 33.0, Uniform(), 20_000, seed=7, intensity=0.5),
+         198, 0.06686443443238578, 0.0047282682840733194),
+        (lambda: mc_two_ball_measure(4, 33.0, Uniform(), 20_000, seed=7, intensity=0.5),
+         18, 0.008143073272705078, 0.0019184768791725205),
     ],
-    ids=["stick-hit", "cap-hit", "two-ball"],
+    ids=["stick-hit", "cap-hit", "two-ball", "two-ball-d3", "two-ball-d4"],
 )
 def test_chunked_estimates_pinned(monkeypatch, estimate, hits, value, stderr):
     monkeypatch.setattr(measures, "_MC_CHUNK", 7_777)

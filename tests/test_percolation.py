@@ -626,6 +626,21 @@ class TestCrossingProbability:
         with pytest.raises(error):
             crossing_probability(2, 8.0, intensity, Uniform(), 64.0, 4, seed=5, workers=2)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_law_of_another_dimension_rejected_before_sampling_or_pool(self, monkeypatch, workers):
+        # refused by the probe-input checks, not met in the sampler's
+        # normalising after a pool has started
+        def pool(*args):
+            raise AssertionError("started a pool")
+
+        self.refuse_sampling(monkeypatch)
+        monkeypatch.setattr(percolation, "_replicate_pool", pool)
+        law = Rigid(np.array([0.0, 1.0]))
+        with pytest.raises(DomainError, match="rigid axis dimension does not match d"):
+            crossing_probability(3, 8.0, 0.01, law, 80.0, 10, 1, workers=workers)
+        with pytest.raises(DomainError, match="rigid axis dimension does not match d"):
+            estimate_threshold(3, 8.0, law, 80.0, replicates=10, seed=1, workers=workers)
+
     @pytest.mark.parametrize("side", [math.inf, math.nan])
     def test_non_finite_side_rejected_before_sampling_or_pool(self, monkeypatch, side):
         # named as the window side, not met as an infinite Poisson mean

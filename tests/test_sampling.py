@@ -12,6 +12,7 @@ from stickperc.sampling import (
     BoxRegion,
     Rigid,
     Uniform,
+    place_sticks,
     poisson_count,
     poisson_sticks,
     sample_window_configuration,
@@ -226,6 +227,22 @@ class TestPoissonSticks:
         for (c, u), (ref_c, ref_u) in zip(self.per_stream(centers, dirs, counts), expected):
             assert np.array_equal(c, ref_c) and np.array_equal(u, ref_u)
         assert [rng.random() for rng in streams] == [rng.random() for rng in references]
+
+    @pytest.mark.parametrize("n", [0, 1, 500])
+    @pytest.mark.parametrize("law_tag", ["uniform", "rigid"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_placement_is_uniform_centres_then_directions(self, d, law_tag, n):
+        # one stream's placement is, bit for bit, uniform(low, high) centres
+        # and then the law's directions, the pair the offspring and two-ball
+        # Monte Carlo drew by hand, and leaves the stream where that pair does
+        law = Uniform() if law_tag == "uniform" else Rigid(np.arange(1.0, d + 1.0))
+        box = BoxRegion(np.linspace(-3.0, 2.0, d), np.linspace(4.5, 30.0, d))
+        rng, reference = substream(11, d), substream(11, d)
+        centers, dirs = place_sticks(d, law, box, [rng], [n])
+        assert centers.shape == dirs.shape == (n, d)
+        assert np.array_equal(centers, reference.uniform(box.low, box.high, size=(n, d)))
+        assert np.array_equal(dirs, law.sample_directions(reference, d, n))
+        assert rng.random() == reference.random()
 
     def test_zero_norm_direction_redrawn_from_its_own_stream(self):
         # stream 1's redraw of two rows zeroes one again, so it draws a

@@ -1,21 +1,44 @@
 """The ``stickperc verify`` registry under pytest: every check of every
 suite at suite seeds 1-6, the seeds the benchmark's verify workload runs."""
 
+import functools
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from stickperc import verify
 from stickperc.rng import substream
 
+SEEDS = range(1, 7)
 
-@pytest.mark.parametrize("seed", range(1, 7))
+
+@functools.cache
+def suite_checks(suite, seed):
+    return verify.SUITES[suite](seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("suite", list(verify.SUITES))
 def test_every_check_passes(suite, seed):
-    checks = verify.SUITES[suite](seed)
+    checks = suite_checks(suite, seed)
     # ``stickperc verify`` dumps these fields as JSON, which takes no numpy bool
     assert all(type(c.passed) is bool and type(c.detail) is str for c in checks), checks
     failed = [f"{c.name}: {c.detail}" for c in checks if not c.passed]
     assert not failed, failed
+
+
+def test_registry_digest_pinned():
+    # the checks laid out and hashed as the benchmark's verify workload
+    # records one pass, so a change that moves any check's draws or detail
+    # fails here; one that moves them on purpose re-pins this digest
+    checks = [[seed, c.name, c.passed, c.detail] for seed in SEEDS for suite in verify.SUITES
+              for c in suite_checks(suite, seed)]
+    text = json.dumps([{"checks": checks}], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c79b0fab9ed8c58819ad4054fbefcb7424c31f1619321adf94f90fa598c66f0a"
+    )
 
 
 @pytest.mark.parametrize("n_cases", [1, 6_000, 10_000, 23_456])
