@@ -12,13 +12,11 @@ from .errors import (
     CapacityExceeded,
     DegenerateDesign,
     DomainError,
-    InsufficientTrials,
     ParallelLines,
     PreconditionViolated,
     StickPercError,
 )
 from .geometry import (
-    Segment,
     line_line_distance_profile,
     line_line_t_min,
     min_distance_outside_window,

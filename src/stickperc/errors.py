@@ -21,10 +21,6 @@ class CapacityExceeded(StickPercError):
     """Requested Poisson sample would be unreasonably large."""
 
 
-class InsufficientTrials(StickPercError):
-    """Monte Carlo routine called with too few trials."""
-
-
 class BracketFailure(StickPercError):
     """Threshold search failed to bracket the crossing-frequency 1/2 point."""
 

@@ -15,8 +15,6 @@ bit.  For d >= 7 the last bit may differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, ParallelLines, PreconditionViolated
@@ -25,40 +23,7 @@ from .errors import DomainError, ParallelLines, PreconditionViolated
 # radius-1 sticks is the constant 2.
 INTERSECT_THRESHOLD = 2.0
 
-_UNIT_TOL = 1e-12
 _PARALLEL_TOL = 1e-12
-
-
-def check_unit(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if abs(float(np.linalg.norm(p)) - 1.0) > _UNIT_TOL:
-        raise DomainError("direction vector is not unit length")
-    return p
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Line segment center + t*direction for t in [-length/2, length/2]."""
-
-    center: np.ndarray
-    direction: np.ndarray
-    length: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        object.__setattr__(self, "direction", check_unit(self.direction))
-        if not (self.length > 0.0) or not np.isfinite(self.length):
-            raise DomainError("segment length must be positive and finite")
-        if not np.all(np.isfinite(self.center)):
-            raise DomainError("segment center must be finite")
-        if self.center.shape != self.direction.shape or self.center.ndim != 1:
-            raise DomainError("center and direction must be 1-d arrays of equal dimension")
-        if self.center.shape[0] < 2:
-            raise DomainError("dimension must be at least 2")
-
-    @property
-    def half(self) -> float:
-        return 0.5 * self.length
 
 
 def _dot(a, b):

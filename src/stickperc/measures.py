@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InsufficientTrials, PreconditionViolated
+from .errors import DomainError, PreconditionViolated
 from .geometry import segments_hit_ball
 from .rng import substream
 from .sampling import BoxRegion, OrientationLaw, Rigid, Uniform, check_density_floor, check_intensity, place_sticks
@@ -280,11 +280,9 @@ class ConstructionGeometry:
         center[1] = u[1] * self.spacing
         return center
 
-    def box_low(self, u) -> np.ndarray:
-        return self.box_center(u) - self.half_side
-
-    def box_high(self, u) -> np.ndarray:
-        return self.box_center(u) + self.half_side
+    def box(self, u) -> BoxRegion:
+        c = self.box_center(u)
+        return BoxRegion(c - self.half_side, c + self.half_side)
 
     def right_face_center(self, u) -> np.ndarray:
         c = self.box_center(u)
@@ -333,7 +331,7 @@ def _mc_fraction(trials: int, seed: int, stream: int, scale: float, count_hits) 
     estimator's own measure substream and returns how many hit; it is called
     on batches of at most ``_MC_CHUNK`` draws, to bound memory."""
     if trials < 1:
-        raise InsufficientTrials("need at least one trial")
+        raise DomainError("need at least one trial")
     rng = substream(seed, _STREAM_MEASURE_MC, stream)
     hits = sum(count_hits(rng, min(_MC_CHUNK, trials - done)) for done in range(0, trials, _MC_CHUNK))
     p = hits / trials
@@ -430,7 +428,7 @@ def mc_two_ball_measure(
         raise PreconditionViolated("law must have a positive density floor")
     gamma = geom.box_center((-2, 0))
     zeta = geom.right_face_center((0, 0))
-    box = BoxRegion(geom.box_low((-1, 0)), geom.box_high((-1, 0)))
+    box = geom.box((-1, 0))
     volume = box.volume
     if not math.isfinite(volume):
         raise DomainError(f"construction box volume overflows at L = {length}")

@@ -446,18 +446,17 @@ def crossing_probability(
     seed: int,
     axis: int = 0,
     workers: int = 1,
-    probe_id: int = 0,
 ) -> CrossingStats:
     """Fraction of independent window configurations with a crossing, with a
     Wilson 95% interval.  Replicate substreams depend only on (seed,
-    probe_id, replicate), so the result is worker-count independent; more
-    than the stick guard's 5e5 are refused.  The inputs, the intensity
-    among them, are checked before any replicate is sampled or a pool
-    started."""
+    replicate), as those of an estimate's first probe, so the result is
+    worker-count independent; more than the stick guard's 5e5 are refused.
+    The inputs, the intensity among them, are checked before any replicate
+    is sampled or a pool started."""
     _check_probe_inputs(d, law, side, replicates, axis, workers)
     check_window_intensity(intensity, sampling_box(BoxRegion.cube(d, side), length))
     with _replicate_pool(workers) as executor:
-        return _probe(executor, d, length, intensity, law, side, replicates, seed, axis, probe_id)
+        return _probe(executor, d, length, intensity, law, side, replicates, seed, axis, 0)
 
 
 @dataclass(frozen=True)

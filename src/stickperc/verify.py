@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import branching, geometry, measures, oriented
-from .geometry import Segment
 from .rng import substream
 from .sampling import Rigid, Uniform
 
@@ -46,8 +45,10 @@ def random_segments(rng, dims, spread, lengths):
     return centers, random_units(rng, dims), rng.uniform(*lengths, dims.size)
 
 
-def grid_segment_distance(a: Segment, b: Segment, steps: int) -> float:
-    """Parameter-grid minimum distance between two segments.
+def grid_segment_distance(ca, da, la, cb, db, lb, steps: int) -> float:
+    """Parameter-grid minimum distance between two segments, given as the
+    rows ``segment_distance_arrays`` takes: centers, unit directions and
+    lengths.
 
     The minimum of ||u + t p - tau q|| over a steps x steps grid on the full
     parameter rectangle; an upper bound on the true minimum, tight to O(grid
@@ -56,12 +57,12 @@ def grid_segment_distance(a: Segment, b: Segment, steps: int) -> float:
     grid minimum lies at one of the two grid points around that vertex, and
     only those are evaluated.
     """
-    t = np.linspace(-a.half, a.half, steps)
-    tau = np.linspace(-b.half, b.half, steps)
-    u = a.center - b.center
-    c = float(a.direction @ b.direction)
-    up = float(u @ a.direction)
-    uq = float(u @ b.direction)
+    t = np.linspace(-0.5 * la, 0.5 * la, steps)
+    tau = np.linspace(-0.5 * lb, 0.5 * lb, steps)
+    u = ca - cb
+    c = float(da @ db)
+    up = float(u @ da)
+    uq = float(u @ db)
     uu = float(u @ u)
     right = np.clip(np.searchsorted(tau, c * t + uq), 1, steps - 1)
     near = tau[np.stack([right - 1, right], axis=1)]
@@ -76,8 +77,7 @@ def grid_oracle_errors(a, b, steps: int) -> np.ndarray:
     closed = geometry.segment_distance_arrays(*a, *b)
     rows = np.flatnonzero(closed >= 0.1)
     return np.array([
-        abs(closed[i] - grid_segment_distance(Segment(*(v[i] for v in a)), Segment(*(v[i] for v in b)), steps))
-        for i in rows
+        abs(closed[i] - grid_segment_distance(*(v[i] for v in a), *(v[i] for v in b), steps)) for i in rows
     ])
 
 

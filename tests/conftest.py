@@ -18,7 +18,7 @@ import pytest
 
 from stickperc import percolation
 from stickperc.errors import DomainError
-from stickperc.geometry import _PARALLEL_TOL, Segment
+from stickperc.geometry import _PARALLEL_TOL
 from stickperc.rng import substream
 from stickperc.sampling import _STREAM_CONFIG, Configuration, Rigid, poisson_sticks
 from stickperc.verify import grid_segment_distance  # noqa: F401
@@ -152,8 +152,9 @@ def _clamped_minimizer(numer: float, denom: float, half: float) -> float:
     return min(max(t, -half), half)
 
 
-def segment_segment_distance(a: Segment, b: Segment) -> float:
-    """Minimum distance between two segments.
+def segment_segment_distance(ca, da, la, cb, db, lb) -> float:
+    """Minimum distance between two segments, given as the rows
+    ``segment_distance_arrays`` takes: centers, unit directions, lengths.
 
     Takes the best of the unconstrained two-line minimizer when it lies in
     the parameter box, its clamped projections into the box (the start of
@@ -161,12 +162,11 @@ def segment_segment_distance(a: Segment, b: Segment) -> float:
     the box.  The winning parameter pair is evaluated directly on the
     difference vector, which stays accurate when the segments nearly touch.
     """
-    u = a.center - b.center
-    p, q = a.direction, b.direction
-    up = float(u @ p)
-    uq = float(u @ q)
-    c = float(p @ q)
-    ha, hb = a.half, b.half
+    u = ca - cb
+    up = float(u @ da)
+    uq = float(u @ db)
+    c = float(da @ db)
+    ha, hb = 0.5 * la, 0.5 * lb
 
     candidates: list[tuple[float, float]] = []
     denom = 1.0 - c * c
@@ -193,7 +193,7 @@ def segment_segment_distance(a: Segment, b: Segment) -> float:
     for t, tau in candidates:
         # grouping keeps the evaluation exactly antisymmetric under swapping
         # the two segments, so the distance is symmetric to the last bit
-        diff = u + (t * p - tau * q)
+        diff = u + (t * da - tau * db)
         best = min(best, float(diff @ diff))
     return math.sqrt(max(best, 0.0))
 
@@ -223,15 +223,15 @@ def einsum_segment_distance(ca, da, la, cb, db, lb):
     return np.sqrt(np.einsum("...i,...i->...", diff, diff))
 
 
-def full_grid_segment_distance(a: Segment, b: Segment, steps: int) -> float:
+def full_grid_segment_distance(ca, da, la, cb, db, lb, steps: int) -> float:
     """``grid_segment_distance`` evaluated on every point of the steps x
     steps grid, with the same arithmetic per point."""
-    t = np.linspace(-a.half, a.half, steps)
-    tau = np.linspace(-b.half, b.half, steps)
-    u = a.center - b.center
-    c = float(a.direction @ b.direction)
-    up = float(u @ a.direction)
-    uq = float(u @ b.direction)
+    t = np.linspace(-0.5 * la, 0.5 * la, steps)
+    tau = np.linspace(-0.5 * lb, 0.5 * lb, steps)
+    u = ca - cb
+    c = float(da @ db)
+    up = float(u @ da)
+    uq = float(u @ db)
     uu = float(u @ u)
     f = (t * t + 2.0 * t * up)[:, None] + (tau * tau - 2.0 * tau * uq)[None, :] - 2.0 * c * t[:, None] * tau + uu
     return float(np.sqrt(max(float(f.min()), 0.0)))

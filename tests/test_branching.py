@@ -13,14 +13,14 @@ from stickperc.branching import (
 )
 from stickperc.errors import CapacityExceeded, DomainError
 from conftest import segment_segment_distance
-from stickperc.geometry import Segment
 from stickperc.measures import gw_offspring_bound, stick_hit_volume, theorem_bounds
 from stickperc.sampling import Rigid, Uniform
 from stickperc.rng import substream
 
 
 def typical_stick(d, L, law):
-    return Segment(*_seed_stick(d, L, law), L)
+    # (center, direction, length), the rows segment_distance_arrays takes
+    return (*_seed_stick(d, L, law), L)
 
 
 class TestSeedStick:
@@ -61,13 +61,12 @@ class TestOffspringBox:
         rng = substream(5)
         d, L = 3, 7.0
         seed_stick = typical_stick(d, L, Uniform())
-        box = offspring_box(seed_stick.center, seed_stick.direction, L)
+        box = offspring_box(*seed_stick)
         for _ in range(3000):
             center = rng.uniform(-L - 8.0, L + 8.0, d)
             direction = rng.standard_normal(d)
             direction /= np.linalg.norm(direction)
-            other = Segment(center, direction, L)
-            if segment_segment_distance(seed_stick, other) <= 2.0:
+            if segment_segment_distance(*seed_stick, center, direction, L) <= 2.0:
                 assert np.all((center >= box.low) & (center <= box.high))
 
 
@@ -110,7 +109,7 @@ class TestOffspringMeanMC:
         # end of the block; replay the same draws and count trial by trial
         L, trials = 10.0, 20
         seg = typical_stick(2, L, Uniform())
-        box = offspring_box(seg.center, seg.direction, L)
+        box = offspring_box(*seg)
         lam = 1.5 / box.volume
         for seed in range(200):
             est = offspring_mean_mc(2, L, lam, Uniform(), trials, seed=seed)
@@ -120,8 +119,8 @@ class TestOffspringMeanMC:
             dirs = Uniform().sample_directions(rng, 2, len(centers))
             oracle, k = [], 0
             for c in counts:
-                sticks = [Segment(centers[i], dirs[i], L) for i in range(k, k + c)]
-                oracle.append(sum(segment_segment_distance(seg, s) <= 2.0 for s in sticks))
+                hits = (segment_segment_distance(*seg, centers[i], dirs[i], L) <= 2.0 for i in range(k, k + c))
+                oracle.append(sum(hits))
                 k += c
             assert list(est.samples) == oracle, seed
 

@@ -333,13 +333,16 @@ class TestInvalidInput:
              "L must be positive and finite, got L = nan"),
             (["branching", "--d", "2", "--L", "10", "--lambda", "0.05", "--trials", "1"],
              "at least two trials"),
+            (["measure-mc", "--d", "2", "--trials", "0"], "at least one trial"),
+            (["oriented", "--alpha", "0.7", "--trials", "0"], "must be positive"),
         ],
         ids=[
             "bounds-L-overflow", "threshold-L-overflow", "bounds-L-underflow", "bounds-delta-inf",
             "bounds-delta-tiny", "measure-mc-delta-nan", "measure-mc-delta-inf",
             "measure-mc-delta-negative", "bounds-rigid-delta-inf", "bounds-uniform-delta-negative",
             "bounds-density-delta-above-1", "measure-mc-delta-above-1", "measure-mc-L-huge",
-            "measure-mc-L-inf", "measure-mc-L-nan", "branching-one-trial",
+            "measure-mc-L-inf", "measure-mc-L-nan", "branching-one-trial", "measure-mc-zero-trials",
+            "oriented-zero-trials",
         ],
     )
     def test_bracket_out_of_range_exits_2(self, capsys, argv, named):

@@ -17,7 +17,6 @@ from conftest import (
 )
 from stickperc.errors import DomainError, ParallelLines, PreconditionViolated
 from stickperc.geometry import (
-    Segment,
     line_line_distance_profile,
     line_line_t_min,
     min_distance_outside_window,
@@ -29,7 +28,8 @@ from stickperc.sampling import BoxRegion, Configuration, Rigid
 
 
 def seg(center, direction, length):
-    return Segment(np.asarray(center, float), np.asarray(direction, float), float(length))
+    # a stick as the rows segment_distance_arrays takes
+    return np.asarray(center, float), np.asarray(direction, float), float(length)
 
 
 def rand_segment(rng, d, scale=4.0, lmax=8.0):
@@ -37,11 +37,7 @@ def rand_segment(rng, d, scale=4.0, lmax=8.0):
 
 
 def batch_distance(a, b):
-    return float(
-        segment_distance_arrays(
-            a.center[None], a.direction[None], a.length, b.center[None], b.direction[None], b.length
-        )[0]
-    )
+    return float(segment_distance_arrays(*a, *b))
 
 
 class TestLineLineProfile:
@@ -178,12 +174,11 @@ class TestSegmentDistance:
         for _ in range(50):
             d = int(rng.integers(2, 6))
             a, b = rand_segment(rng, d), rand_segment(rng, d)
-            assert segment_segment_distance(a, b) == pytest.approx(segment_segment_distance(b, a), abs=0.0)
+            assert segment_segment_distance(*a, *b) == pytest.approx(segment_segment_distance(*b, *a), abs=0.0)
             dist = batch_distance(a, b)
             rot, _ = np.linalg.qr(rng.standard_normal((d, d)))
             shift = rng.normal(0, 10, d)
-            a2 = seg(rot @ a.center + shift, rot @ a.direction, a.length)
-            b2 = seg(rot @ b.center + shift, rot @ b.direction, b.length)
+            a2, b2 = (seg(rot @ center + shift, rot @ direction, length) for center, direction, length in (a, b))
             assert batch_distance(a2, b2) == pytest.approx(dist, abs=1e-9)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -196,7 +191,7 @@ class TestSegmentDistance:
             closed = batch_distance(a, b)
             if closed < 0.1:
                 continue
-            assert abs(closed - grid_segment_distance(a, b, steps=600)) <= 1e-3
+            assert abs(closed - grid_segment_distance(*a, *b, steps=600)) <= 1e-3
             done += 1
 
     def test_batch_matches_scalar(self):
@@ -204,17 +199,8 @@ class TestSegmentDistance:
         for d in (2, 3, 4):
             segs_a = [rand_segment(rng, d) for _ in range(200)]
             segs_b = [rand_segment(rng, d) for _ in range(200)]
-            batch = segment_distance_arrays(
-                np.array([s.center for s in segs_a]),
-                np.array([s.direction for s in segs_a]),
-                np.array([s.length for s in segs_a]),
-                np.array([s.center for s in segs_b]),
-                np.array([s.direction for s in segs_b]),
-                np.array([s.length for s in segs_b]),
-            )
-            scalar = np.array(
-                [segment_segment_distance(a, b) for a, b in zip(segs_a, segs_b)]
-            )
+            batch = segment_distance_arrays(*map(np.array, zip(*segs_a)), *map(np.array, zip(*segs_b)))
+            scalar = np.array([segment_segment_distance(*a, *b) for a, b in zip(segs_a, segs_b)])
             np.testing.assert_allclose(batch, scalar, atol=1e-9)
 
     @pytest.mark.parametrize("steps", [2, 3, 7, 40, 101])
@@ -226,7 +212,7 @@ class TestSegmentDistance:
             d = int(rng.integers(2, 6))
             a = rand_segment(rng, d, scale=3.0, lmax=5.0)
             b = rand_segment(rng, d, scale=3.0, lmax=5.0)
-            assert grid_segment_distance(a, b, steps) == full_grid_segment_distance(a, b, steps)
+            assert grid_segment_distance(*a, *b, steps) == full_grid_segment_distance(*a, *b, steps)
 
 
 def unit_rows(v):
@@ -373,7 +359,7 @@ class TestKernelProperties:
     @example(TILTED_NEAR_PARALLEL)
     def test_batch_matches_scalar(self, pair):
         a, b = pair
-        assert batch_distance(a, b) == pytest.approx(segment_segment_distance(a, b), abs=1e-9)
+        assert batch_distance(a, b) == pytest.approx(segment_segment_distance(*a, *b), abs=1e-9)
 
     @pytest.mark.parametrize("gap_factors", [st.floats(0.25, 0.95), st.floats(1.05, 4.0)],
                              ids=["below-tolerance", "above-tolerance"])
@@ -381,35 +367,36 @@ class TestKernelProperties:
     @given(data=st.data())
     def test_near_parallel_batch_matches_scalar(self, gap_factors, data):
         a, b = data.draw(near_parallel_pairs(gap_factors))
-        assert batch_distance(a, b) == pytest.approx(segment_segment_distance(a, b), abs=1e-9)
+        assert batch_distance(a, b) == pytest.approx(segment_segment_distance(*a, *b), abs=1e-9)
 
     @settings(max_examples=300, deadline=None)
     @given(tangent_pairs(), st.sampled_from([None, 1.0, 2.0, 3.0, 7.0, "rigid"]))
     def test_tangent_pairs_overlap(self, pair, cell):
-        a, b = pair
+        (ca, da, length), (cb, db, _) = pair
         if cell == "rigid":
             # 2 wide across the first stick: integer coordinates put the
             # touching edges exactly on cell boundaries
-            cell = tuned_cell_size(a.length, Rigid(a.direction))
-        assert batch_distance(a, b) == 2.0
-        centers = np.array([a.center, b.center])
-        dirs = np.array([a.direction, b.direction])
-        reach = a.length + 3.0
+            cell = tuned_cell_size(length, Rigid(da))
+        assert batch_distance(*pair) == 2.0
+        centers = np.array([ca, cb])
+        dirs = np.array([da, db])
+        reach = length + 3.0
         box = BoxRegion(centers.min(axis=0) - reach, centers.max(axis=0) + reach)
-        config = Configuration(a.length, box, centers, dirs)
+        config = Configuration(length, box, centers, dirs)
         first, second, _ = batch_clustering([config], cell=cell)
         assert list(zip(first.tolist(), second.tolist())) == [(0, 1)]
 
 
 def hits_ball(s, c, rho):
     # one row through the vectorized test
-    return bool(segments_hit_ball(s.center[None], s.direction[None], [s.half], c, rho)[0])
+    center, direction, length = s
+    return bool(segments_hit_ball(center[None], direction[None], [0.5 * length], c, rho)[0])
 
 
 class TestSegmentHitsBall:
     def test_center_inside(self):
         s = seg([1.0, 1.0], [1.0, 0.0], 10.0)
-        assert hits_ball(s, s.center, 0.5)
+        assert hits_ball(s, [1.0, 1.0], 0.5)
 
     def test_endpoint_out_of_reach(self):
         s = seg([0.0, 0.0], [1.0, 0.0], 10.0)
@@ -520,16 +507,3 @@ class TestMinDistanceOutsideWindow:
             # the window-defining pair is 5 apart, beyond 2
             min_distance_outside_window(np.array([5.0, 0.0]), q, np.zeros(2), p, 0.0, 0.0, 12.0)
 
-
-class TestSegmentValidation:
-    def test_non_unit_direction_rejected(self):
-        with pytest.raises(DomainError):
-            Segment(np.zeros(2), np.array([1.0, 1.0]), 2.0)
-
-    def test_nonpositive_length_rejected(self):
-        with pytest.raises(DomainError):
-            Segment(np.zeros(2), np.array([1.0, 0.0]), 0.0)
-
-    def test_dimension_one_rejected(self):
-        with pytest.raises(DomainError):
-            Segment(np.zeros(1), np.array([1.0]), 2.0)

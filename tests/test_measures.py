@@ -5,7 +5,7 @@ import pytest
 import scipy.special
 
 from stickperc import measures
-from stickperc.errors import DomainError, InsufficientTrials, PreconditionViolated
+from stickperc.errors import DomainError, PreconditionViolated
 from stickperc.measures import (
     ConstructionGeometry,
     ball_volume,
@@ -258,8 +258,8 @@ class TestOffspringBound:
 class TestConstructionGeometry:
     def test_boxes_disjoint(self):
         geom = ConstructionGeometry(3, 600.0)
-        hi1 = geom.box_high((0, 0))
-        lo2 = geom.box_low((1, 0))
+        hi1 = geom.box((0, 0)).high
+        lo2 = geom.box((1, 0)).low
         assert hi1[0] < lo2[0]
         # spacing L/4 exceeds the side L/(8 sqrt d)
         assert geom.spacing > 2.0 * geom.half_side
@@ -293,7 +293,7 @@ class TestConstructionGeometry:
 
 class TestTwoBallMeasure:
     def test_zero_trials_rejected(self):
-        with pytest.raises(InsufficientTrials):
+        with pytest.raises(DomainError, match="at least one trial"):
             mc_two_ball_measure(2, 256.0, Uniform(), 0, seed=1)
 
     def test_geometry_preconditions(self):
