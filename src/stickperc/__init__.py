@@ -52,7 +52,6 @@ from .percolation import (
     UnionFind,
     build_index,
     crossing_event,
-    crossing_probability,
     estimate_threshold,
     scaling_fit,
 )

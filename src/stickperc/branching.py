@@ -18,8 +18,8 @@ from .errors import CapacityExceeded, DomainError
 from .geometry import INTERSECT_THRESHOLD, segment_distance_arrays
 from .rng import substream
 from .sampling import (
-    _MAX_EXPECTED_COUNT, _MAX_POPULATION, BoxRegion, OrientationLaw, Rigid, check_expected_count, check_intensity,
-    check_law_dimension, place_sticks, poisson_sticks,
+    _MAX_EXPECTED_COUNT, _MAX_POPULATION, BoxRegion, OrientationLaw, Rigid, check_dim, check_expected_count,
+    check_intensity, check_law_dimension, check_length, place_sticks, poisson_sticks,
 )
 
 _STREAM_OFFSPRING = 0x0FF5
@@ -32,10 +32,8 @@ def _seed_stick(d: int, length: float, law: OrientationLaw) -> tuple[np.ndarray,
     process dominates: the laws are translation invariant and the uniform one
     is isotropic, so it is centered at 0 and lies along ``law.axis`` for a
     rigid law, along e_0 otherwise."""
-    if d < 2:
-        raise DomainError("dimension must be at least 2")
-    if not 0.0 < length < math.inf:
-        raise DomainError("stick length must be positive and finite")
+    d = check_dim(d)
+    check_length(length)
     check_law_dimension(law, d)
     return np.zeros(d), law.axis if isinstance(law, Rigid) else np.eye(d)[0]
 

@@ -19,13 +19,13 @@ import numpy as np
 from . import branching, measures, oriented, percolation, verify
 from .errors import DomainError, StickPercError
 from .percolation import replicate_seeds
-from .sampling import Rigid, Uniform
+from .sampling import Rigid, Uniform, check_dim
 
 SCHEMA_VERSION = 1
 
 
 def _law_object(tag: str, d: int):
-    d = measures._check_dim(d)
+    d = check_dim(d)
     if tag == "uniform":
         return Uniform()
     if tag == "rigid":

@@ -18,7 +18,10 @@ import numpy as np
 from .errors import DomainError, PreconditionViolated
 from .geometry import segments_hit_ball
 from .rng import substream
-from .sampling import BoxRegion, OrientationLaw, Rigid, Uniform, check_density_floor, check_intensity, place_sticks
+from .sampling import (
+    BoxRegion, OrientationLaw, Rigid, Uniform, check_density_floor, check_dim, check_intensity, check_length,
+    place_sticks,
+)
 
 _STREAM_MEASURE_MC = 0x3EA5
 _MC_CHUNK = 1_000_000  # Monte Carlo draws per batch, to bound memory
@@ -26,15 +29,9 @@ _MC_CHUNK = 1_000_000  # Monte Carlo draws per batch, to bound memory
 LAW_TAGS = ("uniform", "rigid", "density")
 
 
-def _check_dim(d: int) -> int:
-    if int(d) != d or d < 2:
-        raise DomainError("dimension must be an integer >= 2")
-    return int(d)
-
-
 def ball_volume(d: int, rho: float) -> float:
     """Volume of the d-dimensional ball of radius rho."""
-    d = _check_dim(d)
+    d = check_dim(d)
     if rho < 0.0:
         raise DomainError("radius must be nonnegative")
     if rho == 0.0:
@@ -46,7 +43,7 @@ def stick_hit_volume(d: int, length: float, rho: float) -> float:
     """Measure (per unit intensity) of segments of length ``length`` whose
     line segment hits a ball of radius rho: the volume of the radius-rho
     capsule, L * vol(B_{d-1}(rho)) + vol(B_d(rho))."""
-    d = _check_dim(d)
+    d = check_dim(d)
     if rho <= 0.0:
         raise DomainError("radius must be positive")
     if length < 0.0:
@@ -70,7 +67,7 @@ def cap_hit_probability_exact(d: int, rho: float, r: float) -> float:
     J(a + 1) = J(a) - c s^{2a} Gamma(a + 1/2) / (Gamma(a + 1) sqrt(pi))
     carries either one to a = (d-1)/2.
     """
-    d = _check_dim(d)
+    d = check_dim(d)
     if not (0.0 < rho < r):
         raise DomainError("need 0 < rho < r (point strictly outside the ball)")
     s = rho / r
@@ -89,7 +86,7 @@ def cap_hit_probability_exact(d: int, rho: float, r: float) -> float:
 def cap_hit_lower_bound(d: int, rho: float, r: float) -> float:
     """Closed-form lower bound Gamma(d/2)/(sqrt(pi) Gamma((d+1)/2)) (rho/r)^{d-1};
     always below ``cap_hit_probability_exact``."""
-    d = _check_dim(d)
+    d = check_dim(d)
     if not (0.0 < rho < r):
         raise DomainError("need 0 < rho < r")
     log_c = math.lgamma(0.5 * d) - 0.5 * math.log(math.pi) - math.lgamma(0.5 * (d + 1))
@@ -125,13 +122,13 @@ def _log_c_d_prime(d: int) -> float:
 def c_d(d: int) -> float:
     """Two-ball connection constant:
     2^{5(d-2)} pi^{d/2-2} (1/sqrt(d)) Gamma(d/2)^3 / Gamma(2d-1)."""
-    d = _check_dim(d)
+    d = check_dim(d)
     return _exp_constant(_log_c_d(d), "c_d", d)
 
 
 def c_d_prime(d: int) -> float:
     """Per-step success constant c_d / (1000 sqrt(d))^d."""
-    d = _check_dim(d)
+    d = check_dim(d)
     return _exp_constant(_log_c_d_prime(d), "c_d'", d)
 
 
@@ -155,7 +152,7 @@ def _law_tag(law) -> str:
 
 
 def lower_bound_constant(d: int, law) -> float:
-    d = _check_dim(d)
+    d = check_dim(d)
     tag = _law_tag(law)
     if tag == "rigid":
         log_value = math.lgamma(0.5 * (d + 1)) - d * math.log(2.0) - 0.5 * d * math.log(math.pi)
@@ -165,7 +162,7 @@ def lower_bound_constant(d: int, law) -> float:
 
 
 def upper_bound_constant(d: int, law, delta: float = 1.0) -> float:
-    d = _check_dim(d)
+    d = check_dim(d)
     tag = _law_tag(law)
     if tag == "rigid":
         log_value = (
@@ -180,7 +177,7 @@ def upper_bound_constant(d: int, law, delta: float = 1.0) -> float:
 
 def bound_validity_threshold(d: int, law, side: str) -> float:
     """Smallest L (exclusive) at which the theorem bound applies."""
-    d = _check_dim(d)
+    d = check_dim(d)
     if _law_tag(law) == "rigid":
         return 3.0 if side == "lower" else 10.0
     return math.pi if side == "lower" else 200.0 * math.sqrt(d)
@@ -196,12 +193,9 @@ def theorem_bounds(d: int, length: float, law, delta: float = 1.0, strict: bool 
     for every law, used or not.  A constant or bracket that leaves the
     positive floating-point range raises DomainError.
     """
-    d = _check_dim(d)
+    d = check_dim(d)
     tag = _law_tag(law)
-    if not math.isfinite(length):
-        raise DomainError(f"stick length must be finite, got L = {length}")
-    if not length > 0.0:
-        raise DomainError("stick length must be positive")
+    check_length(length)
     check_density_floor(delta)
     if tag == "uniform":
         delta = 1.0
@@ -236,7 +230,7 @@ def gw_offspring_bound(d: int, length: float, intensity: float, law) -> float:
     """Closed-form upper bound on the expected number of sticks hitting a
     fixed stick (the branching-process offspring mean); valid where the
     lower bound is."""
-    d = _check_dim(d)
+    d = check_dim(d)
     tag = _law_tag(law)
     threshold = bound_validity_threshold(d, tag, "lower")
     if not length > threshold:
@@ -262,7 +256,7 @@ class ConstructionGeometry:
     lattice_spacing = 12.0
 
     def __post_init__(self):
-        _check_dim(self.d)
+        check_dim(self.d)
         if not 0.0 < self.length < math.inf:
             raise DomainError(f"L must be positive and finite, got L = {self.length}")
 
@@ -298,7 +292,7 @@ def lattice_T_count(d: int, length: float) -> int:
     side L/(16 sqrt d) - 16, so each axis holds the same multiples of the
     lattice spacing 12.
     """
-    d = _check_dim(d)
+    d = check_dim(d)
     threshold = bound_validity_threshold(d, "uniform", "upper")
     if not length > threshold:
         raise PreconditionViolated(f"lattice count requires L > {threshold:.6g}")
@@ -311,7 +305,7 @@ def lattice_T_count(d: int, length: float) -> int:
 
 def lattice_T_count_bound(d: int, length: float) -> float:
     """Closed-form lower bound (L/(96 sqrt d) - 4)^{d-1} for the count."""
-    d = _check_dim(d)
+    d = check_dim(d)
     return (length / (96.0 * math.sqrt(d)) - 4.0) ** (d - 1)
 
 
@@ -354,7 +348,7 @@ def mc_stick_hit_volume(
     centers whose segment can reach the ball; the estimate is box volume
     times hit fraction.
     """
-    d = _check_dim(d)
+    d = check_dim(d)
     if rho <= 0.0 or length <= 0.0:
         raise DomainError("need positive rho and length")
     half_t = 0.5 * length + rho
@@ -383,7 +377,7 @@ def mc_cap_hit_probability(
     point at distance r, draw uniform orientations, and test the actual
     segment-ball hit with a segment long enough to satisfy the reach
     condition."""
-    d = _check_dim(d)
+    d = check_dim(d)
     if not (0.0 < rho < r):
         raise DomainError("need 0 < rho < r")
     length = 2.0 * (r + rho + 1.0)
@@ -419,7 +413,7 @@ def mc_two_ball_measure(
     in D^{(-1,0)}; the estimate is intensity * Vol(D) * hit fraction, to be
     compared against intensity * delta * c_d * L^{2-d}.
     """
-    d = _check_dim(d)
+    d = check_dim(d)
     check_intensity(intensity)
     geom = ConstructionGeometry(d, length)
     if not length > 32.0:
@@ -443,5 +437,5 @@ def mc_two_ball_measure(
 
 def two_ball_lower_bound(d: int, length: float, delta: float, intensity: float = 1.0) -> float:
     """The two-ball lemma lower bound intensity * delta * c_d * L^{2-d}."""
-    d = _check_dim(d)
+    d = check_dim(d)
     return check_intensity(intensity) * check_density_floor(delta) * c_d(d) * float(length) ** (2 - d)

@@ -10,8 +10,8 @@ its own cells; a single configuration is a batch of one.  A probe cuts its
 replicates into batches once, and each batch is one task, in process or on
 a pool, sampled in one ``poisson_sticks`` pass straight into its rows, so
 no replicate builds a ``Configuration`` or is copied again.  On top of that
-sit the crossing-probability estimator, a stochastic bisection for the
-threshold intensity, and the log-log scaling fit; the last two share one
+sit a stochastic bisection for the threshold intensity, whose probes are
+the crossing curve it read, and the log-log scaling fit; the two share one
 weighted least-squares line.
 
 The pipeline moves its arrays with ``take`` on index arrays and filters
@@ -277,21 +277,6 @@ def _check_axis(axis: int, d: int) -> None:
         raise DomainError(f"axis must be in [0, {d}), got {axis}")
 
 
-def _check_probe_inputs(d: int, law, side: float, replicates: int, axis: int, workers: int) -> None:
-    """The checks on a probe's law (or its tag), window side, replicates,
-    axis and workers."""
-    check_law_dimension(law, d)
-    if not math.isfinite(side):
-        raise DomainError(f"window side must be finite, got side = {side}")
-    if replicates < 1:
-        raise DomainError("need at least one replicate")
-    if replicates > _MAX_EXPECTED_COUNT:
-        raise CapacityExceeded(f"{replicates} replicates exceed guard of {_MAX_EXPECTED_COUNT:.3g}")
-    _check_axis(axis, d)
-    if workers < 1:
-        raise DomainError("workers must be at least 1")
-
-
 def _batch_crossings(
     centers: np.ndarray,
     dirs: np.ndarray,
@@ -436,29 +421,6 @@ def _probe(
     )
 
 
-def crossing_probability(
-    d: int,
-    length: float,
-    intensity: float,
-    law: OrientationLaw,
-    side: float,
-    replicates: int,
-    seed: int,
-    axis: int = 0,
-    workers: int = 1,
-) -> CrossingStats:
-    """Fraction of independent window configurations with a crossing, with a
-    Wilson 95% interval.  Replicate substreams depend only on (seed,
-    replicate), as those of an estimate's first probe, so the result is
-    worker-count independent; more than the stick guard's 5e5 are refused.
-    The inputs, the intensity among them, are checked before any replicate
-    is sampled or a pool started."""
-    _check_probe_inputs(d, law, side, replicates, axis, workers)
-    check_window_intensity(intensity, sampling_box(BoxRegion.cube(d, side), length))
-    with _replicate_pool(workers) as executor:
-        return _probe(executor, d, length, intensity, law, side, replicates, seed, axis, 0)
-
-
 @dataclass(frozen=True)
 class ThresholdEstimate:
     d: int
@@ -530,11 +492,20 @@ def check_threshold_inputs(
     law or its tag, the first probe's expected stick count among them;
     returns the theorem bracket its walk starts from."""
     bounds = theorem_bounds(d, length, law, strict=False)
-    if not side >= 8.0 * length:
+    check_law_dimension(law, d)
+    if not math.isfinite(side):
+        raise DomainError(f"window side must be finite, got side = {side}")
+    if side < 8.0 * length:
         raise PreconditionViolated("window side must be at least 8 L")
     if max_bisect < 0:
         raise DomainError("max_bisect must be nonnegative")
-    _check_probe_inputs(d, law, side, replicates, axis, workers)
+    if replicates < 1:
+        raise DomainError("need at least one replicate")
+    if replicates > _MAX_EXPECTED_COUNT:
+        raise CapacityExceeded(f"{replicates} replicates exceed guard of {_MAX_EXPECTED_COUNT:.3g}")
+    _check_axis(axis, d)
+    if workers < 1:
+        raise DomainError("workers must be at least 1")
     # the first probe draws at the lower bound in the sampler's box
     check_expected_count(bounds.lower * sampling_box(BoxRegion.cube(d, side), length).volume)
     return bounds

@@ -116,6 +116,22 @@ class Rigid(_DirectionLaw):
 OrientationLaw = Uniform | Rigid
 
 
+def check_dim(d: int) -> int:
+    """``d`` as an int; DomainError unless it is an integer >= 2."""
+    if int(d) != d or d < 2:
+        raise DomainError("dimension must be an integer >= 2")
+    return int(d)
+
+
+def check_length(length: float) -> float:
+    """``length`` itself; DomainError unless it is positive and finite."""
+    if not math.isfinite(length):
+        raise DomainError(f"stick length must be finite, got L = {length}")
+    if not length > 0.0:
+        raise DomainError("stick length must be positive")
+    return length
+
+
 def check_law_dimension(law, d: int) -> None:
     """DomainError if ``law`` is a rigid law whose axis does not live in
     dimension ``d``; any other law, or a law's tag, passes."""
@@ -281,9 +297,11 @@ def sample_window_configuration(
 ) -> Configuration:
     """Sample a Poisson stick configuration for the observation window
     [0, side]^d, its centers drawn in the window's ``sampling_box``: a
-    ``poisson_sticks`` batch of one stream."""
+    ``poisson_sticks`` batch of one stream, drawn only once ``d``, ``length``
+    and ``intensity`` pass their checks."""
+    d = check_dim(d)
     window = BoxRegion.cube(d, side)
-    box = sampling_box(window, length)
+    box = sampling_box(window, check_length(length))
     check_window_intensity(intensity, box)
     centers, dirs, _ = poisson_sticks(d, intensity, law, box, [substream(seed, _STREAM_CONFIG)])
     return Configuration(float(length), window, centers, dirs)

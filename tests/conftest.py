@@ -1,7 +1,7 @@
 """Shared brute-force oracles, a box sampler, the stacking of configurations
-into a batch's rows, a recorder of the batch clustering, reference bodies
-of rewritten kernels and the environment of a subprocess that runs this
-checkout, for the test suite.
+into a batch's rows, an estimate's first probe, a recorder of the batch
+clustering, reference bodies of rewritten kernels and the environment of a
+subprocess that runs this checkout, for the test suite.
 
 The oracles deliberately avoid the closed forms they check: grid scans for
 distance minimization, plain rejection counting for hit fractions, and a
@@ -76,6 +76,13 @@ def stacked_rows(configs):
 def batch_crossings(configs, axis=0, cell=None):
     """``percolation._batch_crossings`` on the batch of ``configs``."""
     return percolation._batch_crossings(*stacked_rows(configs), axis, cell)
+
+
+def probe(d, length, intensity, law, side, replicates, seed, axis=0, workers=1):
+    """``percolation._probe`` as ``estimate_threshold`` runs its first
+    probe, at ``intensity`` and on the pool ``workers`` asks for."""
+    with percolation._replicate_pool(workers) as executor:
+        return percolation._probe(executor, d, length, intensity, law, side, replicates, seed, axis, 0)
 
 
 def batch_clustering(configs, axis=0, cell=None):

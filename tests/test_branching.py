@@ -34,15 +34,19 @@ class TestSeedStick:
     @pytest.mark.parametrize(
         "d, length, law, message",
         [
-            (1, 10.0, Uniform(), "dimension must be at least 2"),
-            (1, 10.0, Rigid(np.array([1.0])), "dimension must be at least 2"),
-            (2, 0.0, Uniform(), "stick length must be positive and finite"),
-            (2, -3.0, Uniform(), "stick length must be positive and finite"),
-            (2, math.inf, Uniform(), "stick length must be positive and finite"),
-            (2, math.nan, Rigid(np.array([0.0, 1.0])), "stick length must be positive and finite"),
+            (1, 10.0, Uniform(), "dimension must be an integer >= 2"),
+            (1, 10.0, Rigid(np.array([1.0])), "dimension must be an integer >= 2"),
+            (2.5, 10.0, Uniform(), "dimension must be an integer >= 2"),
+            (2, 0.0, Uniform(), "stick length must be positive"),
+            (2, -3.0, Uniform(), "stick length must be positive"),
+            (2, math.inf, Uniform(), "stick length must be finite, got L = inf"),
+            (2, math.nan, Rigid(np.array([0.0, 1.0])), "stick length must be finite, got L = nan"),
             (3, 10.0, Rigid(np.array([0.0, 1.0])), "rigid axis dimension does not match d"),
         ],
-        ids=["d-1", "rigid-d-1", "zero-length", "negative-length", "infinite-length", "nan-length", "axis-2-in-d-3"],
+        ids=[
+            "d-1", "rigid-d-1", "d-2.5", "zero-length", "negative-length", "infinite-length", "nan-length",
+            "axis-2-in-d-3",
+        ],
     )
     def test_invalid_seed_refused_before_any_draw(self, monkeypatch, d, length, law, message):
         # a draw would need a stream; none is made

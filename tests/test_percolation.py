@@ -12,9 +12,9 @@ import scipy.sparse.csgraph
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import batch_clustering, batch_crossings, reference_index, reference_sticks, sample_configuration
+from conftest import batch_clustering, batch_crossings, probe, reference_index, reference_sticks, sample_configuration
 from stickperc import percolation
-from stickperc.errors import BracketFailure, CapacityExceeded, DegenerateDesign, DomainError, PreconditionViolated
+from stickperc.errors import BracketFailure, DegenerateDesign, DomainError, PreconditionViolated
 from stickperc.geometry import segment_distance_arrays
 from stickperc.measures import theorem_bounds
 from stickperc.rng import substream
@@ -23,7 +23,6 @@ from stickperc.percolation import (
     UnionFind,
     build_index,
     crossing_event,
-    crossing_probability,
     estimate_threshold,
     fit_weight,
     scaling_fit,
@@ -553,19 +552,19 @@ class TestBatchCrossings:
 
 class TestCrossingProbability:
     def test_extreme_intensities(self):
-        lo = crossing_probability(2, 8.0, 1e-5, Uniform(), 64.0, 10, seed=1)
+        lo = probe(2, 8.0, 1e-5, Uniform(), 64.0, 10, seed=1)
         assert lo.frequency == 0.0
-        hi = crossing_probability(2, 8.0, 0.5, Uniform(), 64.0, 10, seed=1)
+        hi = probe(2, 8.0, 0.5, Uniform(), 64.0, 10, seed=1)
         assert hi.frequency == 1.0
 
     def test_deterministic(self):
-        a = crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 30, seed=5)
-        b = crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 30, seed=5)
+        a = probe(2, 8.0, 0.04, Uniform(), 64.0, 30, seed=5)
+        b = probe(2, 8.0, 0.04, Uniform(), 64.0, 30, seed=5)
         assert a == b
 
     def test_workers_do_not_change_result(self):
-        a = crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 16, seed=5, workers=1)
-        b = crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 16, seed=5, workers=2)
+        a = probe(2, 8.0, 0.04, Uniform(), 64.0, 16, seed=5, workers=1)
+        b = probe(2, 8.0, 0.04, Uniform(), 64.0, 16, seed=5, workers=2)
         assert a == b
 
     @pytest.mark.parametrize("replicates", [7, 13, 24])
@@ -573,8 +572,8 @@ class TestCrossingProbability:
         # about 950 sticks a replicate, so batches of five: the last batch
         # is short (7, 13, 24), and two processes share the batches
         args = (2, 8.0, 0.033, Uniform(), 160.0, replicates)
-        a = crossing_probability(*args, seed=5, workers=1)
-        b = crossing_probability(*args, seed=5, workers=2)
+        a = probe(*args, seed=5, workers=1)
+        b = probe(*args, seed=5, workers=2)
         assert a == b
         configs = [sample_window_configuration(2, 8.0, 0.033, Uniform(), 160.0, s)
                    for s in percolation.replicate_seeds(5, 0, replicates)]
@@ -586,12 +585,12 @@ class TestCrossingProbability:
         # recorded before the pipeline gathered by take: a speed-up that
         # flips one edge, and so one crossing, shows here and not only in
         # the benchmark digests
-        uniform = crossing_probability(3, 8.0, 0.00507, Uniform(), 64.0, replicates=8, seed=20260810)
+        uniform = probe(3, 8.0, 0.00507, Uniform(), 64.0, replicates=8, seed=20260810)
         assert uniform.outcomes == (0, 1, 0, 1, 1, 0, 0, 1)
-        rigid = crossing_probability(2, 8.0, 0.08, Rigid(np.array([0.0, 1.0])), 64.0, replicates=16, seed=20260810)
+        rigid = probe(2, 8.0, 0.08, Rigid(np.array([0.0, 1.0])), 64.0, replicates=16, seed=20260810)
         assert rigid.outcomes == (1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 1, 1)
         # recorded before the batch moved to per-axis columns
-        planar = crossing_probability(2, 8.0, 0.033, Uniform(), 64.0, replicates=16, seed=20260810)
+        planar = probe(2, 8.0, 0.033, Uniform(), 64.0, replicates=16, seed=20260810)
         assert planar.outcomes == (0, 0, 0, 1, 0, 1, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1)
 
     @staticmethod
@@ -605,30 +604,11 @@ class TestCrossingProbability:
     def test_axis_out_of_range_rejected_before_sampling(self, monkeypatch, axis):
         self.refuse_sampling(monkeypatch)
         with pytest.raises(DomainError, match="axis"):
-            crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 4, seed=5, axis=axis)
-        with pytest.raises(DomainError, match="axis"):
             estimate_threshold(2, 8.0, Uniform(), 64.0, replicates=4, seed=5, axis=axis)
-
-    @pytest.mark.parametrize(
-        "intensity, error",
-        [(0.0, DomainError), (-0.04, DomainError), (math.nan, DomainError), (math.inf, DomainError),
-         (100.0, CapacityExceeded)],
-    )
-    def test_intensity_rejected_before_sampling_or_pool(self, monkeypatch, intensity, error):
-        # 100 sticks per unit area of the 74-wide sampling box expect
-        # 5.5e5 sticks a replicate, above the guard
-        def pool(*args, **kwargs):
-            raise AssertionError("started a pool")
-
-        self.refuse_sampling(monkeypatch)
-        monkeypatch.setattr(percolation, "ProcessPoolExecutor", pool)
-        monkeypatch.setattr(percolation.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        with pytest.raises(error):
-            crossing_probability(2, 8.0, intensity, Uniform(), 64.0, 4, seed=5, workers=2)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_law_of_another_dimension_rejected_before_sampling_or_pool(self, monkeypatch, workers):
-        # refused by the probe-input checks, not met in the sampler's
+        # refused by the estimate's input checks, not met in the sampler's
         # normalising after a pool has started
         def pool(*args):
             raise AssertionError("started a pool")
@@ -636,8 +616,6 @@ class TestCrossingProbability:
         self.refuse_sampling(monkeypatch)
         monkeypatch.setattr(percolation, "_replicate_pool", pool)
         law = Rigid(np.array([0.0, 1.0]))
-        with pytest.raises(DomainError, match="rigid axis dimension does not match d"):
-            crossing_probability(3, 8.0, 0.01, law, 80.0, 10, 1, workers=workers)
         with pytest.raises(DomainError, match="rigid axis dimension does not match d"):
             estimate_threshold(3, 8.0, law, 80.0, replicates=10, seed=1, workers=workers)
 
@@ -647,7 +625,7 @@ class TestCrossingProbability:
         self.refuse_sampling(monkeypatch)
         built = self.record_pools(monkeypatch, {0, 1})
         with pytest.raises(DomainError, match=f"window side must be finite, got side = {side}"):
-            crossing_probability(2, 8.0, 0.04, Uniform(), side, 4, seed=5, workers=2)
+            estimate_threshold(2, 8.0, Uniform(), side, replicates=4, seed=5, workers=2)
         assert built == []
 
     @pytest.mark.parametrize("law_tag", ["uniform", "rigid"])
@@ -668,7 +646,7 @@ class TestCrossingProbability:
 
         monkeypatch.setattr(percolation, "_batch_crossings", recording)
         seeds = percolation.replicate_seeds(5, 0, 13)
-        crossing_probability(d, 8.0, intensity, law, 64.0, 13, seed=5, workers=1)
+        probe(d, 8.0, intensity, law, 64.0, 13, seed=5, workers=1)
         assert [len(counts) for _, _, counts in seen] == [5, 5, 3]
         assert sum(seen[0][2]) > percolation._BATCH_STICKS
         columns = [(c, u) for centers, dirs, counts in seen
@@ -710,9 +688,9 @@ class TestCrossingProbability:
         # a pool starts all its processes at the first task, so a huge
         # --workers must not reach it; the recorder starts no process
         built = self.record_pools(monkeypatch, range(3))
-        a = crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 6, seed=5, workers=10_000)
+        a = probe(2, 8.0, 0.04, Uniform(), 64.0, 6, seed=5, workers=10_000)
         assert built == [(3, percolation._keep_freed_heap)]
-        assert a == crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 6, seed=5, workers=1)
+        assert a == probe(2, 8.0, 0.04, Uniform(), 64.0, 6, seed=5, workers=1)
 
     def test_pool_tasks_are_the_batches(self, monkeypatch):
         # 64 workers asked for on 2 CPUs: the pool of 2 is handed the
@@ -721,7 +699,7 @@ class TestCrossingProbability:
         built = self.record_pools(monkeypatch, {0, 1}, tasks)
         real = percolation._replicate_crossings
         monkeypatch.setattr(percolation, "_replicate_crossings", lambda task: batches.append(task[0]) or real(task))
-        a = crossing_probability(2, 8.0, 0.033, Uniform(), 64.0, 200, seed=5, workers=64)
+        a = probe(2, 8.0, 0.033, Uniform(), 64.0, 200, seed=5, workers=64)
         assert [size for size, _ in built] == [2]
         assert [s for seeds in tasks for s in seeds] == percolation.replicate_seeds(5, 0, 200)
         expected = 0.033 * percolation.sampling_box(BoxRegion.cube(2, 64.0), 8.0).volume
@@ -730,7 +708,7 @@ class TestCrossingProbability:
         assert 0 < len(tasks[-1]) <= size
         pooled = list(batches)
         batches.clear()
-        assert a == crossing_probability(2, 8.0, 0.033, Uniform(), 64.0, 200, seed=5, workers=1)
+        assert a == probe(2, 8.0, 0.033, Uniform(), 64.0, 200, seed=5, workers=1)
         assert pooled == tasks == batches
 
     @pytest.mark.parametrize("cpus, sizes", [({0}, []), ({0, 1}, [2])])
@@ -738,9 +716,9 @@ class TestCrossingProbability:
         # under taskset or a cpuset the affinity mask, not the machine,
         # bounds the pool; with one CPU the replicates run in process
         built = self.record_pools(monkeypatch, cpus)
-        a = crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 6, seed=5, workers=4)
+        a = probe(2, 8.0, 0.04, Uniform(), 64.0, 6, seed=5, workers=4)
         assert [size for size, _ in built] == sizes
-        assert a == crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 6, seed=5, workers=1)
+        assert a == probe(2, 8.0, 0.04, Uniform(), 64.0, 6, seed=5, workers=1)
 
     def test_estimate_shares_one_pool(self, monkeypatch):
         # every probe of an estimate runs on the one pool it opens
@@ -804,8 +782,8 @@ class TestWorkerHeap:
         # of the list, so only a call in this process would show here
         calls, _ = self.fake_libc(monkeypatch)
         monkeypatch.setattr(percolation.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 4, seed=5, workers=1)
-        crossing_probability(2, 8.0, 0.04, Uniform(), 64.0, 4, seed=5, workers=2)
+        probe(2, 8.0, 0.04, Uniform(), 64.0, 4, seed=5, workers=1)
+        probe(2, 8.0, 0.04, Uniform(), 64.0, 4, seed=5, workers=2)
         assert calls == []
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mallopt")

@@ -7,6 +7,7 @@ from conftest import reference_sticks, sample_configuration
 from stickperc.errors import CapacityExceeded, DomainError
 from stickperc.measures import stick_hit_volume
 from stickperc.geometry import segments_hit_ball
+from stickperc import sampling
 from stickperc.rng import derive_seed, substream
 from stickperc.sampling import (
     BoxRegion,
@@ -140,6 +141,36 @@ class TestConfiguration:
         assert np.all((c.centers >= -pad) & (c.centers <= 160.0 + pad))
         padded = sample_configuration(2, 16.0, 0.01, Uniform(), window.grown(pad), seed=3)
         assert np.array_equal(c.centers, padded.centers) and np.array_equal(c.dirs, padded.dirs)
+
+    @pytest.mark.parametrize(
+        "d, length, intensity, error, message",
+        [
+            (2, 8.0, 0.0, DomainError, "intensity must be positive"),
+            (2, 8.0, -0.04, DomainError, "intensity must be positive"),
+            (2, 8.0, math.nan, DomainError, "intensity must be positive"),
+            (2, 8.0, math.inf, DomainError, "poisson mean must be finite"),
+            # 100 sticks per unit area of the 74-wide sampling box expect
+            # 5.48e5 sticks, above the guard
+            (2, 8.0, 100.0, CapacityExceeded, "expected count 5.48e\\+05 exceeds guard"),
+            (1, 8.0, 0.04, DomainError, "dimension must be an integer >= 2"),
+            (2.5, 8.0, 0.04, DomainError, "dimension must be an integer >= 2"),
+            (2, 0.0, 0.04, DomainError, "stick length must be positive"),
+            (2, -1.0, 0.04, DomainError, "stick length must be positive"),
+            (2, math.nan, 0.04, DomainError, "stick length must be finite, got L = nan"),
+            (2, math.inf, 0.04, DomainError, "stick length must be finite, got L = inf"),
+        ],
+        ids=[
+            "0.0-DomainError", "-0.04-DomainError", "nan-DomainError", "inf-DomainError", "100.0-CapacityExceeded",
+            "d-1", "d-2.5", "zero-length", "negative-length", "nan-length", "infinite-length",
+        ],
+    )
+    def test_inputs_refused_before_sampling(self, monkeypatch, d, length, intensity, error, message):
+        def sample(*args):
+            raise AssertionError("sampled a configuration")
+
+        monkeypatch.setattr(sampling, "poisson_sticks", sample)
+        with pytest.raises(error, match=message):
+            sample_window_configuration(d, length, intensity, Uniform(), 64.0, seed=5)
 
     def test_thinning_consistency(self):
         # keeping each stick with probability 1/2 matches sampling at half
