@@ -19,7 +19,7 @@ from .geometry import INTERSECT_THRESHOLD, segment_distance_arrays
 from .rng import substream
 from .sampling import (
     _MAX_EXPECTED_COUNT, _MAX_POPULATION, BoxRegion, OrientationLaw, Rigid, check_dim, check_expected_count,
-    check_intensity, check_law_dimension, check_length, place_sticks, poisson_sticks,
+    check_intensity, check_law_dimension, check_length, check_runs, place_sticks, poisson_sticks,
 )
 
 _STREAM_OFFSPRING = 0x0FF5
@@ -27,15 +27,15 @@ _STREAM_GW = 0x6A17
 _STREAM_EXPLORE = 0xE821
 
 
-def _seed_stick(d: int, length: float, law: OrientationLaw) -> tuple[np.ndarray, np.ndarray]:
-    """Center and direction of the typical stick, whose cluster the branching
-    process dominates: the laws are translation invariant and the uniform one
-    is isotropic, so it is centered at 0 and lies along ``law.axis`` for a
-    rigid law, along e_0 otherwise."""
+def _seed_stick(d: int, length: float, law: OrientationLaw) -> tuple[int, np.ndarray, np.ndarray]:
+    """The checked ``d``, and the center and direction of the typical stick,
+    whose cluster the branching process dominates: the laws are translation
+    invariant and the uniform one is isotropic, so it is centered at 0 and
+    lies along ``law.axis`` for a rigid law, along e_0 otherwise."""
     d = check_dim(d)
     check_length(length)
     check_law_dimension(law, d)
-    return np.zeros(d), law.axis if isinstance(law, Rigid) else np.eye(d)[0]
+    return d, np.zeros(d), law.axis if isinstance(law, Rigid) else np.eye(d)[0]
 
 
 # any stick of length L intersecting a fixed stick has its center within
@@ -76,11 +76,10 @@ def offspring_mean_mc(
     intersecting sticks.  The standard error needs at least two trials; as
     each trial keeps its count, more than the stick guard's 5e5 are refused.
     """
-    center, direction = _seed_stick(d, length, law)
+    d, center, direction = _seed_stick(d, length, law)
     if trials < 2:
         raise DomainError("need at least two trials")
-    if trials > _MAX_EXPECTED_COUNT:
-        raise CapacityExceeded(f"{trials} trials exceed guard of {_MAX_EXPECTED_COUNT:.3g}")
+    check_runs(trials, "trials")
     box = offspring_box(center, direction, length)
     rng = substream(seed, _STREAM_OFFSPRING)
     mean_count = check_expected_count(check_intensity(intensity) * box.volume)
@@ -183,7 +182,7 @@ def component_exploration(
     individuals reproduce via fresh offspring draws around their own stick,
     so dominating sizes are pathwise at least the true generation sizes.
     """
-    seed_center, seed_dir = _seed_stick(d, length, law)
+    d, seed_center, seed_dir = _seed_stick(d, length, law)
     check_caps(max_generations, population_cap)
     rng = substream(seed, _STREAM_EXPLORE)
     radius = max_generations * (length + 4.0)

@@ -116,11 +116,16 @@ def _segment_distance(u, da, ha, db, hb) -> np.ndarray:
     return np.sqrt(_axis_dot(diff, diff))
 
 
+def check_radius(rho: float) -> None:
+    """DomainError unless the radius ``rho`` is positive and finite."""
+    if not 0.0 < rho < np.inf:
+        raise DomainError(f"radius must be positive and finite, got rho = {rho}")
+
+
 def segments_hit_ball(centers, dirs, half_lengths, c, rho: float) -> np.ndarray:
     """Which of the (n, d) segments (``centers``, ``dirs``, ``half_lengths``)
     come within distance ``rho`` of the point ``c``."""
-    if not rho > 0.0:
-        raise DomainError("ball radius must be positive")
+    check_radius(rho)
     centers = np.asarray(centers, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
     w = np.asarray(c, dtype=float) - centers

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionViolated
-from .geometry import segments_hit_ball
+from .geometry import check_radius, segments_hit_ball
 from .rng import substream
 from .sampling import (
     BoxRegion, OrientationLaw, Rigid, Uniform, check_density_floor, check_dim, check_intensity, check_length,
@@ -32,8 +32,8 @@ LAW_TAGS = ("uniform", "rigid", "density")
 def ball_volume(d: int, rho: float) -> float:
     """Volume of the d-dimensional ball of radius rho."""
     d = check_dim(d)
-    if rho < 0.0:
-        raise DomainError("radius must be nonnegative")
+    if not 0.0 <= rho < math.inf:
+        raise DomainError(f"radius must be finite and nonnegative, got rho = {rho}")
     if rho == 0.0:
         return 0.0
     return math.exp(0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0) + d * math.log(rho))
@@ -42,12 +42,11 @@ def ball_volume(d: int, rho: float) -> float:
 def stick_hit_volume(d: int, length: float, rho: float) -> float:
     """Measure (per unit intensity) of segments of length ``length`` whose
     line segment hits a ball of radius rho: the volume of the radius-rho
-    capsule, L * vol(B_{d-1}(rho)) + vol(B_d(rho))."""
+    capsule, L * vol(B_{d-1}(rho)) + vol(B_d(rho)), the ball's at L = 0."""
     d = check_dim(d)
-    if rho <= 0.0:
-        raise DomainError("radius must be positive")
-    if length < 0.0:
-        raise DomainError("length must be nonnegative")
+    check_radius(rho)
+    if not 0.0 <= length < math.inf:
+        raise DomainError(f"length must be finite and nonnegative, got L = {length}")
     cross_section = math.exp(
         0.5 * (d - 1) * math.log(math.pi) - math.lgamma(0.5 * (d + 1)) + (d - 1) * math.log(rho)
     )
@@ -183,6 +182,13 @@ def bound_validity_threshold(d: int, law, side: str) -> float:
     return math.pi if side == "lower" else 200.0 * math.sqrt(d)
 
 
+def check_bound_validity(d: int, length: float, law, side: str) -> None:
+    """PreconditionViolated unless ``length`` is in the ``side`` bound's range, L > its validity threshold."""
+    threshold = bound_validity_threshold(d, law, side)
+    if not length > threshold:
+        raise PreconditionViolated(f"{_law_tag(law)} {side} bound requires L > {threshold:.6g}, got L = {length:.6g}")
+
+
 def theorem_bounds(d: int, length: float, law, delta: float = 1.0, strict: bool = True) -> BoundsReport:
     """Evaluate the critical-intensity bracket for (d, L, law).
 
@@ -201,11 +207,7 @@ def theorem_bounds(d: int, length: float, law, delta: float = 1.0, strict: bool 
         delta = 1.0
     if strict:
         for side in ("lower", "upper"):
-            threshold = bound_validity_threshold(d, tag, side)
-            if not length > threshold:
-                raise PreconditionViolated(
-                    f"{tag} {side} bound requires L > {threshold:.6g}, got L = {length:.6g}"
-                )
+            check_bound_validity(d, length, tag, side)
     upper_constant = upper_bound_constant(d, tag, delta)
     exponent = 1.0 if tag == "rigid" else 2.0
     try:
@@ -230,13 +232,9 @@ def gw_offspring_bound(d: int, length: float, intensity: float, law) -> float:
     """Closed-form upper bound on the expected number of sticks hitting a
     fixed stick (the branching-process offspring mean); valid where the
     lower bound is."""
-    d = check_dim(d)
-    tag = _law_tag(law)
-    threshold = bound_validity_threshold(d, tag, "lower")
-    if not length > threshold:
-        raise PreconditionViolated(f"{tag} offspring bound requires L > {threshold:.6g}")
-    exponent = 1 if tag == "rigid" else 2
-    return intensity * length**exponent / lower_bound_constant(d, tag)
+    check_bound_validity(d, length, law, "lower")
+    exponent = 1 if _law_tag(law) == "rigid" else 2
+    return intensity * length**exponent / lower_bound_constant(d, law)
 
 
 @dataclass(frozen=True)
@@ -256,9 +254,8 @@ class ConstructionGeometry:
     lattice_spacing = 12.0
 
     def __post_init__(self):
-        check_dim(self.d)
-        if not 0.0 < self.length < math.inf:
-            raise DomainError(f"L must be positive and finite, got L = {self.length}")
+        object.__setattr__(self, "d", check_dim(self.d))
+        check_length(self.length)
 
     @property
     def half_side(self) -> float:
@@ -292,15 +289,12 @@ def lattice_T_count(d: int, length: float) -> int:
     side L/(16 sqrt d) - 16, so each axis holds the same multiples of the
     lattice spacing 12.
     """
-    d = check_dim(d)
-    threshold = bound_validity_threshold(d, "uniform", "upper")
-    if not length > threshold:
-        raise PreconditionViolated(f"lattice count requires L > {threshold:.6g}")
+    check_bound_validity(d, length, "uniform", "upper")
     geom = ConstructionGeometry(d, length)
     margin = geom.half_side - geom.face_inset
     if margin < 0.0:
         return 0
-    return (2 * math.floor(margin / geom.lattice_spacing + 1e-12) + 1) ** (d - 1)
+    return (2 * math.floor(margin / geom.lattice_spacing + 1e-12) + 1) ** (geom.d - 1)
 
 
 def lattice_T_count_bound(d: int, length: float) -> float:
@@ -349,8 +343,8 @@ def mc_stick_hit_volume(
     times hit fraction.
     """
     d = check_dim(d)
-    if rho <= 0.0 or length <= 0.0:
-        raise DomainError("need positive rho and length")
+    check_length(length)
+    check_radius(rho)
     half_t = 0.5 * length + rho
 
     def count_hits(rng, n):
@@ -438,4 +432,5 @@ def mc_two_ball_measure(
 def two_ball_lower_bound(d: int, length: float, delta: float, intensity: float = 1.0) -> float:
     """The two-ball lemma lower bound intensity * delta * c_d * L^{2-d}."""
     d = check_dim(d)
+    check_length(length)
     return check_intensity(intensity) * check_density_floor(delta) * c_d(d) * float(length) ** (2 - d)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityExceeded, DomainError
+from .errors import DomainError
 from .rng import combine_keys, derive_seed, mix_to_unit, substream
-from .sampling import _MAX_EXPECTED_COUNT
+from .sampling import check_runs
 from .stats import wilson_interval
 
 _STREAM_TRIAL = 0x0B5E
@@ -147,8 +147,7 @@ def _extinction_levels(trials: int, k: int, variant: str, n_max: int, batch_open
     """
     if trials < 1 or n_max < 1:
         raise DomainError("trials and n_max must be positive")
-    if trials * k > _MAX_EXPECTED_COUNT:
-        raise CapacityExceeded(f"{trials * k} runs exceed guard of {_MAX_EXPECTED_COUNT:.3g}")
+    check_runs(trials * k, "runs")
     width, offset = 2 * n_max + 4, n_max + 2
     size = max(1, _BATCH_RUNS // max(k, 1))
     levels = np.full(trials * k, -1, dtype=np.int64)

@@ -45,13 +45,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BracketFailure, CapacityExceeded, DegenerateDesign, DomainError, PreconditionViolated
+from .errors import BracketFailure, DegenerateDesign, DomainError, PreconditionViolated
 from .geometry import INTERSECT_THRESHOLD, _segment_distance
 from .measures import BoundsReport, theorem_bounds
 from .rng import derive_seed, substream
 from .sampling import (
-    _MAX_EXPECTED_COUNT, _STREAM_CONFIG, BoxRegion, Configuration, OrientationLaw, check_expected_count,
-    check_law_dimension, check_window_intensity, poisson_sticks, sampling_box,
+    _STREAM_CONFIG, BoxRegion, Configuration, OrientationLaw, check_expected_count, check_law_dimension,
+    check_runs, check_window_intensity, poisson_sticks, sampling_box,
 )
 from .stats import _Z95, wilson_interval
 
@@ -490,8 +490,9 @@ def check_threshold_inputs(
 ) -> BoundsReport:
     """The checks ``estimate_threshold`` makes before its first probe, for a
     law or its tag, the first probe's expected stick count among them;
-    returns the theorem bracket its walk starts from."""
+    returns the theorem bracket its walk starts from, with the checked d."""
     bounds = theorem_bounds(d, length, law, strict=False)
+    d = bounds.d
     check_law_dimension(law, d)
     if not math.isfinite(side):
         raise DomainError(f"window side must be finite, got side = {side}")
@@ -501,8 +502,7 @@ def check_threshold_inputs(
         raise DomainError("max_bisect must be nonnegative")
     if replicates < 1:
         raise DomainError("need at least one replicate")
-    if replicates > _MAX_EXPECTED_COUNT:
-        raise CapacityExceeded(f"{replicates} replicates exceed guard of {_MAX_EXPECTED_COUNT:.3g}")
+    check_runs(replicates, "replicates")
     _check_axis(axis, d)
     if workers < 1:
         raise DomainError("workers must be at least 1")
@@ -533,6 +533,7 @@ def estimate_threshold(
     every probe runs on one process pool.
     """
     bounds = check_threshold_inputs(d, length, law, side, replicates, axis, workers, max_bisect)
+    d = bounds.d
     probes: list[CrossingStats] = []
 
     with _replicate_pool(workers) as executor:

@@ -198,6 +198,13 @@ def check_expected_count(mean: float) -> float:
     return mean
 
 
+def check_runs(count: int, noun: str) -> None:
+    """CapacityExceeded if ``count`` is above the stick guard: the ``noun``
+    (replicates, trials or runs) of one estimate, each of which it keeps."""
+    if count > _MAX_EXPECTED_COUNT:
+        raise CapacityExceeded(f"{count} {noun} exceed guard of {_MAX_EXPECTED_COUNT:.3g}")
+
+
 def poisson_count(mean: float, stream: np.random.Generator) -> int:
     """One exact Poisson(mean) draw from the given stream.
 

@@ -20,16 +20,18 @@ from stickperc.rng import substream
 
 def typical_stick(d, L, law):
     # (center, direction, length), the rows segment_distance_arrays takes
-    return (*_seed_stick(d, L, law), L)
+    return (*_seed_stick(d, L, law)[1:], L)
 
 
 class TestSeedStick:
     def test_rigid_axis_else_first_unit_vector(self):
         axis = np.array([0.0, 0.0, 2.0])
-        center, direction = _seed_stick(3, 7.0, Rigid(axis))
+        d, center, direction = _seed_stick(3, 7.0, Rigid(axis))
         assert center.tolist() == [0.0, 0.0, 0.0] and direction.tolist() == [0.0, 0.0, 1.0]
-        center, direction = _seed_stick(4, 7.0, Uniform())
+        d, center, direction = _seed_stick(4.0, 7.0, Uniform())
         assert center.tolist() == [0.0] * 4 and direction.tolist() == [1.0, 0.0, 0.0, 0.0]
+        # the checked d, an int, for the callers to use
+        assert type(d) is int and d == 4
 
     @pytest.mark.parametrize(
         "d, length, law, message",

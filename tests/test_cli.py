@@ -330,7 +330,7 @@ class TestInvalidInput:
             (["measure-mc", "--d", "2", "--L", "1e300", "--trials", "100"], "L = 1e+300"),
             (["measure-mc", "--d", "2", "--L", "inf", "--trials", "100"], "L = inf"),
             (["measure-mc", "--d", "2", "--L", "nan", "--trials", "100"],
-             "L must be positive and finite, got L = nan"),
+             "stick length must be finite, got L = nan"),
             (["branching", "--d", "2", "--L", "10", "--lambda", "0.05", "--trials", "1"],
              "at least two trials"),
             (["measure-mc", "--d", "2", "--trials", "0"], "at least one trial"),
@@ -401,7 +401,7 @@ class TestInvalidInput:
             (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,32", "--replicates", "600000"],
              "stickperc.percolation.estimate_threshold", "600000 replicates exceed guard of 5e+05"),
             (["branching", "--d", "2", "--L", "2", "--lambda", "0.1", "--trials", "200000", "--gw-runs", "0"],
-             "stickperc.branching.offspring_mean_mc", "uniform offspring bound requires L > 3.14159"),
+             "stickperc.branching.offspring_mean_mc", "uniform lower bound requires L > 3.14159, got L = 2"),
             # an infinite window side is named, not met as an infinite Poisson mean
             (["threshold", "--d", "2", "--law", "uniform", "--L", "8", "--replicates", "4", "--s-factor", "inf"],
              "stickperc.percolation._probe", "window side must be finite, got side = inf"),

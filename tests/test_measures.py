@@ -50,6 +50,22 @@ class TestStickHitVolume:
         with pytest.raises(DomainError):
             stick_hit_volume(2, 1.0, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_length_or_radius_rejected(self, value):
+        with pytest.raises(DomainError, match=f"length must be finite and nonnegative, got L = {value}"):
+            stick_hit_volume(2, value, 1.0)
+        with pytest.raises(DomainError, match=f"radius must be positive and finite, got rho = {value}"):
+            stick_hit_volume(2, 1.0, value)
+        with pytest.raises(DomainError, match=f"radius must be finite and nonnegative, got rho = {value}"):
+            ball_volume(2, value)
+        # a point is still a segment, and a point ball still a ball
+        assert stick_hit_volume(2, 0.0, 1.0) == ball_volume(2, 1.0)
+        assert ball_volume(2, 0.0) == 0.0
+
+    def test_monte_carlo_length_checked(self):
+        with pytest.raises(DomainError, match="stick length must be finite, got L = inf"):
+            mc_stick_hit_volume(2, math.inf, 1.0, Uniform(), 10, seed=1)
+
     def test_monte_carlo_agreement(self):
         est = mc_stick_hit_volume(2, 10.0, 2.0, Uniform(), 150_000, seed=4)
         target = stick_hit_volume(2, 10.0, 2.0)
@@ -319,9 +335,13 @@ class TestTwoBallMeasure:
         with pytest.raises(DomainError, match="0 < delta <= 1"):
             two_ball_lower_bound(2, 256.0, delta=delta)
 
+    def test_lower_bound_length_checked(self):
+        with pytest.raises(DomainError, match="stick length must be positive"):
+            two_ball_lower_bound(3, -5.0, 1.0)
+
     @pytest.mark.parametrize("length", [math.inf, math.nan])
     def test_non_finite_length_rejected(self, length):
-        with pytest.raises(DomainError, match="L must be positive and finite"):
+        with pytest.raises(DomainError, match=f"stick length must be finite, got L = {length}"):
             ConstructionGeometry(2, length)
 
     def test_box_volume_overflow_names_length(self):
