@@ -53,6 +53,13 @@ def stick_hit_volume(d: int, length: float, rho: float) -> float:
     return length * cross_section + ball_volume(d, rho)
 
 
+def check_cap(rho: float, r: float) -> None:
+    """DomainError unless 0 < rho < r: the cap of a ball of radius ``rho``
+    seen from a point at distance ``r`` from its center."""
+    if not 0.0 < rho < r:
+        raise DomainError(f"need 0 < rho < r (point strictly outside the ball), got rho = {rho}, r = {r}")
+
+
 def cap_hit_probability_exact(d: int, rho: float, r: float) -> float:
     """Probability that a uniformly oriented line through a point at distance
     ``r`` passes within ``rho`` of the center: J_{rho^2/r^2}((d-1)/2, 1/2).
@@ -67,8 +74,7 @@ def cap_hit_probability_exact(d: int, rho: float, r: float) -> float:
     carries either one to a = (d-1)/2.
     """
     d = check_dim(d)
-    if not (0.0 < rho < r):
-        raise DomainError("need 0 < rho < r (point strictly outside the ball)")
+    check_cap(rho, r)
     s = rho / r
     c = math.sqrt((1.0 - s) * (1.0 + s))  # not 1 - s^2, which loses c near grazing
     if d % 2:
@@ -86,8 +92,7 @@ def cap_hit_lower_bound(d: int, rho: float, r: float) -> float:
     """Closed-form lower bound Gamma(d/2)/(sqrt(pi) Gamma((d+1)/2)) (rho/r)^{d-1};
     always below ``cap_hit_probability_exact``."""
     d = check_dim(d)
-    if not (0.0 < rho < r):
-        raise DomainError("need 0 < rho < r")
+    check_cap(rho, r)
     log_c = math.lgamma(0.5 * d) - 0.5 * math.log(math.pi) - math.lgamma(0.5 * (d + 1))
     return math.exp(log_c + (d - 1) * math.log(rho / r))
 
@@ -232,6 +237,8 @@ def gw_offspring_bound(d: int, length: float, intensity: float, law) -> float:
     """Closed-form upper bound on the expected number of sticks hitting a
     fixed stick (the branching-process offspring mean); valid where the
     lower bound is."""
+    check_length(length)
+    check_intensity(intensity)
     check_bound_validity(d, length, law, "lower")
     exponent = 1 if _law_tag(law) == "rigid" else 2
     return intensity * length**exponent / lower_bound_constant(d, law)
@@ -372,8 +379,7 @@ def mc_cap_hit_probability(
     segment-ball hit with a segment long enough to satisfy the reach
     condition."""
     d = check_dim(d)
-    if not (0.0 < rho < r):
-        raise DomainError("need 0 < rho < r")
+    check_cap(rho, r)
     length = 2.0 * (r + rho + 1.0)
     x = np.zeros(d)
     x[0] = r

@@ -12,6 +12,7 @@ variant each candidate child draws a single uniform, so beta = alpha.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,17 +68,46 @@ def _check_variant(variant: str) -> str:
     return v
 
 
+def _arrow_heads(sites: np.ndarray) -> np.ndarray:
+    """x - 1, x + 1 of each of the sorted sites, interleaved.  One run's
+    sites share a parity and ``_Bands`` keep runs apart, so sites lie at
+    least 2 apart: the result is sorted, and a child of two parents appears
+    twice, adjacent, first as its left parent's right arrow."""
+    return (sites[:, None] + _STEPS).ravel()
+
+
+def _first_of_each(values: np.ndarray) -> np.ndarray:
+    """Mask of the first of each run of equal, adjacent values."""
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return first
+
+
 def _adjacent_unique(values: np.ndarray) -> np.ndarray:
-    keep = np.ones(values.size, dtype=bool)
-    keep[1:] = values[1:] != values[:-1]
-    return values[keep]
+    return values[_first_of_each(values)]
 
 
-def _candidates(sites: np.ndarray) -> np.ndarray:
-    """Sorted unique neighbours x - 1, x + 1 of sorted sites of one parity.
-    Such sites lie at least 2 apart, so the interleaved neighbours are
-    already sorted and a shared one is adjacent."""
-    return _adjacent_unique((sites[:, None] + _STEPS).ravel())
+class _Bands(NamedTuple):
+    """The packed layout of runs that step together in one sorted array:
+    run r's site x is stored as ``r * width + x + offset``."""
+
+    width: int
+    offset: int
+
+    @classmethod
+    def spanning(cls, lo: int, hi: int) -> "_Bands":
+        """Bands that hold every x - 1 and x + 1 of sites in [lo, hi], so runs
+        never touch, with an even width, so runs at one level share a parity."""
+        width = hi - lo + 4
+        return cls(width + width % 2, 2 - lo)
+
+    def pack(self, run, x):
+        return run * self.width + x + self.offset
+
+    def unpack(self, sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Run and x of each packed site."""
+        run = sites // self.width
+        return run, sites - run * self.width - self.offset
 
 
 def _step(sites: np.ndarray, level: int, variant: str, opens) -> np.ndarray:
@@ -88,9 +118,8 @@ def _step(sites: np.ndarray, level: int, variant: str, opens) -> np.ndarray:
         arrows = np.empty((sites.size, 2), dtype=bool)
         arrows[:, 0] = opens(level, sites, _KEY_LEFT)
         arrows[:, 1] = opens(level, sites, _KEY_RIGHT)
-        # interleaved as in _candidates
-        return _adjacent_unique((sites[:, None] + _STEPS)[arrows])
-    candidates = _candidates(sites)
+        return _adjacent_unique(_arrow_heads(sites)[arrows.ravel()])
+    candidates = _adjacent_unique(_arrow_heads(sites))
     return candidates[opens(level + 1, candidates, _KEY_SITE)]
 
 
@@ -114,22 +143,41 @@ def op_step(frontier: Frontier, alpha: float, variant: str, stream: np.random.Ge
     return Frontier(frontier.level + 1, children)
 
 
-def coupled_variant_step(frontier: Frontier, alpha: float, trial_key: int) -> tuple[Frontier, Frontier]:
-    """Site and bond updates of the same frontier on shared arrow uniforms.
+def _coupled_steps(levels: np.ndarray, trial_keys, run: np.ndarray, x: np.ndarray, alpha: float):
+    """Site and bond updates of many frontiers at once, on shared arrow
+    uniforms, packed in ``_Bands`` spanning the sites: returns the bands and
+    the packed site and bond children.
 
-    A site child reads its left parent's right arrow, or its right parent's
-    left arrow when its left parent is empty: one uniform per candidate, as
-    the site law needs, and site occupation pathwise within bond occupation.
+    Frontier r is at level ``levels[r]``, reads the keyed field of the int
+    ``trial_keys[r]`` mod 2^64 and holds the sites ``x[run == r]`` of its
+    level's parity, in any order and with repeats.  A site child reads its
+    left parent's right arrow, or its right parent's left arrow when its
+    left parent is empty: one uniform per candidate, as the site law needs,
+    and site occupation pathwise within bond occupation.
     """
     alpha = _check_alpha(alpha)
-    parents = frontier.occupied
-    level = frontier.level
-    candidates = _candidates(parents)
-    from_left = _field(trial_key, level, candidates - 1, _KEY_RIGHT)
-    from_right = _field(trial_key, level, candidates + 1, _KEY_LEFT)
-    u = np.where(np.isin(candidates - 1, parents), from_left, from_right)
-    bond = _step(parents, level, "bond", lambda lvl, sites, key: _field(trial_key, lvl, sites, key) < alpha)
-    return Frontier(level + 1, candidates[u < alpha]), Frontier(level + 1, bond)
+    bands = _Bands.spanning(int(x.min()), int(x.max())) if x.size else _Bands.spanning(0, 0)
+    sites = np.unique(bands.pack(run, x))
+    parent_run, parent_x = bands.unpack(sites)
+    # combine_keys mixes an int key and its uint64 array element to the same bits
+    keys = np.array([int(key) % 2**64 for key in trial_keys], dtype=np.uint64)[parent_run]
+    level = levels[parent_run]
+    u = np.empty((sites.size, 2))
+    u[:, 0] = _field(keys, level, parent_x, _KEY_LEFT)
+    u[:, 1] = _field(keys, level, parent_x, _KEY_RIGHT)
+    heads, opened = _arrow_heads(sites), u.ravel() < alpha
+    site = heads[_first_of_each(heads) & opened]
+    return bands, site, _adjacent_unique(heads[opened])
+
+
+def coupled_variant_step(frontier: Frontier, alpha: float, trial_key: int) -> tuple[Frontier, Frontier]:
+    """Site and bond updates of the same frontier on shared arrow uniforms:
+    ``_coupled_steps`` with one run."""
+    level, parents = frontier.level, frontier.occupied
+    bands, site, bond = _coupled_steps(
+        np.array([level]), [trial_key], np.zeros(parents.size, dtype=np.int64), parents, alpha
+    )
+    return Frontier(level + 1, bands.unpack(site)[1]), Frontier(level + 1, bands.unpack(bond)[1])
 
 
 def _extinction_levels(trials: int, k: int, variant: str, n_max: int, batch_opens) -> np.ndarray:
@@ -138,17 +186,15 @@ def _extinction_levels(trials: int, k: int, variant: str, n_max: int, batch_open
 
     Up to _BATCH_RUNS runs advance together in one sorted array, so only the
     result grows with trials (more than the stick guard's 5e5 runs are
-    refused): run r's site x is stored as
-    ``r * width + x + offset``.  The band ``width`` holds every site that
-    n_max steps can reach, so runs never touch, and it is even, so all runs
-    share one parity.  ``batch_opens(batch)`` gives the ``opens(level, run,
-    x, key)`` of the trials in the range ``batch``, in which run i * k + j
-    is the j-th run of trial batch[i].
+    refused), packed in ``_Bands`` spanning every site that n_max steps can
+    reach.  ``batch_opens(batch)`` gives the ``opens(level, run, x, key)``
+    of the trials in the range ``batch``, in which run i * k + j is the
+    j-th run of trial batch[i].
     """
     if trials < 1 or n_max < 1:
         raise DomainError("trials and n_max must be positive")
     check_runs(trials * k, "runs")
-    width, offset = 2 * n_max + 4, n_max + 2
+    bands = _Bands.spanning(-n_max, n_max)
     size = max(1, _BATCH_RUNS // max(k, 1))
     levels = np.full(trials * k, -1, dtype=np.int64)
     for first in range(0, trials, size):
@@ -156,18 +202,17 @@ def _extinction_levels(trials: int, k: int, variant: str, n_max: int, batch_open
         opens = batch_opens(batch)
 
         def packed_opens(level, sites, key):
-            run = sites // width
-            return opens(level, run, sites - run * width - offset, key)
+            return opens(level, *bands.unpack(sites), key)
 
         runs = levels[batch.start * k : batch.stop * k]  # a view: filling it fills levels
-        sites = np.arange(runs.size, dtype=np.int64) * width + offset
+        sites = bands.pack(np.arange(runs.size, dtype=np.int64), 0)
         alive = np.ones(runs.size, dtype=bool)
         for level in range(n_max):
             if not sites.size:
                 break
             sites = _step(sites, level, variant, packed_opens)
             still = np.zeros(runs.size, dtype=bool)
-            still[sites // width] = True
+            still[sites // bands.width] = True
             runs[alive & ~still] = level + 1
             alive = still
     return levels.reshape(trials, k)

@@ -166,6 +166,7 @@ class BoxRegion:
 
     @staticmethod
     def cube(d: int, side: float) -> "BoxRegion":
+        d = check_dim(d)
         return BoxRegion(np.zeros(d), np.full(d, float(side)))
 
     def grown(self, pad: float) -> "BoxRegion":

@@ -175,12 +175,13 @@ def measures_suite(seed: int) -> list[Check]:
         f = np.sin(np.linspace(0.0, upper, weights.size)) ** k
         return upper / (3 * 2048) * float(weights @ f)
 
+    denominators = [simpson(k, 0.5 * math.pi) for k in range(7)]
     worst = 0.0
     for _ in range(200):
         d = int(rng.integers(2, 9))
         r = float(rng.uniform(1.1, 50))
         rho = float(rng.uniform(0.05, 0.95) * r)
-        quad = simpson(d - 2, math.asin(rho / r)) / simpson(d - 2, 0.5 * math.pi)
+        quad = simpson(d - 2, math.asin(rho / r)) / denominators[d - 2]
         worst = max(worst, abs(measures.cap_hit_probability_exact(d, rho, r) - quad))
     checks.append(Check("cap-hit-quadrature", worst <= 2e-11, f"max |exact - quadrature| {worst:.3g}"))
 
@@ -333,15 +334,17 @@ def oriented_suite(seed: int) -> list[Check]:
     mono = oriented.coupled_survival_monotonicity([0.5, 0.81], "bond", 120, 60, seed)
     checks.append(Check("coupled-monotone-in-alpha", mono, "survival non-decreasing in alpha, 60 trials"))
 
-    ok = True
-    for t in range(200):
+    # 200 random frontiers, frontier t keyed by seed + t, stepped in one packed call
+    levels, sites = [], []
+    for _ in range(200):
         level = int(rng.integers(0, 50))
-        width = int(rng.integers(1, 20))
-        sites = np.unique(rng.integers(-30, 30, width) * 2 + (level % 2))
-        frontier = oriented.Frontier(level, sites)
-        site_f, bond_f = oriented.coupled_variant_step(frontier, 0.7, seed + t)
-        if not set(site_f.occupied).issubset(set(bond_f.occupied)):
-            ok = False
+        count = int(rng.integers(1, 20))
+        levels.append(level)
+        sites.append(rng.integers(-30, 30, count) * 2 + (level % 2))
+    run = np.repeat(np.arange(200), [x.size for x in sites])
+    keys = [seed + t for t in range(200)]
+    _, site, bond = oriented._coupled_steps(np.array(levels), keys, run, np.concatenate(sites), 0.7)
+    ok = bool(np.isin(site, bond).all())
     checks.append(Check("site-within-bond-coupling", ok, "site children subset of bond children, 200 frontiers"))
     return checks
 

@@ -166,6 +166,17 @@ class TestCapHitProbability:
         with pytest.raises(DomainError):
             cap_hit_lower_bound(3, 2.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [cap_hit_probability_exact, cap_hit_lower_bound, lambda d, rho, r: mc_cap_hit_probability(d, rho, r, 10, 1)],
+        ids=["exact", "lower-bound", "mc"],
+    )
+    @pytest.mark.parametrize("rho, r", [(2.0, 2.0), (0.0, 1.0), (math.nan, 1.0)])
+    def test_cap_rule_has_one_message(self, call, rho, r):
+        message = rf"^need 0 < rho < r \(point strictly outside the ball\), got rho = {rho}, r = {r}$"
+        with pytest.raises(DomainError, match=message):
+            call(3, rho, r)
+
 
 class TestConnectionConstants:
     def test_c2_value(self):
@@ -269,6 +280,16 @@ class TestOffspringBound:
             gw_offspring_bound(2, 3.0, 0.1, "uniform")
         with pytest.raises(PreconditionViolated):
             gw_offspring_bound(2, 2.9, 0.1, "rigid")
+
+    @pytest.mark.parametrize(
+        "length, intensity, message",
+        [(math.inf, 0.1, "stick length must be finite"), (10.0, -0.1, "intensity must be finite and nonnegative")],
+        ids=["L-inf", "intensity-negative"],
+    )
+    def test_length_and_intensity_checked(self, length, intensity, message):
+        # unchecked, these gave inf and -80.0
+        with pytest.raises(DomainError, match=message):
+            gw_offspring_bound(2, length, intensity, "uniform")
 
 
 class TestConstructionGeometry:

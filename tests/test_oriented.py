@@ -320,6 +320,34 @@ class TestCoupling:
         assert site_f.occupied.tolist() == site_ref.occupied.tolist()
         assert bond_f.occupied.tolist() == bond_ref.occupied.tolist()
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(frontiers(), st.integers(-10**9, 10**9)), min_size=1, max_size=8),
+        st.sampled_from([0.0, 0.3, 0.65, 0.81, 1.0]), st.integers(0, 2**64 - 1),
+    )
+    @example([(Frontier(3, np.empty(0, dtype=np.int64)), 0)] * 2, 0.7, 5)
+    @example(
+        [(Frontier(4, np.arange(-6, 7, 2)), 0), (Frontier(0, np.empty(0, dtype=np.int64)), 0),
+         (Frontier(7, np.arange(-5, 6, 2)), 0), (Frontier(8, np.array([0])), 10**9)],
+        0.65, 2**64 - 2,
+    )
+    def test_packed_coupled_steps_match_loop_oracle(self, runs, alpha, first_key):
+        # run t is a frontier moved by an even 2 * shift and keyed by first_key + t, which
+        # wraps past 2^64; its sites go in reversed and twice, as the body sorts and deduplicates
+        moved = [Frontier(f.level, f.occupied + 2 * shift) for f, shift in runs]
+        keys = [first_key + t for t in range(len(moved))]
+        run = np.repeat(np.arange(len(moved)), [f.occupied.size for f in moved])
+        x = np.concatenate([f.occupied for f in moved])
+        bands, site, bond = oriented._coupled_steps(
+            np.array([f.level for f in moved]), keys, np.tile(run, 2)[::-1], np.tile(x, 2)[::-1], alpha
+        )
+        site_run, site_x = bands.unpack(site)
+        bond_run, bond_x = bands.unpack(bond)
+        for t, (frontier, key) in enumerate(zip(moved, keys)):
+            site_ref, bond_ref = loop_coupled_variant_step(frontier, alpha, key)
+            assert site_x[site_run == t].tolist() == site_ref.occupied.tolist()
+            assert bond_x[bond_run == t].tolist() == bond_ref.occupied.tolist()
+
     @pytest.mark.parametrize("alpha", [1.5, math.nan], ids=["above-1", "nan"])
     def test_coupled_step_invalid_alpha_rejected(self, alpha):
         # unchecked, 1.5 would open every arrow and nan none

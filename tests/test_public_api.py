@@ -132,6 +132,7 @@ DIMENSION_ENTRY_POINTS = {
     "mc_cap_hit_probability": lambda d: measures.mc_cap_hit_probability(d, 1.0, 3.0, 1000, 1),
     "mc_two_ball_measure": lambda d: measures.mc_two_ball_measure(d, 256.0, sampling.Uniform(), 1000, 1),
     "two_ball_lower_bound": lambda d: measures.two_ball_lower_bound(d, 256.0, 1.0),
+    "BoxRegion.cube": lambda d: sampling.BoxRegion.cube(d, 5.0),
     "sample_window_configuration": lambda d: sampling.sample_window_configuration(
         d, 8.0, 0.04, sampling.Uniform(), 64.0, 1
     ),
@@ -179,6 +180,7 @@ def raise_strings(node, where):
         # the two-ball lemma's own L > 32 is not a theorem bound's range
         ("requires L >", {"measures.check_bound_validity", "measures.mc_two_ball_measure"}),
         ("exceed guard of", {"sampling.check_runs"}),
+        ("0 < rho < r", {"measures.check_cap"}),
     ],
 )
 def test_each_input_rule_is_raised_in_one_place(wording, homes):
