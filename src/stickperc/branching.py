@@ -19,7 +19,7 @@ from .geometry import INTERSECT_THRESHOLD, segment_distance_arrays
 from .rng import substream
 from .sampling import (
     _MAX_EXPECTED_COUNT, _MAX_POPULATION, BoxRegion, OrientationLaw, Rigid, check_dim, check_expected_count,
-    check_intensity, check_law_dimension, check_length, check_runs, place_sticks, poisson_sticks,
+    check_integer, check_intensity, check_law_dimension, check_length, check_runs, place_sticks, poisson_sticks,
 )
 
 _STREAM_OFFSPRING = 0x0FF5
@@ -77,8 +77,7 @@ def offspring_mean_mc(
     each trial keeps its count, more than the stick guard's 5e5 are refused.
     """
     d, center, direction = _seed_stick(d, length, law)
-    if trials < 2:
-        raise DomainError("need at least two trials")
+    trials = check_integer(trials, "trials", 2)
     check_runs(trials, "trials")
     box = offspring_box(center, direction, length)
     rng = substream(seed, _STREAM_OFFSPRING)
@@ -114,13 +113,14 @@ class GWReport:
         return not self.truncated and (len(self.generation_sizes) == 0 or self.generation_sizes[-1] == 0)
 
 
-def check_caps(max_generations: int, population_cap: int) -> None:
-    """DomainError unless both caps are positive, CapacityExceeded if a
-    generation under ``population_cap`` could outgrow memory."""
-    if max_generations < 1 or population_cap < 1:
-        raise DomainError("caps must be positive")
+def check_caps(max_generations: int, population_cap: int) -> tuple[int, int]:
+    """Both caps as ints; DomainError unless each is an integer >= 1, and
+    CapacityExceeded if a generation under ``population_cap`` could outgrow memory."""
+    max_generations = check_integer(max_generations, "max_generations", 1)
+    population_cap = check_integer(population_cap, "population_cap", 1)
     if population_cap > _MAX_POPULATION:
         raise CapacityExceeded(f"population cap {population_cap} exceeds guard of {_MAX_POPULATION:.3g}")
+    return max_generations, population_cap
 
 
 def dominating_gw_run(
@@ -135,7 +135,7 @@ def dominating_gw_run(
     samples = np.asarray(offspring_samples, dtype=np.int64)
     if len(samples) == 0:
         raise DomainError("need at least one stored offspring sample")
-    check_caps(max_generations, population_cap)
+    max_generations, population_cap = check_caps(max_generations, population_cap)
     rng = substream(seed, _STREAM_GW)
     sizes: list[int] = []
     population = 1
@@ -183,7 +183,7 @@ def component_exploration(
     so dominating sizes are pathwise at least the true generation sizes.
     """
     d, seed_center, seed_dir = _seed_stick(d, length, law)
-    check_caps(max_generations, population_cap)
+    max_generations, population_cap = check_caps(max_generations, population_cap)
     rng = substream(seed, _STREAM_EXPLORE)
     radius = max_generations * (length + 4.0)
     window = BoxRegion(seed_center - radius, seed_center + radius)

@@ -17,9 +17,9 @@ import sys
 import numpy as np
 
 from . import branching, measures, oriented, percolation, verify
-from .errors import DomainError, StickPercError
+from .errors import StickPercError
 from .percolation import replicate_seeds
-from .sampling import Rigid, Uniform, check_dim
+from .sampling import Rigid, Uniform, check_dim, check_integer
 
 SCHEMA_VERSION = 1
 
@@ -191,13 +191,11 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_branching(args) -> int:
-    if args.gw_runs < 0:
-        raise DomainError("gw_runs must be nonnegative")
+    runs = check_integer(args.gw_runs, "gw_runs", 0)
     branching.check_caps(args.max_generations, args.population_cap)
     law = _law_object(args.law, args.d)
     d = args.d
     bound = measures.gw_offspring_bound(d, args.L, args.lam, args.law)
-    runs = args.gw_runs
     example_sizes: list[int] = []
     with _csv_output(args.samples_csv, "offspring", ["trial", "count"]) as rows:
         est = branching.offspring_mean_mc(d, args.L, args.lam, law, args.trials, args.seed)

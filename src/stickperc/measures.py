@@ -19,8 +19,8 @@ from .errors import DomainError, PreconditionViolated
 from .geometry import check_radius, segments_hit_ball
 from .rng import substream
 from .sampling import (
-    BoxRegion, OrientationLaw, Rigid, Uniform, check_density_floor, check_dim, check_intensity, check_length,
-    place_sticks,
+    BoxRegion, OrientationLaw, Rigid, Uniform, check_density_floor, check_dim, check_integer, check_intensity,
+    check_length, place_sticks,
 )
 
 _STREAM_MEASURE_MC = 0x3EA5
@@ -54,10 +54,10 @@ def stick_hit_volume(d: int, length: float, rho: float) -> float:
 
 
 def check_cap(rho: float, r: float) -> None:
-    """DomainError unless 0 < rho < r: the cap of a ball of radius ``rho``
-    seen from a point at distance ``r`` from its center."""
-    if not 0.0 < rho < r:
-        raise DomainError(f"need 0 < rho < r (point strictly outside the ball), got rho = {rho}, r = {r}")
+    """DomainError unless 0 < rho < r < inf: the cap of a ball of radius
+    ``rho`` seen from a point at a finite distance ``r`` from its center."""
+    if not 0.0 < rho < r < math.inf:
+        raise DomainError(f"need 0 < rho < r < inf (point strictly outside the ball), got rho = {rho}, r = {r}")
 
 
 def cap_hit_probability_exact(d: int, rho: float, r: float) -> float:
@@ -198,11 +198,12 @@ def theorem_bounds(d: int, length: float, law, delta: float = 1.0, strict: bool 
     """Evaluate the critical-intensity bracket for (d, L, law).
 
     With ``strict`` (the default) the stated L-validity thresholds are hard
-    preconditions; ``strict=False`` evaluates the formulas anyway, which is
-    only meant for bracket sanity checks at small L.  ``delta`` is the
-    density floor of the ``density`` law; it must satisfy 0 < delta <= 1
-    for every law, used or not.  A constant or bracket that leaves the
-    positive floating-point range raises DomainError.
+    preconditions; ``strict=False`` evaluates the formulas anyway, as the
+    threshold estimator, the ``bounds`` command and verify do: the upper
+    bound's range, L > 200 sqrt(d), lies above every length they run at.
+    ``delta`` is the density floor of the ``density`` law; it must satisfy
+    0 < delta <= 1 for every law, used or not.  A constant or bracket that
+    leaves the positive floating-point range raises DomainError.
     """
     d = check_dim(d)
     tag = _law_tag(law)
@@ -325,8 +326,7 @@ def _mc_fraction(trials: int, seed: int, stream: int, scale: float, count_hits) 
     binomial standard error.  ``count_hits(rng, n)`` makes n draws from the
     estimator's own measure substream and returns how many hit; it is called
     on batches of at most ``_MC_CHUNK`` draws, to bound memory."""
-    if trials < 1:
-        raise DomainError("need at least one trial")
+    trials = check_integer(trials, "trials", 1)
     rng = substream(seed, _STREAM_MEASURE_MC, stream)
     hits = sum(count_hits(rng, min(_MC_CHUNK, trials - done)) for done in range(0, trials, _MC_CHUNK))
     p = hits / trials

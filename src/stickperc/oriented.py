@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .rng import combine_keys, derive_seed, mix_to_unit, substream
-from .sampling import check_runs
+from .sampling import check_integer, check_runs
 from .stats import wilson_interval
 
 _STREAM_TRIAL = 0x0B5E
@@ -39,11 +39,11 @@ class Frontier:
     occupied: np.ndarray
 
     def __post_init__(self):
+        level = check_integer(self.level, "level", 0)
         occ = np.unique(np.asarray(self.occupied, dtype=np.int64))
-        if self.level < 0:
-            raise DomainError("level must be nonnegative")
-        if occ.size and np.any((occ + self.level) % 2 != 0):
+        if occ.size and np.any((occ + level) % 2 != 0):
             raise DomainError("sites must satisfy x + level even")
+        object.__setattr__(self, "level", level)
         object.__setattr__(self, "occupied", occ)
 
     @property
@@ -170,16 +170,6 @@ def _coupled_steps(levels: np.ndarray, trial_keys, run: np.ndarray, x: np.ndarra
     return bands, site, _adjacent_unique(heads[opened])
 
 
-def coupled_variant_step(frontier: Frontier, alpha: float, trial_key: int) -> tuple[Frontier, Frontier]:
-    """Site and bond updates of the same frontier on shared arrow uniforms:
-    ``_coupled_steps`` with one run."""
-    level, parents = frontier.level, frontier.occupied
-    bands, site, bond = _coupled_steps(
-        np.array([level]), [trial_key], np.zeros(parents.size, dtype=np.int64), parents, alpha
-    )
-    return Frontier(level + 1, bands.unpack(site)[1]), Frontier(level + 1, bands.unpack(bond)[1])
-
-
 def _extinction_levels(trials: int, k: int, variant: str, n_max: int, batch_opens) -> np.ndarray:
     """Level at which each of k runs per trial dies out from the origin, -1
     if alive after n_max steps, as a (trials, k) array.
@@ -189,10 +179,8 @@ def _extinction_levels(trials: int, k: int, variant: str, n_max: int, batch_open
     refused), packed in ``_Bands`` spanning every site that n_max steps can
     reach.  ``batch_opens(batch)`` gives the ``opens(level, run, x, key)``
     of the trials in the range ``batch``, in which run i * k + j is the
-    j-th run of trial batch[i].
+    j-th run of trial batch[i].  The callers check ``trials`` and ``n_max``.
     """
-    if trials < 1 or n_max < 1:
-        raise DomainError("trials and n_max must be positive")
     check_runs(trials * k, "runs")
     bands = _Bands.spanning(-n_max, n_max)
     size = max(1, _BATCH_RUNS // max(k, 1))
@@ -237,6 +225,7 @@ def survival_probability(
     """Fraction of trials from the origin whose frontier is alive at n_max."""
     alpha = _check_alpha(alpha)
     variant = _check_variant(variant)
+    n_max, trials = check_integer(n_max, "n_max", 1), check_integer(trials, "trials", 1)
 
     def batch_opens(batch):
         streams = [substream(seed, _STREAM_TRIAL, t) for t in batch]
@@ -271,6 +260,7 @@ def coupled_survival_matrix(
     alphas = [_check_alpha(float(a)) for a in alphas]
     if sorted(alphas) != alphas:
         raise DomainError("alpha list must be sorted ascending")
+    n_max, trials = check_integer(n_max, "n_max", 1), check_integer(trials, "trials", 1)
     k = len(alphas)
     alpha_values = np.array(alphas)
 

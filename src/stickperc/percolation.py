@@ -50,8 +50,8 @@ from .geometry import INTERSECT_THRESHOLD, _segment_distance
 from .measures import BoundsReport, theorem_bounds
 from .rng import derive_seed, substream
 from .sampling import (
-    _STREAM_CONFIG, BoxRegion, Configuration, OrientationLaw, check_expected_count, check_law_dimension,
-    check_runs, check_window_intensity, poisson_sticks, sampling_box,
+    _STREAM_CONFIG, BoxRegion, Configuration, OrientationLaw, check_expected_count, check_integer,
+    check_law_dimension, check_runs, check_window_intensity, poisson_sticks, sampling_box,
 )
 from .stats import _Z95, wilson_interval
 
@@ -272,9 +272,12 @@ def _edges(
     return np.concatenate(keep_first), np.concatenate(keep_second)
 
 
-def _check_axis(axis: int, d: int) -> None:
-    if not 0 <= axis < d:
+def _check_axis(axis: int, d: int) -> int:
+    """``axis`` as an int; DomainError unless it is an integer in [0, d)."""
+    axis = check_integer(axis, "axis", 0)
+    if axis >= d:
         raise DomainError(f"axis must be in [0, {d}), got {axis}")
+    return axis
 
 
 def _batch_crossings(
@@ -316,7 +319,7 @@ def crossing_event(
     config: Configuration, axis: int = 0, cell: float | np.ndarray | None = None
 ) -> bool:
     """Whether one cluster touches both window faces orthogonal to ``axis``."""
-    _check_axis(axis, config.d)
+    axis = _check_axis(axis, config.d)
     rows = np.ascontiguousarray(config.centers.T), np.ascontiguousarray(config.dirs.T)
     return bool(_batch_crossings(*rows, [config.count], config.length, config.observation_window, axis, cell)[0])
 
@@ -487,10 +490,11 @@ def _logistic_interpolation(
 
 def check_threshold_inputs(
     d: int, length: float, law, side: float, replicates: int, axis: int, workers: int, max_bisect: int
-) -> BoundsReport:
+) -> tuple[BoundsReport, int, int, int, int]:
     """The checks ``estimate_threshold`` makes before its first probe, for a
     law or its tag, the first probe's expected stick count among them;
-    returns the theorem bracket its walk starts from, with the checked d."""
+    returns the theorem bracket its walk starts from, with the checked d,
+    and the checked ``replicates``, ``axis``, ``workers`` and ``max_bisect``."""
     bounds = theorem_bounds(d, length, law, strict=False)
     d = bounds.d
     check_law_dimension(law, d)
@@ -498,17 +502,14 @@ def check_threshold_inputs(
         raise DomainError(f"window side must be finite, got side = {side}")
     if side < 8.0 * length:
         raise PreconditionViolated("window side must be at least 8 L")
-    if max_bisect < 0:
-        raise DomainError("max_bisect must be nonnegative")
-    if replicates < 1:
-        raise DomainError("need at least one replicate")
+    max_bisect = check_integer(max_bisect, "max_bisect", 0)
+    replicates = check_integer(replicates, "replicates", 1)
     check_runs(replicates, "replicates")
-    _check_axis(axis, d)
-    if workers < 1:
-        raise DomainError("workers must be at least 1")
+    axis = _check_axis(axis, d)
+    workers = check_integer(workers, "workers", 1)
     # the first probe draws at the lower bound in the sampler's box
     check_expected_count(bounds.lower * sampling_box(BoxRegion.cube(d, side), length).volume)
-    return bounds
+    return bounds, replicates, axis, workers, max_bisect
 
 
 def estimate_threshold(
@@ -532,7 +533,8 @@ def estimate_threshold(
     from a logistic fit over the whole probe trace.  With ``workers > 1``
     every probe runs on one process pool.
     """
-    bounds = check_threshold_inputs(d, length, law, side, replicates, axis, workers, max_bisect)
+    checked = check_threshold_inputs(d, length, law, side, replicates, axis, workers, max_bisect)
+    bounds, replicates, axis, workers, max_bisect = checked
     d = bounds.d
     probes: list[CrossingStats] = []
 
@@ -596,7 +598,6 @@ class ScalingFit:
     slope: float
     intercept: float
     stderr: float
-    points: int
 
 
 def check_scaling_lengths(lengths) -> None:
@@ -608,16 +609,17 @@ def check_scaling_lengths(lengths) -> None:
 def scaling_fit(points) -> ScalingFit:
     """Weighted least squares of ln(lambda) on ln(L).
 
-    ``points`` is an iterable of (L, lambda_hat, weight); needs at least
-    three distinct L values.
+    ``points`` is an iterable of (L, lambda_hat, weight), each positive and
+    finite; needs at least three distinct L values.
     """
     pts = [(float(L), float(lam), float(w)) for L, lam, w in points]
+    for p in pts:
+        if not all(0.0 < v < math.inf for v in p):
+            raise DomainError(f"scaling points need positive finite L, lambda and weight, got {p}")
     check_scaling_lengths([p[0] for p in pts])
     x = np.log([p[0] for p in pts])
     y = np.log([p[1] for p in pts])
     w = np.array([p[2] for p in pts])
-    if np.any(w <= 0.0):
-        raise DomainError("weights must be positive")
     line = _weighted_line(x, y, w)
     if line is None:
         raise DegenerateDesign("no spread in ln L")
@@ -626,5 +628,5 @@ def scaling_fit(points) -> ScalingFit:
     dof = len(pts) - 2
     sigma2 = float((w * resid ** 2).sum() / dof) if dof > 0 else 0.0
     stderr = math.sqrt(max(sigma2, 0.0) / sxx)
-    return ScalingFit(slope=slope, intercept=intercept, stderr=stderr, points=len(pts))
+    return ScalingFit(slope=slope, intercept=intercept, stderr=stderr)
 

@@ -116,11 +116,21 @@ class Rigid(_DirectionLaw):
 OrientationLaw = Uniform | Rigid
 
 
+def check_integer(value, noun: str, least: int) -> int:
+    """``value`` as an int; DomainError, naming it ``noun``, unless it is an
+    integer >= ``least``.  An integral float counts (4.0 is 4); a fraction,
+    NaN, an infinity or a value that is not a number does not."""
+    try:
+        if int(value) == value and value >= least:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{noun} must be an integer >= {least}")
+
+
 def check_dim(d: int) -> int:
     """``d`` as an int; DomainError unless it is an integer >= 2."""
-    if int(d) != d or d < 2:
-        raise DomainError("dimension must be an integer >= 2")
-    return int(d)
+    return check_integer(d, "dimension", 2)
 
 
 def check_length(length: float) -> float:

@@ -133,7 +133,7 @@ class TestOffspringMeanMC:
     def test_needs_trials(self):
         with pytest.raises(DomainError):
             offspring_mean_mc(2, 10.0, 0.1, Uniform(), 0, seed=1)
-        with pytest.raises(DomainError, match="two trials"):
+        with pytest.raises(DomainError, match="^trials must be an integer >= 2$"):
             offspring_mean_mc(2, 10.0, 0.1, Uniform(), 1, seed=1)
 
     def test_trials_above_guard_refused(self):

@@ -112,19 +112,22 @@ class TestThreshold:
         assert rc == 2
 
 
-    @pytest.mark.parametrize("axis", ["2", "-1"])
-    def test_axis_out_of_range_exit_2(self, capsys, axis):
+    @pytest.mark.parametrize(
+        "axis, message", [("2", "axis must be in [0, 2), got 2"), ("-1", "axis must be an integer >= 0")],
+        ids=["2", "-1"],
+    )
+    def test_axis_out_of_range_exit_2(self, capsys, axis, message):
         rc, out, err = run_cli(capsys, THRESHOLD_ARGS + ["--axis", axis])
         assert rc == 2
         assert out == ""
-        assert err.splitlines() == [f"error: axis must be in [0, 2), got {axis}"]
+        assert err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_exit_2(self, capsys, workers):
         rc, out, err = run_cli(capsys, THRESHOLD_ARGS + ["--workers", workers])
         assert rc == 2
         assert out == ""
-        assert err.splitlines() == ["error: workers must be at least 1"]
+        assert err.splitlines() == ["error: workers must be an integer >= 1"]
 
     @pytest.mark.parametrize("length", ["0", "-8"])
     def test_non_positive_length_exit_2(self, capsys, length):
@@ -332,9 +335,9 @@ class TestInvalidInput:
             (["measure-mc", "--d", "2", "--L", "nan", "--trials", "100"],
              "stick length must be finite, got L = nan"),
             (["branching", "--d", "2", "--L", "10", "--lambda", "0.05", "--trials", "1"],
-             "at least two trials"),
-            (["measure-mc", "--d", "2", "--trials", "0"], "at least one trial"),
-            (["oriented", "--alpha", "0.7", "--trials", "0"], "must be positive"),
+             "trials must be an integer >= 2"),
+            (["measure-mc", "--d", "2", "--trials", "0"], "trials must be an integer >= 1"),
+            (["oriented", "--alpha", "0.7", "--trials", "0"], "trials must be an integer >= 1"),
         ],
         ids=[
             "bounds-L-overflow", "threshold-L-overflow", "bounds-L-underflow", "bounds-delta-inf",
@@ -363,9 +366,9 @@ class TestInvalidInput:
             (["branching", "--d", "-1", "--L", "10", "--lambda", "0.05", "--trials", "20"],
              "dimension must be an integer >= 2"),
             (["branching", "--d", "2", "--L", "10", "--lambda", "0.05", "--trials", "20", "--gw-runs", "0",
-              "--max-generations", "0"], "caps must be positive"),
+              "--max-generations", "0"], "max_generations must be an integer >= 1"),
             (["branching", "--d", "2", "--L", "10", "--lambda", "0.05", "--trials", "20", "--gw-runs", "0",
-              "--population-cap", "0"], "caps must be positive"),
+              "--population-cap", "0"], "population_cap must be an integer >= 1"),
         ],
         ids=["threshold-d-1", "scaling-d-1", "branching-rigid-d-1", "branching-d-negative",
              "no-gw-runs-generations-0", "no-gw-runs-population-0"],
@@ -395,9 +398,9 @@ class TestInvalidInput:
             (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,32", "--axis", "2"],
              "stickperc.percolation.estimate_threshold", "axis must be in [0, 2), got 2"),
             (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,32", "--workers", "0"],
-             "stickperc.percolation.estimate_threshold", "workers must be at least 1"),
+             "stickperc.percolation.estimate_threshold", "workers must be an integer >= 1"),
             (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,32", "--replicates", "0"],
-             "stickperc.percolation.estimate_threshold", "need at least one replicate"),
+             "stickperc.percolation.estimate_threshold", "replicates must be an integer >= 1"),
             (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,32", "--replicates", "600000"],
              "stickperc.percolation.estimate_threshold", "600000 replicates exceed guard of 5e+05"),
             (["branching", "--d", "2", "--L", "2", "--lambda", "0.1", "--trials", "200000", "--gw-runs", "0"],

@@ -171,9 +171,9 @@ class TestCapHitProbability:
         [cap_hit_probability_exact, cap_hit_lower_bound, lambda d, rho, r: mc_cap_hit_probability(d, rho, r, 10, 1)],
         ids=["exact", "lower-bound", "mc"],
     )
-    @pytest.mark.parametrize("rho, r", [(2.0, 2.0), (0.0, 1.0), (math.nan, 1.0)])
+    @pytest.mark.parametrize("rho, r", [(2.0, 2.0), (0.0, 1.0), (math.nan, 1.0), (1.0, math.inf)])
     def test_cap_rule_has_one_message(self, call, rho, r):
-        message = rf"^need 0 < rho < r \(point strictly outside the ball\), got rho = {rho}, r = {r}$"
+        message = rf"^need 0 < rho < r < inf \(point strictly outside the ball\), got rho = {rho}, r = {r}$"
         with pytest.raises(DomainError, match=message):
             call(3, rho, r)
 
@@ -330,7 +330,7 @@ class TestConstructionGeometry:
 
 class TestTwoBallMeasure:
     def test_zero_trials_rejected(self):
-        with pytest.raises(DomainError, match="at least one trial"):
+        with pytest.raises(DomainError, match="^trials must be an integer >= 1$"):
             mc_two_ball_measure(2, 256.0, Uniform(), 0, seed=1)
 
     def test_geometry_preconditions(self):

@@ -16,14 +16,23 @@ from stickperc.oriented import (
     Frontier,
     coupled_survival_matrix,
     coupled_survival_monotonicity,
-    coupled_variant_step,
     op_step,
     survival_probability,
 )
 from stickperc.rng import combine_keys, derive_seed, mix_to_unit, substream
 
 
-def loop_coupled_variant_step(frontier, alpha, trial_key):
+def coupled_step(frontier, alpha, trial_key):
+    """``_coupled_steps`` on the one frontier ``frontier``: the x of its site
+    children and of its bond children."""
+    parents = frontier.occupied
+    bands, site, bond = oriented._coupled_steps(
+        np.array([frontier.level]), [trial_key], np.zeros(parents.size, dtype=np.int64), parents, alpha
+    )
+    return bands.unpack(site)[1], bands.unpack(bond)[1]
+
+
+def loop_coupled_step(frontier, alpha, trial_key):
     """Reference coupled step: a loop over candidate children, reading each
     parent arrow as one scalar keyed uniform."""
     parents = frontier.occupied
@@ -191,12 +200,12 @@ class TestOpStep:
         # the steps' outputs are already sorted unique sites of the child
         # level's parity, so a second pass through Frontier(...) keeps them
         outs = [op_step(frontier, alpha, variant, substream(seed)) for variant in ("bond", "site")]
-        outs += coupled_variant_step(frontier, alpha, seed)
-        for out in outs:
-            checked = Frontier(out.level, out.occupied)
-            assert out.level == frontier.level + 1
-            assert out.occupied.dtype == checked.occupied.dtype
-            assert out.occupied.tolist() == checked.occupied.tolist()
+        assert all(out.level == frontier.level + 1 for out in outs)
+        children = [out.occupied for out in outs] + list(coupled_step(frontier, alpha, seed))
+        for occupied in children:
+            checked = Frontier(frontier.level + 1, occupied)
+            assert occupied.dtype == checked.occupied.dtype
+            assert occupied.tolist() == checked.occupied.tolist()
 
     def test_invalid_alpha(self):
         with pytest.raises(DomainError):
@@ -306,19 +315,18 @@ class TestCoupling:
             width = int(rng.integers(1, 25))
             sites = np.unique(rng.integers(-30, 31, width) * 2 + (level % 2))
             frontier = Frontier(level, sites)
-            site_f, bond_f = coupled_variant_step(frontier, 0.65, trial_key=1000 + t)
-            assert set(site_f.occupied.tolist()) <= set(bond_f.occupied.tolist())
+            site, bond = coupled_step(frontier, 0.65, trial_key=1000 + t)
+            assert set(site.tolist()) <= set(bond.tolist())
 
     @settings(max_examples=300, deadline=None)
     @given(frontiers(), st.sampled_from([0.0, 0.3, 0.65, 0.81, 0.9, 1.0]), st.integers(0, 2**64 - 1))
     @example(Frontier(3, np.empty(0, dtype=np.int64)), 0.7, 5)
     @example(Frontier(0, np.arange(-20, 21, 2)), 0.65, 2**63)
     def test_coupled_step_matches_loop_oracle(self, frontier, alpha, trial_key):
-        site_f, bond_f = coupled_variant_step(frontier, alpha, trial_key)
-        site_ref, bond_ref = loop_coupled_variant_step(frontier, alpha, trial_key)
-        assert site_f.level == bond_f.level == frontier.level + 1
-        assert site_f.occupied.tolist() == site_ref.occupied.tolist()
-        assert bond_f.occupied.tolist() == bond_ref.occupied.tolist()
+        site, bond = coupled_step(frontier, alpha, trial_key)
+        site_ref, bond_ref = loop_coupled_step(frontier, alpha, trial_key)
+        assert site.tolist() == site_ref.occupied.tolist()
+        assert bond.tolist() == bond_ref.occupied.tolist()
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -326,6 +334,7 @@ class TestCoupling:
         st.sampled_from([0.0, 0.3, 0.65, 0.81, 1.0]), st.integers(0, 2**64 - 1),
     )
     @example([(Frontier(3, np.empty(0, dtype=np.int64)), 0)] * 2, 0.7, 5)
+    @example([(Frontier(5, np.arange(-5, 6, 2)), -7)], 0.81, 2**64 - 1)
     @example(
         [(Frontier(4, np.arange(-6, 7, 2)), 0), (Frontier(0, np.empty(0, dtype=np.int64)), 0),
          (Frontier(7, np.arange(-5, 6, 2)), 0), (Frontier(8, np.array([0])), 10**9)],
@@ -344,7 +353,7 @@ class TestCoupling:
         site_run, site_x = bands.unpack(site)
         bond_run, bond_x = bands.unpack(bond)
         for t, (frontier, key) in enumerate(zip(moved, keys)):
-            site_ref, bond_ref = loop_coupled_variant_step(frontier, alpha, key)
+            site_ref, bond_ref = loop_coupled_step(frontier, alpha, key)
             assert site_x[site_run == t].tolist() == site_ref.occupied.tolist()
             assert bond_x[bond_run == t].tolist() == bond_ref.occupied.tolist()
 
@@ -352,14 +361,14 @@ class TestCoupling:
     def test_coupled_step_invalid_alpha_rejected(self, alpha):
         # unchecked, 1.5 would open every arrow and nan none
         with pytest.raises(DomainError):
-            coupled_variant_step(Frontier(0, np.array([-2, 0, 2])), alpha, trial_key=1)
+            coupled_step(Frontier(0, np.array([-2, 0, 2])), alpha, trial_key=1)
 
     def test_coupled_step_is_deterministic_in_key(self):
         frontier = Frontier(4, np.array([-2, 0, 2, 4]))
-        a = coupled_variant_step(frontier, 0.7, trial_key=99)
-        b = coupled_variant_step(frontier, 0.7, trial_key=99)
-        assert a[0].occupied.tolist() == b[0].occupied.tolist()
-        assert a[1].occupied.tolist() == b[1].occupied.tolist()
+        a = coupled_step(frontier, 0.7, trial_key=99)
+        b = coupled_step(frontier, 0.7, trial_key=99)
+        assert a[0].tolist() == b[0].tolist()
+        assert a[1].tolist() == b[1].tolist()
 
 
 class TestPinnedOutputs:

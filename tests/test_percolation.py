@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import platform
+import re
 import types
 
 import numpy as np
@@ -619,6 +620,22 @@ class TestCrossingProbability:
         with pytest.raises(DomainError, match="rigid axis dimension does not match d"):
             estimate_threshold(3, 8.0, law, 80.0, replicates=10, seed=1, workers=workers)
 
+    @pytest.mark.parametrize(
+        "inputs, message",
+        [({"replicates": 2.5}, "replicates must be an integer >= 1"),
+         ({"workers": 1.5}, "workers must be an integer >= 1"),
+         ({"max_bisect": 1.5}, "max_bisect must be an integer >= 0"),
+         ({"axis": math.nan}, "axis must be an integer >= 0")],
+        ids=["replicates", "workers", "max_bisect", "axis"],
+    )
+    def test_fractional_count_rejected_before_sampling_or_pool(self, monkeypatch, inputs, message):
+        # refused by the input checks, before any probe of the walk-out
+        self.refuse_sampling(monkeypatch)
+        built = self.record_pools(monkeypatch, {0, 1})
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            estimate_threshold(2, 8.0, Uniform(), 64.0, **{"replicates": 4, "seed": 5, "workers": 2, **inputs})
+        assert built == []
+
     @pytest.mark.parametrize("side", [math.inf, math.nan])
     def test_non_finite_side_rejected_before_sampling_or_pool(self, monkeypatch, side):
         # named as the window side, not met as an infinite Poisson mean
@@ -918,3 +935,18 @@ class TestScalingFit:
     def test_degenerate_design(self):
         with pytest.raises(DegenerateDesign):
             scaling_fit([(8, 0.1, 1.0), (8, 0.2, 1.0), (16, 0.05, 1.0)])
+
+    @pytest.mark.parametrize(
+        "point",
+        [(16, 0.0, 1.0), (16, -0.01, 1.0), (16, math.inf, 1.0), (16, math.nan, 1.0), (0, 0.01, 1.0),
+         (-16, 0.01, 1.0), (math.inf, 0.01, 1.0), (math.nan, 0.01, 1.0), (16, 0.01, 0.0), (16, 0.01, -1.0),
+         (16, 0.01, math.inf), (16, 0.01, math.nan)],
+        ids=["lambda-0", "lambda-negative", "lambda-inf", "lambda-nan", "L-0", "L-negative", "L-inf", "L-nan",
+             "weight-0", "weight-negative", "weight-inf", "weight-nan"],
+    )
+    def test_points_must_be_positive_and_finite(self, point):
+        # refused by name, not met as a numpy warning or a nan slope
+        pts = [(8, 8.0**-2, 1.0), point, (32, 32.0**-2, 1.0), (64, 64.0**-2, 1.0)]
+        got = re.escape(str(tuple(float(v) for v in point)))
+        with pytest.raises(DomainError, match=f"^scaling points need positive finite L, lambda and weight, got {got}$"):
+            scaling_fit(pts)

@@ -6,20 +6,24 @@ check that every name they import from ``stickperc`` still resolves and
 that every call they make into the package still binds to its signature;
 and, the other way round, that every name the package exports is used by
 the program, the benchmark or the demos, not only by tests.  Every entry
-point that takes ``d`` treats an integral float as its int, and each input
-rule is raised from one function only.
+point that takes ``d`` or another integer treats an integral float as its
+int, and each input rule is raised from one function only.
 """
 
 import ast
+import contextlib
 import importlib
 import inspect
+import io
+import math
 import pickle
 from pathlib import Path
 
 import pytest
 
-from stickperc import branching, measures, percolation, sampling
+from stickperc import branching, cli, measures, oriented, percolation, sampling
 from stickperc.errors import DomainError
+from stickperc.rng import substream
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "benchmarks").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
@@ -150,11 +154,90 @@ DIMENSION_ENTRY_POINTS = {
 @pytest.mark.parametrize("name", sorted(DIMENSION_ENTRY_POINTS))
 def test_dimension_is_checked_and_used(name):
     """``d = 2.0`` gives the result of ``d = 2`` to the last bit, its ints
-    included, and ``d = 2.5`` is refused by ``check_dim``."""
+    included, and ``d = 2.5``, NaN and inf are refused by ``check_dim``."""
     call = DIMENSION_ENTRY_POINTS[name]
     assert pickle.dumps(call(2.0)) == pickle.dumps(call(2))
-    with pytest.raises(DomainError, match="^dimension must be an integer >= 2$"):
-        call(2.5)
+    for d in (2.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="^dimension must be an integer >= 2$"):
+            call(d)
+
+
+def small_configuration():
+    return sampling.sample_window_configuration(2, 8.0, 0.04, sampling.Uniform(), 64.0, 1)
+
+
+def branching_stdout(gw_runs):
+    """The stdout of the ``branching`` command run with ``gw_runs`` GW runs
+    of a subcritical offspring law, each capped at 1000 individuals."""
+    args = cli.build_parser().parse_args(
+        ["branching", "--d", "2", "--L", "10", "--lambda", "0.001", "--trials", "20", "--population-cap", "1000"]
+    )
+    args.gw_runs = gw_runs
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        args.func(args)
+    return out.getvalue()
+
+
+def threshold(**kwargs):
+    return percolation.estimate_threshold(2, 8.0, sampling.Uniform(), 64.0, **{"replicates": 4, "seed": 1, **kwargs})
+
+
+# every public integer input but d: its entry point at small sizes, a valid
+# value and the integer rule's wording for it
+INTEGER_ENTRY_POINTS = {
+    "crossing_event-axis": (lambda v: percolation.crossing_event(small_configuration(), axis=v), 1, "axis", 0),
+    "check_threshold_inputs-axis": (
+        lambda v: percolation.check_threshold_inputs(2, 8.0, sampling.Uniform(), 64.0, 4, v, 1, 12), 1, "axis", 0
+    ),
+    "estimate_threshold-axis": (lambda v: threshold(axis=v), 1, "axis", 0),
+    "estimate_threshold-replicates": (lambda v: threshold(replicates=v), 3, "replicates", 1),
+    "estimate_threshold-workers": (lambda v: threshold(workers=v), 1, "workers", 1),
+    "estimate_threshold-max_bisect": (lambda v: threshold(max_bisect=v), 2, "max_bisect", 0),
+    "Frontier-level": (lambda v: oriented.op_step(oriented.Frontier(v, [1]), 0.7, "bond", substream(1)), 3, "level", 0),
+    "survival_probability-trials": (lambda v: oriented.survival_probability(0.7, "bond", 10, v, 1), 5, "trials", 1),
+    "survival_probability-n_max": (lambda v: oriented.survival_probability(0.7, "bond", v, 5, 1), 10, "n_max", 1),
+    "coupled_survival_matrix-trials": (
+        lambda v: oriented.coupled_survival_matrix([0.5, 0.8], "site", 10, v, 1), 5, "trials", 1
+    ),
+    "coupled_survival_matrix-n_max": (
+        lambda v: oriented.coupled_survival_matrix([0.5, 0.8], "site", v, 5, 1), 10, "n_max", 1
+    ),
+    "offspring_mean_mc-trials": (
+        lambda v: branching.offspring_mean_mc(2, 10.0, 0.1, sampling.Uniform(), v, 1), 10, "trials", 2
+    ),
+    "mc_stick_hit_volume-trials": (
+        lambda v: measures.mc_stick_hit_volume(2, 10.0, 2.0, sampling.Uniform(), v, 1), 1000, "trials", 1
+    ),
+    "mc_cap_hit_probability-trials": (lambda v: measures.mc_cap_hit_probability(3, 1.0, 3.0, v, 1), 1000, "trials", 1),
+    "mc_two_ball_measure-trials": (
+        lambda v: measures.mc_two_ball_measure(2, 256.0, sampling.Uniform(), v, 1), 1000, "trials", 1
+    ),
+    # offspring 0 or 1: no generation outgrows one individual, capped or not
+    "dominating_gw_run-max_generations": (
+        lambda v: branching.dominating_gw_run([0, 1], v, 100, 1), 5, "max_generations", 1
+    ),
+    "dominating_gw_run-population_cap": (lambda v: branching.dominating_gw_run([0], 5, v, 1), 100, "population_cap", 1),
+    "component_exploration-max_generations": (
+        lambda v: branching.component_exploration(2, 10.0, 0.01, sampling.Uniform(), v, 100, 1),
+        3, "max_generations", 1,
+    ),
+    "component_exploration-population_cap": (
+        lambda v: branching.component_exploration(2, 10.0, 0.01, sampling.Uniform(), 3, v, 1),
+        100, "population_cap", 1,
+    ),
+    "cli-gw_runs": (branching_stdout, 3, "gw_runs", 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ENTRY_POINTS))
+def test_integer_input_is_checked_and_used(name):
+    """An integral float gives the result of its int to the last bit, its
+    ints included, and 2.5, NaN and inf are refused by the integer rule."""
+    call, value, noun, least = INTEGER_ENTRY_POINTS[name]
+    assert pickle.dumps(call(float(value))) == pickle.dumps(call(value))
+    for bad in (2.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match=f"^{noun} must be an integer >= {least}$"):
+            call(bad)
 
 
 def raise_strings(node, where):
@@ -175,12 +258,18 @@ def raise_strings(node, where):
 @pytest.mark.parametrize(
     "wording, homes",
     [
-        ("dimension must be an integer >= 2", {"sampling.check_dim"}),
+        ("must be an integer >=", {"sampling.check_integer"}),
         ("stick length must be", {"sampling.check_length"}),
         # the two-ball lemma's own L > 32 is not a theorem bound's range
         ("requires L >", {"measures.check_bound_validity", "measures.mc_two_ball_measure"}),
         ("exceed guard of", {"sampling.check_runs"}),
         ("0 < rho < r", {"measures.check_cap"}),
+        # the count wordings that the integer rule replaced
+        *[(wording, set()) for wording in (
+            "max_bisect must be nonnegative", "need at least one replicate", "workers must be at least 1",
+            "level must be nonnegative", "trials and n_max must be positive", "need at least two trials",
+            "caps must be positive", "need at least one trial", "gw_runs must be nonnegative",
+        )],
     ],
 )
 def test_each_input_rule_is_raised_in_one_place(wording, homes):
