@@ -80,7 +80,7 @@ def offspring_mean_mc(
     trials = check_integer(trials, "trials", 2)
     check_runs(trials, "trials")
     box = offspring_box(center, direction, length)
-    rng = substream(seed, _STREAM_OFFSPRING)
+    rng = substream(check_integer(seed, "seed", 0), _STREAM_OFFSPRING)
     mean_count = check_expected_count(check_intensity(intensity) * box.volume)
     counts = rng.poisson(mean_count, size=trials).astype(np.int64)
     samples = np.zeros(trials, dtype=np.int64)
@@ -132,11 +132,16 @@ def dominating_gw_run(
     """Galton-Watson run whose offspring law is the empirical distribution of
     ``offspring_samples``; generation sizes start with the root's own
     offspring draw and stop at extinction or a cap."""
-    samples = np.asarray(offspring_samples, dtype=np.int64)
-    if len(samples) == 0:
+    samples = np.asarray(offspring_samples)
+    if samples.size == 0:
         raise DomainError("need at least one stored offspring sample")
+    if samples.ndim != 1 or samples.dtype.kind not in "iuf" or not np.all(
+        (samples >= 0) & np.isfinite(samples) & (np.floor(samples) == samples)
+    ):
+        raise DomainError("offspring samples must be nonnegative integers")
+    samples = samples.astype(np.int64)
     max_generations, population_cap = check_caps(max_generations, population_cap)
-    rng = substream(seed, _STREAM_GW)
+    rng = substream(check_integer(seed, "seed", 0), _STREAM_GW)
     sizes: list[int] = []
     population = 1
     truncated = False
@@ -184,7 +189,8 @@ def component_exploration(
     """
     d, seed_center, seed_dir = _seed_stick(d, length, law)
     max_generations, population_cap = check_caps(max_generations, population_cap)
-    rng = substream(seed, _STREAM_EXPLORE)
+    check_intensity(intensity)
+    rng = substream(check_integer(seed, "seed", 0), _STREAM_EXPLORE)
     radius = max_generations * (length + 4.0)
     window = BoxRegion(seed_center - radius, seed_center + radius)
     centers, dirs, _ = poisson_sticks(d, intensity, law, window, [rng])

@@ -113,8 +113,7 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _run_threshold(args, length: float) -> percolation.ThresholdEstimate:
-    law = _law_object(args.law, args.d)
+def _run_threshold(args, law, length: float) -> percolation.ThresholdEstimate:
     side = args.s_factor * length
     return percolation.estimate_threshold(
         args.d,
@@ -147,7 +146,7 @@ def _estimate_doc(est: percolation.ThresholdEstimate) -> dict:
 
 def cmd_threshold(args) -> int:
     with _csv_output(args.probes_csv, "probes", ["L", "lambda", "crossed", "replicate", "seed"]) as rows:
-        est = _run_threshold(args, args.L)
+        est = _run_threshold(args, _law_object(args.law, args.d), args.L)
         rows += _threshold_csv_rows(est)
     _emit({"kind": "threshold", **_estimate_doc(est)})
     return 0
@@ -155,16 +154,18 @@ def cmd_threshold(args) -> int:
 
 def cmd_scaling(args) -> int:
     percolation.check_scaling_lengths(args.L_list)
+    law = _law_object(args.law, args.d)
     for length in args.L_list:
         percolation.check_threshold_inputs(
-            args.d, length, args.law, args.s_factor * length, args.replicates, args.axis, args.workers, args.max_bisect
+            args.d, length, law, args.s_factor * length, args.replicates, args.axis, args.workers, args.max_bisect
         )
+    check_integer(args.seed, "seed", 0)
     points = []
     estimates = []
     with _csv_output(args.csv, "scaling", ["L", "lambda_hat", "ci_low", "ci_high", "weight"]) as rows:
         for length in args.L_list:
             _log(f"estimating threshold at L={length:g}")
-            est = _run_threshold(args, length)
+            est = _run_threshold(args, law, length)
             estimates.append(est)
             points.append((length, est.lambda_hat, percolation.fit_weight(est)))
         fit = percolation.scaling_fit(points)

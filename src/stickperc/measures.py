@@ -327,7 +327,7 @@ def _mc_fraction(trials: int, seed: int, stream: int, scale: float, count_hits) 
     estimator's own measure substream and returns how many hit; it is called
     on batches of at most ``_MC_CHUNK`` draws, to bound memory."""
     trials = check_integer(trials, "trials", 1)
-    rng = substream(seed, _STREAM_MEASURE_MC, stream)
+    rng = substream(check_integer(seed, "seed", 0), _STREAM_MEASURE_MC, stream)
     hits = sum(count_hits(rng, min(_MC_CHUNK, trials - done)) for done in range(0, trials, _MC_CHUNK))
     p = hits / trials
     se = scale * math.sqrt(max(p * (1.0 - p), 0.0) / trials)

@@ -226,6 +226,7 @@ def survival_probability(
     alpha = _check_alpha(alpha)
     variant = _check_variant(variant)
     n_max, trials = check_integer(n_max, "n_max", 1), check_integer(trials, "trials", 1)
+    seed = check_integer(seed, "seed", 0)
 
     def batch_opens(batch):
         streams = [substream(seed, _STREAM_TRIAL, t) for t in batch]
@@ -261,6 +262,7 @@ def coupled_survival_matrix(
     if sorted(alphas) != alphas:
         raise DomainError("alpha list must be sorted ascending")
     n_max, trials = check_integer(n_max, "n_max", 1), check_integer(trials, "trials", 1)
+    seed = check_integer(seed, "seed", 0)
     k = len(alphas)
     alpha_values = np.array(alphas)
 

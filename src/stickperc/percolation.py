@@ -51,7 +51,7 @@ from .measures import BoundsReport, theorem_bounds
 from .rng import derive_seed, substream
 from .sampling import (
     _STREAM_CONFIG, BoxRegion, Configuration, OrientationLaw, check_expected_count, check_integer,
-    check_law_dimension, check_runs, check_window_intensity, poisson_sticks, sampling_box,
+    check_law_dimension, check_runs, poisson_sticks, sampling_box,
 )
 from .stats import _Z95, wilson_interval
 
@@ -408,7 +408,7 @@ def _probe(
     is one task, run in process when ``executor`` is None, else on it."""
     window = BoxRegion.cube(d, side)
     box = sampling_box(window, length)
-    expected = check_window_intensity(intensity, box)
+    expected = check_expected_count(intensity * box.volume)
     # replicates per batch: at least one, at most all
     size = math.ceil(min(_BATCH_STICKS / expected, replicates))
     seeds = replicate_seeds(seed, probe_id, replicates)
@@ -491,24 +491,23 @@ def _logistic_interpolation(
 def check_threshold_inputs(
     d: int, length: float, law, side: float, replicates: int, axis: int, workers: int, max_bisect: int
 ) -> tuple[BoundsReport, int, int, int, int]:
-    """The checks ``estimate_threshold`` makes before its first probe, for a
-    law or its tag, the first probe's expected stick count among them;
-    returns the theorem bracket its walk starts from, with the checked d,
-    and the checked ``replicates``, ``axis``, ``workers`` and ``max_bisect``."""
+    """The checks ``estimate_threshold`` makes before its first probe, the
+    first probe's expected stick count among them; returns the theorem
+    bracket its walk starts from, with the checked d, and the checked
+    ``replicates``, ``axis``, ``workers`` and ``max_bisect``."""
     bounds = theorem_bounds(d, length, law, strict=False)
     d = bounds.d
     check_law_dimension(law, d)
-    if not math.isfinite(side):
-        raise DomainError(f"window side must be finite, got side = {side}")
+    window = BoxRegion.cube(d, side)
     if side < 8.0 * length:
-        raise PreconditionViolated("window side must be at least 8 L")
+        raise PreconditionViolated(f"the estimator needs side >= 8 L, got side = {side}, L = {length}")
     max_bisect = check_integer(max_bisect, "max_bisect", 0)
     replicates = check_integer(replicates, "replicates", 1)
     check_runs(replicates, "replicates")
     axis = _check_axis(axis, d)
     workers = check_integer(workers, "workers", 1)
     # the first probe draws at the lower bound in the sampler's box
-    check_expected_count(bounds.lower * sampling_box(BoxRegion.cube(d, side), length).volume)
+    check_expected_count(bounds.lower * sampling_box(window, length).volume)
     return bounds, replicates, axis, workers, max_bisect
 
 
@@ -535,6 +534,7 @@ def estimate_threshold(
     """
     checked = check_threshold_inputs(d, length, law, side, replicates, axis, workers, max_bisect)
     bounds, replicates, axis, workers, max_bisect = checked
+    seed = check_integer(seed, "seed", 0)
     d = bounds.d
     probes: list[CrossingStats] = []
 
@@ -581,7 +581,7 @@ def estimate_threshold(
         replicates_per_probe=replicates,
         probes=tuple(probes),
         bracket=(lam_lo, lam_hi),
-        seed=int(seed),
+        seed=seed,
     )
 
 

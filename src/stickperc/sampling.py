@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -144,7 +145,7 @@ def check_length(length: float) -> float:
 
 def check_law_dimension(law, d: int) -> None:
     """DomainError if ``law`` is a rigid law whose axis does not live in
-    dimension ``d``; any other law, or a law's tag, passes."""
+    dimension ``d``; any other law passes."""
     axis = getattr(law, "axis", None)
     if axis is not None and axis.shape != (d,):
         raise DomainError("rigid axis dimension does not match d")
@@ -176,7 +177,12 @@ class BoxRegion:
 
     @staticmethod
     def cube(d: int, side: float) -> "BoxRegion":
+        """The window [0, side]^d; DomainError unless side is a positive finite number."""
         d = check_dim(d)
+        if not (isinstance(side, Real) and math.isfinite(side)):
+            raise DomainError(f"window side must be finite, got side = {side!r}")
+        if not side > 0.0:
+            raise DomainError("window side must be positive")
         return BoxRegion(np.zeros(d), np.full(d, float(side)))
 
     def grown(self, pad: float) -> "BoxRegion":
@@ -184,8 +190,8 @@ class BoxRegion:
 
 
 def check_intensity(intensity: float) -> float:
-    """``intensity`` itself; DomainError if it is negative or not finite."""
-    if not 0.0 <= intensity < math.inf:
+    """``intensity`` itself; DomainError unless it is a finite nonnegative number."""
+    if not (isinstance(intensity, Real) and 0.0 <= intensity < math.inf):
         raise DomainError("intensity must be finite and nonnegative")
     return intensity
 
@@ -296,15 +302,6 @@ def sampling_box(window: BoxRegion, length: float) -> BoxRegion:
     return window.grown(0.5 * length + 1.0)
 
 
-def check_window_intensity(intensity: float, box: BoxRegion) -> float:
-    """The expected stick count of a window configuration at ``intensity``
-    in its sampling box ``box``: DomainError unless ``intensity`` is
-    positive and the count finite, CapacityExceeded above the guard."""
-    if not intensity > 0.0:
-        raise DomainError("intensity must be positive")
-    return check_expected_count(intensity * box.volume)
-
-
 def sample_window_configuration(
     d: int,
     length: float,
@@ -315,11 +312,14 @@ def sample_window_configuration(
 ) -> Configuration:
     """Sample a Poisson stick configuration for the observation window
     [0, side]^d, its centers drawn in the window's ``sampling_box``: a
-    ``poisson_sticks`` batch of one stream, drawn only once ``d``, ``length``
-    and ``intensity`` pass their checks."""
+    ``poisson_sticks`` batch of one stream, drawn only once ``d``, ``side``,
+    ``length``, ``intensity``, the law's dimension, the expected stick count
+    and ``seed`` pass their checks.  At intensity 0 it is empty."""
     d = check_dim(d)
     window = BoxRegion.cube(d, side)
     box = sampling_box(window, check_length(length))
-    check_window_intensity(intensity, box)
+    check_expected_count(check_intensity(intensity) * box.volume)
+    check_law_dimension(law, d)
+    seed = check_integer(seed, "seed", 0)
     centers, dirs, _ = poisson_sticks(d, intensity, law, box, [substream(seed, _STREAM_CONFIG)])
     return Configuration(float(length), window, centers, dirs)

@@ -174,6 +174,21 @@ class TestDominatingGW:
         with pytest.raises(DomainError):
             dominating_gw_run([], max_generations=5, population_cap=10, seed=0)
 
+    @pytest.mark.parametrize(
+        "samples", [[-1, 2], [math.nan], [math.inf], [0.5, 2]], ids=["negative", "nan", "inf", "fraction"]
+    )
+    def test_offspring_samples_refused_before_any_draw(self, monkeypatch, samples):
+        # an integral float is its int; anything else that is not a
+        # nonnegative integer is refused before a stream is made
+        assert dominating_gw_run([0.0, 2.0], 8, 100, 3) == dominating_gw_run([0, 2], 8, 100, 3)
+
+        def no_stream(*args):
+            raise AssertionError("a random stream was made before the input check")
+
+        monkeypatch.setattr("stickperc.branching.substream", no_stream)
+        with pytest.raises(DomainError, match="^offspring samples must be nonnegative integers$"):
+            dominating_gw_run(samples, max_generations=5, population_cap=10, seed=1)
+
     def test_population_cap_guard(self):
         # a generation of up to 1e8 individuals fits the memory budget; one
         # more is refused before any draw
@@ -203,6 +218,15 @@ class TestComponentExploration:
         lam = 1e7 / 140.0**2
         with pytest.raises(CapacityExceeded, match="expected count 1e\\+07 exceeds guard of 5e\\+05"):
             component_exploration(2, 10.0, lam, Uniform(), max_generations=5, population_cap=1000, seed=1)
+
+    @pytest.mark.parametrize("lam", [-0.1, math.nan, math.inf])
+    def test_intensity_refused_before_any_stream(self, monkeypatch, lam):
+        def no_stream(*args):
+            raise AssertionError("a random stream was made before the input check")
+
+        monkeypatch.setattr("stickperc.branching.substream", no_stream)
+        with pytest.raises(DomainError, match="^intensity must be finite and nonnegative$"):
+            component_exploration(2, 10.0, lam, Uniform(), max_generations=3, population_cap=100, seed=1)
 
     def test_tiny_intensity_seed_only(self):
         res = component_exploration(

@@ -151,6 +151,23 @@ class TestThreshold:
         assert err.splitlines() == ["error: intensity must be finite and nonnegative"]
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["branching", "--d", "2", "--L", "10", "--lambda", "0.01", "--trials", "10", "--gw-runs", "2"],
+            ["oriented", "--alpha", "0.7", "--n-max", "10", "--trials", "5"],
+            ["measure-mc", "--d", "2", "--trials", "10"],
+            ["verify", "--suite", "geometry"],
+        ],
+        ids=["branching", "oriented", "measure-mc", "verify"],
+    )
+    def test_negative_seed_exit_2(self, capsys, argv):
+        rc, out, err = run_cli(capsys, argv + ["--seed", "-1"])
+        assert rc == 2
+        assert out == ""
+        assert err.splitlines() == ["error: seed must be an integer >= 0"]
+
+
 class TestScaling:
     def test_small_run(self, capsys, tmp_path):
         path = tmp_path / "scaling.csv"
@@ -410,11 +427,22 @@ class TestInvalidInput:
              "stickperc.percolation._probe", "window side must be finite, got side = inf"),
             (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,32", "--replicates", "4",
               "--s-factor", "inf"], "stickperc.percolation.estimate_threshold", "window side must be finite, got side = inf"),
+            (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,32", "--replicates", "4",
+              "--s-factor", "0"], "stickperc.percolation.estimate_threshold", "window side must be positive"),
+            (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,32", "--replicates", "4",
+              "--s-factor", "4"], "stickperc.percolation.estimate_threshold",
+             "the estimator needs side >= 8 L, got side = 32.0, L = 8.0"),
+            # a negative seed is refused, not aliased to 2^64 - |seed|
+            (["threshold", "--d", "2", "--law", "uniform", "--L", "8", "--replicates", "4", "--seed", "-1"],
+             "stickperc.percolation._probe", "seed must be an integer >= 0"),
+            (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,32", "--replicates", "4", "--seed", "-1"],
+             "stickperc.percolation.estimate_threshold", "seed must be an integer >= 0"),
         ],
         ids=[
             "scaling-repeated-L", "scaling-negative-last-L", "scaling-huge-last-L", "scaling-oversized-first-probe",
             "scaling-axis-out-of-range", "scaling-zero-workers", "scaling-zero-replicates",
             "scaling-replicates-over-guard", "branching-L-without-bound", "threshold-side-inf", "scaling-side-inf",
+            "scaling-side-zero", "scaling-side-below-8-L", "threshold-negative-seed", "scaling-negative-seed",
         ],
     )
     def test_invalid_input_exits_2_before_sampling(self, capsys, monkeypatch, argv, computation, message):

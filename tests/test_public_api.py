@@ -7,7 +7,8 @@ that every call they make into the package still binds to its signature;
 and, the other way round, that every name the package exports is used by
 the program, the benchmark or the demos, not only by tests.  Every entry
 point that takes ``d`` or another integer treats an integral float as its
-int, and each input rule is raised from one function only.
+int, every one that takes an intensity or a window side checks it by one
+rule, and each input rule is raised from one function only.
 """
 
 import ast
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from stickperc import branching, cli, measures, oriented, percolation, sampling
+from stickperc import branching, cli, measures, oriented, percolation, sampling, verify
 from stickperc.errors import DomainError
 from stickperc.rng import substream
 
@@ -226,18 +227,98 @@ INTEGER_ENTRY_POINTS = {
         100, "population_cap", 1,
     ),
     "cli-gw_runs": (branching_stdout, 3, "gw_runs", 0),
+    # every public entry point that takes a seed
+    "sample_window_configuration-seed": (
+        lambda v: sampling.sample_window_configuration(2, 8.0, 0.04, sampling.Uniform(), 64.0, v), 3, "seed", 0
+    ),
+    "estimate_threshold-seed": (lambda v: threshold(seed=v), 3, "seed", 0),
+    "offspring_mean_mc-seed": (
+        lambda v: branching.offspring_mean_mc(2, 10.0, 0.1, sampling.Uniform(), 10, v), 3, "seed", 0
+    ),
+    "dominating_gw_run-seed": (lambda v: branching.dominating_gw_run([0, 1, 2], 5, 100, v), 3, "seed", 0),
+    "component_exploration-seed": (
+        lambda v: branching.component_exploration(2, 10.0, 0.01, sampling.Uniform(), 3, 100, v), 3, "seed", 0
+    ),
+    "survival_probability-seed": (lambda v: oriented.survival_probability(0.7, "bond", 10, 5, v), 3, "seed", 0),
+    "coupled_survival_matrix-seed": (
+        lambda v: oriented.coupled_survival_matrix([0.5, 0.8], "site", 10, 5, v), 3, "seed", 0
+    ),
+    "mc_stick_hit_volume-seed": (
+        lambda v: measures.mc_stick_hit_volume(2, 10.0, 2.0, sampling.Uniform(), 1000, v), 3, "seed", 0
+    ),
+    "mc_cap_hit_probability-seed": (lambda v: measures.mc_cap_hit_probability(3, 1.0, 3.0, 1000, v), 3, "seed", 0),
+    "mc_two_ball_measure-seed": (
+        lambda v: measures.mc_two_ball_measure(2, 256.0, sampling.Uniform(), 1000, v), 3, "seed", 0
+    ),
+    "run_suite-seed": (lambda v: verify.run_suite("geometry", v), 3, "seed", 0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(INTEGER_ENTRY_POINTS))
 def test_integer_input_is_checked_and_used(name):
     """An integral float gives the result of its int to the last bit, its
-    ints included, and 2.5, NaN and inf are refused by the integer rule."""
+    ints included, and 2.5, NaN, inf and the integer below the least are
+    refused by the integer rule."""
     call, value, noun, least = INTEGER_ENTRY_POINTS[name]
     assert pickle.dumps(call(float(value))) == pickle.dumps(call(value))
-    for bad in (2.5, math.nan, math.inf):
+    for bad in (2.5, math.nan, math.inf, least - 1):
         with pytest.raises(DomainError, match=f"^{noun} must be an integer >= {least}$"):
             call(bad)
+
+
+# every public entry point that takes an intensity, at small trials and sizes
+INTENSITY_ENTRY_POINTS = {
+    "sample_window_configuration": lambda lam: sampling.sample_window_configuration(
+        2, 8.0, lam, sampling.Uniform(), 64.0, 1
+    ),
+    "offspring_mean_mc": lambda lam: branching.offspring_mean_mc(2, 10.0, lam, sampling.Uniform(), 10, 1),
+    "component_exploration": lambda lam: branching.component_exploration(
+        2, 10.0, lam, sampling.Uniform(), 3, 100, 1
+    ),
+    "gw_offspring_bound": lambda lam: measures.gw_offspring_bound(2, 20.0, lam, "uniform"),
+    "mc_two_ball_measure": lambda lam: measures.mc_two_ball_measure(
+        2, 256.0, sampling.Uniform(), 1000, 1, intensity=lam
+    ),
+    "two_ball_lower_bound": lambda lam: measures.two_ball_lower_bound(2, 256.0, 1.0, intensity=lam),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTENSITY_ENTRY_POINTS))
+def test_intensity_is_checked_by_one_rule(name):
+    """Intensity 0 is accepted, and NaN, inf, a negative intensity and a
+    value that is not a number are refused by ``check_intensity``."""
+    call = INTENSITY_ENTRY_POINTS[name]
+    call(0.0)
+    for bad in (math.nan, math.inf, -0.1, "x"):
+        with pytest.raises(DomainError, match="^intensity must be finite and nonnegative$"):
+            call(bad)
+
+
+# every public entry point that takes a window side
+SIDE_ENTRY_POINTS = {
+    "sample_window_configuration": lambda side: sampling.sample_window_configuration(
+        2, 8.0, 0.04, sampling.Uniform(), side, 1
+    ),
+    "estimate_threshold": lambda side: percolation.estimate_threshold(2, 8.0, sampling.Uniform(), side, 4, 1),
+    "BoxRegion.cube": lambda side: sampling.BoxRegion.cube(2, side),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIDE_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "side, message",
+    [
+        (math.nan, "window side must be finite, got side = nan"),
+        (math.inf, "window side must be finite, got side = inf"),
+        (0.0, "window side must be positive"),
+        (-1.0, "window side must be positive"),
+        ("64", "window side must be finite, got side = '64'"),
+    ],
+    ids=["nan", "inf", "zero", "negative", "text"],
+)
+def test_window_side_is_checked_by_one_rule(name, side, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        SIDE_ENTRY_POINTS[name](side)
 
 
 def raise_strings(node, where):
@@ -270,6 +351,10 @@ def raise_strings(node, where):
             "level must be nonnegative", "trials and n_max must be positive", "need at least two trials",
             "caps must be positive", "need at least one trial", "gw_runs must be nonnegative",
         )],
+        ("intensity must be", {"sampling.check_intensity"}),
+        ("window side must be", {"sampling.BoxRegion.cube"}),
+        # the window sampler's own intensity wording, which the intensity rule replaced
+        ("intensity must be positive", set()),
     ],
 )
 def test_each_input_rule_is_raised_in_one_place(wording, homes):

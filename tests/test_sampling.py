@@ -8,6 +8,7 @@ from stickperc.errors import CapacityExceeded, DomainError
 from stickperc.measures import stick_hit_volume
 from stickperc.geometry import segments_hit_ball
 from stickperc import sampling
+from stickperc.percolation import crossing_event
 from stickperc.rng import derive_seed, substream
 from stickperc.sampling import (
     BoxRegion,
@@ -145,10 +146,10 @@ class TestConfiguration:
     @pytest.mark.parametrize(
         "d, length, intensity, error, message",
         [
-            (2, 8.0, 0.0, DomainError, "intensity must be positive"),
-            (2, 8.0, -0.04, DomainError, "intensity must be positive"),
-            (2, 8.0, math.nan, DomainError, "intensity must be positive"),
-            (2, 8.0, math.inf, DomainError, "poisson mean must be finite"),
+            (2, 8.0, -0.04, DomainError, "intensity must be finite and nonnegative"),
+            (2, 8.0, math.nan, DomainError, "intensity must be finite and nonnegative"),
+            (2, 8.0, math.inf, DomainError, "intensity must be finite and nonnegative"),
+            (2, 8.0, "0.04", DomainError, "intensity must be finite and nonnegative"),
             # 100 sticks per unit area of the 74-wide sampling box expect
             # 5.48e5 sticks, above the guard
             (2, 8.0, 100.0, CapacityExceeded, "expected count 5.48e\\+05 exceeds guard"),
@@ -160,7 +161,7 @@ class TestConfiguration:
             (2, math.inf, 0.04, DomainError, "stick length must be finite, got L = inf"),
         ],
         ids=[
-            "0.0-DomainError", "-0.04-DomainError", "nan-DomainError", "inf-DomainError", "100.0-CapacityExceeded",
+            "-0.04-DomainError", "nan-DomainError", "inf-DomainError", "text-DomainError", "100.0-CapacityExceeded",
             "d-1", "d-2.5", "zero-length", "negative-length", "nan-length", "infinite-length",
         ],
     )
@@ -171,6 +172,28 @@ class TestConfiguration:
         monkeypatch.setattr(sampling, "poisson_sticks", sample)
         with pytest.raises(error, match=message):
             sample_window_configuration(d, length, intensity, Uniform(), 64.0, seed=5)
+
+    @pytest.mark.parametrize(
+        "law, seed, message",
+        [
+            (Rigid(np.array([0.0, 0.0, 1.0])), 5, "rigid axis dimension does not match d"),
+            (Uniform(), -1, "seed must be an integer >= 0"),
+            (Uniform(), 2.5, "seed must be an integer >= 0"),
+        ],
+        ids=["rigid-axis-in-d-3", "negative-seed", "fractional-seed"],
+    )
+    def test_law_and_seed_refused_before_sampling(self, monkeypatch, law, seed, message):
+        def sample(*args):
+            raise AssertionError("sampled a configuration")
+
+        monkeypatch.setattr(sampling, "poisson_sticks", sample)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            sample_window_configuration(2, 8.0, 0.04, law, 64.0, seed)
+
+    def test_zero_intensity_is_the_empty_configuration(self):
+        config = sample_window_configuration(2, 8.0, 0.0, Uniform(), 64.0, seed=5)
+        assert config.count == 0 and config.centers.shape == config.dirs.shape == (0, 2)
+        assert crossing_event(config) is False
 
     def test_thinning_consistency(self):
         # keeping each stick with probability 1/2 matches sampling at half
