@@ -43,7 +43,6 @@ from .sampling import (
     Configuration,
     Rigid,
     Uniform,
-    poisson_count,
     sample_window_configuration,
 )
 from .percolation import (

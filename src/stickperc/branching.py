@@ -19,7 +19,7 @@ from .geometry import INTERSECT_THRESHOLD, segment_distance_arrays
 from .rng import substream
 from .sampling import (
     _MAX_EXPECTED_COUNT, _MAX_POPULATION, BoxRegion, OrientationLaw, Rigid, check_dim, check_expected_count,
-    check_integer, check_intensity, check_law_dimension, check_length, check_runs, place_sticks, poisson_sticks,
+    check_integer, check_intensity, check_law, check_length, check_runs, place_sticks, poisson_sticks,
 )
 
 _STREAM_OFFSPRING = 0x0FF5
@@ -27,15 +27,16 @@ _STREAM_GW = 0x6A17
 _STREAM_EXPLORE = 0xE821
 
 
-def _seed_stick(d: int, length: float, law: OrientationLaw) -> tuple[int, np.ndarray, np.ndarray]:
-    """The checked ``d``, and the center and direction of the typical stick,
-    whose cluster the branching process dominates: the laws are translation
-    invariant and the uniform one is isotropic, so it is centered at 0 and
-    lies along ``law.axis`` for a rigid law, along e_0 otherwise."""
+def _seed_stick(d: int, length: float, law: OrientationLaw) -> tuple[int, float, np.ndarray, np.ndarray]:
+    """The checked ``d`` and ``length``, and the center and direction of the
+    typical stick, whose cluster the branching process dominates: the laws
+    are translation invariant and the uniform one is isotropic, so it is
+    centered at 0 and lies along ``law.axis`` for a rigid law, along e_0
+    otherwise."""
     d = check_dim(d)
-    check_length(length)
-    check_law_dimension(law, d)
-    return d, np.zeros(d), law.axis if isinstance(law, Rigid) else np.eye(d)[0]
+    length = check_length(length)
+    check_law(law, d)
+    return d, length, np.zeros(d), law.axis if isinstance(law, Rigid) else np.eye(d)[0]
 
 
 # any stick of length L intersecting a fixed stick has its center within
@@ -76,7 +77,7 @@ def offspring_mean_mc(
     intersecting sticks.  The standard error needs at least two trials; as
     each trial keeps its count, more than the stick guard's 5e5 are refused.
     """
-    d, center, direction = _seed_stick(d, length, law)
+    d, length, center, direction = _seed_stick(d, length, law)
     trials = check_integer(trials, "trials", 2)
     check_runs(trials, "trials")
     box = offspring_box(center, direction, length)
@@ -187,9 +188,9 @@ def component_exploration(
     individuals reproduce via fresh offspring draws around their own stick,
     so dominating sizes are pathwise at least the true generation sizes.
     """
-    d, seed_center, seed_dir = _seed_stick(d, length, law)
+    d, length, seed_center, seed_dir = _seed_stick(d, length, law)
     max_generations, population_cap = check_caps(max_generations, population_cap)
-    check_intensity(intensity)
+    intensity = check_intensity(intensity)
     rng = substream(check_integer(seed, "seed", 0), _STREAM_EXPLORE)
     radius = max_generations * (length + 4.0)
     window = BoxRegion(seed_center - radius, seed_center + radius)

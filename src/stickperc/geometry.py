@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, ParallelLines, PreconditionViolated
+from .errors import ParallelLines, PreconditionViolated
+from .sampling import check_real
 
 # Sticks have unit radius by convention; the touching threshold for two
 # radius-1 sticks is the constant 2.
@@ -116,16 +117,15 @@ def _segment_distance(u, da, ha, db, hb) -> np.ndarray:
     return np.sqrt(_axis_dot(diff, diff))
 
 
-def check_radius(rho: float) -> None:
-    """DomainError unless the radius ``rho`` is positive and finite."""
-    if not 0.0 < rho < np.inf:
-        raise DomainError(f"radius must be positive and finite, got rho = {rho}")
+def check_radius(rho: float) -> float:
+    """``rho`` as a float; DomainError unless the radius is positive and finite."""
+    return check_real(rho, "radius", "(0, inf)")
 
 
 def segments_hit_ball(centers, dirs, half_lengths, c, rho: float) -> np.ndarray:
     """Which of the (n, d) segments (``centers``, ``dirs``, ``half_lengths``)
     come within distance ``rho`` of the point ``c``."""
-    check_radius(rho)
+    rho = check_radius(rho)
     centers = np.asarray(centers, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
     w = np.asarray(c, dtype=float) - centers

@@ -19,8 +19,8 @@ from .errors import DomainError, PreconditionViolated
 from .geometry import check_radius, segments_hit_ball
 from .rng import substream
 from .sampling import (
-    BoxRegion, OrientationLaw, Rigid, Uniform, check_density_floor, check_dim, check_integer, check_intensity,
-    check_length, place_sticks,
+    REAL_TYPES, BoxRegion, OrientationLaw, Rigid, Uniform, check_choice, check_density_floor, check_dim,
+    check_integer, check_intensity, check_law, check_length, check_real, place_sticks,
 )
 
 _STREAM_MEASURE_MC = 0x3EA5
@@ -32,8 +32,7 @@ LAW_TAGS = ("uniform", "rigid", "density")
 def ball_volume(d: int, rho: float) -> float:
     """Volume of the d-dimensional ball of radius rho."""
     d = check_dim(d)
-    if not 0.0 <= rho < math.inf:
-        raise DomainError(f"radius must be finite and nonnegative, got rho = {rho}")
+    rho = check_real(rho, "radius", "[0, inf)")
     if rho == 0.0:
         return 0.0
     return math.exp(0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0) + d * math.log(rho))
@@ -44,9 +43,8 @@ def stick_hit_volume(d: int, length: float, rho: float) -> float:
     line segment hits a ball of radius rho: the volume of the radius-rho
     capsule, L * vol(B_{d-1}(rho)) + vol(B_d(rho)), the ball's at L = 0."""
     d = check_dim(d)
-    check_radius(rho)
-    if not 0.0 <= length < math.inf:
-        raise DomainError(f"length must be finite and nonnegative, got L = {length}")
+    rho = check_radius(rho)
+    length = check_real(length, "stick length", "[0, inf)")
     cross_section = math.exp(
         0.5 * (d - 1) * math.log(math.pi) - math.lgamma(0.5 * (d + 1)) + (d - 1) * math.log(rho)
     )
@@ -56,7 +54,7 @@ def stick_hit_volume(d: int, length: float, rho: float) -> float:
 def check_cap(rho: float, r: float) -> None:
     """DomainError unless 0 < rho < r < inf: the cap of a ball of radius
     ``rho`` seen from a point at a finite distance ``r`` from its center."""
-    if not 0.0 < rho < r < math.inf:
+    if not (isinstance(rho, REAL_TYPES) and isinstance(r, REAL_TYPES) and 0.0 < rho < r < math.inf):
         raise DomainError(f"need 0 < rho < r < inf (point strictly outside the ball), got rho = {rho}, r = {r}")
 
 
@@ -149,10 +147,7 @@ class BoundsReport:
 
 
 def _law_tag(law) -> str:
-    tag = getattr(law, "tag", law)
-    if tag not in LAW_TAGS:
-        raise DomainError(f"unknown law tag {tag!r}; expected one of {LAW_TAGS}")
-    return tag
+    return check_choice(getattr(law, "tag", law), "law", LAW_TAGS)
 
 
 def lower_bound_constant(d: int, law) -> float:
@@ -187,11 +182,14 @@ def bound_validity_threshold(d: int, law, side: str) -> float:
     return math.pi if side == "lower" else 200.0 * math.sqrt(d)
 
 
-def check_bound_validity(d: int, length: float, law, side: str) -> None:
-    """PreconditionViolated unless ``length`` is in the ``side`` bound's range, L > its validity threshold."""
+def check_bound_validity(d: int, length: float, law, side: str) -> float:
+    """``length`` as a float; PreconditionViolated unless it is in the
+    ``side`` bound's range, L > its validity threshold."""
     threshold = bound_validity_threshold(d, law, side)
+    length = check_length(length)
     if not length > threshold:
         raise PreconditionViolated(f"{_law_tag(law)} {side} bound requires L > {threshold:.6g}, got L = {length:.6g}")
+    return length
 
 
 def theorem_bounds(d: int, length: float, law, delta: float = 1.0, strict: bool = True) -> BoundsReport:
@@ -207,8 +205,8 @@ def theorem_bounds(d: int, length: float, law, delta: float = 1.0, strict: bool 
     """
     d = check_dim(d)
     tag = _law_tag(law)
-    check_length(length)
-    check_density_floor(delta)
+    length = check_length(length)
+    delta = check_density_floor(delta)
     if tag == "uniform":
         delta = 1.0
     if strict:
@@ -226,9 +224,9 @@ def theorem_bounds(d: int, length: float, law, delta: float = 1.0, strict: bool 
         raise DomainError(f"bracket leaves the floating-point range at L = {length}")
     return BoundsReport(
         d=d,
-        length=float(length),
+        length=length,
         law=tag,
-        delta=float(delta),
+        delta=delta,
         lower=lower,
         upper=upper,
     )
@@ -238,8 +236,8 @@ def gw_offspring_bound(d: int, length: float, intensity: float, law) -> float:
     """Closed-form upper bound on the expected number of sticks hitting a
     fixed stick (the branching-process offspring mean); valid where the
     lower bound is."""
-    check_length(length)
-    check_intensity(intensity)
+    length = check_length(length)
+    intensity = check_intensity(intensity)
     check_bound_validity(d, length, law, "lower")
     exponent = 1 if _law_tag(law) == "rigid" else 2
     return intensity * length**exponent / lower_bound_constant(d, law)
@@ -263,7 +261,7 @@ class ConstructionGeometry:
 
     def __post_init__(self):
         object.__setattr__(self, "d", check_dim(self.d))
-        check_length(self.length)
+        object.__setattr__(self, "length", check_length(self.length))
 
     @property
     def half_side(self) -> float:
@@ -306,7 +304,9 @@ def lattice_T_count(d: int, length: float) -> int:
 
 
 def lattice_T_count_bound(d: int, length: float) -> float:
-    """Closed-form lower bound (L/(96 sqrt d) - 4)^{d-1} for the count."""
+    """Closed-form lower bound (L/(96 sqrt d) - 4)^{d-1} for the count, in
+    the count's range."""
+    length = check_bound_validity(d, length, "uniform", "upper")
     d = check_dim(d)
     return (length / (96.0 * math.sqrt(d)) - 4.0) ** (d - 1)
 
@@ -350,8 +350,9 @@ def mc_stick_hit_volume(
     times hit fraction.
     """
     d = check_dim(d)
-    check_length(length)
-    check_radius(rho)
+    length = check_length(length)
+    rho = check_radius(rho)
+    check_law(law, d)
     half_t = 0.5 * length + rho
 
     def count_hits(rng, n):
@@ -414,10 +415,11 @@ def mc_two_ball_measure(
     compared against intensity * delta * c_d * L^{2-d}.
     """
     d = check_dim(d)
-    check_intensity(intensity)
+    intensity = check_intensity(intensity)
     geom = ConstructionGeometry(d, length)
     if not length > 32.0:
         raise PreconditionViolated("two-ball measure requires L > 32")
+    check_law(law, d)
     if isinstance(law, Rigid):
         raise PreconditionViolated("law must have a positive density floor")
     gamma = geom.box_center((-2, 0))
@@ -438,5 +440,5 @@ def mc_two_ball_measure(
 def two_ball_lower_bound(d: int, length: float, delta: float, intensity: float = 1.0) -> float:
     """The two-ball lemma lower bound intensity * delta * c_d * L^{2-d}."""
     d = check_dim(d)
-    check_length(length)
-    return check_intensity(intensity) * check_density_floor(delta) * c_d(d) * float(length) ** (2 - d)
+    length = check_length(length)
+    return check_intensity(intensity) * check_density_floor(delta) * c_d(d) * length ** (2 - d)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .rng import combine_keys, derive_seed, mix_to_unit, substream
-from .sampling import check_integer, check_runs
+from .sampling import check_choice, check_integer, check_real, check_runs
 from .stats import wilson_interval
 
 _STREAM_TRIAL = 0x0B5E
@@ -53,19 +53,6 @@ class Frontier:
     @staticmethod
     def origin() -> "Frontier":
         return Frontier(0, np.zeros(1, dtype=np.int64))
-
-
-def _check_alpha(alpha: float) -> float:
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError("alpha must lie in [0, 1]")
-    return float(alpha)
-
-
-def _check_variant(variant: str) -> str:
-    v = variant.lower()
-    if v not in VARIANTS:
-        raise DomainError(f"variant must be one of {VARIANTS}")
-    return v
 
 
 def _arrow_heads(sites: np.ndarray) -> np.ndarray:
@@ -135,9 +122,9 @@ def op_step(frontier: Frontier, alpha: float, variant: str, stream: np.random.Ge
     arrows, parents in sorted order).  Site: one stream uniform per candidate
     child (sorted order).
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_real(alpha, "alpha", "[0, 1]")
     children = _step(
-        frontier.occupied, frontier.level, _check_variant(variant),
+        frontier.occupied, frontier.level, check_choice(variant, "variant", VARIANTS),
         lambda level, sites, key: stream.random(sites.size) < alpha,
     )
     return Frontier(frontier.level + 1, children)
@@ -155,7 +142,7 @@ def _coupled_steps(levels: np.ndarray, trial_keys, run: np.ndarray, x: np.ndarra
     left parent is empty: one uniform per candidate, as the site law needs,
     and site occupation pathwise within bond occupation.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_real(alpha, "alpha", "[0, 1]")
     bands = _Bands.spanning(int(x.min()), int(x.max())) if x.size else _Bands.spanning(0, 0)
     sites = np.unique(bands.pack(run, x))
     parent_run, parent_x = bands.unpack(sites)
@@ -223,8 +210,8 @@ def survival_probability(
     alpha: float, variant: str, n_max: int, trials: int, seed: int
 ) -> SurvivalStats:
     """Fraction of trials from the origin whose frontier is alive at n_max."""
-    alpha = _check_alpha(alpha)
-    variant = _check_variant(variant)
+    alpha = check_real(alpha, "alpha", "[0, 1]")
+    variant = check_choice(variant, "variant", VARIANTS)
     n_max, trials = check_integer(n_max, "n_max", 1), check_integer(trials, "trials", 1)
     seed = check_integer(seed, "seed", 0)
 
@@ -258,7 +245,7 @@ def coupled_survival_matrix(
     alphas, variant: str, n_max: int, trials: int, seed: int
 ) -> np.ndarray:
     """Survival indicators (trials x alphas) on shared driving uniforms."""
-    alphas = [_check_alpha(float(a)) for a in alphas]
+    alphas = [check_real(a, "alpha", "[0, 1]") for a in alphas]
     if sorted(alphas) != alphas:
         raise DomainError("alpha list must be sorted ascending")
     n_max, trials = check_integer(n_max, "n_max", 1), check_integer(trials, "trials", 1)
@@ -275,7 +262,7 @@ def coupled_survival_matrix(
 
         return opens
 
-    levels = _extinction_levels(trials, k, _check_variant(variant), n_max, batch_opens)
+    levels = _extinction_levels(trials, k, check_choice(variant, "variant", VARIANTS), n_max, batch_opens)
     return (levels < 0).astype(np.int64)
 
 

@@ -51,7 +51,7 @@ from .measures import BoundsReport, theorem_bounds
 from .rng import derive_seed, substream
 from .sampling import (
     _STREAM_CONFIG, BoxRegion, Configuration, OrientationLaw, check_expected_count, check_integer,
-    check_law_dimension, check_runs, poisson_sticks, sampling_box,
+    check_law, check_real, check_runs, poisson_sticks, sampling_box,
 )
 from .stats import _Z95, wilson_interval
 
@@ -493,11 +493,11 @@ def check_threshold_inputs(
 ) -> tuple[BoundsReport, int, int, int, int]:
     """The checks ``estimate_threshold`` makes before its first probe, the
     first probe's expected stick count among them; returns the theorem
-    bracket its walk starts from, with the checked d, and the checked
+    bracket its walk starts from, with the checked d and L, and the checked
     ``replicates``, ``axis``, ``workers`` and ``max_bisect``."""
     bounds = theorem_bounds(d, length, law, strict=False)
     d = bounds.d
-    check_law_dimension(law, d)
+    check_law(law, d)
     window = BoxRegion.cube(d, side)
     if side < 8.0 * length:
         raise PreconditionViolated(f"the estimator needs side >= 8 L, got side = {side}, L = {length}")
@@ -535,7 +535,7 @@ def estimate_threshold(
     checked = check_threshold_inputs(d, length, law, side, replicates, axis, workers, max_bisect)
     bounds, replicates, axis, workers, max_bisect = checked
     seed = check_integer(seed, "seed", 0)
-    d = bounds.d
+    d, length = bounds.d, bounds.length
     probes: list[CrossingStats] = []
 
     with _replicate_pool(workers) as executor:
@@ -572,7 +572,7 @@ def estimate_threshold(
     lam_hat, ci_low, ci_high = _logistic_interpolation(probes, straddle[0], straddle[1])
     return ThresholdEstimate(
         d=d,
-        length=float(length),
+        length=length,
         law=law.tag,
         side=float(side),
         lambda_hat=lam_hat,
@@ -612,10 +612,8 @@ def scaling_fit(points) -> ScalingFit:
     ``points`` is an iterable of (L, lambda_hat, weight), each positive and
     finite; needs at least three distinct L values.
     """
-    pts = [(float(L), float(lam), float(w)) for L, lam, w in points]
-    for p in pts:
-        if not all(0.0 < v < math.inf for v in p):
-            raise DomainError(f"scaling points need positive finite L, lambda and weight, got {p}")
+    nouns = ("scaling point L", "scaling point lambda", "scaling point weight")
+    pts = [tuple(check_real(v, noun, "(0, inf)") for v, noun in zip((L, lam, w), nouns)) for L, lam, w in points]
     check_scaling_lengths([p[0] for p in pts])
     x = np.log([p[0] for p in pts])
     y = np.log([p[1] for p in pts])

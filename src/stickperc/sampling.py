@@ -99,8 +99,11 @@ class Rigid(_DirectionLaw):
     tag: str = field(default="rigid", init=False)
 
     def __post_init__(self):
-        axis = np.asarray(self.axis, dtype=float)
-        n = float(np.linalg.norm(axis))
+        try:
+            axis = np.asarray(self.axis, dtype=float)
+            n = float(np.linalg.norm(axis))
+        except (TypeError, ValueError):  # an axis that is not numeric
+            n = 0.0
         if n == 0.0 or not np.all(np.isfinite(axis)):
             raise DomainError("rigid axis must be a finite nonzero vector")
         object.__setattr__(self, "axis", axis / n)
@@ -110,7 +113,7 @@ class Rigid(_DirectionLaw):
 
     def unit(self, raw: np.ndarray, streams, counts, out: np.ndarray) -> None:
         """Write the axis into every row of ``out``."""
-        check_law_dimension(self, raw.shape[1])
+        check_law(self, raw.shape[1])
         out[...] = self.axis
 
 
@@ -134,20 +137,45 @@ def check_dim(d: int) -> int:
     return check_integer(d, "dimension", 2)
 
 
+# float and int ahead of the ABC, whose check alone costs about 1 us a call
+REAL_TYPES = (float, int, Real)
+_INTERVALS = {i: tuple(float(end) for end in i[1:-1].split(", ")) for i in ("(0, inf)", "[0, inf)", "(0, 1]", "[0, 1]")}
+
+
+def check_real(value, noun: str, interval: str) -> float:
+    """``float(value)``; DomainError, naming it ``noun``, unless it is a real
+    number (a numpy scalar counts; NaN does not) in ``interval``, one of
+    ``"(0, inf)"``, ``"[0, inf)"``, ``"(0, 1]"`` and ``"[0, 1]"``: the
+    literal both sets the bounds and is quoted in the message."""
+    low, high = _INTERVALS[interval]
+    try:
+        x = float(value) if isinstance(value, REAL_TYPES) else math.nan
+    except OverflowError:
+        x = math.nan
+    if (low < x or interval[0] == "[" and x == low) and (x < high or interval[-1] == "]" and x == high):
+        return x
+    raise DomainError(f"{noun} must be a number in {interval}, got {value!r}")
+
+
+def check_choice(value, noun: str, choices: tuple[str, ...]) -> str:
+    """``value`` itself; DomainError, naming it ``noun``, unless it is one of
+    the strings ``choices``."""
+    if not (isinstance(value, str) and value in choices):
+        raise DomainError(f"{noun} must be one of {choices}, got {value!r}")
+    return value
+
+
 def check_length(length: float) -> float:
-    """``length`` itself; DomainError unless it is positive and finite."""
-    if not math.isfinite(length):
-        raise DomainError(f"stick length must be finite, got L = {length}")
-    if not length > 0.0:
-        raise DomainError("stick length must be positive")
-    return length
+    """``length`` as a float; DomainError unless it is positive and finite."""
+    return check_real(length, "stick length", "(0, inf)")
 
 
-def check_law_dimension(law, d: int) -> None:
-    """DomainError if ``law`` is a rigid law whose axis does not live in
-    dimension ``d``; any other law passes."""
-    axis = getattr(law, "axis", None)
-    if axis is not None and axis.shape != (d,):
+def check_law(law, d: int) -> None:
+    """DomainError unless ``law`` is an orientation law, a ``Uniform`` or a
+    ``Rigid`` whose axis lives in dimension ``d``."""
+    if not isinstance(law, (Uniform, Rigid)):
+        raise DomainError(f"law must be a Uniform or Rigid orientation law, got {law!r}")
+    if isinstance(law, Rigid) and law.axis.shape != (d,):
         raise DomainError("rigid axis dimension does not match d")
 
 
@@ -179,37 +207,28 @@ class BoxRegion:
     def cube(d: int, side: float) -> "BoxRegion":
         """The window [0, side]^d; DomainError unless side is a positive finite number."""
         d = check_dim(d)
-        if not (isinstance(side, Real) and math.isfinite(side)):
-            raise DomainError(f"window side must be finite, got side = {side!r}")
-        if not side > 0.0:
-            raise DomainError("window side must be positive")
-        return BoxRegion(np.zeros(d), np.full(d, float(side)))
+        return BoxRegion(np.zeros(d), np.full(d, check_real(side, "window side", "(0, inf)")))
 
     def grown(self, pad: float) -> "BoxRegion":
         return BoxRegion(self.low - pad, self.high + pad)
 
 
 def check_intensity(intensity: float) -> float:
-    """``intensity`` itself; DomainError unless it is a finite nonnegative number."""
-    if not (isinstance(intensity, Real) and 0.0 <= intensity < math.inf):
-        raise DomainError("intensity must be finite and nonnegative")
-    return intensity
+    """``intensity`` as a float; DomainError unless it is finite and nonnegative."""
+    return check_real(intensity, "intensity", "[0, inf)")
 
 
 def check_density_floor(delta: float) -> float:
-    """``delta`` itself; DomainError unless 0 < delta <= 1.  A density with
-    respect to the normalized uniform law integrates to 1, so its floor
+    """``delta`` as a float; DomainError unless 0 < delta <= 1.  A density
+    with respect to the normalized uniform law integrates to 1, so its floor
     cannot exceed 1."""
-    if not 0.0 < delta <= 1.0:
-        raise DomainError(f"density floor delta must satisfy 0 < delta <= 1, got delta = {delta}")
-    return delta
+    return check_real(delta, "density floor delta", "(0, 1]")
 
 
 def check_expected_count(mean: float) -> float:
-    """``mean`` itself; DomainError unless it is finite and nonnegative, and
-    CapacityExceeded above the guard on the expected sticks of one sample."""
-    if not (mean >= 0.0) or not np.isfinite(mean):
-        raise DomainError("poisson mean must be finite and nonnegative")
+    """``mean`` as a float; DomainError unless it is finite and nonnegative,
+    and CapacityExceeded above the guard on the expected sticks of one sample."""
+    mean = check_real(mean, "poisson mean", "[0, inf)")
     if mean > _MAX_EXPECTED_COUNT:
         raise CapacityExceeded(f"expected count {mean:.3g} exceeds guard of {_MAX_EXPECTED_COUNT:.3g}")
     return mean
@@ -220,16 +239,6 @@ def check_runs(count: int, noun: str) -> None:
     (replicates, trials or runs) of one estimate, each of which it keeps."""
     if count > _MAX_EXPECTED_COUNT:
         raise CapacityExceeded(f"{count} {noun} exceed guard of {_MAX_EXPECTED_COUNT:.3g}")
-
-
-def poisson_count(mean: float, stream: np.random.Generator) -> int:
-    """One exact Poisson(mean) draw from the given stream.
-
-    Delegates to the generator's Poisson sampler (exact inversion for small
-    means, transformed rejection for large ones); deterministic given the
-    stream state.
-    """
-    return int(stream.poisson(check_expected_count(mean)))
 
 
 def place_sticks(
@@ -264,10 +273,11 @@ def poisson_sticks(
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Poisson(intensity * volume) sticks from each of ``streams``, placed
     in ``box`` by ``place_sticks``: their centres and directions, and the
-    count of each stream.  The streams are independent, so every count is
-    drawn first."""
-    mean = intensity * box.volume
-    counts = [poisson_count(mean, rng) for rng in streams]
+    count of each stream.  The mean is checked once; the streams are
+    independent, so every count is drawn first, by the generator's exact
+    Poisson sampler."""
+    mean = check_expected_count(intensity * box.volume)
+    counts = [int(rng.poisson(mean)) for rng in streams]
     centers, dirs = place_sticks(d, law, box, streams, counts)
     return centers, dirs, counts
 
@@ -313,13 +323,14 @@ def sample_window_configuration(
     """Sample a Poisson stick configuration for the observation window
     [0, side]^d, its centers drawn in the window's ``sampling_box``: a
     ``poisson_sticks`` batch of one stream, drawn only once ``d``, ``side``,
-    ``length``, ``intensity``, the law's dimension, the expected stick count
+    ``length``, ``intensity``, the law, the expected stick count
     and ``seed`` pass their checks.  At intensity 0 it is empty."""
     d = check_dim(d)
     window = BoxRegion.cube(d, side)
-    box = sampling_box(window, check_length(length))
-    check_expected_count(check_intensity(intensity) * box.volume)
-    check_law_dimension(law, d)
+    length, intensity = check_length(length), check_intensity(intensity)
+    box = sampling_box(window, length)
+    check_expected_count(intensity * box.volume)
+    check_law(law, d)
     seed = check_integer(seed, "seed", 0)
     centers, dirs, _ = poisson_sticks(d, intensity, law, box, [substream(seed, _STREAM_CONFIG)])
-    return Configuration(float(length), window, centers, dirs)
+    return Configuration(length, window, centers, dirs)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import branching, geometry, measures, oriented
 from .rng import substream
-from .sampling import Rigid, Uniform, check_integer
+from .sampling import Rigid, Uniform, check_choice, check_integer
 
 
 @dataclass(frozen=True)
@@ -358,6 +358,7 @@ SUITES = {
 
 
 def run_suite(suite: str, seed: int) -> list[Check]:
+    suite = check_choice(suite, "suite", (*SUITES, "all"))
     seed = check_integer(seed, "seed", 0)
     if suite == "all":
         return [check for run in SUITES.values() for check in run(seed)]

@@ -20,18 +20,18 @@ from stickperc.rng import substream
 
 def typical_stick(d, L, law):
     # (center, direction, length), the rows segment_distance_arrays takes
-    return (*_seed_stick(d, L, law)[1:], L)
+    return (*_seed_stick(d, L, law)[2:], L)
 
 
 class TestSeedStick:
     def test_rigid_axis_else_first_unit_vector(self):
         axis = np.array([0.0, 0.0, 2.0])
-        d, center, direction = _seed_stick(3, 7.0, Rigid(axis))
+        d, length, center, direction = _seed_stick(3, 7.0, Rigid(axis))
         assert center.tolist() == [0.0, 0.0, 0.0] and direction.tolist() == [0.0, 0.0, 1.0]
-        d, center, direction = _seed_stick(4.0, 7.0, Uniform())
+        d, length, center, direction = _seed_stick(4.0, 7, Uniform())
         assert center.tolist() == [0.0] * 4 and direction.tolist() == [1.0, 0.0, 0.0, 0.0]
-        # the checked d, an int, for the callers to use
-        assert type(d) is int and d == 4
+        # the checked d, an int, and L, a float, for the callers to use
+        assert type(d) is int and d == 4 and type(length) is float and length == 7.0
 
     @pytest.mark.parametrize(
         "d, length, law, message",
@@ -39,10 +39,10 @@ class TestSeedStick:
             (1, 10.0, Uniform(), "dimension must be an integer >= 2"),
             (1, 10.0, Rigid(np.array([1.0])), "dimension must be an integer >= 2"),
             (2.5, 10.0, Uniform(), "dimension must be an integer >= 2"),
-            (2, 0.0, Uniform(), "stick length must be positive"),
-            (2, -3.0, Uniform(), "stick length must be positive"),
-            (2, math.inf, Uniform(), "stick length must be finite, got L = inf"),
-            (2, math.nan, Rigid(np.array([0.0, 1.0])), "stick length must be finite, got L = nan"),
+            (2, 0.0, Uniform(), r"stick length must be a number in \(0, inf\), got 0.0"),
+            (2, -3.0, Uniform(), r"stick length must be a number in \(0, inf\), got -3.0"),
+            (2, math.inf, Uniform(), r"stick length must be a number in \(0, inf\), got inf"),
+            (2, math.nan, Rigid(np.array([0.0, 1.0])), r"stick length must be a number in \(0, inf\), got nan"),
             (3, 10.0, Rigid(np.array([0.0, 1.0])), "rigid axis dimension does not match d"),
         ],
         ids=[
@@ -225,7 +225,7 @@ class TestComponentExploration:
             raise AssertionError("a random stream was made before the input check")
 
         monkeypatch.setattr("stickperc.branching.substream", no_stream)
-        with pytest.raises(DomainError, match="^intensity must be finite and nonnegative$"):
+        with pytest.raises(DomainError, match=rf"^intensity must be a number in \[0, inf\), got {lam}$"):
             component_exploration(2, 10.0, lam, Uniform(), max_generations=3, population_cap=100, seed=1)
 
     def test_tiny_intensity_seed_only(self):

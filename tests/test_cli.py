@@ -13,6 +13,8 @@ from stickperc.cli import main
 from stickperc.percolation import crossing_event
 from stickperc.sampling import Rigid, Uniform, sample_window_configuration
 
+DELTA = "density floor delta must be a number in (0, 1], got "
+
 
 def run_cli(capsys, argv):
     rc = main(argv)
@@ -136,7 +138,7 @@ class TestThreshold:
         )
         assert rc == 2
         assert out == ""
-        assert err.splitlines() == ["error: stick length must be positive"]
+        assert err.splitlines() == [f"error: stick length must be a number in (0, inf), got {float(length)!r}"]
 
     @pytest.mark.parametrize("lam", ["-1", "nan", "inf"])
     @pytest.mark.parametrize(
@@ -148,7 +150,14 @@ class TestThreshold:
         rc, out, err = run_cli(capsys, argv + ["--lambda", lam])
         assert rc == 2
         assert out == ""
-        assert err.splitlines() == ["error: intensity must be finite and nonnegative"]
+        assert err.splitlines() == [f"error: intensity must be a number in [0, inf), got {float(lam)!r}"]
+
+    @pytest.mark.parametrize("alpha", ["nan", "-0.5", "1.5"])
+    def test_invalid_alpha_exit_2(self, capsys, alpha):
+        rc, out, err = run_cli(capsys, ["oriented", "--alpha", alpha, "--n-max", "10", "--trials", "5"])
+        assert rc == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: alpha must be a number in [0, 1], got {float(alpha)!r}"]
 
 
     @pytest.mark.parametrize(
@@ -320,7 +329,7 @@ class TestInvalidInput:
         rc, out, err = run_cli(capsys, argv)
         assert rc == 2
         assert out == ""
-        assert err.splitlines() == [f"error: stick length must be finite, got L = {length}"]
+        assert err.splitlines() == [f"error: stick length must be a number in (0, inf), got {length}"]
 
     @pytest.mark.parametrize("law", ["rigid", "uniform"])
     @pytest.mark.parametrize("length", ["0", "-0.0", "-8"])
@@ -328,7 +337,7 @@ class TestInvalidInput:
         rc, out, err = run_cli(capsys, ["bounds", "--d", "2", "--L", length, "--law", law])
         assert rc == 2
         assert out == ""
-        assert err.splitlines() == ["error: stick length must be positive"]
+        assert err.splitlines() == [f"error: stick length must be a number in (0, inf), got {float(length)!r}"]
 
     @pytest.mark.parametrize(
         "argv, named",
@@ -337,20 +346,21 @@ class TestInvalidInput:
             (["threshold", "--d", "2", "--L", "1e-300", "--law", "uniform", "--replicates", "5"],
              "L = 1e-300"),
             (["bounds", "--d", "2", "--L", "1e200", "--law", "uniform"], "L = 1e+200"),
-            (["bounds", "--d", "2", "--L", "400", "--law", "density", "--delta", "inf"], "delta = inf"),
+            (["bounds", "--d", "2", "--L", "400", "--law", "density", "--delta", "inf"], DELTA + "inf"),
             (["bounds", "--d", "2", "--L", "400", "--law", "density", "--delta", "1e-320"],
              "delta = 1e-320"),
-            (["measure-mc", "--d", "2", "--trials", "100", "--delta", "nan"], "delta = nan"),
-            (["measure-mc", "--d", "2", "--trials", "100", "--delta", "inf"], "delta = inf"),
-            (["measure-mc", "--d", "2", "--trials", "100", "--delta", "-1"], "delta = -1.0"),
-            (["bounds", "--d", "2", "--L", "100", "--law", "rigid", "--delta", "inf"], "delta = inf"),
-            (["bounds", "--d", "2", "--L", "100", "--law", "uniform", "--delta", "-1"], "delta = -1.0"),
-            (["bounds", "--d", "2", "--L", "400", "--law", "density", "--delta", "2"], "delta = 2.0"),
-            (["measure-mc", "--d", "2", "--trials", "100", "--delta", "2"], "delta = 2.0"),
+            (["measure-mc", "--d", "2", "--trials", "100", "--delta", "nan"], DELTA + "nan"),
+            (["measure-mc", "--d", "2", "--trials", "100", "--delta", "inf"], DELTA + "inf"),
+            (["measure-mc", "--d", "2", "--trials", "100", "--delta", "-1"], DELTA + "-1.0"),
+            (["bounds", "--d", "2", "--L", "100", "--law", "rigid", "--delta", "inf"], DELTA + "inf"),
+            (["bounds", "--d", "2", "--L", "100", "--law", "uniform", "--delta", "-1"], DELTA + "-1.0"),
+            (["bounds", "--d", "2", "--L", "400", "--law", "density", "--delta", "2"], DELTA + "2.0"),
+            (["measure-mc", "--d", "2", "--trials", "100", "--delta", "2"], DELTA + "2.0"),
             (["measure-mc", "--d", "2", "--L", "1e300", "--trials", "100"], "L = 1e+300"),
-            (["measure-mc", "--d", "2", "--L", "inf", "--trials", "100"], "L = inf"),
+            (["measure-mc", "--d", "2", "--L", "inf", "--trials", "100"],
+             "stick length must be a number in (0, inf), got inf"),
             (["measure-mc", "--d", "2", "--L", "nan", "--trials", "100"],
-             "stick length must be finite, got L = nan"),
+             "stick length must be a number in (0, inf), got nan"),
             (["branching", "--d", "2", "--L", "10", "--lambda", "0.05", "--trials", "1"],
              "trials must be an integer >= 2"),
             (["measure-mc", "--d", "2", "--trials", "0"], "trials must be an integer >= 1"),
@@ -405,7 +415,7 @@ class TestInvalidInput:
              "stickperc.percolation.estimate_threshold", "scaling fit needs at least 3 distinct L values"),
             # every length is checked before the first one is estimated
             (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,32,-64", "--replicates", "30"],
-             "stickperc.percolation.estimate_threshold", "stick length must be positive"),
+             "stickperc.percolation.estimate_threshold", "stick length must be a number in (0, inf), got -64.0"),
             (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,1e300", "--replicates", "30"],
              "stickperc.percolation.estimate_threshold", "bracket leaves the floating-point range at L = 1e+300"),
             # the first probe of the last length would draw about 5e7 sticks
@@ -424,11 +434,13 @@ class TestInvalidInput:
              "stickperc.branching.offspring_mean_mc", "uniform lower bound requires L > 3.14159, got L = 2"),
             # an infinite window side is named, not met as an infinite Poisson mean
             (["threshold", "--d", "2", "--law", "uniform", "--L", "8", "--replicates", "4", "--s-factor", "inf"],
-             "stickperc.percolation._probe", "window side must be finite, got side = inf"),
+             "stickperc.percolation._probe", "window side must be a number in (0, inf), got inf"),
             (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,32", "--replicates", "4",
-              "--s-factor", "inf"], "stickperc.percolation.estimate_threshold", "window side must be finite, got side = inf"),
+              "--s-factor", "inf"], "stickperc.percolation.estimate_threshold",
+             "window side must be a number in (0, inf), got inf"),
             (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,32", "--replicates", "4",
-              "--s-factor", "0"], "stickperc.percolation.estimate_threshold", "window side must be positive"),
+              "--s-factor", "0"], "stickperc.percolation.estimate_threshold",
+             "window side must be a number in (0, inf), got 0.0"),
             (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,32", "--replicates", "4",
               "--s-factor", "4"], "stickperc.percolation.estimate_threshold",
              "the estimator needs side >= 8 L, got side = 32.0, L = 8.0"),

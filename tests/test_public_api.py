@@ -7,8 +7,9 @@ that every call they make into the package still binds to its signature;
 and, the other way round, that every name the package exports is used by
 the program, the benchmark or the demos, not only by tests.  Every entry
 point that takes ``d`` or another integer treats an integral float as its
-int, every one that takes an intensity or a window side checks it by one
-rule, and each input rule is raised from one function only.
+int, every one that takes a real number checks it by one rule and goes on
+with its float, laws and names are refused before any draw or pool start,
+and each input rule is raised from one function only.
 """
 
 import ast
@@ -18,11 +19,13 @@ import inspect
 import io
 import math
 import pickle
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from stickperc import branching, cli, measures, oriented, percolation, sampling, verify
+from stickperc import branching, cli, geometry, measures, oriented, percolation, sampling, verify
 from stickperc.errors import DomainError
 from stickperc.rng import substream
 
@@ -266,59 +269,213 @@ def test_integer_input_is_checked_and_used(name):
             call(bad)
 
 
-# every public entry point that takes an intensity, at small trials and sizes
-INTENSITY_ENTRY_POINTS = {
-    "sample_window_configuration": lambda lam: sampling.sample_window_configuration(
-        2, 8.0, lam, sampling.Uniform(), 64.0, 1
+def check_threshold(length=8.0, side=64.0):
+    return percolation.check_threshold_inputs(2, length, sampling.Uniform(), side, 4, 0, 1, 12)
+
+
+def scaling_fit(point):
+    """The fit of three points, the middle one ``point``."""
+    return percolation.scaling_fit([(8, 8.0**-2, 1.0), point, (32, 32.0**-2, 1.0)])
+
+
+# every public real input: its entry point at small sizes, a valid integral
+# value, and the noun and interval of the real rule's wording for it
+REAL_ENTRY_POINTS = {
+    "BoxRegion.cube-side": (lambda v: sampling.BoxRegion.cube(2, v), 5, "window side", "(0, inf)"),
+    "sample_window_configuration-length": (
+        lambda v: sampling.sample_window_configuration(2, v, 0.04, sampling.Uniform(), 64.0, 1),
+        8, "stick length", "(0, inf)",
     ),
-    "offspring_mean_mc": lambda lam: branching.offspring_mean_mc(2, 10.0, lam, sampling.Uniform(), 10, 1),
-    "component_exploration": lambda lam: branching.component_exploration(
-        2, 10.0, lam, sampling.Uniform(), 3, 100, 1
+    "sample_window_configuration-intensity": (
+        lambda v: sampling.sample_window_configuration(2, 8.0, v, sampling.Uniform(), 64.0, 1),
+        1, "intensity", "[0, inf)",
     ),
-    "gw_offspring_bound": lambda lam: measures.gw_offspring_bound(2, 20.0, lam, "uniform"),
-    "mc_two_ball_measure": lambda lam: measures.mc_two_ball_measure(
-        2, 256.0, sampling.Uniform(), 1000, 1, intensity=lam
+    "sample_window_configuration-side": (
+        lambda v: sampling.sample_window_configuration(2, 8.0, 0.04, sampling.Uniform(), v, 1),
+        64, "window side", "(0, inf)",
     ),
-    "two_ball_lower_bound": lambda lam: measures.two_ball_lower_bound(2, 256.0, 1.0, intensity=lam),
+    "check_expected_count-mean": (sampling.check_expected_count, 3, "poisson mean", "[0, inf)"),
+    "segments_hit_ball-rho": (
+        lambda v: geometry.segments_hit_ball([[0.0, 0.0]], [[1.0, 0.0]], 1.0, [0.0, 2.0], v), 2, "radius", "(0, inf)"
+    ),
+    "ball_volume-rho": (lambda v: measures.ball_volume(2, v), 1, "radius", "[0, inf)"),
+    "stick_hit_volume-length": (lambda v: measures.stick_hit_volume(2, v, 2.0), 0, "stick length", "[0, inf)"),
+    "stick_hit_volume-rho": (lambda v: measures.stick_hit_volume(2, 10.0, v), 2, "radius", "(0, inf)"),
+    "upper_bound_constant-delta": (
+        lambda v: measures.upper_bound_constant(2, "density", v), 1, "density floor delta", "(0, 1]"
+    ),
+    "check_bound_validity-length": (
+        lambda v: measures.check_bound_validity(2, v, "uniform", "upper"), 400, "stick length", "(0, inf)"
+    ),
+    "theorem_bounds-length": (lambda v: measures.theorem_bounds(2, v, "uniform"), 400, "stick length", "(0, inf)"),
+    "theorem_bounds-delta": (
+        lambda v: measures.theorem_bounds(2, 400.0, "density", delta=v), 1, "density floor delta", "(0, 1]"
+    ),
+    "gw_offspring_bound-length": (
+        lambda v: measures.gw_offspring_bound(2, v, 0.01, "uniform"), 20, "stick length", "(0, inf)"
+    ),
+    "gw_offspring_bound-intensity": (
+        lambda v: measures.gw_offspring_bound(2, 20.0, v, "uniform"), 1, "intensity", "[0, inf)"
+    ),
+    "ConstructionGeometry-length": (
+        lambda v: measures.ConstructionGeometry(2, v), 256, "stick length", "(0, inf)"
+    ),
+    "lattice_T_count-length": (lambda v: measures.lattice_T_count(2, v), 400, "stick length", "(0, inf)"),
+    "lattice_T_count_bound-length": (
+        lambda v: measures.lattice_T_count_bound(2, v), 400, "stick length", "(0, inf)"
+    ),
+    "mc_stick_hit_volume-length": (
+        lambda v: measures.mc_stick_hit_volume(2, v, 2.0, sampling.Uniform(), 1000, 1), 10, "stick length", "(0, inf)"
+    ),
+    "mc_stick_hit_volume-rho": (
+        lambda v: measures.mc_stick_hit_volume(2, 10.0, v, sampling.Uniform(), 1000, 1), 2, "radius", "(0, inf)"
+    ),
+    "mc_two_ball_measure-length": (
+        lambda v: measures.mc_two_ball_measure(2, v, sampling.Uniform(), 1000, 1), 256, "stick length", "(0, inf)"
+    ),
+    "mc_two_ball_measure-intensity": (
+        lambda v: measures.mc_two_ball_measure(2, 256.0, sampling.Uniform(), 1000, 1, intensity=v),
+        1, "intensity", "[0, inf)",
+    ),
+    "two_ball_lower_bound-length": (
+        lambda v: measures.two_ball_lower_bound(2, v, 1.0), 256, "stick length", "(0, inf)"
+    ),
+    "two_ball_lower_bound-delta": (
+        lambda v: measures.two_ball_lower_bound(2, 256.0, v), 1, "density floor delta", "(0, 1]"
+    ),
+    "two_ball_lower_bound-intensity": (
+        lambda v: measures.two_ball_lower_bound(2, 256.0, 1.0, intensity=v), 1, "intensity", "[0, inf)"
+    ),
+    "offspring_mean_mc-length": (
+        lambda v: branching.offspring_mean_mc(2, v, 0.1, sampling.Uniform(), 10, 1), 10, "stick length", "(0, inf)"
+    ),
+    "offspring_mean_mc-intensity": (
+        lambda v: branching.offspring_mean_mc(2, 10.0, v, sampling.Uniform(), 10, 1), 1, "intensity", "[0, inf)"
+    ),
+    "component_exploration-length": (
+        lambda v: branching.component_exploration(2, v, 0.01, sampling.Uniform(), 3, 100, 1),
+        10, "stick length", "(0, inf)",
+    ),
+    "component_exploration-intensity": (
+        lambda v: branching.component_exploration(2, 10.0, v, sampling.Uniform(), 3, 100, 1),
+        1, "intensity", "[0, inf)",
+    ),
+    "check_threshold_inputs-length": (lambda v: check_threshold(length=v), 8, "stick length", "(0, inf)"),
+    "check_threshold_inputs-side": (lambda v: check_threshold(side=v), 64, "window side", "(0, inf)"),
+    "estimate_threshold-length": (
+        lambda v: percolation.estimate_threshold(2, v, sampling.Uniform(), 64.0, 4, 1), 8, "stick length", "(0, inf)"
+    ),
+    "estimate_threshold-side": (
+        lambda v: percolation.estimate_threshold(2, 8.0, sampling.Uniform(), v, 4, 1), 64, "window side", "(0, inf)"
+    ),
+    "scaling_fit-L": (lambda v: scaling_fit((v, 16.0**-2, 1.0)), 16, "scaling point L", "(0, inf)"),
+    "scaling_fit-lambda": (lambda v: scaling_fit((16, v, 1.0)), 1, "scaling point lambda", "(0, inf)"),
+    "scaling_fit-weight": (lambda v: scaling_fit((16, 16.0**-2, v)), 2, "scaling point weight", "(0, inf)"),
+    "op_step-alpha": (
+        lambda v: oriented.op_step(oriented.Frontier.origin(), v, "bond", substream(1)), 1, "alpha", "[0, 1]"
+    ),
+    "survival_probability-alpha": (
+        lambda v: oriented.survival_probability(v, "bond", 10, 5, 1), 1, "alpha", "[0, 1]"
+    ),
+    "coupled_survival_matrix-alpha": (
+        lambda v: oriented.coupled_survival_matrix([0, v], "site", 10, 5, 1), 1, "alpha", "[0, 1]"
+    ),
+    "coupled_survival_monotonicity-alpha": (
+        lambda v: oriented.coupled_survival_monotonicity([0, v], "bond", 10, 5, 1), 1, "alpha", "[0, 1]"
+    ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(INTENSITY_ENTRY_POINTS))
-def test_intensity_is_checked_by_one_rule(name):
-    """Intensity 0 is accepted, and NaN, inf, a negative intensity and a
-    value that is not a number are refused by ``check_intensity``."""
-    call = INTENSITY_ENTRY_POINTS[name]
-    call(0.0)
-    for bad in (math.nan, math.inf, -0.1, "x"):
-        with pytest.raises(DomainError, match="^intensity must be finite and nonnegative$"):
+def refused_reals(interval):
+    """Values outside ``interval`` and values that are not numbers: NaN, its
+    open lower end, a value below it and one above it, inf (above every
+    interval) and a string."""
+    low, high = (float(end) for end in interval[1:-1].split(", "))
+    return [math.nan, *([low] if interval[0] == "(" else []), low - 1.0, *([high + 0.5] if high < math.inf else []),
+            math.inf, "x"]
+
+
+def real_rule(noun, interval, value):
+    """The real rule's wording, as a full-match pattern."""
+    return f"^{re.escape(f'{noun} must be a number in {interval}, got {value!r}')}$"
+
+
+@pytest.mark.parametrize("name", sorted(REAL_ENTRY_POINTS))
+def test_real_input_is_checked_and_used(name):
+    """An int and a numpy float give the result of their float to the last
+    bit, and every value outside the interval, NaN and a value that is not
+    a number are refused by the real rule."""
+    call, value, noun, interval = REAL_ENTRY_POINTS[name]
+    expected = pickle.dumps(call(float(value)))
+    assert pickle.dumps(call(value)) == expected
+    assert pickle.dumps(call(np.float64(value))) == expected
+    for bad in refused_reals(interval):
+        with pytest.raises(DomainError, match=real_rule(noun, interval, bad)):
             call(bad)
 
 
-# every public entry point that takes a window side
-SIDE_ENTRY_POINTS = {
-    "sample_window_configuration": lambda side: sampling.sample_window_configuration(
-        2, 8.0, 0.04, sampling.Uniform(), side, 1
+@pytest.mark.parametrize(
+    "name", sorted(key.removesuffix("-intensity") for key in REAL_ENTRY_POINTS if key.endswith("-intensity"))
+)
+def test_intensity_is_checked_by_one_rule(name):
+    """Intensity 0, the closed end of its interval, is accepted, as an int too."""
+    call, *_ = REAL_ENTRY_POINTS[f"{name}-intensity"]
+    assert pickle.dumps(call(0)) == pickle.dumps(call(0.0))
+
+
+@pytest.mark.parametrize("name", ["BoxRegion.cube", "estimate_threshold", "sample_window_configuration"])
+@pytest.mark.parametrize("side", [math.nan, math.inf, 0.0, -1.0, "64"], ids=["nan", "inf", "zero", "negative", "text"])
+def test_window_side_is_checked_by_one_rule(name, side):
+    call, _, noun, interval = REAL_ENTRY_POINTS[f"{name}-side"]
+    with pytest.raises(DomainError, match=real_rule(noun, interval, side)):
+        call(side)
+
+
+LAW = "law must be a Uniform or Rigid orientation law, got 'uniform'"
+
+# a law tag where a law object is needed, an axis that is not numeric, and
+# a name that is not one of its choices: each entry point and the wording
+# that refuses it
+LAW_AND_CHOICE_CASES = {
+    "estimate_threshold-law": (
+        lambda: percolation.estimate_threshold(2, 8.0, "rigid", 64.0, 4, 1, workers=2),
+        "law must be a Uniform or Rigid orientation law, got 'rigid'",
     ),
-    "estimate_threshold": lambda side: percolation.estimate_threshold(2, 8.0, sampling.Uniform(), side, 4, 1),
-    "BoxRegion.cube": lambda side: sampling.BoxRegion.cube(2, side),
+    "sample_window_configuration-law": (
+        lambda: sampling.sample_window_configuration(2, 8.0, 0.04, "uniform", 64.0, 1), LAW
+    ),
+    "offspring_mean_mc-law": (lambda: branching.offspring_mean_mc(2, 10.0, 0.1, "uniform", 10, 1), LAW),
+    "component_exploration-law": (
+        lambda: branching.component_exploration(2, 10.0, 0.01, "uniform", 3, 100, 1), LAW
+    ),
+    "mc_two_ball_measure-law": (lambda: measures.mc_two_ball_measure(2, 256.0, "uniform", 1000, 1), LAW),
+    "mc_stick_hit_volume-law": (lambda: measures.mc_stick_hit_volume(2, 10.0, 2.0, "uniform", 1000, 1), LAW),
+    "Rigid-axis": (lambda: sampling.Rigid(["a", 1.0]), "rigid axis must be a finite nonzero vector"),
+    "run_suite-suite": (
+        lambda: verify.run_suite("nope", 1),
+        "suite must be one of ('geometry', 'measures', 'branching', 'oriented', 'all'), got 'nope'",
+    ),
+    "survival_probability-variant": (
+        lambda: oriented.survival_probability(0.7, 5, 10, 5, 1), "variant must be one of ('bond', 'site'), got 5"
+    ),
+    "survival_probability-upper-case-variant": (
+        lambda: oriented.survival_probability(0.7, "BOND", 10, 5, 1),
+        "variant must be one of ('bond', 'site'), got 'BOND'",
+    ),
+    "theorem_bounds-law": (
+        lambda: measures.theorem_bounds(2, 400.0, 5), "law must be one of ('uniform', 'rigid', 'density'), got 5"
+    ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(SIDE_ENTRY_POINTS))
-@pytest.mark.parametrize(
-    "side, message",
-    [
-        (math.nan, "window side must be finite, got side = nan"),
-        (math.inf, "window side must be finite, got side = inf"),
-        (0.0, "window side must be positive"),
-        (-1.0, "window side must be positive"),
-        ("64", "window side must be finite, got side = '64'"),
-    ],
-    ids=["nan", "inf", "zero", "negative", "text"],
-)
-def test_window_side_is_checked_by_one_rule(name, side, message):
-    with pytest.raises(DomainError, match=f"^{message}$"):
-        SIDE_ENTRY_POINTS[name](side)
+@pytest.mark.parametrize("name", sorted(LAW_AND_CHOICE_CASES))
+def test_law_and_choice_refused_before_any_pool(monkeypatch, name):
+    call, message = LAW_AND_CHOICE_CASES[name]
+    pools = []
+    monkeypatch.setattr(percolation, "_replicate_pool", pools.append)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+    assert pools == []
 
 
 def raise_strings(node, where):
@@ -340,7 +497,7 @@ def raise_strings(node, where):
     "wording, homes",
     [
         ("must be an integer >=", {"sampling.check_integer"}),
-        ("stick length must be", {"sampling.check_length"}),
+        ("stick length must be", set()),
         # the two-ball lemma's own L > 32 is not a theorem bound's range
         ("requires L >", {"measures.check_bound_validity", "measures.mc_two_ball_measure"}),
         ("exceed guard of", {"sampling.check_runs"}),
@@ -351,10 +508,18 @@ def raise_strings(node, where):
             "level must be nonnegative", "trials and n_max must be positive", "need at least two trials",
             "caps must be positive", "need at least one trial", "gw_runs must be nonnegative",
         )],
-        ("intensity must be", {"sampling.check_intensity"}),
-        ("window side must be", {"sampling.BoxRegion.cube"}),
-        # the window sampler's own intensity wording, which the intensity rule replaced
+        # the wordings that the real rule replaced
+        ("intensity must be", set()),
+        ("window side must be", set()),
         ("intensity must be positive", set()),
+        ("must be a number in", {"sampling.check_real"}),
+        ("must be one of", {"sampling.check_choice"}),
+        ("orientation law, got", {"sampling.check_law"}),
+        *[(wording, set()) for wording in (
+            "density floor delta must satisfy", "poisson mean must be", "radius must be",
+            "length must be finite and nonnegative", "alpha must lie in", "scaling points need",
+            "unknown law tag",
+        )],
     ],
 )
 def test_each_input_rule_is_raised_in_one_place(wording, homes):

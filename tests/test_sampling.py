@@ -15,7 +15,6 @@ from stickperc.sampling import (
     Rigid,
     Uniform,
     place_sticks,
-    poisson_count,
     poisson_sticks,
     sample_window_configuration,
 )
@@ -34,27 +33,29 @@ class TestSeedDerivation:
 
 
 class TestPoissonCount:
+    # on the unit square the intensity is the Poisson mean
+    UNIT = BoxRegion.cube(2, 1.0)
+
     def test_zero_mean(self):
-        assert poisson_count(0.0, substream(0)) == 0
-
-    def test_clt_mean(self):
-        rng = substream(42, 1)
-        draws = np.array([poisson_count(5.0, rng) for _ in range(1_000_000)])
-        assert abs(draws.mean() - 5.0) <= 3.0 * math.sqrt(5.0 / len(draws))
-
-    def test_index_of_dispersion(self):
-        rng = substream(43, 1)
-        draws = np.array([poisson_count(1000.0, rng) for _ in range(100_000)])
-        ratio = draws.var() / draws.mean()
-        assert 0.97 <= ratio <= 1.03
+        assert poisson_sticks(2, 0.0, Uniform(), self.UNIT, [substream(0), substream(1)])[2] == [0, 0]
 
     def test_domain_and_capacity(self):
-        with pytest.raises(DomainError):
-            poisson_count(-1.0, substream(0))
-        with pytest.raises(DomainError):
-            poisson_count(float("nan"), substream(0))
+        with pytest.raises(DomainError, match=r"^poisson mean must be a number in \[0, inf\), got -1.0$"):
+            poisson_sticks(2, -1.0, Uniform(), self.UNIT, [substream(0)])
+        with pytest.raises(DomainError, match=r"^poisson mean must be a number in \[0, inf\), got nan$"):
+            poisson_sticks(2, math.nan, Uniform(), self.UNIT, [substream(0)])
         with pytest.raises(CapacityExceeded):
-            poisson_count(2e9, substream(0))
+            poisson_sticks(2, 2e9, Uniform(), self.UNIT, [substream(0)])
+
+
+class TestRealRule:
+    def test_numpy_scalars_are_numbers(self):
+        assert sampling.check_real(np.float32(0.5), "alpha", "[0, 1]") == 0.5
+        assert type(sampling.check_real(np.int64(3), "radius", "(0, inf)")) is float
+
+    def test_int_beyond_the_float_range_is_refused(self):
+        with pytest.raises(DomainError, match=r"^stick length must be a number in \(0, inf\), got 10{400}$"):
+            sampling.check_length(10**400)
 
 
 class TestOrientationLaws:
@@ -116,8 +117,13 @@ class TestConfiguration:
             sample_configuration(2, 8.0, 0.05, Uniform(), box, seed=s).count
             for s in range(1000)
         ]
+        n = len(counts)
         mean = np.mean(counts)
-        assert abs(mean - 500.0) <= 3.0 * math.sqrt(500.0 / len(counts))
+        assert abs(mean - 500.0) <= 3.0 * math.sqrt(500.0 / n)
+        # the index of dispersion of n Poisson counts is 1 with standard
+        # deviation sqrt(2 / (n - 1)) (its (n - 1)-fold is chi-squared)
+        ratio = np.var(counts, ddof=1) / mean
+        assert abs(ratio - 1.0) <= 3.0 * math.sqrt(2.0 / (n - 1))
 
     def test_capacity_guard(self):
         box = BoxRegion.cube(2, 1e6)
@@ -146,19 +152,19 @@ class TestConfiguration:
     @pytest.mark.parametrize(
         "d, length, intensity, error, message",
         [
-            (2, 8.0, -0.04, DomainError, "intensity must be finite and nonnegative"),
-            (2, 8.0, math.nan, DomainError, "intensity must be finite and nonnegative"),
-            (2, 8.0, math.inf, DomainError, "intensity must be finite and nonnegative"),
-            (2, 8.0, "0.04", DomainError, "intensity must be finite and nonnegative"),
+            (2, 8.0, -0.04, DomainError, r"intensity must be a number in \[0, inf\), got -0.04"),
+            (2, 8.0, math.nan, DomainError, r"intensity must be a number in \[0, inf\), got nan"),
+            (2, 8.0, math.inf, DomainError, r"intensity must be a number in \[0, inf\), got inf"),
+            (2, 8.0, "0.04", DomainError, r"intensity must be a number in \[0, inf\), got '0.04'"),
             # 100 sticks per unit area of the 74-wide sampling box expect
             # 5.48e5 sticks, above the guard
             (2, 8.0, 100.0, CapacityExceeded, "expected count 5.48e\\+05 exceeds guard"),
             (1, 8.0, 0.04, DomainError, "dimension must be an integer >= 2"),
             (2.5, 8.0, 0.04, DomainError, "dimension must be an integer >= 2"),
-            (2, 0.0, 0.04, DomainError, "stick length must be positive"),
-            (2, -1.0, 0.04, DomainError, "stick length must be positive"),
-            (2, math.nan, 0.04, DomainError, "stick length must be finite, got L = nan"),
-            (2, math.inf, 0.04, DomainError, "stick length must be finite, got L = inf"),
+            (2, 0.0, 0.04, DomainError, r"stick length must be a number in \(0, inf\), got 0.0"),
+            (2, -1.0, 0.04, DomainError, r"stick length must be a number in \(0, inf\), got -1.0"),
+            (2, math.nan, 0.04, DomainError, r"stick length must be a number in \(0, inf\), got nan"),
+            (2, math.inf, 0.04, DomainError, r"stick length must be a number in \(0, inf\), got inf"),
         ],
         ids=[
             "-0.04-DomainError", "nan-DomainError", "inf-DomainError", "text-DomainError", "100.0-CapacityExceeded",
