@@ -36,8 +36,25 @@ class TestPoissonCount:
     # on the unit square the intensity is the Poisson mean
     UNIT = BoxRegion.cube(2, 1.0)
 
+    def counts(self, mean, n, rng, batch=10_000):
+        # n counts of one generator, drawn in batches to keep the sticks small
+        out = []
+        while len(out) < n:
+            k = min(batch, n - len(out))
+            out += poisson_sticks(2, mean, Uniform(), self.UNIT, [rng] * k)[2]
+        return np.array(out)
+
     def test_zero_mean(self):
         assert poisson_sticks(2, 0.0, Uniform(), self.UNIT, [substream(0), substream(1)])[2] == [0, 0]
+
+    def test_clt_mean(self):
+        draws = self.counts(5.0, 1_000_000, substream(42, 1), batch=100_000)
+        assert abs(draws.mean() - 5.0) <= 3.0 * math.sqrt(5.0 / len(draws))
+
+    def test_index_of_dispersion(self):
+        draws = self.counts(100.0, 100_000, substream(43, 1))
+        ratio = draws.var() / draws.mean()
+        assert 0.97 <= ratio <= 1.03
 
     def test_domain_and_capacity(self):
         with pytest.raises(DomainError, match=r"^poisson mean must be a number in \[0, inf\), got -1.0$"):
