@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded, DomainError
-from .geometry import INTERSECT_THRESHOLD, segment_distance_arrays
+from .geometry import INTERSECT_THRESHOLD, _blocks, segment_distance_arrays
 from .rng import substream
 from .sampling import (
     _MAX_EXPECTED_COUNT, _MAX_POPULATION, BoxRegion, OrientationLaw, Rigid, check_dim, check_expected_count,
@@ -93,7 +93,9 @@ def offspring_mean_mc(
         if total == 0:
             continue
         centers, dirs = place_sticks(d, law, box, [rng], [total])
-        hits = _overlaps(centers, dirs, length, center, direction).astype(np.int64)
+        hits = np.empty(total, dtype=np.int64)
+        for rows in _blocks(total):
+            hits[rows] = _overlaps(centers[rows], dirs[rows], length, center, direction)
         # reduce at the starts of the non-empty trials only: their starts
         # strictly increase, so each sum runs up to the next trial's start
         filled = np.flatnonzero(block)

@@ -26,6 +26,8 @@ INTERSECT_THRESHOLD = 2.0
 
 _PARALLEL_TOL = 1e-12
 
+_BLOCK = 8_192  # rows per block of the Monte Carlo kernels: a block's columns stay in cache
+
 
 def _dot(a, b):
     # row-wise <a, b> over the last axis, broadcast; a stack of 1 x d by
@@ -122,17 +124,43 @@ def check_radius(rho: float) -> float:
     return check_real(rho, "radius", "(0, inf)")
 
 
+def _blocks(n: int):
+    """Slices of at most ``_BLOCK`` rows that cover rows 0..n-1 in order."""
+    return (slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK))
+
+
+def _ball_distance_sq(w, p, h) -> np.ndarray:
+    """Squared distance from a point to the segments on per-axis columns:
+    ``w[k]`` is axis k of the point minus the centers, ``p[k]`` of the
+    directions, ``h`` the half lengths; all broadcast.  A distance beyond
+    the float range reads inf, farther than any ball."""
+    with np.errstate(over="ignore"):
+        t = np.clip(_axis_dot(w, p), -h, h)
+        diff = [w[k] - t * p[k] for k in range(len(w))]
+        return _axis_dot(diff, diff)
+
+
 def segments_hit_ball(centers, dirs, half_lengths, c, rho: float) -> np.ndarray:
     """Which of the (n, d) segments (``centers``, ``dirs``, ``half_lengths``)
-    come within distance ``rho`` of the point ``c``."""
+    come within distance ``rho`` of the point ``c``.
+
+    The rows are tested in blocks of ``_BLOCK`` on per-axis columns, so no
+    temporary outgrows the cache.  Each squared distance sums its axes in
+    ``_axis_dot``'s order, the order ``einsum`` takes over C-contiguous
+    (n, d) rows, so there every value for d <= 6 is ``einsum``'s to the
+    last bit.  Over (n, d) views of per-axis (d, n) rows ``einsum`` sums
+    the axes in turn instead, so for d >= 3 a value may differ from its
+    sum in the last bit.
+    """
     rho = check_radius(rho)
-    centers = np.asarray(centers, dtype=float)
-    dirs = np.asarray(dirs, dtype=float)
-    w = np.asarray(c, dtype=float) - centers
-    t = np.einsum("...i,...i->...", w, dirs)
-    t = np.clip(t, -np.asarray(half_lengths, dtype=float), np.asarray(half_lengths, dtype=float))
-    diff = w - t[..., None] * dirs
-    return np.einsum("...i,...i->...", diff, diff) <= rho * rho
+    centers, dirs = np.broadcast_arrays(np.asarray(centers, dtype=float), np.asarray(dirs, dtype=float))
+    h = np.asarray(half_lengths, dtype=float)
+    c = np.asarray(c, dtype=float)
+    hit = np.empty(len(centers), dtype=bool)
+    for rows in _blocks(len(centers)):
+        w = [c[k] - centers[rows, k] for k in range(len(c))]
+        hit[rows] = _ball_distance_sq(w, dirs[rows].T, h[rows] if h.ndim else h) <= rho * rho
+    return hit
 
 
 def min_distance_outside_window(x, p, y, q, t1, tau1, w: float) -> np.ndarray:

@@ -11,12 +11,13 @@ an independent numeric check in the test suite.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, PreconditionViolated
-from .geometry import check_radius, segments_hit_ball
+from .geometry import _axis_dot, _ball_distance_sq, _blocks, check_radius, segments_hit_ball
 from .rng import substream
 from .sampling import (
     REAL_TYPES, BoxRegion, OrientationLaw, Rigid, Uniform, check_choice, check_density_floor, check_dim,
@@ -25,6 +26,7 @@ from .sampling import (
 
 _STREAM_MEASURE_MC = 0x3EA5
 _MC_CHUNK = 1_000_000  # Monte Carlo draws per batch, to bound memory
+_FLOAT_MAX = sys.float_info.max
 
 LAW_TAGS = ("uniform", "rigid", "density")
 
@@ -53,8 +55,10 @@ def stick_hit_volume(d: int, length: float, rho: float) -> float:
 
 def check_cap(rho: float, r: float) -> None:
     """DomainError unless 0 < rho < r < inf: the cap of a ball of radius
-    ``rho`` seen from a point at a finite distance ``r`` from its center."""
-    if not (isinstance(rho, REAL_TYPES) and isinstance(r, REAL_TYPES) and 0.0 < rho < r < math.inf):
+    ``rho`` seen from a point at a finite distance ``r`` from its center.
+    ``r`` must not exceed the largest float, so an int beyond the float
+    range is refused too."""
+    if not (isinstance(rho, REAL_TYPES) and isinstance(r, REAL_TYPES) and 0.0 < rho < r <= _FLOAT_MAX):
         raise DomainError(f"need 0 < rho < r < inf (point strictly outside the ball), got rho = {rho}, r = {r}")
 
 
@@ -177,6 +181,7 @@ def upper_bound_constant(d: int, law, delta: float = 1.0) -> float:
 def bound_validity_threshold(d: int, law, side: str) -> float:
     """Smallest L (exclusive) at which the theorem bound applies."""
     d = check_dim(d)
+    side = check_choice(side, "side", ("lower", "upper"))
     if _law_tag(law) == "rigid":
         return 3.0 if side == "lower" else 10.0
     return math.pi if side == "lower" else 200.0 * math.sqrt(d)
@@ -359,14 +364,17 @@ def mc_stick_hit_volume(
         p = law.sample_directions(rng, d, n)
         local = rng.uniform(-rho, rho, size=(n, d))
         local[:, 0] = rng.uniform(-half_t, half_t, size=n)
-        # reflect e1 onto p: x = w - 2 v <v,w>/<v,v> with v = e1 - p
-        v = -p.copy()
-        v[:, 0] += 1.0
-        vv = np.einsum("ij,ij->i", v, v)
-        vw = np.einsum("ij,ij->i", v, local)
-        shift = np.where(vv > 1e-24, 2.0 * vw / np.where(vv > 1e-24, vv, 1.0), 0.0)
-        x = local - shift[:, None] * v
-        return int(segments_hit_ball(x, p, 0.5 * length, np.zeros(d), rho).sum())
+        hits = 0
+        for rows in _blocks(n):
+            q, y = p[rows].T, local[rows].T
+            # reflect e1 onto q: x = y - 2 v <v,y>/<v,v> with v = e1 - q
+            v = [1.0 - q[0], *(-q[1:])]
+            vv = _axis_dot(v, v)
+            shift = np.where(vv > 1e-24, 2.0 * _axis_dot(v, y) / np.where(vv > 1e-24, vv, 1.0), 0.0)
+            # the ball is centred at 0, so w = 0 - x
+            w = [shift * v[k] - y[k] for k in range(d)]
+            hits += int(np.count_nonzero(_ball_distance_sq(w, q, 0.5 * length) <= rho * rho))
+        return hits
 
     box_volume = (2.0 * half_t) * (2.0 * rho) ** (d - 1)
     return _mc_fraction(trials, seed, 1, box_volume, count_hits)
@@ -432,7 +440,9 @@ def mc_two_ball_measure(
     def count_hits(rng, n):
         x, p = place_sticks(d, law, box, [rng], [n])
         h = 0.5 * length
-        return int((segments_hit_ball(x, p, h, gamma, 2.0) & segments_hit_ball(x, p, h, zeta, 2.0)).sum())
+        # each row's test is its own, so zeta is tested only where gamma hit
+        near = np.flatnonzero(segments_hit_ball(x, p, h, gamma, 2.0))
+        return int(np.count_nonzero(segments_hit_ball(x[near], p[near], h, zeta, 2.0)))
 
     return _mc_fraction(trials, seed, 3, intensity * volume, count_hits)
 

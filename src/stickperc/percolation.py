@@ -198,9 +198,11 @@ def _index(
     cell, then stick, and a shift, a mask and a floor division read the
     three arrays back: no registration is decoded from its rank."""
     n, d = centers.shape
-    cell = np.asarray(tuned_cell_size(length, None) if cell is None else cell, dtype=float)
-    if cell.shape not in ((), (d,)) or not np.all(np.isfinite(cell) & (cell > 0.0)):
+    cell = np.asarray(tuned_cell_size(length, None) if cell is None else cell)
+    # a real number or d of them: a string or an object is refused, not converted
+    if cell.dtype.kind not in "biuf" or cell.shape not in ((), (d,)) or not np.all(np.isfinite(cell) & (cell > 0)):
         raise DomainError(f"cell must be a positive finite size, or {d} of them")
+    cell = cell.astype(float)
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return SpatialIndex(d, _stick_ids=empty, _starts=empty, _low_edges=empty)

@@ -230,6 +230,20 @@ def einsum_segment_distance(ca, da, la, cb, db, lb):
     return np.sqrt(np.einsum("...i,...i->...", diff, diff))
 
 
+def einsum_ball_distance_sq(centers, dirs, half_lengths, c):
+    """Squared distance from the point ``c`` to each of the (n, d) segment
+    rows, as ``segments_hit_ball`` computed it before its blocks, each dot
+    product an ``einsum`` over the last axis: its hits are these values
+    ``<= rho * rho``, and the bit-identity reference for them."""
+    centers = np.asarray(centers, dtype=float)
+    dirs = np.asarray(dirs, dtype=float)
+    w = np.asarray(c, dtype=float) - centers
+    t = np.einsum("...i,...i->...", w, dirs)
+    t = np.clip(t, -np.asarray(half_lengths, dtype=float), np.asarray(half_lengths, dtype=float))
+    diff = w - t[..., None] * dirs
+    return np.einsum("...i,...i->...", diff, diff)
+
+
 def full_grid_segment_distance(ca, da, la, cb, db, lb, steps: int) -> float:
     """``grid_segment_distance`` evaluated on every point of the steps x
     steps grid, with the same arithmetic per point."""

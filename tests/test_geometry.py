@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     batch_clustering,
+    einsum_ball_distance_sq,
     einsum_segment_distance,
     full_grid_segment_distance,
     grid_distance_outside_window,
@@ -15,6 +16,7 @@ from conftest import (
     random_unit,
     segment_segment_distance,
 )
+from stickperc import geometry
 from stickperc.errors import DomainError, ParallelLines, PreconditionViolated
 from stickperc.geometry import (
     line_line_distance_profile,
@@ -410,6 +412,25 @@ class TestSegmentHitsBall:
         s = seg([0.0, 0.0], [1.0, 0.0], 10.0)
         with pytest.raises(DomainError):
             hits_ball(s, [0.0, 0.0], 0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [0, 1, geometry._BLOCK - 1, geometry._BLOCK, geometry._BLOCK + 1, 3 * geometry._BLOCK + 5])
+def test_blocked_ball_test_matches_einsum_rows(d, n):
+    """The blocked ball test equals its einsum row form: each squared
+    distance to the last bit on C-contiguous rows, and so each hit, with
+    scalar and per-row half lengths and with centers broadcast from one
+    point."""
+    rng = np.random.default_rng(100 * d + n)
+    centers, dirs = random_sticks(rng, n, d)
+    point, c = rng.normal(0.0, 6.0, (2, d))
+    for rows in (centers, np.broadcast_to(point, (n, d))):
+        for half in (4.0, rng.uniform(0.0, 8.0, n)):
+            reference = einsum_ball_distance_sq(rows, dirs, half, c)
+            w = [c[k] - rows[:, k] for k in range(d)]
+            assert np.array_equal(geometry._ball_distance_sq(w, dirs.T, half), reference)
+            for rho in (1.0, 3.0, 6.0):
+                assert np.array_equal(segments_hit_ball(rows, dirs, half, c, rho), reference <= rho * rho)
 
 
 class TestMinDistanceOutsideWindow:

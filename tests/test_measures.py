@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -176,6 +177,19 @@ class TestCapHitProbability:
         message = rf"^need 0 < rho < r < inf \(point strictly outside the ball\), got rho = {rho}, r = {r}$"
         with pytest.raises(DomainError, match=message):
             call(3, rho, r)
+
+    @pytest.mark.parametrize(
+        "call",
+        [cap_hit_probability_exact, cap_hit_lower_bound, lambda d, rho, r: mc_cap_hit_probability(d, rho, r, 10, 1)],
+        ids=["exact", "lower-bound", "mc"],
+    )
+    def test_int_beyond_float_refused_by_cap_rule(self, call):
+        # the rule's upper end is the largest float, as a float or an int
+        r = int(sys.float_info.max)
+        assert call(3, 1.0, r) == call(3, 1.0, float(r))
+        for beyond in (r + 1, 10**400):
+            with pytest.raises(DomainError, match=rf"^need 0 < rho < r < inf .*, got rho = 1.0, r = {beyond}$"):
+                call(3, 1.0, beyond)
 
 
 class TestConnectionConstants:

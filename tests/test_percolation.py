@@ -324,12 +324,14 @@ class TestSpatialIndex:
 
     @pytest.mark.parametrize(
         "cell",
-        [0.0, -3.0, math.nan, math.inf, [2.0, math.inf], [2.0, -1.0], [4.0], [2.0, 5.0, 5.0]],
-        ids=["zero", "negative", "nan", "inf", "inf-entry", "negative-entry", "one-entry", "three-entries"],
+        [0.0, -3.0, math.nan, math.inf, [2.0, math.inf], [2.0, -1.0], [4.0], [2.0, 5.0, 5.0], "x", "3.0",
+         ["x", 2.0], [2.0, None]],
+        ids=["zero", "negative", "nan", "inf", "inf-entry", "negative-entry", "one-entry", "three-entries", "text",
+             "numeric-text", "text-entry", "none-entry"],
     )
     def test_invalid_cell_rejected(self, cell):
         config = sample_configuration(2, 6.0, 0.05, Uniform(), BoxRegion.cube(2, 40.0), seed=1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^cell must be a positive finite size, or 2 of them$"):
             build_index(config, cell)
 
     @pytest.mark.parametrize(

@@ -462,6 +462,14 @@ LAW_AND_CHOICE_CASES = {
         lambda: oriented.survival_probability(0.7, "BOND", 10, 5, 1),
         "variant must be one of ('bond', 'site'), got 'BOND'",
     ),
+    "bound_validity_threshold-side": (
+        lambda: measures.bound_validity_threshold(2, "uniform", "nope"),
+        "side must be one of ('lower', 'upper'), got 'nope'",
+    ),
+    "check_bound_validity-side": (
+        lambda: measures.check_bound_validity(2, 100.0, "uniform", "nope"),
+        "side must be one of ('lower', 'upper'), got 'nope'",
+    ),
     "theorem_bounds-law": (
         lambda: measures.theorem_bounds(2, 400.0, 5), "law must be one of ('uniform', 'rigid', 'density'), got 5"
     ),

@@ -8,8 +8,9 @@ import json
 import numpy as np
 import pytest
 
-from stickperc import verify
+from stickperc import branching, geometry, measures, oriented, verify
 from stickperc.rng import substream
+from stickperc.sampling import Rigid, Uniform
 
 SEEDS = range(1, 7)
 
@@ -29,16 +30,72 @@ def test_every_check_passes(suite, seed):
     assert not failed, failed
 
 
-def test_registry_digest_pinned():
+REGISTRY_DIGEST = "c79b0fab9ed8c58819ad4054fbefcb7424c31f1619321adf94f90fa598c66f0a"
+
+
+def registry_digest(checks_of):
     # the checks laid out and hashed as the benchmark's verify workload
-    # records one pass, so a change that moves any check's draws or detail
-    # fails here; one that moves them on purpose re-pins this digest
+    # records one pass
     checks = [[seed, c.name, c.passed, c.detail] for seed in SEEDS for suite in verify.SUITES
-              for c in suite_checks(suite, seed)]
-    text = json.dumps([{"checks": checks}], sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "c79b0fab9ed8c58819ad4054fbefcb7424c31f1619321adf94f90fa598c66f0a"
+              for c in checks_of(suite, seed)]
+    return hashlib.sha256(json.dumps([{"checks": checks}], sort_keys=True).encode()).hexdigest()
+
+
+def test_registry_digest_pinned():
+    # a change that moves any check's draws or detail fails here; one that
+    # moves them on purpose re-pins this digest
+    assert registry_digest(suite_checks) == REGISTRY_DIGEST
+
+
+def fingerprint(values):
+    return hashlib.sha256(np.asarray(values, dtype=np.int64).tobytes()).hexdigest()[:16]
+
+
+def verify_monte_carlo(seed):
+    """The exact integer outputs of verify's own Monte Carlo calls at a
+    suite seed: the hits of the stick-ball and two-ball estimates, the
+    samples of the three offspring estimates and the coupled survival
+    matrix."""
+    lam = measures.theorem_bounds(2, 32.0, "uniform", strict=False).lower
+    offspring = [
+        branching.offspring_mean_mc(2, 10.0, 0.1, Rigid(np.array([0.0, 1.0])), 1500, seed),
+        branching.offspring_mean_mc(2, 20.0, 0.01, Uniform(), 800, seed),
+        branching.offspring_mean_mc(2, 32.0, lam, Uniform(), 600, seed),
+    ]
+    return (
+        measures.mc_stick_hit_volume(2, 10.0, 2.0, Uniform(), 200_000, seed).hits,
+        measures.mc_two_ball_measure(2, 256.0, Uniform(), 300_000, seed).hits,
+        [(sum(est.samples), fingerprint(est.samples)) for est in offspring],
+        fingerprint(oriented.coupled_survival_matrix([0.5, 0.81], "bond", 120, 60, seed)),
     )
+
+
+# the digest hashes the details of these outputs rounded to 4-6 digits,
+# where a count that moved could hide; these pins hold them exactly
+MONTE_CARLO_PINS = {
+    1: (187838, 494, [(13902, "c2d782d02a253f09"), (3432, "b25e97e87560d70d"), (61, "14f8a5dbd4f8daf6")],
+        "a127e743923bcc2e"),
+    2: (187610, 452, [(14024, "f65af6b5c7865563"), (3513, "2eea35f529d057f2"), (57, "39500531e66708f0")],
+        "01bb341e5e1ce58a"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MONTE_CARLO_PINS))
+def test_monte_carlo_outputs_pinned(seed):
+    assert verify_monte_carlo(seed) == MONTE_CARLO_PINS[seed]
+
+
+def test_blocks_move_no_output(monkeypatch):
+    # a block boundary every 7 rows of every kernel call; the geometry and
+    # oriented suites run no blocked code
+    monkeypatch.setattr(geometry, "_BLOCK", 7)
+    for seed, pins in MONTE_CARLO_PINS.items():
+        assert verify_monte_carlo(seed) == pins
+
+    def blocked_checks(suite, seed):
+        return verify.SUITES[suite](seed) if suite in ("measures", "branching") else suite_checks(suite, seed)
+
+    assert registry_digest(blocked_checks) == REGISTRY_DIGEST
 
 
 @pytest.mark.parametrize("n_cases", [1, 6_000, 10_000, 23_456])
