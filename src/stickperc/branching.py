@@ -19,7 +19,7 @@ from .geometry import INTERSECT_THRESHOLD, _blocks, segment_distance_arrays
 from .rng import substream
 from .sampling import (
     _MAX_EXPECTED_COUNT, _MAX_POPULATION, BoxRegion, OrientationLaw, Rigid, check_dim, check_expected_count,
-    check_integer, check_intensity, check_law, check_length, check_runs, place_sticks, poisson_sticks,
+    check_integer, check_intensity, check_law, check_length, check_runs, check_seed, place_sticks, poisson_sticks,
 )
 
 _STREAM_OFFSPRING = 0x0FF5
@@ -81,7 +81,7 @@ def offspring_mean_mc(
     trials = check_integer(trials, "trials", 2)
     check_runs(trials, "trials")
     box = offspring_box(center, direction, length)
-    rng = substream(check_integer(seed, "seed", 0), _STREAM_OFFSPRING)
+    rng = substream(check_seed(seed), _STREAM_OFFSPRING)
     mean_count = check_expected_count(check_intensity(intensity) * box.volume)
     counts = rng.poisson(mean_count, size=trials).astype(np.int64)
     samples = np.zeros(trials, dtype=np.int64)
@@ -144,7 +144,7 @@ def dominating_gw_run(
         raise DomainError("offspring samples must be nonnegative integers")
     samples = samples.astype(np.int64)
     max_generations, population_cap = check_caps(max_generations, population_cap)
-    rng = substream(check_integer(seed, "seed", 0), _STREAM_GW)
+    rng = substream(check_seed(seed), _STREAM_GW)
     sizes: list[int] = []
     population = 1
     truncated = False
@@ -193,7 +193,7 @@ def component_exploration(
     d, length, seed_center, seed_dir = _seed_stick(d, length, law)
     max_generations, population_cap = check_caps(max_generations, population_cap)
     intensity = check_intensity(intensity)
-    rng = substream(check_integer(seed, "seed", 0), _STREAM_EXPLORE)
+    rng = substream(check_seed(seed), _STREAM_EXPLORE)
     radius = max_generations * (length + 4.0)
     window = BoxRegion(seed_center - radius, seed_center + radius)
     centers, dirs, _ = poisson_sticks(d, intensity, law, window, [rng])

@@ -113,19 +113,11 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _run_threshold(args, law, length: float) -> percolation.ThresholdEstimate:
+def _threshold_args(args, law, length: float) -> tuple:
+    """``estimate_threshold``'s arguments at ``length``, which
+    ``check_threshold_inputs`` takes in the same order."""
     side = args.s_factor * length
-    return percolation.estimate_threshold(
-        args.d,
-        length,
-        law,
-        side,
-        replicates=args.replicates,
-        seed=args.seed,
-        axis=args.axis,
-        workers=args.workers,
-        max_bisect=args.max_bisect,
-    )
+    return args.d, length, law, side, args.replicates, args.seed, args.axis, args.workers, args.max_bisect
 
 
 def _estimate_doc(est: percolation.ThresholdEstimate) -> dict:
@@ -146,7 +138,7 @@ def _estimate_doc(est: percolation.ThresholdEstimate) -> dict:
 
 def cmd_threshold(args) -> int:
     with _csv_output(args.probes_csv, "probes", ["L", "lambda", "crossed", "replicate", "seed"]) as rows:
-        est = _run_threshold(args, _law_object(args.law, args.d), args.L)
+        est = percolation.estimate_threshold(*_threshold_args(args, _law_object(args.law, args.d), args.L))
         rows += _threshold_csv_rows(est)
     _emit({"kind": "threshold", **_estimate_doc(est)})
     return 0
@@ -156,16 +148,13 @@ def cmd_scaling(args) -> int:
     percolation.check_scaling_lengths(args.L_list)
     law = _law_object(args.law, args.d)
     for length in args.L_list:
-        percolation.check_threshold_inputs(
-            args.d, length, law, args.s_factor * length, args.replicates, args.axis, args.workers, args.max_bisect
-        )
-    check_integer(args.seed, "seed", 0)
+        percolation.check_threshold_inputs(*_threshold_args(args, law, length))
     points = []
     estimates = []
     with _csv_output(args.csv, "scaling", ["L", "lambda_hat", "ci_low", "ci_high", "weight"]) as rows:
         for length in args.L_list:
             _log(f"estimating threshold at L={length:g}")
-            est = _run_threshold(args, law, length)
+            est = percolation.estimate_threshold(*_threshold_args(args, law, length))
             estimates.append(est)
             points.append((length, est.lambda_hat, percolation.fit_weight(est)))
         fit = percolation.scaling_fit(points)
@@ -202,8 +191,9 @@ def cmd_branching(args) -> int:
         est = branching.offspring_mean_mc(d, args.L, args.lam, law, args.trials, args.seed)
         gw_extinct = 0
         for k in range(runs):
+            # run k's seed is seed + k mod 2^64, the value derive_seed reads
             report = branching.dominating_gw_run(
-                est.samples, args.max_generations, args.population_cap, args.seed + k
+                est.samples, args.max_generations, args.population_cap, (args.seed + k) % 2**64
             )
             gw_extinct += 1 if report.extinct else 0
             if k == 0:

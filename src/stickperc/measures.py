@@ -21,7 +21,7 @@ from .geometry import _axis_dot, _ball_distance_sq, _blocks, check_radius, segme
 from .rng import substream
 from .sampling import (
     REAL_TYPES, BoxRegion, OrientationLaw, Rigid, Uniform, check_choice, check_density_floor, check_dim,
-    check_integer, check_intensity, check_law, check_length, check_real, place_sticks,
+    check_integer, check_intensity, check_law, check_length, check_real, check_seed, place_sticks,
 )
 
 _STREAM_MEASURE_MC = 0x3EA5
@@ -332,7 +332,7 @@ def _mc_fraction(trials: int, seed: int, stream: int, scale: float, count_hits) 
     estimator's own measure substream and returns how many hit; it is called
     on batches of at most ``_MC_CHUNK`` draws, to bound memory."""
     trials = check_integer(trials, "trials", 1)
-    rng = substream(check_integer(seed, "seed", 0), _STREAM_MEASURE_MC, stream)
+    rng = substream(check_seed(seed), _STREAM_MEASURE_MC, stream)
     hits = sum(count_hits(rng, min(_MC_CHUNK, trials - done)) for done in range(0, trials, _MC_CHUNK))
     p = hits / trials
     se = scale * math.sqrt(max(p * (1.0 - p), 0.0) / trials)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .rng import combine_keys, derive_seed, mix_to_unit, substream
-from .sampling import check_choice, check_integer, check_real, check_runs
+from .sampling import check_choice, check_integer, check_real, check_runs, check_seed
 from .stats import wilson_interval
 
 _STREAM_TRIAL = 0x0B5E
@@ -213,7 +213,7 @@ def survival_probability(
     alpha = check_real(alpha, "alpha", "[0, 1]")
     variant = check_choice(variant, "variant", VARIANTS)
     n_max, trials = check_integer(n_max, "n_max", 1), check_integer(trials, "trials", 1)
-    seed = check_integer(seed, "seed", 0)
+    seed = check_seed(seed)
 
     def batch_opens(batch):
         streams = [substream(seed, _STREAM_TRIAL, t) for t in batch]
@@ -249,7 +249,7 @@ def coupled_survival_matrix(
     if sorted(alphas) != alphas:
         raise DomainError("alpha list must be sorted ascending")
     n_max, trials = check_integer(n_max, "n_max", 1), check_integer(trials, "trials", 1)
-    seed = check_integer(seed, "seed", 0)
+    seed = check_seed(seed)
     k = len(alphas)
     alpha_values = np.array(alphas)
 

@@ -46,20 +46,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BracketFailure, DegenerateDesign, DomainError, PreconditionViolated
-from .geometry import INTERSECT_THRESHOLD, _segment_distance
+from .geometry import INTERSECT_THRESHOLD, _blocks, _segment_distance
 from .measures import BoundsReport, theorem_bounds
 from .rng import derive_seed, substream
 from .sampling import (
     _STREAM_CONFIG, BoxRegion, Configuration, OrientationLaw, check_expected_count, check_integer,
-    check_law, check_real, check_runs, poisson_sticks, sampling_box,
+    check_law, check_real, check_runs, check_seed, poisson_sticks, sampling_box,
 )
 from .stats import _Z95, wilson_interval
 
 _STREAM_REPLICATE = 0x4EB1
-# candidate pairs per narrow-phase block: its three (d, m) gathers and dozen
-# m-long kernel columns (about 1.2 MB at d = 3) stay cache-sized however
-# large the replicate or batch
-_PAIR_CHUNK = 8192
 # a probe's replicates are clustered in batches, each closed once it holds
 # this many sticks, so numpy's cost per call is shared by small replicates
 _BATCH_STICKS = 4096
@@ -261,11 +257,11 @@ def _edges(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (first[p], second[p]) whose sticks intersect, as two index
     arrays.  ``centers`` and ``dirs`` are C-contiguous (d, n) per-axis
-    rows; the pairs are tested in blocks of ``_PAIR_CHUNK``."""
+    rows; the pairs are tested in geometry's blocks."""
     half = 0.5 * length
     keep_first, keep_second = [first[:0]], [second[:0]]
-    for lo in range(0, len(first), _PAIR_CHUNK):
-        i, j = first[lo : lo + _PAIR_CHUNK], second[lo : lo + _PAIR_CHUNK]
+    for rows in _blocks(len(first)):
+        i, j = first[rows], second[rows]
         u = centers.take(i, axis=1) - centers.take(j, axis=1)
         dist = _segment_distance(u, dirs.take(i, axis=1), half, dirs.take(j, axis=1), half)
         hit = np.flatnonzero(dist <= INTERSECT_THRESHOLD)
@@ -329,8 +325,8 @@ def crossing_event(
 def _replicate_crossings(task) -> list[bool]:
     """Crossing outcomes of one batch of replicates, sampled in one
     ``poisson_sticks`` call and clustered together.  ``task`` is the
-    batch's seeds and the probe's fixed inputs."""
-    seeds, d, length, intensity, law, box, window, axis, cell = task
+    batch's seeds, the probe's intensity and the estimate's design."""
+    seeds, intensity, d, length, law, box, window, axis, cell = task
     streams = [substream(s, _STREAM_CONFIG) for s in seeds]
     centers, dirs, counts = poisson_sticks(d, intensity, law, box, streams)
     return _batch_crossings(centers.T, dirs.T, counts, length, window, axis, cell).tolist()
@@ -401,21 +397,19 @@ def replicate_seeds(seed: int, probe: int, replicates: int) -> list[int]:
 
 
 def _probe(
-    executor: Executor | None, d: int, length: float, intensity: float, law: OrientationLaw, side: float,
-    replicates: int, seed: int, axis: int, probe_id: int,
+    executor: Executor | None, design: tuple, intensity: float, replicates: int, seed: int, probe_id: int
 ) -> CrossingStats:
-    """One probe of ``replicates`` window configurations at ``intensity``;
-    the caller has checked every other input.  The replicates are cut once
-    into batches of about ``_BATCH_STICKS`` expected sticks, and each batch
-    is one task, run in process when ``executor`` is None, else on it."""
-    window = BoxRegion.cube(d, side)
-    box = sampling_box(window, length)
+    """One probe of ``replicates`` window configurations at ``intensity`` on
+    ``check_threshold_inputs``'s ``design``, checking only the intensity's
+    expected stick count.  The replicates are cut once into batches of about
+    ``_BATCH_STICKS`` expected sticks, and each batch is one task, run in
+    process when ``executor`` is None, else on it."""
+    box = design[3]
     expected = check_expected_count(intensity * box.volume)
     # replicates per batch: at least one, at most all
     size = math.ceil(min(_BATCH_STICKS / expected, replicates))
     seeds = replicate_seeds(seed, probe_id, replicates)
-    fixed = (d, float(length), intensity, law, box, window, axis, tuned_cell_size(length, law))
-    tasks = [(seeds[k : k + size], *fixed) for k in range(0, replicates, size)]
+    tasks = [(seeds[k : k + size], intensity, *design) for k in range(0, replicates, size)]
     run = map if executor is None else executor.map
     outcomes = tuple(int(v) for batch in run(_replicate_crossings, tasks) for v in batch)
     successes = sum(outcomes)
@@ -491,14 +485,15 @@ def _logistic_interpolation(
 
 
 def check_threshold_inputs(
-    d: int, length: float, law, side: float, replicates: int, axis: int, workers: int, max_bisect: int
-) -> tuple[BoundsReport, int, int, int, int]:
-    """The checks ``estimate_threshold`` makes before its first probe, the
-    first probe's expected stick count among them; returns the theorem
-    bracket its walk starts from, with the checked d and L, and the checked
-    ``replicates``, ``axis``, ``workers`` and ``max_bisect``."""
+    d: int, length: float, law, side: float, replicates: int, seed: int, axis: int, workers: int, max_bisect: int
+) -> tuple[BoundsReport, int, int, int, int, tuple]:
+    """Every check ``estimate_threshold`` makes, on its arguments in its order,
+    the first probe's expected stick count among them.  Returns the theorem
+    bracket its walk starts from (with the checked d and L), the checked
+    ``replicates``, ``seed``, ``workers`` and ``max_bisect``, and the probes'
+    design: the checked ``(d, L, law, sampling box, window, axis, cell)``."""
     bounds = theorem_bounds(d, length, law, strict=False)
-    d = bounds.d
+    d, length = bounds.d, bounds.length
     check_law(law, d)
     window = BoxRegion.cube(d, side)
     if side < 8.0 * length:
@@ -508,9 +503,12 @@ def check_threshold_inputs(
     check_runs(replicates, "replicates")
     axis = _check_axis(axis, d)
     workers = check_integer(workers, "workers", 1)
-    # the first probe draws at the lower bound in the sampler's box
-    check_expected_count(bounds.lower * sampling_box(window, length).volume)
-    return bounds, replicates, axis, workers, max_bisect
+    box = sampling_box(window, length)
+    # the first probe draws at the lower bound
+    check_expected_count(bounds.lower * box.volume)
+    seed = check_seed(seed)
+    design = (d, length, law, box, window, axis, tuned_cell_size(length, law))
+    return bounds, replicates, seed, workers, max_bisect, design
 
 
 def estimate_threshold(
@@ -534,15 +532,13 @@ def estimate_threshold(
     from a logistic fit over the whole probe trace.  With ``workers > 1``
     every probe runs on one process pool.
     """
-    checked = check_threshold_inputs(d, length, law, side, replicates, axis, workers, max_bisect)
-    bounds, replicates, axis, workers, max_bisect = checked
-    seed = check_integer(seed, "seed", 0)
-    d, length = bounds.d, bounds.length
+    checked = check_threshold_inputs(d, length, law, side, replicates, seed, axis, workers, max_bisect)
+    bounds, replicates, seed, workers, max_bisect, design = checked
     probes: list[CrossingStats] = []
 
     with _replicate_pool(workers) as executor:
         def probe(lam: float) -> CrossingStats:
-            stats = _probe(executor, d, length, lam, law, side, replicates, seed, axis, len(probes))
+            stats = _probe(executor, design, lam, replicates, seed, len(probes))
             probes.append(stats)
             return stats
 
@@ -573,8 +569,8 @@ def estimate_threshold(
 
     lam_hat, ci_low, ci_high = _logistic_interpolation(probes, straddle[0], straddle[1])
     return ThresholdEstimate(
-        d=d,
-        length=length,
+        d=bounds.d,
+        length=bounds.length,
         law=law.tag,
         side=float(side),
         lambda_hat=lam_hat,

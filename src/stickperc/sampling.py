@@ -132,6 +132,15 @@ def check_integer(value, noun: str, least: int) -> int:
     raise DomainError(f"{noun} must be an integer >= {least}")
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` as an int; DomainError unless it is an integer in [0, 2^64),
+    the master seeds that ``derive_seed`` tells apart."""
+    seed = check_integer(seed, "seed", 0)
+    if seed >= 2**64:
+        raise DomainError(f"seed must be below 2^64, got {seed}")
+    return seed
+
+
 def check_dim(d: int) -> int:
     """``d`` as an int; DomainError unless it is an integer >= 2."""
     return check_integer(d, "dimension", 2)
@@ -331,6 +340,6 @@ def sample_window_configuration(
     box = sampling_box(window, length)
     check_expected_count(intensity * box.volume)
     check_law(law, d)
-    seed = check_integer(seed, "seed", 0)
+    seed = check_seed(seed)
     centers, dirs, _ = poisson_sticks(d, intensity, law, box, [substream(seed, _STREAM_CONFIG)])
     return Configuration(length, window, centers, dirs)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import branching, geometry, measures, oriented
 from .rng import substream
-from .sampling import Rigid, Uniform, check_choice, check_integer
+from .sampling import Rigid, Uniform, check_choice, check_seed
 
 
 @dataclass(frozen=True)
@@ -292,8 +292,9 @@ def branching_suite(seed: int) -> list[Check]:
 
     ok = True
     for run in range(30):
+        # run's seed is seed + run mod 2^64, the value derive_seed reads
         res = branching.component_exploration(
-            2, 16.0, 0.5 * lam, law, max_generations=12, population_cap=20_000, seed=seed + run,
+            2, 16.0, 0.5 * lam, law, max_generations=12, population_cap=20_000, seed=(seed + run) % 2**64,
         )
         pairs = zip(res.generation_sizes, res.dominating_sizes)
         ok &= all(actual <= dom for actual, dom in pairs)
@@ -359,7 +360,7 @@ SUITES = {
 
 def run_suite(suite: str, seed: int) -> list[Check]:
     suite = check_choice(suite, "suite", (*SUITES, "all"))
-    seed = check_integer(seed, "seed", 0)
+    seed = check_seed(seed)
     if suite == "all":
         return [check for run in SUITES.values() for check in run(seed)]
     return SUITES[suite](seed)

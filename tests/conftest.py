@@ -80,9 +80,11 @@ def batch_crossings(configs, axis=0, cell=None):
 
 def probe(d, length, intensity, law, side, replicates, seed, axis=0, workers=1):
     """``percolation._probe`` as ``estimate_threshold`` runs its first
-    probe, at ``intensity`` and on the pool ``workers`` asks for."""
+    probe, at ``intensity`` and on the pool ``workers`` asks for, on the
+    design that ``check_threshold_inputs`` builds from the other inputs."""
+    *_, design = percolation.check_threshold_inputs(d, length, law, side, replicates, seed, axis, workers, 12)
     with percolation._replicate_pool(workers) as executor:
-        return percolation._probe(executor, d, length, intensity, law, side, replicates, seed, axis, 0)
+        return percolation._probe(executor, design, intensity, replicates, seed, 0)
 
 
 def batch_clustering(configs, axis=0, cell=None):

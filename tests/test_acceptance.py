@@ -71,6 +71,24 @@ def test_criterion_1_uniform_d2_scaling(scaling_runs):
     assert passed, detail
 
 
+def test_long_sticks_reach_criterion_1_band():
+    """Why criterion 1 is red: at L = 8-64 the isotropic d = 2 slope is
+    bent by the O(L) and O(1) terms of the excluded area, and at L = 64-512
+    it lies in the band.  R(L) is lambda_hat times the mean excluded area
+    (2/pi) L^2 + 8 L + 4 pi of two sticks.  It is reported, not compared
+    with the widthless-stick value 3.589: the window bias at side 10 L,
+    about 1.4%, is wider than the estimates' interval."""
+    lengths = [64, 128, 256, 512]
+    ests = [estimate_threshold(2, float(L), Uniform(), 10.0 * L, 200, SEED, workers=2) for L in lengths]
+    fit = _fit(ests)
+    ratios = [e.lambda_hat * ((2.0 / np.pi) * e.length**2 + 8.0 * e.length + 4.0 * np.pi) for e in ests]
+    detail = f"uniform d=2 slope {fit.slope:.3f} +- {fit.stderr:.3f} at L = 64-512 (target [-2.2, -1.8]); " + " ".join(
+        f"R({e.length:g}) = {r:.3f}" for e, r in zip(ests, ratios)
+    )
+    print(detail)
+    assert -2.2 <= fit.slope <= -1.8, detail
+
+
 def test_criterion_2_rigid_d2_scaling(scaling_runs):
     ests = scaling_runs["rigid_d2"]
     fit = _fit(ests)

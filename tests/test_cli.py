@@ -9,6 +9,7 @@ import pytest
 
 from conftest import checkout_env
 from stickperc import cli
+from stickperc.branching import dominating_gw_run, offspring_mean_mc
 from stickperc.cli import main
 from stickperc.percolation import crossing_event
 from stickperc.sampling import Rigid, Uniform, sample_window_configuration
@@ -175,6 +176,36 @@ class TestThreshold:
         assert rc == 2
         assert out == ""
         assert err.splitlines() == ["error: seed must be an integer >= 0"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["branching", "--d", "2", "--L", "10", "--lambda", "0.01", "--trials", "10", "--gw-runs", "2"],
+            ["oriented", "--alpha", "0.7", "--n-max", "10", "--trials", "5"],
+            ["measure-mc", "--d", "2", "--trials", "10"],
+            ["verify", "--suite", "geometry"],
+        ],
+        ids=["branching", "oriented", "measure-mc", "verify"],
+    )
+    def test_seed_of_2_64_exit_2(self, capsys, argv):
+        # refused, not run as seed 0: derive_seed reads a master seed mod
+        # 2^64 (threshold and scaling: test_invalid_input_exits_2_before_sampling)
+        rc, out, err = run_cli(capsys, argv + ["--seed", "18446744073709551616"])
+        assert rc == 2
+        assert out == ""
+        assert err.splitlines() == ["error: seed must be below 2^64, got 18446744073709551616"]
+
+    def test_gw_runs_past_the_largest_seed_wrap(self, capsys):
+        # run k's seed is seed + k mod 2^64, so the largest seed runs every
+        # GW run, the later ones at seeds 0 and 1
+        argv = ["branching", "--d", "2", "--L", "10", "--lambda", "0.05", "--trials", "50", "--gw-runs", "3"]
+        rc, out, _ = run_cli(capsys, argv + ["--seed", str(2**64 - 1)])
+        assert rc == 0
+        samples = offspring_mean_mc(2, 10.0, 0.05, Uniform(), 50, 2**64 - 1).samples
+        reports = [dominating_gw_run(samples, 60, 100_000, s) for s in (2**64 - 1, 0, 1)]
+        doc = json.loads(out)
+        assert doc["gw_extinct"] == sum(r.extinct for r in reports)
+        assert doc["gw_example_generations"] == list(reports[0].generation_sizes)
 
 
 class TestScaling:
@@ -449,12 +480,17 @@ class TestInvalidInput:
              "stickperc.percolation._probe", "seed must be an integer >= 0"),
             (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,32", "--replicates", "4", "--seed", "-1"],
              "stickperc.percolation.estimate_threshold", "seed must be an integer >= 0"),
+            (["threshold", "--d", "2", "--law", "uniform", "--L", "8", "--replicates", "4", "--seed", str(2**64)],
+             "stickperc.percolation._probe", f"seed must be below 2^64, got {2**64}"),
+            (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,32", "--replicates", "4", "--seed",
+              str(2**64)], "stickperc.percolation.estimate_threshold", f"seed must be below 2^64, got {2**64}"),
         ],
         ids=[
             "scaling-repeated-L", "scaling-negative-last-L", "scaling-huge-last-L", "scaling-oversized-first-probe",
             "scaling-axis-out-of-range", "scaling-zero-workers", "scaling-zero-replicates",
             "scaling-replicates-over-guard", "branching-L-without-bound", "threshold-side-inf", "scaling-side-inf",
             "scaling-side-zero", "scaling-side-below-8-L", "threshold-negative-seed", "scaling-negative-seed",
+            "threshold-seed-2-64", "scaling-seed-2-64",
         ],
     )
     def test_invalid_input_exits_2_before_sampling(self, capsys, monkeypatch, argv, computation, message):

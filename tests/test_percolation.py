@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import batch_clustering, batch_crossings, probe, reference_index, reference_sticks, sample_configuration
-from stickperc import percolation
+from stickperc import geometry, percolation
 from stickperc.errors import BracketFailure, DegenerateDesign, DomainError, PreconditionViolated
 from stickperc.geometry import segment_distance_arrays
 from stickperc.measures import theorem_bounds
@@ -448,6 +448,28 @@ class TestCluster:
             assert labels_equivalent(labels, bfs_labels(config))
 
     @pytest.mark.parametrize("d,law_tag", [(2, "uniform"), (3, "uniform"), (2, "rigid")])
+    def test_narrow_phase_blocks_change_nothing(self, monkeypatch, d, law_tag):
+        # geometry's block rule sizes the narrow phase: blocks of 7 pairs
+        # cut every replicate's candidate pairs, and a batch's edges, labels
+        # and crossings stay the same to the last bit
+        configs, cell = geometry_sample(d, law_tag)
+        expected = batch_clustering(configs, cell=cell), batch_crossings(configs, 0, cell)
+        kernel, blocks = percolation._segment_distance, []
+
+        def counted(u, *rest):
+            blocks.append(u.shape[1])
+            return kernel(u, *rest)
+
+        monkeypatch.setattr(percolation, "_segment_distance", counted)
+        monkeypatch.setattr(geometry, "_BLOCK", 7)
+        got = batch_clustering(configs, cell=cell), batch_crossings(configs, 0, cell)
+        assert len(blocks) > 20 and max(blocks) == 7
+        (first, second, labels), crossed = expected
+        (got_first, got_second, got_labels), got_crossed = got
+        assert np.array_equal(got_first, first) and np.array_equal(got_second, second)
+        assert np.array_equal(got_labels, labels) and np.array_equal(got_crossed, crossed)
+
+    @pytest.mark.parametrize("d,law_tag", [(2, "uniform"), (3, "uniform"), (2, "rigid")])
     def test_batch_labels_match_each_replicates_bfs(self, d, law_tag):
         # each replicate's slice of a batch's labels is its own canonical
         # BFS labels shifted to its place in the batch: no cluster joins two
@@ -825,6 +847,24 @@ class TestEstimateThreshold:
         bounds = theorem_bounds(2, 16.0, "uniform", strict=False)
         assert bounds.lower < est.lambda_hat < bounds.upper
 
+    def test_design_is_built_once_per_estimate(self, monkeypatch):
+        # check_threshold_inputs builds the window, its sampling box and the
+        # cell once, and no probe builds them again
+        calls = []
+
+        def spy(name, real):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(BoxRegion, "cube", staticmethod(spy("cube", BoxRegion.cube)))
+        monkeypatch.setattr(percolation, "sampling_box", spy("sampling_box", percolation.sampling_box))
+        monkeypatch.setattr(percolation, "tuned_cell_size", spy("tuned_cell_size", percolation.tuned_cell_size))
+        est = estimate_threshold(2, 8.0, Uniform(), 64.0, replicates=12, seed=3, workers=1)
+        assert len(est.probes) >= 4
+        assert sorted(calls) == ["cube", "sampling_box", "tuned_cell_size"]
+
     def test_window_precondition(self):
         with pytest.raises(PreconditionViolated):
             estimate_threshold(2, 16.0, Uniform(), 100.0, replicates=10, seed=0)
@@ -890,7 +930,7 @@ class TestEstimateThreshold:
     def test_walk_out_gives_up_at_its_limit(self, monkeypatch, frequency, message):
         # never crossing walks up past 10x the upper bound; always crossing
         # walks down past a tenth of the lower bound
-        def constant(executor, d, length, intensity, law, side, replicates, seed, axis, probe_id):
+        def constant(executor, design, intensity, replicates, seed, probe_id):
             successes = int(frequency * replicates)
             return CrossingStats(
                 intensity, frequency, frequency, frequency, successes, replicates,

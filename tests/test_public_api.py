@@ -145,7 +145,7 @@ DIMENSION_ENTRY_POINTS = {
         d, 8.0, 0.04, sampling.Uniform(), 64.0, 1
     ),
     "check_threshold_inputs": lambda d: percolation.check_threshold_inputs(
-        d, 8.0, sampling.Uniform(), 64.0, 4, 0, 1, 12
+        d, 8.0, sampling.Uniform(), 64.0, 4, 1, 0, 1, 12
     ),
     "estimate_threshold": lambda d: percolation.estimate_threshold(d, 8.0, sampling.Uniform(), 64.0, 4, 1),
     "offspring_mean_mc": lambda d: branching.offspring_mean_mc(d, 10.0, 0.1, sampling.Uniform(), 10, 1),
@@ -191,7 +191,7 @@ def threshold(**kwargs):
 INTEGER_ENTRY_POINTS = {
     "crossing_event-axis": (lambda v: percolation.crossing_event(small_configuration(), axis=v), 1, "axis", 0),
     "check_threshold_inputs-axis": (
-        lambda v: percolation.check_threshold_inputs(2, 8.0, sampling.Uniform(), 64.0, 4, v, 1, 12), 1, "axis", 0
+        lambda v: percolation.check_threshold_inputs(2, 8.0, sampling.Uniform(), 64.0, 4, 1, v, 1, 12), 1, "axis", 0
     ),
     "estimate_threshold-axis": (lambda v: threshold(axis=v), 1, "axis", 0),
     "estimate_threshold-replicates": (lambda v: threshold(replicates=v), 3, "replicates", 1),
@@ -234,6 +234,9 @@ INTEGER_ENTRY_POINTS = {
     "sample_window_configuration-seed": (
         lambda v: sampling.sample_window_configuration(2, 8.0, 0.04, sampling.Uniform(), 64.0, v), 3, "seed", 0
     ),
+    "check_threshold_inputs-seed": (
+        lambda v: percolation.check_threshold_inputs(2, 8.0, sampling.Uniform(), 64.0, 4, v, 0, 1, 12), 3, "seed", 0
+    ),
     "estimate_threshold-seed": (lambda v: threshold(seed=v), 3, "seed", 0),
     "offspring_mean_mc-seed": (
         lambda v: branching.offspring_mean_mc(2, 10.0, 0.1, sampling.Uniform(), 10, v), 3, "seed", 0
@@ -269,8 +272,19 @@ def test_integer_input_is_checked_and_used(name):
             call(bad)
 
 
+@pytest.mark.parametrize("name", sorted(key for key in INTEGER_ENTRY_POINTS if key.endswith("-seed")))
+def test_seed_below_2_64_is_checked(name):
+    """The largest seed, 2^64 - 1, runs, and a seed of 2^64 or more, which
+    ``derive_seed`` would read as its remainder mod 2^64, is refused."""
+    call, *_ = INTEGER_ENTRY_POINTS[name]
+    call(2**64 - 1)
+    for bad in (2**64, float(2**64), 2**64 + 3, 2**100):
+        with pytest.raises(DomainError, match=f"^seed must be below 2\\^64, got {int(bad)}$"):
+            call(bad)
+
+
 def check_threshold(length=8.0, side=64.0):
-    return percolation.check_threshold_inputs(2, length, sampling.Uniform(), side, 4, 0, 1, 12)
+    return percolation.check_threshold_inputs(2, length, sampling.Uniform(), side, 4, 1, 0, 1, 12)
 
 
 def scaling_fit(point):
@@ -528,6 +542,8 @@ def raise_strings(node, where):
             "length must be finite and nonnegative", "alpha must lie in", "scaling points need",
             "unknown law tag",
         )],
+        # added last, so the rows above keep their ids
+        ("seed must be below 2^64", {"sampling.check_seed"}),
     ],
 )
 def test_each_input_rule_is_raised_in_one_place(wording, homes):
