@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import json
 import sys
 
@@ -19,7 +20,7 @@ import numpy as np
 from . import branching, measures, oriented, percolation, verify
 from .errors import StickPercError
 from .percolation import replicate_seeds
-from .sampling import Rigid, Uniform, check_dim, check_integer
+from .sampling import Rigid, Uniform, check_dim, check_integer, check_seed
 
 SCHEMA_VERSION = 1
 
@@ -66,9 +67,7 @@ def _csv_output(path: str | None, schema: str, header: list[str]):
         yield rows
         try:
             fh.write(f"# schema=stickperc.{schema}.v{SCHEMA_VERSION}\n")
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(str(v) for v in row) + "\n")
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
         except OSError as exc:
             raise StickPercError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -94,6 +93,7 @@ def _threshold_csv_rows(est: percolation.ThresholdEstimate) -> list[list]:
 
 
 def cmd_bounds(args) -> int:
+    check_seed(args.seed)
     report = measures.theorem_bounds(args.d, args.L, args.law, delta=args.delta, strict=False)
     # no bound applies below the lower bound's range
     measures.check_bound_validity(report.d, args.L, args.law, "lower")

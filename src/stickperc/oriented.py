@@ -3,10 +3,14 @@
 A frontier at level n is the set of occupied sites (x, n) with x + n even.
 Two update variants share the same conditional law shape: a child with both
 predecessors occupied turns on with probability beta, with exactly one with
-probability alpha, otherwise stays empty.  In the bond variant each
-occupied parent throws an independent left and right arrow with probability
-alpha, so beta = 1 - (1 - alpha)^2 emerges structurally; in the site
-variant each candidate child draws a single uniform, so beta = alpha.
+probability alpha, otherwise stays empty.  Each occupied parent has a left
+and a right arrow, each open with probability alpha.  A bond child opens
+when any arrow into it is open, so beta = 1 - (1 - alpha)^2; a site child
+reads only the first arrow that reaches it (its left parent's right arrow,
+else its right parent's left arrow), so beta = alpha.  Driven by a stream,
+that arrow is the next draw; on the keyed field it is an arrow bond reads,
+so site lies within bond but, as the arrow read depends on the parents, is
+not monotone in alpha.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ VARIANTS = ("bond", "site")
 
 _KEY_LEFT = 11
 _KEY_RIGHT = 13
-_KEY_SITE = 17
 _STEPS = np.array([-1, 1], dtype=np.int64)  # left and right child
 _BATCH_RUNS = 256  # coupled runs per packed array
 
@@ -40,7 +43,17 @@ class Frontier:
 
     def __post_init__(self):
         level = check_integer(self.level, "level", 0)
-        occ = np.unique(np.asarray(self.occupied, dtype=np.int64))
+        occ = self.occupied
+        if not (isinstance(occ, np.ndarray) and occ.dtype.kind in "bi"):  # a signed integer array needs no test
+            occ = np.asarray(occ, dtype=object).ravel()  # sites as Python numbers: exact at any size
+            try:
+                with np.errstate(invalid="ignore"):  # inf % 1
+                    ok = (occ % 1 == 0) & (occ >= -(2**63)) & (occ < 2**63)
+            except TypeError:
+                ok = np.zeros(occ.size, dtype=bool)
+            if not np.all(ok):
+                raise DomainError(f"sites must be integers in the int64 range, got {occ[~ok][0]!r}")
+        occ = np.unique(np.asarray(occ, dtype=np.int64))
         if occ.size and np.any((occ + level) % 2 != 0):
             raise DomainError("sites must satisfy x + level even")
         object.__setattr__(self, "level", level)
@@ -70,10 +83,6 @@ def _first_of_each(values: np.ndarray) -> np.ndarray:
     return first
 
 
-def _adjacent_unique(values: np.ndarray) -> np.ndarray:
-    return values[_first_of_each(values)]
-
-
 class _Bands(NamedTuple):
     """The packed layout of runs that step together in one sorted array:
     run r's site x is stored as ``r * width + x + offset``."""
@@ -97,17 +106,19 @@ class _Bands(NamedTuple):
         return run, sites - run * self.width - self.offset
 
 
-def _step(sites: np.ndarray, level: int, variant: str, opens) -> np.ndarray:
-    """The update rule on sorted sites of one parity, reading open/closed
-    from ``opens(level, sites, key)``: bond arrows at the parent's level,
-    site draws at the child's.  Returns the sorted children."""
+def _step(sites: np.ndarray, level, variant: str, opens) -> np.ndarray:
+    """Sorted children of the sorted sites of one parity: ``opens(level,
+    parents, key)`` says which ``key`` arrows of the ``parents`` are open;
+    bond reads every arrow, site each candidate child's first arrow."""
+    heads = _arrow_heads(sites)
     if variant == "bond":
-        arrows = np.empty((sites.size, 2), dtype=bool)
-        arrows[:, 0] = opens(level, sites, _KEY_LEFT)
-        arrows[:, 1] = opens(level, sites, _KEY_RIGHT)
-        return _adjacent_unique(_arrow_heads(sites)[arrows.ravel()])
-    candidates = _adjacent_unique(_arrow_heads(sites))
-    return candidates[opens(level + 1, candidates, _KEY_SITE)]
+        arrows = np.stack((opens(level, sites, _KEY_LEFT), opens(level, sites, _KEY_RIGHT)), axis=1)
+        children = heads[arrows.ravel()]
+        return children[_first_of_each(children)]
+    first = np.flatnonzero(_first_of_each(heads))
+    # combine_keys mixes a key as an int or an array element alike: site reads bond's arrows
+    keys = np.where(first % 2, _KEY_RIGHT, _KEY_LEFT)
+    return heads.take(first)[opens(level, sites.take(first // 2), keys)]
 
 
 def _field(trial_key, level: int, x: np.ndarray, key: int) -> np.ndarray:
@@ -120,7 +131,7 @@ def op_step(frontier: Frontier, alpha: float, variant: str, stream: np.random.Ge
 
     Bond: two stream uniforms per occupied parent (left arrows then right
     arrows, parents in sorted order).  Site: one stream uniform per candidate
-    child (sorted order).
+    child (sorted order), its first arrow.
     """
     alpha = check_real(alpha, "alpha", "[0, 1]")
     children = _step(
@@ -137,24 +148,19 @@ def _coupled_steps(levels: np.ndarray, trial_keys, run: np.ndarray, x: np.ndarra
 
     Frontier r is at level ``levels[r]``, reads the keyed field of the int
     ``trial_keys[r]`` mod 2^64 and holds the sites ``x[run == r]`` of its
-    level's parity, in any order and with repeats.  A site child reads its
-    left parent's right arrow, or its right parent's left arrow when its
-    left parent is empty: one uniform per candidate, as the site law needs,
-    and site occupation pathwise within bond occupation.
+    level's parity, in any order and with repeats.  Both variants run
+    ``_step`` on the same field.
     """
     alpha = check_real(alpha, "alpha", "[0, 1]")
     bands = _Bands.spanning(int(x.min()), int(x.max())) if x.size else _Bands.spanning(0, 0)
     sites = np.unique(bands.pack(run, x))
-    parent_run, parent_x = bands.unpack(sites)
-    # combine_keys mixes an int key and its uint64 array element to the same bits
-    keys = np.array([int(key) % 2**64 for key in trial_keys], dtype=np.uint64)[parent_run]
-    level = levels[parent_run]
-    u = np.empty((sites.size, 2))
-    u[:, 0] = _field(keys, level, parent_x, _KEY_LEFT)
-    u[:, 1] = _field(keys, level, parent_x, _KEY_RIGHT)
-    heads, opened = _arrow_heads(sites), u.ravel() < alpha
-    site = heads[_first_of_each(heads) & opened]
-    return bands, site, _adjacent_unique(heads[opened])
+    keys = np.array([int(key) % 2**64 for key in trial_keys], dtype=np.uint64)
+
+    def opens(level, parents, key):
+        parent_run, parent_x = bands.unpack(parents)
+        return _field(keys[parent_run], level[parent_run], parent_x, key) < alpha
+
+    return bands, _step(sites, levels, "site", opens), _step(sites, levels, "bond", opens)
 
 
 def _extinction_levels(trials: int, k: int, variant: str, n_max: int, batch_opens) -> np.ndarray:
@@ -269,6 +275,7 @@ def coupled_survival_matrix(
 def coupled_survival_monotonicity(
     alphas, variant: str, n_max: int, trials: int, seed: int
 ) -> bool:
-    """True iff survival is non-decreasing in alpha in every coupled trial."""
+    """True iff survival is non-decreasing in alpha in every coupled trial,
+    as bond survival always is and site survival need not be (module docstring)."""
     matrix = coupled_survival_matrix(alphas, variant, n_max, trials, seed)
     return bool(np.all(np.diff(matrix, axis=1) >= 0))

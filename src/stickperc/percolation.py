@@ -62,35 +62,27 @@ _BATCH_STICKS = 4096
 
 
 class UnionFind:
-    """Disjoint-set forest over stick indices (path halving + union by rank)."""
+    """The per-edge front of ``_labels``: ``union(a, b)`` records an edge, ``labels()``
+    is ``_labels`` on them, and ``count`` their components, kept until the next edge."""
 
     def __init__(self, n: int):
-        self._parent = list(range(n))
-        self._rank = [0] * n
-        self.count = n
+        self._n, self._a, self._b, self._count = n, [], [], n
 
-    def find(self, i: int) -> int:
-        parent = self._parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        rank = self._rank
-        if rank[ra] < rank[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        if rank[ra] == rank[rb]:
-            rank[ra] += 1
-        self.count -= 1
-        return True
+    def union(self, a: int, b: int) -> None:
+        self._a.append(a)
+        self._b.append(b)
+        self._count = None
 
     def labels(self) -> np.ndarray:
-        return np.array([self.find(i) for i in range(len(self._parent))])
+        labels = _labels(self._n, np.array(self._a, dtype=np.int64), np.array(self._b, dtype=np.int64))
+        self._count = int(np.count_nonzero(labels == np.arange(self._n)))  # each minimum labels itself
+        return labels
+
+    @property
+    def count(self) -> int:
+        if self._count is None:
+            self.labels()
+        return self._count
 
 
 def _labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -168,8 +168,9 @@ class TestThreshold:
             ["oriented", "--alpha", "0.7", "--n-max", "10", "--trials", "5"],
             ["measure-mc", "--d", "2", "--trials", "10"],
             ["verify", "--suite", "geometry"],
+            ["bounds", "--d", "2", "--L", "100", "--law", "rigid"],
         ],
-        ids=["branching", "oriented", "measure-mc", "verify"],
+        ids=["branching", "oriented", "measure-mc", "verify", "bounds"],
     )
     def test_negative_seed_exit_2(self, capsys, argv):
         rc, out, err = run_cli(capsys, argv + ["--seed", "-1"])
@@ -184,8 +185,9 @@ class TestThreshold:
             ["oriented", "--alpha", "0.7", "--n-max", "10", "--trials", "5"],
             ["measure-mc", "--d", "2", "--trials", "10"],
             ["verify", "--suite", "geometry"],
+            ["bounds", "--d", "2", "--L", "100", "--law", "rigid"],
         ],
-        ids=["branching", "oriented", "measure-mc", "verify"],
+        ids=["branching", "oriented", "measure-mc", "verify", "bounds"],
     )
     def test_seed_of_2_64_exit_2(self, capsys, argv):
         # refused, not run as seed 0: derive_seed reads a master seed mod

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,6 @@ from stickperc.errors import CapacityExceeded, DomainError
 from stickperc.oriented import (
     _KEY_LEFT,
     _KEY_RIGHT,
-    _KEY_SITE,
     _STREAM_TRIAL,
     Frontier,
     coupled_survival_matrix,
@@ -68,7 +68,8 @@ def loop_coupled_step(frontier, alpha, trial_key):
 def loop_coupled_survival_matrix(alphas, variant, n_max, trials, seed):
     """Reference survival matrix: each trial and alpha runs on its own from
     the origin through checked frontiers, reading the keyed field one level
-    at a time (bond arrows at the parent's level, site draws at the child's)."""
+    at a time (bond: every parent arrow; site: ``loop_coupled_step``'s first
+    arrow into each candidate child)."""
     out = np.zeros((trials, len(alphas)), dtype=int)
     for t in range(trials):
         trial_key = derive_seed(seed, _STREAM_TRIAL, t)
@@ -83,11 +84,9 @@ def loop_coupled_survival_matrix(alphas, variant, n_max, trials, seed):
                 if variant == "bond":
                     left = field(level, parents, _KEY_LEFT) < alpha
                     right = field(level, parents, _KEY_RIGHT) < alpha
-                    children = np.concatenate((parents[left] - 1, parents[right] + 1))
+                    frontier = Frontier(level + 1, np.concatenate((parents[left] - 1, parents[right] + 1)))
                 else:
-                    candidates = np.unique(np.concatenate((parents - 1, parents + 1)))
-                    children = candidates[field(level + 1, candidates, _KEY_SITE) < alpha]
-                frontier = Frontier(level + 1, children)
+                    frontier = loop_coupled_step(frontier, alpha, trial_key)[0]
                 if not frontier.alive:
                     break
             out[t, k] = 1 if frontier.alive else 0
@@ -132,6 +131,23 @@ class TestFrontier:
         with pytest.raises(DomainError):
             Frontier(1, np.array([0]))
         Frontier(1, np.array([-1, 1]))
+
+    @pytest.mark.parametrize(
+        "sites, shown",
+        [([0.5], "0.5"), ([2.9], "2.9"), ([math.nan], "nan"), (["a"], "'a'"), (["2"], "'2'"),
+         ([2**70], str(2**70)), ([2**63], str(2**63)), ([-(2**63) - 1], str(-(2**63) - 1)),
+         ([0, 2**70], str(2**70)), (np.array([4.0, 2.5]), "2.5"), (np.array([2**63], dtype=np.uint64), str(2**63))],
+        ids=["half", "fraction", "nan", "text", "digit-text", "2^70", "2^63", "below-int64",
+             "second-site", "float-array", "uint64-array"],
+    )
+    def test_non_int64_site_refused(self, sites, shown):
+        with pytest.raises(DomainError, match=f"^sites must be integers in the int64 range, got {re.escape(shown)}$"):
+            Frontier(0, sites)
+
+    def test_integral_sites_kept(self):
+        assert Frontier(0, [2.0, -(2**63), 2**63 - 2]).occupied.tolist() == [-(2**63), 2, 2**63 - 2]
+        assert Frontier(0, np.array([4.0, -2.0])).occupied.tolist() == [-2, 4]
+        assert Frontier(0, np.array([2**63 - 2], dtype=np.uint64)).occupied.tolist() == [2**63 - 2]
 
     def test_deduplication_and_sorting(self):
         f = Frontier(0, np.array([4, -2, 4, 0]))
@@ -266,7 +282,27 @@ class TestCoupling:
         assert coupled_survival_monotonicity([0.5, 0.7, 0.81, 0.95], "bond", 120, 50, seed=3)
 
     def test_site_variant(self):
-        assert coupled_survival_monotonicity([0.5, 0.8, 0.9], "site", 100, 40, seed=4)
+        # site survival lies within bond survival but is not monotone in
+        # alpha: at seed 1 trials 36 and 95 survive at 0.7 and die at 0.8,
+        # while bond survives at both
+        alphas = [0.6, 0.7, 0.8]
+        site = coupled_survival_matrix(alphas, "site", 60, 100, seed=1)
+        bond = coupled_survival_matrix(alphas, "bond", 60, 100, seed=1)
+        assert np.flatnonzero(np.any(np.diff(site, axis=1) < 0, axis=1)).tolist() == [36, 95]
+        assert not coupled_survival_monotonicity(alphas, "site", 60, 100, seed=1)
+        assert coupled_survival_monotonicity(alphas, "bond", 60, 100, seed=1)
+        assert np.all(site <= bond)
+
+    def test_site_step_not_monotone_in_parents(self):
+        # the one open arrow is site 1's left arrow: alone, 1 opens child 0
+        # through it, but beside -1 child 0 reads -1's closed right arrow
+        # instead, so more parents give fewer site children; bond opens 0 either way
+        def opens(level, parents, key):
+            return (parents == 1) & (np.asarray(key) == _KEY_LEFT)
+
+        assert oriented._step(np.array([1]), 0, "site", opens).tolist() == [0]
+        assert oriented._step(np.array([-1, 1]), 0, "site", opens).tolist() == []
+        assert oriented._step(np.array([-1, 1]), 0, "bond", opens).tolist() == [0]
 
     def test_matrix_shape_and_trend(self):
         mat = coupled_survival_matrix([0.4, 0.95], "bond", 120, 60, seed=5)
@@ -307,6 +343,13 @@ class TestCoupling:
         with mock.patch.object(oriented, "_BATCH_RUNS", batch_runs):
             matrix = coupled_survival_matrix(alphas, variant, n_max, trials, seed)
         assert matrix.tolist() == loop_coupled_survival_matrix(alphas, variant, n_max, trials, seed).tolist()
+
+    def test_site_survival_within_bond_survival(self):
+        # the same seed drives both matrices through the same arrows, so a
+        # site run alive at n_max has a bond run alive there too
+        site = coupled_survival_matrix([0.6, 0.7, 0.8], "site", 60, 100, 11)
+        bond = coupled_survival_matrix([0.6, 0.7, 0.8], "bond", 60, 100, 11)
+        assert np.all(site <= bond)
 
     def test_site_subset_of_bond_per_step(self):
         rng = substream(7)
@@ -393,8 +436,9 @@ class TestPinnedOutputs:
         [
             ("bond", [[0, 1, 1], [0, 1, 1], [1, 1, 1], [0, 0, 1], [0, 0, 1],
                       [1, 1, 1], [0, 1, 1], [0, 0, 0], [0, 0, 1], [0, 1, 1]]),
-            ("site", [[0, 1, 1], [0, 0, 0], [0, 0, 1], [0, 1, 1], [0, 0, 0],
-                      [1, 1, 1], [0, 0, 1], [0, 0, 0], [0, 1, 1], [0, 1, 1]]),
+            # each site row lies within its bond row: a site child reads one of its bond arrows
+            ("site", [[0, 0, 1], [0, 0, 1], [0, 0, 1], [0, 0, 1], [0, 0, 1],
+                      [0, 0, 1], [0, 1, 1], [0, 0, 0], [0, 0, 1], [0, 0, 1]]),
         ],
     )
     def test_coupled_survival_matrix(self, variant, rows):

@@ -207,15 +207,13 @@ class TestUnionFind:
     def test_basics(self):
         uf = UnionFind(5)
         assert uf.count == 5
-        assert uf.union(0, 1)
-        assert not uf.union(1, 0)
+        uf.union(0, 1)
+        uf.union(1, 0)
+        assert uf.count == 4
         uf.union(2, 3)
         uf.union(0, 3)
         assert uf.count == 2
-        assert uf.find(2) == uf.find(1)
-        assert uf.find(4) == 4
-        # find is idempotent
-        assert uf.find(2) == uf.find(2)
+        assert uf.labels().tolist() == [0, 0, 0, 0, 4]
 
     def test_labels(self):
         uf = UnionFind(4)
@@ -223,6 +221,20 @@ class TestUnionFind:
         labels = uf.labels()
         assert labels[0] == labels[2]
         assert labels[1] != labels[0]
+
+    def test_count_reads_the_last_labels(self, monkeypatch):
+        # the replay reads labels() and then count: one _labels run, not two
+        calls = []
+        labels = percolation._labels
+        monkeypatch.setattr(percolation, "_labels", lambda *a: calls.append(a) or labels(*a))
+        uf = UnionFind(4)
+        uf.union(0, 2)
+        uf.labels()
+        assert uf.count == 3
+        assert len(calls) == 1
+        uf.union(1, 3)  # an edge since: count labels again
+        assert uf.count == 2
+        assert len(calls) == 2
 
 
 class TestSpatialIndex:
@@ -495,17 +507,27 @@ class TestComponentLabels:
     @example((5, NO_EDGES))
     @example((4, np.array([[1, 3], [3, 1], [1, 3], [0, 2], [0, 2]])))
     @example((1000, FALLING_PATH))
-    def test_matches_bfs_and_union_find(self, graph):
+    def test_matches_bfs(self, graph):
         n, edges = graph
         labels = percolation._labels(n, *np.ascontiguousarray(edges.T, dtype=np.int64))
         bfs = bfs_components(n, edges)
         assert labels_equivalent(labels, bfs)
         # canonical: each label is the smallest node of its component
         assert np.array_equal(labels, smallest_labels(bfs))
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs())
+    @example((0, NO_EDGES))
+    @example((4, np.array([[1, 3], [3, 1], [1, 3], [0, 2], [0, 2]])))
+    @example((5, np.array([[2, 2], [4, 4], [0, 4], [3, 3]])))
+    def test_union_find_front_matches_bfs(self, graph):
+        n, edges = graph
         uf = UnionFind(n)
         for a, b in edges.tolist():
             uf.union(a, b)
-        assert labels_equivalent(labels, uf.labels())
+        bfs = bfs_components(n, edges)
+        assert np.array_equal(uf.labels(), smallest_labels(bfs))
+        assert uf.count == len(set(bfs.tolist()))
 
 
 class TestCrossing:

@@ -544,6 +544,7 @@ def raise_strings(node, where):
         )],
         # added last, so the rows above keep their ids
         ("seed must be below 2^64", {"sampling.check_seed"}),
+        ("sites must be integers in the int64 range", {"oriented.Frontier.__post_init__"}),
     ],
 )
 def test_each_input_rule_is_raised_in_one_place(wording, homes):

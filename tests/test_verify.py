@@ -118,3 +118,19 @@ def test_random_units_live_in_their_rows_dimension():
     assert z.shape == (1000, 5)
     np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0, rtol=0, atol=1e-15)
     assert not np.any(z[np.arange(5) >= dims[:, None]])
+
+
+def test_site_within_bond_check_runs_the_program_site_rule(monkeypatch):
+    # the check steps its frontiers through the update rule every oriented
+    # path runs, not a copy of its own
+    variants = []
+    step = oriented._step
+
+    def spy(sites, level, variant, opens):
+        variants.append(variant)
+        return step(sites, level, variant, opens)
+
+    monkeypatch.setattr(oriented, "_step", spy)
+    checks = {c.name: c.passed for c in verify.oriented_suite(1)}
+    assert checks["site-within-bond-coupling"]
+    assert "site" in variants
