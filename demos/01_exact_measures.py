@@ -20,14 +20,13 @@ from stickperc.measures import (
     theorem_bounds,
     two_ball_lower_bound,
 )
-from stickperc.sampling import Uniform
 
 print("== segment-ball hitting volume ==")
 print("The set of centers whose length-L segment reaches B(o, rho) is a")
 print("radius-rho capsule; its volume is L vol(B_{d-1}) + vol(B_d).\n")
 for d, L, rho in [(2, 10.0, 2.0), (3, 10.0, 2.0), (4, 8.0, 2.0)]:
     exact = stick_hit_volume(d, L, rho)
-    mc = mc_stick_hit_volume(d, L, rho, Uniform(), 300_000, seed=1)
+    mc = mc_stick_hit_volume(d, L, rho, 300_000, seed=1)
     print(f"  d={d} L={L:4.0f} rho={rho}: exact {exact:10.4f}   MC {mc.value:10.4f} +- {mc.stderr:.4f}")
 
 print("\n== spherical-cap hitting probability ==")
@@ -49,7 +48,7 @@ print("in the far box with one on the near inset face have measure at least")
 print("lambda * delta * c_d * L^(2-d).\n")
 print(f"  c_2 = {c_d(2):.6f} = 1/(2 sqrt(2) pi); c_3 = {c_d(3):.6f}")
 print(f"  per-step constants c'_d: d=2 {c_d_prime(2):.3e}, d=3 {c_d_prime(3):.3e}")
-est = mc_two_ball_measure(2, 256.0, Uniform(), 500_000, seed=3)
+est = mc_two_ball_measure(2, 256.0, 500_000, seed=3)
 print(f"  d=2 L=256: MC {est.value:.4f} +- {est.stderr:.4f} vs bound {two_ball_lower_bound(2, 256.0, 1.0):.4f}")
 
 print("\n== critical-intensity brackets ==")

@@ -245,7 +245,7 @@ def cmd_oriented(args) -> int:
 
 def cmd_measure_mc(args) -> int:
     bound = measures.two_ball_lower_bound(args.d, args.L, delta=args.delta, intensity=args.lam)
-    est = measures.mc_two_ball_measure(args.d, args.L, Uniform(), args.trials, args.seed, intensity=args.lam)
+    est = measures.mc_two_ball_measure(args.d, args.L, args.trials, args.seed, intensity=args.lam)
     _emit(
         {
             "kind": "measure_mc",

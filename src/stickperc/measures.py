@@ -20,8 +20,8 @@ from .errors import DomainError, PreconditionViolated
 from .geometry import _axis_dot, _ball_distance_sq, _blocks, check_radius, segments_hit_ball
 from .rng import substream
 from .sampling import (
-    REAL_TYPES, BoxRegion, OrientationLaw, Rigid, Uniform, check_choice, check_density_floor, check_dim,
-    check_integer, check_intensity, check_law, check_length, check_real, check_seed, place_sticks,
+    REAL_TYPES, BoxRegion, Uniform, check_choice, check_density_floor, check_dim, check_integer,
+    check_intensity, check_length, check_real, check_seed, place_sticks,
 )
 
 _STREAM_MEASURE_MC = 0x3EA5
@@ -339,17 +339,11 @@ def _mc_fraction(trials: int, seed: int, stream: int, scale: float, count_hits) 
     return MCEstimate(value=scale * p, stderr=se, trials=trials, hits=hits)
 
 
-def mc_stick_hit_volume(
-    d: int,
-    length: float,
-    rho: float,
-    law: OrientationLaw,
-    trials: int,
-    seed: int,
-) -> MCEstimate:
-    """Monte Carlo check of ``stick_hit_volume``.
+def mc_stick_hit_volume(d: int, length: float, rho: float, trials: int, seed: int) -> MCEstimate:
+    """Monte Carlo check of ``stick_hit_volume``, which no orientation law
+    changes.
 
-    Samples orientations from ``law`` and centers uniformly in a box aligned
+    Samples uniform orientations and centers uniformly in a box aligned
     with each orientation (a Householder frame), which tightly contains all
     centers whose segment can reach the ball; the estimate is box volume
     times hit fraction.
@@ -357,11 +351,10 @@ def mc_stick_hit_volume(
     d = check_dim(d)
     length = check_length(length)
     rho = check_radius(rho)
-    check_law(law, d)
     half_t = 0.5 * length + rho
 
     def count_hits(rng, n):
-        p = law.sample_directions(rng, d, n)
+        p = Uniform().sample_directions(rng, d, n)
         local = rng.uniform(-rho, rho, size=(n, d))
         local[:, 0] = rng.uniform(-half_t, half_t, size=n)
         hits = 0
@@ -401,14 +394,7 @@ def mc_cap_hit_probability(
     return _mc_fraction(trials, seed, 2, 1.0, count_hits)
 
 
-def mc_two_ball_measure(
-    d: int,
-    length: float,
-    law: OrientationLaw,
-    trials: int,
-    seed: int,
-    intensity: float = 1.0,
-) -> MCEstimate:
+def mc_two_ball_measure(d: int, length: float, trials: int, seed: int, intensity: float = 1.0) -> MCEstimate:
     """Monte Carlo estimate of the two-ball lemma's measure: segments
     centered in the middle construction box D^{(-1,0)} whose segment
     connects B(gamma, 2) and B(zeta, 2).
@@ -419,17 +405,15 @@ def mc_two_ball_measure(
     L = 256 sqrt(d) (the half side L/(16 sqrt d) is then under the inset)
     and shrinks to the face center as L comes down to it; below, the face
     center stands in for it.  Needs L > 32.  Centers are sampled uniformly
-    in D^{(-1,0)}; the estimate is intensity * Vol(D) * hit fraction, to be
-    compared against intensity * delta * c_d * L^{2-d}.
+    in D^{(-1,0)}, orientations from the uniform law; the estimate is
+    intensity * Vol(D) * hit fraction, to be compared against
+    intensity * delta * c_d * L^{2-d}.
     """
     d = check_dim(d)
     intensity = check_intensity(intensity)
     geom = ConstructionGeometry(d, length)
     if not length > 32.0:
         raise PreconditionViolated("two-ball measure requires L > 32")
-    check_law(law, d)
-    if isinstance(law, Rigid):
-        raise PreconditionViolated("law must have a positive density floor")
     gamma = geom.box_center((-2, 0))
     zeta = geom.right_face_center((0, 0))
     box = geom.box((-1, 0))
@@ -438,7 +422,7 @@ def mc_two_ball_measure(
         raise DomainError(f"construction box volume overflows at L = {length}")
 
     def count_hits(rng, n):
-        x, p = place_sticks(d, law, box, [rng], [n])
+        x, p = place_sticks(d, Uniform(), box, [rng], [n])
         h = 0.5 * length
         # each row's test is its own, so zeta is tested only where gamma hit
         near = np.flatnonzero(segments_hit_ball(x, p, h, gamma, 2.0))

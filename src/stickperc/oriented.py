@@ -9,8 +9,9 @@ when any arrow into it is open, so beta = 1 - (1 - alpha)^2; a site child
 reads only the first arrow that reaches it (its left parent's right arrow,
 else its right parent's left arrow), so beta = alpha.  Driven by a stream,
 that arrow is the next draw; on the keyed field it is an arrow bond reads,
-so site lies within bond but, as the arrow read depends on the parents, is
-not monotone in alpha.
+so a coupled site step lies within the bond step (verify checks it).  As
+the arrow read depends on the parents, site is not monotone in alpha, so
+the coupled survival runs are bond's.
 """
 
 from __future__ import annotations
@@ -172,11 +173,16 @@ def _extinction_levels(trials: int, k: int, variant: str, n_max: int, batch_open
     refused), packed in ``_Bands`` spanning every site that n_max steps can
     reach.  ``batch_opens(batch)`` gives the ``opens(level, run, x, key)``
     of the trials in the range ``batch``, in which run i * k + j is the
-    j-th run of trial batch[i].  The callers check ``trials`` and ``n_max``.
+    j-th run of trial batch[i].  The callers check ``trials`` and ``n_max``;
+    an n_max whose largest batch's packed sites, in [0, widest * width),
+    overflow int64 is refused before any draw.
     """
     check_runs(trials * k, "runs")
     bands = _Bands.spanning(-n_max, n_max)
     size = max(1, _BATCH_RUNS // max(k, 1))
+    widest = min(size, trials) * k  # runs in the largest batch
+    if widest * bands.width > 2**63:
+        raise DomainError(f"n_max too large: {widest} packed runs of n_max = {n_max} overflow int64")
     levels = np.full(trials * k, -1, dtype=np.int64)
     for first in range(0, trials, size):
         batch = range(first, min(first + size, trials))
@@ -247,10 +253,8 @@ def survival_probability(
     )
 
 
-def coupled_survival_matrix(
-    alphas, variant: str, n_max: int, trials: int, seed: int
-) -> np.ndarray:
-    """Survival indicators (trials x alphas) on shared driving uniforms."""
+def coupled_survival_matrix(alphas, n_max: int, trials: int, seed: int) -> np.ndarray:
+    """Bond survival indicators (trials x alphas) on shared driving uniforms."""
     alphas = [check_real(a, "alpha", "[0, 1]") for a in alphas]
     if sorted(alphas) != alphas:
         raise DomainError("alpha list must be sorted ascending")
@@ -268,14 +272,12 @@ def coupled_survival_matrix(
 
         return opens
 
-    levels = _extinction_levels(trials, k, check_choice(variant, "variant", VARIANTS), n_max, batch_opens)
+    levels = _extinction_levels(trials, k, "bond", n_max, batch_opens)
     return (levels < 0).astype(np.int64)
 
 
-def coupled_survival_monotonicity(
-    alphas, variant: str, n_max: int, trials: int, seed: int
-) -> bool:
-    """True iff survival is non-decreasing in alpha in every coupled trial,
-    as bond survival always is and site survival need not be (module docstring)."""
-    matrix = coupled_survival_matrix(alphas, variant, n_max, trials, seed)
+def coupled_survival_monotonicity(alphas, n_max: int, trials: int, seed: int) -> bool:
+    """True iff bond survival is non-decreasing in alpha in every coupled
+    trial, as it is by construction: a larger alpha opens a superset of arrows."""
+    matrix = coupled_survival_matrix(alphas, n_max, trials, seed)
     return bool(np.all(np.diff(matrix, axis=1) >= 0))

@@ -198,7 +198,7 @@ def measures_suite(seed: int) -> list[Check]:
             worst_pair = f"d={d} rho={rho:.4g} r={r:.4g}"
     checks.append(Check("cap-bound-below-exact", ok, worst_pair or "no violations in 2000 draws"))
 
-    est = measures.mc_stick_hit_volume(2, 10.0, 2.0, Uniform(), 200_000, seed)
+    est = measures.mc_stick_hit_volume(2, 10.0, 2.0, 200_000, seed)
     target = measures.stick_hit_volume(2, 10.0, 2.0)
     dev = abs(est.value - target)
     checks.append(
@@ -242,7 +242,7 @@ def measures_suite(seed: int) -> list[Check]:
         Check("lattice-count-above-bound", not short, " ".join(short) or "enumerated >= closed form at 70 lengths")
     )
 
-    est = measures.mc_two_ball_measure(2, 256.0, Uniform(), 300_000, seed)
+    est = measures.mc_two_ball_measure(2, 256.0, 300_000, seed)
     bound = measures.two_ball_lower_bound(2, 256.0, delta=1.0)
     checks.append(
         Check(
@@ -332,7 +332,7 @@ def oriented_suite(seed: int) -> list[Check]:
     dev = float(np.max(np.abs(counts / steps - alpha)))
     checks.append(Check("bond-child-frequency", dev <= 3 * se, f"max |freq - alpha| {dev:.4g} (3se {3*se:.4g})"))
 
-    mono = oriented.coupled_survival_monotonicity([0.5, 0.81], "bond", 120, 60, seed)
+    mono = oriented.coupled_survival_monotonicity([0.5, 0.81], 120, 60, seed)
     checks.append(Check("coupled-monotone-in-alpha", mono, "survival non-decreasing in alpha, 60 trials"))
 
     # 200 random frontiers, frontier t keyed by seed + t, stepped in one packed call

@@ -129,7 +129,7 @@ def test_criterion_5_segment_ball_volume_mc():
     details = []
     passed = True
     for d, L in cases:
-        est = mc_stick_hit_volume(d, L, 2.0, Uniform(), 1_000_000, seed=SEED + d)
+        est = mc_stick_hit_volume(d, L, 2.0, 1_000_000, seed=SEED + d)
         target = stick_hit_volume(d, L, 2.0)
         dev = abs(est.value - target)
         ok = dev <= 3.0 * est.stderr and dev <= 0.01 * target
@@ -241,7 +241,7 @@ def test_criterion_9_oriented():
     sup = survival_probability(0.81, "bond", 500, 500, seed=SEED)
     sub_bond = survival_probability(0.50, "bond", 500, 500, seed=SEED + 1)
     sub_site = survival_probability(0.50, "site", 500, 500, seed=SEED + 2)
-    mono = coupled_survival_monotonicity([0.5, 0.7, 0.81, 0.95], "bond", 500, 200, seed=SEED + 3)
+    mono = coupled_survival_monotonicity([0.5, 0.7, 0.81, 0.95], 500, 200, seed=SEED + 3)
     passed = (
         sup.fraction > 0.2
         and sub_bond.survivors == 0

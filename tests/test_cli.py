@@ -486,13 +486,16 @@ class TestInvalidInput:
              "stickperc.percolation._probe", f"seed must be below 2^64, got {2**64}"),
             (["scaling", "--d", "2", "--law", "uniform", "--L-list", "8,16,32", "--replicates", "4", "--seed",
               str(2**64)], "stickperc.percolation.estimate_threshold", f"seed must be below 2^64, got {2**64}"),
+            # 256 runs of 2e17 + 4 packed sites each overflow int64
+            (["oriented", "--alpha", "0.1", "--n-max", str(10**17), "--trials", "300", "--seed", "1"],
+             "stickperc.oriented.substream", f"n_max too large: 256 packed runs of n_max = {10**17} overflow int64"),
         ],
         ids=[
             "scaling-repeated-L", "scaling-negative-last-L", "scaling-huge-last-L", "scaling-oversized-first-probe",
             "scaling-axis-out-of-range", "scaling-zero-workers", "scaling-zero-replicates",
             "scaling-replicates-over-guard", "branching-L-without-bound", "threshold-side-inf", "scaling-side-inf",
             "scaling-side-zero", "scaling-side-below-8-L", "threshold-negative-seed", "scaling-negative-seed",
-            "threshold-seed-2-64", "scaling-seed-2-64",
+            "threshold-seed-2-64", "scaling-seed-2-64", "oriented-n-max-past-int64-packing",
         ],
     )
     def test_invalid_input_exits_2_before_sampling(self, capsys, monkeypatch, argv, computation, message):

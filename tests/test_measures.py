@@ -24,7 +24,7 @@ from stickperc.measures import (
     theorem_bounds,
     two_ball_lower_bound,
 )
-from stickperc.sampling import Rigid, Uniform
+from stickperc.sampling import Rigid
 
 
 class TestStickHitVolume:
@@ -65,10 +65,10 @@ class TestStickHitVolume:
 
     def test_monte_carlo_length_checked(self):
         with pytest.raises(DomainError, match=r"^stick length must be a number in \(0, inf\), got inf$"):
-            mc_stick_hit_volume(2, math.inf, 1.0, Uniform(), 10, seed=1)
+            mc_stick_hit_volume(2, math.inf, 1.0, 10, seed=1)
 
     def test_monte_carlo_agreement(self):
-        est = mc_stick_hit_volume(2, 10.0, 2.0, Uniform(), 150_000, seed=4)
+        est = mc_stick_hit_volume(2, 10.0, 2.0, 150_000, seed=4)
         target = stick_hit_volume(2, 10.0, 2.0)
         assert abs(est.value - target) <= 3.0 * est.stderr
         assert est.stderr < 0.01 * target
@@ -83,15 +83,15 @@ class TestStickHitVolume:
 @pytest.mark.parametrize(
     "estimate, hits, value, stderr",
     [
-        (lambda: mc_stick_hit_volume(3, 10.0, 2.0, Uniform(), 20_000, seed=5),
+        (lambda: mc_stick_hit_volume(3, 10.0, 2.0, 20_000, seed=5),
          14271, 159.83520000000001, 0.7160933473004759),
         (lambda: mc_cap_hit_probability(4, 1.0, 2.5, 20_000, seed=6),
          537, 0.02685, 0.0011430021325439424),
-        (lambda: mc_two_ball_measure(2, 256.0, Uniform(), 20_000, seed=7, intensity=0.5),
+        (lambda: mc_two_ball_measure(2, 256.0, 20_000, seed=7, intensity=0.5),
          36, 0.4608000000000001, 0.07673084886797488),
-        (lambda: mc_two_ball_measure(3, 33.0, Uniform(), 20_000, seed=7, intensity=0.5),
+        (lambda: mc_two_ball_measure(3, 33.0, 20_000, seed=7, intensity=0.5),
          198, 0.06686443443238578, 0.0047282682840733194),
-        (lambda: mc_two_ball_measure(4, 33.0, Uniform(), 20_000, seed=7, intensity=0.5),
+        (lambda: mc_two_ball_measure(4, 33.0, 20_000, seed=7, intensity=0.5),
          18, 0.008143073272705078, 0.0019184768791725205),
     ],
     ids=["stick-hit", "cap-hit", "two-ball", "two-ball-d3", "two-ball-d4"],
@@ -348,16 +348,14 @@ class TestConstructionGeometry:
 class TestTwoBallMeasure:
     def test_zero_trials_rejected(self):
         with pytest.raises(DomainError, match="^trials must be an integer >= 1$"):
-            mc_two_ball_measure(2, 256.0, Uniform(), 0, seed=1)
+            mc_two_ball_measure(2, 256.0, 0, seed=1)
 
     def test_geometry_preconditions(self):
         with pytest.raises(PreconditionViolated):
-            mc_two_ball_measure(2, 30.0, Uniform(), 10, seed=1)
-        with pytest.raises(PreconditionViolated):
-            mc_two_ball_measure(2, 256.0, Rigid(np.array([0.0, 1.0])), 10, seed=1)
+            mc_two_ball_measure(2, 30.0, 10, seed=1)
 
     def test_estimate_beats_lower_bound(self):
-        est = mc_two_ball_measure(2, 256.0, Uniform(), 400_000, seed=3)
+        est = mc_two_ball_measure(2, 256.0, 400_000, seed=3)
         bound = two_ball_lower_bound(2, 256.0, delta=1.0)
         assert est.value + 3.0 * est.stderr >= bound
         # comfortably above, not marginal
@@ -384,4 +382,4 @@ class TestTwoBallMeasure:
 
     def test_box_volume_overflow_names_length(self):
         with pytest.raises(DomainError, match="L = 1e\\+300"):
-            mc_two_ball_measure(2, 1e300, Uniform(), 10, seed=1)
+            mc_two_ball_measure(2, 1e300, 10, seed=1)

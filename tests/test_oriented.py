@@ -65,11 +65,10 @@ def loop_coupled_step(frontier, alpha, trial_key):
     )
 
 
-def loop_coupled_survival_matrix(alphas, variant, n_max, trials, seed):
-    """Reference survival matrix: each trial and alpha runs on its own from
-    the origin through checked frontiers, reading the keyed field one level
-    at a time (bond: every parent arrow; site: ``loop_coupled_step``'s first
-    arrow into each candidate child)."""
+def loop_coupled_survival_matrix(alphas, n_max, trials, seed):
+    """Reference bond survival matrix: each trial and alpha runs on its own
+    from the origin through checked frontiers, reading every parent arrow of
+    the keyed field one level at a time."""
     out = np.zeros((trials, len(alphas)), dtype=int)
     for t in range(trials):
         trial_key = derive_seed(seed, _STREAM_TRIAL, t)
@@ -81,12 +80,9 @@ def loop_coupled_survival_matrix(alphas, variant, n_max, trials, seed):
             frontier = Frontier.origin()
             for _ in range(n_max):
                 parents, level = frontier.occupied, frontier.level
-                if variant == "bond":
-                    left = field(level, parents, _KEY_LEFT) < alpha
-                    right = field(level, parents, _KEY_RIGHT) < alpha
-                    frontier = Frontier(level + 1, np.concatenate((parents[left] - 1, parents[right] + 1)))
-                else:
-                    frontier = loop_coupled_step(frontier, alpha, trial_key)[0]
+                left = field(level, parents, _KEY_LEFT) < alpha
+                right = field(level, parents, _KEY_RIGHT) < alpha
+                frontier = Frontier(level + 1, np.concatenate((parents[left] - 1, parents[right] + 1)))
                 if not frontier.alive:
                     break
             out[t, k] = 1 if frontier.alive else 0
@@ -273,25 +269,13 @@ class TestSurvival:
 
 class TestCoupling:
     def test_singleton_list(self):
-        assert coupled_survival_monotonicity([0.7], "bond", 50, 20, seed=1)
+        assert coupled_survival_monotonicity([0.7], 50, 20, seed=1)
 
     def test_two_point_list(self):
-        assert coupled_survival_monotonicity([0.2, 0.9], "bond", 80, 40, seed=2)
+        assert coupled_survival_monotonicity([0.2, 0.9], 80, 40, seed=2)
 
     def test_four_point_bond(self):
-        assert coupled_survival_monotonicity([0.5, 0.7, 0.81, 0.95], "bond", 120, 50, seed=3)
-
-    def test_site_variant(self):
-        # site survival lies within bond survival but is not monotone in
-        # alpha: at seed 1 trials 36 and 95 survive at 0.7 and die at 0.8,
-        # while bond survives at both
-        alphas = [0.6, 0.7, 0.8]
-        site = coupled_survival_matrix(alphas, "site", 60, 100, seed=1)
-        bond = coupled_survival_matrix(alphas, "bond", 60, 100, seed=1)
-        assert np.flatnonzero(np.any(np.diff(site, axis=1) < 0, axis=1)).tolist() == [36, 95]
-        assert not coupled_survival_monotonicity(alphas, "site", 60, 100, seed=1)
-        assert coupled_survival_monotonicity(alphas, "bond", 60, 100, seed=1)
-        assert np.all(site <= bond)
+        assert coupled_survival_monotonicity([0.5, 0.7, 0.81, 0.95], 120, 50, seed=3)
 
     def test_site_step_not_monotone_in_parents(self):
         # the one open arrow is site 1's left arrow: alone, 1 opens child 0
@@ -305,13 +289,13 @@ class TestCoupling:
         assert oriented._step(np.array([-1, 1]), 0, "bond", opens).tolist() == [0]
 
     def test_matrix_shape_and_trend(self):
-        mat = coupled_survival_matrix([0.4, 0.95], "bond", 120, 60, seed=5)
+        mat = coupled_survival_matrix([0.4, 0.95], 120, 60, seed=5)
         assert mat.shape == (60, 2)
         assert mat[:, 0].mean() < mat[:, 1].mean()
 
     def test_unsorted_rejected(self):
         with pytest.raises(DomainError):
-            coupled_survival_monotonicity([0.9, 0.5], "bond", 10, 5, seed=0)
+            coupled_survival_monotonicity([0.9, 0.5], 10, 5, seed=0)
 
     @pytest.mark.parametrize(
         "alphas, n_max, trials",
@@ -320,36 +304,51 @@ class TestCoupling:
     )
     def test_matrix_invalid_input_rejected(self, alphas, n_max, trials):
         with pytest.raises(DomainError):
-            coupled_survival_matrix(alphas, "bond", n_max, trials, seed=0)
+            coupled_survival_matrix(alphas, n_max, trials, seed=0)
 
     def test_runs_above_guard_refused(self):
         # 250,001 trials at two alphas are 500,002 runs
         with pytest.raises(CapacityExceeded, match="500002 runs exceed guard of 5e"):
-            coupled_survival_matrix([0.5, 0.6], "bond", 1, 250_001, seed=0)
+            coupled_survival_matrix([0.5, 0.6], 1, 250_001, seed=0)
         with pytest.raises(CapacityExceeded, match="500001 runs exceed guard of 5e"):
             survival_probability(0.5, "bond", 1, 500_001, seed=0)
+
+    # 256 runs in a batch and 2 n_max + 4 sites a run fill int64 exactly at n_max = 2^54 - 2
+    @pytest.mark.parametrize(
+        "call",
+        [lambda n_max: survival_probability(0.1, "bond", n_max, 300, 1),
+         lambda n_max: coupled_survival_matrix([0.1, 0.2], n_max, 300, 1)],
+        ids=["survival", "coupled"],
+    )
+    def test_n_max_past_int64_packing_refused_before_any_draw(self, monkeypatch, call):
+        draws = []
+        monkeypatch.setattr(oriented, "substream", lambda *args: draws.append(args))
+        monkeypatch.setattr(oriented, "derive_seed", lambda *args: draws.append(args))
+        for n_max in (2**54 - 1, 10**17, 2**62):
+            message = f"^n_max too large: 256 packed runs of n_max = {n_max} overflow int64$"
+            with pytest.raises(DomainError, match=message):
+                call(n_max)
+        assert draws == []
+
+    def test_largest_n_max_in_int64_packing_runs(self):
+        n_max = 2**54 - 2
+        stats = survival_probability(0.1, "bond", n_max, 300, 1)
+        assert stats.extinction_levels == loop_survival_levels(0.1, "bond", n_max, 300, 1)
+        matrix = coupled_survival_matrix([0.1, 0.2], n_max, 300, 1)
+        assert matrix.tolist() == loop_coupled_survival_matrix([0.1, 0.2], n_max, 300, 1).tolist()
 
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4).map(sorted),
-        st.sampled_from(["bond", "site"]), st.integers(1, 80), st.integers(1, 12), st.integers(0, 2**64 - 1),
-        st.integers(1, 64),
+        st.integers(1, 80), st.integers(1, 12), st.integers(0, 2**64 - 1), st.integers(1, 64),
     )
-    @example([0.55, 0.65, 0.75], "bond", 40, 10, 2**63, 256)
-    @example([0.3, 0.81, 0.95], "site", 80, 12, 2**63, 256)
-    @example([0.3, 0.81, 0.95], "bond", 80, 12, 2**63, 7)
-    def test_matrix_matches_loop_oracle(self, alphas, variant, n_max, trials, seed, batch_runs):
+    @example([0.55, 0.65, 0.75], 40, 10, 2**63, 256)
+    @example([0.3, 0.81, 0.95], 80, 12, 2**63, 7)
+    def test_matrix_matches_loop_oracle(self, alphas, n_max, trials, seed, batch_runs):
         # small batch sizes split the trials over several packed arrays
         with mock.patch.object(oriented, "_BATCH_RUNS", batch_runs):
-            matrix = coupled_survival_matrix(alphas, variant, n_max, trials, seed)
-        assert matrix.tolist() == loop_coupled_survival_matrix(alphas, variant, n_max, trials, seed).tolist()
-
-    def test_site_survival_within_bond_survival(self):
-        # the same seed drives both matrices through the same arrows, so a
-        # site run alive at n_max has a bond run alive there too
-        site = coupled_survival_matrix([0.6, 0.7, 0.8], "site", 60, 100, 11)
-        bond = coupled_survival_matrix([0.6, 0.7, 0.8], "bond", 60, 100, 11)
-        assert np.all(site <= bond)
+            matrix = coupled_survival_matrix(alphas, n_max, trials, seed)
+        assert matrix.tolist() == loop_coupled_survival_matrix(alphas, n_max, trials, seed).tolist()
 
     def test_site_subset_of_bond_per_step(self):
         rng = substream(7)
@@ -431,17 +430,8 @@ class TestPinnedOutputs:
         assert stats.extinction_levels == levels
         assert stats.survivors == levels.count(-1)
 
-    @pytest.mark.parametrize(
-        "variant, rows",
-        [
-            ("bond", [[0, 1, 1], [0, 1, 1], [1, 1, 1], [0, 0, 1], [0, 0, 1],
-                      [1, 1, 1], [0, 1, 1], [0, 0, 0], [0, 0, 1], [0, 1, 1]]),
-            # each site row lies within its bond row: a site child reads one of its bond arrows
-            ("site", [[0, 0, 1], [0, 0, 1], [0, 0, 1], [0, 0, 1], [0, 0, 1],
-                      [0, 0, 1], [0, 1, 1], [0, 0, 0], [0, 0, 1], [0, 0, 1]]),
-        ],
-    )
-    def test_coupled_survival_matrix(self, variant, rows):
-        matrix = coupled_survival_matrix([0.55, 0.65, 0.75], variant, 40, 10, seed=22)
+    def test_coupled_survival_matrix(self):
+        matrix = coupled_survival_matrix([0.55, 0.65, 0.75], 40, 10, seed=22)
         assert matrix.dtype == np.int64
-        assert matrix.tolist() == rows
+        assert matrix.tolist() == [[0, 1, 1], [0, 1, 1], [1, 1, 1], [0, 0, 1], [0, 0, 1],
+                                   [1, 1, 1], [0, 1, 1], [0, 0, 0], [0, 0, 1], [0, 1, 1]]

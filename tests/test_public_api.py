@@ -136,9 +136,9 @@ DIMENSION_ENTRY_POINTS = {
     "ConstructionGeometry": lambda d: (geom := measures.ConstructionGeometry(d, 256.0), geom.box((-1, 0))),
     "lattice_T_count": lambda d: measures.lattice_T_count(d, 400.0),
     "lattice_T_count_bound": lambda d: measures.lattice_T_count_bound(d, 400.0),
-    "mc_stick_hit_volume": lambda d: measures.mc_stick_hit_volume(d, 10.0, 2.0, sampling.Uniform(), 1000, 1),
+    "mc_stick_hit_volume": lambda d: measures.mc_stick_hit_volume(d, 10.0, 2.0, 1000, 1),
     "mc_cap_hit_probability": lambda d: measures.mc_cap_hit_probability(d, 1.0, 3.0, 1000, 1),
-    "mc_two_ball_measure": lambda d: measures.mc_two_ball_measure(d, 256.0, sampling.Uniform(), 1000, 1),
+    "mc_two_ball_measure": lambda d: measures.mc_two_ball_measure(d, 256.0, 1000, 1),
     "two_ball_lower_bound": lambda d: measures.two_ball_lower_bound(d, 256.0, 1.0),
     "BoxRegion.cube": lambda d: sampling.BoxRegion.cube(d, 5.0),
     "sample_window_configuration": lambda d: sampling.sample_window_configuration(
@@ -201,20 +201,20 @@ INTEGER_ENTRY_POINTS = {
     "survival_probability-trials": (lambda v: oriented.survival_probability(0.7, "bond", 10, v, 1), 5, "trials", 1),
     "survival_probability-n_max": (lambda v: oriented.survival_probability(0.7, "bond", v, 5, 1), 10, "n_max", 1),
     "coupled_survival_matrix-trials": (
-        lambda v: oriented.coupled_survival_matrix([0.5, 0.8], "site", 10, v, 1), 5, "trials", 1
+        lambda v: oriented.coupled_survival_matrix([0.5, 0.8], 10, v, 1), 5, "trials", 1
     ),
     "coupled_survival_matrix-n_max": (
-        lambda v: oriented.coupled_survival_matrix([0.5, 0.8], "site", v, 5, 1), 10, "n_max", 1
+        lambda v: oriented.coupled_survival_matrix([0.5, 0.8], v, 5, 1), 10, "n_max", 1
     ),
     "offspring_mean_mc-trials": (
         lambda v: branching.offspring_mean_mc(2, 10.0, 0.1, sampling.Uniform(), v, 1), 10, "trials", 2
     ),
     "mc_stick_hit_volume-trials": (
-        lambda v: measures.mc_stick_hit_volume(2, 10.0, 2.0, sampling.Uniform(), v, 1), 1000, "trials", 1
+        lambda v: measures.mc_stick_hit_volume(2, 10.0, 2.0, v, 1), 1000, "trials", 1
     ),
     "mc_cap_hit_probability-trials": (lambda v: measures.mc_cap_hit_probability(3, 1.0, 3.0, v, 1), 1000, "trials", 1),
     "mc_two_ball_measure-trials": (
-        lambda v: measures.mc_two_ball_measure(2, 256.0, sampling.Uniform(), v, 1), 1000, "trials", 1
+        lambda v: measures.mc_two_ball_measure(2, 256.0, v, 1), 1000, "trials", 1
     ),
     # offspring 0 or 1: no generation outgrows one individual, capped or not
     "dominating_gw_run-max_generations": (
@@ -247,14 +247,14 @@ INTEGER_ENTRY_POINTS = {
     ),
     "survival_probability-seed": (lambda v: oriented.survival_probability(0.7, "bond", 10, 5, v), 3, "seed", 0),
     "coupled_survival_matrix-seed": (
-        lambda v: oriented.coupled_survival_matrix([0.5, 0.8], "site", 10, 5, v), 3, "seed", 0
+        lambda v: oriented.coupled_survival_matrix([0.5, 0.8], 10, 5, v), 3, "seed", 0
     ),
     "mc_stick_hit_volume-seed": (
-        lambda v: measures.mc_stick_hit_volume(2, 10.0, 2.0, sampling.Uniform(), 1000, v), 3, "seed", 0
+        lambda v: measures.mc_stick_hit_volume(2, 10.0, 2.0, 1000, v), 3, "seed", 0
     ),
     "mc_cap_hit_probability-seed": (lambda v: measures.mc_cap_hit_probability(3, 1.0, 3.0, 1000, v), 3, "seed", 0),
     "mc_two_ball_measure-seed": (
-        lambda v: measures.mc_two_ball_measure(2, 256.0, sampling.Uniform(), 1000, v), 3, "seed", 0
+        lambda v: measures.mc_two_ball_measure(2, 256.0, 1000, v), 3, "seed", 0
     ),
     "run_suite-seed": (lambda v: verify.run_suite("geometry", v), 3, "seed", 0),
 }
@@ -339,16 +339,16 @@ REAL_ENTRY_POINTS = {
         lambda v: measures.lattice_T_count_bound(2, v), 400, "stick length", "(0, inf)"
     ),
     "mc_stick_hit_volume-length": (
-        lambda v: measures.mc_stick_hit_volume(2, v, 2.0, sampling.Uniform(), 1000, 1), 10, "stick length", "(0, inf)"
+        lambda v: measures.mc_stick_hit_volume(2, v, 2.0, 1000, 1), 10, "stick length", "(0, inf)"
     ),
     "mc_stick_hit_volume-rho": (
-        lambda v: measures.mc_stick_hit_volume(2, 10.0, v, sampling.Uniform(), 1000, 1), 2, "radius", "(0, inf)"
+        lambda v: measures.mc_stick_hit_volume(2, 10.0, v, 1000, 1), 2, "radius", "(0, inf)"
     ),
     "mc_two_ball_measure-length": (
-        lambda v: measures.mc_two_ball_measure(2, v, sampling.Uniform(), 1000, 1), 256, "stick length", "(0, inf)"
+        lambda v: measures.mc_two_ball_measure(2, v, 1000, 1), 256, "stick length", "(0, inf)"
     ),
     "mc_two_ball_measure-intensity": (
-        lambda v: measures.mc_two_ball_measure(2, 256.0, sampling.Uniform(), 1000, 1, intensity=v),
+        lambda v: measures.mc_two_ball_measure(2, 256.0, 1000, 1, intensity=v),
         1, "intensity", "[0, inf)",
     ),
     "two_ball_lower_bound-length": (
@@ -392,10 +392,10 @@ REAL_ENTRY_POINTS = {
         lambda v: oriented.survival_probability(v, "bond", 10, 5, 1), 1, "alpha", "[0, 1]"
     ),
     "coupled_survival_matrix-alpha": (
-        lambda v: oriented.coupled_survival_matrix([0, v], "site", 10, 5, 1), 1, "alpha", "[0, 1]"
+        lambda v: oriented.coupled_survival_matrix([0, v], 10, 5, 1), 1, "alpha", "[0, 1]"
     ),
     "coupled_survival_monotonicity-alpha": (
-        lambda v: oriented.coupled_survival_monotonicity([0, v], "bond", 10, 5, 1), 1, "alpha", "[0, 1]"
+        lambda v: oriented.coupled_survival_monotonicity([0, v], 10, 5, 1), 1, "alpha", "[0, 1]"
     ),
 }
 
@@ -462,8 +462,6 @@ LAW_AND_CHOICE_CASES = {
     "component_exploration-law": (
         lambda: branching.component_exploration(2, 10.0, 0.01, "uniform", 3, 100, 1), LAW
     ),
-    "mc_two_ball_measure-law": (lambda: measures.mc_two_ball_measure(2, 256.0, "uniform", 1000, 1), LAW),
-    "mc_stick_hit_volume-law": (lambda: measures.mc_stick_hit_volume(2, 10.0, 2.0, "uniform", 1000, 1), LAW),
     "Rigid-axis": (lambda: sampling.Rigid(["a", 1.0]), "rigid axis must be a finite nonzero vector"),
     "run_suite-suite": (
         lambda: verify.run_suite("nope", 1),
@@ -498,6 +496,37 @@ def test_law_and_choice_refused_before_any_pool(monkeypatch, name):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()
     assert pools == []
+
+
+# the call forms from before the Monte Carlo verifiers sampled the uniform
+# law alone and the coupled runs were bond's alone
+OLD_CALL_FORMS = {
+    "mc_stick_hit_volume-law": (
+        lambda: measures.mc_stick_hit_volume(2, 10.0, 2.0, sampling.Uniform(), 1000, 1), TypeError, "positional"
+    ),
+    # the law lands on trials, which the integer rule refuses
+    "mc_two_ball_measure-law": (
+        lambda: measures.mc_two_ball_measure(2, 256.0, sampling.Uniform(), 1000, 1), DomainError,
+        "^trials must be an integer >= 1$",
+    ),
+    "coupled_survival_matrix-variant": (
+        lambda: oriented.coupled_survival_matrix([0.5], "bond", 10, 5, 1), TypeError, "positional"
+    ),
+    "coupled_survival_monotonicity-variant": (
+        lambda: oriented.coupled_survival_monotonicity([0.5], "bond", 10, 5, 1), TypeError, "positional"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OLD_CALL_FORMS))
+def test_old_call_forms_fail_before_any_draw(monkeypatch, name):
+    call, error, message = OLD_CALL_FORMS[name]
+    draws = []
+    monkeypatch.setattr(measures, "substream", lambda *args: draws.append(args))
+    monkeypatch.setattr(oriented, "_extinction_levels", lambda *args: draws.append(args))
+    with pytest.raises(error, match=message):
+        call()
+    assert draws == []
 
 
 def raise_strings(node, where):
@@ -545,6 +574,7 @@ def raise_strings(node, where):
         # added last, so the rows above keep their ids
         ("seed must be below 2^64", {"sampling.check_seed"}),
         ("sites must be integers in the int64 range", {"oriented.Frontier.__post_init__"}),
+        ("packed runs of n_max", {"oriented._extinction_levels"}),
     ],
 )
 def test_each_input_rule_is_raised_in_one_place(wording, homes):

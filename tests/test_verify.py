@@ -63,10 +63,10 @@ def verify_monte_carlo(seed):
         branching.offspring_mean_mc(2, 32.0, lam, Uniform(), 600, seed),
     ]
     return (
-        measures.mc_stick_hit_volume(2, 10.0, 2.0, Uniform(), 200_000, seed).hits,
-        measures.mc_two_ball_measure(2, 256.0, Uniform(), 300_000, seed).hits,
+        measures.mc_stick_hit_volume(2, 10.0, 2.0, 200_000, seed).hits,
+        measures.mc_two_ball_measure(2, 256.0, 300_000, seed).hits,
         [(sum(est.samples), fingerprint(est.samples)) for est in offspring],
-        fingerprint(oriented.coupled_survival_matrix([0.5, 0.81], "bond", 120, 60, seed)),
+        fingerprint(oriented.coupled_survival_matrix([0.5, 0.81], 120, 60, seed)),
     )
 
 
