@@ -77,6 +77,14 @@ def _arrow_heads(sites: np.ndarray) -> np.ndarray:
     return (sites[:, None] + _STEPS).ravel()
 
 
+def _check_children_fit(sites: np.ndarray) -> None:
+    """DomainError if a child x - 1 or x + 1 of the int64 ``sites`` leaves
+    int64, that is if a site is at either end of it."""
+    ends = sites[(sites == np.iinfo(np.int64).min) | (sites == np.iinfo(np.int64).max)]
+    if ends.size:
+        raise DomainError(f"site {ends[0]} has a child outside the int64 range")
+
+
 def _first_of_each(values: np.ndarray) -> np.ndarray:
     """Mask of the first of each run of equal, adjacent values."""
     first = np.ones(values.size, dtype=bool)
@@ -132,12 +140,14 @@ def op_step(frontier: Frontier, alpha: float, variant: str, stream: np.random.Ge
 
     Bond: two stream uniforms per occupied parent (left arrows then right
     arrows, parents in sorted order).  Site: one stream uniform per candidate
-    child (sorted order), its first arrow.
+    child (sorted order), its first arrow.  A site at either end of int64,
+    whose child would leave it, is refused before any draw.
     """
     alpha = check_real(alpha, "alpha", "[0, 1]")
+    variant = check_choice(variant, "variant", VARIANTS)
+    _check_children_fit(frontier.occupied)
     children = _step(
-        frontier.occupied, frontier.level, check_choice(variant, "variant", VARIANTS),
-        lambda level, sites, key: stream.random(sites.size) < alpha,
+        frontier.occupied, frontier.level, variant, lambda level, sites, key: stream.random(sites.size) < alpha
     )
     return Frontier(frontier.level + 1, children)
 
@@ -149,10 +159,12 @@ def _coupled_steps(levels: np.ndarray, trial_keys, run: np.ndarray, x: np.ndarra
 
     Frontier r is at level ``levels[r]``, reads the keyed field of the int
     ``trial_keys[r]`` mod 2^64 and holds the sites ``x[run == r]`` of its
-    level's parity, in any order and with repeats.  Both variants run
-    ``_step`` on the same field.
+    level's parity, in any order and with repeats; as in ``op_step``, a site
+    at either end of int64 is refused.  Both variants run ``_step`` on the
+    same field.
     """
     alpha = check_real(alpha, "alpha", "[0, 1]")
+    _check_children_fit(x)
     bands = _Bands.spanning(int(x.min()), int(x.max())) if x.size else _Bands.spanning(0, 0)
     sites = np.unique(bands.pack(run, x))
     keys = np.array([int(key) % 2**64 for key in trial_keys], dtype=np.uint64)

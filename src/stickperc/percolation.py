@@ -1,8 +1,9 @@
 """Cluster analysis and critical-intensity estimation.
 
 Pipeline per configuration: a spatial hash over stick bounding boxes
-(broad phase), exact segment-segment distances on the candidate pairs in
-cache-sized blocks (narrow phase), array connected components (min-label
+(broad phase), a packed box test on the candidate pairs and exact
+segment-segment distances on those it keeps, each in cache-sized blocks
+(narrow phase), array connected components (min-label
 hooking with pointer jumping) giving each stick's cluster label, and the
 window-crossing test on those labels (``crossing_event``).  The crossing
 test runs on batches of replicates clustered together, each replicate in
@@ -32,6 +33,14 @@ arrays, the i's and the j's.  So every gather is a 1-d ``take`` and the
 narrow phase computes on whole columns: no ``(k, 2)`` or ``(m, d)`` block
 is built only to be split again, and no dot product runs an inner loop
 only d long.  The index reads the same rows through ``.T`` views.
+
+The box test packs each stick's radius-1-inflated bounding box, per axis
+quantized across the batch, into two uint64 words with a guard bit per
+axis field, so one pair's test is 4 gathers, two subtractions and a mask
+(``_box_words``).  It loses no edge: sticks within distance 2 have
+inflated boxes that meet on every axis, quantizing is a monotone floor,
+and the high corner's extra step covers the kernel's rounding.  In d = 3
+it sends the kernel under a third of the candidate pairs.
 """
 
 from __future__ import annotations
@@ -244,12 +253,65 @@ def _index(
     return SpatialIndex(d, _stick_ids=keys.view(np.int64), _starts=starts, _low_edges=low_edges)
 
 
+def _pack(fields: np.ndarray, w: int) -> np.ndarray:
+    """Column i of the (axes, n) uint64 ``fields`` as one word, row k in
+    the w bits from bit ``w * k``; each field must be below 2^w."""
+    shifts = np.arange(0, w * len(fields), w, dtype=np.uint64)[:, None]
+    return np.bitwise_or.reduce(fields << shifts, axis=0)
+
+
+def _box_words(centers: np.ndarray, dirs: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray, np.uint64]:
+    """Each stick's radius-1-inflated bounding box ``c ± (0.5 L |u| + 1)``,
+    the box ``_index`` registers, packed for ``_boxes_meet``: the uint64
+    words ``low`` and ``high`` of every stick and the mask of the guards.
+
+    Axis k of the first ``min(d, 32)`` is the w-bit field at bit ``w * k``
+    of both words, with ``w = 64 // min(d, 32)`` (at most 32).  There each
+    corner is floored onto ``2^(w-1) - 2`` steps across the batch's
+    extent, so it lies below the field's top bit, the guard; the high
+    corner moves one step up, and its word carries every guard.  Rounding
+    and the floor are monotone, so boxes whose corners meet on an axis
+    meet on its fields, and the extra step covers a kernel distance that
+    rounds down to 2 from just above it."""
+    axes = min(len(centers), 32)
+    w = 64 // max(axes, 2)
+    guard = 1 << (w - 1)
+    reach = 0.5 * length * np.abs(dirs[:axes]) + 1.0
+    lo, hi = centers[:axes] - reach, centers[:axes] + reach
+    base = lo.min(axis=1, keepdims=True)
+    scale = (guard - 2) / (hi.max(axis=1, keepdims=True) - base)
+    ones = sum(1 << (w * k) for k in range(axes))  # a 1 in every field
+    # the corners are at least base, so the cast floors them
+    low = _pack(((lo - base) * scale).astype(np.uint64), w)
+    high = _pack(((hi - base) * scale).astype(np.uint64), w) + np.uint64((guard + 1) * ones)
+    return low, high, np.uint64(guard * ones)
+
+
+def _boxes_meet(low: np.ndarray, high: np.ndarray, guards: np.uint64, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The positions p at which the packed boxes of sticks i[p] and j[p]
+    meet on every field.  A field of ``high[j] - low[i]`` keeps its guard
+    exactly when j's high corner is at least i's low one, and as every
+    field stays in [1, 2^w), none borrows from the next (Lamport, CACM
+    18(8), 1975)."""
+    return np.flatnonzero(((high.take(j) - low.take(i)) & (high.take(i) - low.take(j)) & guards) == guards)
+
+
 def _edges(
     centers: np.ndarray, dirs: np.ndarray, length: float, first: np.ndarray, second: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (first[p], second[p]) whose sticks intersect, as two index
     arrays.  ``centers`` and ``dirs`` are C-contiguous (d, n) per-axis
-    rows; the pairs are tested in geometry's blocks."""
+    rows.  In geometry's blocks the pairs whose ``_box_words`` meet are
+    kept, and the kernel tests those, again in blocks, so its every call
+    but the last is full.  No edge is lost: two sticks within distance 2
+    have points within 2 on every axis, so their inflated boxes meet."""
+    if not len(first):
+        return first, second
+    low, high, guards = _box_words(centers, dirs, length)
+    meet = np.concatenate(
+        [_boxes_meet(low, high, guards, first[rows], second[rows]) + rows.start for rows in _blocks(len(first))]
+    )
+    first, second = first.take(meet), second.take(meet)
     half = 0.5 * length
     keep_first, keep_second = [first[:0]], [second[:0]]
     for rows in _blocks(len(first)):

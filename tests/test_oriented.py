@@ -219,6 +219,31 @@ class TestOpStep:
             assert occupied.dtype == checked.occupied.dtype
             assert occupied.tolist() == checked.occupied.tolist()
 
+    @pytest.mark.parametrize(
+        "frontier, site", [(Frontier(1, [2**63 - 1]), 2**63 - 1), (Frontier(0, [-(2**63), 0]), -(2**63))],
+        ids=["top", "bottom"],
+    )
+    def test_site_at_int64_end_refused_before_any_draw(self, monkeypatch, frontier, site):
+        # unchecked, the site 2^63 - 1 stepped to the children -2^63 and 2^63 - 2
+        stream = mock.Mock(spec=np.random.Generator)
+        fields = []
+        monkeypatch.setattr(oriented, "_field", lambda *args: fields.append(args))
+        message = f"^site {site} has a child outside the int64 range$"
+        for variant in ("bond", "site"):
+            with pytest.raises(DomainError, match=message):
+                op_step(frontier, 1.0, variant, stream)
+        with pytest.raises(DomainError, match=message):
+            coupled_step(frontier, 1.0, trial_key=1)
+        assert stream.mock_calls == [] and fields == []
+
+    def test_sites_next_to_int64_ends_step(self):
+        frontier = Frontier(1, [-(2**63) + 1, 2**63 - 3])
+        children = [-(2**63), -(2**63) + 2, 2**63 - 4, 2**63 - 2]
+        for variant in ("bond", "site"):
+            assert op_step(frontier, 1.0, variant, substream(0)).occupied.tolist() == children
+        top = Frontier(1, [2**63 - 3])
+        assert [x.tolist() for x in coupled_step(top, 1.0, trial_key=1)] == [children[2:], children[2:]]
+
     def test_invalid_alpha(self):
         with pytest.raises(DomainError):
             op_step(Frontier.origin(), 1.5, "bond", substream(0))

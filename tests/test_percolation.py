@@ -493,6 +493,175 @@ class TestCluster:
             assert np.array_equal(own, smallest_labels(bfs_labels(config)) + offset)
 
 
+def touching_pair(centers, dirs, length):
+    """Two sticks of length ``length`` in a window of side 40, each as its
+    (centre, direction) row."""
+    box = BoxRegion.cube(len(centers[0]), 40.0)
+    return Configuration(length, box, np.array(centers, dtype=float), np.array(dirs, dtype=float))
+
+
+def shifted(config, offset):
+    """``config`` with its sticks and window moved by ``offset`` on every axis."""
+    window = BoxRegion(config.observation_window.low + offset, config.observation_window.high + offset)
+    return dataclasses.replace(config, observation_window=window, centers=config.centers + offset)
+
+
+def batch_truth(configs):
+    """Each configuration's all-pairs edges, shifted to its place in the
+    batch of ``configs``, as one set."""
+    return {
+        (a + o, b + o) for o, c in zip(batch_offsets(configs), configs) for a, b in all_pairs_edges(c).tolist()
+    }
+
+
+def packed_boxes(boxes, w):
+    """The (low, high, guards) words of ``_box_words``'s layout for boxes
+    already on their integer fields: ``boxes`` holds each box's low and
+    high corner per axis, every value in [0, 2^(w-1))."""
+    corners = np.array(boxes, dtype=np.uint64).reshape(len(boxes), 2, -1)
+    guard = 1 << (w - 1)
+    guards = sum(guard << (w * k) for k in range(corners.shape[2]))
+    return percolation._pack(corners[:, 0].T, w), percolation._pack(corners[:, 1].T + np.uint64(guard), w), guards
+
+
+@st.composite
+def field_boxes(draw):
+    """A field width w, as ``_box_words`` picks it for 1-32 axes, and 2-6
+    boxes on its fields; the values favour the ends of the field, so equal
+    corners and zero-width boxes are common."""
+    axes = draw(st.integers(1, 32))
+    w = 64 // max(axes, 2)
+    top = (1 << (w - 1)) - 1
+    value = st.one_of(st.sampled_from([0, 1, top - 1, top]), st.integers(0, top))
+    corners = st.lists(value, min_size=2 * axes, max_size=2 * axes)
+    return w, draw(st.lists(corners, min_size=2, max_size=6))
+
+
+class TestBoxTest:
+    """The packed box test that ``_edges`` runs before the kernel keeps
+    every pair within distance 2, down to exact touching."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            touching_pair([[10.0, 10.0], [12.0, 10.0]], [[0.0, 1.0], [0.0, 1.0]], 6.0),
+            touching_pair([[10.0, 10.0], [16.0, 10.0]], [[1.0, 0.0], [1.0, 0.0]], 4.0),
+            # the closest points are the centres, and the inflated boxes
+            # touch on the face z = 11 and nowhere else
+            touching_pair([[10.0, 10.0, 10.0], [10.0, 10.0, 12.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], 4.0),
+            touching_pair(
+                [[10.0, 10.0, 10.0], [10.0, 10.0, 12.0]],
+                [[math.sqrt(0.5), math.sqrt(0.5), 0.0], [math.sqrt(0.5), -math.sqrt(0.5), 0.0]], 8.0,
+            ),
+        ],
+        ids=["parallel-across", "collinear-gap", "skew-d3-axes", "skew-d3-diagonals"],
+    )
+    @pytest.mark.parametrize("offset", [0.0, 1e6, -1e6 + 0.375])
+    def test_exactly_touching_pairs_are_edges(self, config, offset):
+        config = shifted(config, offset)
+        assert all_pairs_edges(config).tolist() == [[0, 1]]
+        first, second, _ = batch_clustering([config])
+        assert edge_set(first, second) == {(0, 1)}
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_end_to_end_pairs_at_any_angle_match_all_pairs(self, offset):
+        # each stick along axis 0 has a tilted partner whose end lies 2
+        # past its own end: the boxes touch on axis 0 at corners that
+        # round, and the kernel reads each pair's distance as 2 give or
+        # take its rounding, so some pairs are edges and some are not
+        rng = np.random.default_rng(7)
+        m, length = 100, 6.0
+        theta = rng.uniform(-1.3, 1.3, m)
+        tilted = np.column_stack([np.cos(theta), np.sin(theta)])
+        ends = np.column_stack([np.zeros(m), 20.0 * np.arange(m)]) + rng.uniform(0.0, 1.0, (m, 2))
+        centers = np.concatenate([ends, ends + [0.5 * length + 2.0, 0.0] + 0.5 * length * tilted])
+        dirs = np.concatenate([np.tile([1.0, 0.0], (m, 1)), tilted])
+        config = Configuration(length, BoxRegion(np.full(2, -10.0), np.full(2, 20.0 * m)), centers, dirs)
+        config = shifted(config, offset)
+        truth = {tuple(e) for e in all_pairs_edges(config).tolist()}
+        assert 0 < len(truth) < m
+        first, second, _ = batch_clustering([config])
+        assert edge_set(first, second) == truth
+
+    def test_edge_across_a_step_boundary_inside_a_rounding_gap(self):
+        # stick 1's end lies 2 from stick 0 and the kernel reads 2.0, but
+        # its box's low x corner rounds 2 ulps past stick 0's high one, 1.0;
+        # stick 2 sets the extent so that a step boundary falls in that gap,
+        # and only the box's extra step keeps the pair
+        centers = np.array([[0.0, 10.0], [3.990106538652705, 10.198685592864077], [6.980213081986038, 30.0]])
+        dirs = np.array([[0.0, 1.0], [0.9950532693263524, 0.09934279643203872], [0.0, 1.0]])
+        config = Configuration(4.0, BoxRegion.cube(2, 40.0), centers, dirs)
+        low_corner = centers[1, 0] - (0.5 * 4.0 * dirs[1, 0] + 1.0)
+        assert low_corner == np.nextafter(np.nextafter(1.0, 2.0), 2.0)
+        assert all_pairs_edges(config).tolist() == [[0, 1]]
+        first, second, _ = batch_clustering([config])
+        assert edge_set(first, second) == {(0, 1)}
+
+    @pytest.mark.parametrize("law_tag", ["uniform", "rigid"])
+    def test_d4_batch_matches_each_replicates_all_pairs(self, law_tag):
+        law = Rigid(np.eye(4)[3]) if law_tag == "rigid" else Uniform()
+        configs = [
+            sample_configuration(4, 4.0, 0.02, law, BoxRegion.cube(4, 12.0), seed=seed) for seed in range(3)
+        ]
+        # integer centres: many rigid pairs sit exactly 2 apart
+        configs = [dataclasses.replace(c, centers=np.round(c.centers)) for c in configs]
+        first, second, _ = batch_clustering(configs)
+        truth = batch_truth(configs)
+        assert len(truth) > 50
+        assert edge_set(first, second) == truth
+
+    @pytest.mark.parametrize("d,law_tag", [(2, "uniform"), (3, "uniform"), (2, "rigid")])
+    def test_batch_near_a_million_matches_all_pairs(self, d, law_tag):
+        configs, cell = geometry_sample(d, law_tag)
+        if law_tag == "rigid":
+            configs = [dataclasses.replace(c, centers=np.round(c.centers)) for c in configs]
+        configs = [shifted(c, 1e6) for c in configs[:3]]
+        first, second, _ = batch_clustering(configs, cell=cell)
+        truth = batch_truth(configs)
+        assert truth
+        assert edge_set(first, second) == truth
+
+    @settings(max_examples=300, deadline=None)
+    @given(field_boxes())
+    @example((32, [[0, 0, 0, 0], [0, 0, 0, 0]]))
+    @example((32, [[2**31 - 1] * 4, [0, 0, 2**31 - 1, 2**31 - 1]]))
+    @example((2, [[1] * 64, [0] * 64, [1, 0] * 32]))
+    @example((21, [[5, 7, 9, 5, 7, 9], [9, 0, 0, 9, 0, 0]]))
+    def test_packed_comparison_matches_each_axis(self, case):
+        # two boxes meet when on every axis each low corner is at most
+        # the other's high corner, equal corners included
+        w, boxes = case
+        axes = len(boxes[0]) // 2
+        low, high, guards = packed_boxes(boxes, w)
+        i, j = (np.array(v, dtype=np.int64) for v in zip(*itertools.combinations(range(len(boxes)), 2)))
+        meet = percolation._boxes_meet(low, high, np.uint64(guards), i, j)
+        expected = [
+            p for p, (a, b) in enumerate(zip(i.tolist(), j.tolist()))
+            if all(boxes[a][k] <= boxes[b][axes + k] and boxes[b][k] <= boxes[a][axes + k] for k in range(axes))
+        ]
+        assert meet.tolist() == expected
+
+    def test_kernel_sees_fewer_pairs_than_the_broad_phase(self, monkeypatch):
+        # a box test that kept every pair would still give the right edges
+        configs, cell = geometry_sample(3, "uniform")
+        kernel, rows = percolation._segment_distance, []
+        pair_ids, pairs = percolation.SpatialIndex._pair_ids, []
+
+        def counted(u, *rest):
+            rows.append(u.shape[1])
+            return kernel(u, *rest)
+
+        def recorded(index):
+            pairs.append(pair_ids(index))
+            return pairs[-1]
+
+        monkeypatch.setattr(percolation, "_segment_distance", counted)
+        monkeypatch.setattr(percolation.SpatialIndex, "_pair_ids", recorded)
+        first, _, _ = batch_clustering(configs)
+        (candidates, _), = pairs
+        assert len(first) <= sum(rows) < len(candidates) / 2
+
+
 NO_EDGES = np.empty((0, 2), dtype=np.int64)
 # node k + 1 hooks onto k in the first round, leaving one chain that the
 # pointer jumping has to collapse from end to end
@@ -917,6 +1086,15 @@ class TestEstimateThreshold:
         ]
         assert [p.successes for p in est.probes] == [0, 0, 0, 2, 12, 9]
         assert fit_weight(est) == 212.57217895697755
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pinned_uniform_d3_estimate(self, workers):
+        # the one pinned estimate outside the plane: the edges of every
+        # replicate of eight probes show here
+        est = estimate_threshold(3, 8.0, Uniform(), 64.0, replicates=8, seed=20260810, workers=workers)
+        assert est.lambda_hat == 0.00499914423124692
+        assert (est.ci_low, est.ci_high) == (0.004973591971621729, 0.006043675301361488)
+        assert [p.successes for p in est.probes] == [0, 0, 0, 3, 8, 8, 8, 5]
 
     def test_pinned_downward_walk(self, monkeypatch):
         # a lower bound 40x too high starts supercritical, so the walk-out
