@@ -160,12 +160,17 @@ def _coupled_steps(levels: np.ndarray, trial_keys, run: np.ndarray, x: np.ndarra
     Frontier r is at level ``levels[r]``, reads the keyed field of the int
     ``trial_keys[r]`` mod 2^64 and holds the sites ``x[run == r]`` of its
     level's parity, in any order and with repeats; as in ``op_step``, a site
-    at either end of int64 is refused.  Both variants run ``_step`` on the
-    same field.
+    at either end of int64 is refused, and so is a layout whose packed
+    sites, in [0, runs * width), or whose offset leave int64, before any
+    draw.  Both variants run ``_step`` on the same field.
     """
     alpha = check_real(alpha, "alpha", "[0, 1]")
     _check_children_fit(x)
-    bands = _Bands.spanning(int(x.min()), int(x.max())) if x.size else _Bands.spanning(0, 0)
+    lo, hi = (int(x.min()), int(x.max())) if x.size else (0, 0)
+    bands = _Bands.spanning(lo, hi)
+    runs = int(run.max()) + 1 if x.size else 0
+    if runs * bands.width >= 2**63 or bands.offset >= 2**63:
+        raise DomainError(f"{runs} packed runs of sites in [{lo}, {hi}] overflow int64")
     sites = np.unique(bands.pack(run, x))
     keys = np.array([int(key) % 2**64 for key in trial_keys], dtype=np.uint64)
 

@@ -27,6 +27,14 @@ one offset per round, and one in-place value sort of the keys (with
 numpy's SIMD sort, over twice as fast as an ``argsort`` of them) orders
 the registrations by cell, then stick.
 
+The candidate pairs are read off the sorted registrations in offset
+passes.  A cell's registrations are consecutive, so one whole-array pass
+per offset o, up to the largest cell, pairs each registration with the
+one o places after it, keeping the pair when both lie in one cell and
+their low-corner masks cover every axis: the one cell that reports it.
+A pass is a few byte-wide steps per registration, and no array holds
+every in-cell pair, of which the low-corner rule drops half or more.
+
 A batch holds its sticks as per-axis rows, ``(d, n)`` arrays whose row k
 is axis k of every stick, and its pairs and edges as two int64 index
 arrays, the i's and the j's.  So every gather is a 1-d ``take`` and the
@@ -120,8 +128,9 @@ def _labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @dataclass
 class SpatialIndex:
     """Uniform-grid broad phase: each stick is registered in every cell its
-    radius-1-inflated bounding box overlaps, so any two intersecting sticks
-    share at least one cell regardless of cell size."""
+    radius-1-inflated bounding box, widened by ``_index``'s margin,
+    overlaps, so any two intersecting sticks share at least one cell
+    regardless of cell size."""
 
     d: int
     # registrations grouped by cell, each cell's group starting at _starts
@@ -138,23 +147,34 @@ class SpatialIndex:
 
     def _pair_ids(self) -> tuple[np.ndarray, np.ndarray]:
         """``candidate_pairs`` as two int64 index arrays, the i and the j of
-        each pair.
+        each pair, ordered by offset, then registration.
 
         The shared cells of two sticks form a box whose low corner lies on
         each axis at the lower edge of one of the two sticks; a pair is
         reported only in that cell (Ericson, Real-Time Collision Detection,
-        2004, ch. 7).
+        2004, ch. 7).  A cell's registrations are consecutive, so its pairs
+        are the registrations (p, p + o) with o at most ``after[p]``, the
+        number after p in its cell; one whole-array pass per offset o keeps
+        those whose low-corner bits cover every axis and gathers their
+        sticks.  With m registrations and c in the largest cell that is
+        m (c - 1) byte-wide steps plus the kept pairs, in temporaries of m
+        bytes or of the kept pairs: no array has one entry per in-cell pair.
         """
         m = len(self._stick_ids)
         sizes = np.diff(np.append(self._starts, m))
-        # registration p pairs with the ones after it in its cell
-        after = np.repeat(self._starts + sizes, sizes) - np.arange(m) - 1
-        first = np.repeat(np.arange(m), after)
-        second = np.arange(len(first)) + np.repeat(np.arange(1, m + 1) - np.cumsum(after) + after, after)
+        largest = int(sizes.max(initial=0))
+        # registration p pairs with the after[p] ones after it in its cell
+        after = (np.repeat(self._starts + sizes, sizes) - np.arange(m) - 1).astype(np.min_scalar_type(largest))
         all_axes = (1 << self.d) - 1
-        low_edges = self._low_edges
-        keep = np.flatnonzero((low_edges.take(first) | low_edges.take(second)) == all_axes)
-        return self._stick_ids.take(first.take(keep)), self._stick_ids.take(second.take(keep))
+        low_edges, ids = self._low_edges, self._stick_ids
+        firsts, seconds = [ids[:0]], [ids[:0]]
+        for o in range(1, largest):
+            keep = after[: m - o] >= o
+            keep &= (low_edges[: m - o] | low_edges[o:]) == all_axes
+            p = np.flatnonzero(keep)
+            firsts.append(ids.take(p))
+            seconds.append(ids[o:].take(p))
+        return np.concatenate(firsts), np.concatenate(seconds)
 
 
 def tuned_cell_size(length: float, law) -> float | np.ndarray:
@@ -193,7 +213,17 @@ def _index(
     copied o cells up it with the axis's bit cleared, for o = 1, 2, ...
     up to the largest reach.  One in-place value sort orders the keys by
     cell, then stick, and a shift, a mask and a floor division read the
-    three arrays back: no registration is decoded from its rank."""
+    three arrays back: no registration is decoded from its rank.
+
+    The registered box is ``c ± (0.5 L |u| + 1)`` widened by a margin of
+    2^-40 S, with S the batch's largest |centre coordinate| plus L + 2,
+    which bounds every corner.  Its corners, their quotients by the cell
+    and the kernel's distance of two sticks near touching each round by
+    some ulps of S, tens at most; the margin is over 4,000 ulps of S, so
+    a pair the kernel reads within 2 always shares a cell, down to a
+    distance of exactly 2.  It is far below a tuned cell edge (over 2), so
+    it adds a registration only where a corner lies within it of a cell
+    boundary."""
     n, d = centers.shape
     cell = np.asarray(tuned_cell_size(length, None) if cell is None else cell)
     # a real number or d of them: a string or an object is refused, not converted
@@ -203,7 +233,7 @@ def _index(
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return SpatialIndex(d, _stick_ids=empty, _starts=empty, _low_edges=empty)
-    half_ext = 0.5 * length * np.abs(dirs) + 1.0
+    half_ext = 0.5 * length * np.abs(dirs) + (1.0 + 2.0**-40 * (np.abs(centers).max() + length + 2.0))
     lo = np.floor((centers - half_ext) / cell).astype(np.int64)
     hi = np.floor((centers + half_ext) / cell).astype(np.int64)
     grid_min = lo.min(axis=0)
@@ -262,8 +292,9 @@ def _pack(fields: np.ndarray, w: int) -> np.ndarray:
 
 def _box_words(centers: np.ndarray, dirs: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray, np.uint64]:
     """Each stick's radius-1-inflated bounding box ``c ± (0.5 L |u| + 1)``,
-    the box ``_index`` registers, packed for ``_boxes_meet``: the uint64
-    words ``low`` and ``high`` of every stick and the mask of the guards.
+    the box ``_index`` registers less its margin, packed for
+    ``_boxes_meet``: the uint64 words ``low`` and ``high`` of every stick
+    and the mask of the guards.
 
     Axis k of the first ``min(d, 32)`` is the w-bit field at bit ``w * k``
     of both words, with ``w = 64 // min(d, 32)`` (at most 32).  There each

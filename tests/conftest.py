@@ -110,13 +110,14 @@ def reference_index(centers, dirs, length, cell, replicate):
     """``percolation._index`` as it stood before the offset expansion:
     every registration decoded from its rank within its stick and the
     keys ordered by ``argsort``.  The bit-identity reference for the
-    index's three arrays."""
+    index's three arrays; its boxes carry ``_index``'s margin of 2^-40 of
+    the largest |centre coordinate| plus L + 2."""
     n, d = centers.shape
     cell = np.asarray(percolation.tuned_cell_size(length, None) if cell is None else cell, dtype=float)
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return percolation.SpatialIndex(d, _stick_ids=empty, _starts=empty, _low_edges=empty)
-    half_ext = 0.5 * length * np.abs(dirs) + 1.0
+    half_ext = 0.5 * length * np.abs(dirs) + (1.0 + 2.0**-40 * (np.abs(centers).max() + length + 2.0))
     lo = np.floor((centers - half_ext) / cell).astype(np.int64)
     hi = np.floor((centers + half_ext) / cell).astype(np.int64)
     grid_min = lo.min(axis=0)

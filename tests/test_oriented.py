@@ -244,6 +244,37 @@ class TestOpStep:
         top = Frontier(1, [2**63 - 3])
         assert [x.tolist() for x in coupled_step(top, 1.0, trial_key=1)] == [children[2:], children[2:]]
 
+    @pytest.mark.parametrize(
+        "run, x, shown",
+        [
+            ([0, 1, 2], [2**61, -(2**61), 0], f"3 packed runs of sites in [{-(2**61)}, {2**61}]"),
+            # two runs of width 2^62, the first layout at 2^63
+            ([0, 1], [-(2**61), 2**61 - 4], f"2 packed runs of sites in [{-(2**61)}, {2**61 - 4}]"),
+            # its offset 2 - lo is 2^63 + 1
+            ([0], [-(2**63) + 1], f"1 packed runs of sites in [{-(2**63) + 1}, {-(2**63) + 1}]"),
+        ],
+        ids=["three-runs", "two-runs-at-the-bound", "offset"],
+    )
+    def test_coupled_layout_outside_int64_refused_before_any_draw(self, monkeypatch, run, x, shown):
+        # unchecked, the three runs stepped to children whose unpacked run read -2,
+        # and the offset met numpy's bare OverflowError
+        fields = []
+        monkeypatch.setattr(oriented, "_field", lambda *args: fields.append(args))
+        levels = np.array([x[r] % 2 for r in range(len(x))])
+        with pytest.raises(DomainError, match=f"^{re.escape(shown)} overflow int64$"):
+            oriented._coupled_steps(levels, list(range(len(x))), np.array(run), np.array(x, dtype=np.int64), 1.0)
+        assert fields == []
+
+    def test_largest_coupled_layouts_step(self):
+        # one step below each refused layout: two runs of width 2^62 - 2, and the offset 2^63 - 1
+        for run, x in [([0, 1], [-(2**61), 2**61 - 6]), ([0], [-(2**63) + 3])]:
+            levels = np.array([v % 2 for v in x])
+            bands, site, bond = oriented._coupled_steps(levels, [1] * len(x), np.array(run), np.array(x), 1.0)
+            for children in (site, bond):
+                got_run, got_x = bands.unpack(children)
+                assert got_run.tolist() == np.repeat(run, 2).tolist()
+                assert got_x.tolist() == [v + s for v in x for s in (-1, 1)]
+
     def test_invalid_alpha(self):
         with pytest.raises(DomainError):
             op_step(Frontier.origin(), 1.5, "bond", substream(0))

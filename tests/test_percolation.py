@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import platform
+import tracemalloc
 import types
 
 import numpy as np
@@ -325,6 +326,85 @@ class TestSpatialIndex:
         else:
             assert len(pairs) > 0
             assert np.array_equal(replicate[pairs[:, 0]], replicate[pairs[:, 1]])
+
+    @pytest.mark.parametrize("k", [255, 256, 257])
+    def test_pairs_of_one_cell_of_k_registrations(self, k):
+        # the count after each registration is uint8 up to 255 in a cell
+        # and uint16 from 256
+        rng = np.random.default_rng(k)
+        centers = rng.uniform(40.0, 60.0, (k, 2))
+        dirs = rng.standard_normal((k, 2))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        index = build_index(Configuration(4.0, BoxRegion.cube(2, 100.0), centers, dirs), 100.0)
+        assert index._starts.tolist() == [0]
+        first, second = index._pair_ids()
+        assert first.dtype == second.dtype == np.int64 and len(first) == k * (k - 1) // 2
+        assert set(zip(first.tolist(), second.tolist())) == set(itertools.combinations(range(k), 2))
+
+    def test_crowded_cell_among_sparse_ones_matches_loop_oracle(self):
+        # 300 sticks crowd one cell of 6 and hold its 300 registrations,
+        # 200 more spread out over 120 x 120, so one cell sets the number
+        # of offset passes and most registrations have none after them
+        rng = np.random.default_rng(11)
+        centers = np.concatenate([rng.uniform(62.5, 63.5, (300, 2)), rng.uniform(0.0, 120.0, (200, 2))])
+        dirs = rng.standard_normal((500, 2))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        config = Configuration(1.0, BoxRegion.cube(2, 120.0), centers, dirs)
+        index = build_index(config, 6.0)
+        sizes = np.diff(np.append(index._starts, len(index._stick_ids)))
+        assert sizes.max() >= 300 and np.median(sizes) <= 2
+        pairs = {tuple(p) for p in index.candidate_pairs().tolist()}
+        assert pairs == loop_candidate_pairs(config, 6.0)
+
+    def test_pair_ids_peak_below_8_bytes_per_in_cell_pair(self):
+        # 3,000 sticks on cells of 1 in a 60 x 60 box: about 2.16M in-cell
+        # pairs, of which the low-corner rule keeps 8%; expanding every
+        # in-cell pair into two int64 arrays alone takes 16 bytes a pair
+        rng = np.random.default_rng(3)
+        centers = rng.uniform(0.0, 60.0, (3000, 2))
+        dirs = rng.standard_normal((3000, 2))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        index = percolation._index(centers, dirs, 6.0, 1.0, np.zeros(3000, dtype=np.int64))
+        sizes = np.diff(np.append(index._starts, len(index._stick_ids)))
+        in_cell = int((sizes * (sizes - 1) // 2).sum())
+        assert in_cell > 2_000_000
+        tracemalloc.start()
+        try:
+            first, _ = index._pair_ids()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(first) < 0.1 * in_cell
+        assert peak < 8 * in_cell
+
+    @pytest.mark.parametrize(
+        "centers, dirs",
+        [
+            # the kernel reads 2.0; stick 0's box ends at 3.9999999999999996
+            # in cell 0, stick 1's starts at 4.0 in cell 1
+            ([[2.9999999999999996, 10.0], [6.948997482504226, 10.448785932480273]],
+             [[0.0, 1.0], [0.9744987412521132, 0.22439296624013627]]),
+            ([[2.9999999999999996, 14.0], [6.882839092614323, 13.325524684422572]],
+             [[0.0, 1.0], [0.9414195463071616, -0.3372376577887143]]),
+            # both corners round to the 2^-33 steps of 1e6, from either side
+            # of the midpoint below it: 999999.9999999999 and 1000000.0
+            ([[999998.664604972, 10.0], [1000001.4025014618, 13.930756517584385]],
+             [[0.16769751397077914, 0.9858384978321857], [0.20125073092640366, 0.9795397609600073]]),
+        ],
+        ids=["at-4", "at-4-below", "at-1e6"],
+    )
+    def test_pair_at_distance_2_across_a_cell_boundary_is_an_edge(self, centers, dirs):
+        # the box corners, floored by the cell of 4, fall either side of a
+        # cell boundary; only the registered boxes' margin keeps the pair
+        config = Configuration(4.0, BoxRegion(np.full(2, -10.0), np.full(2, 1e6 + 20.0)), np.array(centers),
+                               np.array(dirs))
+        reach = 0.5 * config.length * np.abs(config.dirs[:, 0]) + 1.0
+        high, low = config.centers[0, 0] + reach[0], config.centers[1, 0] - reach[1]
+        assert np.floor(high / 4.0) < np.floor(low / 4.0)
+        assert all_pairs_edges(config).tolist() == [[0, 1]]
+        assert build_index(config).candidate_pairs().tolist() == [[0, 1]]
+        first, second, _ = batch_clustering([config])
+        assert edge_set(first, second) == {(0, 1)}
 
     def test_two_nearby_sticks_share_a_cell(self):
         box = BoxRegion.cube(2, 40.0)

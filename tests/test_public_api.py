@@ -576,6 +576,7 @@ def raise_strings(node, where):
         ("sites must be integers in the int64 range", {"oriented.Frontier.__post_init__"}),
         ("packed runs of n_max", {"oriented._extinction_levels"}),
         ("has a child outside the int64 range", {"oriented._check_children_fit"}),
+        ("packed runs of sites in", {"oriented._coupled_steps"}),
     ],
 )
 def test_each_input_rule_is_raised_in_one_place(wording, homes):
