@@ -1,19 +1,19 @@
 """Cluster analysis and critical-intensity estimation.
 
-Pipeline per configuration: a spatial hash over stick bounding boxes
-(broad phase), a packed box test on the candidate pairs and exact
-segment-segment distances on those it keeps, each in cache-sized blocks
-(narrow phase), array connected components (min-label
-hooking with pointer jumping) giving each stick's cluster label, and the
-window-crossing test on those labels (``crossing_event``).  The crossing
-test runs on batches of replicates clustered together, each replicate in
-its own cells; a single configuration is a batch of one.  A probe cuts its
-replicates into batches once, and each batch is one task, in process or on
-a pool, sampled in one ``poisson_sticks`` pass straight into its rows, so
-no replicate builds a ``Configuration`` or is copied again.  On top of that
-sit a stochastic bisection for the threshold intensity, whose probes are
-the crossing curve it read, and the log-log scaling fit; the two share one
-weighted least-squares line.
+One pipeline, ``_batch_edges``, takes a batch of replicates to its edges:
+a spatial hash over stick bounding boxes, each replicate in its own cells
+(broad phase), then a packed box test on the candidate pairs and exact
+segment-segment distances on those it keeps, in cache-sized blocks
+(narrow phase).  Events read the edges; the crossing event
+(``_batch_crossings``) labels clusters by array connected components
+(min-label hooking with pointer jumping) and tests which replicates have
+one touching both window faces.  One configuration is a batch of one
+(``crossing_event``).  A probe cuts its replicates into batches once, each
+one task, in process or on a pool, sampled in one ``poisson_sticks`` pass
+straight into its rows, so no replicate builds a ``Configuration`` or is
+copied again.  On top of that sit a stochastic bisection for the threshold
+intensity, whose probes are the crossing curve it read, and the log-log
+scaling fit; the two share one weighted least-squares line.
 
 The pipeline moves its arrays with ``take`` on index arrays and filters
 through ``np.flatnonzero``: in numpy 2.x that gathers rows several times
@@ -327,17 +327,22 @@ def _boxes_meet(low: np.ndarray, high: np.ndarray, guards: np.uint64, i: np.ndar
     return np.flatnonzero(((high.take(j) - low.take(i)) & (high.take(i) - low.take(j)) & guards) == guards)
 
 
-def _edges(
-    centers: np.ndarray, dirs: np.ndarray, length: float, first: np.ndarray, second: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (first[p], second[p]) whose sticks intersect, as two index
-    arrays.  ``centers`` and ``dirs`` are C-contiguous (d, n) per-axis
-    rows.  In geometry's blocks the pairs whose ``_box_words`` meet are
-    kept, and the kernel tests those, again in blocks, so its every call
+def _batch_edges(
+    centers: np.ndarray, dirs: np.ndarray, counts: list[int], length: float, cell: float | np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A batch's edges: each stick's replicate, and the pairs (first[p],
+    second[p]) of intersecting sticks as two int64 index arrays.  The batch
+    is the C-contiguous (d, n) per-axis rows ``centers`` and ``dirs``, the
+    first ``counts[0]`` columns replicate 0's sticks, and so on, each of
+    length ``length``; each replicate has its own cells, so no edge joins
+    two.  Geometry's blocks keep the candidate pairs whose ``_box_words``
+    meet, and the kernel tests those, again in blocks, so its every call
     but the last is full.  No edge is lost: two sticks within distance 2
     have points within 2 on every axis, so their inflated boxes meet."""
+    replicate = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    first, second = _index(centers.T, dirs.T, length, cell, replicate)._pair_ids()
     if not len(first):
-        return first, second
+        return replicate, first, second
     low, high, guards = _box_words(centers, dirs, length)
     meet = np.concatenate(
         [_boxes_meet(low, high, guards, first[rows], second[rows]) + rows.start for rows in _blocks(len(first))]
@@ -352,7 +357,7 @@ def _edges(
         hit = np.flatnonzero(dist <= INTERSECT_THRESHOLD)
         keep_first.append(i.take(hit))
         keep_second.append(j.take(hit))
-    return np.concatenate(keep_first), np.concatenate(keep_second)
+    return replicate, np.concatenate(keep_first), np.concatenate(keep_second)
 
 
 def _check_axis(axis: int, d: int) -> int:
@@ -372,16 +377,13 @@ def _batch_crossings(
     axis: int,
     cell: float | np.ndarray | None,
 ) -> np.ndarray:
-    """Whether each replicate of a batch has one cluster touching both
-    faces of ``window`` orthogonal to ``axis``.  ``centers`` and ``dirs``
-    are the batch's (d, n) per-axis rows, the first ``counts[0]`` columns
-    replicate 0's sticks, and so on; every stick has length ``length``.
-    The replicates are clustered together, each in its own cells, so no
-    cluster spans two of them."""
+    """The crossing event on ``_batch_edges``' batch: whether each
+    replicate has one cluster touching both faces of ``window`` orthogonal
+    to ``axis``.  The replicates are clustered together, and no edge joins
+    two of them, so neither does a cluster."""
     n = centers.shape[1]
-    replicate = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    pairs = _index(centers.T, dirs.T, length, cell, replicate)._pair_ids()
-    labels = _labels(n, *_edges(centers, dirs, length, *pairs))
+    replicate, first, second = _batch_edges(centers, dirs, counts, length, cell)
+    labels = _labels(n, first, second)
     reach = 0.5 * length * np.abs(dirs[axis]) + 1.0
     lo_ext = centers[axis] - reach
     hi_ext = centers[axis] + reach

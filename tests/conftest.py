@@ -1,7 +1,7 @@
 """Shared brute-force oracles, a box sampler, the stacking of configurations
-into a batch's rows, an estimate's first probe, a recorder of the batch
-clustering, reference bodies of rewritten kernels and the environment of a
-subprocess that runs this checkout, for the test suite.
+into a batch's rows, an estimate's first probe, a batch's edges and labels,
+reference bodies of rewritten kernels and the environment of a subprocess
+that runs this checkout, for the test suite.
 
 The oracles deliberately avoid the closed forms they check: grid scans for
 distance minimization, plain rejection counting for hit fractions, and a
@@ -14,7 +14,6 @@ import os
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from stickperc import percolation
 from stickperc.errors import DomainError
@@ -87,23 +86,13 @@ def probe(d, length, intensity, law, side, replicates, seed, axis=0, workers=1):
         return percolation._probe(executor, design, intensity, replicates, seed, 0)
 
 
-def batch_clustering(configs, axis=0, cell=None):
-    """The edges and labels of one ``percolation._batch_crossings`` call on
-    ``configs``: the ``(first, second)`` edge index arrays it hands
-    ``_labels`` and the labels that returns, in the batch's stick order."""
-    seen = []
-    labels = percolation._labels
-
-    def recording_labels(n, first, second):
-        seen.append((first, second, labels(n, first, second)))
-        return seen[-1][2]
-
-    # a context, not the fixture, so that hypothesis tests can record too
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(percolation, "_labels", recording_labels)
-        batch_crossings(configs, axis, cell)
-    (clustering,) = seen
-    return clustering
+def batch_clustering(configs, cell=None):
+    """The edges ``percolation._batch_edges`` finds in the batch of
+    ``configs``, as ``(first, second)`` index arrays, and their ``_labels``,
+    in the batch's stick order."""
+    centers, dirs, counts, length, _ = stacked_rows(configs)
+    _, first, second = percolation._batch_edges(centers, dirs, counts, length, cell)
+    return first, second, percolation._labels(centers.shape[1], first, second)
 
 
 def reference_index(centers, dirs, length, cell, replicate):

@@ -3,6 +3,8 @@ import dataclasses
 import itertools
 import math
 import platform
+import subprocess
+import sys
 import tracemalloc
 import types
 
@@ -13,7 +15,10 @@ import scipy.sparse.csgraph
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import batch_clustering, batch_crossings, probe, reference_index, reference_sticks, sample_configuration
+from conftest import (
+    batch_clustering, batch_crossings, checkout_env, probe, reference_index, reference_sticks, sample_configuration,
+    stacked_rows,
+)
 from stickperc import geometry, percolation
 from stickperc.errors import BracketFailure, DegenerateDesign, DomainError, PreconditionViolated
 from stickperc.geometry import segment_distance_arrays
@@ -121,7 +126,7 @@ def index_case(case):
 
     Random cases draw sticks about the origin (so coordinates are
     negative too) in replicates 0-3 and hand the index per-axis rows
-    through ``.T`` views, as ``_batch_crossings`` does; a tuned cell is
+    through ``.T`` views, as ``_batch_edges`` does; a tuned cell is
     ``tuned_cell_size`` for the law."""
     if case == "single-stick":
         return np.array([[-3.25, 7.5]]), np.array([[0.6, 0.8]]), 5.0, 0.7, np.zeros(1, dtype=np.int64)
@@ -291,7 +296,7 @@ class TestSpatialIndex:
                 assert edge_set(first, second) == {tuple(e) for e in all_pairs_edges(config).tolist()}
 
     def test_batch_edges_match_each_replicates_all_pairs(self):
-        # the edges _batch_crossings clusters are each replicate's
+        # the edges _batch_edges finds are each replicate's
         # all-pairs edges, shifted to the replicate's place in the batch
         configs, cell = geometry_sample(2, "rigid")
         first, second, _ = batch_clustering(configs, cell=cell)
@@ -618,7 +623,7 @@ def field_boxes(draw):
 
 
 class TestBoxTest:
-    """The packed box test that ``_edges`` runs before the kernel keeps
+    """The packed box test that ``_batch_edges`` runs before the kernel keeps
     every pair within distance 2, down to exact touching."""
 
     @pytest.mark.parametrize(
@@ -725,20 +730,15 @@ class TestBoxTest:
         # a box test that kept every pair would still give the right edges
         configs, cell = geometry_sample(3, "uniform")
         kernel, rows = percolation._segment_distance, []
-        pair_ids, pairs = percolation.SpatialIndex._pair_ids, []
 
         def counted(u, *rest):
             rows.append(u.shape[1])
             return kernel(u, *rest)
 
-        def recorded(index):
-            pairs.append(pair_ids(index))
-            return pairs[-1]
-
         monkeypatch.setattr(percolation, "_segment_distance", counted)
-        monkeypatch.setattr(percolation.SpatialIndex, "_pair_ids", recorded)
-        first, _, _ = batch_clustering(configs)
-        (candidates, _), = pairs
+        centers, dirs, counts, length, _ = stacked_rows(configs)
+        replicate, first, _ = percolation._batch_edges(centers, dirs, counts, length, None)
+        candidates, _ = percolation._index(centers.T, dirs.T, length, None, replicate)._pair_ids()
         assert len(first) <= sum(rows) < len(candidates) / 2
 
 
@@ -1175,6 +1175,16 @@ class TestEstimateThreshold:
         assert est.lambda_hat == 0.00499914423124692
         assert (est.ci_low, est.ci_high) == (0.004973591971621729, 0.006043675301361488)
         assert [p.successes for p in est.probes] == [0, 0, 0, 3, 8, 8, 8, 5]
+
+    @pytest.mark.parametrize("d, law", [(3, "Uniform()"), (2, "Rigid([0.0, 1.0])")])
+    def test_estimate_leaves_numpy_ma_unimported(self, d, law):
+        # each fresh pool worker runs this path, so an import on it is paid
+        # per worker: np.unique, np.intersect1d or a large np.isin loads
+        # numpy.ma, 8-17 ms
+        script = (f"import sys; from stickperc import Rigid, Uniform, estimate_threshold\n"
+                  f"estimate_threshold({d}, 4.0, {law}, 32.0, 20, 1); print('numpy.ma' in sys.modules)")
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=checkout_env())
+        assert (run.returncode, run.stdout) == (0, "False\n")
 
     def test_pinned_downward_walk(self, monkeypatch):
         # a lower bound 40x too high starts supercritical, so the walk-out

@@ -9,7 +9,8 @@ the program, the benchmark or the demos, not only by tests.  Every entry
 point that takes ``d`` or another integer treats an integral float as its
 int, every one that takes a real number checks it by one rule and goes on
 with its float, laws and names are refused before any draw or pool start,
-and each input rule is raised from one function only.
+each input rule is raised from one function only, and each stage of the
+edge pipeline is called from ``_batch_edges`` and its one other front.
 """
 
 import ast
@@ -529,19 +530,19 @@ def test_old_call_forms_fail_before_any_draw(monkeypatch, name):
     assert draws == []
 
 
-def raise_strings(node, where):
-    """(function, text) for each string constant in a ``raise`` under
-    ``node``; ``function`` is the innermost enclosing def, dotted after
-    ``where``."""
+def enclosed(node, where):
+    """(function, child) for each node under ``node``; ``function`` is the
+    innermost enclosing def or class, dotted after ``where``."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Raise):
-            for sub in ast.walk(child):
-                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-                    yield where, sub.value
-        elif isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-            yield from raise_strings(child, f"{where}.{child.name}")
-        else:
-            yield from raise_strings(child, where)
+        yield where, child
+        inner = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+        yield from enclosed(child, f"{where}.{child.name}" if inner else where)
+
+
+# every node of the package, with its function named after its module's stem
+PACKAGE_NODES = [
+    pair for path in sorted(PACKAGE.glob("*.py")) for pair in enclosed(ast.parse(path.read_text()), path.stem)
+]
 
 
 @pytest.mark.parametrize(
@@ -581,9 +582,29 @@ def raise_strings(node, where):
 )
 def test_each_input_rule_is_raised_in_one_place(wording, homes):
     raisers = {
-        function
-        for path in sorted(PACKAGE.glob("*.py"))
-        for function, text in raise_strings(ast.parse(path.read_text()), path.stem)
-        if wording in text
+        function for function, node in PACKAGE_NODES if isinstance(node, ast.Raise) for sub in ast.walk(node)
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str) and wording in sub.value
     }
     assert raisers == homes
+
+
+PIPELINE_CALLERS = {
+    "_index": {"percolation.build_index", "percolation._batch_edges"},
+    "_pair_ids": {"percolation.SpatialIndex.candidate_pairs", "percolation._batch_edges"},
+    "_box_words": {"percolation._batch_edges"},
+    "_boxes_meet": {"percolation._batch_edges"},
+    # geometry's own front of its kernel, and the pipeline
+    "_segment_distance": {"geometry.segment_distance_arrays", "percolation._batch_edges"},
+    "_labels": {"percolation.UnionFind.labels", "percolation._batch_crossings"},
+}
+
+
+@pytest.mark.parametrize("callee", PIPELINE_CALLERS)
+def test_one_edge_pipeline(callee):
+    # a batch's edges come from _batch_edges alone: an event other than the
+    # crossing one reads them there rather than copying the pipeline
+    callers = {
+        function for function, node in PACKAGE_NODES
+        if isinstance(node, ast.Call) and callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert callers == PIPELINE_CALLERS[callee]
