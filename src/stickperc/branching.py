@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded, DomainError
-from .geometry import INTERSECT_THRESHOLD, _blocks, segment_distance_arrays
+from .geometry import INTERSECT_THRESHOLD, segment_distance_arrays
 from .rng import substream
 from .sampling import (
     _MAX_EXPECTED_COUNT, _MAX_POPULATION, BoxRegion, OrientationLaw, Rigid, check_dim, check_expected_count,
-    check_integer, check_intensity, check_law, check_length, check_runs, check_seed, place_sticks, poisson_sticks,
+    check_integer, check_intensity, check_law, check_length, check_runs, check_seed, poisson_sticks, stream_sticks,
 )
 
 _STREAM_OFFSPRING = 0x0FF5
@@ -85,22 +85,16 @@ def offspring_mean_mc(
     mean_count = check_expected_count(check_intensity(intensity) * box.volume)
     counts = rng.poisson(mean_count, size=trials).astype(np.int64)
     samples = np.zeros(trials, dtype=np.int64)
-    # process trial blocks of at most the guard's expected count of sticks
+    # trial blocks of at most the guard's expected count of sticks, each one
+    # streamed draw: the blocks fix the stream's layout, which the pinned
+    # samples read, while the memory is one block of sticks
     block_trials = max(1, int(_MAX_EXPECTED_COUNT / max(mean_count, 1.0)))
     for lo in range(0, trials, block_trials):
-        block = counts[lo : lo + block_trials]
-        total = int(block.sum())
-        if total == 0:
-            continue
-        centers, dirs = place_sticks(d, law, box, [rng], [total])
-        hits = np.empty(total, dtype=np.int64)
-        for rows in _blocks(total):
-            hits[rows] = _overlaps(centers[rows], dirs[rows], length, center, direction)
-        # reduce at the starts of the non-empty trials only: their starts
-        # strictly increase, so each sum runs up to the next trial's start
-        filled = np.flatnonzero(block)
-        starts = np.cumsum(block) - block
-        samples[lo + filled] = np.add.reduceat(hits, starts[filled])
+        ends = np.cumsum(counts[lo : lo + block_trials])
+        for start, centers, dirs in stream_sticks(d, law, box, rng, int(ends[-1])):
+            hit = start + np.flatnonzero(_overlaps(centers, dirs, length, center, direction))
+            # a stick's trial is the number of trial ends at or before it
+            np.add.at(samples, lo + np.searchsorted(ends, hit, side="right"), 1)
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(trials))
     return OffspringEstimate(mean=mean, stderr=stderr, trials=trials, samples=tuple(int(v) for v in samples))

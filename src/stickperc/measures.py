@@ -21,11 +21,13 @@ from .geometry import _axis_dot, _ball_distance_sq, _blocks, check_radius, segme
 from .rng import substream
 from .sampling import (
     REAL_TYPES, BoxRegion, Uniform, check_choice, check_density_floor, check_dim, check_integer,
-    check_intensity, check_length, check_real, check_seed, place_sticks,
+    check_intensity, check_length, check_real, check_seed, stream_sticks,
 )
 
 _STREAM_MEASURE_MC = 0x3EA5
-_MC_CHUNK = 1_000_000  # Monte Carlo draws per batch, to bound memory
+# Monte Carlo draws per chunk: each chunk draws its arrays in turn, so the
+# chunks fix the stream layout that the pinned hits read
+_MC_CHUNK = 1_000_000
 _FLOAT_MAX = sys.float_info.max
 
 LAW_TAGS = ("uniform", "rigid", "density")
@@ -330,7 +332,7 @@ def _mc_fraction(trials: int, seed: int, stream: int, scale: float, count_hits) 
     """``scale`` times the hit fraction of ``trials`` draws, with its
     binomial standard error.  ``count_hits(rng, n)`` makes n draws from the
     estimator's own measure substream and returns how many hit; it is called
-    on batches of at most ``_MC_CHUNK`` draws, to bound memory."""
+    on chunks of at most ``_MC_CHUNK`` draws, which fix the stream layout."""
     trials = check_integer(trials, "trials", 1)
     rng = substream(check_seed(seed), _STREAM_MEASURE_MC, stream)
     hits = sum(count_hits(rng, min(_MC_CHUNK, trials - done)) for done in range(0, trials, _MC_CHUNK))
@@ -347,6 +349,11 @@ def mc_stick_hit_volume(d: int, length: float, rho: float, trials: int, seed: in
     with each orientation (a Householder frame), which tightly contains all
     centers whose segment can reach the ball; the estimate is box volume
     times hit fraction.
+
+    A chunk is drawn whole, not streamed in blocks: its stream holds every
+    direction before the centres, and a normal takes a variable number of
+    words, so where the centres start is known only once every direction
+    is drawn.  Verify's 200,000 draws peak at 7.6 MiB under ``tracemalloc``.
     """
     d = check_dim(d)
     length = check_length(length)
@@ -422,11 +429,12 @@ def mc_two_ball_measure(d: int, length: float, trials: int, seed: int, intensity
         raise DomainError(f"construction box volume overflows at L = {length}")
 
     def count_hits(rng, n):
-        x, p = place_sticks(d, Uniform(), box, [rng], [n])
-        h = 0.5 * length
-        # each row's test is its own, so zeta is tested only where gamma hit
-        near = np.flatnonzero(segments_hit_ball(x, p, h, gamma, 2.0))
-        return int(np.count_nonzero(segments_hit_ball(x[near], p[near], h, zeta, 2.0)))
+        hits, h = 0, 0.5 * length
+        for _, x, p in stream_sticks(d, Uniform(), box, rng, n):
+            # each row's test is its own, so zeta is tested only where gamma hit
+            near = np.flatnonzero(segments_hit_ball(x, p, h, gamma, 2.0))
+            hits += int(np.count_nonzero(segments_hit_ball(x[near], p[near], h, zeta, 2.0)))
+        return hits
 
     return _mc_fraction(trials, seed, 3, intensity * volume, count_hits)
 

@@ -472,10 +472,14 @@ def _replicate_pool(workers: int):
     only fork and pickling.  Each worker runs ``_keep_freed_heap`` once, so
     it keeps up to 64 MiB of freed heap between tasks; the caller's own
     allocator is left alone.  The pool starts all its processes at the
-    first task, and results do not depend on its size."""
+    first task, and results do not depend on its size.  The pool is forked
+    after ``numpy.random`` is imported, which each worker would otherwise
+    import at its first task (14-25 ms); at module import it would cost
+    every process, pooled or not."""
     size = min(workers, _usable_cpus())
     if size == 1:
         return nullcontext()
+    import numpy.random  # noqa: F401
     return ProcessPoolExecutor(max_workers=size, initializer=_keep_freed_heap)
 
 

@@ -12,13 +12,15 @@ stream draws only its centres and its law's raw directions, while the
 scaling of the centres, the normalising of the directions and the per-axis
 layout run once over the batch.  ``poisson_sticks`` draws each stream's
 Poisson count and places them so, for window configurations, replicate
-batches and component explorations; the offspring and two-ball Monte
-Carlo draw their own counts and place their sticks through
-``place_sticks``.  A single configuration is a batch of one.
+batches and component explorations.  ``stream_sticks`` is the same draw
+for one stream, bit for bit, handed out in row blocks: the offspring and
+two-ball Monte Carlo draw their own counts and stream their sticks, so
+they hold one block at a time.  A single configuration is a batch of one.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from numbers import Real
@@ -36,6 +38,10 @@ _MAX_EXPECTED_COUNT = 5e5
 # per individual, so a population of this many holds about 1.6 GB, near the
 # stick guard's budget
 _MAX_POPULATION = 1e8
+# sticks per block of ``stream_sticks``: geometry's ``_BLOCK`` rows, which
+# the Monte Carlo kernels test at once (geometry imports this module); the
+# fastest of 4,096-65,536 on verify's streamed calls
+_STREAM_BLOCK = 8_192
 
 
 def _row_norms(z: np.ndarray) -> np.ndarray:
@@ -250,6 +256,19 @@ def check_runs(count: int, noun: str) -> None:
         raise CapacityExceeded(f"{count} {noun} exceed guard of {_MAX_EXPECTED_COUNT:.3g}")
 
 
+def _lay_out(law: OrientationLaw, box: BoxRegion, u: np.ndarray, raw: np.ndarray, streams, counts):
+    """The centres and directions of the (n, d) uniforms ``u`` and raw
+    directions ``raw``, drawn from ``streams`` by ``counts``: ``u`` scaled
+    into ``box`` and ``raw`` made unit by ``law``, as (n, d) views of
+    C-contiguous (d, n) per-axis rows."""
+    n, d = u.shape
+    centers, dirs = np.empty((d, n)), np.empty((d, n))
+    np.multiply(u.T, (box.high - box.low)[:, None], out=centers)
+    centers += box.low[:, None]
+    law.unit(raw, streams, counts, out=dirs.T)
+    return centers.T, dirs.T
+
+
 def place_sticks(
     d: int, law: OrientationLaw, box: BoxRegion, streams: list[np.random.Generator], counts
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -270,11 +289,53 @@ def place_sticks(
         rng.random(out=u[end : end + k])
         law.draw(rng, raw[end : end + k])
         end += k
-    centers, dirs = np.empty((d, n)), np.empty((d, n))
-    np.multiply(u.T, (box.high - box.low)[:, None], out=centers)
-    centers += box.low[:, None]
-    law.unit(raw, streams, counts, out=dirs.T)
-    return centers.T, dirs.T
+    return _lay_out(law, box, u, raw, streams, counts)
+
+
+class _RedrawLater(Exception):
+    """Raised by the stand-in stream of a streamed block when ``law.unit``
+    asks it for a redraw: the block holds a row too short to scale, whose
+    redraw waits until every block's directions are drawn."""
+
+    @staticmethod
+    def standard_normal(size):
+        raise _RedrawLater
+
+
+def stream_sticks(d: int, law: OrientationLaw, box: BoxRegion, rng: np.random.Generator, n: int):
+    """The sticks of ``place_sticks(d, law, box, [rng], [n])``, bit for bit,
+    as ``(start, centres, directions)`` for consecutive blocks of at most
+    ``_STREAM_BLOCK`` rows, so a caller holds one block, not ``n`` sticks.
+    Once the blocks are exhausted, ``rng`` stands where ``place_sticks``
+    leaves it.
+
+    ``place_sticks`` draws ``n * d`` centre uniforms, one 64-bit word each
+    on PCG64, then the raw directions.  So the centres come from ``rng``
+    and the directions from a copy of it advanced by ``n * d`` words.  A
+    block holding a row too short to scale comes after the others, once the
+    copy stands where ``place_sticks`` draws its redraws.  Of two or more
+    such blocks, each redraws in turn, which matches ``place_sticks``
+    unless a redrawn row is too short again."""
+    directions = copy.deepcopy(rng)
+    directions.bit_generator.advance(n * d)
+    later = []
+    for start in range(0, n, _STREAM_BLOCK):
+        k = min(_STREAM_BLOCK, n - start)
+        u, raw = np.empty((k, d)), np.empty((k, d))
+        rng.random(out=u)
+        law.draw(directions, raw)
+        try:
+            centers, dirs = _lay_out(law, box, u, raw, [_RedrawLater], [k])
+        except _RedrawLater:
+            later.append((start, u, raw))
+            continue
+        yield start, centers, dirs
+    for start, u, raw in later:
+        yield (start, *_lay_out(law, box, u, raw, [directions], [len(u)]))
+    # the copy's position, and rng's own buffered 32-bit half word
+    state = rng.bit_generator.state
+    state["state"] = directions.bit_generator.state["state"]
+    rng.bit_generator.state = state
 
 
 def poisson_sticks(

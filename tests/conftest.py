@@ -1,7 +1,7 @@
 """Shared brute-force oracles, a box sampler, the stacking of configurations
 into a batch's rows, an estimate's first probe, a batch's edges and labels,
-reference bodies of rewritten kernels and the environment of a subprocess
-that runs this checkout, for the test suite.
+reference bodies of rewritten kernels, the environment of a subprocess
+that runs this checkout and a call's traced memory peak, for the test suite.
 
 The oracles deliberately avoid the closed forms they check: grid scans for
 distance minimization, plain rejection counting for hit fractions, and a
@@ -11,6 +11,7 @@ apart from the package's vectorised kernel.
 
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,16 @@ def checkout_env(**extra):
     ``src`` before any installed copy of the package, plus ``extra``."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def traced_peak(call):
+    """The ``tracemalloc`` peak, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def sample_configuration(d, length, intensity, law, box, seed):

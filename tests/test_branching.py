@@ -12,7 +12,7 @@ from stickperc.branching import (
     offspring_mean_mc,
 )
 from stickperc.errors import CapacityExceeded, DomainError
-from conftest import segment_segment_distance
+from conftest import segment_segment_distance, traced_peak
 from stickperc.measures import gw_offspring_bound, stick_hit_volume, theorem_bounds
 from stickperc.sampling import Rigid, Uniform
 from stickperc.rng import substream
@@ -139,6 +139,13 @@ class TestOffspringMeanMC:
     def test_trials_above_guard_refused(self):
         with pytest.raises(CapacityExceeded, match="500001 trials exceed guard of 5e"):
             offspring_mean_mc(2, 10.0, 1e-4, Uniform(), 500_001, seed=1)
+
+    @pytest.mark.parametrize("trials, seed", [(1_500, 1), (15_000, 2)])
+    def test_memory_does_not_grow_with_the_draws(self, trials, seed):
+        # about 106 sticks a trial, streamed in blocks: verify's 1,500 trials
+        # drew theirs at once and held 9.8 MiB
+        call = lambda: offspring_mean_mc(2, 10.0, 0.1, Rigid(np.array([0.0, 1.0])), trials, seed)  # noqa: E731
+        assert traced_peak(call) < 3e6
 
 
 class TestDominatingGW:

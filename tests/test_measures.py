@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from conftest import traced_peak
 from stickperc import measures
 from stickperc.errors import DomainError, PreconditionViolated
 from stickperc.measures import (
@@ -383,3 +384,9 @@ class TestTwoBallMeasure:
     def test_box_volume_overflow_names_length(self):
         with pytest.raises(DomainError, match="L = 1e\\+300"):
             mc_two_ball_measure(2, 1e300, 10, seed=1)
+
+    @pytest.mark.parametrize("d, length, trials, seed", [(2, 256.0, 300_000, 1), (2, 256.0, 1_200_000, 2),
+                                                         (3, 300.0, 400_000, 3)])
+    def test_memory_does_not_grow_with_the_draws(self, d, length, trials, seed):
+        # the sticks stream in blocks; verify's 300,000 drawn at once held 25.2 MiB
+        assert traced_peak(lambda: mc_two_ball_measure(d, length, trials, seed)) < 3e6

@@ -1186,6 +1186,15 @@ class TestEstimateThreshold:
         run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=checkout_env())
         assert (run.returncode, run.stdout) == (0, "False\n")
 
+    def test_pool_forks_after_numpy_random(self):
+        # a worker forked before numpy.random is imported imports it at its
+        # first task; the pool opens no process, so two CPUs are assumed
+        script = ("import sys; from stickperc import percolation\n"
+                  "print('numpy.random' in sys.modules); percolation._usable_cpus = lambda: 2\n"
+                  "with percolation._replicate_pool(2): print('numpy.random' in sys.modules, 'numpy.ma' in sys.modules)")
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=checkout_env())
+        assert (run.returncode, run.stdout) == (0, "False\nTrue False\n")
+
     def test_pinned_downward_walk(self, monkeypatch):
         # a lower bound 40x too high starts supercritical, so the walk-out
         # halves down to a subcritical probe before bisecting

@@ -599,12 +599,37 @@ PIPELINE_CALLERS = {
 }
 
 
+def callers(callee, keyword=None):
+    """The package's functions that call ``callee``, by name or attribute,
+    with the keyword argument ``keyword`` where one is given."""
+    return {
+        function for function, node in PACKAGE_NODES
+        if isinstance(node, ast.Call) and callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and (keyword is None or keyword in [k.arg for k in node.keywords])
+    }
+
+
 @pytest.mark.parametrize("callee", PIPELINE_CALLERS)
 def test_one_edge_pipeline(callee):
     # a batch's edges come from _batch_edges alone: an event other than the
     # crossing one reads them there rather than copying the pipeline
-    callers = {
-        function for function, node in PACKAGE_NODES
-        if isinstance(node, ast.Call) and callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-    }
-    assert callers == PIPELINE_CALLERS[callee]
+    assert callers(callee) == PIPELINE_CALLERS[callee]
+
+
+DRAW_CALLERS = {
+    "draw": ("draw", None, {"sampling.place_sticks", "sampling.stream_sticks",
+                            "sampling._DirectionLaw.sample_directions"}),
+    "unit": ("unit", None, {"sampling._lay_out", "sampling._DirectionLaw.sample_directions"}),
+    "_lay_out": ("_lay_out", None, {"sampling.place_sticks", "sampling.stream_sticks"}),
+    # the centres' uniforms
+    "random-out": ("random", "out", {"sampling.place_sticks", "sampling.stream_sticks"}),
+}
+
+
+@pytest.mark.parametrize("case", DRAW_CALLERS)
+def test_one_stick_draw(case):
+    # sticks are drawn by place_sticks, or streamed from its draw by
+    # stream_sticks, and a law's directions by sample_directions: a third
+    # copy of the draw would fail here
+    callee, keyword, homes = DRAW_CALLERS[case]
+    assert callers(callee, keyword) == homes

@@ -343,6 +343,69 @@ class TestPoissonSticks:
             poisson_sticks(3, 0.1, Rigid(np.array([0.0, 1.0])), BoxRegion.cube(3, 4.0), [substream(0)])
 
 
+class ZeroedUniform(Uniform):
+    """The uniform law with raw row ``row`` of its draws, counted over all
+    its ``draw`` calls, zeroed, so it is too short to scale."""
+
+    def __init__(self, row):
+        object.__setattr__(self, "row", row)
+
+    def draw(self, rng, out):
+        super().draw(rng, out)
+        if 0 <= self.row < len(out):
+            out[self.row] = 0.0
+        object.__setattr__(self, "row", self.row - len(out))
+
+
+BLOCK = sampling._STREAM_BLOCK
+
+
+class TestStreamSticks:
+    BOX = {d: BoxRegion(np.linspace(-3.0, 2.0, d), np.linspace(4.5, 30.0, d)) for d in (2, 3, 4)}
+
+    @staticmethod
+    def streamed(d, law, box, rng, n):
+        """The blocks' starts, and their centres and directions stacked in
+        row order."""
+        blocks = list(sampling.stream_sticks(d, law, box, rng, n))
+        for _, centers, dirs in blocks:
+            assert centers.T.flags.c_contiguous and dirs.T.flags.c_contiguous
+        starts = [start for start, _, _ in blocks]
+        order = np.argsort(starts)
+        return starts, *(np.concatenate([blocks[i][k] for i in order] or [np.empty((0, d))]) for k in (1, 2))
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("law_tag", ["uniform", "rigid"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_blocks_are_place_sticks(self, d, law_tag, n):
+        # consecutive blocks of place_sticks' sticks, bit for bit, leaving the
+        # stream where place_sticks does, a buffered 32-bit half word included
+        law = Uniform() if law_tag == "uniform" else Rigid(np.arange(1.0, d + 1.0))
+        rng, reference = substream(13, d), substream(13, d)
+        for stream in (rng, reference):
+            stream.integers(10, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        centers, dirs = place_sticks(d, law, self.BOX[d], [reference], [n])
+        starts, streamed_centers, streamed_dirs = self.streamed(d, law, self.BOX[d], rng, n)
+        assert starts == list(range(0, n, BLOCK))
+        assert np.array_equal(streamed_centers, centers) and np.array_equal(streamed_dirs, dirs)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("row", [5, BLOCK + 5])
+    def test_short_row_redrawn_where_place_sticks_redraws_it(self, row):
+        # the block holding the zeroed row comes last, its redraw taken
+        # after every block's directions, as place_sticks takes it
+        n = 3 * BLOCK + 5
+        rng, reference = substream(14), substream(14)
+        centers, dirs = place_sticks(2, ZeroedUniform(row), self.BOX[2], [reference], [n])
+        starts, streamed_centers, streamed_dirs = self.streamed(2, ZeroedUniform(row), self.BOX[2], rng, n)
+        held = row // BLOCK * BLOCK
+        assert starts == [start for start in range(0, n, BLOCK) if start != held] + [held]
+        assert np.array_equal(streamed_centers, centers) and np.array_equal(streamed_dirs, dirs)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert np.linalg.norm(dirs[row]) == pytest.approx(1.0)
+
+
 class TestBoxRegion:
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from stickperc import branching, geometry, measures, oriented, verify
+from stickperc import branching, geometry, measures, oriented, sampling, verify
 from stickperc.rng import substream
 from stickperc.sampling import Rigid, Uniform
 
@@ -96,6 +96,14 @@ def test_blocks_move_no_output(monkeypatch):
         return verify.SUITES[suite](seed) if suite in ("measures", "branching") else suite_checks(suite, seed)
 
     assert registry_digest(blocked_checks) == REGISTRY_DIGEST
+
+
+def test_stream_blocks_move_no_output(monkeypatch):
+    # streamed sticks in blocks of 1,000: the two-ball and offspring draws
+    # end mid-block and cross blocks within a trial
+    monkeypatch.setattr(sampling, "_STREAM_BLOCK", 1_000)
+    for seed, pins in MONTE_CARLO_PINS.items():
+        assert verify_monte_carlo(seed) == pins
 
 
 @pytest.mark.parametrize("n_cases", [1, 6_000, 10_000, 23_456])
