@@ -17,16 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionViolated
-from .geometry import _axis_dot, _ball_distance_sq, _blocks, check_radius, segments_hit_ball
-from .rng import substream
+from .geometry import _axis_dot, _ball_distance_sq, check_radius, segments_hit_ball
+from .rng import advanced, move_to, substream
 from .sampling import (
     REAL_TYPES, BoxRegion, Uniform, check_choice, check_density_floor, check_dim, check_integer,
-    check_intensity, check_length, check_real, check_seed, stream_sticks,
+    check_intensity, check_length, check_real, check_seed, stream_directions, stream_sticks,
 )
 
 _STREAM_MEASURE_MC = 0x3EA5
 # Monte Carlo draws per chunk: each chunk draws its arrays in turn, so the
-# chunks fix the stream layout that the pinned hits read
+# chunks fix the stream layout that the pinned hits read; every estimate
+# streams a chunk's draws in blocks, so they do not bound its memory
 _MC_CHUNK = 1_000_000
 _FLOAT_MAX = sys.float_info.max
 
@@ -350,10 +351,11 @@ def mc_stick_hit_volume(d: int, length: float, rho: float, trials: int, seed: in
     centers whose segment can reach the ball; the estimate is box volume
     times hit fraction.
 
-    A chunk is drawn whole, not streamed in blocks: its stream holds every
-    direction before the centres, and a normal takes a variable number of
-    words, so where the centres start is known only once every direction
-    is drawn.  Verify's 200,000 draws peak at 7.6 MiB under ``tracemalloc``.
+    A chunk draws its n directions, then n * d box uniforms, then n
+    axis-0 uniforms that replace the box's first column.  They stream in
+    blocks: the box uniforms from the stream once the directions are drawn,
+    the axis-0 ones from a copy of it advanced by the n * d words the box
+    uniforms take.
     """
     d = check_dim(d)
     length = check_length(length)
@@ -361,12 +363,13 @@ def mc_stick_hit_volume(d: int, length: float, rho: float, trials: int, seed: in
     half_t = 0.5 * length + rho
 
     def count_hits(rng, n):
-        p = Uniform().sample_directions(rng, d, n)
-        local = rng.uniform(-rho, rho, size=(n, d))
-        local[:, 0] = rng.uniform(-half_t, half_t, size=n)
         hits = 0
-        for rows in _blocks(n):
-            q, y = p[rows].T, local[rows].T
+        for start, p in stream_directions(d, Uniform(), rng, n):
+            if start == 0:
+                axial = advanced(rng, n * d)
+            local = rng.uniform(-rho, rho, size=p.shape)
+            local[:, 0] = axial.uniform(-half_t, half_t, size=len(p))
+            q, y = p.T, local.T
             # reflect e1 onto q: x = y - 2 v <v,y>/<v,v> with v = e1 - q
             v = [1.0 - q[0], *(-q[1:])]
             vv = _axis_dot(v, v)
@@ -374,6 +377,7 @@ def mc_stick_hit_volume(d: int, length: float, rho: float, trials: int, seed: in
             # the ball is centred at 0, so w = 0 - x
             w = [shift * v[k] - y[k] for k in range(d)]
             hits += int(np.count_nonzero(_ball_distance_sq(w, q, 0.5 * length) <= rho * rho))
+        move_to(rng, axial)
         return hits
 
     box_volume = (2.0 * half_t) * (2.0 * rho) ** (d - 1)
@@ -394,9 +398,10 @@ def mc_cap_hit_probability(
     x[0] = r
 
     def count_hits(rng, n):
-        p = Uniform().sample_directions(rng, d, n)
-        centers = np.broadcast_to(x, (n, d))
-        return int(segments_hit_ball(centers, p, 0.5 * length, np.zeros(d), rho).sum())
+        return sum(
+            int(np.count_nonzero(segments_hit_ball(np.broadcast_to(x, p.shape), p, 0.5 * length, np.zeros(d), rho)))
+            for _, p in stream_directions(d, Uniform(), rng, n)
+        )
 
     return _mc_fraction(trials, seed, 2, 1.0, count_hits)
 

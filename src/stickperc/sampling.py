@@ -15,7 +15,9 @@ Poisson count and places them so, for window configurations, replicate
 batches and component explorations.  ``stream_sticks`` is the same draw
 for one stream, bit for bit, handed out in row blocks: the offspring and
 two-ball Monte Carlo draw their own counts and stream their sticks, so
-they hold one block at a time.  A single configuration is a batch of one.
+they hold one block at a time.  ``stream_directions`` hands out a law's
+``sample_directions`` so, for the stick-ball and cap Monte Carlo.  A
+single configuration is a batch of one.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import CapacityExceeded, DomainError
-from .rng import substream
+from .rng import advanced, move_to, substream
 
 _STREAM_CONFIG = 0x5EED
 # a replicate peaks near 3 KB per stick over sampling and clustering (d = 3
@@ -38,9 +40,10 @@ _MAX_EXPECTED_COUNT = 5e5
 # per individual, so a population of this many holds about 1.6 GB, near the
 # stick guard's budget
 _MAX_POPULATION = 1e8
-# sticks per block of ``stream_sticks``: geometry's ``_BLOCK`` rows, which
-# the Monte Carlo kernels test at once (geometry imports this module); the
-# fastest of 4,096-65,536 on verify's streamed calls
+# rows per block of ``stream_sticks`` and ``stream_directions``: geometry's
+# ``_BLOCK`` rows, which the Monte Carlo kernels test at once (geometry
+# imports this module); the fastest of 4,096-65,536 on verify's streamed
+# sticks
 _STREAM_BLOCK = 8_192
 
 
@@ -88,7 +91,8 @@ class Uniform(_DirectionLaw):
         bad = np.flatnonzero(norms < 1e-12)
         while len(bad):
             owner = np.searchsorted(np.cumsum(counts), bad, side="right")
-            for r in np.unique(owner).tolist():
+            # np.unique would import numpy.ma
+            for r in sorted(set(owner.tolist())):
                 rows = bad[owner == r]
                 raw[rows] = streams[r].standard_normal((len(rows), raw.shape[1]))
             norms = _row_norms(raw)
@@ -316,8 +320,7 @@ def stream_sticks(d: int, law: OrientationLaw, box: BoxRegion, rng: np.random.Ge
     copy stands where ``place_sticks`` draws its redraws.  Of two or more
     such blocks, each redraws in turn, which matches ``place_sticks``
     unless a redrawn row is too short again."""
-    directions = copy.deepcopy(rng)
-    directions.bit_generator.advance(n * d)
+    directions = advanced(rng, n * d)
     later = []
     for start in range(0, n, _STREAM_BLOCK):
         k = min(_STREAM_BLOCK, n - start)
@@ -332,10 +335,46 @@ def stream_sticks(d: int, law: OrientationLaw, box: BoxRegion, rng: np.random.Ge
         yield start, centers, dirs
     for start, u, raw in later:
         yield (start, *_lay_out(law, box, u, raw, [directions], [len(u)]))
-    # the copy's position, and rng's own buffered 32-bit half word
-    state = rng.bit_generator.state
-    state["state"] = directions.bit_generator.state["state"]
-    rng.bit_generator.state = state
+    move_to(rng, directions)
+
+
+def stream_directions(d: int, law: OrientationLaw, rng: np.random.Generator, n: int):
+    """The directions of ``law.sample_directions(rng, d, n)``, bit for bit,
+    as ``(start, directions)`` for consecutive blocks of at most
+    ``_STREAM_BLOCK`` rows, in order.  Each block is a view of one buffer
+    that the next block overwrites, so a caller holds one block, not ``n``
+    directions.  By the time the first block is handed out, ``rng`` stands
+    where ``sample_directions`` leaves it.
+
+    A normal takes a variable number of words, so where the directions end
+    is known only once every one is drawn.  So a first pass draws the raw
+    blocks from ``rng`` and keeps only those holding a row too short to
+    scale, which one ``law.unit`` call scales, redrawing from ``rng`` as
+    ``sample_directions`` does; a second pass draws the raw blocks again
+    from a copy of ``rng`` taken before the first."""
+    again = copy.deepcopy(rng)
+    raw = np.empty((min(n, _STREAM_BLOCK), d))
+    held = {}
+    for start in range(0, n, _STREAM_BLOCK):
+        block = raw[: n - start]
+        law.draw(rng, block)
+        try:
+            law.unit(block, [_RedrawLater], [len(block)], out=block)
+        except _RedrawLater:
+            held[start] = block.copy()
+    if held:
+        short = np.concatenate(list(held.values()))
+        law.unit(short, [rng], [len(short)], out=short)
+        # only the last block can be shorter, and it is held last
+        held = {start: short[i * _STREAM_BLOCK : (i + 1) * _STREAM_BLOCK] for i, start in enumerate(held)}
+    for start in range(0, n, _STREAM_BLOCK):
+        block = raw[: n - start]
+        law.draw(again, block)
+        if start in held:
+            yield start, held[start]
+            continue
+        law.unit(block, [_RedrawLater], [len(block)], out=block)
+        yield start, block
 
 
 def poisson_sticks(

@@ -68,6 +68,12 @@ class TestStickHitVolume:
         with pytest.raises(DomainError, match=r"^stick length must be a number in \(0, inf\), got inf$"):
             mc_stick_hit_volume(2, math.inf, 1.0, 10, seed=1)
 
+    @pytest.mark.parametrize("d, trials, seed", [(2, 200_000, 1), (2, 1_200_000, 2), (3, 400_000, 3)])
+    def test_memory_does_not_grow_with_the_draws(self, d, trials, seed):
+        # the directions and box uniforms stream in blocks; verify's 200,000
+        # drawn at once held 7.6 MiB
+        assert traced_peak(lambda: mc_stick_hit_volume(d, 10.0, 2.0, trials, seed)) < 3e6
+
     def test_monte_carlo_agreement(self):
         est = mc_stick_hit_volume(2, 10.0, 2.0, 150_000, seed=4)
         target = stick_hit_volume(2, 10.0, 2.0)
@@ -161,6 +167,11 @@ class TestCapHitProbability:
         whole = mc_cap_hit_probability(d, 1.0, 2.0, 5_000, seed=9)
         monkeypatch.setattr(measures, "_MC_CHUNK", 64)
         assert mc_cap_hit_probability(d, 1.0, 2.0, 5_000, seed=9) == whole
+
+    @pytest.mark.parametrize("trials", [300_000, 1_200_000])
+    def test_memory_does_not_grow_with_the_draws(self, trials):
+        # the directions stream in blocks; 300,000 drawn at once held 16.7 MiB
+        assert traced_peak(lambda: mc_cap_hit_probability(3, 1.0, 2.5, trials, 1)) < 3e6
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from stickperc import oriented
 from stickperc.errors import CapacityExceeded, DomainError
@@ -148,6 +149,19 @@ class TestFrontier:
     def test_deduplication_and_sorting(self):
         f = Frontier(0, np.array([4, -2, 4, 0]))
         assert f.occupied.tolist() == [-2, 0, 4]
+
+
+INT64_ENDS = [-(2**63), -(2**63) + 1, 2**63 - 2, 2**63 - 1]
+SITES = st.one_of(st.integers(-3, 3), st.sampled_from(INT64_ENDS), st.integers(-(2**63), 2**63 - 1))
+
+
+@given(hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0), elements=SITES))
+@example(np.array([], dtype=np.int64))
+@example(np.array(INT64_ENDS * 2, dtype=np.int64))
+@example(np.array([[5, -1, 5], [2**63 - 1, -1, -(2**63)]], dtype=np.int64))
+def test_sorted_unique_is_np_unique(values):
+    unique = oriented._sorted_unique(values)
+    assert unique.dtype == np.int64 and np.array_equal(unique, np.unique(values))
 
 
 class TestOpStep:

@@ -618,8 +618,9 @@ def test_one_edge_pipeline(callee):
 
 DRAW_CALLERS = {
     "draw": ("draw", None, {"sampling.place_sticks", "sampling.stream_sticks",
-                            "sampling._DirectionLaw.sample_directions"}),
-    "unit": ("unit", None, {"sampling._lay_out", "sampling._DirectionLaw.sample_directions"}),
+                            "sampling._DirectionLaw.sample_directions", "sampling.stream_directions"}),
+    "unit": ("unit", None, {"sampling._lay_out", "sampling._DirectionLaw.sample_directions",
+                            "sampling.stream_directions"}),
     "_lay_out": ("_lay_out", None, {"sampling.place_sticks", "sampling.stream_sticks"}),
     # the centres' uniforms
     "random-out": ("random", "out", {"sampling.place_sticks", "sampling.stream_sticks"}),
@@ -629,7 +630,8 @@ DRAW_CALLERS = {
 @pytest.mark.parametrize("case", DRAW_CALLERS)
 def test_one_stick_draw(case):
     # sticks are drawn by place_sticks, or streamed from its draw by
-    # stream_sticks, and a law's directions by sample_directions: a third
-    # copy of the draw would fail here
+    # stream_sticks, and a law's directions by sample_directions, or
+    # streamed from its draw by stream_directions: a third copy of either
+    # draw would fail here
     callee, keyword, homes = DRAW_CALLERS[case]
     assert callers(callee, keyword) == homes

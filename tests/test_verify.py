@@ -4,10 +4,13 @@ suite at suite seeds 1-6, the seeds the benchmark's verify workload runs."""
 import functools
 import hashlib
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from conftest import checkout_env
 from stickperc import branching, geometry, measures, oriented, sampling, verify
 from stickperc.rng import substream
 from stickperc.sampling import Rigid, Uniform
@@ -99,11 +102,22 @@ def test_blocks_move_no_output(monkeypatch):
 
 
 def test_stream_blocks_move_no_output(monkeypatch):
-    # streamed sticks in blocks of 1,000: the two-ball and offspring draws
-    # end mid-block and cross blocks within a trial
+    # streamed sticks and directions in blocks of 1,000: the two-ball and
+    # offspring draws end mid-block and cross blocks within a trial, and the
+    # stick-ball directions and box uniforms cross blocks
     monkeypatch.setattr(sampling, "_STREAM_BLOCK", 1_000)
     for seed, pins in MONTE_CARLO_PINS.items():
         assert verify_monte_carlo(seed) == pins
+
+
+def test_verify_leaves_numpy_ma_unimported():
+    # np.unique loads numpy.ma at its first call, about 15 ms and 1.3 MB of
+    # a verify run: an op_step call alone, then every suite, leave it out
+    script = ("import sys; import numpy as np; from stickperc import Frontier, op_step, verify\n"
+              "op_step(Frontier(0, [0, 2, 0]), 0.5, 'bond', np.random.default_rng(1)); ma = 'numpy.ma' in sys.modules\n"
+              "verify.run_suite('all', 1); print(ma, 'numpy.ma' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=checkout_env())
+    assert (run.returncode, run.stdout) == (0, "False False\n")
 
 
 @pytest.mark.parametrize("n_cases", [1, 6_000, 10_000, 23_456])
