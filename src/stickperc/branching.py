@@ -18,7 +18,7 @@ from .errors import CapacityExceeded, DomainError
 from .geometry import INTERSECT_THRESHOLD, segment_distance_arrays
 from .rng import substream
 from .sampling import (
-    _MAX_EXPECTED_COUNT, _MAX_POPULATION, BoxRegion, OrientationLaw, Rigid, check_dim, check_expected_count,
+    _MAX_POPULATION, BoxRegion, OrientationLaw, Rigid, check_dim, check_expected_count,
     check_integer, check_intensity, check_law, check_length, check_runs, check_seed, poisson_sticks, stream_sticks,
 )
 
@@ -74,8 +74,11 @@ def offspring_mean_mc(
 
     Each trial draws a fresh Poisson configuration in a box provably
     containing every center that could intersect the seed and counts the
-    intersecting sticks.  The standard error needs at least two trials; as
-    each trial keeps its count, more than the stick guard's 5e5 are refused.
+    intersecting sticks.  Every trial's Poisson count is drawn first; then
+    all the trials' sticks, in trial order, are streamed from the same
+    stream in blocks by ``stream_sticks``, so the memory is one block of
+    sticks.  The standard error needs at least two trials; as each trial
+    keeps its count, more than the stick guard's 5e5 are refused.
     """
     d, length, center, direction = _seed_stick(d, length, law)
     trials = check_integer(trials, "trials", 2)
@@ -84,17 +87,12 @@ def offspring_mean_mc(
     rng = substream(check_seed(seed), _STREAM_OFFSPRING)
     mean_count = check_expected_count(check_intensity(intensity) * box.volume)
     counts = rng.poisson(mean_count, size=trials).astype(np.int64)
+    ends = np.cumsum(counts)
     samples = np.zeros(trials, dtype=np.int64)
-    # trial blocks of at most the guard's expected count of sticks, each one
-    # streamed draw: the blocks fix the stream's layout, which the pinned
-    # samples read, while the memory is one block of sticks
-    block_trials = max(1, int(_MAX_EXPECTED_COUNT / max(mean_count, 1.0)))
-    for lo in range(0, trials, block_trials):
-        ends = np.cumsum(counts[lo : lo + block_trials])
-        for start, centers, dirs in stream_sticks(d, law, box, rng, int(ends[-1])):
-            hit = start + np.flatnonzero(_overlaps(centers, dirs, length, center, direction))
-            # a stick's trial is the number of trial ends at or before it
-            np.add.at(samples, lo + np.searchsorted(ends, hit, side="right"), 1)
+    for start, centers, dirs in stream_sticks(d, law, box, rng, int(ends[-1])):
+        hit = start + np.flatnonzero(_overlaps(centers, dirs, length, center, direction))
+        # a stick's trial is the number of trial ends at or before it
+        np.add.at(samples, np.searchsorted(ends, hit, side="right"), 1)
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(trials))
     return OffspringEstimate(mean=mean, stderr=stderr, trials=trials, samples=tuple(int(v) for v in samples))

@@ -18,17 +18,13 @@ import numpy as np
 
 from .errors import DomainError, PreconditionViolated
 from .geometry import _axis_dot, _ball_distance_sq, check_radius, segments_hit_ball
-from .rng import advanced, move_to, substream
+from .rng import substream
 from .sampling import (
-    REAL_TYPES, BoxRegion, Uniform, check_choice, check_density_floor, check_dim, check_integer,
-    check_intensity, check_length, check_real, check_seed, stream_directions, stream_sticks,
+    _STREAM_BLOCK, REAL_TYPES, BoxRegion, Uniform, check_choice, check_density_floor, check_dim, check_integer,
+    check_intensity, check_length, check_real, check_seed, place_sticks,
 )
 
 _STREAM_MEASURE_MC = 0x3EA5
-# Monte Carlo draws per chunk: each chunk draws its arrays in turn, so the
-# chunks fix the stream layout that the pinned hits read; every estimate
-# streams a chunk's draws in blocks, so they do not bound its memory
-_MC_CHUNK = 1_000_000
 _FLOAT_MAX = sys.float_info.max
 
 LAW_TAGS = ("uniform", "rigid", "density")
@@ -332,11 +328,12 @@ class MCEstimate:
 def _mc_fraction(trials: int, seed: int, stream: int, scale: float, count_hits) -> MCEstimate:
     """``scale`` times the hit fraction of ``trials`` draws, with its
     binomial standard error.  ``count_hits(rng, n)`` makes n draws from the
-    estimator's own measure substream and returns how many hit; it is called
-    on chunks of at most ``_MC_CHUNK`` draws, which fix the stream layout."""
+    estimator's own measure substream, all of them in order, and returns how
+    many hit; it is called on consecutive blocks of at most ``_STREAM_BLOCK``
+    draws, which fix the stream layout and hold the memory to one block."""
     trials = check_integer(trials, "trials", 1)
     rng = substream(check_seed(seed), _STREAM_MEASURE_MC, stream)
-    hits = sum(count_hits(rng, min(_MC_CHUNK, trials - done)) for done in range(0, trials, _MC_CHUNK))
+    hits = sum(count_hits(rng, min(_STREAM_BLOCK, trials - done)) for done in range(0, trials, _STREAM_BLOCK))
     p = hits / trials
     se = scale * math.sqrt(max(p * (1.0 - p), 0.0) / trials)
     return MCEstimate(value=scale * p, stderr=se, trials=trials, hits=hits)
@@ -351,11 +348,8 @@ def mc_stick_hit_volume(d: int, length: float, rho: float, trials: int, seed: in
     centers whose segment can reach the ball; the estimate is box volume
     times hit fraction.
 
-    A chunk draws its n directions, then n * d box uniforms, then n
-    axis-0 uniforms that replace the box's first column.  They stream in
-    blocks: the box uniforms from the stream once the directions are drawn,
-    the axis-0 ones from a copy of it advanced by the n * d words the box
-    uniforms take.
+    A block of n draws takes its n directions, then n * d box uniforms,
+    then n axis-0 uniforms that replace the box's first column.
     """
     d = check_dim(d)
     length = check_length(length)
@@ -363,22 +357,17 @@ def mc_stick_hit_volume(d: int, length: float, rho: float, trials: int, seed: in
     half_t = 0.5 * length + rho
 
     def count_hits(rng, n):
-        hits = 0
-        for start, p in stream_directions(d, Uniform(), rng, n):
-            if start == 0:
-                axial = advanced(rng, n * d)
-            local = rng.uniform(-rho, rho, size=p.shape)
-            local[:, 0] = axial.uniform(-half_t, half_t, size=len(p))
-            q, y = p.T, local.T
-            # reflect e1 onto q: x = y - 2 v <v,y>/<v,v> with v = e1 - q
-            v = [1.0 - q[0], *(-q[1:])]
-            vv = _axis_dot(v, v)
-            shift = np.where(vv > 1e-24, 2.0 * _axis_dot(v, y) / np.where(vv > 1e-24, vv, 1.0), 0.0)
-            # the ball is centred at 0, so w = 0 - x
-            w = [shift * v[k] - y[k] for k in range(d)]
-            hits += int(np.count_nonzero(_ball_distance_sq(w, q, 0.5 * length) <= rho * rho))
-        move_to(rng, axial)
-        return hits
+        p = Uniform().sample_directions(rng, d, n)
+        local = rng.uniform(-rho, rho, size=p.shape)
+        local[:, 0] = rng.uniform(-half_t, half_t, size=n)
+        q, y = p.T, local.T
+        # reflect e1 onto q: x = y - 2 v <v,y>/<v,v> with v = e1 - q
+        v = [1.0 - q[0], *(-q[1:])]
+        vv = _axis_dot(v, v)
+        shift = np.where(vv > 1e-24, 2.0 * _axis_dot(v, y) / np.where(vv > 1e-24, vv, 1.0), 0.0)
+        # the ball is centred at 0, so w = 0 - x
+        w = [shift * v[k] - y[k] for k in range(d)]
+        return int(np.count_nonzero(_ball_distance_sq(w, q, 0.5 * length) <= rho * rho))
 
     box_volume = (2.0 * half_t) * (2.0 * rho) ** (d - 1)
     return _mc_fraction(trials, seed, 1, box_volume, count_hits)
@@ -398,10 +387,8 @@ def mc_cap_hit_probability(
     x[0] = r
 
     def count_hits(rng, n):
-        return sum(
-            int(np.count_nonzero(segments_hit_ball(np.broadcast_to(x, p.shape), p, 0.5 * length, np.zeros(d), rho)))
-            for _, p in stream_directions(d, Uniform(), rng, n)
-        )
+        p = Uniform().sample_directions(rng, d, n)
+        return int(np.count_nonzero(segments_hit_ball(np.broadcast_to(x, p.shape), p, 0.5 * length, np.zeros(d), rho)))
 
     return _mc_fraction(trials, seed, 2, 1.0, count_hits)
 
@@ -434,12 +421,10 @@ def mc_two_ball_measure(d: int, length: float, trials: int, seed: int, intensity
         raise DomainError(f"construction box volume overflows at L = {length}")
 
     def count_hits(rng, n):
-        hits, h = 0, 0.5 * length
-        for _, x, p in stream_sticks(d, Uniform(), box, rng, n):
-            # each row's test is its own, so zeta is tested only where gamma hit
-            near = np.flatnonzero(segments_hit_ball(x, p, h, gamma, 2.0))
-            hits += int(np.count_nonzero(segments_hit_ball(x[near], p[near], h, zeta, 2.0)))
-        return hits
+        x, p = place_sticks(d, Uniform(), box, [rng], [n])
+        # each row's test is its own, so zeta is tested only where gamma hit
+        near = np.flatnonzero(segments_hit_ball(x, p, 0.5 * length, gamma, 2.0))
+        return int(np.count_nonzero(segments_hit_ball(x[near], p[near], 0.5 * length, zeta, 2.0)))
 
     return _mc_fraction(trials, seed, 3, intensity * volume, count_hits)
 

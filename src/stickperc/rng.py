@@ -8,8 +8,6 @@ serial runs consume identical randomness.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -40,23 +38,6 @@ def derive_seed(master: int, *path: int) -> int:
 def substream(master: int, *path: int) -> np.random.Generator:
     """A PCG64 generator seeded from ``derive_seed(master, *path)``."""
     return np.random.Generator(np.random.PCG64(derive_seed(master, *path)))
-
-
-def advanced(rng: np.random.Generator, words: int) -> np.random.Generator:
-    """A copy of the PCG64 generator ``rng`` advanced by ``words`` 64-bit
-    words: where ``rng`` stands once it has drawn ``words`` doubles, which
-    take one word each."""
-    ahead = copy.deepcopy(rng)
-    ahead.bit_generator.advance(words)
-    return ahead
-
-
-def move_to(rng: np.random.Generator, other: np.random.Generator) -> None:
-    """Move ``rng`` to the PCG64 position of ``other``, keeping ``rng``'s own
-    buffered 32-bit half word."""
-    state = rng.bit_generator.state
-    state["state"] = other.bit_generator.state["state"]
-    rng.bit_generator.state = state
 
 
 def _finalize(z):

@@ -12,17 +12,15 @@ stream draws only its centres and its law's raw directions, while the
 scaling of the centres, the normalising of the directions and the per-axis
 layout run once over the batch.  ``poisson_sticks`` draws each stream's
 Poisson count and places them so, for window configurations, replicate
-batches and component explorations.  ``stream_sticks`` is the same draw
-for one stream, bit for bit, handed out in row blocks: the offspring and
-two-ball Monte Carlo draw their own counts and stream their sticks, so
-they hold one block at a time.  ``stream_directions`` hands out a law's
-``sample_directions`` so, for the stick-ball and cap Monte Carlo.  A
-single configuration is a batch of one.
+batches and component explorations.  ``stream_sticks`` hands out one
+stream's sticks in blocks of at most ``_STREAM_BLOCK`` rows, each a
+``place_sticks`` draw in order, so the offspring Monte Carlo holds one
+block at a time; the measures' Monte Carlo draws its own blocks of that
+size.  A single configuration is a batch of one.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from numbers import Real
@@ -30,7 +28,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import CapacityExceeded, DomainError
-from .rng import advanced, move_to, substream
+from .rng import substream
 
 _STREAM_CONFIG = 0x5EED
 # a replicate peaks near 3 KB per stick over sampling and clustering (d = 3
@@ -40,10 +38,11 @@ _MAX_EXPECTED_COUNT = 5e5
 # per individual, so a population of this many holds about 1.6 GB, near the
 # stick guard's budget
 _MAX_POPULATION = 1e8
-# rows per block of ``stream_sticks`` and ``stream_directions``: geometry's
-# ``_BLOCK`` rows, which the Monte Carlo kernels test at once (geometry
-# imports this module); the fastest of 4,096-65,536 on verify's streamed
-# sticks
+# rows per Monte Carlo block: each block of ``stream_sticks`` and of the
+# measures' estimates is one in-order draw of at most this many rows, so it
+# fixes those estimates' stream layout; geometry's ``_BLOCK`` rows, which the
+# Monte Carlo kernels test at once (geometry imports this module), and the
+# fastest of 4,096-65,536 on verify's streamed sticks
 _STREAM_BLOCK = 8_192
 
 
@@ -260,19 +259,6 @@ def check_runs(count: int, noun: str) -> None:
         raise CapacityExceeded(f"{count} {noun} exceed guard of {_MAX_EXPECTED_COUNT:.3g}")
 
 
-def _lay_out(law: OrientationLaw, box: BoxRegion, u: np.ndarray, raw: np.ndarray, streams, counts):
-    """The centres and directions of the (n, d) uniforms ``u`` and raw
-    directions ``raw``, drawn from ``streams`` by ``counts``: ``u`` scaled
-    into ``box`` and ``raw`` made unit by ``law``, as (n, d) views of
-    C-contiguous (d, n) per-axis rows."""
-    n, d = u.shape
-    centers, dirs = np.empty((d, n)), np.empty((d, n))
-    np.multiply(u.T, (box.high - box.low)[:, None], out=centers)
-    centers += box.low[:, None]
-    law.unit(raw, streams, counts, out=dirs.T)
-    return centers.T, dirs.T
-
-
 def place_sticks(
     d: int, law: OrientationLaw, box: BoxRegion, streams: list[np.random.Generator], counts
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -293,88 +279,20 @@ def place_sticks(
         rng.random(out=u[end : end + k])
         law.draw(rng, raw[end : end + k])
         end += k
-    return _lay_out(law, box, u, raw, streams, counts)
-
-
-class _RedrawLater(Exception):
-    """Raised by the stand-in stream of a streamed block when ``law.unit``
-    asks it for a redraw: the block holds a row too short to scale, whose
-    redraw waits until every block's directions are drawn."""
-
-    @staticmethod
-    def standard_normal(size):
-        raise _RedrawLater
+    centers, dirs = np.empty((d, n)), np.empty((d, n))
+    np.multiply(u.T, (box.high - box.low)[:, None], out=centers)
+    centers += box.low[:, None]
+    law.unit(raw, streams, counts, out=dirs.T)
+    return centers.T, dirs.T
 
 
 def stream_sticks(d: int, law: OrientationLaw, box: BoxRegion, rng: np.random.Generator, n: int):
-    """The sticks of ``place_sticks(d, law, box, [rng], [n])``, bit for bit,
-    as ``(start, centres, directions)`` for consecutive blocks of at most
-    ``_STREAM_BLOCK`` rows, so a caller holds one block, not ``n`` sticks.
-    Once the blocks are exhausted, ``rng`` stands where ``place_sticks``
-    leaves it.
-
-    ``place_sticks`` draws ``n * d`` centre uniforms, one 64-bit word each
-    on PCG64, then the raw directions.  So the centres come from ``rng``
-    and the directions from a copy of it advanced by ``n * d`` words.  A
-    block holding a row too short to scale comes after the others, once the
-    copy stands where ``place_sticks`` draws its redraws.  Of two or more
-    such blocks, each redraws in turn, which matches ``place_sticks``
-    unless a redrawn row is too short again."""
-    directions = advanced(rng, n * d)
-    later = []
+    """``n`` sticks from ``rng`` as ``(start, centres, directions)`` for
+    consecutive blocks of at most ``_STREAM_BLOCK`` rows, each block
+    ``place_sticks(d, law, box, [rng], [k])`` drawn in order, so a caller
+    holds one block, not ``n`` sticks."""
     for start in range(0, n, _STREAM_BLOCK):
-        k = min(_STREAM_BLOCK, n - start)
-        u, raw = np.empty((k, d)), np.empty((k, d))
-        rng.random(out=u)
-        law.draw(directions, raw)
-        try:
-            centers, dirs = _lay_out(law, box, u, raw, [_RedrawLater], [k])
-        except _RedrawLater:
-            later.append((start, u, raw))
-            continue
-        yield start, centers, dirs
-    for start, u, raw in later:
-        yield (start, *_lay_out(law, box, u, raw, [directions], [len(u)]))
-    move_to(rng, directions)
-
-
-def stream_directions(d: int, law: OrientationLaw, rng: np.random.Generator, n: int):
-    """The directions of ``law.sample_directions(rng, d, n)``, bit for bit,
-    as ``(start, directions)`` for consecutive blocks of at most
-    ``_STREAM_BLOCK`` rows, in order.  Each block is a view of one buffer
-    that the next block overwrites, so a caller holds one block, not ``n``
-    directions.  By the time the first block is handed out, ``rng`` stands
-    where ``sample_directions`` leaves it.
-
-    A normal takes a variable number of words, so where the directions end
-    is known only once every one is drawn.  So a first pass draws the raw
-    blocks from ``rng`` and keeps only those holding a row too short to
-    scale, which one ``law.unit`` call scales, redrawing from ``rng`` as
-    ``sample_directions`` does; a second pass draws the raw blocks again
-    from a copy of ``rng`` taken before the first."""
-    again = copy.deepcopy(rng)
-    raw = np.empty((min(n, _STREAM_BLOCK), d))
-    held = {}
-    for start in range(0, n, _STREAM_BLOCK):
-        block = raw[: n - start]
-        law.draw(rng, block)
-        try:
-            law.unit(block, [_RedrawLater], [len(block)], out=block)
-        except _RedrawLater:
-            held[start] = block.copy()
-    if held:
-        short = np.concatenate(list(held.values()))
-        law.unit(short, [rng], [len(short)], out=short)
-        # only the last block can be shorter, and it is held last
-        held = {start: short[i * _STREAM_BLOCK : (i + 1) * _STREAM_BLOCK] for i, start in enumerate(held)}
-    for start in range(0, n, _STREAM_BLOCK):
-        block = raw[: n - start]
-        law.draw(again, block)
-        if start in held:
-            yield start, held[start]
-            continue
-        law.unit(block, [_RedrawLater], [len(block)], out=block)
-        yield start, block
+        yield (start, *place_sticks(d, law, box, [rng], [min(_STREAM_BLOCK, n - start)]))
 
 
 def poisson_sticks(

@@ -617,21 +617,25 @@ def test_one_edge_pipeline(callee):
 
 
 DRAW_CALLERS = {
-    "draw": ("draw", None, {"sampling.place_sticks", "sampling.stream_sticks",
-                            "sampling._DirectionLaw.sample_directions", "sampling.stream_directions"}),
-    "unit": ("unit", None, {"sampling._lay_out", "sampling._DirectionLaw.sample_directions",
-                            "sampling.stream_directions"}),
-    "_lay_out": ("_lay_out", None, {"sampling.place_sticks", "sampling.stream_sticks"}),
+    "draw": ("draw", None, {"sampling.place_sticks", "sampling._DirectionLaw.sample_directions"}),
+    "unit": ("unit", None, {"sampling.place_sticks", "sampling._DirectionLaw.sample_directions"}),
     # the centres' uniforms
-    "random-out": ("random", "out", {"sampling.place_sticks", "sampling.stream_sticks"}),
+    "random-out": ("random", "out", {"sampling.place_sticks"}),
 }
 
 
 @pytest.mark.parametrize("case", DRAW_CALLERS)
 def test_one_stick_draw(case):
-    # sticks are drawn by place_sticks, or streamed from its draw by
-    # stream_sticks, and a law's directions by sample_directions, or
-    # streamed from its draw by stream_directions: a third copy of either
-    # draw would fail here
+    # sticks are drawn by place_sticks and a law's directions by
+    # sample_directions, and every streamed block is one of their draws: a
+    # second copy of either draw, or a second stream layout, would fail here
     callee, keyword, homes = DRAW_CALLERS[case]
     assert callers(callee, keyword) == homes
+
+
+def test_no_stream_is_moved_by_hand():
+    # every stream is drawn in order: nothing advances a generator, copies
+    # one to draw ahead or sets a generator's state
+    assert callers("advance") == callers("deepcopy") == set()
+    assert not [function for function, node in PACKAGE_NODES if isinstance(node, ast.Assign)
+                and any(isinstance(target, ast.Attribute) and target.attr == "state" for target in node.targets)]

@@ -343,122 +343,32 @@ class TestPoissonSticks:
             poisson_sticks(3, 0.1, Rigid(np.array([0.0, 1.0])), BoxRegion.cube(3, 4.0), [substream(0)])
 
 
-class ZeroedUniform(Uniform):
-    """The uniform law with raw rows ``rows`` of its draws, counted over all
-    its ``draw`` calls, zeroed, so they are too short to scale."""
-
-    def __init__(self, *rows):
-        object.__setattr__(self, "rows", np.array(rows))
-
-    def draw(self, rng, out):
-        super().draw(rng, out)
-        out[self.rows[(0 <= self.rows) & (self.rows < len(out))]] = 0.0
-        object.__setattr__(self, "rows", self.rows - len(out))
-
-
 BLOCK = sampling._STREAM_BLOCK
 
 
 class TestStreamSticks:
     BOX = {d: BoxRegion(np.linspace(-3.0, 2.0, d), np.linspace(4.5, 30.0, d)) for d in (2, 3, 4)}
 
-    @staticmethod
-    def streamed(d, law, box, rng, n):
-        """The blocks' starts, and their centres and directions stacked in
-        row order."""
-        blocks = list(sampling.stream_sticks(d, law, box, rng, n))
-        for _, centers, dirs in blocks:
-            assert centers.T.flags.c_contiguous and dirs.T.flags.c_contiguous
-        starts = [start for start, _, _ in blocks]
-        order = np.argsort(starts)
-        return starts, *(np.concatenate([blocks[i][k] for i in order] or [np.empty((0, d))]) for k in (1, 2))
-
     @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
     @pytest.mark.parametrize("law_tag", ["uniform", "rigid"])
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_blocks_are_place_sticks(self, d, law_tag, n):
-        # consecutive blocks of place_sticks' sticks, bit for bit, leaving the
-        # stream where place_sticks does, a buffered 32-bit half word included
+        # each block is place_sticks' draw of its rows, in order from the one
+        # stream, which then stands where its twin does, a buffered 32-bit
+        # half word included
         law = Uniform() if law_tag == "uniform" else Rigid(np.arange(1.0, d + 1.0))
-        rng, reference = substream(13, d), substream(13, d)
-        for stream in (rng, reference):
+        rng, twin = substream(13, d), substream(13, d)
+        for stream in (rng, twin):
             stream.integers(10, dtype=np.uint32)
         assert rng.bit_generator.state["has_uint32"] == 1
-        centers, dirs = place_sticks(d, law, self.BOX[d], [reference], [n])
-        starts, streamed_centers, streamed_dirs = self.streamed(d, law, self.BOX[d], rng, n)
-        assert starts == list(range(0, n, BLOCK))
-        assert np.array_equal(streamed_centers, centers) and np.array_equal(streamed_dirs, dirs)
-        assert rng.bit_generator.state == reference.bit_generator.state
-
-    @pytest.mark.parametrize("row", [5, BLOCK + 5])
-    def test_short_row_redrawn_where_place_sticks_redraws_it(self, row):
-        # the block holding the zeroed row comes last, its redraw taken
-        # after every block's directions, as place_sticks takes it
-        n = 3 * BLOCK + 5
-        rng, reference = substream(14), substream(14)
-        centers, dirs = place_sticks(2, ZeroedUniform(row), self.BOX[2], [reference], [n])
-        starts, streamed_centers, streamed_dirs = self.streamed(2, ZeroedUniform(row), self.BOX[2], rng, n)
-        held = row // BLOCK * BLOCK
-        assert starts == [start for start in range(0, n, BLOCK) if start != held] + [held]
-        assert np.array_equal(streamed_centers, centers) and np.array_equal(streamed_dirs, dirs)
-        assert rng.bit_generator.state == reference.bit_generator.state
-        assert np.linalg.norm(dirs[row]) == pytest.approx(1.0)
-
-
-class TestStreamDirections:
-    @staticmethod
-    def streamed(d, law, rng, n):
-        """The blocks' starts, their directions stacked in order, and the
-        draw that follows the directions, taken from ``rng`` as the first
-        block is handed out."""
-        starts, blocks, following = [], [], None
-        for start, dirs in sampling.stream_directions(d, law, rng, n):
-            if not starts:
-                following = rng.random()
+        starts = []
+        for start, centers, dirs in sampling.stream_sticks(d, law, self.BOX[d], rng, n):
+            assert centers.T.flags.c_contiguous and dirs.T.flags.c_contiguous
+            twin_centers, twin_dirs = place_sticks(d, law, self.BOX[d], [twin], [min(BLOCK, n - start)])
+            assert np.array_equal(centers, twin_centers) and np.array_equal(dirs, twin_dirs)
             starts.append(start)
-            blocks.append(dirs.copy())  # the next block overwrites dirs
-        if not starts:
-            following = rng.random()
-        return starts, np.concatenate(blocks or [np.empty((0, d))]), following
-
-    @staticmethod
-    def sampled(d, law, rng, n):
-        """``sample_directions``' directions and the draw that follows them."""
-        dirs = law.sample_directions(rng, d, n)
-        return dirs, rng.random()
-
-    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
-    @pytest.mark.parametrize("law_tag", ["uniform", "rigid"])
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_blocks_are_sample_directions(self, d, law_tag, n):
-        # consecutive blocks of sample_directions' rows, bit for bit, with
-        # the stream where sample_directions leaves it as soon as the first
-        # block is out, a buffered 32-bit half word included
-        law = Uniform() if law_tag == "uniform" else Rigid(np.arange(1.0, d + 1.0))
-        rng, reference = substream(15, d), substream(15, d)
-        for stream in (rng, reference):
-            stream.integers(10, dtype=np.uint32)
-        assert rng.bit_generator.state["has_uint32"] == 1
-        dirs, following = self.sampled(d, law, reference, n)
-        starts, streamed_dirs, streamed_following = self.streamed(d, law, rng, n)
         assert starts == list(range(0, n, BLOCK))
-        assert np.array_equal(streamed_dirs, dirs) and streamed_following == following
-        assert rng.bit_generator.state == reference.bit_generator.state
-
-    @pytest.mark.parametrize("rows", [(BLOCK + 5,), (3 * BLOCK + 2,), (5, 3 * BLOCK + 2)],
-                             ids=["middle-block", "last-block", "first-and-last-blocks"])
-    def test_short_rows_redrawn_where_sample_directions_redraws_them(self, rows):
-        # the held blocks are scaled by one unit call after every raw
-        # direction is drawn, so their redraws come where sample_directions
-        # takes them, ahead of the following draw
-        n = 3 * BLOCK + 5
-        rng, reference = substream(16), substream(16)
-        dirs, following = self.sampled(2, ZeroedUniform(*rows), reference, n)
-        starts, streamed_dirs, streamed_following = self.streamed(2, ZeroedUniform(*rows), rng, n)
-        assert starts == list(range(0, n, BLOCK))
-        assert np.array_equal(streamed_dirs, dirs) and streamed_following == following
-        assert rng.bit_generator.state == reference.bit_generator.state
-        np.testing.assert_allclose(np.linalg.norm(dirs[list(rows)], axis=1), 1.0)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestBoxRegion:
